@@ -18,12 +18,11 @@ package edtrace
 //	index under parallel load)
 //
 // Figure benches share one simulated capture (built once), so -bench=.
-// stays minutes, not hours. Numbers land in bench_output.txt and are
-// interpreted against the paper in EXPERIMENTS.md.
+// stays minutes, not hours. The recorded end-to-end and per-layer
+// numbers are the benchmark's (bench/README.md), not these.
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -448,35 +447,6 @@ func BenchmarkSessionPipeline(b *testing.B) {
 		b.Fatal("session decoded nothing — benchmark frames are broken")
 	}
 	b.ReportMetric(float64(st.DecodedOK)/b.Elapsed().Seconds(), "msgs/s")
-}
-
-// BenchmarkSessionPipelineSharded is the flow-sharded session across a
-// worker matrix — the tentpole's multi-core scaling experiment. On a
-// single-core host the sharded path measures pure fan-out/merge
-// overhead; scripts/bench_pipeline.sh records the matrix next to
-// host_cpus so runs on different hardware stay comparable.
-func BenchmarkSessionPipelineSharded(b *testing.B) {
-	for _, shards := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			frames := benchFrames(4096)
-			src := &replaySource{frames: frames, n: b.N}
-			b.SetBytes(int64(len(frames[0])))
-			b.ReportAllocs()
-			b.ResetTimer()
-			res, err := NewSession(src,
-				WithServerIP(0x0A000001),
-				WithShards(shards),
-			).Run(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := res.Report.Pipeline
-			if st.DecodedOK == 0 {
-				b.Fatal("session decoded nothing — benchmark frames are broken")
-			}
-			b.ReportMetric(float64(st.DecodedOK)/b.Elapsed().Seconds(), "msgs/s")
-		})
-	}
 }
 
 // BenchmarkSessionPipelineMetrics is BenchmarkSessionPipeline with

@@ -48,7 +48,6 @@ func main() {
 		service  = flag.Int("service", 6000, "capture service rate (frames/sec)")
 		tee      = flag.String("tee", "", "mirror processed frames into a pcap file")
 		progress = flag.Bool("progress", false, "print periodic progress")
-		shards   = flag.Int("shards", 1, "flow-sharded pipeline workers (1 = serial, 0 = GOMAXPROCS)")
 		dsw      = flag.Int("dataset-workers", 0, "background dataset chunk compressors (0 = inline)")
 	)
 	flag.Parse()
@@ -95,7 +94,7 @@ func main() {
 	sim.KernelBufferBytes = *bufKB << 10
 	sim.ServicePerPoll = *service / 20 // polled every 50 ms
 
-	opts := []edtrace.Option{edtrace.WithShards(*shards)}
+	var opts []edtrace.Option
 	if *figures {
 		opts = append(opts, edtrace.WithFigures())
 	}

@@ -18,7 +18,7 @@
 //   - A Session drives any Source through the capture pipeline of the
 //     paper's Figure 1 — decode, anonymise, store — configured with
 //     functional options (WithDataset, WithFigures, WithSink,
-//     WithProgress, WithPcapTee, WithBatchSize, ...) and executed by
+//     WithProgress, WithPcapTee, WithMetrics, ...) and executed by
 //     Session.Run(ctx), which honours cancellation and closes every
 //     sink on every exit path.
 //
@@ -29,5 +29,5 @@
 //
 // See README.md for the quickstart (including the daemon + load
 // generator + self-capture loop), examples/ for runnable programs, and
-// EXPERIMENTS.md for the paper-vs-measured record.
+// bench/README.md for the measured per-layer budget.
 package edtrace

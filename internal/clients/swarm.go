@@ -312,8 +312,7 @@ func (s *Swarm) scheduleOffers(c *workload.Client, r *randx.Rand, start simtime.
 		if r.Bool(0.01) {
 			// Rare jumbo announcements exceed the MTU and fragment —
 			// deliberately more often than the paper's 2·10⁻⁷ so the
-			// reassembly path is exercised at laptop scale (see
-			// EXPERIMENTS.md).
+			// reassembly path is exercised at laptop scale.
 			batch = s.tc.OfferBatch * 6
 		}
 		if off+batch > len(shares) {

@@ -14,11 +14,10 @@
 // The same Pipeline runs in three modes: inside the discrete-event
 // simulation (SimWorld), over a pcap file, or on a live UDP socket.
 //
-// The pipeline is split at the decode/anonymise boundary so the capture
-// session can parallelise it: a FrameDecoder (steps 1–2, stateful only
-// in its fragment reassembler) can run one instance per flow shard,
-// while EmitDecoded (step 3, whose order-of-appearance anonymisation is
-// inherently sequential) commits decoded messages in a single goroutine.
+// The pipeline is split at the decode/anonymise boundary: a FrameDecoder
+// (steps 1–2, stateful only in its fragment reassembler) and EmitDecoded
+// (step 3, whose order-of-appearance anonymisation is inherently
+// sequential), so each half can be measured on its own.
 package core
 
 import (
@@ -49,8 +48,8 @@ type DiscardSink struct{}
 // Write implements RecordSink.
 func (DiscardSink) Write(*xmlenc.Record) error { return nil }
 
-// PipelineStats counts every stage's outcomes; the headline table of
-// EXPERIMENTS.md is printed from this struct.
+// PipelineStats counts every stage's outcomes; Report.String prints its
+// headline table from this struct.
 type PipelineStats struct {
 	Frames       uint64 // ethernet frames processed
 	EthMalformed uint64 // frames that were not IPv4
@@ -68,8 +67,8 @@ type PipelineStats struct {
 	Answers      uint64
 }
 
-// Add returns the field-wise sum of s and o — how a sharded session
-// folds per-shard decoder counters into the merge stage's totals.
+// Add returns the field-wise sum of s and o — how a Pipeline folds its
+// decoder's counters into its emit-side ones.
 func (s PipelineStats) Add(o PipelineStats) PipelineStats {
 	s.Frames += o.Frames
 	s.EthMalformed += o.EthMalformed
@@ -117,10 +116,8 @@ type Decoded struct {
 
 // FrameDecoder is the front half of the pipeline: ethernet/IP parsing,
 // fragment reassembly, UDP validation and two-phase eDonkey decoding.
-// It holds no anonymisation state, so a sharded session runs one
-// instance per worker (each shard sees all fragments of its flows,
-// keeping reassembly correct). Not safe for concurrent use; give each
-// goroutine its own.
+// It holds no anonymisation state. Not safe for concurrent use; give
+// each goroutine its own.
 type FrameDecoder struct {
 	reasm *netsim.Reassembler
 	stats PipelineStats // decode-side counters; Records/Queries/Answers stay zero
@@ -241,20 +238,8 @@ func NewPipelineMulti(servers map[uint32]string, fileBytePair [2]int, sink Recor
 	return p
 }
 
-// IsServer reports whether addr is a captured server — the sharded
-// session uses the same classification to key flows by their client
-// endpoint.
-func (p *Pipeline) IsServer(addr uint32) bool {
-	if p.servers != nil {
-		_, ok := p.servers[addr]
-		return ok
-	}
-	return addr == p.ServerIP
-}
-
 // Stats returns a copy of the counters: the embedded decoder's plus the
-// emit side's. A sharded session folds its workers' decoder stats on top
-// with PipelineStats.Add.
+// emit side's.
 func (p *Pipeline) Stats() PipelineStats {
 	return p.stats.Add(p.dec.Stats())
 }
@@ -293,8 +278,7 @@ func (p *Pipeline) ProcessDatagram(now simtime.Time, src, dst uint32, payload []
 // EmitDecoded runs the anonymise/format/store back half on one decoded
 // message. It takes ownership of d.Msg, releasing it to the decode pool
 // before returning. Order of calls defines the anonymised ID space
-// (order of appearance), so a sharded session serialises EmitDecoded in
-// its merge goroutine, in global capture order.
+// (order of appearance), so callers must commit in capture order.
 func (p *Pipeline) EmitDecoded(now simtime.Time, d Decoded) error {
 	rec := p.transform(now, d.Src, d.Dst, d.Msg)
 	ed2k.Release(d.Msg)

@@ -48,7 +48,7 @@ func NewLiveSource(queueFrames int) *LiveSource {
 	return &LiveSource{
 		queue: make(chan frameItem, queueFrames),
 		// The freelist covers the queue plus the frames in flight inside
-		// the session (consumer batches, shard rounds); overflow or
+		// the session (queued and in-process batches); overflow or
 		// underflow just means one allocation, never a stall or a leak.
 		free: make(chan []byte, 2*queueFrames),
 		done: make(chan struct{}),
@@ -109,18 +109,30 @@ func (l *LiveSource) Close() {
 
 // Frames implements Source: it forwards mirrored datagrams until Close
 // is called (then drains the queue) or ctx is cancelled.
+//
+// Concurrent Mirror calls read the clock before they queue, so frames can
+// arrive slightly out of timestamp order; this single consumer clamps
+// them monotone so the dataset's ordering invariant holds.
 func (l *LiveSource) Frames(ctx context.Context, emit EmitFunc) error {
+	var last simtime.Time
+	forward := func(f frameItem) error {
+		if f.t < last {
+			f.t = last
+		}
+		last = f.t
+		return emit(f.t, f.data)
+	}
 	for {
 		select {
 		case f := <-l.queue:
-			if err := emit(f.t, f.data); err != nil {
+			if err := forward(f); err != nil {
 				return err
 			}
 		case <-l.done:
 			for {
 				select {
 				case f := <-l.queue:
-					if err := emit(f.t, f.data); err != nil {
+					if err := forward(f); err != nil {
 						return err
 					}
 				default:

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"edtrace/internal/edserverd"
-	"edtrace/internal/simtime"
 )
 
 // serverNamer is implemented by sources capturing several servers at
@@ -88,20 +87,11 @@ func (s *MeshSource) Close() {
 	s.LiveSource.Close()
 }
 
-// Frames implements Source. Concurrent daemons can enqueue mirrored
-// frames slightly out of timestamp order (the clock is read before the
-// queue send); the merged stream clamps timestamps monotone so the
-// dataset's ordering invariant holds.
+// Frames implements Source; however the stream ends, every tap is
+// detached and the daemon watchers released.
 func (s *MeshSource) Frames(ctx context.Context, emit EmitFunc) error {
 	defer s.Close()
-	var last simtime.Time
-	return s.LiveSource.Frames(ctx, func(t simtime.Time, frame []byte) error {
-		if t < last {
-			t = last
-		}
-		last = t
-		return emit(t, frame)
-	})
+	return s.LiveSource.Frames(ctx, emit)
 }
 
 // serverNames identifies every captured server for the multi-server

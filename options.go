@@ -1,8 +1,6 @@
 package edtrace
 
 import (
-	"runtime"
-
 	"edtrace/internal/core"
 	"edtrace/internal/obs"
 	"edtrace/internal/simtime"
@@ -35,32 +33,8 @@ type sessionOptions struct {
 	haveServerIP   bool
 	bytePair       [2]int
 	haveBytePair   bool
-	queueDepth     int
-	batchSize      int
-	shards         int
-	autoShards     bool
 	metrics        *obs.Registry
 }
-
-// resolveShards maps the WithShards setting to a worker count: 0 or 1
-// means the serial pipeline.
-func (o *sessionOptions) resolveShards() int {
-	n := o.shards
-	if o.autoShards {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	if n < 2 {
-		return 1
-	}
-	return n
-}
-
-// maxShards bounds the worker count; past this the merge stage is the
-// bottleneck anyway.
-const maxShards = 64
 
 // WithDataset streams the anonymised XML dataset to dir; gzip compresses
 // the chunk files. The writer is closed (and the manifest written) on
@@ -73,11 +47,9 @@ func WithDataset(dir string, gzip bool) Option {
 }
 
 // WithDatasetWorkers compresses and writes dataset chunk files on n
-// background goroutines instead of inline on the record path — the
-// natural companion of WithShards for gzip-compressed datasets, where
-// compression otherwise dominates the merge stage. 0 (the default)
-// keeps the synchronous streaming writer. No effect without
-// WithDataset.
+// background goroutines instead of inline on the record path, where
+// gzip otherwise dominates the per-record cost. 0 (the default) keeps
+// the synchronous streaming writer. No effect without WithDataset.
 func WithDatasetWorkers(n int) Option {
 	return func(o *sessionOptions) {
 		if n > 0 {
@@ -146,19 +118,6 @@ func WithFileBytePair(a, b int) Option {
 	}
 }
 
-// WithQueueDepth bounds the frame channel between the source and the
-// pipeline stage (default 1024 frames; rounded up to whole batches).
-// A deeper queue absorbs burstier sources at the cost of memory. The
-// total in-flight window also includes the producer's partial batch and
-// the batch the consumer is processing: up to n + 2×batch frames.
-func WithQueueDepth(n int) Option {
-	return func(o *sessionOptions) {
-		if n > 0 {
-			o.queueDepth = n
-		}
-	}
-}
-
 // WithMetrics publishes the session pipeline's metrics into reg:
 // frames/records/batches throughput counters, the live queue depth and
 // average batch fill ratio, and frames dropped by cancellation or a
@@ -168,39 +127,4 @@ func WithQueueDepth(n int) Option {
 // re-registration re-points the read callbacks).
 func WithMetrics(reg *obs.Registry) Option {
 	return func(o *sessionOptions) { o.metrics = reg }
-}
-
-// WithShards splits the pipeline's decode stage across n flow-sharded
-// workers. Frames are keyed by the client end of their dialog (the
-// non-server IP), so both directions of a dialog — and all fragments of
-// a datagram — decode on the same worker, while the anonymise/store
-// stage commits results in a single merge goroutine in global capture
-// order. The record stream is therefore byte-identical to the serial
-// pipeline's; only the decode work is parallel.
-//
-// n <= 1 keeps the serial single-goroutine pipeline (the default);
-// WithShards(0) picks GOMAXPROCS workers. Counts are capped at 64.
-// Sharding pays a fan-out/merge cost per batch: it wins on multi-core
-// hardware with decode-heavy traffic and loses on one core — benchmark
-// with scripts/bench_pipeline.sh before enabling it in production.
-func WithShards(n int) Option {
-	return func(o *sessionOptions) {
-		o.shards = n
-		o.autoShards = n == 0
-	}
-}
-
-// WithBatchSize sets how many frames the source accumulates per channel
-// send (default 128, clamped to the queue depth). Batching amortises
-// the source→pipeline handoff to a fraction of a channel operation per
-// frame; the cost is latency — a slow source may hold a partial batch
-// of up to n-1 frames until its next flush (the stream end always
-// flushes). WithBatchSize(1) restores frame-at-a-time forwarding for
-// latency-sensitive live captures.
-func WithBatchSize(n int) Option {
-	return func(o *sessionOptions) {
-		if n > 0 {
-			o.batchSize = n
-		}
-	}
 }

@@ -15,6 +15,7 @@ import (
 // the daemon's own traffic through the standard pipeline — the paper's
 // deployment, entirely in-process.
 func TestSelfCapture(t *testing.T) {
+	defer noLeak(t)()
 	d, err := edserverd.Start(edserverd.Config{UDPAddr: "off", Shards: 4})
 	if err != nil {
 		t.Fatal(err)

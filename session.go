@@ -123,17 +123,21 @@ func (sm *sessionMetrics) drop(n int) {
 	}
 }
 
-// drainFrames disposes of batches still queued when the consumer gave
-// up: each frame is a capture drop, its buffer goes back to a pooling
-// source, and the batch slice returns to the freelist. On success the
-// channel is closed and empty, so this is free.
-func drainFrames(frames <-chan []frameItem, sm *sessionMetrics, rel frameReleaser, putBatch func([]frameItem)) {
-	for batch := range frames {
-		sm.drop(len(batch))
-		releaseFrames(rel, batch)
-		putBatch(batch)
-	}
-}
+// frameReleaser is implemented by sources that pool their frame buffers
+// (LiveSource and everything embedding it); the session hands each frame
+// back after its final use so Mirror can re-encode into it.
+type frameReleaser interface{ releaseFrame([]byte) }
+
+// The source may run queueDepth frames ahead of the pipeline, handed over
+// batchSize at a time: one channel operation amortised over a batch is
+// what keeps the channel hop out of the per-frame cost (measured by
+// BenchmarkSessionPipeline against BenchmarkPipeline). The in-flight
+// window also includes the producer's partial batch and the batch the
+// consumer is processing: up to queueDepth + 2×batchSize frames.
+const (
+	queueDepth = 1024
+	batchSize  = 128
+)
 
 // Session runs one capture: a Source streams timestamped ethernet frames
 // through a bounded channel into the decode → anonymise → store pipeline
@@ -142,19 +146,32 @@ func drainFrames(frames <-chan []frameItem, sm *sessionMetrics, rel frameRelease
 //
 // The source and the pipeline run concurrently; the channel bounds how
 // far the source may run ahead of the decoder, giving natural
-// backpressure. A Session is single-use: build one per run.
+// backpressure. The pipeline is one goroutine: the paper's
+// order-of-appearance anonymisation makes the record commit serial by
+// construction. A Session is single-use: build one per run.
 type Session struct {
 	src Source
 	o   sessionOptions
 	ran atomic.Bool
+
+	queueDepth, batchSize int // the constants above; tests shrink them
+
+	// Per-run state: setup builds it, the steps below share it.
+	pipe      *core.Pipeline
+	collector *analysis.Collector
+	tee       *pcap.Writer
+	rel       frameReleaser // nil unless the source pools its buffers
+	sm        *sessionMetrics
+	frames    chan []frameItem // producer → consumer
+	free      chan []frameItem // consumed batch slices, back to the producer
+	nframes   uint64
+	lastT     simtime.Time
 }
 
 // NewSession builds a session over src with the given options.
 func NewSession(src Source, opts ...Option) *Session {
-	s := &Session{src: src}
+	s := &Session{src: src, queueDepth: queueDepth, batchSize: batchSize}
 	s.o.progressEvery = 8192
-	s.o.queueDepth = 1024
-	s.o.batchSize = 128
 	for _, opt := range opts {
 		opt(&s.o)
 	}
@@ -173,57 +190,82 @@ func (s *Session) Run(ctx context.Context) (res *Result, err error) {
 	if s.ran.Swap(true) {
 		return nil, errors.New("edtrace: session already ran")
 	}
-	// Registered first so it runs after the close defers below: if a
-	// flush fails, the caller gets (nil, err), never a result whose
-	// dataset is not durably on disk.
+	closers, err := s.setup()
 	defer func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			if cerr := closers[i](); cerr != nil {
+				err = errors.Join(err, cerr)
+			}
+		}
+		// If a flush fails, the caller gets (nil, err), never a result
+		// whose dataset is not durably on disk.
 		if err != nil {
 			res = nil
 		}
 	}()
-	serverIP, bytePair, cfgErr := s.pipelineConfig()
-	if cfgErr != nil {
-		return nil, cfgErr
+	if err != nil {
+		return nil, err
 	}
 
+	// runCtx stops the producer when the user cancels or the consumer
+	// gives up; after a clean end the cancel is a no-op.
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	prodErr := make(chan error, 1)
+	go func() { prodErr <- s.produce(runCtx) }()
+
+	start := time.Now()
+	pipeErr := s.consume(ctx)
+	cancel()
+	perr := <-prodErr
+	// Batches still queued when the consumer gave up; on success the
+	// channel is closed and empty, so this is free.
+	for batch := range s.frames {
+		s.abandon(batch)
+	}
+	if pipeErr != nil {
+		return nil, pipeErr
+	}
+	if perr != nil {
+		return nil, perr
+	}
+	return s.report(start), nil
+}
+
+// setup builds the record path (sinks, pipeline, pcap tee) and the frame
+// queue. It returns the closers of what it opened, in opening order —
+// also when it fails part-way, so Run closes exactly what exists.
+func (s *Session) setup() (closers []func() error, err error) {
+	serverIP, bytePair, err := s.pipelineConfig()
+	if err != nil {
+		return nil, err
+	}
 	sinks := append([]core.RecordSink(nil), s.o.sinks...)
-	var collector *analysis.Collector
 	if s.o.figures {
-		collector = analysis.NewCollector()
-		sinks = append(sinks, collector)
+		s.collector = analysis.NewCollector()
+		sinks = append(sinks, s.collector)
 	}
 	var servers map[uint32]string
 	if sn, ok := s.src.(serverNamer); ok {
 		servers = sn.serverNames()
 	}
-	var dw *dataset.Writer
 	if s.o.datasetDir != "" {
-		meta := map[string]string{
-			"server_ip": strconv.FormatUint(uint64(serverIP), 10),
-		}
-		if servers != nil {
-			names := make([]string, 0, len(servers))
-			for _, n := range servers {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			meta["servers"] = strings.Join(names, ",")
-		}
-		if sim, ok := s.src.(*SimSource); ok {
-			meta["seed"] = strconv.FormatUint(sim.Config.Workload.Seed, 10)
-			meta["clients"] = strconv.Itoa(sim.Config.Workload.NumClients)
-			meta["files"] = strconv.Itoa(sim.Config.Workload.NumFiles)
-		}
-		var werr error
-		dw, werr = dataset.NewWriter(s.o.datasetDir, dataset.WriterOptions{
+		dw, werr := dataset.NewWriter(s.o.datasetDir, dataset.WriterOptions{
 			Compress: s.o.datasetGzip,
 			Workers:  s.o.datasetWorkers,
-			Meta:     meta,
+			Meta:     s.datasetMeta(serverIP, servers),
 		})
 		if werr != nil {
 			return nil, werr
 		}
 		sinks = append(sinks, dw)
+		closers = append(closers, func() error {
+			dw.SetCounters(s.pipe.ClientAnonymizer().Count(), s.pipe.FileAnonymizer().Count())
+			if cerr := dw.Close(); cerr != nil {
+				return fmt.Errorf("edtrace: closing dataset: %w", cerr)
+			}
+			return nil
+		})
 	}
 	var sink core.RecordSink
 	switch len(sinks) {
@@ -234,191 +276,182 @@ func (s *Session) Run(ctx context.Context) (res *Result, err error) {
 	default:
 		sink = teeSink{sinks}
 	}
-	var pipe *core.Pipeline
 	if servers != nil {
-		pipe = core.NewPipelineMulti(servers, bytePair, sink)
+		s.pipe = core.NewPipelineMulti(servers, bytePair, sink)
 	} else {
-		pipe = core.NewPipeline(serverIP, bytePair, sink)
+		s.pipe = core.NewPipeline(serverIP, bytePair, sink)
 	}
-	if dw != nil {
-		defer func() {
-			dw.SetCounters(pipe.ClientAnonymizer().Count(), pipe.FileAnonymizer().Count())
-			if cerr := dw.Close(); cerr != nil {
-				err = errors.Join(err, fmt.Errorf("edtrace: closing dataset: %w", cerr))
-			}
-		}()
-	}
-	tee, closeTee, teeErr := s.openTee()
-	if teeErr != nil {
-		return nil, teeErr
-	}
-	if closeTee != nil {
-		defer func() {
-			if cerr := closeTee(); cerr != nil {
-				err = errors.Join(err, fmt.Errorf("edtrace: closing pcap tee: %w", cerr))
-			}
-		}()
+	if s.o.pcapTee != "" {
+		closeTee, err := s.openTee()
+		if err != nil {
+			return closers, err
+		}
+		closers = append(closers, closeTee)
 	}
 
-	// Producer: the source fills a bounded channel of frame *batches* —
-	// one channel operation amortised over batchSize frames, which is
-	// what keeps the channel hop out of the per-frame cost (measured in
-	// BenchmarkSessionPipeline against BenchmarkPipeline). Cancelling
-	// runCtx (user cancellation or a pipeline failure) unblocks it
-	// promptly. A partial batch is flushed when the source ends, so
-	// batching never loses frames; it can delay them (a trickling live
-	// source holds up to batchSize-1 frames until the next flush — use
-	// WithBatchSize(1) when per-frame latency matters more than
-	// throughput).
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	batchSize := s.o.batchSize
-	if batchSize > s.o.queueDepth {
-		batchSize = s.o.queueDepth // a batch never exceeds the queue bound
-	}
-	depth := (s.o.queueDepth + batchSize - 1) / batchSize
-	frames := make(chan []frameItem, depth)
-	prodErr := make(chan error, 1)
-	sm := newSessionMetrics(s.o.metrics, frames, depth, batchSize, pipe)
-	rel, _ := s.src.(frameReleaser)
+	depth := (s.queueDepth + s.batchSize - 1) / s.batchSize
+	s.frames = make(chan []frameItem, depth)
 	// Batch slices cycle producer → consumer → freelist → producer, so the
 	// steady state allocates no slice headers or backing arrays per batch.
-	freeBatches := make(chan []frameItem, depth+2)
-	getBatch := func() []frameItem {
-		select {
-		case b := <-freeBatches:
-			return b
-		default:
-			return make([]frameItem, 0, batchSize)
-		}
-	}
-	putBatch := func(b []frameItem) {
-		clear(b)
-		select {
-		case freeBatches <- b[:0]:
-		default:
-		}
-	}
-	go func() {
-		defer close(frames)
-		batch := getBatch()
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			select {
-			case frames <- batch:
-				batch = getBatch()
-				return nil
-			case <-runCtx.Done():
-				return runCtx.Err()
-			}
-		}
-		err := s.src.Frames(runCtx, func(t simtime.Time, frame []byte) error {
-			if cerr := runCtx.Err(); cerr != nil {
-				return cerr
-			}
-			batch = append(batch, frameItem{t, frame})
-			if len(batch) < batchSize {
-				return nil
-			}
-			return flush()
-		})
-		if err == nil {
-			err = flush()
-		}
-		if err != nil {
-			// The unflushed partial batch never reaches the consumer: it
-			// is a capture drop, and its buffers go back to the source.
-			sm.drop(len(batch))
-			releaseFrames(rel, batch)
-		}
-		prodErr <- err
-	}()
+	s.free = make(chan []frameItem, depth+2)
+	s.sm = newSessionMetrics(s.o.metrics, s.frames, depth, s.batchSize, s.pipe)
+	s.rel, _ = s.src.(frameReleaser)
+	return closers, nil
+}
 
-	// Consumer: the pipeline stage. The frame channel is the seam where
-	// the flow-sharded fan-out slots in: WithShards(n>1) replaces the
-	// serial loop below with the dispatcher/workers/merge of shard.go,
-	// which commits records in the same global order.
-	start := time.Now()
-	var nframes uint64
-	var lastT, lastExpire simtime.Time
-	var pipeErr error
-	var decStats core.PipelineStats
-	if nshards := s.o.resolveShards(); nshards > 1 {
-		nframes, lastT, decStats, pipeErr = s.runSharded(runCtx, cancel, &shardRun{
-			pipe:     pipe,
-			tee:      tee,
-			sm:       sm,
-			frames:   frames,
-			putBatch: putBatch,
-			rel:      rel,
-			nshards:  nshards,
-			batch:    batchSize,
-		})
-	} else {
-	consume:
-		for {
-			select {
-			case batch, ok := <-frames:
-				if !ok {
-					break consume
-				}
-				for i, f := range batch {
-					if tee != nil {
-						if werr := tee.Write(pcap.RecordAt(f.t, f.data)); werr != nil {
-							pipeErr = werr
-							sm.drop(len(batch) - i)
-							releaseFrames(rel, batch[i:])
-							cancel()
-							break consume
-						}
-					}
-					if perr := pipe.ProcessFrame(f.t, f.data); perr != nil {
-						pipeErr = perr
-						sm.drop(len(batch) - i)
-						releaseFrames(rel, batch[i:])
-						cancel()
-						break consume
-					}
-					if rel != nil {
-						rel.releaseFrame(f.data)
-					}
-					nframes++
-					sm.frameDone()
-					lastT = f.t
-					if f.t-lastExpire > simtime.Minute {
-						pipe.ExpireReassembly(f.t)
-						lastExpire = f.t
-					}
-					if s.o.progress != nil && nframes%s.o.progressEvery == 0 {
-						s.o.progress(Progress{Frames: nframes, Records: pipe.Stats().Records, T: f.t})
-					}
-				}
-				putBatch(batch)
-				sm.batchDone()
-			case <-ctx.Done():
-				pipeErr = ctx.Err()
-				cancel()
-				break consume
-			}
+// datasetMeta is the manifest's free-form header: what was captured,
+// and for a simulated capture the world that reproduces it.
+func (s *Session) datasetMeta(serverIP uint32, servers map[uint32]string) map[string]string {
+	meta := map[string]string{
+		"server_ip": strconv.FormatUint(uint64(serverIP), 10),
+	}
+	if servers != nil {
+		names := make([]string, 0, len(servers))
+		for _, n := range servers {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		meta["servers"] = strings.Join(names, ",")
+	}
+	if sim, ok := s.src.(*SimSource); ok {
+		meta["seed"] = strconv.FormatUint(sim.Config.Workload.Seed, 10)
+		meta["clients"] = strconv.Itoa(sim.Config.Workload.NumClients)
+		meta["files"] = strconv.Itoa(sim.Config.Workload.NumFiles)
+	}
+	return meta
+}
+
+// produce runs the source, batching its frames into the queue, and
+// closes the queue when the source ends. A partial batch is flushed at
+// the end of the stream, so batching never loses frames; it can delay
+// them (a trickling live source holds up to batchSize-1 frames until the
+// next flush).
+func (s *Session) produce(ctx context.Context) error {
+	defer close(s.frames)
+	batch := s.getBatch()
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		select {
+		case s.frames <- batch:
+			batch = s.getBatch()
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
-	perr := <-prodErr
-	drainFrames(frames, sm, rel, putBatch)
-	if pipeErr != nil {
-		return nil, pipeErr
+	err := s.src.Frames(ctx, func(t simtime.Time, frame []byte) error {
+		// Emitting transfers the frame: it is batched before anything can
+		// fail, so a refused frame is abandoned, not lost from the count.
+		batch = append(batch, frameItem{t, frame})
+		if len(batch) < s.batchSize {
+			return ctx.Err()
+		}
+		return flush()
+	})
+	if err == nil {
+		err = flush()
 	}
-	if perr != nil {
-		return nil, perr
+	if err != nil {
+		s.abandon(batch) // the unflushed partial batch never reaches the consumer
 	}
+	return err
+}
+
+func (s *Session) getBatch() []frameItem {
+	select {
+	case b := <-s.free:
+		return b
+	default:
+		return make([]frameItem, 0, s.batchSize)
+	}
+}
+
+func (s *Session) putBatch(b []frameItem) {
+	clear(b) // stale frame pointers must not pin source buffers
+	select {
+	case s.free <- b[:0]:
+	default:
+	}
+}
+
+// consume is the pipeline stage: it commits queued frames in capture
+// order until the queue closes (nil), a frame fails, or ctx is cancelled.
+func (s *Session) consume(ctx context.Context) error {
+	var lastExpire simtime.Time
+	for {
+		select {
+		case batch, ok := <-s.frames:
+			if !ok {
+				return nil
+			}
+			for i, f := range batch {
+				if err := s.commit(f); err != nil {
+					s.abandon(batch[i:])
+					return err
+				}
+				if f.t-lastExpire > simtime.Minute {
+					s.pipe.ExpireReassembly(f.t)
+					lastExpire = f.t
+				}
+				if s.o.progress != nil && s.nframes%s.o.progressEvery == 0 {
+					s.o.progress(Progress{Frames: s.nframes, Records: s.pipe.Stats().Records, T: f.t})
+				}
+			}
+			s.putBatch(batch)
+			s.sm.batchDone()
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// commit takes one frame through the pipeline: pcap tee, decode →
+// anonymise → store, buffer release, count. A frame that fails is not
+// counted and keeps its buffer; the caller abandons it. Every frame the
+// source emits leaves the session through commit or abandon, exactly
+// once, so processed + dropped == emitted holds on every exit path.
+func (s *Session) commit(f frameItem) error {
+	if s.tee != nil {
+		if err := s.tee.Write(pcap.RecordAt(f.t, f.data)); err != nil {
+			return err
+		}
+	}
+	if err := s.pipe.ProcessFrame(f.t, f.data); err != nil {
+		return err
+	}
+	if s.rel != nil {
+		s.rel.releaseFrame(f.data)
+	}
+	s.nframes++
+	s.lastT = f.t
+	s.sm.frameDone()
+	return nil
+}
+
+// abandon disposes of frames that will not be processed (a failure or a
+// cancellation got there first): each is a capture drop, and its buffer
+// goes back to a pooling source. Safe from the producer goroutine.
+func (s *Session) abandon(batch []frameItem) {
+	s.sm.drop(len(batch))
+	if s.rel == nil {
+		return
+	}
+	for _, f := range batch {
+		s.rel.releaseFrame(f.data)
+	}
+}
+
+// report assembles the Result of a run that consumed its whole source.
+func (s *Session) report(start time.Time) *Result {
+	pipe := s.pipe
 	if s.o.progress != nil {
-		s.o.progress(Progress{Frames: nframes, Records: pipe.Stats().Records, T: lastT})
+		s.o.progress(Progress{Frames: s.nframes, Records: pipe.Stats().Records, T: s.lastT})
 	}
-
 	rep := &core.Report{
 		WallClock:       time.Since(start),
-		Pipeline:        pipe.Stats().Add(decStats),
+		Pipeline:        pipe.Stats(),
 		DistinctClients: pipe.ClientAnonymizer().Count(),
 		DistinctFiles:   pipe.FileAnonymizer().Count(),
 		BucketSizes:     pipe.FileAnonymizer().BucketSizes(),
@@ -427,15 +460,15 @@ func (s *Session) Run(ctx context.Context) (res *Result, err error) {
 	if cr, ok := s.src.(captureReporter); ok {
 		cr.reportCapture(rep)
 	}
-	res = &Result{
+	res := &Result{
 		Report: rep,
 		Fig2:   analysis.NewFig2(rep.LossPerSecond),
 		Fig3:   analysis.NewFig3(rep.BucketSizes),
 	}
-	if collector != nil {
-		res.Figures = collector.Finalize()
+	if s.collector != nil {
+		res.Figures = s.collector.Finalize()
 	}
-	return res, nil
+	return res
 }
 
 // pipelineConfig resolves the pipeline knobs: explicit options win, then
@@ -464,26 +497,27 @@ func (s *Session) pipelineConfig() (uint32, [2]int, error) {
 	return serverIP, bytePair, nil
 }
 
-// openTee prepares the WithPcapTee writer, returning the writer and a
-// close function that flushes it.
-func (s *Session) openTee() (*pcap.Writer, func() error, error) {
-	if s.o.pcapTee == "" {
-		return nil, nil, nil
-	}
+// openTee opens the WithPcapTee writer as s.tee and returns the function
+// that flushes and closes it.
+func (s *Session) openTee() (func() error, error) {
 	f, err := os.Create(s.o.pcapTee)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	w, err := pcap.NewWriter(f, 0)
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return w, func() error {
-		if ferr := w.Flush(); ferr != nil {
-			f.Close()
-			return ferr
+	s.tee = w
+	return func() error {
+		err := w.Flush()
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		return f.Close()
+		if err != nil {
+			return fmt.Errorf("edtrace: closing pcap tee: %w", err)
+		}
+		return nil
 	}, nil
 }

@@ -86,13 +86,13 @@ func TestSessionMetricsDroppedInFlight(t *testing.T) {
 	release := make(chan struct{})
 	src := &gatedSource{frames: benchFrames(8), release: release}
 	reg := obs.NewRegistry()
-	_, err := NewSession(src,
+	s := NewSession(src,
 		WithServerIP(0x0A000001),
 		WithMetrics(reg),
 		WithSink(&blockErrSink{release: release}),
-		WithBatchSize(1),
-		WithQueueDepth(4),
-	).Run(context.Background())
+	)
+	s.batchSize, s.queueDepth = 1, 4
+	_, err := s.Run(context.Background())
 	if err == nil || err.Error() != "gated sink failure" {
 		t.Fatalf("sink error not surfaced: %v", err)
 	}

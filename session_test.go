@@ -1,18 +1,83 @@
 package edtrace
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"edtrace/internal/dataset"
 	"edtrace/internal/ed2k"
+	"edtrace/internal/obs"
+	"edtrace/internal/pcap"
 	"edtrace/internal/simtime"
 	"edtrace/internal/xmlenc"
 )
+
+// noLeak snapshots the goroutine count; the returned check, deferred to
+// the end of the test, waits for the count to settle back to it.
+func noLeak(t *testing.T) func() {
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("goroutine leak: %d before the test, %d after\n%s",
+					before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// watchedSource counts the frames its source hands to the session — the
+// "emitted" side of frame conservation — and the timestamp inversions
+// among them. Wrapping hides the inner source's pipeline defaults, so
+// sessions over it need WithServerIP.
+type watchedSource struct {
+	Source
+	emitted    uint64
+	inversions int
+	last       simtime.Time
+}
+
+func (w *watchedSource) Frames(ctx context.Context, emit EmitFunc) error {
+	return w.Source.Frames(ctx, func(t simtime.Time, frame []byte) error {
+		w.emitted++
+		if t < w.last {
+			w.inversions++
+		}
+		w.last = t
+		return emit(t, frame)
+	})
+}
+
+// releaseFrame keeps a pooling source's buffer recycling in the loop.
+func (w *watchedSource) releaseFrame(b []byte) {
+	if rel, ok := w.Source.(frameReleaser); ok {
+		rel.releaseFrame(b)
+	}
+}
+
+// checkConservation asserts the session's frame accounting on reg:
+// every emitted frame was processed or dropped, exactly once.
+func checkConservation(t *testing.T, reg *obs.Registry, emitted uint64) (frames, dropped uint64) {
+	t.Helper()
+	frames = reg.Counter("edsession_frames_total", "").Value()
+	dropped = reg.Counter("edsession_dropped_frames_total", "").Value()
+	if frames+dropped != emitted {
+		t.Fatalf("processed %d + dropped %d != emitted %d", frames, dropped, emitted)
+	}
+	return frames, dropped
+}
 
 type recSink struct{ recs []*xmlenc.Record }
 
@@ -77,9 +142,10 @@ func TestSessionSimPcapParity(t *testing.T) {
 }
 
 // TestSessionCancellation proves Session.Run(ctx) stops promptly on
-// cancellation and still closes the dataset into a valid partial
-// capture.
+// cancellation, accounts for every frame the source got out, and still
+// closes the dataset into a valid partial capture.
 func TestSessionCancellation(t *testing.T) {
+	defer noLeak(t)()
 	sim := tinySim()
 	sim.Workload.NumClients = 2000
 	sim.Workload.NumFiles = 20000
@@ -88,8 +154,12 @@ func TestSessionCancellation(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	session := NewSession(NewSimSource(sim),
+	src := &watchedSource{Source: NewSimSource(sim)}
+	reg := obs.NewRegistry()
+	session := NewSession(src,
+		WithServerIP(sim.ServerIP),
 		WithDataset(dir, false),
+		WithMetrics(reg),
 		WithProgress(func(Progress) { cancel() }),
 		WithProgressEvery(256),
 	)
@@ -101,6 +171,9 @@ func TestSessionCancellation(t *testing.T) {
 	}
 	if elapsed > 30*time.Second {
 		t.Fatalf("cancellation not prompt: took %v", elapsed)
+	}
+	if frames, _ := checkConservation(t, reg, src.emitted); frames < 256 {
+		t.Fatalf("%d frames processed before the cancelling progress callback, want >= 256", frames)
 	}
 
 	// The dataset written so far must be complete and spec-conformant.
@@ -134,6 +207,7 @@ func (f *failingSink) Write(*xmlenc.Record) error {
 // edtrace.Run had: a mid-run failure must still close the dataset writer
 // (manifest written, file handle released).
 func TestSessionClosesDatasetOnSinkError(t *testing.T) {
+	defer noLeak(t)()
 	sim := tinySim()
 	dir := t.TempDir()
 	_, err := NewSession(NewSimSource(sim),
@@ -152,9 +226,41 @@ func TestSessionClosesDatasetOnSinkError(t *testing.T) {
 	}
 }
 
+// TestSessionDropAccounting is the frame-conservation invariant under a
+// mid-run pipeline failure: every emitted frame is counted exactly once
+// as processed or dropped — across the failing batch's tail, the batches
+// still queued and the producer's unflushed partial batch — never twice,
+// never zero times.
+func TestSessionDropAccounting(t *testing.T) {
+	defer noLeak(t)()
+	const serverIP = uint32(0x0A000001)
+	const total = 500
+	live := NewLiveSource(total)
+	for i := 0; i < total; i++ {
+		live.Mirror(0x01000000+uint32(i), serverIP, ed2k.Encode(&ed2k.StatReq{Challenge: uint32(i)}))
+	}
+	live.Close()
+	// The failure may stop the source before it has emitted all 500.
+	src := &watchedSource{Source: live}
+	reg := obs.NewRegistry()
+	s := NewSession(src,
+		WithServerIP(serverIP),
+		WithSink(&failingSink{after: 10}),
+		WithMetrics(reg),
+	)
+	s.batchSize = 32
+	if _, err := s.Run(context.Background()); err == nil || err.Error() != "sink exploded" {
+		t.Fatalf("sink error not surfaced: %v", err)
+	}
+	if frames, _ := checkConservation(t, reg, src.emitted); frames != 10 {
+		t.Fatalf("%d frames processed before the failing record, want 10", frames)
+	}
+}
+
 // TestLiveSourceSession runs the live mode without sockets: mirrored
 // datagrams flow through the same Session pipeline.
 func TestLiveSourceSession(t *testing.T) {
+	defer noLeak(t)()
 	const serverIP, clientIP = uint32(0x0A000001), uint32(0x01020304)
 	src := NewLiveSource(0)
 	sink := &recSink{}
@@ -223,18 +329,117 @@ func TestSessionSingleUse(t *testing.T) {
 	}
 }
 
+// TestSessionBadPcapClosesCleanly: a producer-side failure — a missing
+// file before the first frame, a truncated record in the middle of a
+// batch — must surface, account for every frame that did get out, and
+// still leave a closed, readable dataset.
 func TestSessionBadPcapClosesCleanly(t *testing.T) {
-	// A producer-side failure (missing file) must surface and still leave
-	// a closed, readable dataset.
-	dir := t.TempDir()
-	_, err := NewSession(NewPcapSource(filepath.Join(t.TempDir(), "missing.pcap")),
-		WithServerIP(1),
-		WithDataset(dir, false),
-	).Run(context.Background())
-	if err == nil {
-		t.Fatal("missing pcap accepted")
+	defer noLeak(t)()
+	// 199 whole records and a cut-short 200th: one full batch of 128
+	// reaches the queue, 71 frames are in the producer's hands at the error.
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := dataset.Open(dir); err != nil {
-		t.Fatalf("dataset not closed after producer failure: %v", err)
+	for i, frame := range benchFrames(256)[:200] {
+		if err := w.Write(pcap.RecordAt(simtime.Time(i)*simtime.Millisecond, frame)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(t.TempDir(), "truncated.pcap")
+	if err := os.WriteFile(truncated, buf.Bytes()[:buf.Len()-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name, path  string
+		emitted     uint64
+		wantDropped uint64
+	}{
+		{"missing", filepath.Join(t.TempDir(), "missing.pcap"), 0, 0},
+		{"truncated", truncated, 199, 71},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			src := &watchedSource{Source: NewPcapSource(c.path)}
+			reg := obs.NewRegistry()
+			_, err := NewSession(src,
+				WithServerIP(0x0A000001),
+				WithDataset(dir, false),
+				WithMetrics(reg),
+			).Run(context.Background())
+			if err == nil {
+				t.Fatal("bad pcap accepted")
+			}
+			if src.emitted != c.emitted {
+				t.Fatalf("source emitted %d frames, want %d", src.emitted, c.emitted)
+			}
+			if _, dropped := checkConservation(t, reg, c.emitted); dropped != c.wantDropped {
+				t.Fatalf("dropped %d frames, want the producer's partial batch of %d", dropped, c.wantDropped)
+			}
+			man, err := dataset.Open(dir)
+			if err != nil {
+				t.Fatalf("dataset not closed after producer failure: %v", err)
+			}
+			if man.Records != c.emitted-c.wantDropped {
+				t.Fatalf("dataset holds %d records, want %d", man.Records, c.emitted-c.wantDropped)
+			}
+		})
+	}
+}
+
+// TestLiveSourceMonotoneUnderConcurrentMirror: Mirror reads the clock
+// before it queues, so concurrent callers queue out of stamp order; the
+// frames LiveSource.Frames emits must be time-monotone all the same, or
+// a ServerSource dataset breaks the format's ordering rule under load.
+func TestLiveSourceMonotoneUnderConcurrentMirror(t *testing.T) {
+	defer noLeak(t)()
+	const serverIP = uint32(0x0A000001)
+	const mirrors, perMirror = 8, 20000
+	live := NewLiveSource(mirrors * perMirror)
+	src := &watchedSource{Source: live}
+	dir := t.TempDir()
+	type result struct {
+		res *Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := NewSession(src, WithServerIP(serverIP), WithDataset(dir, false)).Run(context.Background())
+		done <- result{res, err}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < mirrors; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			payload := ed2k.Encode(&ed2k.StatReq{Challenge: uint32(g)})
+			for i := 0; i < perMirror; i++ {
+				live.Mirror(0x01000000+uint32(g), serverIP, payload)
+			}
+		}(g)
+	}
+	wg.Wait()
+	live.Close()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if got := r.res.Report.Pipeline.Records; got != mirrors*perMirror {
+		t.Fatalf("%d records from %d mirrored datagrams", got, mirrors*perMirror)
+	}
+	if src.inversions != 0 {
+		t.Fatalf("LiveSource.Frames emitted %d timestamp inversions", src.inversions)
+	}
+	rep, err := dataset.Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("live dataset violates the spec:\n%v", rep.Violations)
 	}
 }
