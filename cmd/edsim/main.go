@@ -48,7 +48,6 @@ func main() {
 		service  = flag.Int("service", 6000, "capture service rate (frames/sec)")
 		tee      = flag.String("tee", "", "mirror processed frames into a pcap file")
 		progress = flag.Bool("progress", false, "print periodic progress")
-		dsw      = flag.Int("dataset-workers", 0, "background dataset chunk compressors (0 = inline)")
 	)
 	flag.Parse()
 	stopProf, err := profiling.Start()
@@ -100,9 +99,6 @@ func main() {
 	}
 	if *out != "" {
 		opts = append(opts, edtrace.WithDataset(*out, *gz))
-		if *dsw > 0 {
-			opts = append(opts, edtrace.WithDatasetWorkers(*dsw))
-		}
 	}
 	if *tee != "" {
 		opts = append(opts, edtrace.WithPcapTee(*tee))

@@ -3,19 +3,20 @@
 // gzip-compressed — §2.5 notes the format "once compressed, does not have
 // a prohibitive space cost") plus a JSON manifest with global counters.
 //
-// Chunks rotate on a record budget so ten-week captures never produce a
-// single unwieldy file, and readers stream chunk by chunk with one record
-// in memory at a time.
+// Chunks rotate on a record and a byte budget so ten-week captures never
+// produce a single unwieldy file, and readers stream chunk by chunk with
+// one record in memory at a time.
 package dataset
 
 import (
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -41,30 +42,40 @@ type Manifest struct {
 const manifestName = "manifest.json"
 
 // Writer writes a dataset directory.
+//
+// Write — called serially, from the session's record-sink goroutine —
+// appends record lines into an in-memory chunk buffer. A full chunk is
+// sealed and written to disk, compressed if configured, either by one of
+// Workers background goroutines or, when Workers is 0, on the caller's
+// goroutine. With workers, gzip — the dominant cost of a compressed
+// dataset — leaves the record pipeline's critical path.
+//
+// Record order is preserved by construction, not by synchronisation:
+// chunk names are assigned serially at rotation time and the manifest
+// lists them in that order, so the on-disk completion order is
+// irrelevant to readers, and the directory's bytes are the same at any
+// worker count. Buffers recycle through a freelist, and the bounded job
+// queue caps memory at roughly (2×workers+1) chunks.
 type Writer struct {
 	dir          string
 	chunkRecords uint64
 	chunkBytes   int
 	compress     bool
-	workers      int
 	meta         map[string]string
 
-	cur     *os.File
-	curGzip *gzip.Writer
-	enc     *xmlenc.Encoder
+	raw     []byte // the chunk being assembled; nil between chunks
+	curName string
 	inChunk uint64
 
-	// Parallel mode (workers > 0): chunks assemble in raw and flow
-	// through jobs to the worker pool; see parallel.go.
-	raw      []byte
-	curName  string
-	jobs     chan chunkJob
+	jobs     chan chunkJob // nil when Workers == 0
 	freeBufs chan []byte
+	gz       *gzip.Writer // the caller goroutine's, when Workers == 0
 	wg       sync.WaitGroup
 	werrMu   sync.Mutex
-	werr     error
+	werr     error // first error of a worker
 
 	closed bool
+	err    error // first error seen by Write or Close; sticky
 	man    Manifest
 }
 
@@ -72,23 +83,34 @@ type Writer struct {
 type WriterOptions struct {
 	// ChunkRecords caps records per chunk file (default 1_000_000).
 	ChunkRecords uint64
+	// ChunkBytes caps the encoded XML of one chunk (default 4 MiB), so
+	// the chunks held in memory stay bounded whatever the records carry.
+	ChunkBytes int
 	// Compress gzips chunk files (.xml.gz).
 	Compress bool
-	// Workers > 0 compresses and writes chunk files on that many
-	// background goroutines, keeping gzip off the record pipeline's
-	// critical path. Chunks then also rotate on a byte budget
-	// (ChunkBytes) so in-flight memory stays bounded. Record order
-	// across chunks is unchanged. Write and Close must still be called
-	// from a single goroutine.
+	// Workers is the number of background goroutines that compress and
+	// write sealed chunks; 0 does that work inside Write and Close. The
+	// files written are the same at any value. Write and Close must be
+	// called from a single goroutine either way.
 	Workers int
-	// ChunkBytes caps the in-memory chunk size in parallel mode
-	// (default 4 MiB of encoded XML); ignored when Workers == 0.
-	ChunkBytes int
 	// Meta is copied into the manifest and each chunk header.
 	Meta map[string]string
 }
 
-// NewWriter creates dir (if needed) and returns a writer.
+// chunkJob is one sealed in-memory chunk awaiting compression.
+type chunkJob struct {
+	name string
+	data []byte
+}
+
+// defaultChunkBytes rotates in-memory chunks well before they strain the
+// freelist; a byte bound (unlike the record bound alone) keeps memory
+// predictable when records carry large file lists.
+const defaultChunkBytes = 4 << 20
+
+// NewWriter creates dir (if needed) and returns a writer. A manifest
+// left there by an earlier dataset is removed first: until Close
+// succeeds the directory must not read as a complete dataset.
 func NewWriter(dir string, opts WriterOptions) (*Writer, error) {
 	if opts.ChunkRecords == 0 {
 		opts.ChunkRecords = 1_000_000
@@ -99,95 +121,152 @@ func NewWriter(dir string, opts WriterOptions) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
+	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	workers := max(opts.Workers, 0)
 	w := &Writer{
 		dir:          dir,
 		chunkRecords: opts.ChunkRecords,
 		chunkBytes:   opts.ChunkBytes,
 		compress:     opts.Compress,
-		workers:      opts.Workers,
 		meta:         opts.Meta,
+		// One buffer filling, one per queued job, one per busy worker.
+		freeBufs: make(chan []byte, 2*workers+1),
 	}
 	w.man.Version = "1.0"
 	w.man.Meta = opts.Meta
-	if w.workers > 0 {
-		w.startWorkers()
+	if workers > 0 {
+		w.jobs = make(chan chunkJob, workers) // a sealed chunk per worker may wait
+		for i := 0; i < workers; i++ {
+			w.wg.Add(1)
+			go w.worker()
+		}
 	}
 	return w, nil
 }
 
-// nextChunk assigns the next chunk's file name (recorded in manifest
-// order) and builds its header metadata.
-func (w *Writer) nextChunk() (string, map[string]string) {
-	name := fmt.Sprintf("chunk-%05d.xml", len(w.man.Chunks))
-	if w.compress {
+// chunkName is the file name of the i-th chunk of a dataset.
+func chunkName(i int, compressed bool) string {
+	name := fmt.Sprintf("chunk-%05d.xml", i)
+	if compressed {
 		name += ".gz"
 	}
-	meta := map[string]string{"chunk": strconv.Itoa(len(w.man.Chunks))}
+	return name
+}
+
+// Write appends one record, rotating chunks on the record or the byte
+// budget. After a failure every Write returns that first error.
+func (w *Writer) Write(rec *xmlenc.Record) error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.closed {
+		return errors.New("dataset: write after Close")
+	}
+	if w.raw == nil {
+		w.beginChunk()
+	}
+	w.raw = xmlenc.AppendRecord(w.raw, rec)
+	w.inChunk++
+	w.man.Records++
+	if w.inChunk >= w.chunkRecords || len(w.raw) >= w.chunkBytes {
+		w.err = w.sealChunk()
+	}
+	return w.err
+}
+
+// beginChunk starts the next chunk in a recycled buffer: it assigns the
+// file name (recorded in manifest order) and appends the header.
+func (w *Writer) beginChunk() {
+	select {
+	case w.raw = <-w.freeBufs:
+	default:
+		w.raw = make([]byte, 0, w.chunkBytes+defaultChunkBytes/4)
+	}
+	n := len(w.man.Chunks)
+	w.curName = chunkName(n, w.compress)
+	w.man.Chunks = append(w.man.Chunks, w.curName)
+	meta := map[string]string{"chunk": strconv.Itoa(n)}
 	for k, v := range w.meta {
 		meta[k] = v
 	}
-	w.man.Chunks = append(w.man.Chunks, name)
-	return name, meta
+	w.raw = xmlenc.AppendHeader(w.raw, meta)
+	w.inChunk = 0
 }
 
-func (w *Writer) openChunk() error {
-	name, meta := w.nextChunk()
-	f, err := os.Create(filepath.Join(w.dir, name))
+// sealChunk closes the in-memory chunk and writes it out: queued for a
+// worker (blocking here when every worker is busy is the writer's
+// backpressure), or on this goroutine without workers. It returns the
+// first chunk-write error known so far.
+func (w *Writer) sealChunk() error {
+	job := chunkJob{name: w.curName, data: xmlenc.AppendFooter(w.raw)}
+	w.raw = nil
+	if w.jobs == nil {
+		return w.writeChunkFile(job, &w.gz)
+	}
+	w.jobs <- job
+	return w.workerErr()
+}
+
+func (w *Writer) worker() {
+	defer w.wg.Done()
+	var gz *gzip.Writer
+	for job := range w.jobs {
+		if err := w.writeChunkFile(job, &gz); err != nil {
+			w.werrMu.Lock()
+			if w.werr == nil {
+				w.werr = err
+			}
+			w.werrMu.Unlock()
+		}
+	}
+}
+
+func (w *Writer) workerErr() error {
+	w.werrMu.Lock()
+	defer w.werrMu.Unlock()
+	return w.werr
+}
+
+// writeChunkFile writes one chunk to disk, compressing if configured,
+// and recycles its buffer. The gzip writer belongs to the calling
+// goroutine and is Reset between chunks; its header carries no
+// timestamp, so a chunk's bytes depend on its records alone.
+func (w *Writer) writeChunkFile(job chunkJob, gz **gzip.Writer) error {
+	defer w.recycle(job.data)
+	f, err := os.Create(filepath.Join(w.dir, job.name))
 	if err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
-	w.cur = f
-	var sink io.Writer = f
 	if w.compress {
-		w.curGzip = gzip.NewWriter(f)
-		sink = w.curGzip
+		if *gz == nil {
+			*gz = gzip.NewWriter(f)
+		} else {
+			(*gz).Reset(f)
+		}
+		_, err = (*gz).Write(job.data)
+		if cerr := (*gz).Close(); err == nil {
+			err = cerr
+		}
+	} else {
+		_, err = f.Write(job.data)
 	}
-	w.enc = xmlenc.NewEncoder(sink)
-	if err := w.enc.Begin(meta); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	w.inChunk = 0
+	if err != nil {
+		return fmt.Errorf("dataset: %w", err)
+	}
 	return nil
 }
 
-func (w *Writer) closeChunk() error {
-	if w.cur == nil {
-		return nil
+// recycle offers a written chunk's buffer to the next beginChunk.
+func (w *Writer) recycle(buf []byte) {
+	select {
+	case w.freeBufs <- buf[:0]:
+	default:
 	}
-	if err := w.enc.End(); err != nil {
-		return err
-	}
-	if w.curGzip != nil {
-		if err := w.curGzip.Close(); err != nil {
-			return err
-		}
-		w.curGzip = nil
-	}
-	err := w.cur.Close()
-	w.cur = nil
-	w.enc = nil
-	return err
-}
-
-// Write appends one record, rotating chunks as needed.
-func (w *Writer) Write(rec *xmlenc.Record) error {
-	if w.workers > 0 {
-		return w.writeParallel(rec)
-	}
-	if w.cur == nil || w.inChunk >= w.chunkRecords {
-		if err := w.closeChunk(); err != nil {
-			return err
-		}
-		if err := w.openChunk(); err != nil {
-			return err
-		}
-	}
-	if err := w.enc.Write(rec); err != nil {
-		return err
-	}
-	w.inChunk++
-	w.man.Records++
-	return nil
 }
 
 // SetCounters records the anonymisation totals in the manifest.
@@ -199,22 +278,32 @@ func (w *Writer) SetCounters(distinctClients, distinctFiles uint32) {
 // Records reports records written so far.
 func (w *Writer) Records() uint64 { return w.man.Records }
 
-// Close finishes the last chunk and writes the manifest. Close is
-// idempotent on success; after a chunk-write failure it returns the
-// error and leaves no manifest, so a broken dataset is unreadable
-// rather than silently truncated.
+// Close writes the last chunk, waits for the workers and writes the
+// manifest. A second Close returns what the first did. After a
+// chunk-write failure it returns that error and leaves no manifest, so
+// a broken dataset is unreadable rather than silently truncated.
 func (w *Writer) Close() error {
 	if w.closed {
-		return nil
+		return w.err
 	}
 	w.closed = true
-	if w.workers > 0 {
-		if err := w.closeParallel(); err != nil {
-			return err
-		}
-	} else if err := w.closeChunk(); err != nil {
-		return err
+	if w.err == nil && w.raw != nil {
+		w.err = w.sealChunk()
 	}
+	if w.jobs != nil {
+		close(w.jobs)
+		w.wg.Wait()
+		if w.err == nil {
+			w.err = w.workerErr()
+		}
+	}
+	if w.err == nil {
+		w.err = w.writeManifest()
+	}
+	return w.err
+}
+
+func (w *Writer) writeManifest() error {
 	data, err := json.MarshalIndent(&w.man, "", "  ")
 	if err != nil {
 		return err
@@ -235,11 +324,11 @@ func Open(dir string) (*Manifest, error) {
 	if m.Version != "1.0" {
 		return nil, fmt.Errorf("dataset: unsupported version %q", m.Version)
 	}
-	sorted := append([]string(nil), m.Chunks...)
-	sort.Strings(sorted)
-	for i := range sorted {
-		if sorted[i] != m.Chunks[i] {
-			return nil, fmt.Errorf("dataset: chunk list not in order")
+	// Entry i must name chunk i: compared as numbers, since the names
+	// stop sorting lexicographically at chunk 100000.
+	for i, name := range m.Chunks {
+		if name != chunkName(i, false) && name != chunkName(i, true) {
+			return nil, fmt.Errorf("dataset: chunk list not in order: entry %d is %q", i, name)
 		}
 	}
 	return &m, nil

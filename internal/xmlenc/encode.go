@@ -36,7 +36,7 @@ func (e *Encoder) Begin(meta map[string]string) error {
 // AppendHeader appends the document header (XML declaration plus the
 // opening root element, meta attributes sorted by key) to b. It is the
 // buffer-building twin of Encoder.Begin, for callers that assemble whole
-// chunks in memory (the parallel dataset writer).
+// chunks in memory (the dataset writer).
 func AppendHeader(b []byte, meta map[string]string) []byte {
 	b = append(b, `<?xml version="1.0" encoding="UTF-8"?>`+"\n"...)
 	b = append(b, `<edtrace version="1.0"`...)

@@ -101,6 +101,9 @@ func (l *LiveSource) releaseFrame(b []byte) {
 	}
 }
 
+// sharesProcess marks the source as in-process (see processSharer).
+func (l *LiveSource) sharesProcess() {}
+
 // Close ends the capture: Frames drains whatever is queued and returns.
 // Mirror calls after Close are still counted but may be lost.
 func (l *LiveSource) Close() {

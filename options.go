@@ -21,40 +21,33 @@ type Progress struct {
 type Option func(*sessionOptions)
 
 type sessionOptions struct {
-	datasetDir     string
-	datasetGzip    bool
-	datasetWorkers int
-	figures        bool
-	sinks          []core.RecordSink
-	progress       func(Progress)
-	progressEvery  uint64
-	pcapTee        string
-	serverIP       uint32
-	haveServerIP   bool
-	bytePair       [2]int
-	haveBytePair   bool
-	metrics        *obs.Registry
+	datasetDir    string
+	datasetGzip   bool
+	figures       bool
+	sinks         []core.RecordSink
+	progress      func(Progress)
+	progressEvery uint64
+	pcapTee       string
+	serverIP      uint32
+	haveServerIP  bool
+	bytePair      [2]int
+	haveBytePair  bool
+	metrics       *obs.Registry
 }
 
 // WithDataset streams the anonymised XML dataset to dir; gzip compresses
 // the chunk files. The writer is closed (and the manifest written) on
 // every exit path, including cancellation and mid-run errors.
+//
+// Chunks are compressed and written off the record path, on GOMAXPROCS
+// background goroutines — except when the source is mirrored by the
+// process it captures (LiveSource, ServerSource, MeshSource): there the
+// work stays on the session's own goroutine, so the capture does not
+// take the daemon's CPUs. The files written are the same either way.
 func WithDataset(dir string, gzip bool) Option {
 	return func(o *sessionOptions) {
 		o.datasetDir = dir
 		o.datasetGzip = gzip
-	}
-}
-
-// WithDatasetWorkers compresses and writes dataset chunk files on n
-// background goroutines instead of inline on the record path, where
-// gzip otherwise dominates the per-record cost. 0 (the default) keeps
-// the synchronous streaming writer. No effect without WithDataset.
-func WithDatasetWorkers(n int) Option {
-	return func(o *sessionOptions) {
-		if n > 0 {
-			o.datasetWorkers = n
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -160,6 +161,7 @@ type Session struct {
 	pipe      *core.Pipeline
 	collector *analysis.Collector
 	tee       *pcap.Writer
+	dsWorkers int           // dataset writer's background width, from the source
 	rel       frameReleaser // nil unless the source pools its buffers
 	sm        *sessionMetrics
 	frames    chan []frameItem // producer → consumer
@@ -250,9 +252,15 @@ func (s *Session) setup() (closers []func() error, err error) {
 		servers = sn.serverNames()
 	}
 	if s.o.datasetDir != "" {
+		// An offline source leaves the other CPUs idle: chunk compression
+		// goes to them. An in-process one shares them with its daemon.
+		s.dsWorkers = runtime.GOMAXPROCS(0)
+		if _, ok := s.src.(processSharer); ok {
+			s.dsWorkers = 0
+		}
 		dw, werr := dataset.NewWriter(s.o.datasetDir, dataset.WriterOptions{
 			Compress: s.o.datasetGzip,
-			Workers:  s.o.datasetWorkers,
+			Workers:  s.dsWorkers,
 			Meta:     s.datasetMeta(serverIP, servers),
 		})
 		if werr != nil {

@@ -14,6 +14,7 @@ import (
 
 	"edtrace/internal/dataset"
 	"edtrace/internal/ed2k"
+	"edtrace/internal/edserverd"
 	"edtrace/internal/obs"
 	"edtrace/internal/pcap"
 	"edtrace/internal/simtime"
@@ -441,5 +442,97 @@ func TestLiveSourceMonotoneUnderConcurrentMirror(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("live dataset violates the spec:\n%v", rep.Violations)
+	}
+}
+
+// TestDatasetWriterWidthFollowsSource: the dataset writer's background
+// width is derived from the source, not set by the caller. An offline
+// source (simulator, pcap replay, a caller's own Source) has the
+// machine's CPUs to itself and gets GOMAXPROCS workers; a source mirrored
+// by the process it captures (LiveSource and the two that embed it)
+// shares them with its daemon and gets none. Every dataset verifies.
+func TestDatasetWriterWidthFollowsSource(t *testing.T) {
+	defer noLeak(t)()
+	sim := tinySim()
+	sim.Traffic.Duration = 20 * simtime.Minute
+	pcapPath := filepath.Join(t.TempDir(), "capture.pcap")
+
+	startDaemon := func(t *testing.T, name string) *edserverd.Daemon {
+		d, err := edserverd.Start(edserverd.Config{Name: name, UDPAddr: "off"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := d.Shutdown(ctx); err != nil {
+				t.Error(err)
+			}
+		})
+		return d
+	}
+	// mirrored feeds an in-process source one query/answer pair and ends it.
+	mirrored := func(l *LiveSource, serverKey uint32) {
+		const clientIP = uint32(0x01020304)
+		l.Mirror(clientIP, serverKey, ed2k.Encode(&ed2k.StatReq{Challenge: 7}))
+		l.Mirror(serverKey, clientIP, ed2k.Encode(&ed2k.StatRes{Challenge: 7, Users: 1, Files: 2}))
+		l.Close()
+	}
+
+	offline := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name string
+		src  func(*testing.T) Source
+		opts []Option
+		want int
+	}{
+		{"SimSource", func(t *testing.T) Source { return NewSimSource(sim) },
+			[]Option{WithPcapTee(pcapPath)}, offline},
+		{"PcapSource", func(t *testing.T) Source { return NewPcapSource(pcapPath) }, // the tee of the case above
+			[]Option{WithServerIP(sim.ServerIP)}, offline},
+		{"caller's Source", func(t *testing.T) Source { return &watchedSource{Source: NewSimSource(sim)} },
+			[]Option{WithServerIP(sim.ServerIP)}, offline},
+		{"LiveSource", func(t *testing.T) Source {
+			src := NewLiveSource(0)
+			mirrored(src, 0x0A000001)
+			return src
+		}, []Option{WithServerIP(0x0A000001)}, 0},
+		{"ServerSource", func(t *testing.T) Source {
+			d := startDaemon(t, "")
+			src := NewServerSource(d, 0)
+			mirrored(src.LiveSource, d.ServerKey())
+			return src
+		}, nil, 0},
+		{"MeshSource", func(t *testing.T) Source {
+			daemons := []*edserverd.Daemon{startDaemon(t, "mesh-0"), startDaemon(t, "mesh-1")}
+			src, err := NewMeshSource(daemons, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mirrored(src.LiveSource, daemons[1].ServerKey())
+			return src
+		}, nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := NewSession(tc.src(t), append(tc.opts, WithDataset(dir, true))...)
+			res, err := s.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.dsWorkers != tc.want {
+				t.Fatalf("dataset writer ran with %d workers, want %d", s.dsWorkers, tc.want)
+			}
+			rep, err := dataset.Verify(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("dataset violates the spec:\n%v", rep.Violations)
+			}
+			if rep.Records == 0 || rep.Records != res.Report.Pipeline.Records {
+				t.Fatalf("dataset holds %d records, pipeline emitted %d", rep.Records, res.Report.Pipeline.Records)
+			}
+		})
 	}
 }

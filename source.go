@@ -42,6 +42,13 @@ type captureReporter interface {
 	reportCapture(*core.Report)
 }
 
+// processSharer is implemented by sources whose frames are mirrored by
+// the very process they capture (LiveSource and everything embedding it).
+// Such a capture shares its CPUs with the daemon it observes, so the
+// session keeps dataset compression on its own goroutine; for any other
+// source the CPUs are the capture's to use (see Session.setup).
+type processSharer interface{ sharesProcess() }
+
 // SimSource runs the synthetic world (server, swarm, links, kernel
 // buffer) and yields the frames its capture machine drains — the paper's
 // whole measurement as a frame stream.
