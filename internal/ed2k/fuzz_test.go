@@ -123,6 +123,14 @@ func FuzzStreamReader(f *testing.F) {
 	f.Add(FrameTCPPacked(&SearchRes{Results: []FileEntry{fileEntryWith("x.iso", 1<<30)}}), 3)
 	f.Add(append(FrameTCP(&LoginRequest{Port: 4662, Nick: "peer"}), FrameTCP(&IDChange{Client: 5})...), 7)
 	f.Add(stream[:len(stream)-2], 5) // ends mid-frame
+	// A pipelined burst as the daemon batches it: many frames appended
+	// into one buffer, cut at a size that splits headers and bodies.
+	var burst []byte
+	for i := 0; i < 40; i++ {
+		burst = AppendFrameTCP(burst, &StatReq{Challenge: uint32(i)})
+		burst = AppendFrameTCP(burst, &GetSources{Hashes: []FileID{{byte(i)}}})
+	}
+	f.Add(burst, 97)
 	f.Add([]byte{0x42, 0, 0, 0, 0, 0}, 2)
 	f.Fuzz(func(t *testing.T, data []byte, chunk int) {
 		if chunk < 1 {

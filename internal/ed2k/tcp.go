@@ -90,15 +90,20 @@ func tcpOpcodeKnown(op byte) bool {
 	return KnownOpcode(op) || op == OpLoginRequest || op == OpIDChange
 }
 
-// FrameTCP serialises a message as one TCP stream frame.
-func FrameTCP(m Message) []byte {
-	payload := m.appendPayload(nil)
-	out := make([]byte, 0, 6+len(payload))
-	out = append(out, ProtoEDonkey)
-	out = binary.LittleEndian.AppendUint32(out, uint32(1+len(payload)))
-	out = append(out, m.Opcode())
-	return append(out, payload...)
+// AppendFrameTCP appends a message to dst as one TCP stream frame and
+// returns the extended slice. The payload is encoded in place behind a
+// reserved header whose length field is patched once the size is known,
+// so a caller batching frames into one buffer allocates nothing.
+func AppendFrameTCP(dst []byte, m Message) []byte {
+	head := len(dst)
+	dst = append(dst, ProtoEDonkey, 0, 0, 0, 0, m.Opcode())
+	dst = m.appendPayload(dst)
+	binary.LittleEndian.PutUint32(dst[head+1:], uint32(len(dst)-head-5))
+	return dst
 }
+
+// FrameTCP serialises a message as one TCP stream frame.
+func FrameTCP(m Message) []byte { return AppendFrameTCP(nil, m) }
 
 // FrameTCPPacked serialises a message as a packed (zlib) frame.
 func FrameTCPPacked(m Message) []byte {

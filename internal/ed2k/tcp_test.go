@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/iotest"
@@ -157,6 +158,61 @@ func TestQuickFrameStreamRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAppendFrameTCPProperty pins the in-place encoder: behind any
+// non-empty prefix it must leave the prefix alone and append exactly the
+// frame the wire format defines — built here from Encode, independently
+// of the length back-patching — and k frames appended into one buffer
+// must read back as the same k messages.
+func TestAppendFrameTCPProperty(t *testing.T) {
+	corpus := append(fuzzSeedMessages(),
+		&LoginRequest{Hash: FileID{1, 2}, Client: 77, Port: 4662, Nick: "reader"},
+		&IDChange{Client: 0x00ABCDEF},
+		&SearchRes{},
+	)
+	wireFrame := func(m Message) []byte {
+		body := Encode(m)[2:]
+		f := []byte{ProtoEDonkey, 0, 0, 0, 0, m.Opcode()}
+		binary.LittleEndian.PutUint32(f[1:], uint32(1+len(body)))
+		return append(f, body...)
+	}
+	rng := rand.New(rand.NewSource(14))
+	var stream []byte
+	for round := 0; round < 50; round++ {
+		for _, m := range corpus {
+			prefix := make([]byte, 1+rng.Intn(300))
+			rng.Read(prefix)
+			// Spare capacity past the prefix is what the daemon's reused
+			// buffer looks like; stale bytes there must not leak through.
+			dst := append(make([]byte, 0, len(prefix)+rng.Intn(64)), prefix...)
+			got := AppendFrameTCP(dst, m)
+			want := wireFrame(m)
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("%s behind a %d-byte prefix:\n got % X\nwant % X",
+					OpcodeName(m.Opcode()), len(prefix), got[len(prefix):], want)
+			}
+			if !bytes.Equal(FrameTCP(m), want) {
+				t.Fatalf("%s: FrameTCP differs from the wire format", OpcodeName(m.Opcode()))
+			}
+			if round == 0 {
+				stream = AppendFrameTCP(stream, m)
+			}
+		}
+	}
+	sr := NewStreamReader(bytes.NewReader(stream))
+	for i, want := range corpus {
+		got, err := sr.Next()
+		if err != nil {
+			t.Fatalf("frame %d of the batched stream: %v", i, err)
+		}
+		if !msgEqual(got, want) {
+			t.Fatalf("frame %d: got %#v, want %#v", i, got, want)
+		}
+	}
+	if _, err := sr.Next(); err != io.EOF {
+		t.Fatalf("after %d frames: %v, want io.EOF", len(corpus), err)
 	}
 }
 

@@ -54,6 +54,7 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 		"edserverd_connections_total 1",
 		"edserverd_logins_total 1",
 		"edserverd_tcp_messages_total 2",
+		"edserverd_tcp_flushes_total 2", // lockstep dialog: one write per answer
 		"edserverd_connections_active 1",
 		`edserver_received_total{op="OfferFiles"} 1`,
 		"edserver_index_files 1",

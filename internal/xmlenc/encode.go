@@ -1,42 +1,17 @@
 package xmlenc
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
 
-// Encoder streams records as the XML dialect specified in spec.md.
-type Encoder struct {
-	w     *bufio.Writer
-	buf   []byte
-	open  bool
-	count uint64
-}
-
-// NewEncoder returns an encoder writing to w. Call Begin before the first
-// record and End after the last.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// Begin writes the document header. meta attributes (sorted by the
-// caller) annotate the root element; keys must be XML names.
-func (e *Encoder) Begin(meta map[string]string) error {
-	if e.open {
-		return fmt.Errorf("xmlenc: Begin called twice")
-	}
-	e.open = true
-	_, err := e.w.Write(AppendHeader(nil, meta))
-	return err
-}
+// The encoder for the XML dialect specified in spec.md is three append
+// functions: callers assemble a whole document (the dataset writer: a
+// chunk) in memory as header, one line per record, footer.
 
 // AppendHeader appends the document header (XML declaration plus the
-// opening root element, meta attributes sorted by key) to b. It is the
-// buffer-building twin of Encoder.Begin, for callers that assemble whole
-// chunks in memory (the dataset writer).
+// opening root element, meta attributes sorted by key; keys must be XML
+// names) to b.
 func AppendHeader(b []byte, meta map[string]string) []byte {
 	b = append(b, `<?xml version="1.0" encoding="UTF-8"?>`+"\n"...)
 	b = append(b, `<edtrace version="1.0"`...)
@@ -46,8 +21,7 @@ func AppendHeader(b []byte, meta map[string]string) []byte {
 	return append(b, '>', '\n')
 }
 
-// AppendFooter appends the closing root element to b — the twin of
-// Encoder.End.
+// AppendFooter appends the closing root element to b.
 func AppendFooter(b []byte) []byte {
 	return append(b, "</edtrace>\n"...)
 }
@@ -66,20 +40,8 @@ func sortedKeys(m map[string]string) []string {
 	return keys
 }
 
-// Write emits one record as a single line.
-func (e *Encoder) Write(r *Record) error {
-	if !e.open {
-		return fmt.Errorf("xmlenc: Write before Begin")
-	}
-	e.buf = AppendRecord(e.buf[:0], r)
-	e.count++
-	_, err := e.w.Write(e.buf)
-	return err
-}
-
 // AppendRecord appends r's single-line XML element to b and returns the
-// extended buffer. Encoder.Write goes through it; chunk-building callers
-// use it directly.
+// extended buffer.
 func AppendRecord(b []byte, r *Record) []byte {
 	b = append(b, `<r t="`...)
 	b = strconv.AppendFloat(b, r.T, 'f', 3, 64)
@@ -156,21 +118,6 @@ func AppendRecord(b []byte, r *Record) []byte {
 	}
 	return b
 }
-
-// End closes the document and flushes.
-func (e *Encoder) End() error {
-	if !e.open {
-		return fmt.Errorf("xmlenc: End before Begin")
-	}
-	if _, err := e.w.Write(AppendFooter(nil)); err != nil {
-		return err
-	}
-	e.open = false
-	return e.w.Flush()
-}
-
-// Count reports records written.
-func (e *Encoder) Count() uint64 { return e.count }
 
 func appendAttr(b []byte, key, val string) []byte {
 	b = append(b, ' ')

@@ -31,22 +31,19 @@ func sampleRecords() []*Record {
 	}
 }
 
+// encodeDoc builds one whole document the way the dataset writer builds
+// a chunk: header, one line per record, footer.
+func encodeDoc(meta map[string]string, recs ...*Record) []byte {
+	b := AppendHeader(nil, meta)
+	for _, r := range recs {
+		b = AppendRecord(b, r)
+	}
+	return AppendFooter(b)
+}
+
 func roundtrip(t *testing.T, recs []*Record, meta map[string]string) ([]*Record, map[string]string) {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Begin(meta); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := enc.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.End(); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(&buf)
+	dec, err := NewDecoder(bytes.NewReader(encodeDoc(meta, recs...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,43 +77,13 @@ func TestRoundtripAllRecordShapes(t *testing.T) {
 	}
 }
 
-func TestEncoderStateMachine(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Write(&Record{Op: "StatReq"}); err == nil {
-		t.Fatal("Write before Begin must fail")
-	}
-	if err := enc.End(); err == nil {
-		t.Fatal("End before Begin must fail")
-	}
-	if err := enc.Begin(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Begin(nil); err == nil {
-		t.Fatal("double Begin must fail")
-	}
-	if enc.Count() != 0 {
-		t.Fatal("count should start at 0")
-	}
-	enc.Write(&Record{Op: "StatReq"})
-	if enc.Count() != 1 {
-		t.Fatal("count should track writes")
-	}
-}
-
 func TestOutputIsValidXML(t *testing.T) {
 	// Cross-validate the hand-rolled encoder against encoding/xml.
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	enc.Begin(map[string]string{"note": `has "quotes" & <brackets>`})
 	recs := sampleRecords()
 	// Include hostile strings in hashes (should never happen in real
 	// datasets, but escaping must still be correct).
 	recs[2].Keywords = []string{`a&b<c>"d'`}
-	for _, r := range recs {
-		enc.Write(r)
-	}
-	enc.End()
+	raw := encodeDoc(map[string]string{"note": `has "quotes" & <brackets>`}, recs...)
 
 	type xmlRecord struct {
 		T   float64 `xml:"t,attr"`
@@ -132,7 +99,7 @@ func TestOutputIsValidXML(t *testing.T) {
 		Note    string      `xml:"note,attr"`
 		Records []xmlRecord `xml:"r"`
 	}
-	if err := xml.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := xml.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("encoding/xml rejects our output: %v", err)
 	}
 	if doc.Note != `has "quotes" & <brackets>` {
@@ -237,14 +204,7 @@ func TestQuickRoundtripRandomRecords(t *testing.T) {
 			}, k)
 			rec.Keywords = append(rec.Keywords, clean)
 		}
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
-		enc.Begin(nil)
-		if err := enc.Write(rec); err != nil {
-			return false
-		}
-		enc.End()
-		dec, err := NewDecoder(&buf)
+		dec, err := NewDecoder(bytes.NewReader(encodeDoc(nil, rec)))
 		if err != nil {
 			return false
 		}
@@ -264,26 +224,20 @@ func TestQuickRoundtripRandomRecords(t *testing.T) {
 }
 
 func BenchmarkEncodeRecord(b *testing.B) {
-	var sink bytes.Buffer
-	enc := NewEncoder(&sink)
-	enc.Begin(nil)
+	var sink []byte
 	rec := sampleRecords()[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink.Reset()
-		enc.Write(rec)
+		sink = AppendRecord(sink[:0], rec)
 	}
 }
 
 func BenchmarkDecodeRecord(b *testing.B) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	enc.Begin(nil)
-	for i := 0; i < 1000; i++ {
-		enc.Write(sampleRecords()[i%len(sampleRecords())])
+	recs := make([]*Record, 1000)
+	for i := range recs {
+		recs[i] = sampleRecords()[i%len(sampleRecords())]
 	}
-	enc.End()
-	data := buf.Bytes()
+	data := encodeDoc(nil, recs...)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
