@@ -17,6 +17,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -184,7 +185,7 @@ func (c *Collector) Finalize() *Figures {
 // and the low half (client), the number of distinct counterparts.
 func pairCounts(pairs []uint64) (perHigh, perLow map[uint32]uint32) {
 	sorted := append([]uint64(nil), pairs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	perHigh = make(map[uint32]uint32)
 	perLow = make(map[uint32]uint32)
 	var prev uint64

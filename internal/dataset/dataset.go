@@ -4,11 +4,17 @@
 // a prohibitive space cost") plus a JSON manifest with global counters.
 //
 // Chunks rotate on a record and a byte budget so ten-week captures never
-// produce a single unwieldy file, and readers stream chunk by chunk with
-// one record in memory at a time.
+// produce a single unwieldy file. Readers (ForEach, Verify) stream chunk
+// by chunk with one record in memory at a time — the same xmlenc.Record,
+// refilled for every callback, which runs on the caller's goroutine —
+// while a goroutine owned by the call reads and inflates at most 512 KiB
+// of chunk text ahead of it (readahead.go), whatever size the chunks
+// are. The format, the directory layout and the invariants Verify checks
+// are specified in internal/xmlenc/spec.md.
 package dataset
 
 import (
+	"bufio"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -335,15 +341,31 @@ func Open(dir string) (*Manifest, error) {
 }
 
 // ForEach streams every record of the dataset at dir, in order, invoking
-// fn. fn returning a non-nil error aborts the scan and is returned.
+// fn on the caller's goroutine, one record at a time. fn returning a
+// non-nil error aborts the scan and is returned.
+//
+// The record is valid only during the callback: the next one is decoded
+// into the same xmlenc.Record (see xmlenc.Decoder.Next). A callback that
+// keeps a record keeps rec.Clone().
+//
+// A goroutine owned by the call reads and inflates the chunks ahead of
+// fn, by at most readAheadDepth blocks of readAheadBlock bytes; it has
+// returned, and every chunk file is closed, when ForEach returns.
 func ForEach(dir string, fn func(*xmlenc.Record) error) error {
 	man, err := Open(dir)
 	if err != nil {
 		return err
 	}
+	ra := startReadAhead(len(man.Chunks), chunkOpener(dir, man.Chunks))
+	defer ra.stop()
+	// One line buffer for every chunk's decoder: NewDecoder reads straight
+	// from a bufio.Reader of its own buffer size.
+	lines := bufio.NewReaderSize(ra, 64<<10)
 	var n uint64
 	for _, chunk := range man.Chunks {
-		if err := forEachChunk(filepath.Join(dir, chunk), fn, &n); err != nil {
+		ra.nextStream()
+		lines.Reset(ra)
+		if err := forEachRecord(filepath.Join(dir, chunk), lines, fn, &n); err != nil {
 			return err
 		}
 	}
@@ -353,21 +375,9 @@ func ForEach(dir string, fn func(*xmlenc.Record) error) error {
 	return nil
 }
 
-func forEachChunk(path string, fn func(*xmlenc.Record) error, n *uint64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	defer f.Close()
-	var src io.Reader = f
-	if filepath.Ext(path) == ".gz" {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return fmt.Errorf("dataset: %s: %w", path, err)
-		}
-		defer gz.Close()
-		src = gz
-	}
+// forEachRecord decodes one chunk from src. The decoder reads src to its
+// end, so a .gz chunk's trailer has been checked when this returns nil.
+func forEachRecord(path string, src io.Reader, fn func(*xmlenc.Record) error, n *uint64) error {
 	dec, err := xmlenc.NewDecoder(src)
 	if err != nil {
 		return fmt.Errorf("dataset: %s: %w", path, err)
@@ -384,5 +394,39 @@ func forEachChunk(path string, fn func(*xmlenc.Record) error, n *uint64) error {
 		if err := fn(rec); err != nil {
 			return err
 		}
+	}
+}
+
+// chunkOpener returns the function that opens the i-th chunk of a
+// dataset as a stream of XML: the file, or for a .gz chunk the file
+// inflated — which is the only difference between the two kinds. It is
+// called from one goroutine and reuses one gzip reader for every chunk.
+func chunkOpener(dir string, chunks []string) func(i int) (io.ReadCloser, error) {
+	var gz *gzip.Reader
+	return func(i int) (io.ReadCloser, error) {
+		f, err := os.Open(filepath.Join(dir, chunks[i]))
+		if err != nil {
+			var pe *fs.PathError
+			if errors.As(err, &pe) {
+				err = pe.Err // the reader of the stream names the path
+			}
+			return nil, err
+		}
+		if filepath.Ext(chunks[i]) != ".gz" {
+			return f, nil
+		}
+		if gz == nil {
+			gz, err = gzip.NewReader(f)
+		} else {
+			err = gz.Reset(f)
+		}
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		return struct {
+			io.Reader
+			io.Closer
+		}{gz, f}, nil
 	}
 }

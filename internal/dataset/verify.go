@@ -53,16 +53,16 @@ func Verify(dir string) (*VerifyReport, error) {
 		}
 	}
 	lastT := -1.0
-	seenClients := make(map[uint32]bool)
-	seenFiles := make(map[uint32]bool)
+	seenClients := newIDSet(man.DistinctClients)
+	seenFiles := newIDSet(man.DistinctFiles)
 	noteClient := func(c uint32) {
-		seenClients[c] = true
+		seenClients.add(c)
 		if c > rep.MaxClientID {
 			rep.MaxClientID = c
 		}
 	}
 	noteFile := func(f uint32) {
-		seenFiles[f] = true
+		seenFiles.add(f)
 		if f > rep.MaxFileID {
 			rep.MaxFileID = f
 		}
@@ -109,9 +109,9 @@ func Verify(dir string) (*VerifyReport, error) {
 	}
 	// Density: anonymised IDs must be exactly 0..N-1.
 	if man.DistinctClients > 0 {
-		if uint32(len(seenClients)) != man.DistinctClients {
+		if seenClients.distinct != uint64(man.DistinctClients) {
 			add("manifest claims %d clients, dataset references %d",
-				man.DistinctClients, len(seenClients))
+				man.DistinctClients, seenClients.distinct)
 		}
 		if rep.MaxClientID != man.DistinctClients-1 {
 			add("max clientID %d, want %d (dense order-of-appearance)",
@@ -119,9 +119,9 @@ func Verify(dir string) (*VerifyReport, error) {
 		}
 	}
 	if man.DistinctFiles > 0 {
-		if uint32(len(seenFiles)) != man.DistinctFiles {
+		if seenFiles.distinct != uint64(man.DistinctFiles) {
 			add("manifest claims %d files, dataset references %d",
-				man.DistinctFiles, len(seenFiles))
+				man.DistinctFiles, seenFiles.distinct)
 		}
 		if rep.MaxFileID != man.DistinctFiles-1 {
 			add("max fileID %d, want %d (dense order-of-appearance)",
@@ -129,6 +129,37 @@ func Verify(dir string) (*VerifyReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// idSet counts the distinct anonymised IDs a dataset references. The spec
+// makes them dense in [0, n) with n in the manifest, so one bit per
+// claimed ID covers every ID a valid dataset holds; an ID beyond the
+// claim — already a violation — goes to a map, as every ID does when the
+// manifest claims nothing.
+type idSet struct {
+	bits     []uint64 // bit id of [0, n)
+	beyond   map[uint32]struct{}
+	distinct uint64
+}
+
+func newIDSet(n uint32) *idSet {
+	return &idSet{bits: make([]uint64, (uint64(n)+63)/64), beyond: make(map[uint32]struct{})}
+}
+
+func (s *idSet) add(id uint32) {
+	if w := int(id >> 6); w < len(s.bits) {
+		// The last word's bits past n are never claimed IDs, but setting
+		// one still counts the ID once, which is all a violation needs.
+		if bit := uint64(1) << (id & 63); s.bits[w]&bit == 0 {
+			s.bits[w] |= bit
+			s.distinct++
+		}
+		return
+	}
+	if _, ok := s.beyond[id]; !ok {
+		s.beyond[id] = struct{}{}
+		s.distinct++
+	}
 }
 
 func hexOnly(s string) bool {

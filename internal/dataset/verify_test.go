@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -109,5 +111,29 @@ func TestVerifyDetectsViolations(t *testing.T) {
 func TestVerifyMissingDataset(t *testing.T) {
 	if _, err := Verify(t.TempDir()); err == nil {
 		t.Fatal("missing manifest accepted")
+	}
+}
+
+// TestVerifyHugeIDCostsNothing: Verify's memory follows the manifest's
+// counters, never the value of an ID in the data — an ID near 2³² is one
+// violation and one map entry, not half a gigabyte of bitset.
+func TestVerifyHugeIDCostsNothing(t *testing.T) {
+	dir := t.TempDir()
+	writeValidDataset(t, dir)
+	mangleChunk(t, dir, "chunk-00000.xml", func(b []byte) []byte {
+		return bytes.Replace(b, []byte(`<fr id="1"/>`), []byte(`<fr id="4294967290"/>`), 1)
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Verify(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MaxFileID != 4294967290 || len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], "max fileID 4294967290, want 1") {
+		t.Fatalf("report: %+v", rep)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("Verify allocated %d bytes over a five-record dataset", grew)
 	}
 }

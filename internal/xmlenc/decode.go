@@ -2,9 +2,11 @@ package xmlenc
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -12,41 +14,50 @@ import (
 // ErrSyntax is returned for input outside the spec.md grammar.
 var ErrSyntax = errors.New("xmlenc: syntax error")
 
+const (
+	// lineBuffer is the decoder's read buffer: a line that fits is parsed
+	// where it lies, a longer one is first gathered in a spill buffer.
+	lineBuffer = 64 << 10
+	// maxLine bounds one line; a longer one is bufio.ErrTooLong.
+	maxLine = 1 << 24
+)
+
 // Decoder streams records back out of the XML dialect. It is strictly
-// line-oriented per the specification, holding one record in memory at a
-// time, which is what makes analysis of huge datasets cheap.
+// line-oriented per the specification and decodes in place: every line is
+// parsed where the read buffer holds it, into the one Record the decoder
+// owns, so a record costs one allocation — the string its op, hashes and
+// server tag are substrings of. That is what makes analysis of huge
+// datasets cheap.
 type Decoder struct {
-	s     *bufio.Scanner
+	r     *bufio.Reader
 	meta  map[string]string
+	rec   Record // the record Next fills and returns, again and again
+	text  string // string(line): what a record's string fields are substrings of
+	long  []byte // spill buffer of lines longer than the read buffer
+	rerr  error  // the reader's final error, returned once the data before it is used up
 	done  bool
 	count uint64
-	line  int
+	lineN int
 }
 
 // NewDecoder parses the document header and positions the decoder before
-// the first record.
+// the first record. A *bufio.Reader of at least 64 KiB is read from
+// directly; anything else is wrapped in one.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	d := &Decoder{s: s, meta: map[string]string{}}
+	d := &Decoder{r: bufio.NewReaderSize(r, lineBuffer), meta: map[string]string{}}
 
 	// Prologue: optional xml declaration, then the root element.
 	line, err := d.nextLine()
-	if err != nil {
-		return nil, fmt.Errorf("%w: missing header", ErrSyntax)
-	}
-	if strings.HasPrefix(line, "<?xml") {
+	if err == nil && bytes.HasPrefix(line, []byte("<?xml")) {
 		line, err = d.nextLine()
-		if err != nil {
-			return nil, fmt.Errorf("%w: missing root element", ErrSyntax)
-		}
 	}
-	name, attrs, self, rest, err := parseTag(line)
-	if err != nil || name != "edtrace" || self || rest != "" {
+	if err == io.EOF {
+		return nil, fmt.Errorf("%w: missing root element", ErrSyntax)
+	} else if err != nil {
+		return nil, err
+	}
+	if err := d.parseRoot(line); err != nil {
 		return nil, fmt.Errorf("%w: bad root element %q", ErrSyntax, line)
-	}
-	for _, a := range attrs {
-		d.meta[a.key] = a.val
 	}
 	if d.meta["version"] != "1.0" {
 		return nil, fmt.Errorf("%w: unsupported version %q", ErrSyntax, d.meta["version"])
@@ -60,21 +71,53 @@ func (d *Decoder) Meta() map[string]string { return d.meta }
 // Count reports records decoded so far.
 func (d *Decoder) Count() uint64 { return d.count }
 
-func (d *Decoder) nextLine() (string, error) {
-	for d.s.Scan() {
-		d.line++
-		line := strings.TrimSpace(d.s.Text())
-		if line != "" {
+// nextLine returns the next non-blank line, trimmed, as bytes of the read
+// buffer: valid until the following call. A last line without a newline
+// counts; a read error other than io.EOF discards the partial line before
+// it.
+func (d *Decoder) nextLine() ([]byte, error) {
+	for d.rerr == nil {
+		line, err := d.r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			line, err = d.readLong(line)
+		}
+		if err != nil {
+			d.rerr = err
+			if err != io.EOF || len(line) == 0 {
+				break
+			}
+		}
+		d.lineN++
+		if line = bytes.TrimSpace(line); len(line) > 0 {
 			return line, nil
 		}
 	}
-	if err := d.s.Err(); err != nil {
-		return "", err
-	}
-	return "", io.EOF
+	return nil, d.rerr
 }
 
-// Next returns the next record, or io.EOF after the closing root tag.
+// readLong gathers a line that overflowed the read buffer.
+func (d *Decoder) readLong(head []byte) ([]byte, error) {
+	d.long = append(d.long[:0], head...)
+	for {
+		more, err := d.r.ReadSlice('\n')
+		d.long = append(d.long, more...)
+		if err != bufio.ErrBufferFull {
+			return d.long, err
+		}
+		if len(d.long) >= maxLine {
+			return nil, bufio.ErrTooLong
+		}
+	}
+}
+
+// Next decodes the next record, or returns io.EOF after the closing root
+// tag and the end of the input.
+//
+// The record belongs to the decoder: every call resets and refills the
+// same one and returns the same pointer, so it is valid only until the
+// next call. A caller that keeps a record keeps r.Clone(); the strings of
+// a record are ordinary immutable strings and stay valid for as long as
+// anything holds them.
 func (d *Decoder) Next() (*Record, error) {
 	if d.done {
 		return nil, io.EOF
@@ -86,79 +129,102 @@ func (d *Decoder) Next() (*Record, error) {
 		}
 		return nil, err
 	}
-	if line == "</edtrace>" {
+	if string(line) == "</edtrace>" {
 		d.done = true
+		// Nothing may follow the closing tag. Reading on to the end of the
+		// input is also what makes a compressed stream check its trailer.
+		if line, err = d.nextLine(); err == nil {
+			return nil, fmt.Errorf("line %d: %w: content after </edtrace>: %q", d.lineN, ErrSyntax, trunc(line))
+		} else if err != io.EOF {
+			return nil, err
+		}
 		return nil, io.EOF
 	}
-	rec, err := parseRecord(line)
-	if err != nil {
-		return nil, fmt.Errorf("line %d: %w", d.line, err)
+	d.rec.Reset()
+	if err := d.parseRecord(line); err != nil {
+		return nil, fmt.Errorf("line %d: %w", d.lineN, err)
 	}
 	d.count++
-	return rec, nil
+	return &d.rec, nil
 }
 
-type attr struct {
-	key, val string
+// Tokens inside a tag, after its name.
+const (
+	tokAttr      = iota // name="value": key and val are set
+	tokOpen             // '>'
+	tokSelfClose        // '/>'
+)
+
+// tagScanner walks one line tag by tag without copying anything out of
+// it: tag consumes '<' and an element name, next the attributes and the
+// tag's end, one token per call.
+type tagScanner struct {
+	line     []byte
+	i        int    // next unread byte of line
+	key, val []byte // of the last tokAttr; val is raw (still escaped)
+	valAt    int    // val == line[valAt:valAt+len(val)]
 }
 
-// parseTag parses one tag at the start of s, returning the element name,
-// attributes, whether it was self-closing, and the remainder of s.
-func parseTag(s string) (name string, attrs []attr, selfClosing bool, rest string, err error) {
-	if len(s) < 2 || s[0] != '<' {
-		return "", nil, false, "", fmt.Errorf("%w: expected tag at %q", ErrSyntax, trunc(s))
+// tag consumes '<' and the element name at the cursor.
+func (s *tagScanner) tag() ([]byte, error) {
+	rest := s.line[s.i:]
+	if len(rest) < 2 || rest[0] != '<' {
+		return nil, fmt.Errorf("%w: expected tag at %q", ErrSyntax, trunc(rest))
 	}
-	i := 1
-	for i < len(s) && isNameByte(s[i]) {
+	j := 1
+	for j < len(rest) && isNameByte(rest[j]) {
+		j++
+	}
+	if j == 1 {
+		return nil, fmt.Errorf("%w: empty tag name at %q", ErrSyntax, trunc(rest))
+	}
+	s.i += j
+	return rest[1:j], nil
+}
+
+// next consumes the next token of the open tag.
+func (s *tagScanner) next() (int, error) {
+	line, i := s.line, s.i
+	for i < len(line) && line[i] == ' ' {
 		i++
 	}
-	if i == 1 {
-		return "", nil, false, "", fmt.Errorf("%w: empty tag name at %q", ErrSyntax, trunc(s))
+	if i >= len(line) {
+		return 0, fmt.Errorf("%w: unterminated tag", ErrSyntax)
 	}
-	name = s[1:i]
-	for {
-		for i < len(s) && s[i] == ' ' {
-			i++
+	switch line[i] {
+	case '>':
+		s.i = i + 1
+		return tokOpen, nil
+	case '/':
+		if i+1 >= len(line) || line[i+1] != '>' {
+			return 0, fmt.Errorf("%w: bad self-close at %q", ErrSyntax, trunc(line[i:]))
 		}
-		if i >= len(s) {
-			return "", nil, false, "", fmt.Errorf("%w: unterminated tag <%s", ErrSyntax, name)
-		}
-		if s[i] == '/' {
-			if i+1 >= len(s) || s[i+1] != '>' {
-				return "", nil, false, "", fmt.Errorf("%w: bad self-close in <%s", ErrSyntax, name)
-			}
-			return name, attrs, true, s[i+2:], nil
-		}
-		if s[i] == '>' {
-			return name, attrs, false, s[i+1:], nil
-		}
-		// attribute: name="value"
-		j := i
-		for j < len(s) && isNameByte(s[j]) {
-			j++
-		}
-		if j == i || j >= len(s) || s[j] != '=' || j+1 >= len(s) || s[j+1] != '"' {
-			return "", nil, false, "", fmt.Errorf("%w: bad attribute in <%s> at %q", ErrSyntax, name, trunc(s[i:]))
-		}
-		k := j + 2
-		for k < len(s) && s[k] != '"' {
-			k++
-		}
-		if k >= len(s) {
-			return "", nil, false, "", fmt.Errorf("%w: unterminated attribute value in <%s>", ErrSyntax, name)
-		}
-		attrs = append(attrs, attr{key: s[i:j], val: unescape(s[j+2 : k])})
-		i = k + 1
+		s.i = i + 2
+		return tokSelfClose, nil
 	}
+	j := i
+	for j < len(line) && isNameByte(line[j]) {
+		j++
+	}
+	if j == i || j+1 >= len(line) || line[j] != '=' || line[j+1] != '"' {
+		return 0, fmt.Errorf("%w: bad attribute at %q", ErrSyntax, trunc(line[i:]))
+	}
+	n := bytes.IndexByte(line[j+2:], '"')
+	if n < 0 {
+		return 0, fmt.Errorf("%w: unterminated attribute value at %q", ErrSyntax, trunc(line[i:]))
+	}
+	s.key, s.valAt, s.val = line[i:j], j+2, line[j+2:j+2+n]
+	s.i = j + 2 + n + 1
+	return tokAttr, nil
 }
 
 func isNameByte(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '-'
 }
 
-func trunc(s string) string {
+func trunc(s []byte) []byte {
 	if len(s) > 32 {
-		return s[:32] + "..."
+		return append(s[:32:32], "..."...)
 	}
 	return s
 }
@@ -197,145 +263,225 @@ func unescape(s string) string {
 	return b.String()
 }
 
-// parseRecord parses one full <r> line.
-func parseRecord(line string) (*Record, error) {
-	name, attrs, self, rest, err := parseTag(line)
+// parseRoot parses the <edtrace ...> line into d.meta.
+func (d *Decoder) parseRoot(line []byte) error {
+	s := tagScanner{line: line}
+	name, err := s.tag()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if name != "r" {
-		return nil, fmt.Errorf("%w: expected <r>, got <%s>", ErrSyntax, name)
+	if string(name) != "edtrace" {
+		return ErrSyntax
 	}
-	rec := &Record{}
-	for _, a := range attrs {
-		switch a.key {
+	for {
+		tok, err := s.next()
+		if err != nil {
+			return err
+		}
+		if tok != tokAttr {
+			if tok != tokOpen || s.i != len(line) {
+				return ErrSyntax
+			}
+			return nil
+		}
+		d.meta[string(s.key)] = unescape(string(s.val))
+	}
+}
+
+// str returns the attribute value the scanner is on as an immutable
+// string: a substring of d.text, so a record that is kept (Clone) pins
+// one line of text and nothing else.
+func (d *Decoder) str(s *tagScanner) string {
+	if bytes.IndexByte(s.val, '&') >= 0 {
+		return unescape(string(s.val))
+	}
+	return d.text[s.valAt : s.valAt+len(s.val)]
+}
+
+// parseRecord parses line, one full <r> element, into d.rec.
+func (d *Decoder) parseRecord(line []byte) error {
+	rec := &d.rec
+	d.text = string(line) // the record's one allocation
+	s := tagScanner{line: line}
+	name, err := s.tag()
+	if err != nil {
+		return err
+	}
+	if string(name) != "r" {
+		return fmt.Errorf("%w: expected <r>, got <%s>", ErrSyntax, name)
+	}
+	var tok int
+	for {
+		if tok, err = s.next(); err != nil {
+			return err
+		}
+		if tok != tokAttr {
+			break
+		}
+		ok := true
+		switch string(s.key) {
 		case "t":
-			rec.T, err = strconv.ParseFloat(a.val, 64)
+			var perr error
+			rec.T, perr = strconv.ParseFloat(string(s.val), 64)
+			ok = perr == nil
 		case "c":
-			rec.Client, err = parseU32(a.val)
+			rec.Client, ok = parseUint32(s.val)
 		case "op":
-			rec.Op = a.val
+			rec.Op = d.str(&s)
 		case "dir":
-			switch a.val {
+			switch string(s.val) {
 			case "q":
 				rec.Dir = DirQuery
 			case "a":
 				rec.Dir = DirAnswer
 			default:
-				err = fmt.Errorf("%w: dir %q", ErrSyntax, a.val)
+				ok = false
 			}
 		case "srv":
-			rec.Server = a.val
+			rec.Server = d.str(&s)
 		case "minkb":
-			rec.MinKB, err = strconv.ParseUint(a.val, 10, 64)
+			rec.MinKB, ok = parseUint(s.val, math.MaxUint64)
 		case "maxkb":
-			rec.MaxKB, err = strconv.ParseUint(a.val, 10, 64)
+			rec.MaxKB, ok = parseUint(s.val, math.MaxUint64)
 		case "users":
-			rec.Users, err = parseU32(a.val)
+			rec.Users, ok = parseUint32(s.val)
 		case "files":
-			rec.FilesCount, err = parseU32(a.val)
+			rec.FilesCount, ok = parseUint32(s.val)
 		case "n":
-			rec.Accepted, err = parseU32(a.val)
+			rec.Accepted, ok = parseUint32(s.val)
 		default:
-			return nil, fmt.Errorf("%w: unknown attribute %q on <r>", ErrSyntax, a.key)
+			return fmt.Errorf("%w: unknown attribute %q on <r>", ErrSyntax, s.key)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: attribute %s=%q", ErrSyntax, a.key, a.val)
+		if !ok {
+			return fmt.Errorf("%w: attribute %s=%q", ErrSyntax, s.key, s.val)
 		}
 	}
-	if self {
-		if rest != "" {
-			return nil, fmt.Errorf("%w: trailing content %q", ErrSyntax, trunc(rest))
+	if tok == tokSelfClose {
+		if s.i != len(line) {
+			return fmt.Errorf("%w: trailing content %q", ErrSyntax, trunc(line[s.i:]))
 		}
-		return rec, nil
+		return nil
 	}
 	// Children until </r>.
 	for {
-		if strings.HasPrefix(rest, "</r>") {
-			if rest != "</r>" {
-				return nil, fmt.Errorf("%w: trailing content %q", ErrSyntax, trunc(rest))
+		if rest := line[s.i:]; bytes.HasPrefix(rest, []byte("</r>")) {
+			if len(rest) != len("</r>") {
+				return fmt.Errorf("%w: trailing content %q", ErrSyntax, trunc(rest))
 			}
-			return rec, nil
+			return nil
 		}
-		var cname string
-		var cattrs []attr
-		var cself bool
-		cname, cattrs, cself, rest, err = parseTag(rest)
-		if err != nil {
-			return nil, err
-		}
-		if !cself {
-			return nil, fmt.Errorf("%w: child <%s> must be self-closing", ErrSyntax, cname)
-		}
-		if err := applyChild(rec, cname, cattrs); err != nil {
-			return nil, err
+		if err := d.parseChild(&s); err != nil {
+			return err
 		}
 	}
 }
 
-func applyChild(rec *Record, name string, attrs []attr) error {
-	get := func(key string) (string, bool) {
-		for _, a := range attrs {
-			if a.key == key {
-				return a.val, true
-			}
-		}
-		return "", false
+// parseChild parses the child element at the cursor into d.rec. Every
+// child has one required attribute; of a repeated attribute the first
+// counts, and attributes the grammar does not name are skipped.
+func (d *Decoder) parseChild(s *tagScanner) error {
+	name, err := s.tag()
+	if err != nil {
+		return err
 	}
-	switch name {
+	var kind byte
+	var req string
+	switch string(name) {
 	case "f":
-		var fi FileInfo
-		ids, ok := get("id")
-		if !ok {
-			return fmt.Errorf("%w: <f> without id", ErrSyntax)
-		}
-		id, err := parseU32(ids)
-		if err != nil {
-			return fmt.Errorf("%w: <f id=%q>", ErrSyntax, ids)
-		}
-		fi.ID = id
-		if s, ok := get("s"); ok {
-			fi.SizeKB, err = strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				return fmt.Errorf("%w: <f s=%q>", ErrSyntax, s)
-			}
-		}
-		fi.NameHash, _ = get("n")
-		fi.TypeHash, _ = get("ty")
-		rec.Files = append(rec.Files, fi)
+		kind, req = 'f', "id"
 	case "fr":
-		ids, ok := get("id")
-		if !ok {
-			return fmt.Errorf("%w: <fr> without id", ErrSyntax)
-		}
-		id, err := parseU32(ids)
-		if err != nil {
-			return fmt.Errorf("%w: <fr id=%q>", ErrSyntax, ids)
-		}
-		rec.FileRefs = append(rec.FileRefs, id)
+		kind, req = 'r', "id"
 	case "s":
-		cs, ok := get("c")
-		if !ok {
-			return fmt.Errorf("%w: <s> without c", ErrSyntax)
-		}
-		c, err := parseU32(cs)
-		if err != nil {
-			return fmt.Errorf("%w: <s c=%q>", ErrSyntax, cs)
-		}
-		rec.Sources = append(rec.Sources, c)
+		kind, req = 's', "c"
 	case "k":
-		h, ok := get("h")
-		if !ok {
-			return fmt.Errorf("%w: <k> without h", ErrSyntax)
-		}
-		rec.Keywords = append(rec.Keywords, h)
+		kind, req = 'k', "h"
 	default:
 		return fmt.Errorf("%w: unknown child <%s>", ErrSyntax, name)
+	}
+	var (
+		id   uint32 // the required attribute of f, fr and s
+		hash string // that of k
+		fi   FileInfo
+
+		seenReq, seenSize, seenName, seenType bool
+	)
+	for {
+		tok, err := s.next()
+		if err != nil {
+			return err
+		}
+		if tok == tokOpen {
+			return fmt.Errorf("%w: child <%s> must be self-closing", ErrSyntax, name)
+		}
+		if tok == tokSelfClose {
+			break
+		}
+		ok := true
+		switch {
+		case string(s.key) == req:
+			if seenReq {
+				break
+			}
+			seenReq = true
+			if kind == 'k' {
+				hash = d.str(s)
+			} else {
+				id, ok = parseUint32(s.val)
+			}
+		case kind != 'f':
+		case string(s.key) == "s" && !seenSize:
+			seenSize = true
+			fi.SizeKB, ok = parseUint(s.val, math.MaxUint64)
+		case string(s.key) == "n" && !seenName:
+			seenName = true
+			fi.NameHash = d.str(s)
+		case string(s.key) == "ty" && !seenType:
+			seenType = true
+			fi.TypeHash = d.str(s)
+		}
+		if !ok {
+			return fmt.Errorf("%w: <%s %s=%q>", ErrSyntax, name, s.key, s.val)
+		}
+	}
+	if !seenReq {
+		return fmt.Errorf("%w: <%s> without %s", ErrSyntax, name, req)
+	}
+	rec := &d.rec
+	switch kind {
+	case 'f':
+		fi.ID = id
+		rec.Files = append(rec.Files, fi)
+	case 'r':
+		rec.FileRefs = append(rec.FileRefs, id)
+	case 's':
+		rec.Sources = append(rec.Sources, id)
+	case 'k':
+		rec.Keywords = append(rec.Keywords, hash)
 	}
 	return nil
 }
 
-func parseU32(s string) (uint32, error) {
-	v, err := strconv.ParseUint(s, 10, 32)
-	return uint32(v), err
+// parseUint parses an unsigned decimal no greater than limit: digits
+// only, like strconv.ParseUint in base 10.
+func parseUint(b []byte, limit uint64) (uint64, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range b {
+		c -= '0'
+		if c > 9 || v > limit/10 {
+			return 0, false
+		}
+		v = v*10 + uint64(c)
+		if v < uint64(c) || v > limit { // wrapped around, or too wide
+			return 0, false
+		}
+	}
+	return v, true
+}
+
+func parseUint32(b []byte) (uint32, bool) {
+	v, ok := parseUint(b, math.MaxUint32)
+	return uint32(v), ok
 }

@@ -48,7 +48,7 @@ func AppendRecord(b []byte, r *Record) []byte {
 	b = append(b, `" c="`...)
 	b = strconv.AppendUint(b, uint64(r.Client), 10)
 	b = append(b, `" op="`...)
-	b = append(b, r.Op...)
+	b = appendEscaped(b, r.Op)
 	b = append(b, `" dir="`...)
 	b = append(b, r.Dir.String()...)
 	b = append(b, '"')
