@@ -96,6 +96,40 @@ func BenchmarkServerHandle(b *testing.B) {
 	})
 }
 
+// BenchmarkServerSearch measures searches alone, and the kind
+// benchServer's mix has none of: several keywords and constraints, so a
+// candidate list is chosen among lists of very different lengths (a
+// word's ~155 files, "mp3"'s MaxPostingList) and most candidates are
+// rejected by the other operands before MaxSearchResults are found.
+func BenchmarkServerSearch(b *testing.B) {
+	const nFiles = 1 << 15
+	s, _ := benchServer(1, nFiles)
+	r := randx.New(2, 99)
+	reqs := make([]ed2k.Message, 1024)
+	for i := range reqs {
+		word := ed2k.Keyword(fmt.Sprintf("word%d", r.IntN(211)))
+		digits := ed2k.Keyword(fmt.Sprintf("track%d", 1+r.IntN(32))) // a substring of many track numbers
+		var expr *ed2k.SearchExpr
+		switch i % 4 {
+		case 0:
+			expr = ed2k.And(word, digits)
+		case 1:
+			expr = ed2k.And(ed2k.And(ed2k.Keyword("mp3"), word), ed2k.SizeAtLeast(uint32(r.IntN(nFiles))<<10))
+		case 2:
+			expr = ed2k.And(ed2k.AndNot(word, digits), ed2k.TypeIs("audio"))
+		default:
+			expr = ed2k.And(ed2k.Or(word, ed2k.Keyword(fmt.Sprintf("word%d", r.IntN(211)))), digits)
+		}
+		reqs[i] = &ed2k.SearchReq{Expr: expr}
+	}
+	mask := len(reqs) - 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Handle(simtime.Time(i), ed2k.ClientID(1000+i%512), 4662, reqs[i&mask])
+	}
+}
+
 // BenchmarkServerHandleInstrumentation measures what the observability
 // layer costs on the Handle hot path: "off" is the baseline (counters
 // and gauges only — those can't be turned off, Stats depends on them),

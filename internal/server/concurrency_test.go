@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"edtrace/internal/ed2k"
@@ -148,6 +149,132 @@ func TestExpireSourcesUnderConcurrentHandle(t *testing.T) {
 	}
 }
 
+// TestSearchRacesExpiryAndReannouncement searches while sweeps delete
+// files and announcements bring the same files back — the case in which
+// a search walks a posting list that is being outgrown and rebuilt under
+// it. No answer may carry an expired file (a sources tag of 0) or one
+// file twice; once everything has stopped and one more sweep has run,
+// every posting points at the file the table holds under that ID and the
+// keyword gauge is back to the number of tokens the live files have.
+func TestSearchRacesExpiryAndReannouncement(t *testing.T) {
+	s := NewSharded("t", "d", 8)
+	s.SourceTTL = simtime.Hour
+	const (
+		announcers = 4
+		filesEach  = 32
+		rounds     = 40
+		sweepAt    = simtime.Hour + simtime.Minute
+	)
+	churn := func(w, i int) ed2k.FileEntry {
+		e := entry(byte(i), fmt.Sprintf("churn word%d take%d.mp3", i%4, w*filesEach+i), 1, "Audio")
+		e.ID[1] = byte(w)
+		return e
+	}
+
+	stop := make(chan struct{})
+	var background sync.WaitGroup
+	background.Add(1)
+	go func() {
+		defer background.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.ExpireSources(sweepAt)
+			}
+		}
+	}()
+	queries := []*ed2k.SearchExpr{
+		ed2k.Keyword("churn"),
+		ed2k.And(ed2k.Keyword("word1"), ed2k.Keyword("mp3")),
+		ed2k.Or(ed2k.Keyword("word0"), ed2k.Keyword("churn")),
+		ed2k.AndNot(ed2k.Keyword("mp3"), ed2k.Keyword("word2")),
+	}
+	var hits atomic.Uint64
+	for g := 0; g < 4; g++ {
+		background.Add(1)
+		go func(g int) {
+			defer background.Done()
+			for q := g; ; q++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				expr := queries[q%len(queries)]
+				res := s.Handle(sweepAt, ed2k.ClientID(500+g), 1, &ed2k.SearchReq{Expr: expr})[0].(*ed2k.SearchRes)
+				seen := make(map[ed2k.FileID]bool)
+				hits.Add(uint64(len(res.Results)))
+				for _, hit := range res.Results {
+					if seen[hit.ID] {
+						t.Errorf("%s: file %x answered twice", expr, hit.ID[:2])
+					}
+					seen[hit.ID] = true
+					if tag := hit.Tags[len(hit.Tags)-1]; tag.ID() != ed2k.FTSources || tag.Num == 0 {
+						t.Errorf("%s: file %x answered with sources tag %+v", expr, hit.ID[:2], tag)
+					}
+				}
+			}
+		}(g)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < announcers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			from := ed2k.ClientID(100 + w)
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < filesEach; i++ {
+					// Announced at t=0 a file is already stale for the sweep
+					// and the next one deletes it; at t=2h it stays until a
+					// later round announces it stale again.
+					at := simtime.Time(0)
+					if (r+i)%3 == 0 {
+						at = 2 * simtime.Hour
+					}
+					s.Handle(at, from, 4662, offer(from, churn(w, i)))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	background.Wait()
+	s.ExpireSources(sweepAt)
+	if hits.Load() == 0 {
+		t.Fatal("no search found a file: the race was not exercised")
+	}
+
+	tokens := make(map[string]bool)
+	for _, sh := range s.shards {
+		for _, idx := range sh.files {
+			for _, kw := range Tokenize(idx.nameLower) {
+				tokens[kw] = true
+			}
+		}
+	}
+	lists, gauge := 0, int64(0)
+	for _, sh := range s.shards {
+		lists += len(sh.keywords)
+		gauge += sh.gKeywords.Value()
+		for kw, lst := range sh.keywords {
+			if len(lst) == 0 {
+				t.Errorf("posting list %q left empty", kw)
+			}
+			for _, f := range lst {
+				if s.fileShard(f.entry.ID).files[f.entry.ID] != f {
+					t.Errorf("posting list %q holds a dead pointer to file %x", kw, f.entry.ID[:2])
+				}
+			}
+		}
+	}
+	if lists != len(tokens) || gauge != int64(len(tokens)) {
+		t.Fatalf("%d posting lists and edserver_index_keywords %d for %d live tokens", lists, gauge, len(tokens))
+	}
+}
+
 // TestExpireReclaimsIndex pins the long-running-daemon guarantee: a
 // file whose every source expired disappears entirely — from the file
 // table, the keyword postings, and (for idle clients) the user table —
@@ -237,7 +364,17 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 			out = append(out, s.Handle(0, ed2k.ClientID(1+i%5), 4662, offer(ed2k.ClientID(1+i%5), e))...)
 		}
 		for i := 0; i < 7; i++ {
-			out = append(out, s.Handle(0, 99, 1, &ed2k.SearchReq{Expr: ed2k.Keyword(fmt.Sprintf("word%d", i))})...)
+			word := ed2k.Keyword(fmt.Sprintf("word%d", i))
+			for _, expr := range []*ed2k.SearchExpr{
+				word,
+				ed2k.And(ed2k.Keyword("shared"), word),
+				ed2k.And(ed2k.And(word, ed2k.Keyword("mp3")), ed2k.SizeAtLeast(uint32(10+i))),
+				ed2k.And(ed2k.TypeIs("audio"), ed2k.And(word, ed2k.SizeAtMost(uint32(40-i)))),
+				ed2k.AndNot(ed2k.Keyword("shared"), word),
+				ed2k.Or(word, ed2k.Keyword(fmt.Sprintf("word%d", (i+3)%7))),
+			} {
+				out = append(out, s.Handle(0, 99, 1, &ed2k.SearchReq{Expr: expr})...)
+			}
 		}
 		for i := 0; i < 50; i++ {
 			var fid ed2k.FileID

@@ -15,10 +15,25 @@
 // struct. Stats are kept per shard and aggregated on read. Answer sizes
 // are bounded the way deployed servers bounded them (UDP answers
 // truncate source and result lists).
+//
+// A search locks less than that: a posting list holds the indexed files
+// themselves, in announcement order, so a search reads one slice header
+// per keyword under that keyword's shard lock and then walks the list
+// with no lock held. Three invariants make that safe.
+//
+//   - Everything a search reads from an indexedFile is write-once,
+//     filled in before the file is appended to any posting list, except
+//     the source count, which is an atomic (0 = expired).
+//   - A posting list is append-only for as long as any reader can hold
+//     it: an offer only writes past every earlier reader's len, and the
+//     expiry sweep builds a new list instead of compacting the old one.
+//   - No path holds two shard locks at once, so there is no lock order
+//     to respect.
 package server
 
 import (
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,15 +66,26 @@ type source struct {
 	lastSeen simtime.Time
 }
 
+// indexedFile is one file of the index. The file table owns it; posting
+// lists point at it, and searches read it through them with no lock.
 type indexedFile struct {
-	entry ed2k.FileEntry // metadata from the first announcement
-	// Cached lowered metadata so search evaluation never re-folds case
-	// or re-scans tags per candidate. Written once at creation (under
-	// the owning shard's write lock); only sources mutates afterwards.
+	// Write-once, set before the file is reachable from any posting
+	// list: the metadata of the first announcement, and its lowered name
+	// and type and its size, so that search evaluation never folds case
+	// or scans tags per candidate.
+	entry     ed2k.FileEntry
 	nameLower string
 	typeLower string
 	size      uint32
-	sources   []source
+	// live is len(sources), stored under the owning shard's write lock
+	// and loaded by searches without it: the sources tag and the
+	// availability constraint of an answer. It is 0 only once the expiry
+	// sweep has deleted the file from the table, and then stays 0 — a
+	// re-announcement makes a new indexedFile — so a posting whose file
+	// reads 0 is dead.
+	live atomic.Uint32
+	// sources is guarded by the owning shard's lock.
+	sources []source
 }
 
 // Stats counts server activity per opcode plus index gauges.
@@ -79,9 +105,16 @@ type Stats struct {
 // keywords and clientIDs each by their own hash — so one shard holds
 // unrelated fractions of all three tables behind one lock.
 type shard struct {
-	mu       sync.RWMutex
-	files    map[ed2k.FileID]*indexedFile
-	keywords map[string][]ed2k.FileID
+	mu    sync.RWMutex
+	files map[ed2k.FileID]*indexedFile
+	// keywords maps a token to the files whose name holds it, in
+	// announcement order, each file once. mu guards the map and each
+	// list's slice header; the elements a header covers never change, so
+	// a search copies the header under RLock and reads the elements after
+	// the unlock. Writers keep that true: offers append (writing only
+	// past the len any reader holds), the sweep replaces a list it has to
+	// shrink with a new one.
+	keywords map[string][]*indexedFile
 	users    map[ed2k.ClientID]simtime.Time
 
 	// Index gauges, updated at the mutation points (under the lock
@@ -116,13 +149,6 @@ type Server struct {
 	// when somebody is watching, so it defaults on only when a registry
 	// was supplied. SetInstrumentation overrides either way.
 	instr atomic.Bool
-
-	// expireMu serialises ExpireSources sweeps. The posting-cleanup
-	// phase nests a file shard's read lock inside a keyword shard's
-	// write lock; that nesting direction is unique in the package, but
-	// two concurrent sweeps could build it in opposite shard orders and
-	// deadlock — so only one sweep runs at a time.
-	expireMu sync.Mutex
 }
 
 // New returns an empty single-shard server — the deterministic
@@ -170,7 +196,7 @@ func NewShardedWith(name, desc string, n int, reg *obs.Registry) *Server {
 		lbl := obs.L("shard", strconv.Itoa(i))
 		s.shards[i] = &shard{
 			files:     make(map[ed2k.FileID]*indexedFile),
-			keywords:  make(map[string][]ed2k.FileID),
+			keywords:  make(map[string][]*indexedFile),
 			users:     make(map[ed2k.ClientID]simtime.Time),
 			gFiles:    reg.Gauge("edserver_shard_files", "indexed files per shard", lbl),
 			gKeywords: reg.Gauge("edserver_shard_keywords", "keyword posting lists per shard", lbl),
@@ -344,23 +370,27 @@ func (s *Server) handleOffer(now simtime.Time, from ed2k.ClientID, port uint16, 
 		sh.mu.Unlock()
 		// Keyword indexing happens outside the file shard's lock (posting
 		// lists live in other shards; never nest shard locks). Only the
-		// announcement that created the file indexes it, so posting lists
-		// stay duplicate-free even under concurrent identical offers.
+		// announcement that created the file indexes it, and a token the
+		// name repeats is indexed once, so a posting list holds each file
+		// at most once.
 		if isNew {
-			if name, ok := f.Name(); ok {
-				for _, kw := range Tokenize(name) {
-					ks := s.kwShard(kw)
-					ks.mu.Lock()
-					// Bound per-keyword lists: popular keywords stay
-					// useful, pathological ones stop growing.
-					if lst := ks.keywords[kw]; len(lst) < MaxPostingList {
-						if len(lst) == 0 {
-							ks.gKeywords.Inc()
-						}
-						ks.keywords[kw] = append(lst, f.ID)
-					}
-					ks.mu.Unlock()
+			name, _ := f.Name()
+			toks := Tokenize(name)
+			for i, kw := range toks {
+				if slices.Contains(toks[:i], kw) {
+					continue
 				}
+				ks := s.kwShard(kw)
+				ks.mu.Lock()
+				// Bound per-keyword lists: popular keywords stay
+				// useful, pathological ones stop growing.
+				if lst := ks.keywords[kw]; len(lst) < MaxPostingList {
+					if len(lst) == 0 {
+						ks.gKeywords.Inc()
+					}
+					ks.keywords[kw] = append(lst, idx)
+				}
+				ks.mu.Unlock()
 			}
 		}
 		accepted++
@@ -379,6 +409,7 @@ func addSource(idx *indexedFile, id ed2k.ClientID, port uint16, now simtime.Time
 		}
 	}
 	idx.sources = append(idx.sources, source{id: id, port: port, lastSeen: now})
+	idx.live.Store(uint32(len(idx.sources)))
 	return true
 }
 
@@ -392,7 +423,10 @@ func (s *Server) handleGetSources(now simtime.Time, m *ed2k.GetSources) []ed2k.M
 			sh.mu.RUnlock()
 			continue // unknown files are silently unanswered, like real servers
 		}
-		ans := &ed2k.FoundSources{Hash: h}
+		ans := &ed2k.FoundSources{
+			Hash:    h,
+			Sources: make([]ed2k.Endpoint, 0, min(len(idx.sources), MaxSourcesPerAnswer)),
+		}
 		for _, src := range idx.sources {
 			if s.SourceTTL > 0 && now-src.lastSeen > s.SourceTTL {
 				continue
@@ -410,78 +444,118 @@ func (s *Server) handleGetSources(now simtime.Time, m *ed2k.GetSources) []ed2k.M
 	return out
 }
 
+// ftSources is the name of the sources tag every search result carries;
+// all answers share it, and nothing writes to an answer's tag names.
+var ftSources = []byte{ed2k.FTSources}
+
 func (s *Server) handleSearch(m *ed2k.SearchReq) ed2k.Message {
 	res := &ed2k.SearchRes{}
-	kws := m.Expr.Keywords(nil)
-	if len(kws) == 0 {
+	if m.Expr == nil {
 		return res
 	}
-	lowered := lowerExpr(m.Expr)
-
-	// Candidate set: the posting list of the rarest keyword. Each
-	// keyword's length is read under its home shard's lock; the chosen
-	// list is then snapshotted (bounded by MaxCandidates — entries past
-	// the scan bound can never matter) so candidate evaluation does not
-	// nest the posting shard's lock inside the file shards'.
-	best := ""
-	bestLen := 0
-	for _, kw := range kws {
-		kw = strings.ToLower(kw)
-		ks := s.kwShard(kw)
-		ks.mu.RLock()
-		lst, ok := ks.keywords[kw]
-		n := len(lst)
-		ks.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		if best == "" || n < bestLen {
-			best, bestLen = kw, n
-		}
-	}
-	if best == "" {
+	expr := lowerExpr(m.Expr)
+	var buf [4][]*indexedFile // an OR of more keywords than this allocates
+	lists, _, ok := s.cover(expr, buf[:0])
+	if !ok {
 		return res
 	}
-	ks := s.kwShard(best)
-	ks.mu.RLock()
-	lst := ks.keywords[best]
-	if len(lst) > MaxCandidates {
-		lst = lst[:MaxCandidates]
-	}
-	candidates := append([]ed2k.FileID(nil), lst...)
-	ks.mu.RUnlock()
 
-	// Candidates come from a single posting list. Entries are unique at
-	// insertion, but the expiry sweep racing a re-announcement can
-	// briefly duplicate one — the (at most MaxSearchResults-long)
-	// result list is deduped instead of paying a set per search.
-	scanned := 0
-	for _, id := range candidates {
-		scanned++
-		sh := s.fileShard(id)
-		sh.mu.RLock()
-		if idx := sh.files[id]; idx != nil && !inResults(res.Results, id) && evalExpr(lowered, idx) {
-			entry := idx.entry
-			entry.Tags = append(append([]ed2k.Tag(nil), entry.Tags...),
-				ed2k.UintTag(ed2k.FTSources, uint32(len(idx.sources))))
-			res.Results = append(res.Results, entry)
+	// Walk the candidates with no lock held (see shard.keywords), in
+	// announcement order. A file both sides of an OR cover comes by
+	// twice; the hit list is short enough to dedupe by scanning it.
+	var (
+		hits   [MaxSearchResults]*indexedFile
+		live   [MaxSearchResults]uint32
+		n      int
+		budget = MaxCandidates
+	)
+scan:
+	for _, lst := range lists {
+		if len(lst) > budget {
+			lst = lst[:budget]
 		}
-		sh.mu.RUnlock()
-		if len(res.Results) >= MaxSearchResults || scanned >= MaxCandidates {
-			break
+		budget -= len(lst)
+		for _, f := range lst {
+			src := f.live.Load()
+			if src == 0 || !evalExpr(expr, f, src) || slices.Contains(hits[:n], f) {
+				continue
+			}
+			hits[n], live[n] = f, src
+			if n++; n == MaxSearchResults {
+				break scan
+			}
 		}
+	}
+	if n == 0 {
+		return res
+	}
+
+	// One Results slice and one tag array for the whole answer. Each
+	// result's tags are the file's plus the sources tag, capacity-clipped
+	// so that appending to one result cannot write into the next.
+	total := n
+	for _, f := range hits[:n] {
+		total += len(f.entry.Tags)
+	}
+	tags := make([]ed2k.Tag, 0, total)
+	res.Results = make([]ed2k.FileEntry, n)
+	for i, f := range hits[:n] {
+		start := len(tags)
+		tags = append(tags, f.entry.Tags...)
+		tags = append(tags, ed2k.Tag{Name: ftSources, Type: ed2k.TagUint32, Num: live[i]})
+		res.Results[i] = f.entry
+		res.Results[i].Tags = tags[start:len(tags):len(tags)]
 	}
 	return res
 }
 
-// inResults reports whether id already appears in the result list.
-func inResults(results []ed2k.FileEntry, id ed2k.FileID) bool {
-	for i := range results {
-		if results[i].ID == id {
-			return true
+// cover appends to dst posting lists that together hold every indexed
+// file the lowered expression e can match, and reports their total
+// length. It follows the tree: a keyword is covered by its own list; an
+// AND by the shorter of its sides' covers (the left on a tie, so a chain
+// of ANDs scans its leftmost rarest keyword), or by the only side that
+// has one; an ANDNOT by its left side's; an OR by both sides' covers one
+// after the other. ok is false when the index has no such lists — a size,
+// type or availability constraint on its own, a word that is no file's
+// token, an OR with such a side — and the search then answers nothing
+// rather than scan the file table.
+func (s *Server) cover(e *ed2k.SearchExpr, dst [][]*indexedFile) (lists [][]*indexedFile, cost int, ok bool) {
+	switch e.Kind {
+	case ed2k.KindKeyword:
+		ks := s.kwShard(e.Word)
+		ks.mu.RLock()
+		lst, indexed := ks.keywords[e.Word]
+		ks.mu.RUnlock()
+		if !indexed {
+			return dst, 0, false
 		}
+		return append(dst, lst), len(lst), true
+	case ed2k.KindAnd:
+		left, lcost, lok := s.cover(e.Left, dst)
+		if !lok {
+			return s.cover(e.Right, dst)
+		}
+		both, rcost, rok := s.cover(e.Right, left)
+		if !rok || lcost <= rcost {
+			return left, lcost, true
+		}
+		// The right side's lists sit after the left's in the same array;
+		// append moves them down over it.
+		return append(dst, both[len(left):]...), rcost, true
+	case ed2k.KindNot:
+		return s.cover(e.Left, dst)
+	case ed2k.KindOr:
+		left, lcost, lok := s.cover(e.Left, dst)
+		if !lok {
+			return dst, 0, false
+		}
+		both, rcost, rok := s.cover(e.Right, left)
+		if !rok {
+			return dst, 0, false
+		}
+		return both, lcost + rcost, true
 	}
-	return false
+	return dst, 0, false
 }
 
 // lowerExpr clones a search tree with all string operands lowered, so
@@ -499,9 +573,9 @@ func lowerExpr(e *ed2k.SearchExpr) *ed2k.SearchExpr {
 	return &out
 }
 
-// evalExpr evaluates a lowered search tree against a cached index entry;
-// the caller holds the entry's shard read-locked.
-func evalExpr(e *ed2k.SearchExpr, idx *indexedFile) bool {
+// evalExpr evaluates a lowered search tree against an indexed file's
+// write-once metadata and the source count the caller loaded from it.
+func evalExpr(e *ed2k.SearchExpr, idx *indexedFile, live uint32) bool {
 	switch e.Kind {
 	case ed2k.KindKeyword:
 		return strings.Contains(idx.nameLower, e.Word)
@@ -513,7 +587,7 @@ func evalExpr(e *ed2k.SearchExpr, idx *indexedFile) bool {
 		case ed2k.MetaNameSize:
 			field = idx.size
 		case ed2k.MetaNameAvail:
-			field = uint32(len(idx.sources))
+			field = live
 		default:
 			return false
 		}
@@ -522,11 +596,11 @@ func evalExpr(e *ed2k.SearchExpr, idx *indexedFile) bool {
 		}
 		return field >= e.Value
 	case ed2k.KindAnd:
-		return evalExpr(e.Left, idx) && evalExpr(e.Right, idx)
+		return evalExpr(e.Left, idx, live) && evalExpr(e.Right, idx, live)
 	case ed2k.KindOr:
-		return evalExpr(e.Left, idx) || evalExpr(e.Right, idx)
+		return evalExpr(e.Left, idx, live) || evalExpr(e.Right, idx, live)
 	case ed2k.KindNot:
-		return evalExpr(e.Left, idx) && !evalExpr(e.Right, idx)
+		return evalExpr(e.Left, idx, live) && !evalExpr(e.Right, idx, live)
 	}
 	return false
 }
@@ -534,18 +608,14 @@ func evalExpr(e *ed2k.SearchExpr, idx *indexedFile) bool {
 // ExpireSources drops sources not re-announced within the TTL; servers
 // ran this periodically to keep answers fresh. The sweep also reclaims
 // everything a long-running daemon would otherwise leak: files left
-// with no live source are deleted, their fileIDs are stripped from the
-// keyword posting lists, and users idle past the TTL are forgotten.
-// Shards are swept one at a time, so concurrent Handle calls only ever
-// wait for one shard's sweep.
+// with no live source are deleted, the postings that point at them are
+// stripped from the keyword lists, and users idle past the TTL are
+// forgotten. Shards are swept one at a time, so concurrent Handle calls
+// only ever wait for one shard's sweep.
 func (s *Server) ExpireSources(now simtime.Time) {
 	if s.SourceTTL <= 0 {
 		return
 	}
-	s.expireMu.Lock()
-	defer s.expireMu.Unlock()
-
-	deleted := make(map[ed2k.FileID]struct{})
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id, idx := range sh.files {
@@ -559,11 +629,11 @@ func (s *Server) ExpireSources(now simtime.Time) {
 				}
 			}
 			idx.sources = kept
+			idx.live.Store(uint32(len(kept)))
 			if len(kept) == 0 {
 				delete(sh.files, id)
 				sh.gFiles.Dec()
 				s.m.reclaimedFiles.Inc()
-				deleted[id] = struct{}{}
 			}
 		}
 		for u, seen := range sh.users {
@@ -575,48 +645,29 @@ func (s *Server) ExpireSources(now simtime.Time) {
 		}
 		sh.mu.Unlock()
 	}
-	if len(deleted) == 0 {
-		return
-	}
-	// Strip the deleted fileIDs from the posting lists. A file
-	// re-announced between the phases must keep its (re-added)
-	// postings, so absence is re-checked per entry; the brief race that
-	// can leave such a file's posting duplicated is tolerated by the
-	// search path's result dedup.
+	// Strip the dead postings: those of the files deleted above, and any
+	// an offer racing an earlier sweep appended after that sweep had
+	// passed its keyword. A file re-announced since is a new indexedFile
+	// with postings of its own, so the dead ones are told apart by the
+	// pointer alone and no file shard is consulted. A list that shrinks
+	// is rebuilt, never compacted in place: a search may still be
+	// walking the old one.
+	dead := func(f *indexedFile) bool { return f.live.Load() == 0 }
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for kw, lst := range sh.keywords {
-			kept := lst[:0]
-			for _, id := range lst {
-				if _, dead := deleted[id]; dead && !s.fileExists(id, sh) {
-					continue
-				}
-				kept = append(kept, id)
+			if !slices.ContainsFunc(lst, dead) {
+				continue
 			}
-			if len(kept) == 0 {
+			if kept := slices.DeleteFunc(slices.Clone(lst), dead); len(kept) > 0 {
+				sh.keywords[kw] = kept
+			} else {
 				delete(sh.keywords, kw)
 				sh.gKeywords.Dec()
-			} else {
-				sh.keywords[kw] = kept
 			}
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// fileExists reports whether id is indexed, callable while the caller
-// write-holds shard held (the same-shard case reads the map directly;
-// RWMutex is not reentrant).
-func (s *Server) fileExists(id ed2k.FileID, held *shard) bool {
-	sh := s.fileShard(id)
-	if sh == held {
-		_, ok := sh.files[id]
-		return ok
-	}
-	sh.mu.RLock()
-	_, ok := sh.files[id]
-	sh.mu.RUnlock()
-	return ok
 }
 
 // counts aggregates the user and file gauges across shards (read path
