@@ -517,10 +517,9 @@ func BenchmarkDaemonLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := edload.Run(context.Background(), edload.Config{
-			Addr:                 d.TCPAddr().String(),
+			Target:               edload.Target{Addrs: []string{d.TCPAddr().String()}},
 			Clients:              100,
 			Workload:             edload.DefaultWorkload(uint64(i+1), 100),
-			Traffic:              clients.DefaultTraffic(),
 			MaxMessagesPerClient: 50,
 		})
 		if err != nil {
@@ -548,7 +547,8 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := w.Run(); err != nil {
+		discard := func(simtime.Time, []byte) error { return nil }
+		if _, err := w.RunFrames(context.Background(), discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"edtrace/internal/clients"
 	"edtrace/internal/edload"
 	"edtrace/internal/obs"
 	"edtrace/internal/profiling"
@@ -50,7 +49,7 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:4661", "server TCP addresses, comma-separated in priority order")
+		addr     = flag.String("addr", "127.0.0.1:4661", "server TCP addresses, comma-separated (sessions spread over the live ones)")
 		nconn    = flag.Int("clients", 500, "concurrent TCP client sessions (cap with -spec)")
 		seed     = flag.Uint64("seed", 1, "population seed (ignored with -spec: the spec carries its own)")
 		files    = flag.Int("files", 2000, "synthetic catalog size (ignored with -spec)")
@@ -110,6 +109,7 @@ func main() {
 		return
 	}
 
+	target := edload.Target{Addrs: strings.Split(*addr, ","), Metrics: reg, Logf: logf}
 	if *spec != "" {
 		s, err := workload.LoadSpec(*spec)
 		if err != nil {
@@ -117,13 +117,11 @@ func main() {
 			os.Exit(1)
 		}
 		st, err := edload.RunSpec(ctx, edload.SpecConfig{
-			Addrs:                 strings.Split(*addr, ","),
+			Target:                target,
 			Spec:                  s,
 			Compress:              *compress,
 			MaxConcurrent:         *nconn,
 			MaxMessagesPerSession: *maxMsgs,
-			Metrics:               reg,
-			Logf:                  logf,
 		})
 		fmt.Printf("spec %q: %v simulated at %gx — %d sessions (%d skipped, %d spec-suppressed), %d releases, %d sent, %d answered (%d failovers) in %v, max lag %v\n",
 			s.Name, st.SimSpan, st.Factor, st.Sessions, st.Skipped, st.SuppressedBySpec,
@@ -139,13 +137,10 @@ func main() {
 	wl := edload.DefaultWorkload(*seed, *nconn)
 	wl.NumFiles = *files
 	st, err := edload.Run(ctx, edload.Config{
-		Addrs:                strings.Split(*addr, ","),
+		Target:               target,
 		Clients:              *nconn,
 		Workload:             wl,
-		Traffic:              clients.DefaultTraffic(),
 		MaxMessagesPerClient: *maxMsgs,
-		Metrics:              reg,
-		Logf:                 logf,
 	})
 	fmt.Printf("%d clients: %d sent, %d answered (%d offers, %d searches, %d asks, %d sources found, %d failovers) in %v — %.0f msgs/s round-trip\n",
 		st.Clients, st.Sent, st.Answers, st.Offers, st.Searches, st.Asks, st.Found, st.Failovers,

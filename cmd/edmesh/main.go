@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"edtrace"
-	"edtrace/internal/clients"
 	"edtrace/internal/dataset"
 	"edtrace/internal/edload"
 	"edtrace/internal/edmesh"
@@ -318,12 +317,10 @@ func (c *cluster) runSmoke(logf func(string, ...any)) int {
 		}
 	}()
 	st, err := edload.Run(context.Background(), edload.Config{
-		Addrs:                c.tcpAddrs,
+		Target:               edload.Target{Addrs: c.tcpAddrs, Logf: logf},
 		Clients:              12,
 		Workload:             wl,
-		Traffic:              clients.DefaultTraffic(),
 		MaxMessagesPerClient: 1200,
-		Logf:                 logf,
 	})
 	close(loadDone)
 	if err != nil {

@@ -96,9 +96,6 @@ func (f *FileBuckets) Lookup(id ed2k.FileID) (uint32, bool) {
 // Count implements FileAnonymizer.
 func (f *FileBuckets) Count() uint32 { return f.next }
 
-// BytePair returns the fileID bytes selecting the bucket.
-func (f *FileBuckets) BytePair() (int, int) { return f.byteA, f.byteB }
-
 // BucketSizes returns the size of every anonymisation array — the
 // distribution plotted in the paper's Figure 3.
 func (f *FileBuckets) BucketSizes() []int {

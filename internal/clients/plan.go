@@ -40,61 +40,23 @@ func (p *Planner) Messages(c *workload.Client, r *randx.Rand, maxMsgs int) []ed2
 		if off+batch > len(c.Shares) {
 			batch = len(c.Shares) - off
 		}
-		msg := &ed2k.OfferFiles{Client: edID(c), Port: 4662}
-		for _, fi := range c.Shares[off : off+batch] {
-			f := &p.cat.Files[fi]
-			msg.Files = append(msg.Files, ed2k.FileEntry{
-				ID:     f.ID,
-				Client: edID(c),
-				Port:   4662,
-				Tags: []ed2k.Tag{
-					ed2k.StringTag(ed2k.FTFileName, f.Name),
-					ed2k.UintTag(ed2k.FTFileSize, f.Size),
-					ed2k.StringTag(ed2k.FTFileType, f.Type),
-				},
-			})
-		}
+		out = append(out, offerMessage(p.cat, c, c.Shares[off:off+batch]))
 		off += batch
-		out = append(out, msg)
 	}
 
-	// The distinct ask list, sampled exactly like Swarm.scheduleClient
-	// (scanners probe unindexed fileIDs at ScannerUnknownShare).
-	scanner := c.Profile == workload.Scanner
-	askList := make([]int32, 0, c.AskCount)
-	seen := make(map[int32]struct{}, c.AskCount)
-	for tries := 0; len(askList) < c.AskCount && tries < c.AskCount*4; tries++ {
-		if scanner && r.Bool(p.tc.ScannerUnknownShare) {
-			askList = append(askList, -1)
-			continue
-		}
-		f := int32(p.cat.SampleAsk(r))
-		if _, dup := seen[f]; dup {
-			continue
-		}
-		seen[f] = struct{}{}
-		askList = append(askList, f)
-	}
+	pending := askList(p.cat, c, r, p.tc.ScannerUnknownShare)
 
 	// Interleave ask batches and searches in ask:search proportion.
 	zipf := randx.NewZipf(r.Split(99), 1.4, 2, uint64(len(p.cat.Vocab())-1))
 	searches := c.SearchCount
-	for (len(askList) > 0 || searches > 0) && room() {
-		if len(askList) > 0 && (searches == 0 || !r.Bool(0.2)) {
+	for (len(pending) > 0 || searches > 0) && room() {
+		if len(pending) > 0 && (searches == 0 || !r.Bool(0.2)) {
 			batch := 1 + r.IntN(p.tc.AsksPerMessage)
-			if batch > len(askList) {
-				batch = len(askList)
+			if batch > len(pending) {
+				batch = len(pending)
 			}
-			msg := &ed2k.GetSources{}
-			for _, f := range askList[:batch] {
-				if f < 0 {
-					msg.Hashes = append(msg.Hashes, randomFileID(r))
-				} else {
-					msg.Hashes = append(msg.Hashes, p.cat.Files[f].ID)
-				}
-			}
-			askList = askList[batch:]
-			out = append(out, msg)
+			out = append(out, askMessage(p.cat, r, pending[:batch]))
+			pending = pending[batch:]
 		} else {
 			out = append(out, &ed2k.SearchReq{Expr: randomSearchExpr(p.cat, zipf, r)})
 			searches--
@@ -140,6 +102,64 @@ func (p *Planner) SessionMessages(c *workload.Client, r *randx.Rand, maxMsgs int
 	out = append(out, ask)
 	out = append(out, rest[i:]...)
 	return out
+}
+
+// askList materialises a client's distinct ask list up front: Fig 7
+// counts distinct files asked per client, and the 52-query software cap
+// must stay a sharp spike, so asks sample without replacement. The
+// sentinel -1 marks a scanner probe of an unindexed fileID, which
+// happens at unknownShare of a scanner's asks (askMessage generates it;
+// random 128-bit values are distinct by construction).
+func askList(cat *workload.Catalog, c *workload.Client, r *randx.Rand, unknownShare float64) []int32 {
+	list := make([]int32, 0, c.AskCount)
+	scanner := c.Profile == workload.Scanner
+	seen := make(map[int32]struct{}, c.AskCount)
+	for tries := 0; len(list) < c.AskCount && tries < c.AskCount*4; tries++ {
+		if scanner && r.Bool(unknownShare) {
+			list = append(list, -1)
+			continue
+		}
+		f := int32(cat.SampleAsk(r))
+		if _, dup := seen[f]; dup {
+			continue
+		}
+		seen[f] = struct{}{}
+		list = append(list, f)
+	}
+	return list
+}
+
+// askMessage builds the GetSources query for one group of an ask list.
+func askMessage(cat *workload.Catalog, r *randx.Rand, group []int32) *ed2k.GetSources {
+	msg := &ed2k.GetSources{}
+	for _, f := range group {
+		if f < 0 {
+			msg.Hashes = append(msg.Hashes, randomFileID(r))
+		} else {
+			msg.Hashes = append(msg.Hashes, cat.Files[f].ID)
+		}
+	}
+	return msg
+}
+
+// offerMessage builds the OfferFiles announcing shares, a run of the
+// client's shared folder (catalog indices).
+func offerMessage(cat *workload.Catalog, c *workload.Client, shares []int32) *ed2k.OfferFiles {
+	msg := &ed2k.OfferFiles{Client: edID(c), Port: 4662}
+	for _, fi := range shares {
+		f := &cat.Files[fi]
+		msg.Files = append(msg.Files, ed2k.FileEntry{
+			ID:     f.ID,
+			Client: edID(c),
+			Port:   4662,
+			Tags: []ed2k.Tag{
+				ed2k.StringTag(ed2k.FTFileName, f.Name),
+				ed2k.UintTag(ed2k.FTFileSize, f.Size),
+				ed2k.StringTag(ed2k.FTFileType, f.Type),
+			},
+		})
+	}
+	return msg
 }
 
 // edID is the ed2k-level clientID: the IP for reachable clients, a

@@ -3,8 +3,8 @@ package clients
 // This file is the client side of the mesh story: the dynamic server
 // list every real eDonkey client carries (server.met and the
 // ED2KServerManager of the era's clients). A client holds several known
-// servers ordered by priority, connects to the best one, and on a
-// connect or answer failure marks it down and reconnects elsewhere —
+// servers, connects to the best live one, and on a connect or answer
+// failure marks it down and reconnects elsewhere —
 // which is exactly what edload's failover loop needs.
 
 import (
@@ -18,7 +18,6 @@ import (
 type serverState struct {
 	addr      string
 	name      string
-	priority  int // lower is preferred, as in server.met
 	fails     int // consecutive failures
 	succs     uint64
 	users     uint32
@@ -29,15 +28,14 @@ type serverState struct {
 
 // ServerInfo is a read-only snapshot row of the manager's list.
 type ServerInfo struct {
-	Addr     string
-	Name     string
-	Priority int
-	Fails    int
-	Succs    uint64
-	Users    uint32
-	Files    uint32
-	Latency  time.Duration
-	Dead     bool
+	Addr    string
+	Name    string
+	Fails   int
+	Succs   uint64
+	Users   uint32
+	Files   uint32
+	Latency time.Duration
+	Dead    bool
 }
 
 // ServerManager is a concurrency-safe dynamic server list. Pick returns
@@ -48,25 +46,22 @@ type ServerManager struct {
 	servers []*serverState
 	byAddr  map[string]*serverState
 	rr      int
-
-	// failLimit consecutive failures mark a server dead for deadFor.
-	failLimit int
-	deadFor   time.Duration
 }
+
+// failLimit consecutive failures mark a server dead for deadFor.
+const (
+	failLimit = 3
+	deadFor   = 30 * time.Second
+)
 
 // NewServerManager builds a list from TCP addresses. All servers start
 // at equal priority — like a fresh server.met — so Pick's round-robin
-// spreads a swarm of clients across them; SetPriority orders the list
-// when a caller wants strict preference instead.
+// spreads a swarm of clients across them.
 func NewServerManager(addrs ...string) (*ServerManager, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("clients: empty server list")
 	}
-	m := &ServerManager{
-		byAddr:    make(map[string]*serverState, len(addrs)),
-		failLimit: 3,
-		deadFor:   30 * time.Second,
-	}
+	m := &ServerManager{byAddr: make(map[string]*serverState, len(addrs))}
 	for i, a := range addrs {
 		if a == "" {
 			return nil, fmt.Errorf("clients: empty server address at %d", i)
@@ -81,29 +76,6 @@ func NewServerManager(addrs ...string) (*ServerManager, error) {
 	return m, nil
 }
 
-// SetPriority reorders one server (lower is preferred, as in
-// server.met). Unknown addresses are ignored.
-func (m *ServerManager) SetPriority(addr string, priority int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s := m.byAddr[addr]; s != nil {
-		s.priority = priority
-	}
-}
-
-// SetDeadPolicy overrides how many consecutive failures kill a server
-// and for how long. Zero values keep the current setting.
-func (m *ServerManager) SetDeadPolicy(failLimit int, deadFor time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if failLimit > 0 {
-		m.failLimit = failLimit
-	}
-	if deadFor > 0 {
-		m.deadFor = deadFor
-	}
-}
-
 // Len returns the number of distinct servers on the list.
 func (m *ServerManager) Len() int {
 	m.mu.Lock()
@@ -112,7 +84,7 @@ func (m *ServerManager) Len() int {
 }
 
 // Pick returns the preferred server address: the live server with the
-// best (priority, consecutive fails) order, round-robining across ties
+// fewest consecutive failures, round-robining across ties
 // so a swarm of clients spreads over equally-good servers. The avoid
 // address (typically the one that just failed) is skipped when any
 // alternative exists. When every server is dead the least-recently
@@ -148,17 +120,10 @@ func (m *ServerManager) Pick(avoid string) string {
 		best.fails = 0
 		return best.addr
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].priority != cands[j].priority {
-			return cands[i].priority < cands[j].priority
-		}
-		return cands[i].fails < cands[j].fails
-	})
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].fails < cands[j].fails })
 	// Round-robin across the servers tied with the best.
 	tied := 1
-	for tied < len(cands) &&
-		cands[tied].priority == cands[0].priority &&
-		cands[tied].fails == cands[0].fails {
+	for tied < len(cands) && cands[tied].fails == cands[0].fails {
 		tied++
 	}
 	s := cands[m.rr%tied]
@@ -193,8 +158,8 @@ func (m *ServerManager) ReportFailure(addr string) {
 		return
 	}
 	s.fails++
-	if s.fails >= m.failLimit {
-		s.deadUntil = time.Now().Add(m.deadFor)
+	if s.fails >= failLimit {
+		s.deadUntil = time.Now().Add(deadFor)
 	}
 }
 
@@ -214,7 +179,7 @@ func (m *ServerManager) ReportCounts(addr, name string, users, files uint32) {
 	s.files = files
 }
 
-// Snapshot returns the list in priority order.
+// Snapshot returns the list in the order it was given.
 func (m *ServerManager) Snapshot() []ServerInfo {
 	now := time.Now()
 	m.mu.Lock()
@@ -222,15 +187,14 @@ func (m *ServerManager) Snapshot() []ServerInfo {
 	out := make([]ServerInfo, 0, len(m.servers))
 	for _, s := range m.servers {
 		out = append(out, ServerInfo{
-			Addr:     s.addr,
-			Name:     s.name,
-			Priority: s.priority,
-			Fails:    s.fails,
-			Succs:    s.succs,
-			Users:    s.users,
-			Files:    s.files,
-			Latency:  s.latency,
-			Dead:     !s.deadUntil.IsZero() && now.Before(s.deadUntil),
+			Addr:    s.addr,
+			Name:    s.name,
+			Fails:   s.fails,
+			Succs:   s.succs,
+			Users:   s.users,
+			Files:   s.files,
+			Latency: s.latency,
+			Dead:    !s.deadUntil.IsZero() && now.Before(s.deadUntil),
 		})
 	}
 	return out

@@ -197,32 +197,13 @@ func (s *Swarm) scheduleClient(idx int) {
 	}
 	s.stats.Sessions += uint64(sessions)
 
-	// Materialise the client's distinct ask list up front: Fig 7 counts
-	// distinct files asked per client, and the 52-query software cap must
-	// stay a sharp spike, so asks sample without replacement. The
-	// sentinel -1 marks a scanner probe of an unindexed fileID (generated
-	// at send time; random 128-bit values are distinct by construction).
-	askList := make([]int32, 0, c.AskCount)
-	scanner := c.Profile == workload.Scanner
-	seen := make(map[int32]struct{}, c.AskCount)
-	for tries := 0; len(askList) < c.AskCount && tries < c.AskCount*4; tries++ {
-		if scanner && r.Bool(s.tc.ScannerUnknownShare) {
-			askList = append(askList, -1)
-			continue
-		}
-		f := int32(s.cat.SampleAsk(r))
-		if _, dup := seen[f]; dup {
-			continue
-		}
-		seen[f] = struct{}{}
-		askList = append(askList, f)
-	}
+	pending := askList(s.cat, c, r, s.tc.ScannerUnknownShare)
 
 	searchesLeft := c.SearchCount
 	for sess := 0; sess < sessions; sess++ {
-		asks := len(askList) / (sessions - sess)
+		asks := len(pending) / (sessions - sess)
 		var sessionAsks []int32
-		sessionAsks, askList = askList[:asks], askList[asks:]
+		sessionAsks, pending = pending[:asks], pending[asks:]
 		searches := searchesLeft / (sessions - sess)
 		searchesLeft -= searches
 
@@ -281,14 +262,7 @@ func (s *Swarm) scheduleSession(c *workload.Client, r *randx.Rand,
 		group, asks = asks[:batch], asks[batch:]
 		t := s.sampleTime(r, start, end)
 		s.sch.At(t, func() {
-			msg := &ed2k.GetSources{}
-			for _, f := range group {
-				if f < 0 {
-					msg.Hashes = append(msg.Hashes, randomFileID(r))
-				} else {
-					msg.Hashes = append(msg.Hashes, s.cat.Files[f].ID)
-				}
-			}
+			msg := askMessage(s.cat, r, group) // at fire time: its draws interleave with the session's
 			s.stats.SourceAsks += uint64(len(msg.Hashes))
 			s.emit(c, r, msg)
 		})
@@ -299,7 +273,7 @@ func (s *Swarm) scheduleSession(c *workload.Client, r *randx.Rand,
 		t := s.sampleTime(r, start, end)
 		s.sch.At(t, func() {
 			s.stats.Searches++
-			s.emit(c, r, &ed2k.SearchReq{Expr: s.randomSearch(r)})
+			s.emit(c, r, &ed2k.SearchReq{Expr: randomSearchExpr(s.cat, s.zipf, r)})
 		})
 	}
 }
@@ -318,20 +292,7 @@ func (s *Swarm) scheduleOffers(c *workload.Client, r *randx.Rand, start simtime.
 		if off+batch > len(shares) {
 			batch = len(shares) - off
 		}
-		msg := &ed2k.OfferFiles{Client: s.edID(c), Port: 4662}
-		for _, fi := range shares[off : off+batch] {
-			f := &s.cat.Files[fi]
-			msg.Files = append(msg.Files, ed2k.FileEntry{
-				ID:     f.ID,
-				Client: s.edID(c),
-				Port:   4662,
-				Tags: []ed2k.Tag{
-					ed2k.StringTag(ed2k.FTFileName, f.Name),
-					ed2k.UintTag(ed2k.FTFileSize, f.Size),
-					ed2k.StringTag(ed2k.FTFileType, f.Type),
-				},
-			})
-		}
+		msg := offerMessage(s.cat, c, shares[off:off+batch])
 		off += batch
 		tt := t
 		s.sch.At(tt, func() {
@@ -340,12 +301,6 @@ func (s *Swarm) scheduleOffers(c *workload.Client, r *randx.Rand, start simtime.
 		})
 		t += simtime.Time(200+r.IntN(800)) * simtime.Millisecond
 	}
-}
-
-func (s *Swarm) edID(c *workload.Client) ed2k.ClientID { return edID(c) }
-
-func (s *Swarm) randomSearch(r *randx.Rand) *ed2k.SearchExpr {
-	return randomSearchExpr(s.cat, s.zipf, r)
 }
 
 func randomFileID(r *randx.Rand) ed2k.FileID {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -187,31 +188,6 @@ func TestPipelineReassemblesFragments(t *testing.T) {
 	}
 }
 
-func TestProcessDatagramLiveMode(t *testing.T) {
-	// The live-capture entry point: raw UDP payloads without the
-	// ethernet/IP layers, as a socket delivers them.
-	sink := &memSink{}
-	p := NewPipeline(testServerIP, [2]int{5, 11}, sink)
-	q := ed2k.Encode(&ed2k.StatReq{Challenge: 3})
-	if err := p.ProcessDatagram(simtime.Second, 0x09090909, testServerIP, q); err != nil {
-		t.Fatal(err)
-	}
-	a := ed2k.Encode(&ed2k.StatRes{Challenge: 3, Users: 5, Files: 6})
-	if err := p.ProcessDatagram(2*simtime.Second, testServerIP, 0x09090909, a); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.recs) != 2 {
-		t.Fatalf("records: %d", len(sink.recs))
-	}
-	if sink.recs[0].Dir != xmlenc.DirQuery || sink.recs[1].Dir != xmlenc.DirAnswer {
-		t.Fatal("directions wrong in datagram mode")
-	}
-	st := p.Stats()
-	if st.UDPDatagrams != 2 || st.Frames != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
 func TestQuickPipelineNeverPanicsOnGarbage(t *testing.T) {
 	// Failure injection: arbitrary byte soup, truncated frames, and
 	// random mutations of valid frames must be counted, never crash the
@@ -244,18 +220,36 @@ func tinySimConfig() SimConfig {
 	return cfg
 }
 
-func TestSimWorldEndToEnd(t *testing.T) {
-	cfg := tinySimConfig()
-	sink := &memSink{}
-	cfg.Sink = sink
+// runWorld runs cfg's world into a test-local pipeline writing to sink
+// and folds the pipeline's counters into the report, the way an
+// edtrace.Session does for a SimSource.
+func runWorld(t testing.TB, cfg SimConfig, sink RecordSink) *Report {
+	t.Helper()
 	w, err := NewSimWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := w.Run()
+	p := NewPipeline(cfg.ServerIP, cfg.FileBytePair, sink)
+	var lastExpire simtime.Time
+	rep, err := w.RunFrames(context.Background(), func(now simtime.Time, frame []byte) error {
+		if now-lastExpire > simtime.Minute {
+			p.ExpireReassembly(now)
+			lastExpire = now
+		}
+		return p.ProcessFrame(now, frame)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep.Pipeline = p.Stats()
+	rep.DistinctClients = p.ClientAnonymizer().Count()
+	rep.DistinctFiles = p.FileAnonymizer().Count()
+	return rep
+}
+
+func TestSimWorldEndToEnd(t *testing.T) {
+	sink := &memSink{}
+	rep := runWorld(t, tinySimConfig(), sink)
 	if rep.Pipeline.Records == 0 {
 		t.Fatal("no records produced")
 	}
@@ -292,15 +286,7 @@ func TestSimWorldDeterminism(t *testing.T) {
 		cfg := tinySimConfig()
 		cfg.Workload.NumClients = 150
 		cfg.Traffic.Duration = 2 * simtime.Hour
-		w, err := NewSimWorld(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := w.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return runWorld(t, cfg, DiscardSink{})
 	}
 	a, b := run(), run()
 	if a.Pipeline != b.Pipeline {
@@ -324,14 +310,7 @@ func TestSimWorldCaptureLossUnderPressure(t *testing.T) {
 	cfg.KernelBufferBytes = 2 << 10
 	cfg.ServicePerPoll = 1
 	cfg.PollInterval = 50 * simtime.Millisecond
-	w, err := NewSimWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := w.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runWorld(t, cfg, DiscardSink{})
 	if rep.EthernetDropped == 0 {
 		t.Fatal("no capture losses despite pressure")
 	}

@@ -11,13 +11,15 @@
 //     truncated to KB, timestamps rebased, and the result streamed to the
 //     XML dataset.
 //
-// The same Pipeline runs in three modes: inside the discrete-event
-// simulation (SimWorld), over a pcap file, or on a live UDP socket.
+// The same Pipeline serves every capture — the discrete-event
+// simulation (SimWorld), a pcap file, a live socket — because every
+// source hands it ethernet frames (edtrace.Source); ProcessFrame is its
+// one entry point.
 //
 // The pipeline is split at the decode/anonymise boundary: a FrameDecoder
-// (steps 1–2, stateful only in its fragment reassembler) and EmitDecoded
-// (step 3, whose order-of-appearance anonymisation is inherently
-// sequential), so each half can be measured on its own.
+// (steps 1–2, stateful only in its fragment reassembler) and the emit
+// half (step 3, whose order-of-appearance anonymisation is inherently
+// sequential), so the decode half can be measured on its own.
 package core
 
 import (
@@ -108,7 +110,8 @@ func (s *PipelineStats) StructuralShare() float64 {
 
 // Decoded is one frame's decode outcome: the dialog endpoints and the
 // pooled message (obtained via ed2k.DecodePooled; ownership passes to
-// whoever commits it — EmitDecoded releases it back to the pool).
+// whoever commits it — the pipeline's emit half releases it back to the
+// pool).
 type Decoded struct {
 	Src, Dst uint32
 	Msg      ed2k.Message
@@ -143,8 +146,8 @@ func (d *FrameDecoder) ExpireReassembly(now simtime.Time) { d.reasm.Expire(now) 
 // reassembly and decoding. ok reports whether a message was decoded;
 // malformed traffic is counted, never returned as an error. The frame
 // bytes are not retained: they may be recycled as soon as DecodeFrame
-// returns. The returned message is pooled — pass it to EmitDecoded or
-// release it with ed2k.Release.
+// returns. The returned message is pooled — release it with
+// ed2k.Release.
 func (d *FrameDecoder) DecodeFrame(now simtime.Time, frame []byte) (Decoded, bool) {
 	d.stats.Frames++
 	ip, err := netsim.DecodeEthernet(frame)
@@ -171,13 +174,6 @@ func (d *FrameDecoder) DecodeFrame(now simtime.Time, frame []byte) (Decoded, boo
 	}
 	d.stats.UDPDatagrams++
 	return d.decodeMessage(hdr.Src, hdr.Dst, udpPayload)
-}
-
-// DecodeDatagram decodes one already-extracted UDP payload — the live
-// capture entry point, where a socket yields datagrams, not frames.
-func (d *FrameDecoder) DecodeDatagram(src, dst uint32, payload []byte) (Decoded, bool) {
-	d.stats.UDPDatagrams++
-	return d.decodeMessage(src, dst, payload)
 }
 
 func (d *FrameDecoder) decodeMessage(src, dst uint32, raw []byte) (Decoded, bool) {
@@ -261,25 +257,14 @@ func (p *Pipeline) ProcessFrame(now simtime.Time, frame []byte) error {
 	if !ok {
 		return nil
 	}
-	return p.EmitDecoded(now, d)
+	return p.emitDecoded(now, d)
 }
 
-// ProcessDatagram feeds one already-extracted UDP payload through the
-// decode/anonymise/store stages. Live capture uses this entry point: a
-// UDP socket yields datagrams, not ethernet frames.
-func (p *Pipeline) ProcessDatagram(now simtime.Time, src, dst uint32, payload []byte) error {
-	d, ok := p.dec.DecodeDatagram(src, dst, payload)
-	if !ok {
-		return nil
-	}
-	return p.EmitDecoded(now, d)
-}
-
-// EmitDecoded runs the anonymise/format/store back half on one decoded
+// emitDecoded runs the anonymise/format/store back half on one decoded
 // message. It takes ownership of d.Msg, releasing it to the decode pool
 // before returning. Order of calls defines the anonymised ID space
 // (order of appearance), so callers must commit in capture order.
-func (p *Pipeline) EmitDecoded(now simtime.Time, d Decoded) error {
+func (p *Pipeline) emitDecoded(now simtime.Time, d Decoded) error {
 	rec := p.transform(now, d.Src, d.Dst, d.Msg)
 	ed2k.Release(d.Msg)
 	if rec == nil {

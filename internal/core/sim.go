@@ -16,8 +16,9 @@ import (
 	"edtrace/internal/workload"
 )
 
-// SimConfig assembles a full virtual capture: world, network, capture
-// machine and pipeline.
+// SimConfig assembles a full virtual capture: world, network and
+// capture machine. The frames it drains are decoded by whoever runs the
+// world (RunFrames), normally an edtrace.Session.
 type SimConfig struct {
 	Workload workload.Config
 	Traffic  clients.TrafficConfig
@@ -44,11 +45,9 @@ type SimConfig struct {
 	// producing the "not well-formed" packets of §2.3.
 	FrameMangleRate float64
 
-	// FileBytePair selects the fileID anonymisation bucket bytes.
+	// FileBytePair selects the fileID anonymisation bucket bytes of the
+	// pipeline observing this world.
 	FileBytePair [2]int
-
-	// Sink receives the anonymised records (DiscardSink if nil).
-	Sink RecordSink
 }
 
 // DefaultSimConfig returns a laptop-scale capture configuration
@@ -85,7 +84,8 @@ type Report struct {
 	EthernetDropped  uint64
 	LossPerSecond    []pcap.SecondStats
 
-	// Pipeline layer (headline table).
+	// Pipeline layer (headline table). RunFrames leaves this and the
+	// anonymisation layer empty: the frames' consumer fills them in.
 	Pipeline PipelineStats
 
 	// Anonymisation layer (Fig 3 and §2.5 counters).
@@ -129,13 +129,11 @@ type SimWorld struct {
 	srv    *server.Server
 	swarm  *clients.Swarm
 	buf    *pcap.KernelBuffer
-	pipe   *Pipeline
 	uplink *netsim.Link
 	dnlink *netsim.Link
 
-	// deliver receives frames drained from the kernel buffer. It defaults
-	// to the internal pipeline; RunFrames redirects it to an external
-	// consumer so the decode stage can run outside the event loop.
+	// deliver receives the frames drained from the kernel buffer; ctx
+	// stops the run. RunFrames sets both.
 	deliver FrameFunc
 	ctx     context.Context
 	runErr  error
@@ -143,7 +141,7 @@ type SimWorld struct {
 }
 
 // NewSimWorld builds the testbed: catalog, population, server, links with
-// a capture tap on both directions, kernel buffer, and pipeline.
+// a capture tap on both directions, and the kernel buffer.
 func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 	if cfg.MTU == 0 {
 		cfg.MTU = 1500
@@ -157,9 +155,6 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 	if cfg.KernelBufferBytes <= 0 {
 		cfg.KernelBufferBytes = 256 << 10
 	}
-	if cfg.Sink == nil {
-		cfg.Sink = DiscardSink{}
-	}
 	cat, err := workload.Generate(cfg.Workload)
 	if err != nil {
 		return nil, err
@@ -172,7 +167,6 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 	w := &SimWorld{cfg: cfg, sched: simtime.NewScheduler()}
 	w.srv = server.New("edtrace-sim", "simulated eDonkey server (ten weeks reproduction)")
 	w.buf = pcap.NewKernelBuffer(cfg.KernelBufferBytes)
-	w.pipe = NewPipeline(cfg.ServerIP, cfg.FileBytePair, cfg.Sink)
 
 	w.uplink = netsim.NewLink(w.sched, cfg.LinkBitsPerSec, 5*simtime.Millisecond)
 	w.dnlink = netsim.NewLink(w.sched, cfg.LinkBitsPerSec, 5*simtime.Millisecond)
@@ -235,18 +229,15 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 	}
 
 	// Capture machine: drain the kernel buffer at the service rate and
-	// push frames to the deliver hook (the internal pipeline by default);
-	// expire stale reassemblies once a virtual minute.
-	w.deliver = w.pipe.ProcessFrame
+	// push frames to the deliver hook; expire the server's stale
+	// reassemblies once a virtual minute.
 	w.sched.Every(cfg.PollInterval, func(now simtime.Time) {
 		if w.runErr != nil {
 			return
 		}
-		if w.ctx != nil {
-			if err := w.ctx.Err(); err != nil {
-				w.fail(err)
-				return
-			}
+		if err := w.ctx.Err(); err != nil {
+			w.fail(err)
+			return
 		}
 		for _, rec := range w.buf.Consume(cfg.ServicePerPoll) {
 			if err := w.deliver(rec.Time(), rec.Data); err != nil {
@@ -255,19 +246,10 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 			}
 		}
 	})
-	w.sched.Every(simtime.Minute, func(now simtime.Time) {
-		w.pipe.ExpireReassembly(now)
-		srvReasm.Expire(now)
-	})
+	w.sched.Every(simtime.Minute, srvReasm.Expire)
 
 	return w, nil
 }
-
-// Pipeline exposes the capture pipeline (for Fig 3 bucket inspection).
-func (w *SimWorld) Pipeline() *Pipeline { return w.pipe }
-
-// Scheduler exposes the virtual clock (tests drive partial runs).
-func (w *SimWorld) Scheduler() *simtime.Scheduler { return w.sched }
 
 // fail records the first error and stops the event loop after the
 // currently executing event.
@@ -276,33 +258,18 @@ func (w *SimWorld) fail(err error) {
 	w.sched.Stop()
 }
 
-// Run schedules the swarm and executes the whole capture through the
-// internal pipeline, returning the report. Extra drain time after the
-// traffic horizon lets the capture machine empty its backlog.
-func (w *SimWorld) Run() (*Report, error) {
-	rep, err := w.RunFrames(context.Background(), nil)
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// RunFrames executes the capture, delivering every frame the capture
-// machine drains to fn instead of the internal pipeline (fn == nil keeps
-// the internal pipeline, which is Run's behaviour). The run stops early
-// when ctx is cancelled or fn returns an error; either way the report
-// carries the capture- and world-layer counters accumulated so far.
-// Pipeline-layer report fields are only filled when the internal
-// pipeline is in use.
+// RunFrames schedules the swarm and executes the capture, delivering
+// every frame the capture machine drains to fn. Extra drain time after
+// the traffic horizon lets the capture machine empty its backlog. The
+// run stops early when ctx is cancelled or fn returns an error; either
+// way the report carries the capture- and world-layer counters
+// accumulated so far.
 func (w *SimWorld) RunFrames(ctx context.Context, fn FrameFunc) (*Report, error) {
 	if w.ran {
 		return nil, errors.New("core: SimWorld already ran")
 	}
 	w.ran = true
-	internal := fn == nil
-	if !internal {
-		w.deliver = fn
-	}
+	w.deliver = fn
 	w.ctx = ctx
 
 	start := time.Now()
@@ -316,7 +283,7 @@ func (w *SimWorld) RunFrames(ctx context.Context, fn FrameFunc) (*Report, error)
 	if w.runErr != nil && w.sched.Now() < dur {
 		dur = w.sched.Now()
 	}
-	rep := &Report{
+	return &Report{
 		VirtualDuration:  dur,
 		WallClock:        time.Since(start),
 		EthernetCaptured: w.buf.Captured(),
@@ -325,13 +292,5 @@ func (w *SimWorld) RunFrames(ctx context.Context, fn FrameFunc) (*Report, error)
 		ServerStats:      w.srv.Stats(),
 		SwarmStats:       w.swarm.Stats(),
 		FlashTimes:       w.swarm.FlashWindows(),
-	}
-	if internal {
-		rep.Pipeline = w.pipe.Stats()
-		rep.DistinctClients = w.pipe.ClientAnonymizer().Count()
-		rep.DistinctFiles = w.pipe.FileAnonymizer().Count()
-		rep.BucketSizes = w.pipe.FileAnonymizer().BucketSizes()
-		rep.MaxBucketIdx, rep.MaxBucketSize = w.pipe.FileAnonymizer().MaxBucket()
-	}
-	return rep, w.runErr
+	}, w.runErr
 }

@@ -89,10 +89,6 @@ type FileID [16]byte
 // String returns the canonical lowercase hex form.
 func (f FileID) String() string { return hex.EncodeToString(f[:]) }
 
-// Byte returns the i-th byte; it is the hook the anonymisation buckets use
-// to select their two index bytes.
-func (f FileID) Byte(i int) byte { return f[i] }
-
 // ClientID identifies a client: its IPv4 address when directly reachable
 // (a "high ID"), or a server-assigned number below 2^24 otherwise.
 type ClientID uint32

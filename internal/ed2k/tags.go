@@ -18,25 +18,6 @@ const (
 	FTCompleteSrc = 0x30
 )
 
-// TagName returns a readable name for a standard tag identifier.
-func TagName(id byte) string {
-	switch id {
-	case FTFileName:
-		return "filename"
-	case FTFileSize:
-		return "filesize"
-	case FTFileType:
-		return "filetype"
-	case FTFileFormat:
-		return "fileformat"
-	case FTSources:
-		return "sources"
-	case FTCompleteSrc:
-		return "completesources"
-	}
-	return fmt.Sprintf("tag0x%02X", id)
-}
-
 // Tag is one metadata entry attached to a file: either a string value or
 // a 32-bit integer, keyed by a (usually one-byte) name.
 type Tag struct {

@@ -1,11 +1,19 @@
 // Package edload is a TCP client-swarm load generator for an eDonkey
 // directory server: it materialises a workload.Population's behavioural
 // plans as real framed TCP sessions (login → offers → interleaved
-// searches and source asks) and drives them over N concurrent
-// connections against edserverd (or any ed2k server). Every session is
-// strict request→answer lockstep except GetSources, whose variable
-// answer count is settled by a StatReq fence at session end — so a run
-// that returns without error has verified every single answer arrived.
+// searches and source asks) against edserverd (or any ed2k server).
+// Every session is strict request→answer lockstep except GetSources,
+// whose variable answer count is settled by a StatReq fence at session
+// end — so a run that returns without error has verified every single
+// answer arrived.
+//
+// There is one way a session is launched, bounded, counted and failed:
+// the unexported driver, configured by a Target. It has two feeds. Run
+// starts one plan per client of a generated population, all at once;
+// RunSpec starts one plan per arrival of a workload spec's event
+// stream, paced onto the wall clock, and counts the arrivals the
+// concurrency cap turns away. RunAbuse stands apart on purpose: one
+// target, no failover, and failures are what it measures.
 package edload
 
 import (
@@ -24,19 +32,50 @@ import (
 	"edtrace/internal/workload"
 )
 
-// Config parameterises one load run.
-type Config struct {
-	// Addr is the server's TCP address.
-	Addr string
-	// Addrs, when set, wins over Addr: a server list in priority order,
-	// as a client's server.met. Each session connects to the best live
-	// server and fails over to another on a connect or answer failure.
+// Target is where sessions connect and how they treat a failing server.
+type Target struct {
+	// Addrs is the server list, as a client's server.met. Sessions
+	// spread over its live servers, and each fails over to another on a
+	// connect or answer failure.
 	Addrs []string
 	// FailoverAttempts bounds reconnects per session (<= 0: 2×servers+1).
 	FailoverAttempts int
 	// AnswerTimeout bounds each answer read; hitting it is a server
 	// failure that triggers failover (default 15s).
 	AnswerTimeout time.Duration
+	// DialTimeout bounds each connection attempt (default 10s).
+	DialTimeout time.Duration
+	// Metrics, when set, serves the client-observed answer latency
+	// histograms (edload_answer_seconds{op=...}) — what the swarm's
+	// clients actually waited, as opposed to the server-side Handle
+	// timings — and, for RunSpec, the replay's gauges and per-phase
+	// counters (edload_spec_*). Nil keeps them in a registry nobody reads.
+	Metrics *obs.Registry
+	// Logf, when set, receives lifecycle lines.
+	Logf func(format string, args ...any)
+}
+
+func (t *Target) defaults() {
+	if t.FailoverAttempts <= 0 {
+		t.FailoverAttempts = 2*len(t.Addrs) + 1
+	}
+	if t.AnswerTimeout <= 0 {
+		t.AnswerTimeout = 15 * time.Second
+	}
+	if t.DialTimeout <= 0 {
+		t.DialTimeout = 10 * time.Second
+	}
+	if t.Metrics == nil {
+		t.Metrics = obs.NewRegistry()
+	}
+	if t.Logf == nil {
+		t.Logf = func(string, ...any) {}
+	}
+}
+
+// Config parameterises one load run.
+type Config struct {
+	Target
 	// Clients is the number of concurrent TCP client sessions. Sessions
 	// replay the first Clients plans of the generated population (the
 	// population config's NumClients should be >= Clients; it is raised
@@ -44,70 +83,16 @@ type Config struct {
 	Clients int
 	// Workload scales the synthetic catalog and population.
 	Workload workload.Config
-	// Traffic shapes the per-session message mix (OfferBatch,
-	// AsksPerMessage, ScannerUnknownShare). The zero value means
-	// clients.DefaultTraffic().
-	Traffic clients.TrafficConfig
 	// MaxMessagesPerClient bounds one session's plan (<= 0: 256). Heavy
 	// profiles would otherwise send six-figure message counts.
 	MaxMessagesPerClient int
-	// DialTimeout bounds each connection attempt (default 10s).
-	DialTimeout time.Duration
-	// Metrics, when set, records client-observed answer latency
-	// histograms (edload_answer_seconds{op=...}) — what the swarm's
-	// clients actually waited, as opposed to the server-side Handle
-	// timings. Nil disables the instrumentation.
-	Metrics *obs.Registry
-	// Logf, when set, receives lifecycle lines.
-	Logf func(format string, args ...any)
-}
-
-// latHists is the per-opcode answer-latency instrumentation; a nil
-// receiver makes observe a no-op.
-type latHists struct {
-	login, offer, search, fence *obs.Histogram
-}
-
-func newLatHists(reg *obs.Registry) *latHists {
-	const name = "edload_answer_seconds"
-	const help = "client-observed answer latency by query opcode"
-	return &latHists{
-		login:  reg.Histogram(name, help, nil, obs.L("op", "LoginRequest")),
-		offer:  reg.Histogram(name, help, nil, obs.L("op", "OfferFiles")),
-		search: reg.Histogram(name, help, nil, obs.L("op", "SearchReq")),
-		fence:  reg.Histogram(name, help, nil, obs.L("op", "StatReq")),
-	}
-}
-
-func (l *latHists) observeLogin(d time.Duration) {
-	if l != nil {
-		l.login.Observe(d)
-	}
-}
-
-func (l *latHists) observeOffer(d time.Duration) {
-	if l != nil {
-		l.offer.Observe(d)
-	}
-}
-
-func (l *latHists) observeSearch(d time.Duration) {
-	if l != nil {
-		l.search.Observe(d)
-	}
-}
-
-func (l *latHists) observeFence(d time.Duration) {
-	if l != nil {
-		l.fence.Observe(d)
-	}
 }
 
 // Stats aggregates a completed run. Sent and Answers count wire truth:
 // a failover replays the unsettled tail of a session on the next
 // server, and those replays are counted like any other message.
 type Stats struct {
-	Clients   int
+	Clients   int    // Run: configured clients; RunSpec: sessions completed
 	Sent      uint64 // messages written, logins and fences included
 	Answers   uint64 // messages read back
 	Offers    uint64
@@ -134,29 +119,11 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
 	}
-	if len(cfg.Addrs) == 0 {
-		cfg.Addrs = []string{cfg.Addr}
-	}
-	if cfg.FailoverAttempts <= 0 {
-		cfg.FailoverAttempts = 2*len(cfg.Addrs) + 1
-	}
-	if cfg.AnswerTimeout <= 0 {
-		cfg.AnswerTimeout = 15 * time.Second
-	}
 	if cfg.Workload.NumClients < cfg.Clients {
 		cfg.Workload.NumClients = cfg.Clients
 	}
 	if cfg.MaxMessagesPerClient <= 0 {
 		cfg.MaxMessagesPerClient = 256
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.Traffic.OfferBatch == 0 { // zero value: take the calibrated mix
-		cfg.Traffic = clients.DefaultTraffic()
-	}
-	if err := cfg.Traffic.Validate(); err != nil {
-		return Stats{}, err
 	}
 	cat, err := workload.Generate(cfg.Workload)
 	if err != nil {
@@ -166,89 +133,141 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	planner := clients.NewPlanner(cat, cfg.Traffic)
-	mgr, err := clients.NewServerManager(cfg.Addrs...)
+	planner := clients.NewPlanner(cat, clients.DefaultTraffic())
+	d, err := newDriver(ctx, cfg.Target, cfg.Clients)
 	if err != nil {
 		return Stats{}, err
 	}
-	if cfg.Logf != nil {
-		cfg.Logf("edload: %d clients against %d server(s) %v (catalog %d files)",
-			cfg.Clients, mgr.Len(), cfg.Addrs, len(cat.Files))
-	}
+	d.tgt.Logf("edload: %d clients against %d server(s) %v (catalog %d files)",
+		cfg.Clients, d.mgr.Len(), cfg.Addrs, len(cat.Files))
 
-	var (
-		stats     Stats
-		sent      atomic.Uint64
-		answers   atomic.Uint64
-		offers    atomic.Uint64
-		search    atomic.Uint64
-		asks      atomic.Uint64
-		found     atomic.Uint64
-		failovers atomic.Uint64
-	)
-	start := time.Now()
 	root := randx.New(cfg.Workload.Seed, 0xED10AD)
-	var lat *latHists
-	if cfg.Metrics != nil {
-		lat = newLatHists(cfg.Metrics)
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	errc := make(chan error, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
-		wg.Add(1)
-		r := root.Split(uint64(i) + 1) // split serially: Rand is not goroutine-safe
-		go func(i int, r *randx.Rand) {
-			defer wg.Done()
-			s := &session{
-				cfg:       &cfg,
-				mgr:       mgr,
-				lat:       lat,
-				sent:      &sent,
-				answers:   &answers,
-				offers:    &offers,
-				search:    &search,
-				asks:      &asks,
-				found:     &found,
-				failovers: &failovers,
-			}
-			c := &pop.Clients[i]
-			plan := planner.Messages(c, r, cfg.MaxMessagesPerClient)
-			if err := s.run(runCtx, plan); err != nil {
-				select {
-				case errc <- fmt.Errorf("edload: client %d: %w", i, err):
-				default:
-				}
-				cancel() // one failed session aborts the swarm
-			}
-		}(i, r)
+		d.start(fmt.Sprintf("client %d", i), func() []ed2k.Message {
+			return planner.Messages(&pop.Clients[i], root.Split(uint64(i)+1), cfg.MaxMessagesPerClient)
+		}, nil) // the cap is Clients: never refused
 	}
-	wg.Wait()
+	st, err := d.wait()
+	st.Clients = cfg.Clients
+	if err != nil {
+		return st, err
+	}
+	d.tgt.Logf("edload: done: %d sent, %d answered in %v (%.0f msgs/s)",
+		st.Sent, st.Answers, st.Wall.Round(time.Millisecond), st.MsgsPerSec())
+	return st, nil
+}
 
-	stats.Clients = cfg.Clients
-	stats.Sent = sent.Load()
-	stats.Answers = answers.Load()
-	stats.Offers = offers.Load()
-	stats.Searches = search.Load()
-	stats.Asks = asks.Load()
-	stats.Found = found.Load()
-	stats.Failovers = failovers.Load()
-	stats.Wall = time.Since(start)
+// driver is the one way a verified lockstep session is launched,
+// bounded, counted and failed. Its feeds (Run, RunSpec) hand it plans
+// from a single goroutine; everything concurrent lives here.
+type driver struct {
+	tgt Target // defaults applied
+	mgr *clients.ServerManager
+	lat latHists
+	n   counters
+
+	began  time.Time
+	ctx    context.Context // the caller's, also cancelled by the first failed session
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+	sem    chan struct{} // one token per live session
+	errc   chan error    // the first session failure
+}
+
+// counters is the run's one counter set; sessions add to it directly.
+type counters struct {
+	sent, answers, offers, searches, asks, found, failovers, completed atomic.Uint64
+}
+
+// latHists is the per-opcode answer-latency instrumentation.
+type latHists struct {
+	login, offer, search, fence *obs.Histogram
+}
+
+func newDriver(ctx context.Context, tgt Target, maxConcurrent int) (*driver, error) {
+	tgt.defaults()
+	mgr, err := clients.NewServerManager(tgt.Addrs...)
+	if err != nil {
+		return nil, err
+	}
+	const name = "edload_answer_seconds"
+	const help = "client-observed answer latency by query opcode"
+	d := &driver{
+		tgt: tgt,
+		mgr: mgr,
+		lat: latHists{
+			login:  tgt.Metrics.Histogram(name, help, nil, obs.L("op", "LoginRequest")),
+			offer:  tgt.Metrics.Histogram(name, help, nil, obs.L("op", "OfferFiles")),
+			search: tgt.Metrics.Histogram(name, help, nil, obs.L("op", "SearchReq")),
+			fence:  tgt.Metrics.Histogram(name, help, nil, obs.L("op", "StatReq")),
+		},
+		began: time.Now(),
+		sem:   make(chan struct{}, maxConcurrent),
+		errc:  make(chan error, 1),
+	}
+	d.ctx, d.cancel = context.WithCancel(ctx)
+	return d, nil
+}
+
+// start launches one session and returns at once: false means the
+// concurrency cap is reached and nothing was started. plan builds the
+// session's messages; it runs on the caller's goroutine and only once a
+// slot is taken, so an arrival turned away costs its feed nothing.
+// completed, when set, runs on the session's goroutine once the whole
+// plan is verified. The first session to fail aborts the run; wait
+// reports its error as "edload: <label>: ...".
+func (d *driver) start(label string, plan func() []ed2k.Message, completed func()) bool {
 	select {
-	case err := <-errc:
-		return stats, err
+	case d.sem <- struct{}{}:
+	default:
+		return false
+	}
+	msgs := plan()
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		defer func() { <-d.sem }()
+		err := (&session{d: d}).run(d.ctx, msgs)
+		switch {
+		case err == nil:
+			d.n.completed.Add(1)
+			if completed != nil {
+				completed()
+			}
+		case d.ctx.Err() == nil: // a cause, not a consequence of the run ending
+			select {
+			case d.errc <- fmt.Errorf("edload: %s: %w", label, err):
+			default:
+			}
+			d.cancel()
+		}
+	}()
+	return true
+}
+
+// wait blocks until every started session has ended and returns what
+// the run did — valid on error too — with the first session failure or,
+// failing that, the caller's cancellation.
+func (d *driver) wait() (Stats, error) {
+	d.wg.Wait()
+	defer d.cancel()
+	st := Stats{
+		Clients:   int(d.n.completed.Load()),
+		Sent:      d.n.sent.Load(),
+		Answers:   d.n.answers.Load(),
+		Offers:    d.n.offers.Load(),
+		Searches:  d.n.searches.Load(),
+		Asks:      d.n.asks.Load(),
+		Found:     d.n.found.Load(),
+		Failovers: d.n.failovers.Load(),
+		Wall:      time.Since(d.began),
+	}
+	select {
+	case err := <-d.errc:
+		return st, err
 	default:
 	}
-	if err := ctx.Err(); err != nil {
-		return stats, err
-	}
-	if cfg.Logf != nil {
-		cfg.Logf("edload: done: %d sent, %d answered in %v (%.0f msgs/s)",
-			stats.Sent, stats.Answers, stats.Wall.Round(time.Millisecond), stats.MsgsPerSec())
-	}
-	return stats, nil
+	return st, d.ctx.Err() // no session failed, so only the caller cancels it
 }
 
 // session is one TCP client replaying one plan, reconnecting across
@@ -258,11 +277,7 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 // on that connection arrived, so after a failover only the unsettled
 // tail needs replaying on the next server.
 type session struct {
-	cfg *Config
-	mgr *clients.ServerManager
-	lat *latHists
-
-	sent, answers, offers, search, asks, found, failovers *atomic.Uint64
+	d *driver
 
 	conn     net.Conn
 	bw       *bufio.Writer
@@ -276,27 +291,25 @@ type session struct {
 func (s *session) run(ctx context.Context, plan []ed2k.Message) error {
 	avoid := ""
 	var lastErr error
-	for try := 0; try <= s.cfg.FailoverAttempts; try++ {
+	for try := 0; try <= s.d.tgt.FailoverAttempts; try++ {
 		if ctx.Err() != nil {
 			if lastErr != nil {
 				return lastErr
 			}
 			return ctx.Err()
 		}
-		addr := s.mgr.Pick(avoid)
+		addr := s.d.mgr.Pick(avoid)
 		if try > 0 {
-			s.failovers.Add(1)
-			if s.cfg.Logf != nil {
-				s.cfg.Logf("edload: failing over to %s at plan %d/%d (%v)",
-					addr, s.idx, len(plan), lastErr)
-			}
+			s.d.n.failovers.Add(1)
+			s.d.tgt.Logf("edload: failing over to %s at plan %d/%d (%v)",
+				addr, s.idx, len(plan), lastErr)
 		}
 		err := s.runOn(ctx, addr, plan)
 		if err == nil {
 			return nil
 		}
 		lastErr = err
-		s.mgr.ReportFailure(addr)
+		s.d.mgr.ReportFailure(addr)
 		if ctx.Err() != nil {
 			return lastErr
 		}
@@ -308,7 +321,7 @@ func (s *session) run(ctx context.Context, plan []ed2k.Message) error {
 // runOn drives the plan on one server connection: handshake, replay of
 // the unsettled tail, then the remaining plan from s.idx.
 func (s *session) runOn(ctx context.Context, addr string, plan []ed2k.Message) error {
-	d := net.Dialer{Timeout: s.cfg.DialTimeout}
+	d := net.Dialer{Timeout: s.d.tgt.DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp4", addr)
 	if err != nil {
 		return err
@@ -330,16 +343,16 @@ func (s *session) runOn(ctx context.Context, addr string, plan []ed2k.Message) e
 	if _, err := s.expect(isType[*ed2k.IDChange]); err != nil {
 		return fmt.Errorf("login: %w", err)
 	}
-	s.mgr.ReportSuccess(addr, time.Since(login))
-	s.lat.observeLogin(time.Since(login))
+	s.d.mgr.ReportSuccess(addr, time.Since(login))
+	s.d.lat.login.Observe(time.Since(login))
 
 	// maxOutstandingHashes bounds the asked-for hashes in flight before
 	// a fence forces a drain: a long all-ask run otherwise writes
 	// without ever reading while the server writes FoundSources back,
 	// and once both socket buffers fill the server's write deadline
-	// kills the session. Hashes, not messages, are the right unit — a
-	// caller-supplied Traffic.AsksPerMessage can be large. 96 hashes ×
-	// ≤~330 B per answer stays far below any default buffer size.
+	// kills the session. Hashes, not messages, are the unit a socket
+	// buffer fills by. 96 hashes × ≤~330 B per answer stays far below any
+	// default buffer size.
 	const maxOutstandingHashes = 96
 	outstanding := 0
 
@@ -360,20 +373,20 @@ func (s *session) runOn(ctx context.Context, addr string, plan []ed2k.Message) e
 		}
 		switch m := msg.(type) {
 		case *ed2k.OfferFiles:
-			s.offers.Add(1)
+			s.d.n.offers.Add(1)
 			if _, err := s.expect(isType[*ed2k.OfferAck]); err != nil {
 				return fmt.Errorf("offer: %w", err)
 			}
-			s.lat.observeOffer(time.Since(sentAt))
+			s.d.lat.offer.Observe(time.Since(sentAt))
 			// The in-order OfferAck drained and settled everything prior.
 			outstanding = 0
 			s.unsettled = s.unsettled[:0]
 		case *ed2k.SearchReq:
-			s.search.Add(1)
+			s.d.n.searches.Add(1)
 			if _, err := s.expect(isType[*ed2k.SearchRes]); err != nil {
 				return fmt.Errorf("search: %w", err)
 			}
-			s.lat.observeSearch(time.Since(sentAt))
+			s.d.lat.search.Observe(time.Since(sentAt))
 			outstanding = 0
 			s.unsettled = s.unsettled[:0]
 		case *ed2k.GetSources:
@@ -381,7 +394,7 @@ func (s *session) runOn(ctx context.Context, addr string, plan []ed2k.Message) e
 			// drained by expect's FoundSources accounting and settled by
 			// the next fence. Unsettled until then: a connection failure
 			// replays it.
-			s.asks.Add(1)
+			s.d.n.asks.Add(1)
 			s.unsettled = append(s.unsettled, m)
 			outstanding += len(m.Hashes)
 			if outstanding >= maxOutstandingHashes {
@@ -424,9 +437,9 @@ func (s *session) fence(addr string) error {
 	if res.Challenge != challenge {
 		return fmt.Errorf("fence challenge %#x, want %#x", res.Challenge, challenge)
 	}
-	s.mgr.ReportSuccess(addr, time.Since(sent))
-	s.lat.observeFence(time.Since(sent))
-	s.mgr.ReportCounts(addr, "", res.Users, res.Files)
+	s.d.mgr.ReportSuccess(addr, time.Since(sent))
+	s.d.lat.fence.Observe(time.Since(sent))
+	s.d.mgr.ReportCounts(addr, "", res.Users, res.Files)
 	return nil
 }
 
@@ -434,7 +447,7 @@ func (s *session) send(m ed2k.Message) error {
 	if _, err := s.bw.Write(ed2k.FrameTCP(m)); err != nil {
 		return err
 	}
-	s.sent.Add(1)
+	s.d.n.sent.Add(1)
 	return nil
 }
 
@@ -447,16 +460,16 @@ func (s *session) expect(want func(ed2k.Message) bool) (ed2k.Message, error) {
 		return nil, err
 	}
 	for {
-		if err := s.conn.SetReadDeadline(time.Now().Add(s.cfg.AnswerTimeout)); err != nil {
+		if err := s.conn.SetReadDeadline(time.Now().Add(s.d.tgt.AnswerTimeout)); err != nil {
 			return nil, err
 		}
 		m, err := s.sr.Next()
 		if err != nil {
 			return nil, err
 		}
-		s.answers.Add(1)
+		s.d.n.answers.Add(1)
 		if _, ok := m.(*ed2k.FoundSources); ok {
-			s.found.Add(1)
+			s.d.n.found.Add(1)
 			continue
 		}
 		if want(m) {

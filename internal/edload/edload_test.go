@@ -2,10 +2,11 @@ package edload
 
 import (
 	"context"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"edtrace/internal/clients"
 	"edtrace/internal/edserverd"
 )
 
@@ -27,10 +28,9 @@ func startDaemon(t *testing.T) *edserverd.Daemon {
 
 func loadConfig(d *edserverd.Daemon, nClients, maxMsgs int) Config {
 	return Config{
-		Addr:                 d.TCPAddr().String(),
+		Target:               Target{Addrs: []string{d.TCPAddr().String()}},
 		Clients:              nClients,
 		Workload:             DefaultWorkload(7, nClients),
-		Traffic:              clients.DefaultTraffic(),
 		MaxMessagesPerClient: maxMsgs,
 	}
 }
@@ -97,13 +97,71 @@ func TestLoad500ConcurrentClients(t *testing.T) {
 		st.Sent, st.Answers, st.MsgsPerSec())
 }
 
-// TestLoadCancellation: cancelling the context aborts promptly and
-// surfaces the cancellation.
+// noLeak snapshots the goroutine count; the returned func fails the
+// test if more goroutines than that are still alive shortly after — a
+// driver that returned while a session goroutine is still running.
+func noLeak(t *testing.T) func() {
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("goroutine leak: %d before the test, %d after\n%s",
+					before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// feeds runs the same Target through both of the driver's feeds, so a
+// property of the driver is checked for Run and RunSpec alike. Run's
+// population is all-Heavy (plans of ~100 messages, as in
+// TestFailoverMidRun) so that it is reliably still mid-plan when a test
+// interferes.
+var feeds = []struct {
+	name string
+	run  func(ctx context.Context, tgt Target) (Stats, error)
+}{
+	{"Run", func(ctx context.Context, tgt Target) (Stats, error) {
+		wl := DefaultWorkload(13, 6)
+		wl.HeavyFraction, wl.RegularFraction, wl.ScannerFraction, wl.PolluterFraction = 1, 0, 0, 0
+		return Run(ctx, Config{Target: tgt, Clients: 6, Workload: wl, MaxMessagesPerClient: 1200})
+	}},
+	{"RunSpec", func(ctx context.Context, tgt Target) (Stats, error) {
+		st, err := RunSpec(ctx, SpecConfig{Target: tgt, Spec: smokeSpec()})
+		return st.Stats, err
+	}},
+}
+
+// TestLoadCancellation: cancelling mid-run aborts promptly, surfaces the
+// caller's cancellation — not the read error of whichever session the
+// cancellation happened to interrupt — and leaves no goroutine behind.
 func TestLoadCancellation(t *testing.T) {
-	d := startDaemon(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Run(ctx, loadConfig(d, 5, 50)); err == nil {
-		t.Fatal("cancelled run reported success")
+	for _, f := range feeds {
+		t.Run(f.name, func(t *testing.T) {
+			d := startDaemon(t)
+			check := noLeak(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// The daemon's tap sees every query and answer as it is served:
+			// the 30th lands while sessions are on the wire.
+			var seen atomic.Int64
+			defer d.SetTap(func(_, _ uint32, _ []byte) {
+				if seen.Add(1) == 30 {
+					cancel()
+				}
+			})()
+			st, err := f.run(ctx, Target{Addrs: []string{d.TCPAddr().String()}})
+			if err != context.Canceled {
+				t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+			}
+			if st.Sent == 0 {
+				t.Fatalf("cancelled before anything was sent: %+v", st)
+			}
+			check()
+		})
 	}
 }

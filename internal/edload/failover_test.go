@@ -2,10 +2,10 @@ package edload
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
-	"edtrace/internal/clients"
 	"edtrace/internal/edserverd"
 )
 
@@ -32,12 +32,10 @@ func TestFailoverMidRun(t *testing.T) {
 	wl.ScannerFraction = 0
 	wl.PolluterFraction = 0
 	cfg := Config{
-		Addrs:                addrs,
+		Target:               Target{Addrs: addrs, AnswerTimeout: 10 * time.Second},
 		Clients:              12,
 		Workload:             wl,
-		Traffic:              clients.DefaultTraffic(),
 		MaxMessagesPerClient: 1200,
-		AnswerTimeout:        10 * time.Second,
 	}
 
 	// Kill the victim once it has demonstrably joined the run.
@@ -78,8 +76,10 @@ func TestFailoverMidRun(t *testing.T) {
 	t.Logf("completed with %d failovers: %+v", st.Failovers, st)
 }
 
-// TestFailoverAllDeadFails proves the other side: when every server is
-// gone and attempts run out, Run reports the error instead of hanging.
+// TestFailoverAllDeadFails proves the other side, for both feeds: when
+// every server is gone and attempts run out, the run reports the
+// failed session instead of hanging, and its stats still count what
+// happened.
 func TestFailoverAllDeadFails(t *testing.T) {
 	d := startDaemon(t)
 	addr := d.TCPAddr().String()
@@ -89,16 +89,23 @@ func TestFailoverAllDeadFails(t *testing.T) {
 	}
 	cancel()
 
-	cfg := Config{
-		Addrs:                []string{addr},
-		Clients:              2,
-		Workload:             DefaultWorkload(13, 2),
-		Traffic:              clients.DefaultTraffic(),
-		MaxMessagesPerClient: 20,
-		FailoverAttempts:     2,
-		DialTimeout:          2 * time.Second,
-	}
-	if _, err := Run(context.Background(), cfg); err == nil {
-		t.Fatal("run against a dead server list succeeded")
+	for _, f := range feeds {
+		t.Run(f.name, func(t *testing.T) {
+			defer noLeak(t)()
+			st, err := f.run(context.Background(), Target{
+				Addrs:            []string{addr},
+				FailoverAttempts: 2,
+				DialTimeout:      2 * time.Second,
+			})
+			if err == nil {
+				t.Fatal("run against a dead server list succeeded")
+			}
+			if !strings.Contains(err.Error(), "failovers exhausted") {
+				t.Fatalf("error does not name the exhausted failovers: %v", err)
+			}
+			if st.Failovers == 0 || st.Answers != 0 || st.Wall <= 0 {
+				t.Fatalf("stats on error: %+v", st)
+			}
+		})
 	}
 }

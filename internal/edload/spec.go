@@ -3,8 +3,6 @@ package edload
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"edtrace/internal/clients"
@@ -19,16 +17,7 @@ import (
 // event stream, compressed onto the wall clock, drives real TCP client
 // sessions against live servers.
 type SpecConfig struct {
-	// Addr is the server's TCP address.
-	Addr string
-	// Addrs, when set, wins over Addr (priority-ordered server list with
-	// per-session failover, as in Config).
-	Addrs []string
-	// FailoverAttempts bounds reconnects per session (<= 0: 2×servers+1).
-	FailoverAttempts int
-	// AnswerTimeout bounds each answer read (default 15s).
-	AnswerTimeout time.Duration
-
+	Target
 	// Spec is the workload description the engine expands.
 	Spec *workload.Spec
 	// Compress overrides the spec's compression factor when > 0.
@@ -37,25 +26,14 @@ type SpecConfig struct {
 	// the cap are skipped and counted, never queued: a replay that can't
 	// keep up must say so instead of silently stretching the timeline.
 	MaxConcurrent int
-	// MessagesPerSessionHour scales plan length with the session's
-	// simulated lifetime: a session open for one simulated hour sends
-	// about this many messages (default 48, minimum 4 per session),
-	// capped by MaxMessagesPerSession.
-	MessagesPerSessionHour int
 	// MaxMessagesPerSession bounds any one session's plan (<= 0: 256).
 	MaxMessagesPerSession int
-
-	// Traffic shapes the per-session message mix; zero value means
-	// clients.DefaultTraffic().
-	Traffic clients.TrafficConfig
-	// DialTimeout bounds each connection attempt (default 10s).
-	DialTimeout time.Duration
-	// Metrics, when set, exposes the replay's gauges and per-phase
-	// counters (edload_spec_*) alongside the answer-latency histograms.
-	Metrics *obs.Registry
-	// Logf, when set, receives lifecycle lines.
-	Logf func(format string, args ...any)
 }
+
+// messagesPerSessionHour scales plan length with the session's simulated
+// lifetime: a session open for one simulated hour sends about this many
+// messages (at least 4 a session, at most MaxMessagesPerSession).
+const messagesPerSessionHour = 48
 
 // SpecStats aggregates a completed spec replay.
 type SpecStats struct {
@@ -78,23 +56,22 @@ type SpecStats struct {
 	MaxBehind time.Duration
 }
 
-// specMetrics is the engine-side instrumentation; nil disables it.
+// specMetrics is the engine-side instrumentation.
 type specMetrics struct {
 	reg       *obs.Registry
-	active    *obs.Gauge
 	rateMilli *obs.Gauge
 	behindMS  *obs.Gauge
 	releases  *obs.Counter
 	skipped   *obs.Counter
-
-	mu       sync.Mutex
-	sessions map[string]*obs.Counter // per-phase session counters
 }
 
-func newSpecMetrics(reg *obs.Registry) *specMetrics {
+// newSpecMetrics registers the replay's series; live is the driver's
+// semaphore, whose length is the active-session gauge.
+func newSpecMetrics(reg *obs.Registry, live <-chan struct{}) *specMetrics {
+	reg.GaugeFunc("edload_spec_active_sessions", "live TCP sessions driven by the workload engine",
+		func() float64 { return float64(len(live)) })
 	return &specMetrics{
 		reg:       reg,
-		active:    reg.Gauge("edload_spec_active_sessions", "live TCP sessions driven by the workload engine"),
 		rateMilli: reg.Gauge("edload_spec_arrival_rate_milli", "engine arrival rate at the last dispatch, in sessions per simulated minute x1000"),
 		behindMS:  reg.Gauge("edload_spec_behind_ms", "wall-clock lag behind the compressed schedule at the last dispatch"),
 		releases:  reg.Counter("edload_spec_releases_total", "content-release events fired"),
@@ -102,22 +79,23 @@ func newSpecMetrics(reg *obs.Registry) *specMetrics {
 	}
 }
 
-func (m *specMetrics) sessionCounter(phase string) *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sessions == nil {
-		m.sessions = make(map[string]*obs.Counter)
-	}
-	c, ok := m.sessions[phase]
-	if !ok {
-		c = m.reg.Counter("edload_spec_sessions_total",
-			"sessions completed per schedule phase", obs.L("phase", phase))
-		m.sessions[phase] = c
-	}
-	return c
+// sessionDone counts one completed session of the phase (the registry
+// hands back the same counter for the same label).
+func (m *specMetrics) sessionDone(phase string) {
+	m.reg.Counter("edload_spec_sessions_total",
+		"sessions completed per schedule phase", obs.L("phase", phase)).Inc()
+}
+
+// sessionPlan builds one arrival's plan: the client's own behaviour,
+// with the reachability the engine drew for this session (the spec's
+// churn.low_id_fraction, or the client's own when the spec has none) and
+// a length that follows the session's simulated lifetime.
+func sessionPlan(p *clients.Planner, c *workload.Client, r *randx.Rand, ev workload.Event,
+	crowd []ed2k.FileID, maxMsgs int) []ed2k.Message {
+	arriving := *c // the population is shared between sessions
+	arriving.LowID = ev.LowID
+	n := int(messagesPerSessionHour * float64(ev.Dur) / float64(simtime.Hour))
+	return p.SessionMessages(&arriving, r, min(max(n, 4), maxMsgs), crowd)
 }
 
 // RunSpec replays the spec's event stream against the configured
@@ -135,32 +113,11 @@ func RunSpec(ctx context.Context, cfg SpecConfig) (SpecStats, error) {
 	if cfg.Spec == nil {
 		return st, fmt.Errorf("edload: RunSpec requires a spec")
 	}
-	if len(cfg.Addrs) == 0 {
-		cfg.Addrs = []string{cfg.Addr}
-	}
-	if cfg.FailoverAttempts <= 0 {
-		cfg.FailoverAttempts = 2*len(cfg.Addrs) + 1
-	}
-	if cfg.AnswerTimeout <= 0 {
-		cfg.AnswerTimeout = 15 * time.Second
-	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 64
 	}
-	if cfg.MessagesPerSessionHour <= 0 {
-		cfg.MessagesPerSessionHour = 48
-	}
 	if cfg.MaxMessagesPerSession <= 0 {
 		cfg.MaxMessagesPerSession = 256
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.Traffic.OfferBatch == 0 {
-		cfg.Traffic = clients.DefaultTraffic()
-	}
-	if err := cfg.Traffic.Validate(); err != nil {
-		return st, err
 	}
 	eng, err := workload.NewEngine(cfg.Spec)
 	if err != nil {
@@ -171,179 +128,67 @@ func RunSpec(ctx context.Context, cfg SpecConfig) (SpecStats, error) {
 		factor = cfg.Spec.Compress
 	}
 	comp := simtime.NewCompressor(factor)
-	planner := clients.NewPlanner(eng.Catalog(), cfg.Traffic)
-	mgr, err := clients.NewServerManager(cfg.Addrs...)
+	planner := clients.NewPlanner(eng.Catalog(), clients.DefaultTraffic())
+	d, err := newDriver(ctx, cfg.Target, cfg.MaxConcurrent)
 	if err != nil {
 		return st, err
 	}
-	var met *specMetrics
-	var lat *latHists
-	if cfg.Metrics != nil {
-		met = newSpecMetrics(cfg.Metrics)
-		lat = newLatHists(cfg.Metrics)
-	}
-	if cfg.Logf != nil {
-		cfg.Logf("edload: spec %q: %v simulated at %v against %v",
-			cfg.Spec.Name, eng.Total(), comp, cfg.Addrs)
-	}
+	met := newSpecMetrics(d.tgt.Metrics, d.sem)
+	d.tgt.Logf("edload: spec %q: %v simulated at %v against %v",
+		cfg.Spec.Name, eng.Total(), comp, cfg.Addrs)
 
-	// The session Config the lockstep machinery runs under.
-	runCfg := Config{
-		Addrs:            cfg.Addrs,
-		FailoverAttempts: cfg.FailoverAttempts,
-		AnswerTimeout:    cfg.AnswerTimeout,
-		DialTimeout:      cfg.DialTimeout,
-		Logf:             cfg.Logf,
-	}
-
-	var (
-		sent, answers, offers, search, asks, found, failovers atomic.Uint64
-		sessions                                              atomic.Uint64
-	)
 	pop := eng.Population()
 	root := randx.New(cfg.Spec.Seed, 0xED10AD5BEC)
-
-	start := time.Now()
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sem := make(chan struct{}, cfg.MaxConcurrent)
-	errc := make(chan error, 1)
-	var wg sync.WaitGroup
-
-	// crowdIDs[i] is release i's fileID list, populated when the release
-	// fires. Only the dispatcher writes it, and only goroutines spawned
-	// afterwards read it (slices are immutable once set).
+	// crowdIDs[i] is release i's fileID list, set when the release fires.
 	crowdIDs := make([][]ed2k.FileID, len(eng.Releases()))
 
-	dispatch := func(ev workload.Event) bool {
-		if err := comp.Wait(runCtx, ev.At); err != nil {
-			return false
+	for {
+		ev, ok := eng.Next()
+		if !ok || comp.Wait(d.ctx, ev.At) != nil {
+			break
 		}
-		if b := comp.Behind(ev.At); b > st.MaxBehind {
-			st.MaxBehind = b
+		behind := comp.Behind(ev.At)
+		if behind > st.MaxBehind {
+			st.MaxBehind = behind
 		}
-		if met != nil {
-			met.rateMilli.Set(int64(eng.RateAt(ev.At) * 1000))
-			met.behindMS.Set(comp.Behind(ev.At).Milliseconds())
-		}
+		met.rateMilli.Set(int64(eng.RateAt(ev.At) * 1000))
+		met.behindMS.Set(behind.Milliseconds())
 		switch ev.Kind {
 		case workload.EvRelease:
 			rel := &eng.Releases()[ev.Release]
 			crowdIDs[ev.Release] = rel.IDs(eng.Catalog())
 			st.Releases++
-			if met != nil {
-				met.releases.Inc()
-			}
-			if cfg.Logf != nil {
-				cfg.Logf("edload: release %q at %v: %d files (+%d forged), crowd x%v for %v",
-					rel.Spec.Name, ev.At, len(rel.Genuine), len(rel.Forged),
-					rel.Spec.CrowdBoost, rel.Spec.CrowdDuration)
-			}
+			met.releases.Inc()
+			d.tgt.Logf("edload: release %q at %v: %d files (+%d forged), crowd x%v for %v",
+				rel.Spec.Name, ev.At, len(rel.Genuine), len(rel.Forged),
+				rel.Spec.CrowdBoost, rel.Spec.CrowdDuration)
 		case workload.EvSessionEnd:
 			// Session length was already encoded in the plan size at
 			// start; nothing to tear down here.
 		case workload.EvSessionStart:
-			select {
-			case sem <- struct{}{}:
-			default:
-				st.Skipped++
-				if met != nil {
-					met.skipped.Inc()
-				}
-				return true
-			}
 			var crowd []ed2k.FileID
 			if ev.Release >= 0 {
 				crowd = crowdIDs[ev.Release]
 			}
-			r := root.Split(ev.Session)
-			c := &pop.Clients[ev.Client]
-			maxMsgs := int(float64(cfg.MessagesPerSessionHour) * float64(ev.Dur) / float64(simtime.Hour))
-			if maxMsgs < 4 {
-				maxMsgs = 4
+			plan := func() []ed2k.Message {
+				return sessionPlan(planner, &pop.Clients[ev.Client], root.Split(ev.Session), ev, crowd, cfg.MaxMessagesPerSession)
 			}
-			if maxMsgs > cfg.MaxMessagesPerSession {
-				maxMsgs = cfg.MaxMessagesPerSession
+			if !d.start(fmt.Sprintf("session %d", ev.Session), plan, func() { met.sessionDone(ev.Phase) }) {
+				st.Skipped++
+				met.skipped.Inc()
 			}
-			plan := planner.SessionMessages(c, r, maxMsgs, crowd)
-			phase := ev.Phase
-			if met != nil {
-				met.active.Inc()
-			}
-			wg.Add(1)
-			go func(sid uint64) {
-				defer wg.Done()
-				defer func() {
-					<-sem
-					if met != nil {
-						met.active.Dec()
-					}
-				}()
-				s := &session{
-					cfg:       &runCfg,
-					mgr:       mgr,
-					lat:       lat,
-					sent:      &sent,
-					answers:   &answers,
-					offers:    &offers,
-					search:    &search,
-					asks:      &asks,
-					found:     &found,
-					failovers: &failovers,
-				}
-				if err := s.run(runCtx, plan); err != nil {
-					select {
-					case errc <- fmt.Errorf("edload: session %d: %w", sid, err):
-					default:
-					}
-					cancel()
-					return
-				}
-				sessions.Add(1)
-				if c := met.sessionCounter(phase); c != nil {
-					c.Inc()
-				}
-			}(ev.Session)
-		}
-		return true
-	}
-
-	for {
-		ev, ok := eng.Next()
-		if !ok {
-			break
-		}
-		if !dispatch(ev) {
-			break
 		}
 	}
-	wg.Wait()
 
-	st.Clients = int(sessions.Load())
-	st.Sent = sent.Load()
-	st.Answers = answers.Load()
-	st.Offers = offers.Load()
-	st.Searches = search.Load()
-	st.Asks = asks.Load()
-	st.Found = found.Load()
-	st.Failovers = failovers.Load()
-	st.Wall = time.Since(start)
-	st.Sessions = sessions.Load()
+	st.Stats, err = d.wait()
+	st.Sessions = uint64(st.Clients)
 	st.SuppressedBySpec = eng.Suppressed()
 	st.SimSpan = eng.Total()
 	st.Factor = comp.Factor()
-
-	select {
-	case err := <-errc:
-		return st, err
-	default:
-	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return st, err
 	}
-	if cfg.Logf != nil {
-		cfg.Logf("edload: spec done: %d sessions (%d skipped, %d spec-suppressed), %d sent, %d answered in %v",
-			st.Sessions, st.Skipped, st.SuppressedBySpec, st.Sent, st.Answers, st.Wall.Round(time.Millisecond))
-	}
+	d.tgt.Logf("edload: spec done: %d sessions (%d skipped, %d spec-suppressed), %d sent, %d answered in %v",
+		st.Sessions, st.Skipped, st.SuppressedBySpec, st.Sent, st.Answers, st.Wall.Round(time.Millisecond))
 	return st, nil
 }

@@ -5,13 +5,17 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"edtrace/internal/clients"
+	"edtrace/internal/ed2k"
 	"edtrace/internal/obs"
+	"edtrace/internal/randx"
 	"edtrace/internal/simtime"
 	"edtrace/internal/workload"
 )
@@ -57,10 +61,8 @@ func TestSpecReplaySmoke(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	st, err := RunSpec(ctx, SpecConfig{
-		Addr:    d.TCPAddr().String(),
-		Spec:    smokeSpec(),
-		Metrics: reg,
-		Logf:    t.Logf,
+		Target: Target{Addrs: []string{d.TCPAddr().String()}, Metrics: reg, Logf: t.Logf},
+		Spec:   smokeSpec(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +126,7 @@ func TestSpecReplayPacing(t *testing.T) {
 	run := func(factor float64) SpecStats {
 		t.Helper()
 		st, err := RunSpec(context.Background(), SpecConfig{
-			Addr:     d.TCPAddr().String(),
+			Target:   Target{Addrs: []string{d.TCPAddr().String()}},
 			Spec:     spec,
 			Compress: factor,
 		})
@@ -143,5 +145,116 @@ func TestSpecReplayPacing(t *testing.T) {
 	}
 	if slow.Wall < fast.Wall {
 		t.Fatalf("slower factor finished faster: %v vs %v", slow.Wall, fast.Wall)
+	}
+}
+
+// engineStarts drains a fresh engine over spec and returns its session
+// arrivals in order.
+func engineStarts(t *testing.T, spec *workload.Spec) (*workload.Engine, []workload.Event) {
+	t.Helper()
+	eng, err := workload.NewEngine(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []workload.Event
+	for ev, ok := eng.Next(); ok; ev, ok = eng.Next() {
+		if ev.Kind == workload.EvSessionStart {
+			starts = append(starts, ev)
+		}
+	}
+	return eng, starts
+}
+
+// TestSpecConcurrencyCap is the driver's cap seen through RunSpec: with
+// room for one session and arrivals that overlap, the dispatcher turns
+// arrivals away instead of waiting for the slot, and every arrival the
+// engine produced is either run or counted as skipped.
+func TestSpecConcurrencyCap(t *testing.T) {
+	d := startDaemon(t)
+	spec := smokeSpec()
+	spec.Phases = []workload.PhaseSpec{
+		{Name: "burst", Duration: workload.Duration(2 * simtime.Hour), Rate: 2},
+	}
+	spec.Releases = nil
+	spec.Churn.MaxActive = 0
+	_, starts := engineStarts(t, spec)
+
+	st, err := RunSpec(context.Background(), SpecConfig{
+		Target:        Target{Addrs: []string{d.TCPAddr().String()}},
+		Spec:          spec,
+		Compress:      1e9, // every arrival is due at once: the dispatcher never sleeps
+		MaxConcurrent: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Skipped == 0 {
+		t.Fatalf("%d overlapping arrivals at a cap of one and none skipped: %+v", len(starts), st)
+	}
+	if st.Sessions == 0 || st.Sessions+st.Skipped != uint64(len(starts)) {
+		t.Fatalf("%d sessions + %d skipped, engine started %d", st.Sessions, st.Skipped, len(starts))
+	}
+	if ds := d.Stats(); ds.Conns != st.Sessions {
+		t.Fatalf("daemon accepted %d connections for %d sessions", ds.Conns, st.Sessions)
+	}
+}
+
+// TestSpecLowIDFractionReachesTheWire: churn.low_id_fraction decides
+// each arriving session's reachability, and the plan must announce
+// under the clientID that follows from it. At the parent of PR 17 the
+// engine drew the flag and the planner never saw it.
+func TestSpecLowIDFractionReachesTheWire(t *testing.T) {
+	type planFunc func(p *clients.Planner, c *workload.Client, r *randx.Rand, ev workload.Event) []ed2k.Message
+	viaSessionPlan := func(p *clients.Planner, c *workload.Client, r *randx.Rand, ev workload.Event) []ed2k.Message {
+		return sessionPlan(p, c, r, ev, nil, 256)
+	}
+	// plans builds every arrival's plan for smokeSpec with the given
+	// churn.low_id_fraction, seeded as RunSpec seeds it.
+	plans := func(fraction *float64, build planFunc) (frames [][]byte, offers []*ed2k.OfferFiles) {
+		spec := smokeSpec()
+		spec.Churn.LowIDFraction = fraction
+		eng, starts := engineStarts(t, spec)
+		planner := clients.NewPlanner(eng.Catalog(), clients.DefaultTraffic())
+		root := randx.New(spec.Seed, 0xED10AD5BEC)
+		for _, ev := range starts {
+			for _, m := range build(planner, &eng.Population().Clients[ev.Client], root.Split(ev.Session), ev) {
+				frames = append(frames, ed2k.FrameTCP(m))
+				if o, ok := m.(*ed2k.OfferFiles); ok {
+					offers = append(offers, o)
+				}
+			}
+		}
+		if len(offers) == 0 {
+			t.Fatal("no session announced anything")
+		}
+		return frames, offers
+	}
+	for _, tc := range []struct {
+		fraction float64
+		low      bool
+	}{{1, true}, {0, false}} {
+		_, offers := plans(&tc.fraction, viaSessionPlan)
+		for _, o := range offers {
+			ids := []ed2k.ClientID{o.Client}
+			for _, f := range o.Files {
+				ids = append(ids, f.Client)
+			}
+			for _, id := range ids {
+				if id.IsLowID() != tc.low {
+					t.Fatalf("low_id_fraction %v: offer under clientID %#x", tc.fraction, id)
+				}
+			}
+		}
+	}
+
+	// Without the field each client's own profile decides, as before the
+	// fix: the plans are those of the unmodified population.
+	got, _ := plans(nil, viaSessionPlan)
+	want, _ := plans(nil, func(p *clients.Planner, c *workload.Client, r *randx.Rand, ev workload.Event) []ed2k.Message {
+		n := min(max(int(48*float64(ev.Dur)/float64(simtime.Hour)), 4), 256)
+		return p.SessionMessages(c, r, n, nil)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a spec without low_id_fraction no longer plans from the population's own low-ID flags")
 	}
 }

@@ -59,12 +59,11 @@ func (cfg *Config) defaults() {
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg.defaults()
 	wl := edload.DefaultWorkload(cfg.Seed, cfg.Clients)
-	tc := clients.DefaultTraffic()
 
 	// --- Sim leg -----------------------------------------------------
 	sim := core.DefaultSimConfig()
 	sim.Workload = wl
-	sim.Traffic = tc
+	sim.Traffic = clients.DefaultTraffic() // the mix edload plans with
 	sim.Traffic.Duration = cfg.SimDuration
 	cfg.Logf("calibrate: sim leg — %d clients, %v virtual", cfg.Clients, cfg.SimDuration)
 	simCol := NewCollector()
@@ -87,10 +86,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		sessErr <- err
 	}()
 	_, loadErr := edload.Run(ctx, edload.Config{
-		Addr:                 d.TCPAddr().String(),
+		Target:               edload.Target{Addrs: []string{d.TCPAddr().String()}},
 		Clients:              cfg.Clients,
 		Workload:             wl,
-		Traffic:              tc,
 		MaxMessagesPerClient: cfg.MaxMessagesPerClient,
 	})
 	// Shutting the daemon down closes the source, ending the capture

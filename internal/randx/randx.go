@@ -48,9 +48,6 @@ func (r *Rand) Int64N(n int64) int64 { return r.src.Int64N(n) }
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.src.Float64() < p }
 
-// NormFloat64 returns a standard normal variate.
-func (r *Rand) NormFloat64() float64 { return r.src.NormFloat64() }
-
 // ExpFloat64 returns an exponential variate with rate 1.
 func (r *Rand) ExpFloat64() float64 { return r.src.ExpFloat64() }
 

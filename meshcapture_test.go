@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"edtrace/internal/clients"
 	"edtrace/internal/dataset"
 	"edtrace/internal/edload"
 	"edtrace/internal/edmesh"
@@ -74,10 +73,9 @@ func TestMeshCapture(t *testing.T) {
 	}()
 
 	if _, err := edload.Run(context.Background(), edload.Config{
-		Addrs:                addrs,
+		Target:               edload.Target{Addrs: addrs},
 		Clients:              30,
 		Workload:             edload.DefaultWorkload(5, 30),
-		Traffic:              clients.DefaultTraffic(),
 		MaxMessagesPerClient: 60,
 	}); err != nil {
 		t.Fatal(err)

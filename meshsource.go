@@ -3,7 +3,6 @@ package edtrace
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync/atomic"
 
 	"edtrace/internal/edserverd"
@@ -98,16 +97,6 @@ func (s *MeshSource) Frames(ctx context.Context, emit EmitFunc) error {
 // pipeline.
 func (s *MeshSource) serverNames() map[uint32]string {
 	return s.names
-}
-
-// ServerNameList returns the mesh's provenance tags, sorted.
-func (s *MeshSource) ServerNameList() []string {
-	out := make([]string, 0, len(s.names))
-	for _, n := range s.names {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // pipelineDefaults satisfies the session's configuration probe; the

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"edtrace/internal/clients"
 	"edtrace/internal/edload"
 	"edtrace/internal/edserverd"
 )
@@ -33,10 +32,9 @@ func TestSelfCapture(t *testing.T) {
 	}()
 
 	loadStats, err := edload.Run(context.Background(), edload.Config{
-		Addr:                 d.TCPAddr().String(),
+		Target:               edload.Target{Addrs: []string{d.TCPAddr().String()}},
 		Clients:              40,
 		Workload:             edload.DefaultWorkload(3, 40),
-		Traffic:              clients.DefaultTraffic(),
 		MaxMessagesPerClient: 50,
 	})
 	if err != nil {

@@ -53,8 +53,7 @@ type processSharer interface{ sharesProcess() }
 // buffer) and yields the frames its capture machine drains — the paper's
 // whole measurement as a frame stream.
 type SimSource struct {
-	// Config is the full simulation configuration; its Sink field is
-	// ignored (records are routed by the Session).
+	// Config is the full simulation configuration.
 	Config core.SimConfig
 
 	rep *core.Report
@@ -68,9 +67,7 @@ func NewSimSource(cfg core.SimConfig) *SimSource {
 // Frames implements Source: it builds the world and runs it, forwarding
 // every drained frame to emit in deterministic order.
 func (s *SimSource) Frames(ctx context.Context, emit EmitFunc) error {
-	cfg := s.Config
-	cfg.Sink = nil // frames leave the world; records are the Session's job
-	w, err := core.NewSimWorld(cfg)
+	w, err := core.NewSimWorld(s.Config)
 	if err != nil {
 		return err
 	}
