@@ -2,6 +2,7 @@ package edtrace
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"edtrace/internal/analysis"
@@ -101,6 +102,37 @@ func TestProducedDatasetPassesVerification(t *testing.T) {
 	}
 	if rep.Records == 0 {
 		t.Fatal("empty dataset")
+	}
+}
+
+// TestSessionHeapFollowsClients is the end-to-end pin on the clientID
+// table's page size: a capture of a thousand clients spread over the IPv4
+// space, storing its dataset and computing its figures, holds tens of
+// megabytes when it ends. With a page large enough that every client
+// materialises megabytes of untouched cells it holds gigabytes.
+func TestSessionHeapFollowsClients(t *testing.T) {
+	sim := tinySim()
+	sim.Workload.NumClients = 1100
+	sim.Workload.NumFiles = 1000
+	// Many clients, little traffic from each: the table's size follows
+	// the first, the test's run time the second.
+	sim.Workload.HeavyFraction, sim.Workload.ScannerFraction = 0, 0
+	sim.Traffic.Duration = simtime.Hour
+	var heapInuse uint64
+	res := runSim(t, sim, WithFigures(), WithDataset(t.TempDir(), true),
+		WithProgressEvery(1<<62), // only the end-of-stream call
+		WithProgress(func(Progress) {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			heapInuse = ms.HeapInuse
+		}))
+	if res.Report.DistinctClients < 1000 {
+		t.Fatalf("only %d distinct clients seen, want >= 1000", res.Report.DistinctClients)
+	}
+	if limit := uint64(200 << 20); heapInuse == 0 || heapInuse > limit {
+		t.Fatalf("%d MB of heap in use after %d clients, want 1..%d MB",
+			heapInuse>>20, res.Report.DistinctClients, limit>>20)
 	}
 }
 

@@ -1,6 +1,7 @@
 package anonymize
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -45,33 +46,151 @@ func TestClientDirectLookup(t *testing.T) {
 
 func TestClientDirectPaging(t *testing.T) {
 	c := NewClientDirect()
-	c.Anonymize(0)        // page 0
-	c.Anonymize(pageSize) // page 1
-	c.Anonymize(1)        // page 0 again
+	if c.PagesAllocated() != 0 || c.MemoryBytes() != dirBytes {
+		t.Fatalf("empty table: %d pages, %d bytes", c.PagesAllocated(), c.MemoryBytes())
+	}
+	c.Anonymize(0)         // page 0
+	c.Anonymize(pageCells) // page 1
+	c.Anonymize(1)         // page 0 again
 	if got := c.PagesAllocated(); got != 2 {
 		t.Fatalf("PagesAllocated = %d, want 2", got)
 	}
-	if c.MemoryBytes() != 2*pageSize*4 {
-		t.Fatalf("MemoryBytes = %d", c.MemoryBytes())
+	if want := uint64(dirBytes + 2*pageBytes); c.MemoryBytes() != want {
+		t.Fatalf("MemoryBytes = %d, want %d (directory + 2 pages)", c.MemoryBytes(), want)
 	}
 	if c.String() == "" {
 		t.Fatal("empty String()")
 	}
 }
 
-func TestClientDirectMatchesMapBaseline(t *testing.T) {
-	direct := NewClientDirect()
-	baseline := NewClientMap()
-	r := randx.New(1, 2)
-	for i := 0; i < 50000; i++ {
-		// Heavy reuse: small id space so most draws repeat.
-		id := r.Uint32() % 8192
-		if direct.Anonymize(id) != baseline.Anonymize(id) {
-			t.Fatalf("divergence at step %d id %d", i, id)
+// TestClientDirectPageEdges: the cells on either side of every kind of
+// page boundary, and a Lookup that must not materialise anything.
+func TestClientDirectPageEdges(t *testing.T) {
+	c := NewClientDirect()
+	ids := []uint32{
+		0, pageCells - 1, // first and last cell of the first page
+		pageCells, 2*pageCells - 1, // ... of the second
+		0xFFFFFFFF, 0xFFFFFFFF - (pageCells - 1), // last and first cell of the last page
+		7 * pageCells, // a page of its own
+	}
+	for want, id := range ids {
+		if _, ok := c.Lookup(id); ok {
+			t.Fatalf("Lookup(%#x) found an unseen id", id)
+		}
+		if got := c.Anonymize(id); got != uint32(want) {
+			t.Fatalf("Anonymize(%#x) = %d, want %d", id, got, want)
 		}
 	}
-	if direct.Count() != baseline.Count() {
-		t.Fatalf("counts differ: %d vs %d", direct.Count(), baseline.Count())
+	for want, id := range ids {
+		if got, ok := c.Lookup(id); !ok || got != uint32(want) {
+			t.Fatalf("Lookup(%#x) = %d,%v, want %d", id, got, ok, want)
+		}
+	}
+	if got := c.PagesAllocated(); got != 4 {
+		t.Fatalf("PagesAllocated = %d, want 4", got)
+	}
+	// Untouched pages, and unseen cells next to seen ones.
+	for _, id := range []uint32{3 * pageCells, 0x80000000, 1, pageCells + 1, 0xFFFFFFFE} {
+		if _, ok := c.Lookup(id); ok {
+			t.Fatalf("Lookup(%#x) found an unseen id", id)
+		}
+	}
+	if got := c.PagesAllocated(); got != 4 {
+		t.Fatalf("Lookup materialised a page: %d pages, want 4", got)
+	}
+}
+
+// TestClientDirectMatchesMapBaseline is the differential against the
+// classical structure, on ID streams that stay on a couple of pages,
+// fill a range densely, spread over the whole space, and mix the three.
+func TestClientDirectMatchesMapBaseline(t *testing.T) {
+	streams := map[string]func(r *randx.Rand) uint32{
+		"few-pages": func(r *randx.Rand) uint32 { return r.Uint32() % 8192 }, // heavy reuse
+		"low-dense": func(r *randx.Rand) uint32 { return r.Uint32() % (1 << 24) },
+		"uniform":   func(r *randx.Rand) uint32 { return r.Uint32() },
+		"mixture": func(r *randx.Rand) uint32 {
+			switch r.IntN(3) {
+			case 0:
+				return r.Uint32() % 8192
+			case 1:
+				return r.Uint32() % (1 << 24)
+			}
+			return r.Uint32()
+		},
+	}
+	for name, draw := range streams {
+		t.Run(name, func(t *testing.T) {
+			direct := NewClientDirect()
+			baseline := NewClientMap()
+			r := randx.New(1, 2)
+			var ids []uint32
+			for i := 0; i < 50000; i++ {
+				id := draw(r)
+				if i%3 == 0 && len(ids) > 0 {
+					id = ids[r.IntN(len(ids))] // a repeat, whatever the space
+				}
+				ids = append(ids, id)
+				if direct.Anonymize(id) != baseline.Anonymize(id) {
+					t.Fatalf("divergence at step %d id %d", i, id)
+				}
+			}
+			if direct.Count() != baseline.Count() {
+				t.Fatalf("counts differ: %d vs %d", direct.Count(), baseline.Count())
+			}
+			for _, id := range ids {
+				if got, ok := direct.Lookup(id); !ok || got != baseline.Anonymize(id) {
+					t.Fatalf("Lookup(%d) = %d,%v, baseline %d", id, got, ok, baseline.Anonymize(id))
+				}
+			}
+		})
+	}
+}
+
+// TestClientDirectFootprint: the table's memory follows the IDs it has
+// seen — at most one page per ID on top of the directory — and
+// MemoryBytes tells the truth about it: the heap the table really holds
+// is within a factor of two of the figure.
+func TestClientDirectFootprint(t *testing.T) {
+	const n = 3000 // the benchmark's capture sees about this many
+	heapInuse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	before := heapInuse()
+	c := NewClientDirect()
+	r := randx.New(5, 6)
+	for i := 0; i < n; i++ {
+		c.Anonymize(r.Uint32())
+	}
+	held := heapInuse() - before
+	runtime.KeepAlive(c)
+
+	mem := c.MemoryBytes()
+	if max := uint64(dirBytes + n*pageBytes); mem > max {
+		t.Fatalf("MemoryBytes = %d for %d ids, want <= %d (directory + one page an id)", mem, n, max)
+	}
+	if held > 2*mem || mem > 2*held {
+		t.Fatalf("heap in use grew by %d bytes, MemoryBytes says %d: not within 2x", held, mem)
+	}
+}
+
+// TestClientDirectAllocs: once a page exists, neither a repeat nor a
+// first sight on it allocates.
+func TestClientDirectAllocs(t *testing.T) {
+	c := NewClientDirect()
+	const base = 9 * pageCells
+	c.Anonymize(base)
+	if a := testing.AllocsPerRun(100, func() { c.Anonymize(base) }); a != 0 {
+		t.Errorf("seen id: %v allocs, want 0", a)
+	}
+	next := uint32(base)
+	if a := testing.AllocsPerRun(100, func() { next++; c.Anonymize(next) }); a != 0 {
+		t.Errorf("first-seen id on a materialised page: %v allocs, want 0", a)
+	}
+	if c.PagesAllocated() != 1 || c.Count() < 100 {
+		t.Fatalf("%d pages, %d ids: the first-seen run did not stay on one page", c.PagesAllocated(), c.Count())
 	}
 }
 
@@ -163,6 +282,34 @@ func TestFileBucketsBytePairSelection(t *testing.T) {
 	sizes := firstTwo.BucketSizes()
 	if sizes[0] != 100 {
 		t.Fatalf("bucket 0 = %d, want 100", sizes[0])
+	}
+}
+
+// TestFileBucketsMaxBucketMatchesScan: the largest bucket kept on insert
+// is the one a scan in index order finds, ties included.
+func TestFileBucketsMaxBucketMatchesScan(t *testing.T) {
+	f := NewFileBuckets(5, 11)
+	if idx, size := f.MaxBucket(); idx != 0 || size != 0 {
+		t.Fatalf("empty MaxBucket = %d,%d", idx, size)
+	}
+	r := randx.New(8, 9)
+	for i := 0; i < 3000; i++ {
+		var id ed2k.FileID
+		id[5], id[11] = byte(r.IntN(3)), byte(r.IntN(3)) // 9 buckets: ties are the rule
+		id[0] = byte(r.IntN(64))
+		f.Anonymize(id)
+		if i%25 != 0 {
+			continue
+		}
+		wantIdx, wantSize := 0, 0
+		for b, n := range f.BucketSizes() {
+			if n > wantSize {
+				wantIdx, wantSize = b, n
+			}
+		}
+		if idx, size := f.MaxBucket(); idx != wantIdx || size != wantSize {
+			t.Fatalf("step %d: MaxBucket = %d,%d, scan finds %d,%d", i, idx, size, wantIdx, wantSize)
+		}
 	}
 }
 

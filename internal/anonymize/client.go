@@ -3,9 +3,16 @@
 //   - clientID: encoded by order of appearance. The paper rejects hashing
 //     (trivially invertible over the 2^32 space) and shuffling, and uses a
 //     flat array of 2^32 integers — 16 GB — indexed by the clientID so
-//     every lookup is one memory access. ClientDirect reproduces that
-//     structure with lazily allocated pages so the identical access path
-//     runs on ordinary machines; eager mode lays out the full array.
+//     every lookup is one memory access. ClientDirect is that array cut
+//     into 16 KiB pages (4096 cells, one /20 of the ID space) behind a
+//     directory of 2^20 page pointers: a lookup is a shift, a directory
+//     load, a mask and a cell load, and a page materialises the first
+//     time an ID on it is seen. The table therefore costs 8 MiB of
+//     directory plus 16 KiB per distinct /20 touched. There is no
+//     separate "eager" layout with every page allocated up front: that
+//     is this table once every page has been touched, which a capture
+//     of the paper's 90 M clients approaches — the paper's 16 GiB
+//     array, plus the directory.
 //   - fileID: also order of appearance, but 128-bit identifiers rule the
 //     flat array out. The paper splits the set into 65 536 sorted arrays
 //     indexed by two bytes of the fileID, and discovers that using the
@@ -33,10 +40,19 @@ type ClientAnonymizer interface {
 	Count() uint32
 }
 
+// The page size is a constant chosen from a measured curve (4, 16 and
+// 64 KiB pages against live heap, lookup time and the ablation benchmark:
+// docs/architecture.md). Smaller pages waste less around a lone ID but
+// grow the directory, which is the one part of the table the garbage
+// collector scans and, at 2^20 entries, already larger than L2.
 const (
 	clientSpaceBits = 32
-	pageBits        = 20 // 1 Mi entries (4 MiB) per page
-	pageSize        = 1 << pageBits
+	pageBits        = 12 // 4096 cells (16 KiB) per page
+	pageCells       = 1 << pageBits
+	dirEntries      = 1 << (clientSpaceBits - pageBits)
+
+	pageBytes = pageCells * 4
+	dirBytes  = dirEntries * 8
 )
 
 // ClientDirect is the paper's direct-index structure: conceptually one
@@ -44,53 +60,42 @@ const (
 // clientID i. Cells store anon+1 so the zero value means "unseen" and
 // fresh pages need no initialisation pass.
 type ClientDirect struct {
-	pages [][]uint32
+	dir   *[dirEntries]*[pageCells]uint32
+	pages int
 	next  uint32
 }
 
-// NewClientDirect returns a lazily paged direct-index anonymizer.
+// NewClientDirect returns an empty table: the directory, no pages.
 func NewClientDirect() *ClientDirect {
-	return &ClientDirect{pages: make([][]uint32, 1<<(clientSpaceBits-pageBits))}
-}
-
-// NewClientDirectEager returns the paper's exact layout: every page
-// allocated up front, 16 GiB of central memory. Only call this when the
-// machine actually has the memory; the lazy variant is behaviourally
-// identical.
-func NewClientDirectEager() *ClientDirect {
-	c := NewClientDirect()
-	for i := range c.pages {
-		c.pages[i] = make([]uint32, pageSize)
-	}
-	return c
+	return &ClientDirect{dir: new([dirEntries]*[pageCells]uint32)}
 }
 
 // Anonymize implements ClientAnonymizer with one index computation and at
 // most one page allocation.
 func (c *ClientDirect) Anonymize(id uint32) uint32 {
-	p := id >> pageBits
-	off := id & (pageSize - 1)
-	page := c.pages[p]
+	page := c.dir[id>>pageBits]
 	if page == nil {
-		page = make([]uint32, pageSize)
-		c.pages[p] = page
+		page = new([pageCells]uint32)
+		c.dir[id>>pageBits] = page
+		c.pages++
 	}
-	if v := page[off]; v != 0 {
+	cell := &page[id&(pageCells-1)]
+	if v := *cell; v != 0 {
 		return v - 1
 	}
 	anon := c.next
 	c.next++
-	page[off] = anon + 1
+	*cell = anon + 1
 	return anon
 }
 
 // Lookup returns the anonymisation of id if it has been seen.
 func (c *ClientDirect) Lookup(id uint32) (uint32, bool) {
-	page := c.pages[id>>pageBits]
+	page := c.dir[id>>pageBits]
 	if page == nil {
 		return 0, false
 	}
-	v := page[id&(pageSize-1)]
+	v := page[id&(pageCells-1)]
 	if v == 0 {
 		return 0, false
 	}
@@ -100,21 +105,13 @@ func (c *ClientDirect) Lookup(id uint32) (uint32, bool) {
 // Count implements ClientAnonymizer.
 func (c *ClientDirect) Count() uint32 { return c.next }
 
-// PagesAllocated reports how many pages have materialised; eager mode
-// reports the full 2^12.
-func (c *ClientDirect) PagesAllocated() int {
-	n := 0
-	for _, p := range c.pages {
-		if p != nil {
-			n++
-		}
-	}
-	return n
-}
+// PagesAllocated reports how many pages have materialised.
+func (c *ClientDirect) PagesAllocated() int { return c.pages }
 
-// MemoryBytes estimates the structure's current memory footprint.
+// MemoryBytes is the table's current footprint: the directory and every
+// materialised page.
 func (c *ClientDirect) MemoryBytes() uint64 {
-	return uint64(c.PagesAllocated()) * pageSize * 4
+	return dirBytes + uint64(c.pages)*pageBytes
 }
 
 // ClientMap is the classical-hashtable baseline the paper dismisses as too
@@ -151,6 +148,6 @@ var (
 
 // String describes the structure for reports.
 func (c *ClientDirect) String() string {
-	return fmt.Sprintf("direct-index array: %d clients, %d/%d pages, %d MiB",
-		c.next, c.PagesAllocated(), len(c.pages), c.MemoryBytes()>>20)
+	return fmt.Sprintf("direct-index array: %d clients, %d/%d pages of %d KiB, %.1f MiB with the directory",
+		c.next, c.pages, dirEntries, pageBytes>>10, float64(c.MemoryBytes())/(1<<20))
 }

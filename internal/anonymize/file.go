@@ -36,6 +36,9 @@ type FileBuckets struct {
 	byteA, byteB int
 	buckets      [BucketCount][]fileSlot
 	next         uint32
+	// The largest bucket, kept on insert (buckets only grow); among
+	// equals the lowest index, as a scan in index order would find it.
+	maxIdx, maxSize int
 }
 
 // NewFileBuckets returns a bucketed anonymizer indexing with fileID bytes
@@ -80,6 +83,9 @@ func (f *FileBuckets) Anonymize(id ed2k.FileID) uint32 {
 	copy(bucket[i+1:], bucket[i:])
 	bucket[i] = fileSlot{id: id, anon: anon}
 	f.buckets[b] = bucket
+	if n := len(bucket); n > f.maxSize || n == f.maxSize && int(b) < f.maxIdx {
+		f.maxIdx, f.maxSize = int(b), n
+	}
 	return anon
 }
 
@@ -108,14 +114,7 @@ func (f *FileBuckets) BucketSizes() []int {
 
 // MaxBucket returns the largest bucket's index and size ("our max array
 // size: 819" in Figure 3's annotation).
-func (f *FileBuckets) MaxBucket() (idx, size int) {
-	for i := range f.buckets {
-		if len(f.buckets[i]) > size {
-			idx, size = i, len(f.buckets[i])
-		}
-	}
-	return idx, size
-}
+func (f *FileBuckets) MaxBucket() (idx, size int) { return f.maxIdx, f.maxSize }
 
 // FileMap is the classical-hashtable baseline for fileIDs.
 type FileMap struct {

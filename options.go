@@ -113,11 +113,14 @@ func WithFileBytePair(a, b int) Option {
 
 // WithMetrics publishes the session pipeline's metrics into reg:
 // frames/records/batches throughput counters, the live queue depth and
-// average batch fill ratio, and frames dropped by cancellation or a
-// pipeline error. Without it the session adds no instrumentation to the
-// hot path. Counters are cumulative across sessions sharing a registry;
-// the queue gauges always describe the most recent session (a
-// re-registration re-points the read callbacks).
+// average batch fill ratio, frames dropped by cancellation or a
+// pipeline error, and the anonymisation tables' size (distinct clients
+// and files, the clientID table's bytes, the largest fileID bucket —
+// Figure 3's diagnostic, live). Without it the session adds no
+// instrumentation to the hot path. Counters are cumulative across
+// sessions sharing a registry; the gauges always describe the most
+// recent session (a re-registration re-points the queue's read
+// callbacks, and each session overwrites the anonymiser gauges).
 func WithMetrics(reg *obs.Registry) Option {
 	return func(o *sessionOptions) { o.metrics = reg }
 }

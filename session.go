@@ -66,6 +66,10 @@ type sessionMetrics struct {
 	dropped     *obs.Counter
 	lastRecords uint64
 	pipe        *core.Pipeline
+	// The anonymisation tables belong to the consumer goroutine, so it
+	// publishes their sizes itself (batchDone) instead of lending them to
+	// a scrape-time callback.
+	anonClients, anonFiles, clientTableBytes, maxBucket *obs.Gauge
 }
 
 func newSessionMetrics(reg *obs.Registry, frames chan []frameItem, depth, batchSize int, pipe *core.Pipeline) *sessionMetrics {
@@ -78,6 +82,11 @@ func newSessionMetrics(reg *obs.Registry, frames chan []frameItem, depth, batchS
 		batches: reg.Counter("edsession_batches_total", "frame batches consumed from the queue"),
 		dropped: reg.Counter("edsession_dropped_frames_total", "frames dropped by cancellation or a pipeline error"),
 		pipe:    pipe,
+
+		anonClients:      reg.Gauge("edsession_anonymizer_clients", "distinct clientIDs anonymised so far"),
+		anonFiles:        reg.Gauge("edsession_anonymizer_files", "distinct fileIDs anonymised so far"),
+		clientTableBytes: reg.Gauge("edsession_anonymizer_client_table_bytes", "clientID table footprint: directory plus materialised pages"),
+		maxBucket:        reg.Gauge("edsession_anonymizer_max_bucket", "largest fileID anonymisation array (the paper's Figure 3 annotation)"),
 	}
 	// Queue gauges are read callbacks over this session's channel; a
 	// later session on the same registry re-points them at its own.
@@ -105,8 +114,9 @@ func (sm *sessionMetrics) frameDone() {
 }
 
 // batchDone counts one consumed batch and folds in the records the
-// pipeline emitted for it (pipe.Stats is only safe from this goroutine,
-// so the atomic counter carries the value to concurrent scrapes).
+// pipeline emitted for it and the state of its anonymisation tables (the
+// pipeline is only safe from this goroutine, so atomics carry the values
+// to concurrent scrapes).
 func (sm *sessionMetrics) batchDone() {
 	if sm == nil {
 		return
@@ -115,6 +125,12 @@ func (sm *sessionMetrics) batchDone() {
 	rec := sm.pipe.Stats().Records
 	sm.records.Add(rec - sm.lastRecords)
 	sm.lastRecords = rec
+	ca, fa := sm.pipe.ClientAnonymizer(), sm.pipe.FileAnonymizer()
+	sm.anonClients.Set(int64(ca.Count()))
+	sm.anonFiles.Set(int64(fa.Count()))
+	sm.clientTableBytes.Set(int64(ca.MemoryBytes()))
+	_, size := fa.MaxBucket()
+	sm.maxBucket.Set(int64(size))
 }
 
 // drop counts frames abandoned mid-batch by an error or cancellation.

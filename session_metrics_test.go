@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"edtrace/internal/obs"
 	"edtrace/internal/simtime"
@@ -33,6 +35,20 @@ func TestSessionWithMetrics(t *testing.T) {
 	if reg.Counter("edsession_batches_total", "").Value() == 0 {
 		t.Fatal("no batches counted")
 	}
+	// The anonymiser gauges end on the report's own figures.
+	for name, want := range map[string]int64{
+		"edsession_anonymizer_clients":    int64(res.Report.DistinctClients),
+		"edsession_anonymizer_files":      int64(res.Report.DistinctFiles),
+		"edsession_anonymizer_max_bucket": int64(res.Report.MaxBucketSize),
+	} {
+		if got := reg.Gauge(name, "").Value(); got != want || want == 0 {
+			t.Errorf("%s = %d, report says %d", name, got, want)
+		}
+	}
+	// A few hundred clients: the table is its directory and little more.
+	if got := reg.Gauge("edsession_anonymizer_client_table_bytes", "").Value(); got <= 0 || got > 32<<20 {
+		t.Errorf("edsession_anonymizer_client_table_bytes = %d, want in (0, 32 MiB]", got)
+	}
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -46,6 +62,40 @@ func TestSessionWithMetrics(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestSessionMetricsScrapedDuringRun: every series the session publishes
+// is safe to render while the consumer is mid-stream — the anonymiser
+// gauges in particular carry values out of tables only the consumer may
+// touch. The race detector is the assertion.
+func TestSessionMetricsScrapedDuringRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	stop, scraped := make(chan struct{}), make(chan int)
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		n := 0
+		for {
+			select {
+			case <-stop:
+				scraped <- n
+				return
+			case <-tick.C:
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+				}
+				n++
+			}
+		}
+	}()
+	_, err := NewSession(NewSimSource(tinySim()), WithMetrics(reg)).Run(context.Background())
+	close(stop)
+	if n := <-scraped; n == 0 {
+		t.Error("the registry was never scraped during the run")
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
