@@ -86,7 +86,9 @@ func main() {
 	capturing := *dataset != "" || *tee != "" || *figures
 	var session <-chan sessionResult
 	if capturing {
-		var opts []edtrace.Option
+		// The Session's series (frames, drops, queue depth, anonymiser
+		// tables, dataset seal stalls) join the daemon's at -metrics.
+		opts := []edtrace.Option{edtrace.WithMetrics(d.Metrics())}
 		if *dataset != "" {
 			opts = append(opts, edtrace.WithDataset(*dataset, *gz))
 		}

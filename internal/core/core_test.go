@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"edtrace/internal/anonymize"
 	"edtrace/internal/ed2k"
 	"edtrace/internal/netsim"
 	"edtrace/internal/simtime"
@@ -97,6 +99,37 @@ func TestPipelineAnonymisesOffers(t *testing.T) {
 	}
 	if f.TypeHash == "" || f.TypeHash == "Audio" {
 		t.Fatalf("type not hashed: %q", f.TypeHash)
+	}
+}
+
+// TestTypeHashMemoIsBounded: every type hash is anonymize.HashString's,
+// from the memo or past it, and a client inventing a type per entry
+// leaves the memo at its bound.
+func TestTypeHashMemoIsBounded(t *testing.T) {
+	sink := &memSink{}
+	p := NewPipeline(testServerIP, [2]int{5, 11}, sink)
+	const n = 3 * maxTypeHashes
+	for round := 0; round < 2; round++ { // the second round reads what the first memoised
+		for i := 0; i < n; i++ {
+			offer := &ed2k.OfferFiles{Client: 99, Port: 4662, Files: []ed2k.FileEntry{{
+				ID:   ed2k.FileID{byte(i), byte(i >> 8)},
+				Tags: []ed2k.Tag{ed2k.StringTag(ed2k.FTFileType, fmt.Sprintf("type-%d", i))},
+			}}}
+			if err := p.ProcessFrame(0, frameFor(0x05060708, testServerIP, ed2k.Encode(offer))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(sink.recs) != 2*n {
+		t.Fatalf("%d records, want %d", len(sink.recs), 2*n)
+	}
+	for i, rec := range sink.recs {
+		if want := anonymize.HashString(fmt.Sprintf("type-%d", i%n)); rec.Files[0].TypeHash != want {
+			t.Fatalf("record %d: type hash %q, want %q", i, rec.Files[0].TypeHash, want)
+		}
+	}
+	if len(p.typeHashes) != maxTypeHashes {
+		t.Fatalf("memo holds %d types after %d distinct ones, want %d", len(p.typeHashes), n, maxTypeHashes)
 	}
 }
 

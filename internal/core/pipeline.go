@@ -211,6 +211,8 @@ type Pipeline struct {
 	sink    RecordSink
 	stats   PipelineStats // emit-side counters (Records/Queries/Answers)
 	scratch xmlenc.Record // recycled through every transform
+
+	typeHashes map[string]string // file type → its HashString; at most maxTypeHashes
 }
 
 // NewPipeline builds a pipeline writing anonymised records to sink.
@@ -222,6 +224,8 @@ func NewPipeline(serverIP uint32, fileBytePair [2]int, sink RecordSink) *Pipelin
 		clients:  anonymize.NewClientDirect(),
 		files:    anonymize.NewFileBuckets(fileBytePair[0], fileBytePair[1]),
 		sink:     sink,
+
+		typeHashes: make(map[string]string),
 	}
 }
 

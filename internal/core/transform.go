@@ -97,11 +97,31 @@ func (p *Pipeline) fileInfos(dst []xmlenc.FileInfo, entries []ed2k.FileEntry) []
 			fi.SizeKB = anonymize.SizeToKB(uint64(size))
 		}
 		if typ, ok := e.Type(); ok {
-			fi.TypeHash = anonymize.HashString(typ)
+			fi.TypeHash = p.typeHash(typ)
 		}
 		dst = append(dst, fi)
 	}
 	return dst
+}
+
+// maxTypeHashes bounds Pipeline.typeHashes. Honest clients name a
+// handful of file types ("Audio", "Video", "Pro", "Doc", "Image", …), so
+// the memo stays far from full, and a client inventing types cannot grow
+// it: past the bound a new type is hashed on every occurrence, as all
+// were before there was a memo.
+const maxTypeHashes = 64
+
+// typeHash is anonymize.HashString for file types, which repeat on
+// every entry of every offer and search result.
+func (p *Pipeline) typeHash(typ string) string {
+	if h, ok := p.typeHashes[typ]; ok {
+		return h
+	}
+	h := anonymize.HashString(typ)
+	if len(p.typeHashes) < maxTypeHashes {
+		p.typeHashes[typ] = h
+	}
+	return h
 }
 
 // encodeSearch hashes every keyword and keeps size constraints (in KB).

@@ -4,7 +4,10 @@
 // a prohibitive space cost") plus a JSON manifest with global counters.
 //
 // Chunks rotate on a record and a byte budget so ten-week captures never
-// produce a single unwieldy file. Readers (ForEach, Verify) stream chunk
+// produce a single unwieldy file. A compressed chunk is one gzip member,
+// deflated at chunkDeflateLevel: an effort chosen from a measured
+// time/size curve by a stated rule, and the writer's business alone —
+// readers take a member of any level. Readers (ForEach, Verify) stream chunk
 // by chunk with one record in memory at a time — the same xmlenc.Record,
 // refilled for every callback, which runs on the caller's goroutine —
 // while a goroutine owned by the call reads and inflates at most 512 KiB
@@ -24,7 +27,9 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
+	"time"
 
 	"edtrace/internal/xmlenc"
 )
@@ -54,7 +59,10 @@ const manifestName = "manifest.json"
 // sealed and written to disk, compressed if configured, either by one of
 // Workers background goroutines or, when Workers is 0, on the caller's
 // goroutine. With workers, gzip — the dominant cost of a compressed
-// dataset — leaves the record pipeline's critical path.
+// dataset even at chunkDeflateLevel — leaves the record pipeline's
+// critical path; without them every sealed chunk stalls the caller for
+// one chunk's compression, and with them for as long as every worker is
+// busy. SealStats counts those stalls.
 //
 // Record order is preserved by construction, not by synchronisation:
 // chunk names are assigned serially at rotation time and the manifest
@@ -80,9 +88,20 @@ type Writer struct {
 	werrMu   sync.Mutex
 	werr     error // first error of a worker
 
+	seal   SealStats
 	closed bool
 	err    error // first error seen by Write or Close; sticky
 	man    Manifest
+}
+
+// SealStats is what sealing chunks has cost the goroutine that calls
+// Write and Close: inline compression without workers, back-pressure
+// from a full job queue with them. A capture fed by a bounded queue
+// loses frames while such a stall outlasts the queue.
+type SealStats struct {
+	Chunks uint64        // chunks sealed so far
+	Total  time.Duration // spent sealing them, summed
+	Max    time.Duration // the longest single seal
 }
 
 // WriterOptions configures a dataset writer.
@@ -114,9 +133,27 @@ type chunkJob struct {
 // predictable when records carry large file lists.
 const defaultChunkBytes = 4 << 20
 
+// chunkDeflateLevel is the deflate effort of a compressed chunk, fixed
+// here together with the rule that picked it: the cheapest level whose
+// bytes per record, on the capture text this writer stores, stay within
+// 10 % of level 6's (gzip's default, and what this writer used before).
+// On the curve BenchmarkChunkDeflateLevel prints — docs/architecture.md
+// keeps the reference box's table — that is level 4: hash chains 16 deep
+// where level 6 walks 128 through markup that repeats on every line,
+// lazy matching still on, 43 % of level 6's time for 8–10 % more bytes.
+// Level 3 is hardly cheaper and costs 16 %; level 5 costs 3 % and 61 %
+// of the time. TestCompressionLevelRule fails when the constant and the
+// rule part ways. The level is not part of the format (spec.md): ForEach
+// and Verify read any RFC 1952 member.
+const chunkDeflateLevel = 4
+
 // NewWriter creates dir (if needed) and returns a writer. A manifest
-// left there by an earlier dataset is removed first: until Close
-// succeeds the directory must not read as a complete dataset.
+// left there by an earlier dataset is removed first — until Close
+// succeeds the directory must not read as a complete dataset — and so
+// are that dataset's chunk files: one the new dataset does not overwrite
+// (it is shorter, or has the other Compress setting) would stay behind,
+// listed by no manifest and counted by every sum over the directory.
+// Nothing else in dir is touched.
 func NewWriter(dir string, opts WriterOptions) (*Writer, error) {
 	if opts.ChunkRecords == 0 {
 		opts.ChunkRecords = 1_000_000
@@ -129,6 +166,18 @@ func NewWriter(dir string, opts WriterOptions) (*Writer, error) {
 	}
 	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() || !isChunkName(e.Name()) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			return nil, fmt.Errorf("dataset: %w", err)
+		}
 	}
 	workers := max(opts.Workers, 0)
 	w := &Writer{
@@ -159,6 +208,17 @@ func chunkName(i int, compressed bool) string {
 		name += ".gz"
 	}
 	return name
+}
+
+// isChunkName reports whether name is one chunkName gives.
+func isChunkName(name string) bool {
+	digits, ok := strings.CutPrefix(name, "chunk-")
+	if !ok {
+		return false
+	}
+	digits, _, _ = strings.Cut(digits, ".")
+	n, err := strconv.Atoi(digits)
+	return err == nil && n >= 0 && (name == chunkName(n, false) || name == chunkName(n, true))
 }
 
 // Write appends one record, rotating chunks on the record or the byte
@@ -206,6 +266,13 @@ func (w *Writer) beginChunk() {
 // backpressure), or on this goroutine without workers. It returns the
 // first chunk-write error known so far.
 func (w *Writer) sealChunk() error {
+	start := time.Now()
+	defer func() {
+		d := time.Since(start)
+		w.seal.Chunks++
+		w.seal.Total += d
+		w.seal.Max = max(w.seal.Max, d)
+	}()
 	job := chunkJob{name: w.curName, data: xmlenc.AppendFooter(w.raw)}
 	w.raw = nil
 	if w.jobs == nil {
@@ -214,6 +281,11 @@ func (w *Writer) sealChunk() error {
 	w.jobs <- job
 	return w.workerErr()
 }
+
+// SealStats reports the chunks sealed so far and what sealing them cost
+// the caller of Write and Close — whose goroutine this must be called
+// from, like them.
+func (w *Writer) SealStats() SealStats { return w.seal }
 
 func (w *Writer) worker() {
 	defer w.wg.Done()
@@ -247,7 +319,10 @@ func (w *Writer) writeChunkFile(job chunkJob, gz **gzip.Writer) error {
 	}
 	if w.compress {
 		if *gz == nil {
-			*gz = gzip.NewWriter(f)
+			if *gz, err = gzip.NewWriterLevel(f, chunkDeflateLevel); err != nil {
+				f.Close()
+				return fmt.Errorf("dataset: %w", err)
+			}
 		} else {
 			(*gz).Reset(f)
 		}

@@ -199,6 +199,76 @@ func TestNewWriterRemovesStaleManifest(t *testing.T) {
 	}
 }
 
+// TestNewWriterRemovesStaleChunks: a dataset written into a used
+// directory leaves exactly its own files there — no chunk of a longer
+// predecessor, none under the other Compress setting's names — and
+// whatever else the directory held, chunk-like names included.
+func TestNewWriterRemovesStaleChunks(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		before, after WriterOptions
+	}{
+		{"longer then shorter", WriterOptions{ChunkRecords: 10}, WriterOptions{ChunkRecords: 30}},
+		{"gz then plain", WriterOptions{ChunkRecords: 10, Compress: true}, WriterOptions{ChunkRecords: 10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, fresh := t.TempDir(), t.TempDir()
+			bystanders := []string{"notes.txt", "chunk-00001.xml.bak", "chunk-1.xml", "chunk-00002.xml.gz.tmp"}
+			for _, name := range bystanders {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte("keep"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			writeDataset(t, dir, 50, tc.before)
+			writeDataset(t, dir, 30, tc.after)
+			writeDataset(t, fresh, 30, tc.after)
+
+			got, want := readDir(t, dir), readDir(t, fresh)
+			for _, name := range bystanders {
+				if string(got[name]) != "keep" {
+					t.Errorf("%s did not survive: %q", name, got[name])
+				}
+				delete(got, name)
+			}
+			for name := range got {
+				if _, ok := want[name]; !ok {
+					t.Errorf("stale %s left behind", name)
+				}
+			}
+			for name, data := range want {
+				if !bytes.Equal(got[name], data) {
+					t.Errorf("%s differs from the same dataset written into an empty directory", name)
+				}
+			}
+		})
+	}
+}
+
+// TestSealStats: one seal per chunk, the last one Close's, at any width.
+func TestSealStats(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		w, err := NewWriter(t.TempDir(), WriterOptions{ChunkRecords: 10, Compress: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 35; i++ {
+			if err := w.Write(&xmlenc.Record{T: float64(i), Op: "StatReq", Dir: xmlenc.DirQuery}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := w.SealStats(); st.Chunks != 3 {
+			t.Errorf("workers=%d: %d chunks sealed after 35 records of 10 a chunk, want 3", workers, st.Chunks)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := w.SealStats()
+		if st.Chunks != 4 || st.Max <= 0 || st.Total < st.Max || st.Total > time.Duration(st.Chunks)*st.Max {
+			t.Errorf("workers=%d: after Close: %+v", workers, st)
+		}
+	}
+}
+
 // TestOpenChunkOrderIsNumeric: chunk names stop sorting lexicographically
 // at chunk 100000 ("chunk-100000" < "chunk-99999"); a correctly written
 // dataset of that size must still open, and a misnumbered list must not.

@@ -1,6 +1,7 @@
 package xmlenc
 
 import (
+	"math"
 	"strconv"
 	"strings"
 )
@@ -44,7 +45,7 @@ func sortedKeys(m map[string]string) []string {
 // extended buffer.
 func AppendRecord(b []byte, r *Record) []byte {
 	b = append(b, `<r t="`...)
-	b = strconv.AppendFloat(b, r.T, 'f', 3, 64)
+	b = appendTime(b, r.T)
 	b = append(b, `" c="`...)
 	b = strconv.AppendUint(b, uint64(r.Client), 10)
 	b = append(b, `" op="`...)
@@ -117,6 +118,35 @@ func AppendRecord(b []byte, r *Record) []byte {
 		b = append(b, "</r>\n"...)
 	}
 	return b
+}
+
+// appendTime appends t the way strconv.AppendFloat(b, t, 'f', 3, 64)
+// does — the exact value of t rounded to milliseconds, ties to even —
+// but from integer arithmetic wherever that is provably the same
+// digits: for 'f' with a precision strconv takes its multi-precision
+// decimal path, several times the cost of the rest of a short record.
+//
+// ms is t×1000 rounded to a float64, off the real product by at most
+// half an ulp, which below 2⁴³ is 2⁻¹¹. So whenever ms lies further than
+// 2⁻¹⁰ from a half-integer, the product lies between the same two
+// half-integers and rounds to the same integer; a product that close to
+// a tie, and everything negative, huge or not finite, is strconv's. The
+// conversion keeps the multiplication from fusing with the subtraction.
+func appendTime(b []byte, t float64) []byte {
+	ms := float64(t * 1000)
+	if math.Signbit(t) || !(ms < 1<<43) {
+		return strconv.AppendFloat(b, t, 'f', 3, 64)
+	}
+	n := uint64(ms)
+	switch frac := ms - float64(n); {
+	case frac > 0.5+1.0/1024:
+		n++
+	case frac >= 0.5-1.0/1024:
+		return strconv.AppendFloat(b, t, 'f', 3, 64)
+	}
+	b = strconv.AppendUint(b, n/1000, 10)
+	n %= 1000
+	return append(b, '.', byte('0'+n/100), byte('0'+n/10%10), byte('0'+n%10))
 }
 
 func appendAttr(b []byte, key, val string) []byte {

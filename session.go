@@ -70,9 +70,16 @@ type sessionMetrics struct {
 	// publishes their sizes itself (batchDone) instead of lending them to
 	// a scrape-time callback.
 	anonClients, anonFiles, clientTableBytes, maxBucket *obs.Gauge
+	// The dataset writer's seal accounting belongs to that goroutine too
+	// (sealsDone); dw is nil without WithDataset. Seconds are not
+	// integers, so scrapes read them through callbacks over these atomics.
+	dw                      *dataset.Writer
+	chunks                  *obs.Counter
+	lastChunks              uint64
+	sealNanos, sealMaxNanos *atomic.Int64
 }
 
-func newSessionMetrics(reg *obs.Registry, frames chan []frameItem, depth, batchSize int, pipe *core.Pipeline) *sessionMetrics {
+func newSessionMetrics(reg *obs.Registry, frames chan []frameItem, depth, batchSize int, pipe *core.Pipeline, dw *dataset.Writer) *sessionMetrics {
 	if reg == nil {
 		return nil
 	}
@@ -87,7 +94,22 @@ func newSessionMetrics(reg *obs.Registry, frames chan []frameItem, depth, batchS
 		anonFiles:        reg.Gauge("edsession_anonymizer_files", "distinct fileIDs anonymised so far"),
 		clientTableBytes: reg.Gauge("edsession_anonymizer_client_table_bytes", "clientID table footprint: directory plus materialised pages"),
 		maxBucket:        reg.Gauge("edsession_anonymizer_max_bucket", "largest fileID anonymisation array (the paper's Figure 3 annotation)"),
+
+		dw:           dw,
+		chunks:       reg.Counter("edsession_dataset_chunks_total", "dataset chunks sealed"),
+		sealNanos:    new(atomic.Int64),
+		sealMaxNanos: new(atomic.Int64),
 	}
+	// What sealing those chunks cost the consumer: one chunk's compression
+	// each for an in-process source, back-pressure from busy workers for an
+	// offline one. While a seal lasts, the frame queue is not drained. The
+	// callbacks outlive the run in the registry, so they hold the two
+	// counters and not the session's tables.
+	sealNanos, sealMaxNanos := sm.sealNanos, sm.sealMaxNanos
+	reg.GaugeFunc("edsession_dataset_seal_seconds_total", "time the record path spent sealing dataset chunks",
+		func() float64 { return time.Duration(sealNanos.Load()).Seconds() })
+	reg.GaugeFunc("edsession_dataset_seal_max_seconds", "longest single stall of the record path sealing a dataset chunk",
+		func() float64 { return time.Duration(sealMaxNanos.Load()).Seconds() })
 	// Queue gauges are read callbacks over this session's channel; a
 	// later session on the same registry re-points them at its own.
 	reg.GaugeFunc("edsession_queue_batches", "frame batches waiting between source and pipeline",
@@ -131,6 +153,20 @@ func (sm *sessionMetrics) batchDone() {
 	sm.clientTableBytes.Set(int64(ca.MemoryBytes()))
 	_, size := fa.MaxBucket()
 	sm.maxBucket.Set(int64(size))
+	sm.sealsDone()
+}
+
+// sealsDone publishes the dataset writer's seal accounting: after each
+// batch, and once more after Close has sealed the last chunk.
+func (sm *sessionMetrics) sealsDone() {
+	if sm == nil || sm.dw == nil {
+		return
+	}
+	st := sm.dw.SealStats()
+	sm.chunks.Add(st.Chunks - sm.lastChunks)
+	sm.lastChunks = st.Chunks
+	sm.sealNanos.Store(int64(st.Total))
+	sm.sealMaxNanos.Store(int64(st.Max))
 }
 
 // drop counts frames abandoned mid-batch by an error or cancellation.
@@ -267,6 +303,7 @@ func (s *Session) setup() (closers []func() error, err error) {
 	if sn, ok := s.src.(serverNamer); ok {
 		servers = sn.serverNames()
 	}
+	var dw *dataset.Writer
 	if s.o.datasetDir != "" {
 		// An offline source leaves the other CPUs idle: chunk compression
 		// goes to them. An in-process one shares them with its daemon.
@@ -274,7 +311,8 @@ func (s *Session) setup() (closers []func() error, err error) {
 		if _, ok := s.src.(processSharer); ok {
 			s.dsWorkers = 0
 		}
-		dw, werr := dataset.NewWriter(s.o.datasetDir, dataset.WriterOptions{
+		var werr error
+		dw, werr = dataset.NewWriter(s.o.datasetDir, dataset.WriterOptions{
 			Compress: s.o.datasetGzip,
 			Workers:  s.dsWorkers,
 			Meta:     s.datasetMeta(serverIP, servers),
@@ -285,7 +323,9 @@ func (s *Session) setup() (closers []func() error, err error) {
 		sinks = append(sinks, dw)
 		closers = append(closers, func() error {
 			dw.SetCounters(s.pipe.ClientAnonymizer().Count(), s.pipe.FileAnonymizer().Count())
-			if cerr := dw.Close(); cerr != nil {
+			cerr := dw.Close()
+			s.sm.sealsDone()
+			if cerr != nil {
 				return fmt.Errorf("edtrace: closing dataset: %w", cerr)
 			}
 			return nil
@@ -318,7 +358,7 @@ func (s *Session) setup() (closers []func() error, err error) {
 	// Batch slices cycle producer → consumer → freelist → producer, so the
 	// steady state allocates no slice headers or backing arrays per batch.
 	s.free = make(chan []frameItem, depth+2)
-	s.sm = newSessionMetrics(s.o.metrics, s.frames, depth, s.batchSize, s.pipe)
+	s.sm = newSessionMetrics(s.o.metrics, s.frames, depth, s.batchSize, s.pipe, dw)
 	s.rel, _ = s.src.(frameReleaser)
 	return closers, nil
 }

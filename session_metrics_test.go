@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"edtrace/internal/dataset"
 	"edtrace/internal/obs"
 	"edtrace/internal/simtime"
 	"edtrace/internal/xmlenc"
@@ -18,7 +19,8 @@ import (
 // the session report on a clean run, and that the queue gauges render.
 func TestSessionWithMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	res, err := NewSession(NewSimSource(tinySim()), WithMetrics(reg)).Run(context.Background())
+	dir := t.TempDir()
+	res, err := NewSession(NewSimSource(tinySim()), WithMetrics(reg), WithDataset(dir, true)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +52,16 @@ func TestSessionWithMetrics(t *testing.T) {
 		t.Errorf("edsession_anonymizer_client_table_bytes = %d, want in (0, 32 MiB]", got)
 	}
 
+	// Every chunk of the dataset was sealed once, the last by Close, and
+	// sealing took time.
+	man, err := dataset.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("edsession_dataset_chunks_total", "").Value(); got != uint64(len(man.Chunks)) || got == 0 {
+		t.Errorf("edsession_dataset_chunks_total = %d, the manifest lists %d chunks", got, len(man.Chunks))
+	}
+
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -58,9 +70,16 @@ func TestSessionWithMetrics(t *testing.T) {
 		"edsession_batch_fill_ratio",
 		"edsession_queue_capacity_batches",
 		"edsession_queue_batches 0", // drained at end of run
+		"edsession_dataset_seal_seconds_total",
+		"edsession_dataset_seal_max_seconds",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, zero := range []string{"edsession_dataset_seal_seconds_total 0\n", "edsession_dataset_seal_max_seconds 0\n"} {
+		if strings.Contains(buf.String(), zero) {
+			t.Errorf("exposition has %q after a dataset was written", zero)
 		}
 	}
 }
@@ -89,7 +108,7 @@ func TestSessionMetricsScrapedDuringRun(t *testing.T) {
 			}
 		}
 	}()
-	_, err := NewSession(NewSimSource(tinySim()), WithMetrics(reg)).Run(context.Background())
+	_, err := NewSession(NewSimSource(tinySim()), WithMetrics(reg), WithDataset(t.TempDir(), true)).Run(context.Background())
 	close(stop)
 	if n := <-scraped; n == 0 {
 		t.Error("the registry was never scraped during the run")
