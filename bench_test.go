@@ -99,7 +99,6 @@ func BenchmarkFig2CaptureLoss(b *testing.B) {
 		sim.Traffic.FlashDuration = 30 * simtime.Second
 		sim.KernelBufferBytes = 4 << 10
 		sim.ServicePerPoll = 2
-		sim.PollInterval = 50 * simtime.Millisecond
 		res, err := NewSession(NewSimSource(sim)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -552,7 +551,7 @@ func BenchmarkDaemonLoad(b *testing.B) {
 		st, err := edload.Run(context.Background(), edload.Config{
 			Target:               edload.Target{Addrs: []string{d.TCPAddr().String()}},
 			Clients:              100,
-			Workload:             edload.DefaultWorkload(uint64(i+1), 100),
+			Workload:             workload.SmallConfig(uint64(i+1), 100),
 			MaxMessagesPerClient: 50,
 		})
 		if err != nil {

@@ -134,7 +134,7 @@ func main() {
 		return
 	}
 
-	wl := edload.DefaultWorkload(*seed, *nconn)
+	wl := workload.SmallConfig(*seed, *nconn)
 	wl.NumFiles = *files
 	st, err := edload.Run(ctx, edload.Config{
 		Target:               target,

@@ -41,6 +41,7 @@ import (
 	"edtrace/internal/edmesh"
 	"edtrace/internal/edserverd"
 	"edtrace/internal/obs"
+	"edtrace/internal/workload"
 	"edtrace/internal/xmlenc"
 )
 
@@ -287,7 +288,7 @@ func (c *cluster) runSmoke(logf func(string, ...any)) int {
 
 	// An all-Heavy population: big share lists and source asks give each
 	// plan ~100 messages, enough traffic to kill a daemon mid-run.
-	wl := edload.DefaultWorkload(7, 12)
+	wl := workload.SmallConfig(7, 12)
 	wl.RegularFraction = 0
 	wl.HeavyFraction = 1.0
 	wl.ScannerFraction = 0

@@ -14,10 +14,16 @@
 // With -spec, the capture's world (seed, catalog, population) and its
 // virtual duration come from a workload spec (docs/workload-spec.md)
 // instead of the individual flags, so the simulated capture and a live
-// `edload -spec` replay describe the same experiment. The virtual
-// capture needs no -compress: its clock is already simulated, so ten
-// spec weeks cost only CPU. Spec-driven arrival shaping (phases,
-// diurnal curves, flash crowds) applies to the live replay path.
+// `edload -spec` replay describe the same experiment: a world field the
+// spec leaves out takes the spec format's default (Spec.WorldConfig),
+// never the -clients/-files flag. The virtual capture needs no
+// -compress: its clock is already simulated, so ten spec weeks cost
+// only CPU. Spec-driven arrival shaping (phases, diurnal curves, flash
+// crowds) applies to the live replay path.
+//
+// -service is polled every 50 ms, so it takes effect in steps of 20
+// frames/s; a rate below one frame a poll (< 20) is an error, as is a
+// -bufkb below 1.
 package main
 
 import (
@@ -68,24 +74,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "edsim:", err)
 			os.Exit(1)
 		}
-		sim.Workload.Seed = s.Seed
-		if w := s.World; w != nil {
-			if w.Clients > 0 {
-				sim.Workload.NumClients = w.Clients
-			}
-			if w.Files > 0 {
-				sim.Workload.NumFiles = w.Files
-			}
-			if w.VocabWords > 0 {
-				sim.Workload.VocabWords = w.VocabWords
-			}
-			if f := w.PolluterFraction; f != nil {
-				sim.Workload.PolluterFraction = *f
-			}
-			if w.ForgedPerPolluter > 0 {
-				sim.Workload.ForgedPerPolluter = w.ForgedPerPolluter
-			}
-		}
+		sim.Workload = s.WorldConfig()
 		sim.Traffic.Duration = s.Total()
 		fmt.Printf("spec %q: %v of virtual capture, %d clients, %d files\n",
 			s.Name, sim.Traffic.Duration, sim.Workload.NumClients, sim.Workload.NumFiles)

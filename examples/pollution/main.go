@@ -120,14 +120,11 @@ func runLive(dur time.Duration, pol *policy.Config) {
 		firstTwo: anonymize.NewFileBuckets(0, 1),
 		chosen:   anonymize.NewFileBuckets(5, 11),
 	}
-	d, err := edserverd.Start(edserverd.Config{
-		UDPAddr: "off",
-		Policy:  pol,
-		Tap:     tap.tap,
-	})
+	d, err := edserverd.Start(edserverd.Config{UDPAddr: "off", Policy: pol})
 	if err != nil {
 		log.Fatal(err)
 	}
+	d.SetTap(tap.tap)
 	st, err := edload.RunAbuse(context.Background(), edload.AbuseConfig{
 		Addr:     d.TCPAddr().String(),
 		Profile:  edload.AbuseIndexSpam,

@@ -29,8 +29,8 @@ import (
 // Collector accumulates the paper's per-figure statistics from records.
 //
 // Distinct (file, client) pairs are collected as packed uint64 keys and
-// deduplicated once at Finalize: re-announcements at every session are
-// frequent, and sort-dedup costs far less memory than a hash set per
+// deduplicated in place at Finalize: re-announcements at every session
+// are frequent, and sort-dedup costs far less memory than a hash set per
 // file.
 type Collector struct {
 	providePairs []uint64 // fileID<<32 | client, from OfferFiles
@@ -147,10 +147,10 @@ func (c *Collector) Finalize() *Figures {
 		Fig7: stats.NewIntHist(),
 		Fig8: stats.NewIntHist(),
 	}
-	perFile, provideByClient := pairCounts(c.providePairs)
+	perFile, provideByClient := pairCounts(&c.providePairs)
 	fillHist(f.Fig4, perFile)
 	fillHist(f.Fig6, provideByClient)
-	perFile, askByClient := pairCounts(c.askPairs)
+	perFile, askByClient := pairCounts(&c.askPairs)
 	fillHist(f.Fig5, perFile)
 	fillHist(f.Fig7, askByClient)
 	f.ProvideAskCorr, f.BothActive = correlate(provideByClient, askByClient)
@@ -181,19 +181,16 @@ func (c *Collector) Finalize() *Figures {
 	return f
 }
 
-// pairCounts dedups packed pairs and returns, for the high half (file)
+// pairCounts sorts and dedups the packed pairs in place, leaving *pairs
+// the distinct ones (so Write after Finalize appends to them and a later
+// Finalize counts the same set), and returns, for the high half (file)
 // and the low half (client), the number of distinct counterparts.
-func pairCounts(pairs []uint64) (perHigh, perLow map[uint32]uint32) {
-	sorted := append([]uint64(nil), pairs...)
-	slices.Sort(sorted)
+func pairCounts(pairs *[]uint64) (perHigh, perLow map[uint32]uint32) {
+	slices.Sort(*pairs)
+	*pairs = slices.Compact(*pairs)
 	perHigh = make(map[uint32]uint32)
 	perLow = make(map[uint32]uint32)
-	var prev uint64
-	for i, p := range sorted {
-		if i > 0 && p == prev {
-			continue
-		}
-		prev = p
+	for _, p := range *pairs {
 		perHigh[uint32(p>>32)]++
 		perLow[uint32(p)]++
 	}

@@ -182,3 +182,34 @@ func TestRenderProducesReport(t *testing.T) {
 		t.Fatal("empty CSV")
 	}
 }
+
+// TestFinalizeIsRepeatable: Finalize dedups the pair lists in place, so
+// finalizing twice, or writing more after a Finalize and finalizing
+// again, must give the figures of a fresh collector over the same
+// records.
+func TestFinalizeIsRepeatable(t *testing.T) {
+	write := func(c *Collector, from, to uint32) {
+		for i := from; i < to; i++ { // duplicates on both sides, out of order
+			c.Write(offerRec(i%41, xmlenc.FileInfo{ID: i * 7 % 53, SizeKB: uint64(100 + i%13)}))
+			c.Write(askRec(i%29, i*11%61, i*3%61))
+		}
+	}
+	fresh := func(to uint32) string {
+		c := NewCollector()
+		write(c, 0, to)
+		return c.Finalize().Render()
+	}
+
+	c := NewCollector()
+	write(c, 0, 300)
+	if got, want := c.Finalize().Render(), fresh(300); got != want {
+		t.Fatalf("first Finalize differs from a fresh collector:\n%s\nwant\n%s", got, want)
+	}
+	if got, want := c.Finalize().Render(), fresh(300); got != want {
+		t.Fatalf("second Finalize differs:\n%s\nwant\n%s", got, want)
+	}
+	write(c, 300, 500)
+	if got, want := c.Finalize().Render(), fresh(500); got != want {
+		t.Fatalf("Finalize after more writes differs:\n%s\nwant\n%s", got, want)
+	}
+}

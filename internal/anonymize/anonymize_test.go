@@ -370,7 +370,7 @@ func TestNewFileBucketsValidation(t *testing.T) {
 			NewFileBuckets(pair[0], pair[1])
 		}()
 	}
-	if a, b := DefaultBytePair(); a == b || a > 15 || b > 15 {
+	if p := DefaultBytePair(); p[0] == p[1] || p[0] > 15 || p[1] > 15 {
 		t.Fatal("bad default byte pair")
 	}
 }

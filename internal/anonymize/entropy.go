@@ -45,8 +45,8 @@ func ByteEntropy(sample []ed2k.FileID) [16]float64 {
 // With fewer than 2 sample IDs it falls back to DefaultBytePair.
 func BestBytePair(sample []ed2k.FileID) (a, b int, bits float64) {
 	if len(sample) < 2 {
-		a, b = DefaultBytePair()
-		return a, b, 0
+		p := DefaultBytePair()
+		return p[0], p[1], 0
 	}
 	n := float64(len(sample))
 	bestA, bestB, best := 0, 1, -1.0

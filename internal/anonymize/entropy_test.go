@@ -76,8 +76,7 @@ func TestBestBytePairAvoidsForgedBytes(t *testing.T) {
 
 func TestBestBytePairFallback(t *testing.T) {
 	a, b, bits := BestBytePair(nil)
-	da, db := DefaultBytePair()
-	if a != da || b != db || bits != 0 {
+	if d := DefaultBytePair(); a != d[0] || b != d[1] || bits != 0 {
 		t.Fatalf("fallback = (%d,%d,%f)", a, b, bits)
 	}
 }

@@ -52,8 +52,9 @@ func NewFileBuckets(a, b int) *FileBuckets {
 }
 
 // DefaultBytePair is the byte pair used by the pipeline, mirroring the
-// paper's fix of "selecting two different bytes in the fileID".
-func DefaultBytePair() (int, int) { return 5, 11 }
+// paper's fix of "selecting two different bytes in the fileID". Every
+// default of the pair in the tree is this one.
+func DefaultBytePair() [2]int { return [2]int{5, 11} }
 
 func (f *FileBuckets) bucketIndex(id ed2k.FileID) uint32 {
 	return uint32(id[f.byteA])<<8 | uint32(id[f.byteB])

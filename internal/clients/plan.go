@@ -19,8 +19,7 @@ type Planner struct {
 }
 
 // NewPlanner wires a planner over the catalog with the given traffic
-// shaping (OfferBatch, AsksPerMessage, ScannerUnknownShare are used;
-// the time-domain fields are ignored).
+// shaping (OfferBatch is used; the time-domain fields are ignored).
 func NewPlanner(cat *workload.Catalog, tc TrafficConfig) *Planner {
 	return &Planner{cat: cat, tc: tc}
 }
@@ -44,14 +43,14 @@ func (p *Planner) Messages(c *workload.Client, r *randx.Rand, maxMsgs int) []ed2
 		off += batch
 	}
 
-	pending := askList(p.cat, c, r, p.tc.ScannerUnknownShare)
+	pending := askList(p.cat, c, r)
 
 	// Interleave ask batches and searches in ask:search proportion.
 	zipf := randx.NewZipf(r.Split(99), 1.4, 2, uint64(len(p.cat.Vocab())-1))
 	searches := c.SearchCount
 	for (len(pending) > 0 || searches > 0) && room() {
 		if len(pending) > 0 && (searches == 0 || !r.Bool(0.2)) {
-			batch := 1 + r.IntN(p.tc.AsksPerMessage)
+			batch := 1 + r.IntN(asksPerMessage)
 			if batch > len(pending) {
 				batch = len(pending)
 			}
@@ -76,7 +75,7 @@ func (p *Planner) SessionMessages(c *workload.Client, r *randx.Rand, maxMsgs int
 	if len(crowd) == 0 {
 		return p.Messages(c, r, maxMsgs)
 	}
-	k := 1 + r.IntN(p.tc.AsksPerMessage)
+	k := 1 + r.IntN(asksPerMessage)
 	if k > len(crowd) {
 		k = len(crowd)
 	}
@@ -108,14 +107,14 @@ func (p *Planner) SessionMessages(c *workload.Client, r *randx.Rand, maxMsgs int
 // counts distinct files asked per client, and the 52-query software cap
 // must stay a sharp spike, so asks sample without replacement. The
 // sentinel -1 marks a scanner probe of an unindexed fileID, which
-// happens at unknownShare of a scanner's asks (askMessage generates it;
-// random 128-bit values are distinct by construction).
-func askList(cat *workload.Catalog, c *workload.Client, r *randx.Rand, unknownShare float64) []int32 {
+// happens at scannerUnknownShare of a scanner's asks (askMessage
+// generates it; random 128-bit values are distinct by construction).
+func askList(cat *workload.Catalog, c *workload.Client, r *randx.Rand) []int32 {
 	list := make([]int32, 0, c.AskCount)
 	scanner := c.Profile == workload.Scanner
 	seen := make(map[int32]struct{}, c.AskCount)
 	for tries := 0; len(list) < c.AskCount && tries < c.AskCount*4; tries++ {
-		if scanner && r.Bool(unknownShare) {
+		if scanner && r.Bool(scannerUnknownShare) {
 			list = append(list, -1)
 			continue
 		}

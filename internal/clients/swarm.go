@@ -30,7 +30,9 @@ import (
 // SendFunc delivers one client datagram to the server's network path.
 type SendFunc func(srcIP uint32, srcPort uint16, payload []byte)
 
-// TrafficConfig shapes the traffic process.
+// TrafficConfig shapes the traffic process: the rates and spans some
+// caller changes. The calibrated message mix is fixed by the constants
+// below.
 type TrafficConfig struct {
 	// Duration is the virtual capture length.
 	Duration simtime.Time
@@ -43,26 +45,34 @@ type TrafficConfig struct {
 	FlashDuration simtime.Time
 	// FlashParticipants is the fraction of clients joining a spike.
 	FlashParticipants float64
-	// SessionsPerClient scales how many sessions a client spreads its
-	// activity over (actual count also grows with its ask budget).
-	SessionsPerClient int
 	// OfferBatch is the usual number of files per OfferFiles message;
 	// a few batches are much larger and fragment at the MTU, giving the
 	// rare IP fragments §2.3 reports.
 	OfferBatch int
-	// AsksPerMessage bounds fileIDs per GetSources query (clients batch).
-	AsksPerMessage int
 	// BadMessageRate is the probability a sent message is corrupted;
-	// BadStructuralShare of those are structurally broken, the rest
+	// badStructuralShare of those are structurally broken, the rest
 	// semantically undecodable.
-	BadMessageRate     float64
-	BadStructuralShare float64
-	// ScannerUnknownShare is the fraction of scanner source-asks probing
-	// fileIDs nobody indexed.
-	ScannerUnknownShare float64
+	BadMessageRate float64
 	// StatPingEvery adds periodic server status pings per session.
 	StatPingEvery simtime.Time
 }
+
+// sessionsPerClient is the base number of sessions a client spreads its
+// activity over; the count also grows with its ask budget.
+const sessionsPerClient = 3
+
+// asksPerMessage bounds the fileIDs per GetSources query (clients batch).
+const asksPerMessage = 3
+
+// badStructuralShare of corrupted messages are structurally broken, the
+// rest semantically undecodable: §2.3's "78 % of these structurally
+// incorrect".
+const badStructuralShare = 0.78
+
+// scannerUnknownShare is the fraction of a scanner's source asks that
+// probe fileIDs nobody indexed: the paper sees far more distinct fileIDs
+// than any server indexes (§3.2).
+const scannerUnknownShare = 0.70
 
 // DefaultTraffic returns the calibrated traffic configuration for a
 // one-week capture; scale Duration for longer runs.
@@ -73,16 +83,12 @@ func DefaultTraffic() TrafficConfig {
 		FlashCrowds:       4,
 		FlashDuration:     90 * simtime.Second,
 		FlashParticipants: 0.05,
-		SessionsPerClient: 3,
 		OfferBatch:        16,
-		AsksPerMessage:    3,
 		// Applies to client messages only; with server answers making up
 		// roughly a third of captured traffic this lands near the
 		// paper's 0.68 % overall undecoded rate.
-		BadMessageRate:      0.0103,
-		BadStructuralShare:  0.78,
-		ScannerUnknownShare: 0.70,
-		StatPingEvery:       45 * simtime.Minute,
+		BadMessageRate: 0.0103,
+		StatPingEvery:  45 * simtime.Minute,
 	}
 }
 
@@ -95,12 +101,8 @@ func (tc *TrafficConfig) Validate() error {
 		return fmt.Errorf("clients: DiurnalAmplitude = %v", tc.DiurnalAmplitude)
 	case tc.OfferBatch <= 0 || tc.OfferBatch > int(ed2k.MaxFilesPerMsg):
 		return fmt.Errorf("clients: OfferBatch = %d", tc.OfferBatch)
-	case tc.AsksPerMessage <= 0 || tc.AsksPerMessage > ed2k.MaxHashesPer:
-		return fmt.Errorf("clients: AsksPerMessage = %d", tc.AsksPerMessage)
 	case tc.BadMessageRate < 0 || tc.BadMessageRate > 0.5:
 		return fmt.Errorf("clients: BadMessageRate = %v", tc.BadMessageRate)
-	case tc.BadStructuralShare < 0 || tc.BadStructuralShare > 1:
-		return fmt.Errorf("clients: BadStructuralShare = %v", tc.BadStructuralShare)
 	}
 	return nil
 }
@@ -188,7 +190,7 @@ func (s *Swarm) scheduleClient(idx int) {
 	r := s.rng.Split(uint64(idx) + 1)
 
 	// Session count grows with activity so heavy clients spread out.
-	sessions := s.tc.SessionsPerClient
+	sessions := sessionsPerClient
 	if extra := c.AskCount / 50; extra > 0 {
 		sessions += extra
 	}
@@ -197,7 +199,7 @@ func (s *Swarm) scheduleClient(idx int) {
 	}
 	s.stats.Sessions += uint64(sessions)
 
-	pending := askList(s.cat, c, r, s.tc.ScannerUnknownShare)
+	pending := askList(s.cat, c, r)
 
 	searchesLeft := c.SearchCount
 	for sess := 0; sess < sessions; sess++ {
@@ -254,7 +256,7 @@ func (s *Swarm) scheduleSession(c *workload.Client, r *randx.Rand,
 
 	// Source asks, batched into GetSources messages.
 	for len(asks) > 0 {
-		batch := 1 + r.IntN(s.tc.AsksPerMessage)
+		batch := 1 + r.IntN(asksPerMessage)
 		if batch > len(asks) {
 			batch = len(asks)
 		}
@@ -315,7 +317,7 @@ func randomFileID(r *randx.Rand) ed2k.FileID {
 func (s *Swarm) emit(c *workload.Client, r *randx.Rand, msg ed2k.Message) {
 	raw := ed2k.Encode(msg)
 	if r.Bool(s.tc.BadMessageRate) {
-		if r.Bool(s.tc.BadStructuralShare) {
+		if r.Bool(badStructuralShare) {
 			raw = corruptStructural(r, raw)
 			s.stats.CorruptStructure++
 		} else {

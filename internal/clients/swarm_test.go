@@ -196,9 +196,7 @@ func TestTrafficValidate(t *testing.T) {
 		func(c *TrafficConfig) { c.Duration = 0 },
 		func(c *TrafficConfig) { c.DiurnalAmplitude = 1.0 },
 		func(c *TrafficConfig) { c.OfferBatch = 0 },
-		func(c *TrafficConfig) { c.AsksPerMessage = 0 },
 		func(c *TrafficConfig) { c.BadMessageRate = 0.9 },
-		func(c *TrafficConfig) { c.BadStructuralShare = 1.5 },
 	}
 	for i, mutate := range bad {
 		tc := DefaultTraffic()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -342,7 +343,6 @@ func TestSimWorldCaptureLossUnderPressure(t *testing.T) {
 	// Strangle the capture machine so bursts overflow the buffer.
 	cfg.KernelBufferBytes = 2 << 10
 	cfg.ServicePerPoll = 1
-	cfg.PollInterval = 50 * simtime.Millisecond
 	rep := runWorld(t, cfg, DiscardSink{})
 	if rep.EthernetDropped == 0 {
 		t.Fatal("no capture losses despite pressure")
@@ -354,5 +354,27 @@ func TestSimWorldCaptureLossUnderPressure(t *testing.T) {
 	}
 	if seriesDrops != rep.EthernetDropped {
 		t.Fatalf("series drops %d != total %d", seriesDrops, rep.EthernetDropped)
+	}
+}
+
+// TestNewSimWorldRejectsNonPositiveCapture: a capture machine that
+// services no frames or buffers none is an error naming the field, not
+// a silent substitute rate.
+func TestNewSimWorldRejectsNonPositiveCapture(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*SimConfig)
+	}{
+		{"ServicePerPoll", func(c *SimConfig) { c.ServicePerPoll = 0 }},
+		{"ServicePerPoll", func(c *SimConfig) { c.ServicePerPoll = -3 }},
+		{"KernelBufferBytes", func(c *SimConfig) { c.KernelBufferBytes = 0 }},
+		{"KernelBufferBytes", func(c *SimConfig) { c.KernelBufferBytes = -1 }},
+	} {
+		cfg := tinySimConfig()
+		tc.mutate(&cfg)
+		_, err := NewSimWorld(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want an error naming the field", tc.field, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"edtrace/internal/anonymize"
 	"edtrace/internal/clients"
 	"edtrace/internal/ed2k"
 	"edtrace/internal/netsim"
@@ -18,25 +19,18 @@ import (
 
 // SimConfig assembles a full virtual capture: world, network and
 // capture machine. The frames it drains are decoded by whoever runs the
-// world (RunFrames), normally an edtrace.Session.
+// world (RunFrames), normally an edtrace.Session. The network and the
+// capture machine's poll period are the constants below.
 type SimConfig struct {
 	Workload workload.Config
 	Traffic  clients.TrafficConfig
 
-	// ServerIP and ServerPort locate the captured server.
-	ServerIP   uint32
-	ServerPort uint16
-
-	// MTU for fragmentation (1500 default).
-	MTU int
-	// LinkBitsPerSec is the access link bandwidth (0 = infinite).
-	LinkBitsPerSec float64
+	// ServerIP locates the captured server (it listens on serverPort).
+	ServerIP uint32
 
 	// KernelBufferBytes bounds the capture buffer; with ServicePerPoll
-	// and PollInterval it controls Fig 2's losses.
+	// and pollInterval it controls Fig 2's losses.
 	KernelBufferBytes int
-	// PollInterval is how often the capture machine drains the buffer.
-	PollInterval simtime.Time
 	// ServicePerPoll is the maximum frames decoded per poll — the
 	// capture machine's service rate.
 	ServicePerPoll int
@@ -50,25 +44,35 @@ type SimConfig struct {
 	FileBytePair [2]int
 }
 
+// The simulated network and capture machine.
+const (
+	// serverPort is the captured server's UDP port.
+	serverPort = 4665
+	// mtu is the link MTU: larger datagrams fragment (§2.3's rare IP
+	// fragments come from jumbo offers).
+	mtu = 1500
+	// linkBitsPerSec is the access link bandwidth in each direction.
+	linkBitsPerSec = 100e6
+	// pollInterval is how often the capture machine drains the kernel
+	// buffer (ServicePerPoll frames at most), so the service rate is
+	// ServicePerPoll × 20 frames/s.
+	pollInterval = 50 * simtime.Millisecond
+)
+
 // DefaultSimConfig returns a laptop-scale capture configuration
 // (one virtual week, ~15 k clients) with the paper's mechanisms enabled.
 func DefaultSimConfig() SimConfig {
 	wl := workload.DefaultConfig()
 	wl.NumClients = 15_000
 	wl.NumFiles = 80_000
-	tc := clients.DefaultTraffic()
 	return SimConfig{
 		Workload:          wl,
-		Traffic:           tc,
+		Traffic:           clients.DefaultTraffic(),
 		ServerIP:          0xC0A80001, // 192.168.0.1
-		ServerPort:        4665,
-		MTU:               1500,
-		LinkBitsPerSec:    100e6,
 		KernelBufferBytes: 256 << 10,
-		PollInterval:      50 * simtime.Millisecond,
 		ServicePerPoll:    300, // 6000 frames/s service rate
 		FrameMangleRate:   2e-6,
-		FileBytePair:      [2]int{5, 11},
+		FileBytePair:      anonymize.DefaultBytePair(),
 	}
 }
 
@@ -143,17 +147,11 @@ type SimWorld struct {
 // NewSimWorld builds the testbed: catalog, population, server, links with
 // a capture tap on both directions, and the kernel buffer.
 func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
-	if cfg.MTU == 0 {
-		cfg.MTU = 1500
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 20 * simtime.Millisecond
-	}
 	if cfg.ServicePerPoll <= 0 {
-		cfg.ServicePerPoll = 120
+		return nil, fmt.Errorf("core: ServicePerPoll = %d (want > 0)", cfg.ServicePerPoll)
 	}
 	if cfg.KernelBufferBytes <= 0 {
-		cfg.KernelBufferBytes = 256 << 10
+		return nil, fmt.Errorf("core: KernelBufferBytes = %d (want > 0)", cfg.KernelBufferBytes)
 	}
 	cat, err := workload.Generate(cfg.Workload)
 	if err != nil {
@@ -168,8 +166,8 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 	w.srv = server.New("edtrace-sim", "simulated eDonkey server (ten weeks reproduction)")
 	w.buf = pcap.NewKernelBuffer(cfg.KernelBufferBytes)
 
-	w.uplink = netsim.NewLink(w.sched, cfg.LinkBitsPerSec, 5*simtime.Millisecond)
-	w.dnlink = netsim.NewLink(w.sched, cfg.LinkBitsPerSec, 5*simtime.Millisecond)
+	w.uplink = netsim.NewLink(w.sched, linkBitsPerSec, 5*simtime.Millisecond)
+	w.dnlink = netsim.NewLink(w.sched, linkBitsPerSec, 5*simtime.Millisecond)
 	tap := pcap.Tap{Buf: w.buf}
 	w.uplink.AttachTap(tap)
 	w.dnlink.AttachTap(tap)
@@ -202,8 +200,8 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 		}
 		for _, ans := range w.srv.Handle(now, ed2k.ClientID(hdr.Src), udp.SrcPort, msg) {
 			downID++
-			w.dnlink.SendUDP(cfg.ServerIP, hdr.Src, cfg.ServerPort, udp.SrcPort,
-				downID, ed2k.Encode(ans), cfg.MTU)
+			w.dnlink.SendUDP(cfg.ServerIP, hdr.Src, serverPort, udp.SrcPort,
+				downID, ed2k.Encode(ans), mtu)
 		}
 	}
 
@@ -213,15 +211,15 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 		upID++
 		dgID := upID
 		if cfg.FrameMangleRate > 0 && mangle.Bool(cfg.FrameMangleRate) {
-			dg := netsim.EncodeUDP(srcIP, cfg.ServerIP, srcPort, cfg.ServerPort, payload)
+			dg := netsim.EncodeUDP(srcIP, cfg.ServerIP, srcPort, serverPort, payload)
 			dg[len(dg)-1] ^= 0xA5 // breaks the UDP checksum
 			h := netsim.IPv4Header{ID: dgID, Protocol: netsim.ProtoUDP, Src: srcIP, Dst: cfg.ServerIP}
-			for _, pkt := range netsim.FragmentIPv4(h, dg, cfg.MTU) {
+			for _, pkt := range netsim.FragmentIPv4(h, dg, mtu) {
 				w.uplink.Send(netsim.EncodeEthernet(srcIP, cfg.ServerIP, pkt))
 			}
 			return
 		}
-		w.uplink.SendUDP(srcIP, cfg.ServerIP, srcPort, cfg.ServerPort, dgID, payload, cfg.MTU)
+		w.uplink.SendUDP(srcIP, cfg.ServerIP, srcPort, serverPort, dgID, payload, mtu)
 	}
 	w.swarm, err = clients.NewSwarm(cfg.Workload, cfg.Traffic, cat, pop, w.sched, send)
 	if err != nil {
@@ -231,7 +229,7 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 	// Capture machine: drain the kernel buffer at the service rate and
 	// push frames to the deliver hook; expire the server's stale
 	// reassemblies once a virtual minute.
-	w.sched.Every(cfg.PollInterval, func(now simtime.Time) {
+	w.sched.Every(pollInterval, func(now simtime.Time) {
 		if w.runErr != nil {
 			return
 		}

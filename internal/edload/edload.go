@@ -483,14 +483,3 @@ func isType[T ed2k.Message](m ed2k.Message) bool {
 	_, ok := m.(T)
 	return ok
 }
-
-// DefaultWorkload returns a load-test-sized population: small enough to
-// generate instantly, rich enough to exercise every profile.
-func DefaultWorkload(seed uint64, nClients int) workload.Config {
-	wl := workload.DefaultConfig()
-	wl.Seed = seed
-	wl.NumClients = nClients
-	wl.NumFiles = 2000
-	wl.VocabWords = 400
-	return wl
-}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"edtrace/internal/edserverd"
+	"edtrace/internal/workload"
 )
 
 func startDaemon(t *testing.T) *edserverd.Daemon {
@@ -30,7 +31,7 @@ func loadConfig(d *edserverd.Daemon, nClients, maxMsgs int) Config {
 	return Config{
 		Target:               Target{Addrs: []string{d.TCPAddr().String()}},
 		Clients:              nClients,
-		Workload:             DefaultWorkload(7, nClients),
+		Workload:             workload.SmallConfig(7, nClients),
 		MaxMessagesPerClient: maxMsgs,
 	}
 }
@@ -126,7 +127,7 @@ var feeds = []struct {
 	run  func(ctx context.Context, tgt Target) (Stats, error)
 }{
 	{"Run", func(ctx context.Context, tgt Target) (Stats, error) {
-		wl := DefaultWorkload(13, 6)
+		wl := workload.SmallConfig(13, 6)
 		wl.HeavyFraction, wl.RegularFraction, wl.ScannerFraction, wl.PolluterFraction = 1, 0, 0, 0
 		return Run(ctx, Config{Target: tgt, Clients: 6, Workload: wl, MaxMessagesPerClient: 1200})
 	}},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"edtrace/internal/edserverd"
+	"edtrace/internal/workload"
 )
 
 // TestFailoverMidRun kills one of three servers while the swarm is
@@ -26,7 +27,7 @@ func TestFailoverMidRun(t *testing.T) {
 	// An all-Heavy population: every client shares hundreds of files and
 	// asks for dozens, so each plan runs to ~100 messages and the swarm
 	// is reliably still mid-plan when the victim dies.
-	wl := DefaultWorkload(11, 12)
+	wl := workload.SmallConfig(11, 12)
 	wl.HeavyFraction = 1.0
 	wl.RegularFraction = 0
 	wl.ScannerFraction = 0

@@ -21,11 +21,11 @@ const (
 	goldenPlannerSessionMessages = "97df5723a945a4fbbc5aba2c01255cde4ff6f493f48e83cdd36674d9399a4cba"
 )
 
-// goldenWorld is the first 50 clients of DefaultWorkload(7, 50), with
+// goldenWorld is the first 50 clients of workload.SmallConfig(7, 50), with
 // the per-client Rand split exactly as Run splits it.
 func goldenWorld(t *testing.T) (*clients.Planner, *workload.Population, *workload.Catalog, *randx.Rand) {
 	t.Helper()
-	wl := DefaultWorkload(7, 50)
+	wl := workload.SmallConfig(7, 50)
 	cat, err := workload.Generate(wl)
 	if err != nil {
 		t.Fatal(err)

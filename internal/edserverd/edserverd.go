@@ -6,7 +6,7 @@
 // internal/server, one goroutine per TCP connection plus one UDP read
 // loop, with a periodic source-expiry sweep.
 //
-// A Tap hook mirrors every decoded query and answer as (srcKey, dstKey,
+// A tap (SetTap) mirrors every decoded query and answer as (srcKey, dstKey,
 // payload) triples — the software equivalent of the port mirror feeding
 // the paper's capture machine — which edtrace.ServerSource turns into
 // the standard Session pipeline input, so a live run of this daemon can
@@ -60,6 +60,13 @@ type PeerHandlerFunc func(from *net.UDPAddr, msg ed2k.Message) bool
 // which is the daemon's lifetime.
 type ResolverFunc func(ctx context.Context, msg ed2k.Message, local []ed2k.Message) []ed2k.Message
 
+// udpForwardConcurrency bounds the goroutines forwarding resolvable UDP
+// queries to mesh peers. At the bound, further queries are answered from
+// the local index only and counted as forward drops: a UDP search flood
+// must not mint one goroutine per datagram, each parked on the forward
+// timeout.
+const udpForwardConcurrency = 128
+
 // Config parameterises a daemon. The zero value listens on ephemeral
 // loopback ports with default sizing.
 type Config struct {
@@ -85,9 +92,6 @@ type Config struct {
 	// sweep (default 5 minutes; <0 disables the sweeper).
 	ExpiryInterval time.Duration
 
-	// KnownServers is returned to GetServerList queries.
-	KnownServers []ed2k.ServerAddr
-
 	// Policy, when set, is the traffic-policy configuration the daemon
 	// enforces at its choke points (see internal/policy and
 	// docs/policy.md). Nil means every connection and message is
@@ -103,15 +107,6 @@ type Config struct {
 	// handshake completes: a connection that never logs in is cheap to
 	// open and worth reaping fast (default 30s; <0 disables).
 	PreLoginTimeout time.Duration
-
-	// UDPForwardConcurrency bounds the goroutines forwarding resolvable
-	// UDP queries to mesh peers (default 128; <0 restores the unbounded
-	// historical behaviour). At the bound, further queries are answered
-	// from the local index only and counted as forward drops.
-	UDPForwardConcurrency int
-
-	// Tap, when set, mirrors every decoded query and answer.
-	Tap TapFunc
 
 	// Metrics is the registry the daemon (and its index) registers
 	// into. Nil means a private registry, still readable via
@@ -181,7 +176,8 @@ type Daemon struct {
 	msrv *obs.Server
 
 	// pol is the traffic-policy engine (nil when no policy configured);
-	// udpSem bounds the mesh-forward goroutines spawned by udpLoop.
+	// udpSem bounds the mesh-forward goroutines spawned by udpLoop to
+	// udpForwardConcurrency.
 	pol    *policy.Engine
 	udpSem chan struct{}
 
@@ -247,9 +243,6 @@ func Start(cfg Config) (*Daemon, error) {
 	if cfg.PreLoginTimeout == 0 {
 		cfg.PreLoginTimeout = 30 * time.Second
 	}
-	if cfg.UDPForwardConcurrency == 0 {
-		cfg.UDPForwardConcurrency = 128
-	}
 	if cfg.TCPAddr == "off" && cfg.UDPAddr == "off" {
 		return nil, errors.New("edserverd: both TCP and UDP disabled")
 	}
@@ -259,11 +252,12 @@ func Start(cfg Config) (*Daemon, error) {
 		reg = obs.NewRegistry()
 	}
 	d := &Daemon{
-		cfg:   cfg,
-		srv:   server.NewShardedWith(cfg.Name, cfg.Desc, cfg.Shards, reg),
-		start: time.Now(),
-		conns: make(map[net.Conn]struct{}),
-		reg:   reg,
+		cfg:    cfg,
+		srv:    server.NewShardedWith(cfg.Name, cfg.Desc, cfg.Shards, reg),
+		start:  time.Now(),
+		conns:  make(map[net.Conn]struct{}),
+		reg:    reg,
+		udpSem: make(chan struct{}, udpForwardConcurrency),
 
 		writeTimeout: 30 * time.Second,
 	}
@@ -275,15 +269,8 @@ func Start(cfg Config) (*Daemon, error) {
 		}
 		d.pol = eng
 	}
-	if cfg.UDPForwardConcurrency > 0 {
-		d.udpSem = make(chan struct{}, cfg.UDPForwardConcurrency)
-	}
 	if cfg.SourceTTL > 0 {
 		d.srv.SourceTTL = cfg.SourceTTL
-	}
-	d.srv.KnownServers = cfg.KnownServers
-	if cfg.Tap != nil {
-		d.tap.Store(&cfg.Tap)
 	}
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 
@@ -825,25 +812,17 @@ func (d *Daemon) udpLoop() {
 			// goroutine per datagram, each parked on the forward timeout.
 			// At the bound, the query is answered from the local index
 			// only, synchronously, and counted as a forward drop.
-			if d.udpSem != nil {
-				select {
-				case d.udpSem <- struct{}{}:
-					d.wg.Add(1)
-					go func() {
-						defer d.wg.Done()
-						defer func() { <-d.udpSem }()
-						d.answerUDP(msg, from, clientKey, serverKey, true)
-					}()
-				default:
-					d.nUDPDrop.Add(1)
-					d.answerUDP(msg, from, clientKey, serverKey, false)
-				}
-			} else {
+			select {
+			case d.udpSem <- struct{}{}:
 				d.wg.Add(1)
 				go func() {
 					defer d.wg.Done()
+					defer func() { <-d.udpSem }()
 					d.answerUDP(msg, from, clientKey, serverKey, true)
 				}()
+			default:
+				d.nUDPDrop.Add(1)
+				d.answerUDP(msg, from, clientKey, serverKey, false)
 			}
 			continue
 		}

@@ -180,14 +180,11 @@ func TestDaemonTapMirrorsDialog(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var seen []tapped
-	var d *Daemon
-	d = startTest(t, Config{
-		Shards: 2,
-		Tap: func(src, dst uint32, payload []byte) {
-			mu.Lock()
-			seen = append(seen, tapped{src, dst, payload[1]})
-			mu.Unlock()
-		},
+	d := startTest(t, Config{Shards: 2})
+	d.SetTap(func(src, dst uint32, payload []byte) {
+		mu.Lock()
+		seen = append(seen, tapped{src, dst, payload[1]})
+		mu.Unlock()
 	})
 	conn, sr := dialAndLogin(t, d)
 	if _, err := conn.Write(ed2k.FrameTCP(&ed2k.StatReq{Challenge: 1})); err != nil {

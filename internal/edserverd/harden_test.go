@@ -100,15 +100,11 @@ func TestGarbageStillCountsBad(t *testing.T) {
 
 // TestUDPForwardGoroutineBound is the UDP-flood regression: resolvable
 // datagrams used to spawn one unbounded goroutine each, every one parked
-// on the mesh forward timeout. The pool is now bounded; overflow is
-// answered locally and counted.
+// on the mesh forward timeout. The pool is bounded; the flood goes well
+// past the bound, and the overflow is answered locally and counted.
 func TestUDPForwardGoroutineBound(t *testing.T) {
-	const bound = 4
-	d := startTest(t, Config{
-		TCPAddr:               "off",
-		Shards:                2,
-		UDPForwardConcurrency: bound,
-	})
+	const bound = udpForwardConcurrency
+	d := startTest(t, Config{TCPAddr: "off", Shards: 2})
 	released := make(chan struct{})
 	var entered atomic.Int64
 	d.SetResolver(func(ctx context.Context, msg ed2k.Message, local []ed2k.Message) []ed2k.Message {
@@ -127,7 +123,7 @@ func TestUDPForwardGoroutineBound(t *testing.T) {
 	}
 	defer conn.Close()
 	query := ed2k.Encode(&ed2k.SearchReq{Expr: ed2k.Keyword("flood")})
-	for i := 0; i < 40; i++ {
+	for i := 0; i < bound+64; i++ {
 		if _, err := conn.Write(query); err != nil {
 			t.Fatal(err)
 		}

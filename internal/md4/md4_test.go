@@ -135,53 +135,6 @@ func TestLengthBoundaries(t *testing.T) {
 	}
 }
 
-func TestEd2kHashSmallEqualsPlainMD4(t *testing.T) {
-	data := []byte("small file payload")
-	want := Sum(data)
-	if got := Ed2kHash(data); got != want {
-		t.Fatalf("Ed2kHash(small) = %x, want %x", got, want)
-	}
-}
-
-func TestEd2kHashMultiChunk(t *testing.T) {
-	// Two chunks plus a bit: the fileID must be MD4 over the chunk hashes.
-	data := make([]byte, ChunkSize+1234)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	h1 := Sum(data[:ChunkSize])
-	h2 := Sum(data[ChunkSize:])
-	outer := New()
-	outer.Write(h1[:])
-	outer.Write(h2[:])
-	var want [Size]byte
-	copy(want[:], outer.Sum(nil))
-	if got := Ed2kHash(data); got != want {
-		t.Fatalf("Ed2kHash(multi) = %x, want %x", got, want)
-	}
-}
-
-func TestEd2kHashReaderMatchesInMemory(t *testing.T) {
-	sizes := []int{0, 1, 100, ChunkSize - 1, ChunkSize, ChunkSize + 1, 2*ChunkSize + 7}
-	for _, n := range sizes {
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(i % 251)
-		}
-		want := Ed2kHash(data)
-		got, read, err := Ed2kHashReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if read != int64(n) {
-			t.Fatalf("n=%d: read %d bytes", n, read)
-		}
-		if got != want {
-			t.Fatalf("n=%d: reader %x != memory %x", n, got, want)
-		}
-	}
-}
-
 func BenchmarkMD4_1K(b *testing.B) {
 	data := make([]byte, 1024)
 	b.SetBytes(1024)

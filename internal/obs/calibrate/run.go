@@ -11,6 +11,7 @@ import (
 	"edtrace/internal/edload"
 	"edtrace/internal/edserverd"
 	"edtrace/internal/simtime"
+	"edtrace/internal/workload"
 )
 
 // Config sizes a calibration run. The zero value is usable; every field
@@ -58,7 +59,7 @@ func (cfg *Config) defaults() {
 // of the standard pipeline.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg.defaults()
-	wl := edload.DefaultWorkload(cfg.Seed, cfg.Clients)
+	wl := workload.SmallConfig(cfg.Seed, cfg.Clients)
 
 	// --- Sim leg -----------------------------------------------------
 	sim := core.DefaultSimConfig()

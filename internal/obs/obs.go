@@ -230,12 +230,11 @@ func (k kind) String() string {
 // child is one labelled series of a family: either a direct metric or
 // a read callback.
 type child struct {
-	labels    []Label
-	counter   *Counter
-	gauge     *Gauge
-	hist      *Histogram
-	counterFn func() uint64
-	gaugeFn   func() float64
+	labels  []Label
+	counter *Counter
+	gauge   *Gauge
+	hist    *Histogram
+	gaugeFn func() float64
 }
 
 type family struct {
@@ -356,23 +355,12 @@ func (r *Registry) getChild(name, help string, k kind, labels []Label, init func
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	var out *Counter
 	r.getChild(name, help, kindCounter, labels, func(c *child) {
-		if c.counterFn != nil {
-			panic("obs: " + name + " is a counter func, not a counter")
-		}
 		if c.counter == nil {
 			c.counter = &Counter{}
 		}
 		out = c.counter
 	})
 	return out
-}
-
-// CounterFunc registers a read callback rendered as a counter. A
-// re-registration replaces the callback.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
-	r.getChild(name, help, kindCounter, labels, func(c *child) {
-		c.counter, c.counterFn = nil, fn
-	})
 }
 
 // Gauge returns the gauge for name+labels, creating it on first use.
@@ -526,13 +514,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for _, c := range r.childSnapshots(f) {
 			switch f.kind {
 			case kindCounter:
-				v := uint64(0)
-				if c.counterFn != nil {
-					v = c.counterFn()
-				} else if c.counter != nil {
-					v = c.counter.Value()
-				}
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, formatLabels(c.labels), v)
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, formatLabels(c.labels), c.counter.Value())
 			case kindGauge:
 				var v float64
 				if c.gaugeFn != nil {
@@ -588,13 +570,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			b.WriteString("}, ")
 			switch f.kind {
 			case kindCounter:
-				v := uint64(0)
-				if c.counterFn != nil {
-					v = c.counterFn()
-				} else if c.counter != nil {
-					v = c.counter.Value()
-				}
-				fmt.Fprintf(&b, "\"value\": %d}", v)
+				fmt.Fprintf(&b, "\"value\": %d}", c.counter.Value())
 			case kindGauge:
 				var v float64
 				if c.gaugeFn != nil {

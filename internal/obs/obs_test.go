@@ -145,7 +145,6 @@ func TestPrometheusTextFormat(t *testing.T) {
 	reg.Counter("fmt_requests_total", "requests", L("op", "Search")).Add(3)
 	reg.Gauge("fmt_depth", "queue depth").Set(7)
 	reg.GaugeFunc("fmt_uptime_seconds", "uptime", func() float64 { return 1.5 })
-	reg.CounterFunc("fmt_derived_total", "derived", func() uint64 { return 9 })
 	h := reg.Histogram("fmt_latency_seconds", `latency with "quotes" in help`, nil, L("op", `with"quote`))
 	for i := 0; i < 1000; i++ {
 		h.Observe(time.Duration(i) * 37 * time.Microsecond)
@@ -231,7 +230,7 @@ func TestPrometheusTextFormat(t *testing.T) {
 // discovery while the daemon's /metrics endpoint is being scraped, so
 // the payload swap must be ordered with the render path's reads. Run
 // under -race this catches any unlocked assignment in
-// CounterFunc/GaugeFunc/Unregister.
+// GaugeFunc/Unregister.
 func TestFuncReRegistrationRace(t *testing.T) {
 	reg := NewRegistry()
 	var wg sync.WaitGroup
@@ -246,9 +245,7 @@ func TestFuncReRegistrationRace(t *testing.T) {
 			default:
 			}
 			v := float64(i)
-			n := uint64(i)
 			reg.GaugeFunc("race_gauge", "g", func() float64 { return v })
-			reg.CounterFunc("race_total", "c", func() uint64 { return n })
 			peer := strconv.Itoa(i % 4)
 			reg.GaugeFunc("race_peer", "per peer", func() float64 { return v }, L("peer", peer))
 			if i%8 == 0 {

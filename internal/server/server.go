@@ -135,8 +135,6 @@ type Server struct {
 	Desc string
 	// SourceTTL expires sources that stopped re-announcing.
 	SourceTTL simtime.Time
-	// KnownServers is returned to GetServerList queries.
-	KnownServers []ed2k.ServerAddr
 
 	shards []*shard
 	mask   uint64
@@ -309,7 +307,8 @@ func (s *Server) Handle(now simtime.Time, from ed2k.ClientID, port uint16, msg e
 			Files:     uint32(files),
 		})
 	case ed2k.GetServerList:
-		answers = append(answers, &ed2k.ServerList{Servers: s.KnownServers})
+		// This server knows no others: the list is always empty.
+		answers = append(answers, &ed2k.ServerList{})
 	case ed2k.ServerDescReq:
 		answers = append(answers, &ed2k.ServerDescRes{Name: s.Name, Desc: s.Desc})
 	default:

@@ -61,8 +61,11 @@ const (
 	KindDoc
 )
 
-// Config parameterises the synthetic world. The zero value is unusable;
-// start from DefaultConfig.
+// Config parameterises the synthetic world: the sizes and mixes some
+// caller changes. The calibrated mechanisms no caller changes are the
+// constants next to the code they drive (popularity in Generate, the
+// free riders and the 52-query cap in GeneratePopulation). The zero
+// value is unusable; start from DefaultConfig or SmallConfig.
 type Config struct {
 	Seed uint64
 
@@ -71,47 +74,15 @@ type Config struct {
 	// NumClients is the population size.
 	NumClients int
 
-	// Popularity is a two-component model. Every file has a light-tailed
-	// "niche" weight Pareto(1, BodyAlpha): the long tail of collections.
-	// A HitFraction of files additionally draw a heavy-tailed "hit"
-	// weight Pareto(1, PopularityAlpha) capped at HitWeightCap: the
-	// releases everyone shares and asks for. The body produces Fig 4's
-	// mass of files with one or two providers; the capped hit tail
-	// produces its 4-decade spread up to ~10^4 providers.
-	PopularityAlpha float64
-	BodyAlpha       float64
-	HitFraction     float64
-	HitWeightCap    float64
-
-	// FreeRiderFraction of casual clients provide nothing at all, the
-	// classic P2P free-riding observation; they only search and fetch.
-	FreeRiderFraction float64
-
-	// AskWeightExponent skews asking popularity relative to providing
-	// popularity: ask weight = weight^AskWeightExponent. >1 concentrates
-	// asks on hits.
-	AskWeightExponent float64
-
-	// HotAskBoost multiplies the ask weight of the hottest releases
-	// (the forgery-target set): demand for a fresh hit far outruns its
-	// supply, which is how the paper's Fig 5 reaches ~150 k askers while
-	// Fig 4 tops out near 10 k providers.
-	HotAskBoost float64
-
 	// Forgery (Fig 3): PolluterFraction of clients are polluters, each
 	// sharing ForgedPerPolluter forged variants of popular files. Forged
 	// fileIDs have first two bytes 0x0000 or 0x0100.
 	PolluterFraction  float64
 	ForgedPerPolluter int
 
-	// Client-software limits (§3.2's hypotheses).
-	// SearchCapFraction of clients run software that allows at most
-	// SearchCap source queries (the peak at 52 in Fig 7).
-	SearchCap         int
-	SearchCapFraction float64
-	// ShareCaps lists (cap, fraction) pairs: that fraction of the
-	// population cannot share more than cap files (the bump at a few
-	// thousands in Fig 6).
+	// ShareCaps lists (cap, fraction) pairs of client-software limits
+	// (§3.2's hypotheses): that fraction of the population cannot share
+	// more than cap files (the bump at a few thousands in Fig 6).
 	ShareCaps []ShareCap
 
 	// Profile mix; fractions should sum to <= 1 with the remainder
@@ -137,17 +108,8 @@ func DefaultConfig() Config {
 		Seed:              1,
 		NumFiles:          300_000,
 		NumClients:        60_000,
-		PopularityAlpha:   0.65,
-		BodyAlpha:         1.6,
-		HitFraction:       0.02,
-		HitWeightCap:      20_000,
-		AskWeightExponent: 1.25,
-		HotAskBoost:       40,
-		FreeRiderFraction: 0.50,
 		PolluterFraction:  0.01,
 		ForgedPerPolluter: 120,
-		SearchCap:         52,
-		SearchCapFraction: 0.30,
 		ShareCaps: []ShareCap{
 			{Cap: 2000, Fraction: 0.25},
 			{Cap: 5000, Fraction: 0.10},
@@ -159,6 +121,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// SmallConfig is the load-test world: the calibrated mechanisms over
+// 2000 files and 400 words, small enough to generate instantly and rich
+// enough to exercise every profile. It is what edload's flag mode and a
+// workload spec without world overrides start from.
+func SmallConfig(seed uint64, nClients int) Config {
+	cfg := DefaultConfig()
+	cfg.Seed = seed
+	cfg.NumClients = nClients
+	cfg.NumFiles = 2000
+	cfg.VocabWords = 400
+	return cfg
+}
+
 // Validate reports configuration errors early.
 func (c *Config) Validate() error {
 	switch {
@@ -166,22 +141,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("workload: NumFiles = %d", c.NumFiles)
 	case c.NumClients <= 0:
 		return fmt.Errorf("workload: NumClients = %d", c.NumClients)
-	case c.PopularityAlpha <= 0:
-		return fmt.Errorf("workload: PopularityAlpha = %v", c.PopularityAlpha)
-	case c.AskWeightExponent <= 0:
-		return fmt.Errorf("workload: AskWeightExponent = %v", c.AskWeightExponent)
-	case c.HotAskBoost < 1:
-		return fmt.Errorf("workload: HotAskBoost = %v", c.HotAskBoost)
 	case c.PolluterFraction < 0 || c.PolluterFraction > 0.5:
 		return fmt.Errorf("workload: PolluterFraction = %v", c.PolluterFraction)
-	case c.BodyAlpha <= 1:
-		return fmt.Errorf("workload: BodyAlpha = %v", c.BodyAlpha)
-	case c.HitFraction < 0 || c.HitFraction > 1:
-		return fmt.Errorf("workload: HitFraction = %v", c.HitFraction)
-	case c.HitWeightCap < 1:
-		return fmt.Errorf("workload: HitWeightCap = %v", c.HitWeightCap)
-	case c.FreeRiderFraction < 0 || c.FreeRiderFraction > 1:
-		return fmt.Errorf("workload: FreeRiderFraction = %v", c.FreeRiderFraction)
 	case c.VocabWords < 100:
 		return fmt.Errorf("workload: VocabWords = %d", c.VocabWords)
 	case c.RegularFraction+c.HeavyFraction+c.ScannerFraction+c.PolluterFraction > 1:
@@ -299,6 +260,31 @@ func sizeMixture(r *randx.Rand) (FileKind, uint32) {
 	}
 }
 
+// Popularity is a two-component model. Every file has a light-tailed
+// "niche" weight Pareto(1, bodyAlpha): the long tail of collections. A
+// hitFraction of files additionally draw a heavy-tailed "hit" weight
+// Pareto(1, hitAlpha) capped at hitWeightCap: the releases everyone
+// shares and asks for. The body produces Fig 4's mass of files with one
+// or two providers; the capped hit tail produces its 4-decade spread up
+// to ~10^4 providers.
+const (
+	bodyAlpha    = 1.6
+	hitFraction  = 0.02
+	hitAlpha     = 0.65
+	hitWeightCap = 20_000
+)
+
+// askWeightExponent skews asking popularity relative to providing
+// popularity: ask weight = weight^askWeightExponent. >1 concentrates
+// asks on hits.
+const askWeightExponent = 1.25
+
+// hotAskBoost multiplies the ask weight of the hottest releases (the
+// forgery-target set): demand for a fresh hit far outruns its supply,
+// which is how the paper's Fig 5 reaches ~150 k askers while Fig 4 tops
+// out near 10 k providers.
+const hotAskBoost = 40
+
 // Generate builds the catalog: genuine files first, then forged variants
 // of popular files contributed by polluters.
 func Generate(cfg Config) (*Catalog, error) {
@@ -331,11 +317,11 @@ func Generate(cfg Config) (*Catalog, error) {
 			name += " " + cat.wordAt(zipf.Uint64())
 		}
 		name += extByKind[kind]
-		w := rFiles.Pareto(1, cfg.BodyAlpha)
-		if rFiles.Bool(cfg.HitFraction) {
-			h := rFiles.Pareto(1, cfg.PopularityAlpha)
-			if h > cfg.HitWeightCap {
-				h = cfg.HitWeightCap
+		w := rFiles.Pareto(1, bodyAlpha)
+		if rFiles.Bool(hitFraction) {
+			h := rFiles.Pareto(1, hitAlpha)
+			if h > hitWeightCap {
+				h = hitWeightCap
 			}
 			w += h
 		}
@@ -372,12 +358,12 @@ func Generate(cfg Config) (*Catalog, error) {
 		if !cat.Files[i].Forged {
 			pw[i] = cat.Files[i].Weight
 		}
-		aw[i] = math.Pow(cat.Files[i].Weight, cfg.AskWeightExponent)
+		aw[i] = math.Pow(cat.Files[i].Weight, askWeightExponent)
 	}
 	// Hot releases: demand outruns supply on the hit set (the same set
 	// pollution targets).
 	for _, i := range top {
-		aw[i] *= cfg.HotAskBoost
+		aw[i] *= hotAskBoost
 	}
 	cat.provideTab = randx.NewAliasTable(pw)
 	cat.askTab = randx.NewAliasTable(aw)

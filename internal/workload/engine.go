@@ -167,7 +167,7 @@ func NewEngine(spec *Spec) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	wl := spec.workloadConfig()
+	wl := spec.WorldConfig()
 	cat, err := Generate(wl)
 	if err != nil {
 		return nil, err
@@ -232,7 +232,7 @@ func (e *Engine) materialiseReleases(wl Config, r *randx.Rand) {
 				Name:   name,
 				Size:   size,
 				Type:   typeByKind[kind],
-				Weight: wl.HitWeightCap, // a fresh release is by definition hot
+				Weight: hitWeightCap, // a fresh release is by definition hot
 			})
 		}
 		for j := 0; j < rs.ForgedVariants; j++ {

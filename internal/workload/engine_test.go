@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -285,5 +288,67 @@ func BenchmarkEngineEvents(b *testing.B) {
 	b.StopTimer()
 	if b.N > 0 {
 		b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	}
+}
+
+// TestSpecWorldDefaults: a spec's world is SmallConfig with 500 clients
+// under whatever the world block sets — the numbers docs/workload-spec.md
+// states — and the Engine and `edsim -spec` (which both take
+// Spec.WorldConfig) build the same catalog and population from it.
+func TestSpecWorldDefaults(t *testing.T) {
+	base := func(world *WorldSpec) *Spec {
+		return &Spec{
+			Name:     "world-defaults",
+			Seed:     4,
+			World:    world,
+			Arrivals: ArrivalSpec{Process: "poisson"},
+			Phases:   []PhaseSpec{{Name: "day", Duration: Duration(2 * simtime.Hour), Rate: 0.2}},
+			Churn:    ChurnSpec{SessionDuration: DistSpec{Dist: "fixed", Mean: Duration(30 * simtime.Minute)}},
+		}
+	}
+
+	cfg := base(nil).WorldConfig()
+	if cfg.NumFiles != 2000 || cfg.NumClients != 500 || cfg.VocabWords != 400 || cfg.Seed != 4 {
+		t.Fatalf("no world block: %d files, %d clients, %d words, seed %d; want 2000, 500, 400, 4",
+			cfg.NumFiles, cfg.NumClients, cfg.VocabWords, cfg.Seed)
+	}
+	md, err := os.ReadFile("../../docs/workload-spec.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	promise := fmt.Sprintf("(%d files, %d clients, %d vocabulary words)", cfg.NumFiles, cfg.NumClients, cfg.VocabWords)
+	if !strings.Contains(strings.Join(strings.Fields(string(md)), " "), promise) {
+		t.Fatalf("docs/workload-spec.md does not state the defaults %s", promise)
+	}
+
+	none := 0.0
+	partial := base(&WorldSpec{Clients: 80, PolluterFraction: &none}).WorldConfig()
+	want := DefaultConfig()
+	if partial.NumClients != 80 || partial.PolluterFraction != 0 ||
+		partial.NumFiles != 2000 || partial.VocabWords != 400 ||
+		partial.ForgedPerPolluter != want.ForgedPerPolluter {
+		t.Fatalf("partial world block lost a default: %+v", partial)
+	}
+
+	for _, s := range []*Spec{base(nil), base(&WorldSpec{Files: 300, VocabWords: 120})} {
+		eng, err := NewEngine(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := s.WorldConfig()
+		cat, err := Generate(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pop, err := GeneratePopulation(wl, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(eng.Catalog().Files, cat.Files) {
+			t.Fatalf("world %+v: the Engine's catalog differs from WorldConfig's", s.World)
+		}
+		if !reflect.DeepEqual(eng.Population().Clients, pop.Clients) {
+			t.Fatalf("world %+v: the Engine's population differs from WorldConfig's", s.World)
+		}
 	}
 }

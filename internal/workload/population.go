@@ -59,7 +59,7 @@ type Client struct {
 	AskCount int
 	// SearchCount is how many keyword searches the client will issue.
 	SearchCount int
-	// CappedSearches marks clients running the SearchCap-limited
+	// CappedSearches marks clients running the searchCap-limited
 	// software (the mechanism behind Fig 7's peak at 52).
 	CappedSearches bool
 }
@@ -70,6 +70,18 @@ type Population struct {
 	// Counters for reporting.
 	ByProfile [5]int
 }
+
+// freeRiderFraction of casual clients provide nothing at all, the
+// classic P2P free-riding observation; they only search and fetch.
+const freeRiderFraction = 0.50
+
+// searchCapFraction of clients run software that allows at most
+// searchCap source queries: the singular peak at exactly 52 in Fig 7,
+// one of §3.2's client-software hypotheses. Scanners are exempt.
+const (
+	searchCap         = 52
+	searchCapFraction = 0.30
+)
 
 // GeneratePopulation derives the client population from the catalog.
 // Forged files are distributed among polluters; everyone else samples
@@ -132,7 +144,7 @@ func GeneratePopulation(cfg Config, cat *Catalog) (*Population, error) {
 		var intended int
 		switch c.Profile {
 		case Casual:
-			if !rShare.Bool(cfg.FreeRiderFraction) {
+			if !rShare.Bool(freeRiderFraction) {
 				intended = rShare.Geometric(0.25)
 			}
 		case Regular:
@@ -203,10 +215,10 @@ func GeneratePopulation(cfg Config, cat *Catalog) (*Population, error) {
 		}
 
 		// The 52-query software cap.
-		if rAsk.Float64() < cfg.SearchCapFraction && c.Profile != Scanner {
+		if rAsk.Float64() < searchCapFraction && c.Profile != Scanner {
 			c.CappedSearches = true
-			if c.AskCount > cfg.SearchCap {
-				c.AskCount = cfg.SearchCap
+			if c.AskCount > searchCap {
+				c.AskCount = searchCap
 			}
 		}
 

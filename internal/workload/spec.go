@@ -153,7 +153,7 @@ type Spec struct {
 }
 
 // WorldSpec overrides the synthetic world generation; zero fields keep
-// the engine defaults (a small load-test world).
+// the defaults of Spec.WorldConfig (a small load-test world).
 type WorldSpec struct {
 	// Files is the genuine catalog size.
 	Files int `json:"files,omitempty"`
@@ -382,14 +382,11 @@ func LoadSpec(path string) (*Spec, error) {
 	return s, nil
 }
 
-// workloadConfig merges the spec's world overrides over the engine's
-// default small world.
-func (s *Spec) workloadConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Seed = s.Seed
-	cfg.NumFiles = 2000
-	cfg.NumClients = 500
-	cfg.VocabWords = 400
+// WorldConfig is the world the spec describes: its seed and its world
+// overrides merged over SmallConfig with 500 clients. The Engine and
+// `edsim -spec` both build their world from it.
+func (s *Spec) WorldConfig() Config {
+	cfg := SmallConfig(s.Seed, 500)
 	if w := s.World; w != nil {
 		if w.Files > 0 {
 			cfg.NumFiles = w.Files

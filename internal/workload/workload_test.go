@@ -7,7 +7,7 @@ import (
 	"edtrace/internal/randx"
 )
 
-func smallConfig() Config {
+func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.NumFiles = 20000
 	cfg.NumClients = 2000
@@ -18,7 +18,7 @@ func smallConfig() Config {
 // capRichConfig boosts heavy sharers so cap-pinning is statistically
 // certain at test scale.
 func capRichConfig() Config {
-	cfg := smallConfig()
+	cfg := testConfig()
 	cfg.NumClients = 4000
 	cfg.HeavyFraction = 0.20
 	cfg.ShareCaps = []ShareCap{{Cap: 2000, Fraction: 0.30}}
@@ -26,7 +26,7 @@ func capRichConfig() Config {
 }
 
 func TestGenerateDeterminism(t *testing.T) {
-	cfg := smallConfig()
+	cfg := testConfig()
 	a, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestGenerateDeterminism(t *testing.T) {
 }
 
 func TestCatalogStructure(t *testing.T) {
-	cfg := smallConfig()
+	cfg := testConfig()
 	cat, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestCatalogStructure(t *testing.T) {
 }
 
 func TestForgedPrefixes(t *testing.T) {
-	cat, err := Generate(smallConfig())
+	cat, err := Generate(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestPopulationProfilesAndCaps(t *testing.T) {
 	for i := range pop.Clients {
 		c := &pop.Clients[i]
 		if c.CappedSearches {
-			if c.AskCount > cfg.SearchCap {
+			if c.AskCount > searchCap {
 				over52capped++
 			}
-			if c.AskCount == cfg.SearchCap {
+			if c.AskCount == searchCap {
 				at52++
 			}
 		}
@@ -219,7 +219,7 @@ func TestPopulationProfilesAndCaps(t *testing.T) {
 }
 
 func TestPopulationSharesAreDistinct(t *testing.T) {
-	cfg := smallConfig()
+	cfg := testConfig()
 	cat, _ := Generate(cfg)
 	pop, _ := GeneratePopulation(cfg, cat)
 	for i := range pop.Clients {
@@ -239,7 +239,7 @@ func TestPopulationSharesAreDistinct(t *testing.T) {
 func TestHeavyTailEmergesInProviders(t *testing.T) {
 	// The mechanism check behind Fig 4: simulate provider counts by
 	// sampling and verify the count spread spans orders of magnitude.
-	cfg := smallConfig()
+	cfg := testConfig()
 	cat, _ := Generate(cfg)
 	pop, _ := GeneratePopulation(cfg, cat)
 	providers := make(map[int32]int)
@@ -275,8 +275,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.NumFiles = 0 },
 		func(c *Config) { c.NumClients = -1 },
-		func(c *Config) { c.PopularityAlpha = 0 },
-		func(c *Config) { c.AskWeightExponent = 0 },
 		func(c *Config) { c.PolluterFraction = 0.9 },
 		func(c *Config) { c.VocabWords = 3 },
 		func(c *Config) { c.RegularFraction = 0.9; c.HeavyFraction = 0.5 },
@@ -295,7 +293,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 }
 
 func TestSamplersRespectPopularity(t *testing.T) {
-	cfg := smallConfig()
+	cfg := testConfig()
 	cat, _ := Generate(cfg)
 	r := randx.New(9, 9)
 	counts := make([]int, len(cat.Files))

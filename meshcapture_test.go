@@ -9,6 +9,7 @@ import (
 	"edtrace/internal/edload"
 	"edtrace/internal/edmesh"
 	"edtrace/internal/edserverd"
+	"edtrace/internal/workload"
 	"edtrace/internal/xmlenc"
 )
 
@@ -75,7 +76,7 @@ func TestMeshCapture(t *testing.T) {
 	if _, err := edload.Run(context.Background(), edload.Config{
 		Target:               edload.Target{Addrs: addrs},
 		Clients:              30,
-		Workload:             edload.DefaultWorkload(5, 30),
+		Workload:             workload.SmallConfig(5, 30),
 		MaxMessagesPerClient: 60,
 	}); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 
+	"edtrace/internal/anonymize"
 	"edtrace/internal/edserverd"
 )
 
@@ -102,5 +103,5 @@ func (s *MeshSource) serverNames() map[uint32]string {
 // pipelineDefaults satisfies the session's configuration probe; the
 // multi-server map (serverNames) replaces the single server IP.
 func (s *MeshSource) pipelineDefaults() (uint32, [2]int, bool) {
-	return 0, [2]int{5, 11}, true
+	return 0, anonymize.DefaultBytePair(), true
 }

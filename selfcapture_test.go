@@ -7,6 +7,7 @@ import (
 
 	"edtrace/internal/edload"
 	"edtrace/internal/edserverd"
+	"edtrace/internal/workload"
 )
 
 // TestSelfCapture closes the loop the tentpole is about: edserverd
@@ -34,7 +35,7 @@ func TestSelfCapture(t *testing.T) {
 	loadStats, err := edload.Run(context.Background(), edload.Config{
 		Target:               edload.Target{Addrs: []string{d.TCPAddr().String()}},
 		Clients:              40,
-		Workload:             edload.DefaultWorkload(3, 40),
+		Workload:             workload.SmallConfig(3, 40),
 		MaxMessagesPerClient: 50,
 	})
 	if err != nil {

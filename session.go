@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"edtrace/internal/analysis"
+	"edtrace/internal/anonymize"
 	"edtrace/internal/core"
 	"edtrace/internal/dataset"
 	"edtrace/internal/obs"
@@ -556,7 +557,7 @@ func (s *Session) pipelineConfig() (uint32, [2]int, error) {
 		return 0, [2]int{}, errors.New("edtrace: source does not identify the server; use WithServerIP")
 	}
 	if !havePair {
-		bytePair = [2]int{5, 11}
+		bytePair = anonymize.DefaultBytePair()
 	}
 	return serverIP, bytePair, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"edtrace/internal/anonymize"
 	"edtrace/internal/core"
 	"edtrace/internal/edserverd"
 	"edtrace/internal/pcap"
@@ -213,5 +214,5 @@ func (s *ServerSource) Frames(ctx context.Context, emit EmitFunc) error {
 // pipelineDefaults identifies the daemon as the captured server, so the
 // session needs no WithServerIP.
 func (s *ServerSource) pipelineDefaults() (uint32, [2]int, bool) {
-	return s.serverKey, [2]int{5, 11}, true
+	return s.serverKey, anonymize.DefaultBytePair(), true
 }
