@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strings"
+
 	"edtrace/internal/anonymize"
 	"edtrace/internal/ed2k"
 	"edtrace/internal/simtime"
@@ -119,7 +121,9 @@ func (p *Pipeline) typeHash(typ string) string {
 	}
 	h := anonymize.HashString(typ)
 	if len(p.typeHashes) < maxTypeHashes {
-		p.typeHashes[typ] = h
+		// typ is a substring of its message's one string of values: the
+		// memo keeps a copy, not the message's strings.
+		p.typeHashes[strings.Clone(typ)] = h
 	}
 	return h
 }

@@ -12,9 +12,10 @@ import (
 // TestDecodePooledZeroAlloc gates the tentpole property of the pooled
 // decoder: once the per-type pools are warm, decoding and releasing the
 // high-volume message types allocates nothing. String-carrying payloads
-// (file name tags, server descriptions) are exempt — Go strings cannot
-// be recycled — which is why the gate uses numeric-only messages, the
-// composition of real GetSources/StatReq-dominated traffic.
+// (file name tags, server descriptions) cost one allocation each — Go
+// strings cannot be recycled; TestDecodePooledStringsAllocOnce pins it —
+// which is why the gate uses numeric-only messages, the composition of
+// real GetSources/StatReq-dominated traffic.
 func TestDecodePooledZeroAlloc(t *testing.T) {
 	raws := [][]byte{
 		Encode(&GetSources{Hashes: []FileID{{1, 2, 3}, {4, 5, 6}}}),
@@ -45,5 +46,79 @@ func TestDecodePooledZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, decodeAll); allocs != 0 {
 		t.Fatalf("pooled decode allocates %.2f times per %d-message run; want 0", allocs, len(raws))
+	}
+}
+
+// TestDecodePooledStringsAllocOnce: a pooled message that carries string
+// values allocates exactly once, the one string every value is a
+// substring of, however many entries and tags carry them.
+func TestDecodePooledStringsAllocOnce(t *testing.T) {
+	raw := Encode(searchResOf(12))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	decode := func() {
+		m, err := DecodePooled(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Release(m)
+	}
+	for i := 0; i < 64; i++ {
+		decode()
+	}
+	if allocs := testing.AllocsPerRun(200, decode); allocs != 1 {
+		t.Fatalf("pooled 12-result SearchRes allocates %.2f times; want 1", allocs)
+	}
+}
+
+// decodeAllocCeiling bounds what a fresh Decode of any message kind may
+// allocate. CI's alloc gate reads this constant and fails
+// BenchmarkDecodeSearchRes and BenchmarkDecodeOfferFiles above it.
+const decodeAllocCeiling = 5
+
+// TestDecodeAllocsConstant pins the fresh path's contract: each message
+// kind costs the same number of allocations at every size, at most
+// decodeAllocCeiling.
+func TestDecodeAllocsConstant(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, kind := range []struct {
+		name  string
+		sizes []int
+		build func(n int) Message
+	}{
+		{"SearchRes", []int{1, 12, 256}, func(n int) Message { return searchResOf(n) }},
+		{"OfferFiles", []int{1, 200}, func(n int) Message { return &OfferFiles{Client: 1, Port: 2, Files: entriesOf(n)} }},
+		{"FoundSources", []int{1, 200}, func(n int) Message {
+			m := &FoundSources{Hash: FileID{9}}
+			for i := 0; i < n; i++ {
+				m.Sources = append(m.Sources, Endpoint{ID: ClientID(i), Port: 4662})
+			}
+			return m
+		}},
+		{"GetSources", []int{1, 64}, func(n int) Message {
+			m := &GetSources{}
+			for i := 0; i < n; i++ {
+				m.Hashes = append(m.Hashes, FileID{byte(i), 1})
+			}
+			return m
+		}},
+		{"SearchReq", []int{1, 63}, func(n int) Message { return &SearchReq{Expr: balancedExpr(n)} }},
+	} {
+		var first float64
+		for i, n := range kind.sizes {
+			raw := Encode(kind.build(n))
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := Decode(raw); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s of %d: %.0f allocations", kind.name, n, allocs)
+			if i == 0 {
+				first = allocs
+			}
+			if allocs != first || allocs > decodeAllocCeiling {
+				t.Errorf("%s of %d: %.0f allocations (%.0f at %d); want the same at every size, at most %d",
+					kind.name, n, allocs, first, kind.sizes[0], decodeAllocCeiling)
+			}
+		}
 	}
 }

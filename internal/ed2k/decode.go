@@ -1,6 +1,9 @@
 package ed2k
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // This file implements the two-phase decoder described in §2.3 of the
 // paper: "a structural validation of messages (based on their expected
@@ -11,14 +14,26 @@ import "sync"
 //
 //   - Decode allocates a fresh message per call. Results are independent
 //     of both the input bytes and any pool; use it when messages outlive
-//     the call site (daemon handlers, tests, tools).
+//     the call site (daemon handlers, tests, tools). A message costs a
+//     fixed number of allocations whatever it carries: the counts on the
+//     wire, or one counting walk over the payload, size one slab per
+//     kind of storage — the struct, its entry or source or hash array,
+//     one tag array, one tag-name array, one string holding every string
+//     value, one node array for a search tree — and the decode fills
+//     them. Every entry's Tags and every tag's Name is a sub-slice whose
+//     capacity is clipped to its length, so appending to one never
+//     writes into its neighbour; but one retained entry, tag or string
+//     keeps its whole message's slab alive, so a caller that keeps a
+//     piece of a message for long copies it (server.handleOffer does).
 //   - DecodePooled draws the high-volume message kinds from per-type
 //     sync.Pools and must be paired with Release. Decoded messages never
 //     alias the input, so the raw payload (typically a borrowed frame
 //     buffer) may be reused the moment DecodePooled returns. This is the
 //     capture pipeline's entry point: steady state is zero allocations
-//     per message (string-valued tags and search expressions are the
-//     documented exceptions).
+//     per message, and one per message that carries string values (Go
+//     strings cannot be recycled; all of a message's values are
+//     substrings of one). Search expressions and the rare kinds are not
+//     pooled and cost what Decode's do.
 
 // ValidateStructure performs the cheap first phase on a raw UDP payload.
 // It checks the protocol marker, that the opcode is known, and that the
@@ -146,7 +161,8 @@ func (mp *msgPool[T]) put(v *T) { mp.p.Put(v) }
 
 // Pools for the message kinds the capture hot path sees in volume.
 // SearchReq (expression tree), ServerDescRes (strings) and the mesh
-// messages allocate fresh: they are rare and inherently allocating.
+// messages allocate fresh: they are rare, and their strings could not be
+// recycled anyway.
 var (
 	serverListPool   msgPool[ServerList]
 	offerFilesPool   msgPool[OfferFiles]
@@ -199,7 +215,7 @@ func decodeBody(op byte, payload []byte, pooled bool) (Message, error) {
 		m = v
 	case OpOfferFiles:
 		v := offerFilesPool.get(pooled)
-		err = decodeOfferFiles(&r, v)
+		err = decodeOfferFiles(&r, v, pooled)
 		m = v
 	case OpOfferAck:
 		v := offerAckPool.get(pooled)
@@ -209,7 +225,7 @@ func decodeBody(op byte, payload []byte, pooled bool) (Message, error) {
 		m, err = decodeSearchReq(&r)
 	case OpGlobSearchRes:
 		v := searchResPool.get(pooled)
-		err = decodeSearchRes(&r, v)
+		err = decodeSearchRes(&r, v, pooled)
 		m = v
 	case OpGlobGetSources:
 		v := getSourcesPool.get(pooled)
@@ -255,11 +271,7 @@ func decodeServerList(r *buffer, m *ServerList) error {
 	if err != nil {
 		return err
 	}
-	if m.Servers == nil {
-		m.Servers = make([]ServerAddr, 0, count)
-	} else {
-		m.Servers = m.Servers[:0]
-	}
+	m.Servers = sized(m.Servers, int(count))
 	for i := 0; i < int(count); i++ {
 		ip, err := r.u32()
 		if err != nil {
@@ -274,7 +286,7 @@ func decodeServerList(r *buffer, m *ServerList) error {
 	return nil
 }
 
-func decodeOfferFiles(r *buffer, m *OfferFiles) error {
+func decodeOfferFiles(r *buffer, m *OfferFiles, pooled bool) error {
 	cid, err := r.u32()
 	if err != nil {
 		return err
@@ -291,26 +303,11 @@ func decodeOfferFiles(r *buffer, m *OfferFiles) error {
 	if count > MaxFilesPerMsg {
 		return semanticf("OfferFiles claims %d files", count)
 	}
-	m.Files = m.Files[:0]
-	for i := uint32(0); i < count; i++ {
-		m.Files, err = readFileEntryAppend(r, m.Files)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	m.Files, err = decodeEntries(r, m.Files, count, pooled)
+	return err
 }
 
-func decodeSearchReq(r *buffer) (Message, error) {
-	depth, nodes := 0, 0
-	expr, err := readExpr(r, &depth, &nodes)
-	if err != nil {
-		return nil, err
-	}
-	return &SearchReq{Expr: expr}, nil
-}
-
-func decodeSearchRes(r *buffer, m *SearchRes) error {
+func decodeSearchRes(r *buffer, m *SearchRes, pooled bool) error {
 	count, err := r.u32()
 	if err != nil {
 		return err
@@ -318,18 +315,12 @@ func decodeSearchRes(r *buffer, m *SearchRes) error {
 	if count > MaxFilesPerMsg {
 		return semanticf("SearchRes claims %d results", count)
 	}
-	m.Results = m.Results[:0]
-	for i := uint32(0); i < count; i++ {
-		m.Results, err = readFileEntryAppend(r, m.Results)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	m.Results, err = decodeEntries(r, m.Results, count, pooled)
+	return err
 }
 
 func decodeGetSources(r *buffer, m *GetSources) error {
-	m.Hashes = m.Hashes[:0]
+	m.Hashes = sized(m.Hashes, r.remaining()/16)
 	for r.remaining() > 0 {
 		h, err := r.fileID()
 		if err != nil {
@@ -356,7 +347,7 @@ func decodeFoundSources(r *buffer, m *FoundSources) error {
 		return semanticf("FoundSources count %d disagrees with %d bytes",
 			count, r.remaining())
 	}
-	m.Sources = m.Sources[:0]
+	m.Sources = sized(m.Sources, int(count))
 	for i := 0; i < int(count); i++ {
 		ip, err := r.u32()
 		if err != nil {
@@ -383,14 +374,20 @@ func decodeStatRes(r *buffer, m *StatRes) error {
 	return err
 }
 
+// decodeServerDescRes takes both strings from one allocation.
 func decodeServerDescRes(r *buffer) (Message, error) {
-	name, err := r.str()
+	name, err := r.strBytes()
 	if err != nil {
 		return nil, err
 	}
-	desc, err := r.str()
+	desc, err := r.strBytes()
 	if err != nil {
 		return nil, err
 	}
-	return &ServerDescRes{Name: name, Desc: desc}, nil
+	var b strings.Builder
+	b.Grow(len(name) + len(desc))
+	b.Write(name)
+	b.Write(desc)
+	both := b.String()
+	return &ServerDescRes{Name: both[:len(name)], Desc: both[len(name):]}, nil
 }

@@ -191,19 +191,51 @@ func (r *buffer) fileID() (FileID, error) {
 	return id, nil
 }
 
-func (r *buffer) str() (string, error) {
+// strBytes reads a length-prefixed string field in place: the result
+// aliases the payload, so a decoder copies it into storage of its own.
+func (r *buffer) strBytes() ([]byte, error) {
 	n, err := r.u16()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if int(n) > MaxStringLen {
-		return "", semanticf("string length %d exceeds limit", n)
+		return nil, semanticf("string length %d exceeds limit", n)
 	}
-	b, err := r.bytes(int(n))
+	return r.bytes(int(n))
+}
+
+// strField reads a length-prefixed string field without copying it,
+// returning the offset of its prefix and its length. A decoder that
+// gathers a message's strings into one parks the offset and gets the
+// bytes back with strAt once the message has been read.
+func (r *buffer) strField() (off uint32, n int, err error) {
+	off = uint32(r.off)
+	b, err := r.strBytes()
+	return off, len(b), err
+}
+
+// strAt returns the string field strField read at off in b.
+func strAt(b []byte, off uint32) []byte {
+	n := uint32(binary.LittleEndian.Uint16(b[off:]))
+	return b[off+2 : off+2+n]
+}
+
+func (r *buffer) str() (string, error) {
+	b, err := r.strBytes()
 	if err != nil {
 		return "", err
 	}
 	return string(b), nil
+}
+
+// sized returns s emptied with room for n elements: its own capacity when
+// that suffices (a message recycled through a pool), else one allocation
+// of exactly n.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // Append helpers used by the encoders.

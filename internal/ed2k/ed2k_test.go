@@ -2,6 +2,7 @@ package ed2k
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,58 @@ func sampleEntry(i byte) FileEntry {
 			StringTag(FTFileType, "Audio"),
 		},
 	}
+}
+
+// entriesOf builds n file entries with distinct names: a name, a size
+// and a type tag each, the shape clients offer.
+func entriesOf(n int) []FileEntry {
+	out := make([]FileEntry, n)
+	for i := range out {
+		out[i] = FileEntry{
+			ID:     FileID{byte(i), byte(i >> 8), 7},
+			Client: ClientID(1000 + i),
+			Port:   4662,
+			Tags: []Tag{
+				StringTag(FTFileName, fmt.Sprintf("artist %d - track %d.mp3", i%37, i)),
+				UintTag(FTFileSize, uint32(3<<20+i)),
+				StringTag(FTFileType, "Audio"),
+			},
+		}
+	}
+	return out
+}
+
+// searchResOf builds an n-result answer shaped like the server's: each
+// result carries its entry's three tags plus the sources tag.
+func searchResOf(n int) *SearchRes {
+	m := &SearchRes{Results: entriesOf(n)}
+	for i := range m.Results {
+		m.Results[i].Tags = append(m.Results[i].Tags, UintTag(FTSources, uint32(i+1)))
+	}
+	return m
+}
+
+// balancedExpr builds a balanced search tree of n nodes (n = 2^k − 1)
+// whose leaves are keywords with every fourth one a size constraint, and
+// whose operators alternate AND and OR.
+func balancedExpr(n int) *SearchExpr {
+	leaf := 0
+	var build func(n int, or bool) *SearchExpr
+	build = func(n int, or bool) *SearchExpr {
+		if n == 1 {
+			leaf++
+			if leaf%4 == 0 {
+				return SizeAtLeast(uint32(leaf) << 20)
+			}
+			return Keyword(fmt.Sprintf("word%d", leaf))
+		}
+		l, r := build((n-1)/2, !or), build((n-1)/2, !or)
+		if or {
+			return Or(l, r)
+		}
+		return And(l, r)
+	}
+	return build(n, false)
 }
 
 func TestRoundtripAllMessageKinds(t *testing.T) {
@@ -387,7 +440,17 @@ func BenchmarkDecodeOfferFiles(b *testing.B) {
 	for i := 0; i < 20; i++ {
 		m.Files = append(m.Files, sampleEntry(byte(i)))
 	}
-	raw := Encode(m)
+	benchDecode(b, Encode(m))
+}
+
+// BenchmarkDecodeSearchRes decodes a full answer as the server builds it:
+// MaxSearchResults-sized, 12 results of four tags each.
+func BenchmarkDecodeSearchRes(b *testing.B) {
+	benchDecode(b, Encode(searchResOf(12)))
+}
+
+func benchDecode(b *testing.B, raw []byte) {
+	b.ReportAllocs()
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

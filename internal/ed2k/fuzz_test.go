@@ -50,11 +50,17 @@ func fileEntryWith(name string, size uint32) FileEntry {
 // FuzzDecode differentially tests the allocating and pooled decoders:
 // they must agree on success, value, and error class for every input —
 // and a pooled object recycled through Release must decode the same
-// input identically (no state may leak between uses).
+// input identically (no state may leak between uses). Every accepted
+// input is canonical: re-encoding the decoded message gives back raw,
+// for every kind. And the fresh decoder's per-message slabs are cut so
+// that growing one entry's Tags or one tag's Name leaves every other
+// entry's and tag's encoding as it was.
 func FuzzDecode(f *testing.F) {
 	for _, m := range fuzzSeedMessages() {
 		f.Add(Encode(m))
 	}
+	f.Add(Encode(searchResOf(3))) // entries that share slabs
+	f.Add(Encode(&SearchReq{Expr: balancedExpr(15)}))
 	f.Add([]byte{})
 	f.Add([]byte{ProtoEDonkey})
 	f.Add(Encode(&StatReq{Challenge: 1})[:3]) // truncated body
@@ -85,7 +91,48 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("recycled decode differs:\nfresh    %#v\nrecycled %#v", m1, m3)
 		}
 		Release(m3)
+		if enc := Encode(m1); !bytes.Equal(enc, raw) {
+			t.Fatalf("%s is not canonical:\nraw       % x\nre-encode % x", OpcodeName(m1.Opcode()), raw, enc)
+		}
+		switch m := m1.(type) {
+		case *OfferFiles:
+			checkEntriesIndependent(t, m.Files)
+		case *SearchRes:
+			checkEntriesIndependent(t, m.Results)
+		}
 	})
+}
+
+// checkEntriesIndependent grows each entry's Tags, and each tag's Name,
+// one at a time, and checks after every step that no other entry's
+// encoding, and no other tag of the same entry, changed with it.
+func checkEntriesIndependent(t *testing.T, entries []FileEntry) {
+	t.Helper()
+	enc := make([][]byte, len(entries))
+	for i := range entries {
+		enc[i] = appendFileEntry(nil, &entries[i])
+	}
+	others := func(step string, i int) {
+		for j := range entries {
+			if got := appendFileEntry(nil, &entries[j]); j != i && !bytes.Equal(got, enc[j]) {
+				t.Fatalf("%s of entry %d changed entry %d", step, i, j)
+			}
+		}
+		enc[i] = appendFileEntry(nil, &entries[i])
+	}
+	for i := range entries {
+		e := &entries[i]
+		for k := range e.Tags {
+			before := appendTag(nil, e.Tags[(k+1)%len(e.Tags)])
+			e.Tags[k].Name = append(e.Tags[k].Name, 0xEE)
+			if len(e.Tags) > 1 && !bytes.Equal(appendTag(nil, e.Tags[(k+1)%len(e.Tags)]), before) {
+				t.Fatalf("growing tag %d's name of entry %d changed its next tag", k, i)
+			}
+			others("growing a tag name", i)
+		}
+		e.Tags = append(e.Tags, UintTag(FTSources, 1))
+		others("growing Tags", i)
+	}
 }
 
 // chunkReader hands out the stream in fixed-size reads, exercising

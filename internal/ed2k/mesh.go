@@ -1,5 +1,10 @@
 package ed2k
 
+import (
+	"encoding/binary"
+	"strings"
+)
+
 // Server-to-server mesh extension. The paper measured one deployed
 // server; the follow-up study (Allali, Latapy & Magnien, "Measurement of
 // eDonkey Activity with Distributed Honeypots") observes the network
@@ -94,13 +99,16 @@ type MeshForwardRes struct {
 // Opcode implements Message.
 func (*MeshForwardRes) Opcode() byte { return OpMeshForwardRes }
 
+// appendPayload encodes each nested answer in place behind a reserved
+// u16 length, patched once the answer's size is known (the way
+// AppendFrameTCP patches a frame's).
 func (m *MeshForwardRes) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.ReqID)
 	b = append(b, byte(len(m.Answers)))
 	for _, a := range m.Answers {
-		raw := Encode(a)
-		b = appendU16(b, uint16(len(raw)))
-		b = append(b, raw...)
+		head := len(b)
+		b = AppendEncode(append(b, 0, 0), a)
+		binary.LittleEndian.PutUint16(b[head:], uint16(len(b)-head-2))
 	}
 	return b
 }
@@ -120,6 +128,12 @@ func decodeMeshAnnounce(r *buffer) (Message, error) {
 		return nil, semanticf("MeshAnnounce claims %d peers", count)
 	}
 	m := &MeshAnnounce{Peers: make([]MeshPeer, 0, count)}
+	// Every peer's name is a substring of one string, copied from the
+	// payload once the message has been read.
+	var (
+		offs  [MaxMeshPeers]uint32
+		total int
+	)
 	for i := 0; i < int(count); i++ {
 		var p MeshPeer
 		if p.IP, err = r.u32(); err != nil {
@@ -137,10 +151,19 @@ func decodeMeshAnnounce(r *buffer) (Message, error) {
 		if p.Files, err = r.u32(); err != nil {
 			return nil, err
 		}
-		if p.Name, err = r.str(); err != nil {
+		var n int
+		if offs[i], n, err = r.strField(); err != nil {
 			return nil, err
 		}
+		total += n
 		m.Peers = append(m.Peers, p)
+	}
+	var names strings.Builder
+	names.Grow(total)
+	for i := range m.Peers {
+		start := names.Len()
+		names.Write(strAt(r.b, offs[i]))
+		m.Peers[i].Name = names.String()[start:]
 	}
 	return m, nil
 }
@@ -173,7 +196,7 @@ func decodeMeshForwardRes(r *buffer) (Message, error) {
 	if int(count) > MaxForwardAnswers {
 		return nil, semanticf("MeshForwardRes claims %d answers", count)
 	}
-	m := &MeshForwardRes{ReqID: id}
+	m := &MeshForwardRes{ReqID: id, Answers: make([]Message, 0, count)}
 	for i := 0; i < int(count); i++ {
 		n, err := r.u16()
 		if err != nil {

@@ -1,6 +1,7 @@
 package ed2k
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -231,8 +232,101 @@ func appendExpr(b []byte, e *SearchExpr) []byte {
 	return appendExpr(b, e.Right)
 }
 
-// readExpr decodes one expression tree with node and depth limits.
-func readExpr(r *buffer, depth, nodes *int) (*SearchExpr, error) {
+// decodeSearchReq decodes a search tree in a fixed number of allocations:
+// a counting walk sizes one node slab, the decode fills it, and the words
+// are then copied out of the payload into one string.
+func decodeSearchReq(r *buffer) (Message, error) {
+	x := exprSlabs{nodes: make([]SearchExpr, countExpr(r.b[r.off:]))}
+	depth, n := 0, 0
+	expr, err := readExpr(r, &depth, &n, &x)
+	if err != nil {
+		return nil, err
+	}
+	var words strings.Builder
+	words.Grow(x.words)
+	setWords(expr, r.b, &words)
+	return &SearchReq{Expr: expr}, nil
+}
+
+// exprSlabs is the storage one search tree is decoded into: nodes from
+// one slab in prefix order, and the word bytes the decode has seen.
+type exprSlabs struct {
+	nodes []SearchExpr
+	words int
+}
+
+func (x *exprSlabs) node() *SearchExpr {
+	if len(x.nodes) == 0 {
+		return new(SearchExpr)
+	}
+	e := &x.nodes[0]
+	x.nodes = x.nodes[1:]
+	return e
+}
+
+// countExpr walks the prefix-encoded tree at the head of b without
+// decoding it and counts its nodes, at most MaxExprNodes. Like
+// countEntries it only counts and stops at the first thing the decode
+// would reject.
+func countExpr(b []byte) (nodes int) {
+	off := 0
+	// skipStr steps over a length-prefixed string, reporting false where
+	// the decode would fail.
+	skipStr := func() bool {
+		if len(b)-off < 2 {
+			return false
+		}
+		n := int(binary.LittleEndian.Uint16(b[off:]))
+		off += 2 + n
+		return n <= MaxStringLen && off <= len(b)
+	}
+	for pending := 1; pending > 0 && nodes < MaxExprNodes && off < len(b); pending-- {
+		nodes++
+		kind := b[off]
+		off++
+		switch kind {
+		case exprOperator:
+			off++
+			pending += 2
+		case exprKeyword:
+			if !skipStr() {
+				return nodes
+			}
+		case exprMetaStr:
+			if !skipStr() || !skipStr() {
+				return nodes
+			}
+		case exprMetaNum:
+			off += 5
+			if off > len(b) || !skipStr() {
+				return nodes
+			}
+		default:
+			return nodes
+		}
+	}
+	return nodes
+}
+
+// setWords gives each word-carrying node its word as a substring of the
+// one string words builds, copying it from the payload field whose offset
+// the node's Value parks.
+func setWords(e *SearchExpr, payload []byte, words *strings.Builder) {
+	if e.Kind == KindKeyword || e.Kind == KindMetaStr {
+		start := words.Len()
+		words.Write(strAt(payload, e.Value))
+		e.Word, e.Value = words.String()[start:], 0
+	}
+	if e.Left != nil {
+		setWords(e.Left, payload, words)
+		setWords(e.Right, payload, words)
+	}
+}
+
+// readExpr decodes one expression tree with node and depth limits. A
+// word stays in the payload until setWords copies it out: the node's
+// Value parks its field's offset.
+func readExpr(r *buffer, depth, nodes *int, x *exprSlabs) (*SearchExpr, error) {
 	*nodes++
 	if *nodes > MaxExprNodes {
 		return nil, semanticf("search expression exceeds %d nodes", MaxExprNodes)
@@ -261,39 +355,49 @@ func readExpr(r *buffer, depth, nodes *int) (*SearchExpr, error) {
 		default:
 			return nil, semanticf("unknown search operator 0x%02X", op)
 		}
+		// The node is taken before its subtrees so the slab holds the
+		// tree in prefix order.
+		e := x.node()
 		*depth++
-		l, err := readExpr(r, depth, nodes)
+		l, err := readExpr(r, depth, nodes, x)
 		if err != nil {
 			return nil, err
 		}
-		rhs, err := readExpr(r, depth, nodes)
+		rhs, err := readExpr(r, depth, nodes, x)
 		if err != nil {
 			return nil, err
 		}
 		*depth--
-		return &SearchExpr{Kind: k, Left: l, Right: rhs}, nil
+		*e = SearchExpr{Kind: k, Left: l, Right: rhs}
+		return e, nil
 	case exprKeyword:
-		w, err := r.str()
+		off, n, err := r.strField()
 		if err != nil {
 			return nil, err
 		}
-		if w == "" {
+		if n == 0 {
 			return nil, semanticf("empty search keyword")
 		}
-		return Keyword(w), nil
+		x.words += n
+		e := x.node()
+		*e = SearchExpr{Kind: KindKeyword, Value: off}
+		return e, nil
 	case exprMetaStr:
-		w, err := r.str()
+		off, n, err := r.strField()
 		if err != nil {
 			return nil, err
 		}
-		meta, err := r.str()
+		meta, err := r.strBytes()
 		if err != nil {
 			return nil, err
 		}
 		if len(meta) != 1 {
 			return nil, semanticf("string meta name of length %d", len(meta))
 		}
-		return &SearchExpr{Kind: KindMetaStr, Word: w, Meta: meta[0]}, nil
+		x.words += n
+		e := x.node()
+		*e = SearchExpr{Kind: KindMetaStr, Value: off, Meta: meta[0]}
+		return e, nil
 	case exprMetaNum:
 		v, err := r.u32()
 		if err != nil {
@@ -306,14 +410,16 @@ func readExpr(r *buffer, depth, nodes *int) (*SearchExpr, error) {
 		if op != NumericMin && op != NumericMax {
 			return nil, semanticf("unknown numeric operator 0x%02X", op)
 		}
-		meta, err := r.str()
+		meta, err := r.strBytes()
 		if err != nil {
 			return nil, err
 		}
 		if len(meta) != 1 {
 			return nil, semanticf("numeric meta name of length %d", len(meta))
 		}
-		return &SearchExpr{Kind: KindMetaNum, Value: v, NumOp: op, Meta: meta[0]}, nil
+		e := x.node()
+		*e = SearchExpr{Kind: KindMetaNum, Value: v, NumOp: op, Meta: meta[0]}
+		return e, nil
 	}
 	return nil, semanticf("unknown search node kind 0x%02X", kind)
 }

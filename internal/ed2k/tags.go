@@ -1,6 +1,10 @@
 package ed2k
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"strings"
+)
 
 // Tag types on the wire.
 const (
@@ -62,22 +66,17 @@ func appendTag(b []byte, t Tag) []byte {
 	return b
 }
 
-// readTagAppend decodes one tag into the next slot of tags, enforcing
-// the type whitelist; an unknown tag type is a semantic error (a
-// structurally plausible but undecodable message, the kind §2.3
-// attributes to clients with "their own interpretation of the
-// protocol"). The slot's Name capacity is reused, so decoding tags with
-// one-byte standard names into a recycled slice allocates nothing;
-// string values are the one inherent allocation.
-func readTagAppend(r *buffer, tags []Tag) ([]Tag, error) {
-	var t *Tag
-	if len(tags) < cap(tags) {
-		tags = tags[:len(tags)+1]
-		t = &tags[len(tags)-1]
-	} else {
-		tags = append(tags, Tag{})
-		t = &tags[len(tags)-1]
-	}
+// readTagAppend decodes one tag into the next slot of tags, which the
+// caller sized, enforcing the type whitelist; an unknown tag type is a
+// semantic error (a structurally plausible but undecodable message, the
+// kind §2.3 attributes to clients with "their own interpretation of the
+// protocol"). The slot's Name capacity is reused when it suffices (a
+// recycled message), else the name comes from the message's name slab. A
+// string value stays in the payload until setStrings copies it out: Num
+// parks its field's offset.
+func readTagAppend(r *buffer, tags []Tag, s *entrySlabs) ([]Tag, error) {
+	tags = tags[:len(tags)+1]
+	t := &tags[len(tags)-1]
 	t.Str, t.Num = "", 0
 	typ, err := r.u8()
 	if err != nil {
@@ -94,14 +93,19 @@ func readTagAppend(r *buffer, tags []Tag) ([]Tag, error) {
 	if err != nil {
 		return tags, err
 	}
+	if cap(t.Name) < len(name) {
+		t.Name = takeSlab(&s.names, len(name))
+	}
 	t.Name = append(t.Name[:0], name...)
 	t.Type = typ
 	switch typ {
 	case TagString:
-		t.Str, err = r.str()
+		off, n, err := r.strField()
 		if err != nil {
 			return tags, err
 		}
+		t.Num = off
+		s.strs += n
 	case TagUint32:
 		t.Num, err = r.u32()
 		if err != nil {
@@ -163,19 +167,149 @@ func appendFileEntry(b []byte, e *FileEntry) []byte {
 	return b
 }
 
+// entrySlabs is the storage one message's file entries are decoded into:
+// tag slots and tag-name bytes handed out from one slab each, and the
+// string bytes the decode has seen, which setStrings copies into one
+// string. A fresh decode sizes both slabs from countEntries; a pooled
+// decode leaves them empty and reuses the capacity its recycled entries
+// hold, taking a new slice only where that capacity falls short.
+type entrySlabs struct {
+	tags  []Tag
+	names []byte
+	strs  int
+}
+
+// takeSlab cuts the next n elements off *slab as an empty slice with
+// capacity exactly n, so appending to it cannot write into its
+// neighbour's; when the slab is short it allocates instead.
+func takeSlab[T any](slab *[]T, n int) []T {
+	if n > len(*slab) {
+		return make([]T, 0, n)
+	}
+	s := (*slab)[:0:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// entryCounts sizes a fresh message's slabs: the file entries a counting
+// walk found whole, and the tags and tag-name bytes they carry.
+type entryCounts struct {
+	entries, tags, names int
+}
+
+// fileEntryHead is an entry's fixed prefix: fileID, client, port, tag count.
+const fileEntryHead = 16 + 4 + 2 + 4
+
+// countEntries walks up to n file entries at the head of b without
+// decoding them. It only counts: it stops at the first thing the decode
+// would reject, so its counts are exact for a message that decodes and
+// merely short for one that does not, whose fill pass then fails with the
+// error it always gave.
+func countEntries(b []byte, n int) (c entryCounts) {
+	off := 0
+	for ; c.entries < n; c.entries++ {
+		if len(b)-off < fileEntryHead {
+			return c
+		}
+		ntags := binary.LittleEndian.Uint32(b[off+fileEntryHead-4:])
+		off += fileEntryHead
+		if ntags > MaxTagsPerFile {
+			return c
+		}
+		c.tags += int(ntags)
+		for i := uint32(0); i < ntags; i++ {
+			if len(b)-off < 3 {
+				return c
+			}
+			typ, nameLen := b[off], int(binary.LittleEndian.Uint16(b[off+1:]))
+			off += 3
+			if nameLen > MaxStringLen || len(b)-off < nameLen {
+				return c
+			}
+			c.names += nameLen
+			off += nameLen
+			switch typ {
+			case TagString:
+				if len(b)-off < 2 {
+					return c
+				}
+				n := int(binary.LittleEndian.Uint16(b[off:]))
+				off += 2
+				if n > MaxStringLen || len(b)-off < n {
+					return c
+				}
+				off += n
+			case TagUint32:
+				if len(b)-off < 4 {
+					return c
+				}
+				off += 4
+			default:
+				return c
+			}
+		}
+	}
+	return c
+}
+
+// decodeEntries decodes the n file entries of an OfferFiles or SearchRes
+// into entries (nil for a fresh message, the recycled slice for a pooled
+// one). A fresh message counts first, then fills: its entries, tags and
+// tag names come from one slice each, every entry's Tags and every tag's
+// Name capacity-clipped. Both paths take their string values as
+// substrings of one string, so a message costs a fixed number of
+// allocations — fresh, the entry, tag and name slabs and the string;
+// pooled, the string alone once its pool is warm.
+func decodeEntries(r *buffer, entries []FileEntry, n uint32, pooled bool) ([]FileEntry, error) {
+	var s entrySlabs
+	if pooled {
+		entries = entries[:0]
+	} else {
+		c := countEntries(r.b[r.off:], int(n))
+		entries = sized(entries, c.entries)
+		s.tags = make([]Tag, c.tags)
+		s.names = make([]byte, c.names)
+	}
+	for i := uint32(0); i < n; i++ {
+		var err error
+		if entries, err = readFileEntryAppend(r, entries, &s); err != nil {
+			return entries, err
+		}
+	}
+	setStrings(entries, r.b, s.strs)
+	return entries, nil
+}
+
+// setStrings gives every string tag its value as a substring of one
+// string of total bytes, copying each from the payload field whose
+// offset its Num parks.
+func setStrings(entries []FileEntry, payload []byte, total int) {
+	var all strings.Builder
+	all.Grow(total)
+	for i := range entries {
+		for j := range entries[i].Tags {
+			if t := &entries[i].Tags[j]; t.Type == TagString {
+				start := all.Len()
+				all.Write(strAt(payload, t.Num))
+				t.Str, t.Num = all.String()[start:], 0
+			}
+		}
+	}
+}
+
 // readFileEntryAppend decodes one file entry into the next slot of
-// entries, reusing the slot's Tags capacity (and each tag's Name
-// capacity) when the slice has been recycled through a message pool.
-func readFileEntryAppend(r *buffer, entries []FileEntry) ([]FileEntry, error) {
+// entries. The slot's Tags capacity is reused when it holds the entry's
+// tags (a recycled message), else the tags come from the tag slab.
+func readFileEntryAppend(r *buffer, entries []FileEntry, s *entrySlabs) ([]FileEntry, error) {
 	var e *FileEntry
 	if len(entries) < cap(entries) {
 		entries = entries[:len(entries)+1]
 		e = &entries[len(entries)-1]
-		e.Tags = e.Tags[:0]
 	} else {
 		entries = append(entries, FileEntry{})
 		e = &entries[len(entries)-1]
 	}
+	e.Tags = e.Tags[:0]
 	id, err := r.fileID()
 	if err != nil {
 		return entries, err
@@ -197,8 +331,11 @@ func readFileEntryAppend(r *buffer, entries []FileEntry) ([]FileEntry, error) {
 	if n > MaxTagsPerFile {
 		return entries, semanticf("file entry claims %d tags", n)
 	}
+	if cap(e.Tags) < int(n) {
+		e.Tags = takeSlab(&s.tags, int(n))
+	}
 	for i := uint32(0); i < n; i++ {
-		e.Tags, err = readTagAppend(r, e.Tags)
+		e.Tags, err = readTagAppend(r, e.Tags, s)
 		if err != nil {
 			return entries, err
 		}

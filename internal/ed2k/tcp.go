@@ -180,7 +180,9 @@ func ParseTCPStream(stream []byte) (msgs []Message, consumed int, err error) {
 // Frames are decoded in place: the decoder reads payload bytes directly
 // out of the reader's buffer (and packed frames out of a reusable
 // inflate buffer), never re-copying the body. Decoded messages own their
-// data, so they stay valid across subsequent Next calls.
+// data, so they stay valid across subsequent Next calls; each is a fresh
+// Decode's, a fixed number of allocations whatever it carries, its slices
+// capacity-clipped sub-slices of per-message slabs (see decode.go).
 type StreamReader struct {
 	r     io.Reader
 	buf   []byte

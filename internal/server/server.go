@@ -350,16 +350,14 @@ func (s *Server) handleOffer(now simtime.Time, from ed2k.ClientID, port uint16, 
 		idx := sh.files[f.ID]
 		isNew := idx == nil
 		if isNew {
-			idx = &indexedFile{entry: *f}
-			idx.entry.Client = from
-			idx.entry.Port = port
-			if name, ok := f.Name(); ok {
+			idx = &indexedFile{entry: ed2k.FileEntry{ID: f.ID, Client: from, Port: port, Tags: ownTags(f.Tags)}}
+			if name, ok := idx.entry.Name(); ok {
 				idx.nameLower = strings.ToLower(name)
 			}
-			if typ, ok := f.Type(); ok {
+			if typ, ok := idx.entry.Type(); ok {
 				idx.typeLower = strings.ToLower(typ)
 			}
-			idx.size, _ = f.Size()
+			idx.size, _ = idx.entry.Size()
 			sh.files[f.ID] = idx
 			sh.gFiles.Inc()
 		}
@@ -371,9 +369,10 @@ func (s *Server) handleOffer(now simtime.Time, from ed2k.ClientID, port uint16, 
 		// lists live in other shards; never nest shard locks). Only the
 		// announcement that created the file indexes it, and a token the
 		// name repeats is indexed once, so a posting list holds each file
-		// at most once.
+		// at most once. The tokens are cut from the file's own copy of the
+		// name, so a keyword's map key does not pin the message either.
 		if isNew {
-			name, _ := f.Name()
+			name, _ := idx.entry.Name()
 			toks := Tokenize(name)
 			for i, kw := range toks {
 				if slices.Contains(toks[:i], kw) {
@@ -395,6 +394,60 @@ func (s *Server) handleOffer(now simtime.Time, from ed2k.ClientID, port uint16, 
 		accepted++
 	}
 	return &ed2k.OfferAck{Accepted: accepted}
+}
+
+// oneByteNames backs the one-byte tag names of indexed files, the
+// standard form of every tag name: name b is oneByteNames[b:b+1:b+1].
+// Nothing writes to a tag name the index hands out (see ftSources).
+var oneByteNames = func() (a [256]byte) {
+	for i := range a {
+		a[i] = byte(i)
+	}
+	return a
+}()
+
+// ownTags copies an offered file's tags into storage of the index's own.
+// A decoded message holds all its files' tags, names and strings in
+// shared slabs, so keeping the message's tags would keep every file of
+// the offer alive for as long as this one is indexed. The copy is one tag
+// array and one string holding every string value; one-byte names point
+// into oneByteNames, and only a longer name costs a third allocation.
+func ownTags(tags []ed2k.Tag) []ed2k.Tag {
+	if len(tags) == 0 {
+		return nil
+	}
+	strs, long := 0, 0
+	for _, t := range tags {
+		strs += len(t.Str)
+		if len(t.Name) > 1 {
+			long += len(t.Name)
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(strs)
+	for _, t := range tags {
+		sb.WriteString(t.Str)
+	}
+	all := sb.String()
+	var names []byte
+	if long > 0 {
+		names = make([]byte, 0, long)
+	}
+	out := make([]ed2k.Tag, len(tags))
+	for i, t := range tags {
+		out[i] = ed2k.Tag{Str: all[:len(t.Str)], Num: t.Num, Type: t.Type}
+		all = all[len(t.Str):]
+		switch len(t.Name) {
+		case 0:
+		case 1:
+			b := int(t.Name[0])
+			out[i].Name = oneByteNames[b : b+1 : b+1]
+		default:
+			names = append(names, t.Name...)
+			out[i].Name = names[len(names)-len(t.Name) : len(names) : len(names)]
+		}
+	}
+	return out
 }
 
 // addSource registers or refreshes one provider; the caller holds the
@@ -560,16 +613,36 @@ func (s *Server) cover(e *ed2k.SearchExpr, dst [][]*indexedFile) (lists [][]*ind
 // lowerExpr clones a search tree with all string operands lowered, so
 // evaluation against the cached lowered index needs no per-candidate
 // case folding. Semantics match ed2k.SearchExpr.Matches for ASCII input
-// (a property-checked invariant in the tests).
+// (a property-checked invariant in the tests). The clone's nodes come
+// from one slab sized by the tree; the request's own tree is left as it
+// is, because the daemon may forward it to peers after Handle.
 func lowerExpr(e *ed2k.SearchExpr) *ed2k.SearchExpr {
 	if e == nil {
 		return nil
 	}
-	out := *e
+	slab := make([]ed2k.SearchExpr, 0, exprNodes(e))
+	return lowerInto(e, &slab)
+}
+
+func exprNodes(e *ed2k.SearchExpr) int {
+	if e == nil {
+		return 0
+	}
+	return 1 + exprNodes(e.Left) + exprNodes(e.Right)
+}
+
+// lowerInto appends e's lowered clone to *slab, whose capacity holds the
+// whole tree, so no append moves the nodes already taken.
+func lowerInto(e *ed2k.SearchExpr, slab *[]ed2k.SearchExpr) *ed2k.SearchExpr {
+	if e == nil {
+		return nil
+	}
+	*slab = append(*slab, *e)
+	out := &(*slab)[len(*slab)-1]
 	out.Word = strings.ToLower(e.Word)
-	out.Left = lowerExpr(e.Left)
-	out.Right = lowerExpr(e.Right)
-	return &out
+	out.Left = lowerInto(e.Left, slab)
+	out.Right = lowerInto(e.Right, slab)
+	return out
 }
 
 // evalExpr evaluates a lowered search tree against an indexed file's
