@@ -117,17 +117,9 @@ func BenchmarkChunkDeflateLevel(b *testing.B) {
 
 			// As often again the other way, the way chunkOpener reads them.
 			start := time.Now()
-			gz := new(gzip.Reader)
+			z := new(gunzip)
 			for i := 0; i < b.N; i++ {
-				for _, m := range members {
-					err := gz.Reset(bytes.NewReader(m))
-					if err == nil {
-						_, err = io.Copy(io.Discard, gz)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
+				inflateMembers(b, z, members)
 			}
 			inflate := time.Since(start)
 
@@ -137,6 +129,56 @@ func BenchmarkChunkDeflateLevel(b *testing.B) {
 			b.ReportMetric(float64(raw)/float64(records), "raw-B/record")
 		})
 	}
+}
+
+// inflateMembers reads every member through z, as chunkOpener does.
+func inflateMembers(b *testing.B, z *gunzip, members [][]byte) {
+	for _, m := range members {
+		err := z.reset(bytes.NewReader(m))
+		if err == nil {
+			_, err = io.Copy(io.Discard, z)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInflate compares the read path's inflater with compress/gzip's
+// on the curve's capture text at chunkDeflateLevel: per record, and in MB
+// of chunk text a second.
+//
+//	go test -run '^$' -bench '^BenchmarkInflate$' ./internal/dataset/
+func BenchmarkInflate(b *testing.B) {
+	chunks, records := captureChunks(b)
+	members := deflateChunks(b, chunks, chunkDeflateLevel)
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+	}
+	b.Run("reader=gunzip", func(b *testing.B) {
+		b.SetBytes(int64(totalLen(chunks)))
+		z := new(gunzip)
+		for b.Loop() {
+			inflateMembers(b, z, members)
+		}
+		report(b)
+	})
+	b.Run("reader=compress-gzip", func(b *testing.B) {
+		b.SetBytes(int64(totalLen(chunks)))
+		gz := new(gzip.Reader)
+		for b.Loop() {
+			for _, m := range members {
+				err := gz.Reset(bytes.NewReader(m))
+				if err == nil {
+					_, err = io.Copy(io.Discard, gz)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		report(b)
+	})
 }
 
 // TestCompressionLevelRule pins the rule chunkDeflateLevel was chosen by

@@ -6,15 +6,22 @@ import "io"
 // reader holds 512 KiB of chunk text whatever ChunkBytes the dataset was
 // written with.
 //
-// Chosen on a 2-vCPU box, go1.24, one ForEach pass with an empty
-// callback over 164k records in 14 gzip chunks (56 MB of XML), median of
-// three, ms per pass as block × depth: 16K×4 285, 32K×4 221, 64K×4 222,
-// 128K×2 228, 128K×4 214, 128K×8 230, 512K×4 225, and 4M×2 — whole
-// chunks — 336. Anything from 32 KiB up hides the hand-over; two blocks
+// Measured on a 2-vCPU box, go1.24, one ForEach pass with an empty
+// callback over 491k records in 33 gzip chunks (138 MB of XML, from
+// `edsim -clients 3000 -files 12000 -weeks 0.006 -seed 3 -gz`), median
+// of seven, ms per pass as block × depth: 16K×4 734, 32K×4 712, 64K×4
+// 494, 128K×2 618, 128K×4 422, 128K×8 461, 512K×4 445, and 4M×2 — whole
+// chunks — 733. Small blocks pay a hand-over per 16 or 32 KiB; two blocks
 // leave the producer waiting at every swap; chunk-sized blocks fall out
-// of the cache. The pass is bound by inflate (≈ 330 MB/s on that box),
-// which runs on the one producer: more depth buys nothing, and the
-// width is not GOMAXPROCS because there is nothing to widen.
+// of the cache. The pass is bound by decode, not inflate: on the same
+// chunks the XML decoder alone takes 340 ms on the consumer's goroutine
+// and gunzip alone 295 ms (≈ 470 MB/s) on the producer's, so more depth
+// or a wider producer buys nothing. (With compress/gzip, which inflated
+// at ≈ 210 MB/s, the pass took 625 ms at 128K×4 and was bound by inflate.)
+// gunzip.Read copies out of its window into the ring instead of decoding
+// into the ring's blocks: both copies of a pass, that one and the
+// decoder's out of the ring, are 3 % of its CPU, and the first lands on
+// the producer, which has time to spare.
 const (
 	readAheadBlock = 128 << 10
 	readAheadDepth = 4

@@ -2,11 +2,14 @@ package dataset
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"errors"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,8 +34,17 @@ func mangleChunk(t *testing.T, dir, name string, mangle func([]byte) []byte) str
 
 // TestCorruptChunkDetected: a .gz chunk's trailer is part of the format,
 // and nothing may follow a chunk's closing tag. Both used to read clean,
-// because the reader stopped at </edtrace>.
+// because the reader stopped at </edtrace>. A .gz chunk is one member,
+// and nothing may follow its trailer either — not even a second member
+// that holds only blank lines, which compress/gzip's multistream mode
+// used to read on into.
 func TestCorruptChunkDetected(t *testing.T) {
+	var blank bytes.Buffer
+	gz := gzip.NewWriter(&blank)
+	gz.Write([]byte("\n\n\n"))
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name     string
 		compress bool
@@ -44,7 +56,8 @@ func TestCorruptChunkDetected(t *testing.T) {
 		{"length flipped", true, func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }, "gzip: invalid checksum", nil},
 		{"trailer cut", true, func(b []byte) []byte { return b[:len(b)-8] }, "unexpected EOF", io.ErrUnexpectedEOF},
 		{"cut mid-deflate", true, func(b []byte) []byte { return b[:len(b)/2] }, "unexpected EOF", io.ErrUnexpectedEOF},
-		{"bytes after the member", true, func(b []byte) []byte { return append(b, "junk after the trailer"...) }, "gzip: invalid header", nil},
+		{"bytes after the member", true, func(b []byte) []byte { return append(b, "junk after the trailer"...) }, "gzip: invalid header", gzip.ErrHeader},
+		{"a second member", true, func(b []byte) []byte { return append(b, blank.Bytes()...) }, "gzip: invalid header", gzip.ErrHeader},
 		{"content after the closing tag", false, func(b []byte) []byte { return append(b, "<r/>\n"...) }, "content after </edtrace>", xmlenc.ErrSyntax},
 	}
 	for _, tc := range cases {
@@ -175,6 +188,68 @@ func TestReadAheadIsRingBounded(t *testing.T) {
 	ra.stop()
 	if !src.closed.Load() {
 		t.Fatal("the stream was not closed")
+	}
+}
+
+// TestForEachHoldsNoChunk: a pass's memory does not follow the chunk
+// size. One chunk of 64 MiB of record text — sixteen times what the
+// writer makes by default — is read with the live heap sampled along the
+// way, and never holds more than a few MiB over what it held before.
+func TestForEachHoldsNoChunk(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, chunkName(0, true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw, err := gzip.NewWriterLevel(f, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := xmlenc.AppendHeader(nil, nil)
+	rec := &xmlenc.Record{Op: "GetSources", Dir: xmlenc.DirQuery, FileRefs: []uint32{7}}
+	raw, records := 0, uint64(0)
+	for raw < 64<<20 {
+		rec.T, rec.Client = float64(records), uint32(records%1000)
+		text = xmlenc.AppendRecord(text, rec)
+		if records++; len(text) >= 1<<20 {
+			zw.Write(text)
+			raw, text = raw+len(text), text[:0]
+		}
+	}
+	zw.Write(xmlenc.AppendFooter(text))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man, err := json.Marshal(&Manifest{Version: "1.0", Chunks: []string{chunkName(0, true)}, Records: records})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before, peak, n := live(), uint64(0), uint64(0)
+	if err := ForEach(dir, func(*xmlenc.Record) error {
+		if n++; n%(records/8) == 0 {
+			peak = max(peak, live())
+		}
+		return nil
+	}); err != nil || n != records {
+		t.Fatalf("read %d of %d records: %v", n, records, err)
+	}
+	grew := int64(peak) - int64(before)
+	t.Logf("%d records, %d MiB of text: the live heap grew by %d KiB at most", records, raw>>20, grew>>10)
+	if grew > 4<<20 {
+		t.Fatalf("reading a chunk of %d MiB held %d bytes more than before", raw>>20, grew)
 	}
 }
 

@@ -6,9 +6,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // IntHist counts occurrences of non-negative integer values. It switches
@@ -22,7 +23,12 @@ type IntHist struct {
 	sum    float64
 }
 
-const denseLimit = 1 << 20
+// denseLimit bounds the dense slice at 32 KiB. Counts of providers,
+// askers and files per client sit far below it; Fig 8's file sizes in KB
+// reach past 10⁶ with a support of a few thousand values, and a dense
+// slice that followed them would hold megabytes of zeros and make every
+// Points walk them.
+const denseLimit = 1 << 12
 
 // NewIntHist returns an empty histogram.
 func NewIntHist() *IntHist {
@@ -36,7 +42,7 @@ func (h *IntHist) Add(v uint64) { h.AddN(v, 1) }
 func (h *IntHist) AddN(v, k uint64) {
 	if v < denseLimit {
 		if int(v) >= len(h.dense) {
-			grow := make([]uint64, v+1+uint64(len(h.dense)/2))
+			grow := make([]uint64, min(v+1+uint64(len(h.dense)/2), denseLimit))
 			copy(grow, h.dense)
 			h.dense = grow
 		}
@@ -88,25 +94,27 @@ func (h *IntHist) Points() []Point {
 			out = append(out, Point{uint64(v), c})
 		}
 	}
+	// Every sparse value lies above every dense one.
+	dense := len(out)
 	for v, c := range h.sparse {
 		out = append(out, Point{v, c})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
+	slices.SortFunc(out[dense:], func(a, b Point) int { return cmp.Compare(a.V, b.V) })
 	return out
 }
 
 // Quantile returns the smallest value v such that at least q (0..1) of
 // the observations are <= v.
-func (h *IntHist) Quantile(q float64) uint64 {
-	if h.n == 0 {
-		return 0
-	}
+func (h *IntHist) Quantile(q float64) uint64 { return h.quantile(h.Points(), q) }
+
+// quantile is Quantile over pts, the histogram's Points; 0 when empty.
+func (h *IntHist) quantile(pts []Point, q float64) uint64 {
 	target := uint64(math.Ceil(q * float64(h.n)))
 	if target == 0 {
 		target = 1
 	}
 	var acc uint64
-	for _, p := range h.Points() {
+	for _, p := range pts {
 		acc += p.C
 		if acc >= target {
 			return p.V
@@ -192,14 +200,15 @@ type Summary struct {
 	Max    uint64
 }
 
-// Summarize computes the summary.
+// Summarize computes the summary, its three quantiles from one Points.
 func (h *IntHist) Summarize() Summary {
+	pts := h.Points()
 	return Summary{
 		N:      h.n,
 		Mean:   h.Mean(),
-		Median: h.Quantile(0.5),
-		P90:    h.Quantile(0.9),
-		P99:    h.Quantile(0.99),
+		Median: h.quantile(pts, 0.5),
+		P90:    h.quantile(pts, 0.9),
+		P99:    h.quantile(pts, 0.99),
 		Max:    h.max,
 	}
 }

@@ -31,7 +31,7 @@ func FitPowerLaw(h *IntHist) (PowerLawFit, error) {
 	pts := h.Points()
 	// Candidate xmins: distinct values up to the 90th percentile, capped.
 	var candidates []uint64
-	p90 := h.Quantile(0.9)
+	p90 := h.quantile(pts, 0.9)
 	for _, p := range pts {
 		if p.V >= 1 && p.V <= p90 {
 			candidates = append(candidates, p.V)

@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -37,6 +40,82 @@ func TestIntHistBasics(t *testing.T) {
 	for i := 1; i < len(pts); i++ {
 		if pts[i].V <= pts[i-1].V {
 			t.Fatal("Points not sorted")
+		}
+	}
+}
+
+// TestIntHistCostsItsSupport: Fig 8's sizes in KB run past 10⁶ with a
+// support of a few thousand values; the histogram that holds them
+// allocates for those values, not for every integer below the largest.
+func TestIntHistCostsItsSupport(t *testing.T) {
+	r := randx.New(8, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := NewIntHist()
+	for i := 0; i < 100_000; i++ {
+		h.Add(uint64(r.IntN(2000)) * 750) // 2000 values in [0, 1.5·10⁶)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a histogram of %d distinct values allocated %d bytes", len(h.Points()), grew)
+	}
+}
+
+// TestIntHistMatchesMap: on both sides of the dense part's limit, the
+// histogram says what a plain map of counts says.
+func TestIntHistMatchesMap(t *testing.T) {
+	r := randx.New(9, 9)
+	h, ref := NewIntHist(), map[uint64]uint64{}
+	var n uint64
+	for i := 0; i < 20_000; i++ {
+		var v uint64
+		switch i % 4 {
+		case 0:
+			v = uint64(r.IntN(100))
+		case 1:
+			v = denseLimit - 8 + uint64(r.IntN(16))
+		case 2:
+			v = uint64(r.IntN(1 << 20))
+		default:
+			v = uint64(r.IntN(1_500_000))
+		}
+		k := uint64(1 + r.IntN(3))
+		h.AddN(v, k)
+		ref[v] += k
+		n += k
+	}
+	var want []Point
+	for v, c := range ref {
+		want = append(want, Point{v, c})
+	}
+	slices.SortFunc(want, func(a, b Point) int { return cmp.Compare(a.V, b.V) })
+	if got := h.Points(); !slices.Equal(got, want) {
+		t.Fatalf("Points: %d points, the map has %d", len(got), len(want))
+	}
+	quantile := func(q float64) uint64 {
+		target, acc := uint64(math.Ceil(q*float64(n))), uint64(0)
+		if target == 0 {
+			target = 1
+		}
+		for _, p := range want {
+			if acc += p.C; acc >= target {
+				return p.V
+			}
+		}
+		return want[len(want)-1].V
+	}
+	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1} {
+		if got, want := h.Quantile(q), quantile(q); got != want {
+			t.Errorf("Quantile(%v) = %d, want %d", q, got, want)
+		}
+	}
+	s := h.Summarize()
+	if s.N != n || s.Median != quantile(0.5) || s.P90 != quantile(0.9) || s.P99 != quantile(0.99) || s.Max != want[len(want)-1].V {
+		t.Errorf("Summarize = %+v", s)
+	}
+	for _, v := range []uint64{0, denseLimit - 1, denseLimit, denseLimit + 1, 1 << 20, 1_499_999} {
+		if h.Count(v) != ref[v] {
+			t.Errorf("Count(%d) = %d, want %d", v, h.Count(v), ref[v])
 		}
 	}
 }
