@@ -18,13 +18,14 @@ import (
 	"edtrace/internal/xmlenc"
 )
 
-// The time/size curve behind chunkDeflateLevel is measured on the text
-// the writer really compresses: a seeded simulated capture, decoded and
+// The time/size curve the chunk writer is held to is measured on the text
+// it really compresses: a seeded simulated capture, decoded and
 // anonymised by core.Pipeline, cut into chunks of defaultChunkBytes the
 // way Writer.Write cuts them. The world is the benchmark's capture_replay
 // one (bench/replay.go: 3000 clients, no scanner, no heavy profile) less
-// its mangled frames, and level 4 costs its text the same 9.4 % over
-// level 6 as it costs that workload's dataset on this seed.
+// its mangled frames, and compress/flate's level 4 costs its text the
+// same 9.4 % over level 6 as it costs that workload's dataset on this
+// seed.
 var captureStream struct {
 	once    sync.Once
 	chunks  [][]byte // whole chunk documents: header, record lines, footer
@@ -95,23 +96,22 @@ func totalLen(bufs [][]byte) (n int) {
 	return n
 }
 
-// BenchmarkChunkDeflateLevel prints the curve chunkDeflateLevel was
-// chosen from: per deflate level, over the same capture text, the time
-// to compress a record's share of a chunk, the bytes it becomes and the
-// time to inflate it again (docs/architecture.md holds the table from
-// the reference box). The members are built with gzip.NewWriterLevel
-// directly, so the writer needs no knob for this.
+// BenchmarkChunkDeflateLevel prints the curve: for the package's own
+// deflater (the writer row) and, as reference, every level compress/flate
+// offers, over the same capture text, the time to compress a record's
+// share of a chunk, the bytes it becomes and the time to inflate it again
+// (docs/architecture.md holds the table from the reference box).
 //
 //	go test -run '^$' -bench '^BenchmarkChunkDeflateLevel$' ./internal/dataset/
 func BenchmarkChunkDeflateLevel(b *testing.B) {
 	chunks, records := captureChunks(b)
 	raw := totalLen(chunks)
-	for _, level := range deflateLevels {
-		b.Run(levelName(level), func(b *testing.B) {
+	row := func(name string, deflate func(testing.TB, [][]byte) [][]byte) {
+		b.Run(name, func(b *testing.B) {
 			var members [][]byte
 			b.SetBytes(int64(raw))
 			for b.Loop() {
-				members = deflateChunks(b, chunks, level)
+				members = deflate(b, chunks)
 			}
 			deflate := b.Elapsed()
 
@@ -129,6 +129,10 @@ func BenchmarkChunkDeflateLevel(b *testing.B) {
 			b.ReportMetric(float64(raw)/float64(records), "raw-B/record")
 		})
 	}
+	row("writer", deflateMembers)
+	for _, level := range deflateLevels {
+		row(levelName(level), func(tb testing.TB, chunks [][]byte) [][]byte { return deflateChunks(tb, chunks, level) })
+	}
 }
 
 // inflateMembers reads every member through z, as chunkOpener does.
@@ -145,13 +149,13 @@ func inflateMembers(b *testing.B, z *gunzip, members [][]byte) {
 }
 
 // BenchmarkInflate compares the read path's inflater with compress/gzip's
-// on the curve's capture text at chunkDeflateLevel: per record, and in MB
-// of chunk text a second.
+// on the curve's capture text as the writer deflates it: per record, and
+// in MB of chunk text a second.
 //
 //	go test -run '^$' -bench '^BenchmarkInflate$' ./internal/dataset/
 func BenchmarkInflate(b *testing.B) {
 	chunks, records := captureChunks(b)
-	members := deflateChunks(b, chunks, chunkDeflateLevel)
+	members := deflateMembers(b, chunks)
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 	}
@@ -181,21 +185,22 @@ func BenchmarkInflate(b *testing.B) {
 	})
 }
 
-// TestCompressionLevelRule pins the rule chunkDeflateLevel was chosen by
-// — the cheapest level whose output stays within 10 % of level 6's on
-// capture text — from sizes alone, so it is deterministic: it fails when
-// the constant moves off the rule or a Go release moves the curve.
+// TestCompressionLevelRule pins the rule the writer is held to, from
+// sizes alone, so it is deterministic: on capture text its members total
+// no more than compress/flate level 4's — the level it deflated at before
+// it had a deflater of its own, the cheapest within 10 % of level 6's —
+// and so stay within 1.10 × level 6's. It fails when a change to the
+// deflater, or a Go release that moves the curve, breaks either.
 func TestCompressionLevelRule(t *testing.T) {
 	chunks, _ := captureChunks(t)
-	size := func(level int) int { return totalLen(deflateChunks(t, chunks, level)) }
-	ref, chosen, cheaper := size(6), size(chunkDeflateLevel), size(chunkDeflateLevel-1)
-	t.Logf("level 6: %d B, level %d: %d B (%+.1f %%), level %d: %d B (%+.1f %%)", ref,
-		chunkDeflateLevel, chosen, 100*float64(chosen-ref)/float64(ref),
-		chunkDeflateLevel-1, cheaper, 100*float64(cheaper-ref)/float64(ref))
-	if limit := ref + ref/10; chosen > limit {
-		t.Errorf("level %d writes %d B, over 1.10 × level 6's %d B", chunkDeflateLevel, chosen, ref)
-	} else if cheaper <= limit {
-		t.Errorf("level %d writes %d B, still within 1.10 × level 6's %d B: the rule picks it, not level %d",
-			chunkDeflateLevel-1, cheaper, ref, chunkDeflateLevel)
+	writer := totalLen(deflateMembers(t, chunks))
+	level4, level6 := totalLen(deflateChunks(t, chunks, 4)), totalLen(deflateChunks(t, chunks, 6))
+	t.Logf("writer: %d B; level 4: %d B (writer %+.1f %%); level 6: %d B (writer %+.1f %%)", writer,
+		level4, 100*float64(writer-level4)/float64(level4), level6, 100*float64(writer-level6)/float64(level6))
+	if writer > level4 {
+		t.Errorf("the writer's members total %d B, over level 4's %d B", writer, level4)
+	}
+	if limit := level6 + level6/10; writer > limit {
+		t.Errorf("the writer's members total %d B, over 1.10 × level 6's %d B", writer, level6)
 	}
 }

@@ -5,23 +5,25 @@
 //
 // Chunks rotate on a record and a byte budget so ten-week captures never
 // produce a single unwieldy file. A compressed chunk is one gzip member,
-// deflated at chunkDeflateLevel: an effort chosen from a measured
-// time/size curve by a stated rule, and the writer's business alone —
-// readers take a member of any level. Readers (ForEach, Verify) stream chunk
-// by chunk with one record in memory at a time — the same xmlenc.Record,
-// refilled for every callback, which runs on the caller's goroutine —
-// while a goroutine owned by the call reads and inflates at most 512 KiB
-// of chunk text ahead of it (readahead.go), whatever size the chunks
-// are. The writer deflates with compress/gzip; the readers inflate with
-// the package's own gunzip (gunzip.go), which reads one member, and
-// nothing after it, at about twice compress/gzip's speed on chunk text.
+// written by the package's own deflater (deflate.go): matches looked for
+// only after the quotes the grammar puts around every value, and each
+// block coded the smallest of three ways. It deflates chunk text at about
+// twice the speed of compress/flate's level 4, the writer's effort
+// before, into fewer bytes (TestCompressionLevelRule holds the sizes);
+// the effort is the writer's business alone, and readers take a member of
+// any. Readers (ForEach, Verify) stream chunk by chunk with one record in
+// memory at a time — the same xmlenc.Record, refilled for every callback,
+// which runs on the caller's goroutine — while a goroutine owned by the
+// call reads and inflates at most 512 KiB of chunk text ahead of it
+// (readahead.go), whatever size the chunks are. They inflate with the
+// package's own gunzip (gunzip.go), which reads one member, and nothing
+// after it, at about twice compress/gzip's speed on chunk text.
 // The format, the directory layout and the invariants Verify checks are
 // specified in internal/xmlenc/spec.md.
 package dataset
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -61,11 +63,13 @@ const manifestName = "manifest.json"
 // appends record lines into an in-memory chunk buffer. A full chunk is
 // sealed and written to disk, compressed if configured, either by one of
 // Workers background goroutines or, when Workers is 0, on the caller's
-// goroutine. With workers, gzip — the dominant cost of a compressed
-// dataset even at chunkDeflateLevel — leaves the record pipeline's
-// critical path; without them every sealed chunk stalls the caller for
-// one chunk's compression, and with them for as long as every worker is
-// busy. SealStats counts those stalls.
+// goroutine. With workers, compression — still the largest cost of a
+// compressed dataset — leaves the record pipeline's critical path;
+// without them every sealed chunk stalls the caller for one chunk's
+// compression, and with them for as long as every worker is busy.
+// SealStats counts those stalls. Each goroutine that compresses owns one
+// deflater, whose state (tables, one block of tokens, a 64 KiB output
+// buffer written through to the file) is the same size for any chunk.
 //
 // Record order is preserved by construction, not by synchronisation:
 // chunk names are assigned serially at rotation time and the manifest
@@ -86,7 +90,7 @@ type Writer struct {
 
 	jobs     chan chunkJob // nil when Workers == 0
 	freeBufs chan []byte
-	gz       *gzip.Writer // the caller goroutine's, when Workers == 0
+	dfl      *deflater // the caller goroutine's, when Workers == 0
 	wg       sync.WaitGroup
 	werrMu   sync.Mutex
 	werr     error // first error of a worker
@@ -135,20 +139,6 @@ type chunkJob struct {
 // freelist; a byte bound (unlike the record bound alone) keeps memory
 // predictable when records carry large file lists.
 const defaultChunkBytes = 4 << 20
-
-// chunkDeflateLevel is the deflate effort of a compressed chunk, fixed
-// here together with the rule that picked it: the cheapest level whose
-// bytes per record, on the capture text this writer stores, stay within
-// 10 % of level 6's (gzip's default, and what this writer used before).
-// On the curve BenchmarkChunkDeflateLevel prints — docs/architecture.md
-// keeps the reference box's table — that is level 4: hash chains 16 deep
-// where level 6 walks 128 through markup that repeats on every line,
-// lazy matching still on, 43 % of level 6's time for 8–10 % more bytes.
-// Level 3 is hardly cheaper and costs 16 %; level 5 costs 3 % and 61 %
-// of the time. TestCompressionLevelRule fails when the constant and the
-// rule part ways. The level is not part of the format (spec.md): ForEach
-// and Verify read any RFC 1952 member.
-const chunkDeflateLevel = 4
 
 // NewWriter creates dir (if needed) and returns a writer. A manifest
 // left there by an earlier dataset is removed first — until Close
@@ -279,7 +269,7 @@ func (w *Writer) sealChunk() error {
 	job := chunkJob{name: w.curName, data: xmlenc.AppendFooter(w.raw)}
 	w.raw = nil
 	if w.jobs == nil {
-		return w.writeChunkFile(job, &w.gz)
+		return w.writeChunkFile(job, &w.dfl)
 	}
 	w.jobs <- job
 	return w.workerErr()
@@ -292,9 +282,9 @@ func (w *Writer) SealStats() SealStats { return w.seal }
 
 func (w *Writer) worker() {
 	defer w.wg.Done()
-	var gz *gzip.Writer
+	var dfl *deflater
 	for job := range w.jobs {
-		if err := w.writeChunkFile(job, &gz); err != nil {
+		if err := w.writeChunkFile(job, &dfl); err != nil {
 			w.werrMu.Lock()
 			if w.werr == nil {
 				w.werr = err
@@ -311,28 +301,20 @@ func (w *Writer) workerErr() error {
 }
 
 // writeChunkFile writes one chunk to disk, compressing if configured,
-// and recycles its buffer. The gzip writer belongs to the calling
-// goroutine and is Reset between chunks; its header carries no
-// timestamp, so a chunk's bytes depend on its records alone.
-func (w *Writer) writeChunkFile(job chunkJob, gz **gzip.Writer) error {
+// and recycles its buffer. The deflater belongs to the calling goroutine
+// and is reused between chunks; a member it writes depends on the
+// chunk's bytes alone.
+func (w *Writer) writeChunkFile(job chunkJob, dfl **deflater) error {
 	defer w.recycle(job.data)
 	f, err := os.Create(filepath.Join(w.dir, job.name))
 	if err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
 	if w.compress {
-		if *gz == nil {
-			if *gz, err = gzip.NewWriterLevel(f, chunkDeflateLevel); err != nil {
-				f.Close()
-				return fmt.Errorf("dataset: %w", err)
-			}
-		} else {
-			(*gz).Reset(f)
+		if *dfl == nil {
+			*dfl = new(deflater)
 		}
-		_, err = (*gz).Write(job.data)
-		if cerr := (*gz).Close(); err == nil {
-			err = cerr
-		}
+		err = (*dfl).writeMember(f, job.data)
 	} else {
 		_, err = f.Write(job.data)
 	}

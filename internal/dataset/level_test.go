@@ -12,8 +12,10 @@ import (
 	"edtrace/internal/xmlenc"
 )
 
-// deflateChunks compresses every chunk as its own gzip member at level,
-// the way writeChunkFile does, and returns the members.
+// deflateChunks compresses every chunk as its own gzip member with
+// compress/gzip at level, the way writeChunkFile did before the package
+// had a deflater, and returns the members: the reference rows of the
+// curve, and datasets of every level for the readers.
 func deflateChunks(tb testing.TB, chunks [][]byte, level int) [][]byte {
 	tb.Helper()
 	members := make([][]byte, len(chunks))
@@ -52,8 +54,8 @@ func levelName(level int) string {
 // TestReadsChunksOfAnyLevel: the deflate effort is the writer's choice
 // and not part of the format. The same records, stored as gzip members
 // of every level compress/flate offers, read back identical through
-// ForEach and clean through Verify — which is what keeps the level-6
-// datasets already on disk readable.
+// ForEach and clean through Verify — which is what keeps the datasets
+// already on disk, deflated at level 6 or 4 by compress/gzip, readable.
 func TestReadsChunksOfAnyLevel(t *testing.T) {
 	src := t.TempDir()
 	writeDataset(t, src, 1000, WriterOptions{ChunkRecords: 100})

@@ -132,24 +132,30 @@ func Verify(dir string) (*VerifyReport, error) {
 }
 
 // idSet counts the distinct anonymised IDs a dataset references. The spec
-// makes them dense in [0, n) with n in the manifest, so one bit per
-// claimed ID covers every ID a valid dataset holds; an ID beyond the
+// makes them dense in [0, n) with n in the manifest, so one bit per ID
+// below the claim covers every ID a valid dataset holds; an ID beyond the
 // claim — already a violation — goes to a map, as every ID does when the
-// manifest claims nothing.
+// manifest claims nothing. The bits grow with the largest ID below the
+// claim seen so far, never past the claim: what Verify holds follows the
+// data, not what a manifest says of it.
 type idSet struct {
-	bits     []uint64 // bit id of [0, n)
+	claim    uint32
+	bits     []uint64 // bit id of the IDs seen below claim
 	beyond   map[uint32]struct{}
 	distinct uint64
 }
 
-func newIDSet(n uint32) *idSet {
-	return &idSet{bits: make([]uint64, (uint64(n)+63)/64), beyond: make(map[uint32]struct{})}
+func newIDSet(claim uint32) *idSet {
+	return &idSet{claim: claim, beyond: make(map[uint32]struct{})}
 }
 
 func (s *idSet) add(id uint32) {
-	if w := int(id >> 6); w < len(s.bits) {
-		// The last word's bits past n are never claimed IDs, but setting
-		// one still counts the ID once, which is all a violation needs.
+	if id < s.claim {
+		w := int(id >> 6)
+		if w >= len(s.bits) {
+			n := min(max(w+1, 2*len(s.bits)), int((uint64(s.claim)+63)/64))
+			s.bits = append(s.bits, make([]uint64, n-len(s.bits))...)
+		}
 		if bit := uint64(1) << (id & 63); s.bits[w]&bit == 0 {
 			s.bits[w] |= bit
 			s.distinct++

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,6 +20,16 @@ func writeValidDataset(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	writeValidRecords(t, w)
+	w.SetCounters(3, 2)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeValidRecords writes the five records of writeValidDataset.
+func writeValidRecords(tb testing.TB, w *Writer) {
+	tb.Helper()
 	recs := []*xmlenc.Record{
 		{T: 0.5, Client: 0, Op: "OfferFiles", Dir: xmlenc.DirQuery,
 			Files: []xmlenc.FileInfo{{ID: 0, NameHash: "ab12", SizeKB: 10, TypeHash: "ff00"}}},
@@ -31,12 +42,8 @@ func writeValidDataset(t *testing.T, dir string) {
 	}
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-	}
-	w.SetCounters(3, 2)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -136,4 +143,102 @@ func TestVerifyHugeIDCostsNothing(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
 		t.Fatalf("Verify allocated %d bytes over a five-record dataset", grew)
 	}
+}
+
+// TestVerifyHugeClaimCostsNothing: nor does Verify's memory follow what
+// the manifest claims. A manifest that claims 2³²-1 clients and files over
+// a five-record dataset is four violations, not a gigabyte of bitsets.
+func TestVerifyHugeClaimCostsNothing(t *testing.T) {
+	dir := t.TempDir()
+	writeValidDataset(t, dir)
+	path := filepath.Join(dir, manifestName)
+	man, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man = bytes.Replace(man, []byte(`"distinct_clients": 3`), []byte(`"distinct_clients": 4294967295`), 1)
+	man = bytes.Replace(man, []byte(`"distinct_files": 2`), []byte(`"distinct_files": 4294967295`), 1)
+	if err := os.WriteFile(path, man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Verify(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"manifest claims 4294967295 clients, dataset references 3",
+		"max clientID 2, want 4294967294 (dense order-of-appearance)",
+		"manifest claims 4294967295 files, dataset references 2",
+		"max fileID 1, want 4294967294 (dense order-of-appearance)",
+	}
+	if rep.Records != 5 || !slices.Equal(rep.Violations, want) {
+		t.Fatalf("report: %+v", rep)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("Verify allocated %d bytes over a five-record dataset", grew)
+	}
+}
+
+// FuzzVerifyManifest: Open, ForEach and Verify on any manifest over a
+// small valid set of chunks — a plain one and a .gz one — return an error
+// or a result; none panics, and none allocates more than 8 MiB plus 64
+// bytes per byte of manifest.
+//
+//	go test -run '^$' -fuzz '^FuzzVerifyManifest$' -fuzztime 15s ./internal/dataset/
+func FuzzVerifyManifest(f *testing.F) {
+	dir := f.TempDir()
+	w, err := NewWriter(dir, WriterOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	writeValidRecords(f, w)
+	w.SetCounters(3, 2)
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	chunk, err := os.ReadFile(filepath.Join(dir, chunkName(0, false)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var gz bytes.Buffer
+	if err := new(deflater).writeMember(&gz, chunk); err != nil {
+		f.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, chunkName(1, true)), gz.Bytes(), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"version":"1.0","chunks":["chunk-00000.xml","chunk-00001.xml.gz"],"records":10,"distinct_clients":3,"distinct_files":2}`))
+	f.Add([]byte(`{"version":"1.0","chunks":["chunk-00000.xml"],"records":5,"distinct_clients":4294967295,"distinct_files":4294967295}`))
+	f.Add([]byte(`{"version":"1.0","chunks":["chunk-00000.xml"],"records":5,"meta":{"servers":"a,b"}}`))
+	f.Add([]byte(`{"version":"1.0","chunks":["chunk-00000.xml.gz"],"records":18446744073709551615}`))
+	f.Add([]byte(`{"version":"1.0","chunks":null}`))
+	f.Add([]byte(`{"version":"2.0"}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if man, err := Open(dir); err == nil && man == nil {
+			t.Fatal("Open returned neither a manifest nor an error")
+		}
+		n := 0
+		ForEach(dir, func(*xmlenc.Record) error { n++; return nil })
+		if rep, err := Verify(dir); err == nil && rep == nil {
+			t.Fatal("Verify returned neither a report nor an error")
+		}
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(8<<20+64*len(manifest)); grew > bound {
+			t.Fatalf("a %d-byte manifest cost %d bytes of allocation, over %d", len(manifest), grew, bound)
+		}
+	})
 }
