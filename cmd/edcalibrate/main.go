@@ -36,7 +36,6 @@ func main() {
 		maxMsgs  = flag.Int("max-msgs", 80, "per-client message cap on the real leg")
 		seed     = flag.Uint64("seed", 1, "population seed shared by both legs")
 		simHours = flag.Float64("sim-hours", 4, "sim leg virtual capture length, hours")
-		shards   = flag.Int("shards", 0, "daemon index shards (0 = default)")
 		quiet    = flag.Bool("quiet", false, "suppress progress logging")
 	)
 	flag.Parse()
@@ -53,7 +52,6 @@ func main() {
 		MaxMessagesPerClient: *maxMsgs,
 		Seed:                 *seed,
 		SimDuration:          simtime.Time(*simHours * float64(simtime.Hour)),
-		Shards:               *shards,
 		Logf:                 logf,
 	})
 	if err != nil {

@@ -43,7 +43,6 @@ import (
 
 	"edtrace/internal/edload"
 	"edtrace/internal/obs"
-	"edtrace/internal/profiling"
 	"edtrace/internal/workload"
 )
 
@@ -63,12 +62,6 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress lifecycle logging")
 	)
 	flag.Parse()
-	stopProf, err := profiling.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "edload:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
 
 	logf := log.Printf
 	if *quiet {

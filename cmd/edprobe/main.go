@@ -1,9 +1,8 @@
 // Command edprobe performs the active measurements the paper's
 // conclusion proposes as complementary future work ("active measurements
 // from clients, for instance"): it periodically probes a live eDonkey
-// server over UDP — status pings, server description, sample searches
-// and source queries — and prints a time series of the server's counters
-// and responsiveness.
+// server over UDP — a status ping and a sample search each round — and
+// prints a time series of the server's counters and responsiveness.
 //
 // Usage:
 //
@@ -45,41 +44,65 @@ func main() {
 	fmt.Printf("probing %s every %v\n", addr, *every)
 	fmt.Printf("%-10s %-10s %-10s %-10s %-10s %-8s\n",
 		"round", "users", "files", "rtt", "results", "alive")
-
-	buf := make([]byte, 64<<10)
-	exchange := func(m ed2k.Message) (ed2k.Message, time.Duration, error) {
-		start := time.Now()
-		if _, err := conn.Write(ed2k.Encode(m)); err != nil {
-			return nil, 0, err
-		}
-		conn.SetReadDeadline(time.Now().Add(*timeout))
-		n, err := conn.Read(buf)
-		if err != nil {
-			return nil, time.Since(start), err
-		}
-		ans, err := ed2k.Decode(buf[:n])
-		return ans, time.Since(start), err
-	}
-
+	p := prober{conn: conn, keyword: *keyword, timeout: *timeout, buf: make([]byte, 64<<10)}
 	for round := 1; *count == 0 || round <= *count; round++ {
-		users, files := uint32(0), uint32(0)
-		alive := false
-		var rtt time.Duration
-		if ans, d, err := exchange(&ed2k.StatReq{Challenge: uint32(round)}); err == nil {
-			if sr, ok := ans.(*ed2k.StatRes); ok && sr.Challenge == uint32(round) {
-				users, files, alive, rtt = sr.Users, sr.Files, true, d
-			}
-		}
-		results := -1
-		if ans, _, err := exchange(&ed2k.SearchReq{Expr: ed2k.Keyword(*keyword)}); err == nil {
-			if sr, ok := ans.(*ed2k.SearchRes); ok {
-				results = len(sr.Results)
-			}
-		}
+		r := p.round(uint32(round))
 		fmt.Printf("%-10d %-10d %-10d %-10s %-10d %-8v\n",
-			round, users, files, rtt.Round(time.Microsecond), results, alive)
+			round, r.users, r.files, r.rtt.Round(time.Microsecond), r.results, r.alive)
 		if *count == 0 || round < *count {
 			time.Sleep(*every)
 		}
 	}
+}
+
+// prober asks one server over conn, one datagram exchange at a time.
+type prober struct {
+	conn    net.Conn
+	keyword string
+	timeout time.Duration
+	buf     []byte
+}
+
+// roundResult is one row of the time series.
+type roundResult struct {
+	// alive is set when the status answer echoed the round's challenge;
+	// users, files and rtt come from that answer.
+	alive        bool
+	users, files uint32
+	rtt          time.Duration
+	// results counts the sample search's hits (-1: no search answer).
+	results int
+}
+
+// round runs one probe: a status ping carrying challenge, then the
+// sample search.
+func (p *prober) round(challenge uint32) roundResult {
+	r := roundResult{results: -1}
+	if ans, d, err := p.exchange(&ed2k.StatReq{Challenge: challenge}); err == nil {
+		if sr, ok := ans.(*ed2k.StatRes); ok && sr.Challenge == challenge {
+			r.alive, r.users, r.files, r.rtt = true, sr.Users, sr.Files, d
+		}
+	}
+	if ans, _, err := p.exchange(&ed2k.SearchReq{Expr: ed2k.Keyword(p.keyword)}); err == nil {
+		if sr, ok := ans.(*ed2k.SearchRes); ok {
+			r.results = len(sr.Results)
+		}
+	}
+	return r
+}
+
+// exchange sends m and decodes the first datagram back within the
+// timeout.
+func (p *prober) exchange(m ed2k.Message) (ed2k.Message, time.Duration, error) {
+	start := time.Now()
+	if _, err := p.conn.Write(ed2k.Encode(m)); err != nil {
+		return nil, 0, err
+	}
+	p.conn.SetReadDeadline(time.Now().Add(p.timeout))
+	n, err := p.conn.Read(p.buf)
+	if err != nil {
+		return nil, time.Since(start), err
+	}
+	ans, err := ed2k.Decode(p.buf[:n])
+	return ans, time.Since(start), err
 }

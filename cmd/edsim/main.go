@@ -35,7 +35,6 @@ import (
 
 	"edtrace"
 	"edtrace/internal/core"
-	"edtrace/internal/profiling"
 	"edtrace/internal/simtime"
 	"edtrace/internal/workload"
 )
@@ -56,12 +55,6 @@ func main() {
 		progress = flag.Bool("progress", false, "print periodic progress")
 	)
 	flag.Parse()
-	stopProf, err := profiling.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "edsim:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
 
 	sim := core.DefaultSimConfig()
 	sim.Workload.Seed = *seed

@@ -1,9 +1,11 @@
 // Live capture: the measurement running on a real network path. This
-// example starts the eDonkey server on a loopback UDP socket, points a
-// handful of goroutine clients at it, and mirrors every datagram into an
-// edtrace.LiveSource — §2's procedure with real sockets instead of the
-// simulator. All pipeline wiring (decode → anonymise → records) lives in
-// the Session; the example only runs the workload and the port mirror.
+// example starts the eDonkey server daemon on a loopback UDP socket,
+// captures it with a ServerSource — the daemon mirrors every datagram
+// it receives or sends, the software port mirror of §2 — and points a
+// handful of goroutine clients at it: the paper's procedure with real
+// sockets instead of the simulator. All pipeline wiring (decode →
+// anonymise → records) lives in the Session; the example only runs the
+// workload.
 package main
 
 import (
@@ -16,8 +18,7 @@ import (
 
 	"edtrace"
 	"edtrace/internal/ed2k"
-	"edtrace/internal/server"
-	"edtrace/internal/simtime"
+	"edtrace/internal/edserverd"
 	"edtrace/internal/xmlenc"
 )
 
@@ -34,23 +35,23 @@ func (c *recordSink) Write(r *xmlenc.Record) error {
 }
 
 func main() {
-	srvConn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	d, err := edserverd.Start(edserverd.Config{
+		Name:    "live",
+		Desc:    "loopback capture demo",
+		TCPAddr: "off",
+		UDPAddr: "127.0.0.1:0",
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srvConn.Close()
-	srvAddr := srvConn.LocalAddr().(*net.UDPAddr)
-	serverIP := edtrace.UDPAddrKey(srvAddr)
+	srvAddr := d.UDPAddr().String()
 	fmt.Printf("server on %s\n", srvAddr)
 
-	// The capture: a LiveSource fed by the port mirror, observed by a
-	// Session running the same pipeline as the simulator and pcap modes.
-	src := edtrace.NewLiveSource(0)
+	// The capture: the daemon's own tap, observed by a Session running
+	// the same pipeline as the simulator and pcap modes. The source
+	// identifies the server, so no WithServerIP is needed.
 	sink := &recordSink{}
-	session := edtrace.NewSession(src,
-		edtrace.WithServerIP(serverIP),
-		edtrace.WithSink(sink),
-	)
+	session := edtrace.NewSession(edtrace.NewServerSource(d, 0), edtrace.WithSink(sink))
 	type outcome struct {
 		res *edtrace.Result
 		err error
@@ -61,40 +62,13 @@ func main() {
 		done <- outcome{res, err}
 	}()
 
-	// Server loop: every datagram received or sent is also mirrored into
-	// the capture source.
-	srv := server.New("live", "loopback capture demo")
-	start := time.Now()
-	go func() {
-		buf := make([]byte, 64<<10)
-		for {
-			n, from, err := srvConn.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			payload := append([]byte(nil), buf[:n]...)
-			fromIP := edtrace.UDPAddrKey(from)
-			src.Mirror(fromIP, serverIP, payload)
-			msg, err := ed2k.Decode(payload)
-			if err != nil {
-				continue
-			}
-			now := simtime.Time(time.Since(start))
-			for _, a := range srv.Handle(now, ed2k.ClientID(fromIP), uint16(from.Port), msg) {
-				raw := ed2k.Encode(a)
-				src.Mirror(serverIP, fromIP, raw)
-				srvConn.WriteToUDP(raw, from)
-			}
-		}
-	}()
-
-	// A few real clients over loopback.
+	// A few real clients over loopback; each query gets one answer.
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := net.DialUDP("udp4", nil, srvAddr)
+			conn, err := net.Dial("udp4", srvAddr)
 			if err != nil {
 				log.Print(err)
 				return
@@ -126,20 +100,23 @@ func main() {
 					log.Print(err)
 					return
 				}
-				conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-				for {
-					if _, err := conn.Read(reply); err != nil {
-						break // deadline: no more answers for this query
-					}
+				conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+				if _, err := conn.Read(reply); err != nil {
+					log.Print(err)
+					return
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
-	time.Sleep(200 * time.Millisecond) // let the last mirrors land
 
-	// End the capture and collect the uniform Result.
-	src.Close()
+	// The daemon mirrors an answer before it sends it, so every
+	// datagram is queued by now; shutting down ends the capture.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		log.Fatal(err)
+	}
 	out := <-done
 	if out.err != nil {
 		log.Fatal(out.err)
@@ -158,5 +135,5 @@ func main() {
 		}
 		fmt.Printf("record %2d: t=%.3fs client=%d %s (%s)\n", i, r.T, r.Client, r.Op, r.Dir)
 	}
-	fmt.Println("\nserver stats:", srv.Stats().Received)
+	fmt.Println("\nserver stats:", d.Stats().Server.Received)
 }

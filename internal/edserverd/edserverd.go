@@ -413,8 +413,9 @@ func IPKey(ip net.IP) uint32 {
 
 // AddrKey derives the uint32 dialog key for an endpoint. Real IPv4
 // addresses map to their numeric value; loopback and wildcard addresses
-// (every peer shares 127.0.0.1 in a local swarm) are disambiguated by
-// port: 0x7F00_0000 | port, mirroring edtrace.UDPAddrKey.
+// (every peer shares 127.0.0.1 in a local swarm, which would collapse
+// the capture's query/answer direction inference) are disambiguated by
+// port: 0x7F00_0000 | port.
 func AddrKey(ip net.IP, port int) uint32 {
 	ip4 := ip.To4()
 	if ip4 == nil || ip4.IsLoopback() || ip4.IsUnspecified() {
@@ -897,8 +898,8 @@ func (d *Daemon) resolveMisses(msg ed2k.Message, local []ed2k.Message) []ed2k.Me
 }
 
 // SetTap installs the traffic mirror at runtime — how
-// edtrace.ServerSource attaches a capture session to an already-running
-// daemon (replacing any previous tap; a daemon carries at most one).
+// edtrace.ServerSource attaches a capture session to already-running
+// daemons (replacing any previous tap; a daemon carries at most one).
 // The returned detach function removes fn only while it is still the
 // installed tap, so a stale capture tearing down cannot silently
 // detach its successor. Safe to call concurrently with serving.

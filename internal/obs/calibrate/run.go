@@ -26,8 +26,6 @@ type Config struct {
 	Seed uint64
 	// SimDuration is the sim leg's virtual capture length (default 2h).
 	SimDuration simtime.Time
-	// Shards is the daemon's index shard count (0 = daemon default).
-	Shards int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -75,7 +73,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	// --- Real leg ----------------------------------------------------
 	cfg.Logf("calibrate: real leg — %d TCP clients × ≤%d msgs", cfg.Clients, cfg.MaxMessagesPerClient)
-	d, err := edserverd.Start(edserverd.Config{UDPAddr: "off", Shards: cfg.Shards})
+	d, err := edserverd.Start(edserverd.Config{UDPAddr: "off"})
 	if err != nil {
 		return nil, fmt.Errorf("real leg: %w", err)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
@@ -13,10 +14,18 @@ import (
 //	/healthz       200 "ok" while health() == nil, 503 with the error
 //	               text otherwise (a daemon's health func fails once
 //	               graceful shutdown begins, so load balancers drain it)
+//	/debug/pprof/  the net/http/pprof handlers (index, cmdline, profile,
+//	               symbol, trace): a process serving metrics can be
+//	               profiled live, with no flag and no rebuild
 //
 // health may be nil, meaning always healthy.
 func Handler(reg *Registry, health func() error) http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)

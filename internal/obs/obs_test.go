@@ -392,6 +392,10 @@ func TestHTTPEndpoint(t *testing.T) {
 	if code, body := get("/healthz"); code != 200 || body != "ok\n" {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
+	// The profiler rides on the same endpoint: no flag turns it on.
+	if code, body := get("/debug/pprof/cmdline"); code != 200 || body == "" {
+		t.Fatalf("/debug/pprof/cmdline = %d %q", code, body)
+	}
 	healthy = false
 	if code, _ := get("/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz after unhealthy = %d, want 503", code)

@@ -2,9 +2,6 @@ package edtrace
 
 import (
 	"context"
-	"encoding/binary"
-	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,10 +60,10 @@ const (
 )
 
 // Mirror offers one captured datagram to the source: srcIP and dstIP
-// identify the dialog (use UDPAddrKey for real addresses), payload is
-// the raw eDonkey message. Mirror never blocks: when the queue is full
-// the datagram is dropped and counted as a capture loss. Safe for
-// concurrent use.
+// identify the dialog (edserverd.AddrKey derives them from real
+// addresses), payload is the raw eDonkey message. Mirror never blocks:
+// when the queue is full the datagram is dropped and counted as a
+// capture loss. Safe for concurrent use.
 func (l *LiveSource) Mirror(srcIP, dstIP uint32, payload []byte) {
 	l.startOnce.Do(func() { l.start = time.Now() })
 	now := simtime.Time(time.Since(l.start))
@@ -154,22 +151,4 @@ func (l *LiveSource) reportCapture(rep *core.Report) {
 	if !l.start.IsZero() {
 		rep.VirtualDuration = simtime.Time(time.Since(l.start))
 	}
-}
-
-// UDPAddrKey derives the uint32 peer identity the pipeline keys dialogs
-// on. On loopback every peer shares 127.0.0.1, which would collapse the
-// query/answer direction inference, so the UDP port disambiguates:
-// 0x7F00_0000 | port. Real IPv4 addresses map to their numeric value.
-// The capture pipeline is IPv4-only (like the paper's); a non-IPv4
-// address panics rather than silently merging every IPv6 peer into one
-// identity.
-func UDPAddrKey(a *net.UDPAddr) uint32 {
-	ip4 := a.IP.To4()
-	if ip4 == nil {
-		panic(fmt.Sprintf("edtrace: UDPAddrKey needs an IPv4 address, got %v", a.IP))
-	}
-	if a.IP.IsLoopback() {
-		return 0x7F000000 | uint32(a.Port)
-	}
-	return binary.BigEndian.Uint32(ip4)
 }

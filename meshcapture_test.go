@@ -2,6 +2,12 @@ package edtrace
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,21 +15,28 @@ import (
 	"edtrace/internal/edload"
 	"edtrace/internal/edmesh"
 	"edtrace/internal/edserverd"
+	"edtrace/internal/obs"
 	"edtrace/internal/workload"
 	"edtrace/internal/xmlenc"
 )
 
 // TestMeshCapture is the full mesh deployment in one process: three
-// meshed daemons serve a failing-over TCP swarm while a single
-// MeshSource session captures all of them into one dataset whose
-// records carry per-server provenance tags.
+// meshed daemons serve a failing-over TCP swarm, one of them killed
+// mid-run, while a single NewMeshSource session captures all of them
+// into one dataset whose records carry per-server provenance tags. One
+// endpoint serves every node's metrics, labelled by node, and is scraped
+// while the survivors are still up.
 func TestMeshCapture(t *testing.T) {
 	var daemons []*edserverd.Daemon
 	var meshes []*edmesh.Mesh
 	var addrs []string
 	names := []string{"mesh-0", "mesh-1", "mesh-2"}
+	reg := obs.NewRegistry()
 	for i, name := range names {
-		d, err := edserverd.Start(edserverd.Config{Name: name, Shards: 2, ExpiryInterval: -1})
+		d, err := edserverd.Start(edserverd.Config{
+			Name: name, Shards: 2, ExpiryInterval: -1,
+			Metrics: reg.Sub(obs.L("node", name)),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,6 +52,26 @@ func TestMeshCapture(t *testing.T) {
 		}
 		meshes = append(meshes, m)
 	}
+	t.Cleanup(func() {
+		for i, m := range meshes {
+			m.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			daemons[i].Shutdown(ctx)
+			cancel()
+		}
+	})
+	msrv, err := obs.Serve("127.0.0.1:0", reg, func() error {
+		for _, d := range daemons {
+			if d.Health() == nil {
+				return nil
+			}
+		}
+		return errors.New("all mesh nodes down")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer msrv.Close()
 
 	// Convergence before load, so forwards have somewhere to go.
 	deadline := time.Now().Add(5 * time.Second)
@@ -73,17 +106,67 @@ func TestMeshCapture(t *testing.T) {
 		done <- result{res, err}
 	}()
 
-	if _, err := edload.Run(context.Background(), edload.Config{
+	// An all-Heavy population: big share lists and source asks give each
+	// plan ~100 messages, enough traffic to kill a node mid-run.
+	wl := workload.SmallConfig(7, 12)
+	wl.RegularFraction = 0
+	wl.HeavyFraction = 1.0
+	wl.ScannerFraction = 0
+	wl.PolluterFraction = 0
+	victim := len(daemons) - 1
+	loadDone := make(chan struct{})
+	killed := make(chan bool, 1)
+	go func() {
+		for {
+			select {
+			case <-loadDone:
+				killed <- false
+				return
+			case <-time.After(5 * time.Millisecond):
+			}
+			if daemons[victim].Stats().TCPMsgs >= 100 {
+				meshes[victim].Close()
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				err := daemons[victim].Shutdown(ctx)
+				cancel()
+				killed <- err == nil
+				return
+			}
+		}
+	}()
+	st, err := edload.Run(context.Background(), edload.Config{
 		Target:               edload.Target{Addrs: addrs},
-		Clients:              30,
-		Workload:             workload.SmallConfig(5, 30),
-		MaxMessagesPerClient: 60,
-	}); err != nil {
-		t.Fatal(err)
+		Clients:              12,
+		Workload:             wl,
+		MaxMessagesPerClient: 1200,
+	})
+	close(loadDone)
+	if err != nil {
+		t.Fatalf("swarm lost answers: %v", err)
+	}
+	if !<-killed {
+		t.Fatalf("%s saw too little traffic to be killed mid-run (swarm sent %d)", names[victim], st.Sent)
+	}
+	if st.Failovers == 0 {
+		t.Fatal("a node was killed mid-run but no session failed over")
+	}
+	select {
+	case <-done:
+		t.Fatalf("the merged capture ended with %s, while %d nodes still serve", names[victim], victim)
+	default: // the capture outlives a node; the last one ends it
 	}
 
-	// Tear the mesh down; the last daemon's shutdown ends the session.
-	for i, m := range meshes {
+	// Every survivor answered misses through the mesh.
+	for i, m := range meshes[:victim] {
+		if ms := m.Stats(); ms.ForwardsSent == 0 || ms.ForwardAnswers == 0 {
+			t.Fatalf("%s merged no forwarded answers: %+v", names[i], ms)
+		}
+	}
+
+	checkMeshScrape(t, "http://"+msrv.Addr(), names)
+
+	// Tear the survivors down; the last daemon's shutdown ends the session.
+	for i, m := range meshes[:victim] {
 		m.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		if err := daemons[i].Shutdown(ctx); err != nil {
@@ -101,8 +184,8 @@ func TestMeshCapture(t *testing.T) {
 	}
 
 	// The dataset passes spec verification and its records are tagged
-	// with at least two distinct servers (round-robin spreads 30 clients
-	// over 3).
+	// with at least two distinct servers (round-robin spreads the swarm
+	// over all three, and the victim served 100 messages before it died).
 	vrep, err := dataset.Verify(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -144,5 +227,74 @@ func TestMeshCapture(t *testing.T) {
 	}
 	if total != rep.Pipeline.Records {
 		t.Fatalf("per-server records sum %d != %d total", total, rep.Pipeline.Records)
+	}
+}
+
+// checkMeshScrape reads a loaded mesh's endpoint at base: the exposition
+// carries every node's series under its node label and non-zero traffic
+// counters, the JSON variant decodes, and the health check passes while
+// any node serves.
+func checkMeshScrape(t *testing.T, base string, nodes []string) {
+	t.Helper()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	code, body := get("/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", code)
+	}
+	for _, n := range nodes {
+		if !strings.Contains(body, `edserverd_tcp_messages_total{node="`+n+`"}`) {
+			t.Errorf("/metrics has no series labelled node=%q", n)
+		}
+	}
+	// Sum a family across its labelled series (every node contributes
+	// a node="..." sub-series).
+	sum := func(family string) float64 {
+		var total float64
+		for _, line := range strings.Split(body, "\n") {
+			if !strings.HasPrefix(line, family+"{") && !strings.HasPrefix(line, family+" ") {
+				continue
+			}
+			fields := strings.Fields(line)
+			if v, err := strconv.ParseFloat(fields[len(fields)-1], 64); err == nil {
+				total += v
+			}
+		}
+		return total
+	}
+	for _, family := range []string{
+		"edserverd_tcp_messages_total",
+		"edserverd_answers_total",
+		"edserver_received_total",
+		"edmesh_announces_sent_total",
+		"edmesh_forwards_sent_total",
+	} {
+		if sum(family) == 0 {
+			t.Errorf("%s is zero on a loaded mesh", family)
+		}
+	}
+
+	code, body = get("/metrics.json")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics.json: status %d", code)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("/metrics.json does not decode: %v", err)
+	}
+	if code, body = get("/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz: status %d %q with live nodes", code, body)
 	}
 }

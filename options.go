@@ -41,7 +41,7 @@ type sessionOptions struct {
 //
 // Chunks are compressed and written off the record path, on GOMAXPROCS
 // background goroutines — except when the source is mirrored by the
-// process it captures (LiveSource, ServerSource, MeshSource): there the
+// process it captures (LiveSource, ServerSource): there the
 // work stays on the session's own goroutine, so the capture does not
 // take the daemon's CPUs. The files written are the same either way.
 func WithDataset(dir string, gzip bool) Option {

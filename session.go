@@ -178,8 +178,8 @@ func (sm *sessionMetrics) drop(n int) {
 }
 
 // frameReleaser is implemented by sources that pool their frame buffers
-// (LiveSource and everything embedding it); the session hands each frame
-// back after its final use so Mirror can re-encode into it.
+// (LiveSource, and ServerSource, which embeds it); the session hands
+// each frame back after its final use so Mirror can re-encode into it.
 type frameReleaser interface{ releaseFrame([]byte) }
 
 // The source may run queueDepth frames ahead of the pipeline, handed over
@@ -300,9 +300,11 @@ func (s *Session) setup() (closers []func() error, err error) {
 		s.collector = analysis.NewCollector()
 		sinks = append(sinks, s.collector)
 	}
+	// A capture of several servers stamps each record with the name of
+	// the server whose dialog it belongs to.
 	var servers map[uint32]string
-	if sn, ok := s.src.(serverNamer); ok {
-		servers = sn.serverNames()
+	if ss, ok := s.src.(*ServerSource); ok {
+		servers = ss.names
 	}
 	var dw *dataset.Writer
 	if s.o.datasetDir != "" {

@@ -449,8 +449,9 @@ func TestLiveSourceMonotoneUnderConcurrentMirror(t *testing.T) {
 // width is derived from the source, not set by the caller. An offline
 // source (simulator, pcap replay, a caller's own Source) has the
 // machine's CPUs to itself and gets GOMAXPROCS workers; a source mirrored
-// by the process it captures (LiveSource and the two that embed it)
-// shares them with its daemon and gets none. Every dataset verifies.
+// by the process it captures (LiveSource, and ServerSource over one
+// daemon or a mesh) shares them with its daemons and gets none. Every
+// dataset verifies.
 func TestDatasetWriterWidthFollowsSource(t *testing.T) {
 	defer noLeak(t)()
 	sim := tinySim()
@@ -503,7 +504,7 @@ func TestDatasetWriterWidthFollowsSource(t *testing.T) {
 			mirrored(src.LiveSource, d.ServerKey())
 			return src
 		}, nil, 0},
-		{"MeshSource", func(t *testing.T) Source {
+		{"NewMeshSource", func(t *testing.T) Source {
 			daemons := []*edserverd.Daemon{startDaemon(t, "mesh-0"), startDaemon(t, "mesh-1")}
 			src, err := NewMeshSource(daemons, 0)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 
 	"edtrace/internal/anonymize"
 	"edtrace/internal/core"
@@ -44,10 +45,11 @@ type captureReporter interface {
 }
 
 // processSharer is implemented by sources whose frames are mirrored by
-// the very process they capture (LiveSource and everything embedding it).
-// Such a capture shares its CPUs with the daemon it observes, so the
-// session keeps dataset compression on its own goroutine; for any other
-// source the CPUs are the capture's to use (see Session.setup).
+// the very process they capture (LiveSource, and ServerSource, which
+// embeds it). Such a capture shares its CPUs with the daemons it
+// observes, so the session keeps dataset compression on its own
+// goroutine; for any other source the CPUs are the capture's to use (see
+// Session.setup).
 type processSharer interface{ sharesProcess() }
 
 // SimSource runs the synthetic world (server, swarm, links, kernel
@@ -152,22 +154,34 @@ func (p *PcapSource) reportCapture(rep *core.Report) {
 	rep.VirtualDuration = p.last - p.first
 }
 
-// ServerSource captures a running edserverd daemon's own accepted
-// traffic: it installs itself as the daemon's tap — the software
-// equivalent of the port mirror in front of the paper's server — and
-// feeds every mirrored query and answer through the standard Session
-// pipeline. The loop this closes: our server daemon serves real TCP/UDP
-// load (cmd/edload), and our own capture infrastructure observes it
+// ServerSource captures running edserverd daemons' own accepted traffic:
+// it installs itself as each daemon's tap — the software equivalent of
+// the port mirror in front of the paper's server — and feeds every
+// mirrored query and answer through the standard Session pipeline. The
+// loop this closes: our server daemon serves real TCP/UDP load
+// (cmd/edload), and our own capture infrastructure observes it
 // end-to-end, exactly the deployment of the paper's §2.
 //
-// The source drains until the daemon shuts down or Close is called;
-// like every source it is single-use. It inherits LiveSource's
-// kernel-buffer semantics: if the pipeline falls behind, overflowing
-// frames are dropped and counted as capture losses (Fig 2).
+// One daemon (NewServerSource) is that deployment as the paper ran it:
+// records carry no provenance tag. Several (NewMeshSource) are the
+// "distributed set of observation points" its conclusion argues for, as
+// one capture: every record carries the name of the server whose dialog
+// it belongs to (the srv attribute).
+//
+// All daemons share one bounded queue (one kernel buffer, as if one
+// capture machine mirrored every server's port) with LiveSource's
+// semantics: if the pipeline falls behind, overflowing frames are
+// dropped and counted as capture losses (Fig 2). The source drains until
+// every daemon has shut down or Close is called; like every source it is
+// single-use.
 type ServerSource struct {
 	*LiveSource
-	detach    func()
-	serverKey uint32
+	detaches  []func()
+	alive     atomic.Int32 // daemons not yet shut down
+	serverKey uint32       // the one daemon's dialog key; 0 for a mesh
+	// names maps each daemon's server key to its provenance tag; nil for
+	// one daemon, whose records stay untagged.
+	names map[uint32]string
 }
 
 // NewServerSource attaches a capture to d (replacing any previous tap —
@@ -178,41 +192,78 @@ type ServerSource struct {
 // a successor capture attached meanwhile is left in place), so an
 // untapped daemon never keeps paying the mirror's encoding cost.
 func NewServerSource(d *edserverd.Daemon, queueFrames int) *ServerSource {
-	s := &ServerSource{
-		LiveSource: NewLiveSource(queueFrames),
-		serverKey:  d.ServerKey(),
-	}
-	s.detach = d.SetTap(func(srcKey, dstKey uint32, payload []byte) {
-		s.Mirror(srcKey, dstKey, payload)
-	})
-	go func() {
-		select {
-		case <-d.Done():
-			s.Close() // drain what is queued, then end the session
-		case <-s.done: // source closed first: nothing to watch for
-		}
-	}()
+	s := &ServerSource{LiveSource: NewLiveSource(queueFrames), serverKey: d.ServerKey()}
+	s.attach([]*edserverd.Daemon{d})
 	return s
 }
 
-// Close detaches the tap and ends the capture (Frames drains the queue
+// NewMeshSource attaches one merged capture to the daemons of a mesh,
+// each as NewServerSource attaches to one, over a shared queue. Daemon
+// names must be distinct and non-empty: they become the dataset's
+// provenance tags. The capture outlives individual daemons (that is the
+// failover experiment); the last one to shut down ends it.
+func NewMeshSource(daemons []*edserverd.Daemon, queueFrames int) (*ServerSource, error) {
+	if len(daemons) == 0 {
+		return nil, errors.New("edtrace: mesh source needs at least one daemon")
+	}
+	names := make(map[uint32]string, len(daemons))
+	byName := make(map[string]bool, len(daemons))
+	for _, d := range daemons {
+		name := d.Name()
+		if name == "" {
+			return nil, errors.New("edtrace: mesh daemons need names (Config.Name) for provenance tags")
+		}
+		if byName[name] {
+			return nil, errors.New("edtrace: duplicate mesh daemon name " + name)
+		}
+		byName[name] = true
+		names[d.ServerKey()] = name
+	}
+	s := &ServerSource{LiveSource: NewLiveSource(queueFrames), names: names}
+	s.attach(daemons)
+	return s, nil
+}
+
+// attach taps every daemon, then watches each for shutdown.
+func (s *ServerSource) attach(daemons []*edserverd.Daemon) {
+	s.alive.Store(int32(len(daemons)))
+	for _, d := range daemons {
+		s.detaches = append(s.detaches, d.SetTap(s.Mirror))
+	}
+	for _, d := range daemons {
+		go func() {
+			select {
+			case <-d.Done():
+				if s.alive.Add(-1) == 0 {
+					s.Close() // drain what is queued, then end the session
+				}
+			case <-s.done: // source closed first: nothing to watch for
+			}
+		}()
+	}
+}
+
+// Close detaches every tap and ends the capture (Frames drains the queue
 // and returns).
 func (s *ServerSource) Close() {
-	s.detach()
+	for _, detach := range s.detaches {
+		detach()
+	}
 	s.LiveSource.Close()
 }
 
 // Frames implements Source; whatever ends the stream — Close, context
-// cancellation, an emit error — leaves the daemon untapped and the
-// daemon-watcher goroutine released (Close, not just detach: otherwise
-// a cancelled session would pin the watcher until daemon shutdown).
+// cancellation, an emit error — leaves every daemon untapped and the
+// daemon-watcher goroutines released (Close, not just detach: otherwise
+// a cancelled session would pin the watchers until daemon shutdown).
 func (s *ServerSource) Frames(ctx context.Context, emit EmitFunc) error {
 	defer s.Close()
 	return s.LiveSource.Frames(ctx, emit)
 }
 
-// pipelineDefaults identifies the daemon as the captured server, so the
-// session needs no WithServerIP.
+// pipelineDefaults identifies the captured server, so the session needs
+// no WithServerIP; a mesh's names (see Session.setup) replace the single
+// server key.
 func (s *ServerSource) pipelineDefaults() (uint32, [2]int, bool) {
 	return s.serverKey, anonymize.DefaultBytePair(), true
 }
