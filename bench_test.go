@@ -12,7 +12,8 @@ package edtrace
 //	BenchmarkFig8FileSizes    — size histogram + CD-size peak matching
 //	BenchmarkAblation*        — the paper's data-structure arguments
 //	BenchmarkDecodeThroughput / BenchmarkPipeline — the real-time claim
-//	BenchmarkSessionPipeline  — the Session hot path (batched channel)
+//	BenchmarkSessionPipeline  — the Session hot path (batched queue)
+//	BenchmarkSessionMirror    — the live path: the daemon's tap into it
 //	BenchmarkDaemonLoad       — edload swarm → edserverd over real TCP
 //	(BenchmarkServerHandle, in internal/server, isolates the sharded
 //	index under parallel load)
@@ -23,7 +24,10 @@ package edtrace
 
 import (
 	"context"
+	"encoding/binary"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -437,12 +441,16 @@ func BenchmarkPipeline(b *testing.B) {
 	b.ReportMetric(float64(st.DecodedOK)/b.Elapsed().Seconds(), "msgs/s")
 }
 
+// replayFrames is the pool a replaySource re-emits: a power of two
+// larger than the session's in-flight window.
+const replayFrames = 2 * queueFrames
+
 // replaySource feeds a fixed frame mix through a Session n times — the
 // harness for measuring the Session hot path in isolation. Re-emitting
 // the same slices bends EmitFunc's ownership rule, which is safe only
-// because the pool (4096) exceeds the session's maximum in-flight
-// window (queue depth 1024 + the producer's partial batch and the
-// consumer's current batch, 128 each): by the time a slice is emitted
+// because the pool (replayFrames) exceeds the session's maximum
+// in-flight window (queueFrames, the batch being filled included, + the
+// consumer's current batch of batchSize): by the time a slice is emitted
 // again, the pipeline has long finished with it, and without a tee the
 // pipeline neither retains nor mutates frames.
 type replaySource struct {
@@ -465,7 +473,7 @@ func (s *replaySource) Frames(ctx context.Context, emit EmitFunc) error {
 // bounded channel, pipeline stage. The difference between the two is the
 // cost of decoupling the decoder from the capture loop.
 func BenchmarkSessionPipeline(b *testing.B) {
-	frames := benchFrames(4096)
+	frames := benchFrames(replayFrames)
 	src := &replaySource{frames: frames, n: b.N}
 	b.SetBytes(int64(len(frames[0])))
 	b.ReportAllocs() // CI gates this at 0 allocs/frame steady state
@@ -485,7 +493,7 @@ func BenchmarkSessionPipeline(b *testing.B) {
 // WithMetrics attached — the pair scripts/bench_obs.sh diffs to verify
 // the instrumentation stays under its overhead budget.
 func BenchmarkSessionPipelineMetrics(b *testing.B) {
-	frames := benchFrames(4096)
+	frames := benchFrames(replayFrames)
 	src := &replaySource{frames: frames, n: b.N}
 	reg := obs.NewRegistry()
 	b.SetBytes(int64(len(frames[0])))
@@ -502,6 +510,50 @@ func BenchmarkSessionPipelineMetrics(b *testing.B) {
 		b.Fatalf("frames counter %d, want %d", got, b.N)
 	}
 	b.ReportMetric(float64(st.DecodedOK)/b.Elapsed().Seconds(), "msgs/s")
+}
+
+// BenchmarkSessionMirror is BenchmarkSessionPipeline on the live path:
+// the same frame mix's payloads handed to LiveSource.Mirror, as the
+// daemon's tap calls it, into a running Session with no sink. The caller
+// keeps the queue at most half full, so every call is a frame encoded
+// into a queue slot and processed, none a drop. CI gates it at 0
+// allocs/frame: the queue's slots keep their buffers across recycling.
+func BenchmarkSessionMirror(b *testing.B) {
+	const serverIP = 0x0A000001
+	const hdr = netsim.EthernetHeaderLen + netsim.IPv4HeaderLen + netsim.UDPHeaderLen
+	frames := benchFrames(1024)
+	src := NewLiveSource(0)
+	var processed atomic.Uint64
+	done := make(chan error, 1)
+	var res *Result
+	go func() {
+		var err error
+		res, err = NewSession(src, WithServerIP(serverIP),
+			WithProgress(func(p Progress) { processed.Store(p.Frames) }),
+			WithProgressEvery(batchSize),
+		).Run(context.Background())
+		done <- err
+	}()
+	b.SetBytes(int64(len(frames[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for uint64(i) >= processed.Load()+queueFrames/2 {
+			runtime.Gosched()
+		}
+		f := frames[i&1023]
+		src.Mirror(binary.BigEndian.Uint32(f[netsim.EthernetHeaderLen+12:]), serverIP, f[hdr:])
+	}
+	src.Close()
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	rep := res.Report
+	if rep.Pipeline.DecodedOK != uint64(b.N) || rep.EthernetDropped != 0 {
+		b.Fatalf("%d of %d mirrored frames decoded, %d dropped", rep.Pipeline.DecodedOK, b.N, rep.EthernetDropped)
+	}
+	b.ReportMetric(float64(rep.Pipeline.DecodedOK)/b.Elapsed().Seconds(), "msgs/s")
 }
 
 // BenchmarkTCPReconstruction quantifies the paper's footnote 2: the

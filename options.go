@@ -41,9 +41,9 @@ type sessionOptions struct {
 //
 // Chunks are compressed and written off the record path, on GOMAXPROCS
 // background goroutines — except when the source is mirrored by the
-// process it captures (LiveSource, ServerSource): there the
-// work stays on the session's own goroutine, so the capture does not
-// take the daemon's CPUs. The files written are the same either way.
+// process it captures (LiveSource, ServerSource): there the work stays
+// on the session's goroutine, sparing the daemon's CPUs, and the queue
+// fills behind each seal. The files written are the same either way.
 func WithDataset(dir string, gzip bool) Option {
 	return func(o *sessionOptions) {
 		o.datasetDir = dir
@@ -112,14 +112,14 @@ func WithFileBytePair(a, b int) Option {
 }
 
 // WithMetrics publishes the session pipeline's metrics into reg:
-// frames/records/batches throughput counters, the live queue depth and
-// average batch fill ratio, frames dropped by cancellation or a
-// pipeline error, and the anonymisation tables' size (distinct clients
-// and files, the clientID table's bytes, the largest fileID bucket —
-// Figure 3's diagnostic, live). Without it the session adds no
-// instrumentation to the hot path. Counters are cumulative across
-// sessions sharing a registry; the gauges always describe the most
-// recent session (a re-registration re-points the queue's read
+// frames/records/batches throughput counters, the queue depth, dropped
+// frames by reason (queue_full, closed: a live source's Figure 2 losses,
+// live; aborted: cancellation or a pipeline error), and the anonymisation
+// tables' size (distinct clients and files, the clientID table's bytes,
+// the largest fileID bucket — Figure 3's diagnostic, live). Without it
+// the session adds no instrumentation to the hot path. Counters are
+// cumulative across sessions sharing a registry; the gauges describe the
+// most recent session (a re-registration re-points the queue's read
 // callbacks, and each session overwrites the anonymiser gauges).
 func WithMetrics(reg *obs.Registry) Option {
 	return func(o *sessionOptions) { o.metrics = reg }

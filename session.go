@@ -51,12 +51,6 @@ func (t teeSink) Write(r *xmlenc.Record) error {
 	return nil
 }
 
-// frameItem is one frame in flight between the source and the pipeline.
-type frameItem struct {
-	t    simtime.Time
-	data []byte
-}
-
 // sessionMetrics instruments one Run when WithMetrics was given; a nil
 // receiver (no registry) makes every method a no-op, so the uninstru-
 // mented hot path pays only a nil check per frame.
@@ -64,9 +58,11 @@ type sessionMetrics struct {
 	frames      *obs.Counter
 	records     *obs.Counter
 	batches     *obs.Counter
-	dropped     *obs.Counter
 	lastRecords uint64
 	pipe        *core.Pipeline
+	// Drops by reason: aborted as they happen, the queue's from its tally.
+	aborted, queueFull, closed *obs.Counter
+	lastTally                  tally
 	// The anonymisation tables belong to the consumer goroutine, so it
 	// publishes their sizes itself (batchDone) instead of lending them to
 	// a scrape-time callback.
@@ -80,16 +76,21 @@ type sessionMetrics struct {
 	sealNanos, sealMaxNanos *atomic.Int64
 }
 
-func newSessionMetrics(reg *obs.Registry, frames chan []frameItem, depth, batchSize int, pipe *core.Pipeline, dw *dataset.Writer) *sessionMetrics {
+func newSessionMetrics(reg *obs.Registry, q *frameQueue, pipe *core.Pipeline, dw *dataset.Writer) *sessionMetrics {
 	if reg == nil {
 		return nil
 	}
+	dropped := func(reason string) *obs.Counter {
+		return reg.Counter("edsession_dropped_frames_total", "frames not processed, by reason", obs.L("reason", reason))
+	}
 	sm := &sessionMetrics{
-		frames:  reg.Counter("edsession_frames_total", "frames processed by the pipeline stage"),
-		records: reg.Counter("edsession_records_total", "anonymised records emitted"),
-		batches: reg.Counter("edsession_batches_total", "frame batches consumed from the queue"),
-		dropped: reg.Counter("edsession_dropped_frames_total", "frames dropped by cancellation or a pipeline error"),
-		pipe:    pipe,
+		frames:    reg.Counter("edsession_frames_total", "frames processed by the pipeline stage"),
+		records:   reg.Counter("edsession_records_total", "anonymised records emitted"),
+		batches:   reg.Counter("edsession_batches_total", "frame batches consumed from the queue"),
+		aborted:   dropped("aborted"),
+		queueFull: dropped("queue_full"),
+		closed:    dropped("closed"),
+		pipe:      pipe,
 
 		anonClients:      reg.Gauge("edsession_anonymizer_clients", "distinct clientIDs anonymised so far"),
 		anonFiles:        reg.Gauge("edsession_anonymizer_files", "distinct fileIDs anonymised so far"),
@@ -111,21 +112,12 @@ func newSessionMetrics(reg *obs.Registry, frames chan []frameItem, depth, batchS
 		func() float64 { return time.Duration(sealNanos.Load()).Seconds() })
 	reg.GaugeFunc("edsession_dataset_seal_max_seconds", "longest single stall of the record path sealing a dataset chunk",
 		func() float64 { return time.Duration(sealMaxNanos.Load()).Seconds() })
-	// Queue gauges are read callbacks over this session's channel; a
-	// later session on the same registry re-points them at its own.
-	reg.GaugeFunc("edsession_queue_batches", "frame batches waiting between source and pipeline",
-		func() float64 { return float64(len(frames)) })
-	reg.GaugeFunc("edsession_queue_capacity_batches", "frame queue capacity in batches",
-		func() float64 { return float64(depth) })
-	cFrames, cBatches := sm.frames, sm.batches
-	reg.GaugeFunc("edsession_batch_fill_ratio", "mean frames per consumed batch over the batch size",
-		func() float64 {
-			b := cBatches.Value()
-			if b == 0 {
-				return 0
-			}
-			return float64(cFrames.Value()) / float64(b) / float64(batchSize)
-		})
+	// Queue gauges are read callbacks over this session's queue; a later
+	// session on the same registry re-points them at its own.
+	reg.GaugeFunc("edsession_queue_batches", "full frame batches waiting between source and pipeline",
+		func() float64 { return float64(len(q.batches)) })
+	reg.GaugeFunc("edsession_queue_capacity_batches", "frame queue capacity in batches, the one being filled included",
+		func() float64 { return float64(cap(q.batches) + 1) })
 	return sm
 }
 
@@ -137,10 +129,10 @@ func (sm *sessionMetrics) frameDone() {
 }
 
 // batchDone counts one consumed batch and folds in the records the
-// pipeline emitted for it and the state of its anonymisation tables (the
+// pipeline emitted for it, the state of its anonymisation tables (the
 // pipeline is only safe from this goroutine, so atomics carry the values
-// to concurrent scrapes).
-func (sm *sessionMetrics) batchDone() {
+// to concurrent scrapes) and the queue's tally.
+func (sm *sessionMetrics) batchDone(t tally) {
 	if sm == nil {
 		return
 	}
@@ -155,6 +147,18 @@ func (sm *sessionMetrics) batchDone() {
 	_, size := fa.MaxBucket()
 	sm.maxBucket.Set(int64(size))
 	sm.sealsDone()
+	sm.queueDrops(t)
+}
+
+// queueDrops publishes the queue's drops after each batch, and at the end
+// of the run from the tally the report is built from: the two agree.
+func (sm *sessionMetrics) queueDrops(t tally) {
+	if sm == nil {
+		return
+	}
+	sm.queueFull.Add(t.full - sm.lastTally.full)
+	sm.closed.Add(t.late - sm.lastTally.late)
+	sm.lastTally = t
 }
 
 // sealsDone publishes the dataset writer's seal accounting: after each
@@ -170,62 +174,43 @@ func (sm *sessionMetrics) sealsDone() {
 	sm.sealMaxNanos.Store(int64(st.Max))
 }
 
-// drop counts frames abandoned mid-batch by an error or cancellation.
+// drop counts frames abandoned by an error or cancellation.
 func (sm *sessionMetrics) drop(n int) {
 	if sm != nil && n > 0 {
-		sm.dropped.Add(uint64(n))
+		sm.aborted.Add(uint64(n))
 	}
 }
 
-// frameReleaser is implemented by sources that pool their frame buffers
-// (LiveSource, and ServerSource, which embeds it); the session hands
-// each frame back after its final use so Mirror can re-encode into it.
-type frameReleaser interface{ releaseFrame([]byte) }
-
-// The source may run queueDepth frames ahead of the pipeline, handed over
-// batchSize at a time: one channel operation amortised over a batch is
-// what keeps the channel hop out of the per-frame cost (measured by
-// BenchmarkSessionPipeline against BenchmarkPipeline). The in-flight
-// window also includes the producer's partial batch and the batch the
-// consumer is processing: up to queueDepth + 2×batchSize frames.
-const (
-	queueDepth = 1024
-	batchSize  = 128
-)
-
 // Session runs one capture: a Source streams timestamped ethernet frames
-// through a bounded channel into the decode → anonymise → store pipeline
+// through one bounded queue into the decode → anonymise → store pipeline
 // (the paper's Figure 1), with figures, dataset storage, pcap teeing and
 // progress reporting attached via options.
 //
-// The source and the pipeline run concurrently; the channel bounds how
-// far the source may run ahead of the decoder, giving natural
-// backpressure. The pipeline is one goroutine: the paper's
-// order-of-appearance anonymisation makes the record commit serial by
-// construction. A Session is single-use: build one per run.
+// The source and the pipeline run concurrently; the queue bounds how far
+// the source may run ahead of the decoder: an offline source waits for
+// room, a live one drops (see frameQueue). The pipeline is one goroutine:
+// the paper's order-of-appearance anonymisation makes the record commit
+// serial by construction. A Session is single-use: build one per run.
 type Session struct {
 	src Source
 	o   sessionOptions
 	ran atomic.Bool
 
-	queueDepth, batchSize int // the constants above; tests shrink them
-
 	// Per-run state: setup builds it, the steps below share it.
 	pipe      *core.Pipeline
 	collector *analysis.Collector
 	tee       *pcap.Writer
-	dsWorkers int           // dataset writer's background width, from the source
-	rel       frameReleaser // nil unless the source pools its buffers
+	dsWorkers int // dataset writer's background width, from the source
 	sm        *sessionMetrics
-	frames    chan []frameItem // producer → consumer
-	free      chan []frameItem // consumed batch slices, back to the producer
+	q         *frameQueue // source → consumer
 	nframes   uint64
+	firstT    simtime.Time
 	lastT     simtime.Time
 }
 
 // NewSession builds a session over src with the given options.
 func NewSession(src Source, opts ...Option) *Session {
-	s := &Session{src: src, queueDepth: queueDepth, batchSize: batchSize}
+	s := &Session{src: src}
 	s.o.progressEvery = 8192
 	for _, opt := range opts {
 		opt(&s.o)
@@ -275,25 +260,34 @@ func (s *Session) Run(ctx context.Context) (res *Result, err error) {
 	perr := <-prodErr
 	// Batches still queued when the consumer gave up; on success the
 	// channel is closed and empty, so this is free.
-	for batch := range s.frames {
-		s.abandon(batch)
+	for batch := range s.q.batches {
+		s.sm.drop(len(batch))
 	}
+	tally := s.q.account()
+	s.sm.queueDrops(tally)
 	if pipeErr != nil {
 		return nil, pipeErr
 	}
 	if perr != nil {
 		return nil, perr
 	}
-	return s.report(start), nil
+	return s.report(start, tally), nil
 }
 
-// setup builds the record path (sinks, pipeline, pcap tee) and the frame
-// queue. It returns the closers of what it opened, in opening order —
+// setup builds the frame queue and the record path (sinks, pipeline,
+// pcap tee). It returns the closers of what it opened, in opening order —
 // also when it fails part-way, so Run closes exactly what exists.
 func (s *Session) setup() (closers []func() error, err error) {
 	serverIP, bytePair, err := s.pipelineConfig()
 	if err != nil {
 		return nil, err
+	}
+	if ls, ok := s.src.(liveSource); ok {
+		if s.q, err = ls.liveQueue(); err != nil {
+			return nil, err
+		}
+	} else {
+		s.q = newFrameQueue(queueFrames, false)
 	}
 	sinks := append([]core.RecordSink(nil), s.o.sinks...)
 	if s.o.figures {
@@ -309,10 +303,9 @@ func (s *Session) setup() (closers []func() error, err error) {
 	var dw *dataset.Writer
 	if s.o.datasetDir != "" {
 		// An offline source leaves the other CPUs idle: chunk compression
-		// goes to them. An in-process one shares them with its daemon.
-		s.dsWorkers = runtime.GOMAXPROCS(0)
-		if _, ok := s.src.(processSharer); ok {
-			s.dsWorkers = 0
+		// goes to them. A live one shares them with its daemon.
+		if !s.q.live {
+			s.dsWorkers = runtime.GOMAXPROCS(0)
 		}
 		var werr error
 		dw, werr = dataset.NewWriter(s.o.datasetDir, dataset.WriterOptions{
@@ -355,14 +348,7 @@ func (s *Session) setup() (closers []func() error, err error) {
 		}
 		closers = append(closers, closeTee)
 	}
-
-	depth := (s.queueDepth + s.batchSize - 1) / s.batchSize
-	s.frames = make(chan []frameItem, depth)
-	// Batch slices cycle producer → consumer → freelist → producer, so the
-	// steady state allocates no slice headers or backing arrays per batch.
-	s.free = make(chan []frameItem, depth+2)
-	s.sm = newSessionMetrics(s.o.metrics, s.frames, depth, s.batchSize, s.pipe, dw)
-	s.rel, _ = s.src.(frameReleaser)
+	s.sm = newSessionMetrics(s.o.metrics, s.q, s.pipe, dw)
 	return closers, nil
 }
 
@@ -388,59 +374,32 @@ func (s *Session) datasetMeta(serverIP uint32, servers map[uint32]string) map[st
 	return meta
 }
 
-// produce runs the source, batching its frames into the queue, and
-// closes the queue when the source ends. A partial batch is flushed at
-// the end of the stream, so batching never loses frames; it can delay
-// them (a trickling live source holds up to batchSize-1 frames until the
-// next flush).
+// produce runs the source until it ends, then closes the queue. An
+// offline source's frames are batched into the queue here; a live source
+// fills it itself, and its Frames only waits for the end of the capture.
+// The last partial batch is flushed at the end (dropped after a failure),
+// so batching never loses frames; it can delay them (a trickling live
+// source holds up to batchSize-1 frames until the batch fills).
 func (s *Session) produce(ctx context.Context) error {
-	defer close(s.frames)
-	batch := s.getBatch()
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		select {
-		case s.frames <- batch:
-			batch = s.getBatch()
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
+	q := s.q
 	err := s.src.Frames(ctx, func(t simtime.Time, frame []byte) error {
 		// Emitting transfers the frame: it is batched before anything can
-		// fail, so a refused frame is abandoned, not lost from the count.
-		batch = append(batch, frameItem{t, frame})
-		if len(batch) < s.batchSize {
+		// fail, so a refused frame is dropped, not lost from the count.
+		q.open = append(q.open, frameItem{t, frame})
+		if len(q.open) < q.size {
 			return ctx.Err()
 		}
-		return flush()
+		return q.flush(ctx)
 	})
+	q.shut()
 	if err == nil {
-		err = flush()
+		err = q.flush(ctx)
 	}
 	if err != nil {
-		s.abandon(batch) // the unflushed partial batch never reaches the consumer
+		s.sm.drop(len(q.open))
 	}
+	close(q.batches)
 	return err
-}
-
-func (s *Session) getBatch() []frameItem {
-	select {
-	case b := <-s.free:
-		return b
-	default:
-		return make([]frameItem, 0, s.batchSize)
-	}
-}
-
-func (s *Session) putBatch(b []frameItem) {
-	clear(b) // stale frame pointers must not pin source buffers
-	select {
-	case s.free <- b[:0]:
-	default:
-	}
 }
 
 // consume is the pipeline stage: it commits queued frames in capture
@@ -449,13 +408,13 @@ func (s *Session) consume(ctx context.Context) error {
 	var lastExpire simtime.Time
 	for {
 		select {
-		case batch, ok := <-s.frames:
+		case batch, ok := <-s.q.batches:
 			if !ok {
 				return nil
 			}
 			for i, f := range batch {
 				if err := s.commit(f); err != nil {
-					s.abandon(batch[i:])
+					s.sm.drop(len(batch) - i)
 					return err
 				}
 				if f.t-lastExpire > simtime.Minute {
@@ -466,8 +425,8 @@ func (s *Session) consume(ctx context.Context) error {
 					s.o.progress(Progress{Frames: s.nframes, Records: s.pipe.Stats().Records, T: f.t})
 				}
 			}
-			s.putBatch(batch)
-			s.sm.batchDone()
+			s.q.recycle(batch)
+			s.sm.batchDone(s.q.account())
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -475,10 +434,10 @@ func (s *Session) consume(ctx context.Context) error {
 }
 
 // commit takes one frame through the pipeline: pcap tee, decode →
-// anonymise → store, buffer release, count. A frame that fails is not
-// counted and keeps its buffer; the caller abandons it. Every frame the
-// source emits leaves the session through commit or abandon, exactly
-// once, so processed + dropped == emitted holds on every exit path.
+// anonymise → store, count. A frame that fails is not counted; the caller
+// drops it. Every frame that enters the queue leaves the session through
+// commit or a drop, exactly once, so processed + dropped == offered holds
+// on every exit path.
 func (s *Session) commit(f frameItem) error {
 	if s.tee != nil {
 		if err := s.tee.Write(pcap.RecordAt(f.t, f.data)); err != nil {
@@ -488,8 +447,8 @@ func (s *Session) commit(f frameItem) error {
 	if err := s.pipe.ProcessFrame(f.t, f.data); err != nil {
 		return err
 	}
-	if s.rel != nil {
-		s.rel.releaseFrame(f.data)
+	if s.nframes == 0 {
+		s.firstT = f.t
 	}
 	s.nframes++
 	s.lastT = f.t
@@ -497,35 +456,28 @@ func (s *Session) commit(f frameItem) error {
 	return nil
 }
 
-// abandon disposes of frames that will not be processed (a failure or a
-// cancellation got there first): each is a capture drop, and its buffer
-// goes back to a pooling source. Safe from the producer goroutine.
-func (s *Session) abandon(batch []frameItem) {
-	s.sm.drop(len(batch))
-	if s.rel == nil {
-		return
-	}
-	for _, f := range batch {
-		s.rel.releaseFrame(f.data)
-	}
-}
-
-// report assembles the Result of a run that consumed its whole source.
-func (s *Session) report(start time.Time) *Result {
+// report assembles the Result of a run that consumed its whole source:
+// every frame that reached the queue was processed, so those are the
+// captured frames (spanning first to last: real captures carry epoch
+// timestamps), and a live queue's drops the dropped ones.
+func (s *Session) report(start time.Time, t tally) *Result {
 	pipe := s.pipe
 	if s.o.progress != nil {
 		s.o.progress(Progress{Frames: s.nframes, Records: pipe.Stats().Records, T: s.lastT})
 	}
 	rep := &core.Report{
-		WallClock:       time.Since(start),
-		Pipeline:        pipe.Stats(),
-		DistinctClients: pipe.ClientAnonymizer().Count(),
-		DistinctFiles:   pipe.FileAnonymizer().Count(),
-		BucketSizes:     pipe.FileAnonymizer().BucketSizes(),
+		WallClock:        time.Since(start),
+		Pipeline:         pipe.Stats(),
+		DistinctClients:  pipe.ClientAnonymizer().Count(),
+		DistinctFiles:    pipe.FileAnonymizer().Count(),
+		BucketSizes:      pipe.FileAnonymizer().BucketSizes(),
+		EthernetCaptured: s.nframes,
+		EthernetDropped:  t.full + t.late,
+		VirtualDuration:  s.lastT - s.firstT,
 	}
 	rep.MaxBucketIdx, rep.MaxBucketSize = pipe.FileAnonymizer().MaxBucket()
-	if cr, ok := s.src.(captureReporter); ok {
-		cr.reportCapture(rep)
+	if sim, ok := s.src.(*SimSource); ok {
+		sim.reportCapture(rep)
 	}
 	res := &Result{
 		Report: rep,

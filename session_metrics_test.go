@@ -31,8 +31,10 @@ func TestSessionWithMetrics(t *testing.T) {
 	if got := reg.Counter("edsession_records_total", "").Value(); got != p.Records {
 		t.Fatalf("records counter %d, report %d", got, p.Records)
 	}
-	if got := reg.Counter("edsession_dropped_frames_total", "").Value(); got != 0 {
-		t.Fatalf("clean run dropped %d frames", got)
+	for _, reason := range []string{"queue_full", "closed", "aborted"} {
+		if got := droppedBy(reg, reason); got != 0 {
+			t.Fatalf("clean run dropped %d frames (%s)", got, reason)
+		}
 	}
 	if reg.Counter("edsession_batches_total", "").Value() == 0 {
 		t.Fatal("no batches counted")
@@ -67,7 +69,6 @@ func TestSessionWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"edsession_batch_fill_ratio",
 		"edsession_queue_capacity_batches",
 		"edsession_queue_batches 0", // drained at end of run
 		"edsession_dataset_seal_seconds_total",
@@ -118,9 +119,9 @@ func TestSessionMetricsScrapedDuringRun(t *testing.T) {
 	}
 }
 
-// gatedSource emits one frame (whose record will park the consumer in
-// blockErrSink), fills the whole frame queue behind it, and only then
-// releases the sink — so the abort finds a deterministic number of
+// gatedSource emits its frames (the first one's record will park the
+// consumer in blockErrSink, the rest fill the queue behind it) and only
+// then releases the sink — so the abort finds a deterministic number of
 // frames in flight.
 type gatedSource struct {
 	frames  [][]byte
@@ -128,8 +129,8 @@ type gatedSource struct {
 }
 
 func (s *gatedSource) Frames(ctx context.Context, emit EmitFunc) error {
-	for i := 0; i < 5; i++ {
-		if err := emit(simtime.Time(i)*simtime.Microsecond, s.frames[i]); err != nil {
+	for i, f := range s.frames {
+		if err := emit(simtime.Time(i)*simtime.Microsecond, f); err != nil {
 			return err
 		}
 	}
@@ -149,24 +150,25 @@ func (s *blockErrSink) Write(*xmlenc.Record) error {
 // TestSessionMetricsDroppedInFlight: frames still in flight when the
 // run aborts (a pipeline error, or equivalently a cancellation — both
 // share the drop/drain accounting) are counted as dropped, not silently
-// discarded. With batch size 1 and a 4-batch queue, the failing frame
-// plus the 4 queued behind it make exactly 5.
+// discarded. The source emits one frame short of what fits: the
+// consumer's batch (the failing frame and the rest behind it), a full
+// queue behind that, and a partial batch the producer still holds — all
+// of them dropped.
 func TestSessionMetricsDroppedInFlight(t *testing.T) {
+	const inFlight = queueFrames + batchSize - 1
 	release := make(chan struct{})
-	src := &gatedSource{frames: benchFrames(8), release: release}
+	src := &gatedSource{frames: benchFrames(2 * queueFrames)[:inFlight], release: release}
 	reg := obs.NewRegistry()
-	s := NewSession(src,
+	_, err := NewSession(src,
 		WithServerIP(0x0A000001),
 		WithMetrics(reg),
 		WithSink(&blockErrSink{release: release}),
-	)
-	s.batchSize, s.queueDepth = 1, 4
-	_, err := s.Run(context.Background())
+	).Run(context.Background())
 	if err == nil || err.Error() != "gated sink failure" {
 		t.Fatalf("sink error not surfaced: %v", err)
 	}
-	if got := reg.Counter("edsession_dropped_frames_total", "").Value(); got != 5 {
-		t.Fatalf("dropped counter %d, want 5 (failing frame + 4 queued)", got)
+	if got := droppedBy(reg, "aborted"); got != inFlight {
+		t.Fatalf("aborted drops %d, want all %d in flight", got, inFlight)
 	}
 	if got := reg.Counter("edsession_frames_total", "").Value(); got != 0 {
 		t.Fatalf("frames counter %d, want 0 (first frame never completed)", got)

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,41 +40,37 @@ func noLeak(t *testing.T) func() {
 	}
 }
 
-// watchedSource counts the frames its source hands to the session — the
-// "emitted" side of frame conservation — and the timestamp inversions
-// among them. Wrapping hides the inner source's pipeline defaults, so
-// sessions over it need WithServerIP.
+// watchedSource counts the frames an offline source hands to the session
+// — the "emitted" side of frame conservation. Wrapping hides the inner
+// source's pipeline defaults, so sessions over it need WithServerIP (and
+// it would hide a live source's queue: a LiveSource is watched through
+// its own counts).
 type watchedSource struct {
 	Source
-	emitted    uint64
-	inversions int
-	last       simtime.Time
+	emitted uint64
 }
 
 func (w *watchedSource) Frames(ctx context.Context, emit EmitFunc) error {
 	return w.Source.Frames(ctx, func(t simtime.Time, frame []byte) error {
 		w.emitted++
-		if t < w.last {
-			w.inversions++
-		}
-		w.last = t
 		return emit(t, frame)
 	})
 }
 
-// releaseFrame keeps a pooling source's buffer recycling in the loop.
-func (w *watchedSource) releaseFrame(b []byte) {
-	if rel, ok := w.Source.(frameReleaser); ok {
-		rel.releaseFrame(b)
-	}
+// droppedBy reads one reason's series of the session's drop counter.
+func droppedBy(reg *obs.Registry, reason string) uint64 {
+	return reg.Counter("edsession_dropped_frames_total", "", obs.L("reason", reason)).Value()
 }
 
 // checkConservation asserts the session's frame accounting on reg:
-// every emitted frame was processed or dropped, exactly once.
+// every emitted frame was processed or dropped, for one reason, exactly
+// once.
 func checkConservation(t *testing.T, reg *obs.Registry, emitted uint64) (frames, dropped uint64) {
 	t.Helper()
 	frames = reg.Counter("edsession_frames_total", "").Value()
-	dropped = reg.Counter("edsession_dropped_frames_total", "").Value()
+	for _, reason := range []string{"queue_full", "closed", "aborted"} {
+		dropped += droppedBy(reg, reason)
+	}
 	if frames+dropped != emitted {
 		t.Fatalf("processed %d + dropped %d != emitted %d", frames, dropped, emitted)
 	}
@@ -241,19 +238,16 @@ func TestSessionDropAccounting(t *testing.T) {
 		live.Mirror(0x01000000+uint32(i), serverIP, ed2k.Encode(&ed2k.StatReq{Challenge: uint32(i)}))
 	}
 	live.Close()
-	// The failure may stop the source before it has emitted all 500.
-	src := &watchedSource{Source: live}
 	reg := obs.NewRegistry()
-	s := NewSession(src,
+	s := NewSession(live,
 		WithServerIP(serverIP),
 		WithSink(&failingSink{after: 10}),
 		WithMetrics(reg),
 	)
-	s.batchSize = 32
 	if _, err := s.Run(context.Background()); err == nil || err.Error() != "sink exploded" {
 		t.Fatalf("sink error not surfaced: %v", err)
 	}
-	if frames, _ := checkConservation(t, reg, src.emitted); frames != 10 {
+	if frames, _ := checkConservation(t, reg, total); frames != 10 {
 		t.Fatalf("%d frames processed before the failing record, want 10", frames)
 	}
 }
@@ -312,6 +306,118 @@ func TestLiveSourceCountsQueueOverflow(t *testing.T) {
 	}
 }
 
+// TestLiveSourceDropsAfterClose: a datagram mirrored after Close is a
+// counted drop, not a captured frame the drain may or may not reach.
+func TestLiveSourceDropsAfterClose(t *testing.T) {
+	const serverIP = uint32(0x0A000001)
+	const before, after = 300, 7
+	src := NewLiveSource(0)
+	payload := ed2k.Encode(&ed2k.StatReq{Challenge: 1})
+	for i := 0; i < before; i++ {
+		src.Mirror(1, serverIP, payload)
+	}
+	src.Close()
+	for i := 0; i < after; i++ {
+		src.Mirror(1, serverIP, payload)
+	}
+	reg := obs.NewRegistry()
+	res, err := NewSession(src, WithServerIP(serverIP), WithMetrics(reg)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Report
+	if rep.Pipeline.Records != before || rep.EthernetCaptured != before || rep.EthernetDropped != after {
+		t.Fatalf("%d records, captured %d, dropped %d; want %d, %d, %d",
+			rep.Pipeline.Records, rep.EthernetCaptured, rep.EthernetDropped, before, before, after)
+	}
+	checkConservation(t, reg, before+after)
+	if got := droppedBy(reg, "closed"); got != after {
+		t.Fatalf("closed drops %d, want %d", got, after)
+	}
+}
+
+// parkedSink holds the consumer in its first Write until released.
+type parkedSink struct{ release chan struct{} }
+
+func (s parkedSink) Write(*xmlenc.Record) error {
+	<-s.release
+	return nil
+}
+
+// TestMirrorNeverBlocks: with the consumer parked in its sink, eight
+// goroutines mirror three queues' worth of datagrams while a ninth closes
+// the source. Every call returns, every datagram is captured or dropped,
+// and once the sink lets go every captured frame is processed.
+func TestMirrorNeverBlocks(t *testing.T) {
+	defer noLeak(t)()
+	const serverIP = uint32(0x0A000001)
+	const mirrors, perMirror = 8, 3 * queueFrames / 8
+	src := NewLiveSource(0)
+	release := make(chan struct{})
+	reg := obs.NewRegistry()
+	type result struct {
+		res *Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := NewSession(src, WithServerIP(serverIP), WithSink(parkedSink{release}), WithMetrics(reg)).Run(context.Background())
+		done <- result{res, err}
+	}()
+
+	var calls atomic.Int64
+	var wg sync.WaitGroup
+	payload := ed2k.Encode(&ed2k.StatReq{Challenge: 1})
+	for g := 0; g < mirrors; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perMirror; i++ {
+				src.Mirror(0x01000000+uint32(g), serverIP, payload)
+				calls.Add(1)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // close once the queue has overflowed
+		defer wg.Done()
+		for calls.Load() < 2*queueFrames {
+			runtime.Gosched()
+		}
+		src.Close()
+	}()
+	returned := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+		close(release)
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Mirror or Close blocked behind a parked consumer")
+	}
+
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	rep := r.res.Report
+	const mirrored = mirrors * perMirror
+	if rep.EthernetCaptured+rep.EthernetDropped != mirrored {
+		t.Fatalf("captured %d + dropped %d != mirrored %d", rep.EthernetCaptured, rep.EthernetDropped, mirrored)
+	}
+	if rep.Pipeline.Frames != rep.EthernetCaptured {
+		t.Fatalf("processed %d of %d captured frames", rep.Pipeline.Frames, rep.EthernetCaptured)
+	}
+	if rep.EthernetCaptured > queueFrames+batchSize || droppedBy(reg, "queue_full") == 0 {
+		t.Fatalf("captured %d, %d dropped on a full queue: the queue holds %d frames",
+			rep.EthernetCaptured, droppedBy(reg, "queue_full"), queueFrames)
+	}
+	checkConservation(t, reg, mirrored)
+}
+
 func TestSessionRequiresServerIP(t *testing.T) {
 	if _, err := NewSession(NewPcapSource("/nonexistent.pcap")).Run(context.Background()); err == nil {
 		t.Fatal("pcap session without server IP accepted")
@@ -327,6 +433,9 @@ func TestSessionSingleUse(t *testing.T) {
 	}
 	if _, err := s.Run(context.Background()); err == nil {
 		t.Fatal("second Run accepted")
+	}
+	if _, err := NewSession(src, WithServerIP(1)).Run(context.Background()); err == nil {
+		t.Fatal("second session over one LiveSource accepted")
 	}
 }
 
@@ -393,16 +502,29 @@ func TestSessionBadPcapClosesCleanly(t *testing.T) {
 	}
 }
 
-// TestLiveSourceMonotoneUnderConcurrentMirror: Mirror reads the clock
-// before it queues, so concurrent callers queue out of stamp order; the
-// frames LiveSource.Frames emits must be time-monotone all the same, or
-// a ServerSource dataset breaks the format's ordering rule under load.
+// monotoneSink counts the records that go back in time.
+type monotoneSink struct {
+	last       float64
+	inversions int
+}
+
+func (m *monotoneSink) Write(r *xmlenc.Record) error {
+	if r.T < m.last {
+		m.inversions++
+	}
+	m.last = r.T
+	return nil
+}
+
+// TestLiveSourceMonotoneUnderConcurrentMirror: concurrent Mirror callers
+// must queue their frames in stamp order, or a ServerSource dataset
+// breaks the format's ordering rule under load.
 func TestLiveSourceMonotoneUnderConcurrentMirror(t *testing.T) {
 	defer noLeak(t)()
 	const serverIP = uint32(0x0A000001)
 	const mirrors, perMirror = 8, 20000
 	live := NewLiveSource(mirrors * perMirror)
-	src := &watchedSource{Source: live}
+	sink := &monotoneSink{}
 	dir := t.TempDir()
 	type result struct {
 		res *Result
@@ -410,7 +532,7 @@ func TestLiveSourceMonotoneUnderConcurrentMirror(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		res, err := NewSession(src, WithServerIP(serverIP), WithDataset(dir, false)).Run(context.Background())
+		res, err := NewSession(live, WithServerIP(serverIP), WithSink(sink), WithDataset(dir, false)).Run(context.Background())
 		done <- result{res, err}
 	}()
 	var wg sync.WaitGroup
@@ -433,8 +555,8 @@ func TestLiveSourceMonotoneUnderConcurrentMirror(t *testing.T) {
 	if got := r.res.Report.Pipeline.Records; got != mirrors*perMirror {
 		t.Fatalf("%d records from %d mirrored datagrams", got, mirrors*perMirror)
 	}
-	if src.inversions != 0 {
-		t.Fatalf("LiveSource.Frames emitted %d timestamp inversions", src.inversions)
+	if sink.inversions != 0 {
+		t.Fatalf("%d records out of timestamp order", sink.inversions)
 	}
 	rep, err := dataset.Verify(dir)
 	if err != nil {

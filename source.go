@@ -38,19 +38,12 @@ type pipelineDefaulter interface {
 	pipelineDefaults() (serverIP uint32, fileBytePair [2]int, ok bool)
 }
 
-// captureReporter is implemented by sources that can contribute
-// capture-layer counters (losses, world statistics) to the final report.
-type captureReporter interface {
-	reportCapture(*core.Report)
-}
-
-// processSharer is implemented by sources whose frames are mirrored by
-// the very process they capture (LiveSource, and ServerSource, which
-// embeds it). Such a capture shares its CPUs with the daemons it
-// observes, so the session keeps dataset compression on its own
-// goroutine; for any other source the CPUs are the capture's to use (see
-// Session.setup).
-type processSharer interface{ sharesProcess() }
+// liveSource is implemented by sources whose frames are mirrored by the
+// very process they capture (LiveSource, and ServerSource, which embeds
+// it): they fill the Session's queue themselves, and they share the CPUs
+// with the daemons they observe, so the session keeps dataset
+// compression on its own goroutine (see Session.setup).
+type liveSource interface{ liveQueue() (*frameQueue, error) }
 
 // SimSource runs the synthetic world (server, swarm, links, kernel
 // buffer) and yields the frames its capture machine drains — the paper's
@@ -83,6 +76,8 @@ func (s *SimSource) pipelineDefaults() (uint32, [2]int, bool) {
 	return s.Config.ServerIP, s.Config.FileBytePair, true
 }
 
+// reportCapture puts the world's capture layer (its kernel buffer's
+// counts and losses, server and swarm statistics) in the final report.
 func (s *SimSource) reportCapture(rep *core.Report) {
 	if s.rep == nil {
 		return
@@ -102,9 +97,7 @@ type PcapSource struct {
 	// Path is the pcap file to replay.
 	Path string
 
-	frames      uint64
-	first, last simtime.Time
-	ran         bool
+	ran bool
 }
 
 // NewPcapSource returns a source replaying the pcap file at path.
@@ -136,22 +129,10 @@ func (p *PcapSource) Frames(ctx context.Context, emit EmitFunc) error {
 		if err != nil {
 			return err
 		}
-		t := rec.Time()
-		if err := emit(t, rec.Data); err != nil {
+		if err := emit(rec.Time(), rec.Data); err != nil {
 			return err
 		}
-		if p.frames == 0 {
-			p.first = t
-		}
-		p.frames++
-		p.last = t
 	}
-}
-
-func (p *PcapSource) reportCapture(rep *core.Report) {
-	rep.EthernetCaptured = p.frames
-	// Span, not absolute end: real captures carry Unix-epoch timestamps.
-	rep.VirtualDuration = p.last - p.first
 }
 
 // ServerSource captures running edserverd daemons' own accepted traffic:
@@ -168,11 +149,11 @@ func (p *PcapSource) reportCapture(rep *core.Report) {
 // one capture: every record carries the name of the server whose dialog
 // it belongs to (the srv attribute).
 //
-// All daemons share one bounded queue (one kernel buffer, as if one
-// capture machine mirrored every server's port) with LiveSource's
-// semantics: if the pipeline falls behind, overflowing frames are
-// dropped and counted as capture losses (Fig 2). The source drains until
-// every daemon has shut down or Close is called; like every source it is
+// All daemons mirror into the Session's one queue (one kernel buffer, as
+// if one capture machine mirrored every server's port), as a LiveSource
+// does: if the pipeline falls behind, overflowing frames are dropped and
+// counted as capture losses (Fig 2). The capture lasts until every
+// daemon has shut down or Close is called; like every source it is
 // single-use.
 type ServerSource struct {
 	*LiveSource
@@ -185,14 +166,14 @@ type ServerSource struct {
 }
 
 // NewServerSource attaches a capture to d (replacing any previous tap —
-// a daemon carries at most one) with a queue of queueFrames mirrored
-// messages (<= 0: the 4096 default). The daemon keeps serving untapped
+// a daemon carries at most one) with a queue of capacity mirrored
+// messages (<= 0: the Session's own, 4096). The daemon keeps serving untapped
 // after the capture ends, however it ends: Close, session cancellation,
 // or a pipeline failure all detach this source's tap (and only its own:
 // a successor capture attached meanwhile is left in place), so an
 // untapped daemon never keeps paying the mirror's encoding cost.
-func NewServerSource(d *edserverd.Daemon, queueFrames int) *ServerSource {
-	s := &ServerSource{LiveSource: NewLiveSource(queueFrames), serverKey: d.ServerKey()}
+func NewServerSource(d *edserverd.Daemon, capacity int) *ServerSource {
+	s := &ServerSource{LiveSource: NewLiveSource(capacity), serverKey: d.ServerKey()}
 	s.attach([]*edserverd.Daemon{d})
 	return s
 }
@@ -202,7 +183,7 @@ func NewServerSource(d *edserverd.Daemon, queueFrames int) *ServerSource {
 // names must be distinct and non-empty: they become the dataset's
 // provenance tags. The capture outlives individual daemons (that is the
 // failover experiment); the last one to shut down ends it.
-func NewMeshSource(daemons []*edserverd.Daemon, queueFrames int) (*ServerSource, error) {
+func NewMeshSource(daemons []*edserverd.Daemon, capacity int) (*ServerSource, error) {
 	if len(daemons) == 0 {
 		return nil, errors.New("edtrace: mesh source needs at least one daemon")
 	}
@@ -219,7 +200,7 @@ func NewMeshSource(daemons []*edserverd.Daemon, queueFrames int) (*ServerSource,
 		byName[name] = true
 		names[d.ServerKey()] = name
 	}
-	s := &ServerSource{LiveSource: NewLiveSource(queueFrames), names: names}
+	s := &ServerSource{LiveSource: NewLiveSource(capacity), names: names}
 	s.attach(daemons)
 	return s, nil
 }
@@ -237,14 +218,14 @@ func (s *ServerSource) attach(daemons []*edserverd.Daemon) {
 				if s.alive.Add(-1) == 0 {
 					s.Close() // drain what is queued, then end the session
 				}
-			case <-s.done: // source closed first: nothing to watch for
+			case <-s.q.done: // source closed first: nothing to watch for
 			}
 		}()
 	}
 }
 
-// Close detaches every tap and ends the capture (Frames drains the queue
-// and returns).
+// Close detaches every tap and ends the capture (the Session processes
+// what is queued and returns).
 func (s *ServerSource) Close() {
 	for _, detach := range s.detaches {
 		detach()
@@ -252,8 +233,8 @@ func (s *ServerSource) Close() {
 	s.LiveSource.Close()
 }
 
-// Frames implements Source; whatever ends the stream — Close, context
-// cancellation, an emit error — leaves every daemon untapped and the
+// Frames implements Source; whatever ends the stream — Close or context
+// cancellation — leaves every daemon untapped and the
 // daemon-watcher goroutines released (Close, not just detach: otherwise
 // a cancelled session would pin the watchers until daemon shutdown).
 func (s *ServerSource) Frames(ctx context.Context, emit EmitFunc) error {
