@@ -60,7 +60,6 @@ func sharedRun(b *testing.B) *Result {
 		sim.Workload.NumClients = 6000
 		sim.Workload.NumFiles = 60000
 		sim.Traffic.Duration = 2 * simtime.Day
-		sim.Traffic.FlashCrowds = 2
 		benchWorld.res, benchWorld.err = NewSession(NewSimSource(sim), WithFigures()).
 			Run(context.Background())
 	})
@@ -98,9 +97,6 @@ func BenchmarkFig2CaptureLoss(b *testing.B) {
 		sim.Workload.NumClients = 2500
 		sim.Workload.NumFiles = 20000
 		sim.Traffic.Duration = 12 * simtime.Hour
-		sim.Traffic.FlashCrowds = 3
-		sim.Traffic.FlashParticipants = 0.6
-		sim.Traffic.FlashDuration = 30 * simtime.Second
 		sim.KernelBufferBytes = 4 << 10
 		sim.ServicePerPoll = 2
 		res, err := NewSession(NewSimSource(sim)).Run(context.Background())
@@ -279,7 +275,7 @@ func BenchmarkAblationClientAnon(b *testing.B) {
 		// One untimed pass assigns every ID (and materialises its page),
 		// so the rows time lookups, not the kernel's page faults; the
 		// table outlives the ramp-up of b.N so that pass runs once.
-		bench := func(anon anonymize.ClientAnonymizer) func(*testing.B) {
+		bench := func(anon interface{ Anonymize(uint32) uint32 }) func(*testing.B) {
 			warm := false
 			return func(b *testing.B) {
 				if !warm {
@@ -299,6 +295,10 @@ func BenchmarkAblationClientAnon(b *testing.B) {
 	}
 }
 
+// fileAnonymizer is what the fileID ablation rows time: the pipeline's
+// FileBuckets and the baselines the paper rejects.
+type fileAnonymizer interface{ Anonymize(ed2k.FileID) uint32 }
+
 // BenchmarkAblationFileAnon compares fileID anonymisation structures on
 // a polluted stream: the paper's 65 536 sorted buckets (good and bad
 // byte pairs), the hashtable, and the single sorted array whose
@@ -316,7 +316,7 @@ func BenchmarkAblationFileAnon(b *testing.B) {
 	for i := range stream {
 		stream[i] = cat.Files[r.IntN(len(cat.Files))].ID
 	}
-	bench := func(b *testing.B, anon anonymize.FileAnonymizer) {
+	bench := func(b *testing.B, anon fileAnonymizer) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			anon.Anonymize(stream[i&(len(stream)-1)])
@@ -352,7 +352,7 @@ func BenchmarkAblationFileAnonInsert(b *testing.B) {
 		}
 		ids[i] = id
 	}
-	bench := func(b *testing.B, fresh func() anonymize.FileAnonymizer) {
+	bench := func(b *testing.B, fresh func() fileAnonymizer) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			anon := fresh()
@@ -363,13 +363,13 @@ func BenchmarkAblationFileAnonInsert(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/insert")
 	}
 	b.Run("buckets-chosen-bytes", func(b *testing.B) {
-		bench(b, func() anonymize.FileAnonymizer { return anonymize.NewFileBuckets(5, 11) })
+		bench(b, func() fileAnonymizer { return anonymize.NewFileBuckets(5, 11) })
 	})
 	b.Run("hashtable", func(b *testing.B) {
-		bench(b, func() anonymize.FileAnonymizer { return anonymize.NewFileMap() })
+		bench(b, func() fileAnonymizer { return anonymize.NewFileMap() })
 	})
 	b.Run("single-sorted-array", func(b *testing.B) {
-		bench(b, func() anonymize.FileAnonymizer { return anonymize.NewFileSingleSorted() })
+		bench(b, func() fileAnonymizer { return anonymize.NewFileSingleSorted() })
 	})
 }
 

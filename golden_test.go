@@ -12,10 +12,11 @@ import (
 )
 
 // goldenSimFrames is the SHA-256 over every (t, len, frame) a small
-// SimSource emits, computed at commit 4e071f7 before the swarm's message
-// builders were shared with the planner. The determinism tests compare
-// two runs of one binary; this compares the binary with its ancestors.
-const goldenSimFrames = "41561662fa800d901c6b10129fc85d21651858c36c31dbe0af9a5688b37819fa"
+// SimSource emits, computed at commit 95bb4c7 with the traffic model's
+// default four flash crowds (the stream commit 4e071f7 pinned with one
+// crowd was unchanged up to there). The determinism tests compare two
+// runs of one binary; this compares the binary with its ancestors.
+const goldenSimFrames = "d5704e16a9f6eb1fbd810b33131811c00d942d97fa091b231d14e7444aebffb2"
 
 func TestGoldenSimSourceFrames(t *testing.T) {
 	sim := core.DefaultSimConfig()
@@ -24,7 +25,6 @@ func TestGoldenSimSourceFrames(t *testing.T) {
 	sim.Workload.NumFiles = 3000
 	sim.Workload.VocabWords = 300
 	sim.Traffic.Duration = simtime.Hour
-	sim.Traffic.FlashCrowds = 1
 	sim.FrameMangleRate = 1e-3 // mangling on: the wire-corruption draws are part of the stream
 
 	h := sha256.New()

@@ -31,15 +31,6 @@ package anonymize
 
 import "fmt"
 
-// ClientAnonymizer assigns order-of-appearance identifiers to clientIDs.
-type ClientAnonymizer interface {
-	// Anonymize returns the stable anonymised identifier for id,
-	// assigning the next integer on first sight.
-	Anonymize(id uint32) uint32
-	// Count returns how many distinct clientIDs have been seen.
-	Count() uint32
-}
-
 // The page size is a constant chosen from a measured curve (4, 16 and
 // 64 KiB pages against live heap, lookup time and the ablation benchmark:
 // docs/architecture.md). Smaller pages waste less around a lone ID but
@@ -70,8 +61,9 @@ func NewClientDirect() *ClientDirect {
 	return &ClientDirect{dir: new([dirEntries]*[pageCells]uint32)}
 }
 
-// Anonymize implements ClientAnonymizer with one index computation and at
-// most one page allocation.
+// Anonymize returns the stable anonymised identifier for id, assigning
+// the next integer on first sight: one index computation and at most one
+// page allocation.
 func (c *ClientDirect) Anonymize(id uint32) uint32 {
 	page := c.dir[id>>pageBits]
 	if page == nil {
@@ -102,7 +94,7 @@ func (c *ClientDirect) Lookup(id uint32) (uint32, bool) {
 	return v - 1, true
 }
 
-// Count implements ClientAnonymizer.
+// Count returns how many distinct clientIDs have been seen.
 func (c *ClientDirect) Count() uint32 { return c.next }
 
 // PagesAllocated reports how many pages have materialised.
@@ -126,7 +118,7 @@ func NewClientMap() *ClientMap {
 	return &ClientMap{m: make(map[uint32]uint32)}
 }
 
-// Anonymize implements ClientAnonymizer.
+// Anonymize is ClientDirect.Anonymize over a Go map.
 func (c *ClientMap) Anonymize(id uint32) uint32 {
 	if v, ok := c.m[id]; ok {
 		return v
@@ -137,14 +129,8 @@ func (c *ClientMap) Anonymize(id uint32) uint32 {
 	return v
 }
 
-// Count implements ClientAnonymizer.
+// Count returns how many distinct clientIDs have been seen.
 func (c *ClientMap) Count() uint32 { return c.next }
-
-// Compile-time interface checks.
-var (
-	_ ClientAnonymizer = (*ClientDirect)(nil)
-	_ ClientAnonymizer = (*ClientMap)(nil)
-)
 
 // String describes the structure for reports.
 func (c *ClientDirect) String() string {

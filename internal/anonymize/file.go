@@ -7,15 +7,6 @@ import (
 	"edtrace/internal/ed2k"
 )
 
-// FileAnonymizer assigns order-of-appearance identifiers to fileIDs.
-type FileAnonymizer interface {
-	// Anonymize returns the stable anonymised identifier for id,
-	// assigning the next integer on first sight.
-	Anonymize(id ed2k.FileID) uint32
-	// Count returns how many distinct fileIDs have been seen.
-	Count() uint32
-}
-
 // BucketCount is the number of anonymisation arrays: the paper divides
 // "the array size by a factor of 65 536 by using [two bytes] to index
 // 65 536 arrays".
@@ -69,8 +60,9 @@ func less(a, b ed2k.FileID) bool {
 	return false
 }
 
-// Anonymize implements FileAnonymizer: a binary search in the bucket,
-// and on first sight a sorted insertion.
+// Anonymize returns the stable anonymised identifier for id, assigning
+// the next integer on first sight: a binary search in the bucket, and on
+// first sight a sorted insertion.
 func (f *FileBuckets) Anonymize(id ed2k.FileID) uint32 {
 	b := f.bucketIndex(id)
 	bucket := f.buckets[b]
@@ -100,7 +92,7 @@ func (f *FileBuckets) Lookup(id ed2k.FileID) (uint32, bool) {
 	return 0, false
 }
 
-// Count implements FileAnonymizer.
+// Count returns how many distinct fileIDs have been seen.
 func (f *FileBuckets) Count() uint32 { return f.next }
 
 // BucketSizes returns the size of every anonymisation array — the
@@ -128,7 +120,7 @@ func NewFileMap() *FileMap {
 	return &FileMap{m: make(map[ed2k.FileID]uint32)}
 }
 
-// Anonymize implements FileAnonymizer.
+// Anonymize is FileBuckets.Anonymize over a Go map.
 func (f *FileMap) Anonymize(id ed2k.FileID) uint32 {
 	if v, ok := f.m[id]; ok {
 		return v
@@ -139,7 +131,7 @@ func (f *FileMap) Anonymize(id ed2k.FileID) uint32 {
 	return v
 }
 
-// Count implements FileAnonymizer.
+// Count returns how many distinct fileIDs have been seen.
 func (f *FileMap) Count() uint32 { return f.next }
 
 // FileSingleSorted is the rejected design the paper discusses: one sorted
@@ -156,7 +148,7 @@ func NewFileSingleSorted() *FileSingleSorted {
 	return &FileSingleSorted{}
 }
 
-// Anonymize implements FileAnonymizer.
+// Anonymize is FileBuckets.Anonymize over one sorted array.
 func (f *FileSingleSorted) Anonymize(id ed2k.FileID) uint32 {
 	i := sort.Search(len(f.slots), func(k int) bool { return !less(f.slots[k].id, id) })
 	if i < len(f.slots) && f.slots[i].id == id {
@@ -170,12 +162,5 @@ func (f *FileSingleSorted) Anonymize(id ed2k.FileID) uint32 {
 	return anon
 }
 
-// Count implements FileAnonymizer.
+// Count returns how many distinct fileIDs have been seen.
 func (f *FileSingleSorted) Count() uint32 { return f.next }
-
-// Compile-time interface checks.
-var (
-	_ FileAnonymizer = (*FileBuckets)(nil)
-	_ FileAnonymizer = (*FileMap)(nil)
-	_ FileAnonymizer = (*FileSingleSorted)(nil)
-)

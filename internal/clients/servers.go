@@ -17,25 +17,8 @@ import (
 // serverState is the mutable book-keeping for one known server.
 type serverState struct {
 	addr      string
-	name      string
-	fails     int // consecutive failures
-	succs     uint64
-	users     uint32
-	files     uint32
-	latency   time.Duration // last successful round-trip
-	deadUntil time.Time     // zero when alive
-}
-
-// ServerInfo is a read-only snapshot row of the manager's list.
-type ServerInfo struct {
-	Addr    string
-	Name    string
-	Fails   int
-	Succs   uint64
-	Users   uint32
-	Files   uint32
-	Latency time.Duration
-	Dead    bool
+	fails     int       // consecutive failures
+	deadUntil time.Time // zero when alive
 }
 
 // ServerManager is a concurrency-safe dynamic server list. Pick returns
@@ -133,7 +116,7 @@ func (m *ServerManager) Pick(avoid string) string {
 
 // ReportSuccess records a successful answer round-trip: it clears the
 // consecutive-failure count and revives a dead server.
-func (m *ServerManager) ReportSuccess(addr string, latency time.Duration) {
+func (m *ServerManager) ReportSuccess(addr string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.byAddr[addr]
@@ -141,11 +124,7 @@ func (m *ServerManager) ReportSuccess(addr string, latency time.Duration) {
 		return
 	}
 	s.fails = 0
-	s.succs++
 	s.deadUntil = time.Time{}
-	if latency > 0 {
-		s.latency = latency
-	}
 }
 
 // ReportFailure records a connect or answer failure; at the fail limit
@@ -161,41 +140,4 @@ func (m *ServerManager) ReportFailure(addr string) {
 	if s.fails >= failLimit {
 		s.deadUntil = time.Now().Add(deadFor)
 	}
-}
-
-// ReportCounts stores the user/file counts a StatRes (or server
-// description) carried, mirroring the counts column of a server list.
-func (m *ServerManager) ReportCounts(addr, name string, users, files uint32) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.byAddr[addr]
-	if s == nil {
-		return
-	}
-	if name != "" {
-		s.name = name
-	}
-	s.users = users
-	s.files = files
-}
-
-// Snapshot returns the list in the order it was given.
-func (m *ServerManager) Snapshot() []ServerInfo {
-	now := time.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]ServerInfo, 0, len(m.servers))
-	for _, s := range m.servers {
-		out = append(out, ServerInfo{
-			Addr:    s.addr,
-			Name:    s.name,
-			Fails:   s.fails,
-			Succs:   s.succs,
-			Users:   s.users,
-			Files:   s.files,
-			Latency: s.latency,
-			Dead:    !s.deadUntil.IsZero() && now.Before(s.deadUntil),
-		})
-	}
-	return out
 }

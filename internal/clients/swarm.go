@@ -11,7 +11,7 @@
 //   - scanners probing many fileIDs including unknown ones — the paper
 //     observes far more distinct fileIDs (275 M) than any server indexes,
 //     and flags "clients scanning the network" explicitly (§3.2);
-//   - a configurable rate of malformed messages split into structurally
+//   - a calibrated rate of malformed messages split into structurally
 //     invalid and semantically undecodable, reproducing §2.3's "0.68 %
 //     not decoded, 78 % of these structurally incorrect".
 package clients
@@ -30,31 +30,16 @@ import (
 // SendFunc delivers one client datagram to the server's network path.
 type SendFunc func(srcIP uint32, srcPort uint16, payload []byte)
 
-// TrafficConfig shapes the traffic process: the rates and spans some
-// caller changes. The calibrated message mix is fixed by the constants
-// below.
+// TrafficConfig is what a caller sets of the traffic process: its span,
+// and the offer batch the Planner shares. The calibrated traffic shape is
+// fixed by the constants below.
 type TrafficConfig struct {
 	// Duration is the virtual capture length.
 	Duration simtime.Time
-	// DiurnalAmplitude in [0,1): day/night swing of activity.
-	DiurnalAmplitude float64
-	// FlashCrowds is the number of sudden load spikes (reconnect storms
-	// after outages, releases). Each multiplies activity briefly.
-	FlashCrowds int
-	// FlashDuration is each spike's length.
-	FlashDuration simtime.Time
-	// FlashParticipants is the fraction of clients joining a spike.
-	FlashParticipants float64
 	// OfferBatch is the usual number of files per OfferFiles message;
 	// a few batches are much larger and fragment at the MTU, giving the
 	// rare IP fragments §2.3 reports.
 	OfferBatch int
-	// BadMessageRate is the probability a sent message is corrupted;
-	// badStructuralShare of those are structurally broken, the rest
-	// semantically undecodable.
-	BadMessageRate float64
-	// StatPingEvery adds periodic server status pings per session.
-	StatPingEvery simtime.Time
 }
 
 // sessionsPerClient is the base number of sessions a client spreads its
@@ -64,10 +49,31 @@ const sessionsPerClient = 3
 // asksPerMessage bounds the fileIDs per GetSources query (clients batch).
 const asksPerMessage = 3
 
+// diurnalAmplitude in [0,1) is the day/night swing of activity.
+const diurnalAmplitude = 0.45
+
+// Each of flashCrowds sudden load spikes (reconnect storms after
+// outages, releases) brings flashParticipants of the clients into one
+// flashDuration window, far above the diurnal peak.
+const (
+	flashCrowds       = 4
+	flashDuration     = 90 * simtime.Second
+	flashParticipants = 0.05
+)
+
+// badMessageRate is the probability a sent message is corrupted. It
+// applies to client messages only; with server answers making up roughly
+// a third of captured traffic this lands near the paper's 0.68 % overall
+// undecoded rate.
+const badMessageRate = 0.0103
+
 // badStructuralShare of corrupted messages are structurally broken, the
 // rest semantically undecodable: §2.3's "78 % of these structurally
 // incorrect".
 const badStructuralShare = 0.78
+
+// statPingEvery is the period of a session's server status pings.
+const statPingEvery = 45 * simtime.Minute
 
 // scannerUnknownShare is the fraction of a scanner's source asks that
 // probe fileIDs nobody indexed: the paper sees far more distinct fileIDs
@@ -77,19 +83,7 @@ const scannerUnknownShare = 0.70
 // DefaultTraffic returns the calibrated traffic configuration for a
 // one-week capture; scale Duration for longer runs.
 func DefaultTraffic() TrafficConfig {
-	return TrafficConfig{
-		Duration:          simtime.Week,
-		DiurnalAmplitude:  0.45,
-		FlashCrowds:       4,
-		FlashDuration:     90 * simtime.Second,
-		FlashParticipants: 0.05,
-		OfferBatch:        16,
-		// Applies to client messages only; with server answers making up
-		// roughly a third of captured traffic this lands near the
-		// paper's 0.68 % overall undecoded rate.
-		BadMessageRate: 0.0103,
-		StatPingEvery:  45 * simtime.Minute,
-	}
+	return TrafficConfig{Duration: simtime.Week, OfferBatch: 16}
 }
 
 // Validate reports configuration errors.
@@ -97,12 +91,8 @@ func (tc *TrafficConfig) Validate() error {
 	switch {
 	case tc.Duration <= 0:
 		return fmt.Errorf("clients: Duration = %v", tc.Duration)
-	case tc.DiurnalAmplitude < 0 || tc.DiurnalAmplitude >= 1:
-		return fmt.Errorf("clients: DiurnalAmplitude = %v", tc.DiurnalAmplitude)
 	case tc.OfferBatch <= 0 || tc.OfferBatch > int(ed2k.MaxFilesPerMsg):
 		return fmt.Errorf("clients: OfferBatch = %d", tc.OfferBatch)
-	case tc.BadMessageRate < 0 || tc.BadMessageRate > 0.5:
-		return fmt.Errorf("clients: BadMessageRate = %v", tc.BadMessageRate)
 	}
 	return nil
 }
@@ -157,7 +147,7 @@ func (s *Swarm) FlashWindows() []simtime.Time { return s.flashStarts }
 // intensity is the diurnal activity profile in [1-A, 1+A].
 func (s *Swarm) intensity(t simtime.Time) float64 {
 	day := float64(t%simtime.Day) / float64(simtime.Day)
-	return 1 + s.tc.DiurnalAmplitude*math.Sin(2*math.Pi*day)
+	return 1 + diurnalAmplitude*math.Sin(2*math.Pi*day)
 }
 
 // sampleTime draws an activity instant in [lo, hi) following the diurnal
@@ -167,7 +157,7 @@ func (s *Swarm) sampleTime(r *randx.Rand, lo, hi simtime.Time) simtime.Time {
 		return lo
 	}
 	span := int64(hi - lo)
-	peak := 1 + s.tc.DiurnalAmplitude
+	peak := 1 + diurnalAmplitude
 	for tries := 0; tries < 16; tries++ {
 		t := lo + simtime.Time(r.Int64N(span))
 		if r.Float64()*peak <= s.intensity(t) {
@@ -234,14 +224,11 @@ func (s *Swarm) scheduleSession(c *workload.Client, r *randx.Rand,
 	}
 
 	// Periodic status pings while the session lasts.
-	if s.tc.StatPingEvery > 0 {
-		for t := start + s.tc.StatPingEvery/2; t < end; t += s.tc.StatPingEvery {
-			t := t
-			s.sch.At(t, func() {
-				s.stats.Pings++
-				s.emit(c, r, &ed2k.StatReq{Challenge: r.Uint32()})
-			})
-		}
+	for t := start + statPingEvery/2; t < end; t += statPingEvery {
+		s.sch.At(t, func() {
+			s.stats.Pings++
+			s.emit(c, r, &ed2k.StatReq{Challenge: r.Uint32()})
+		})
 	}
 
 	// Occasional management queries.
@@ -313,10 +300,10 @@ func randomFileID(r *randx.Rand) ed2k.FileID {
 }
 
 // emit encodes and sends one message, possibly corrupting it per the
-// configured client-bug rates.
+// calibrated client-bug rates.
 func (s *Swarm) emit(c *workload.Client, r *randx.Rand, msg ed2k.Message) {
 	raw := ed2k.Encode(msg)
-	if r.Bool(s.tc.BadMessageRate) {
+	if r.Bool(badMessageRate) {
 		if r.Bool(badStructuralShare) {
 			raw = corruptStructural(r, raw)
 			s.stats.CorruptStructure++
@@ -370,13 +357,10 @@ func corruptSemantic(r *randx.Rand, raw []byte) []byte {
 }
 
 func (s *Swarm) scheduleFlashCrowds() {
-	if s.tc.FlashCrowds <= 0 {
-		return
-	}
 	r := s.rng.Split(0xF1A5)
 	n := len(s.pop.Clients)
-	participants := int(float64(n) * s.tc.FlashParticipants)
-	for k := 0; k < s.tc.FlashCrowds; k++ {
+	participants := int(float64(n) * flashParticipants)
+	for k := 0; k < flashCrowds; k++ {
 		at := simtime.Time(r.Int64N(int64(s.tc.Duration * 9 / 10)))
 		s.flashStarts = append(s.flashStarts, at)
 		// A reconnect storm: participants ping and re-search in a narrow
@@ -385,7 +369,7 @@ func (s *Swarm) scheduleFlashCrowds() {
 			c := &s.pop.Clients[r.IntN(n)]
 			burst := 2 + r.IntN(6)
 			for b := 0; b < burst; b++ {
-				t := at + simtime.Time(r.Int64N(int64(s.tc.FlashDuration)))
+				t := at + simtime.Time(r.Int64N(int64(flashDuration)))
 				cc, rr := c, r
 				s.sch.At(t, func() {
 					if rr.Bool(0.5) {

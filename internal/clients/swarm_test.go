@@ -42,15 +42,13 @@ type sentMsg struct {
 func shortTraffic() TrafficConfig {
 	tc := DefaultTraffic()
 	tc.Duration = 6 * simtime.Hour
-	tc.FlashCrowds = 1
-	tc.StatPingEvery = simtime.Hour
 	return tc
 }
 
 func TestSwarmGeneratesDecodableTraffic(t *testing.T) {
 	swarm, sch, sent := testWorld(t, 300, shortTraffic())
 	swarm.Schedule()
-	sch.Run()
+	sch.RunUntil(simtime.Week)
 
 	if len(*sent) == 0 {
 		t.Fatal("swarm sent nothing")
@@ -95,10 +93,10 @@ func TestSwarmDeterminism(t *testing.T) {
 	tc := shortTraffic()
 	s1, sch1, sent1 := testWorld(t, 100, tc)
 	s1.Schedule()
-	sch1.Run()
+	sch1.RunUntil(simtime.Week)
 	s2, sch2, sent2 := testWorld(t, 100, tc)
 	s2.Schedule()
-	sch2.Run()
+	sch2.RunUntil(simtime.Week)
 	if len(*sent1) != len(*sent2) {
 		t.Fatalf("runs differ: %d vs %d messages", len(*sent1), len(*sent2))
 	}
@@ -112,15 +110,16 @@ func TestSwarmDeterminism(t *testing.T) {
 
 func TestCorruptionRates(t *testing.T) {
 	tc := shortTraffic()
-	tc.BadMessageRate = 0.05 // raise it so the test is statistically stable
 	swarm, sch, sent := testWorld(t, 400, tc)
 	swarm.Schedule()
-	sch.Run()
+	sch.RunUntil(simtime.Week)
 	st := swarm.Stats()
 	total := float64(st.MessagesSent)
 	bad := float64(st.CorruptStructure + st.CorruptSemantic)
-	if bad/total < 0.03 || bad/total > 0.07 {
-		t.Fatalf("corruption rate %.4f, want ~0.05", bad/total)
+	// ~115k messages and ~1200 corruptions: the binomial spread of the
+	// rate is ~3 %, of the structural share ~0.012.
+	if rate := bad / total; rate < 0.8*badMessageRate || rate > 1.2*badMessageRate {
+		t.Fatalf("corruption rate %.4f, want ~%.4f", rate, badMessageRate)
 	}
 	frac := float64(st.CorruptStructure) / bad
 	if frac < 0.7 || frac > 0.86 {
@@ -132,11 +131,9 @@ func TestCorruptionRates(t *testing.T) {
 func TestAskDistinctnessPreservesCap(t *testing.T) {
 	// Clients capped at 52 source-asks must ask for exactly 52 distinct
 	// files (they are the mechanism behind Fig 7's spike).
-	tc := shortTraffic()
-	tc.BadMessageRate = 0 // keep every message decodable
-	swarm, sch, sent := testWorld(t, 500, tc)
+	swarm, sch, sent := testWorld(t, 500, shortTraffic())
 	swarm.Schedule()
-	sch.Run()
+	sch.RunUntil(simtime.Week)
 	_ = swarm
 
 	askedBy := map[uint32]map[ed2k.FileID]bool{}
@@ -171,9 +168,6 @@ func TestAskDistinctnessPreservesCap(t *testing.T) {
 
 func TestFlashCrowdSpikesTraffic(t *testing.T) {
 	tc := shortTraffic()
-	tc.FlashCrowds = 1
-	tc.FlashParticipants = 0.5
-	tc.FlashDuration = 60 * simtime.Second
 	swarm, sch, sent := testWorld(t, 400, tc)
 	swarm.Schedule()
 
@@ -183,10 +177,10 @@ func TestFlashCrowdSpikesTraffic(t *testing.T) {
 	// scheduling order; instead we sample the scheduler clock in the
 	// callback by wrapping — redo with a fresh world.
 	_ = sent
-	sch.Run()
+	sch.RunUntil(simtime.Week)
 	_ = perMin
 
-	if len(swarm.FlashWindows()) != 1 {
+	if len(swarm.FlashWindows()) != flashCrowds {
 		t.Fatalf("flash windows: %v", swarm.FlashWindows())
 	}
 }
@@ -194,9 +188,7 @@ func TestFlashCrowdSpikesTraffic(t *testing.T) {
 func TestTrafficValidate(t *testing.T) {
 	bad := []func(*TrafficConfig){
 		func(c *TrafficConfig) { c.Duration = 0 },
-		func(c *TrafficConfig) { c.DiurnalAmplitude = 1.0 },
 		func(c *TrafficConfig) { c.OfferBatch = 0 },
-		func(c *TrafficConfig) { c.BadMessageRate = 0.9 },
 	}
 	for i, mutate := range bad {
 		tc := DefaultTraffic()

@@ -250,7 +250,6 @@ func tinySimConfig() SimConfig {
 	cfg.Workload.NumFiles = 4000
 	cfg.Workload.VocabWords = 300
 	cfg.Traffic.Duration = 4 * simtime.Hour
-	cfg.Traffic.FlashCrowds = 1
 	return cfg
 }
 
@@ -337,9 +336,6 @@ func TestSimWorldDeterminism(t *testing.T) {
 func TestSimWorldCaptureLossUnderPressure(t *testing.T) {
 	cfg := tinySimConfig()
 	cfg.Workload.NumClients = 800
-	cfg.Traffic.FlashCrowds = 3
-	cfg.Traffic.FlashParticipants = 0.8
-	cfg.Traffic.FlashDuration = 20 * simtime.Second
 	// Strangle the capture machine so bursts overflow the buffer.
 	cfg.KernelBufferBytes = 2 << 10
 	cfg.ServicePerPoll = 1

@@ -102,7 +102,6 @@ type Report struct {
 	// World layer.
 	ServerStats server.Stats
 	SwarmStats  clients.Stats
-	FlashTimes  []simtime.Time
 }
 
 // String prints the report in the shape of the paper's headline numbers.
@@ -289,6 +288,5 @@ func (w *SimWorld) RunFrames(ctx context.Context, fn FrameFunc) (*Report, error)
 		LossPerSecond:    w.buf.PerSecond(),
 		ServerStats:      w.srv.Stats(),
 		SwarmStats:       w.swarm.Stats(),
-		FlashTimes:       w.swarm.FlashWindows(),
 	}, w.runErr
 }

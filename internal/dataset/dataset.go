@@ -3,7 +3,7 @@
 // gzip-compressed — §2.5 notes the format "once compressed, does not have
 // a prohibitive space cost") plus a JSON manifest with global counters.
 //
-// Chunks rotate on a record and a byte budget so ten-week captures never
+// Chunks rotate on a 4 MiB byte budget so ten-week captures never
 // produce a single unwieldy file. A compressed chunk is one gzip member,
 // written by the package's own deflater (deflate.go): matches looked for
 // only after the quotes the grammar puts around every value, and each
@@ -78,15 +78,13 @@ const manifestName = "manifest.json"
 // worker count. Buffers recycle through a freelist, and the bounded job
 // queue caps memory at roughly (2×workers+1) chunks.
 type Writer struct {
-	dir          string
-	chunkRecords uint64
-	chunkBytes   int
-	compress     bool
-	meta         map[string]string
+	dir        string
+	chunkBytes int
+	compress   bool
+	meta       map[string]string
 
 	raw     []byte // the chunk being assembled; nil between chunks
 	curName string
-	inChunk uint64
 
 	jobs     chan chunkJob // nil when Workers == 0
 	freeBufs chan []byte
@@ -113,11 +111,6 @@ type SealStats struct {
 
 // WriterOptions configures a dataset writer.
 type WriterOptions struct {
-	// ChunkRecords caps records per chunk file (default 1_000_000).
-	ChunkRecords uint64
-	// ChunkBytes caps the encoded XML of one chunk (default 4 MiB), so
-	// the chunks held in memory stay bounded whatever the records carry.
-	ChunkBytes int
 	// Compress gzips chunk files (.xml.gz).
 	Compress bool
 	// Workers is the number of background goroutines that compress and
@@ -127,6 +120,10 @@ type WriterOptions struct {
 	Workers int
 	// Meta is copied into the manifest and each chunk header.
 	Meta map[string]string
+
+	// chunkBytes, when positive, replaces defaultChunkBytes. Not a knob —
+	// a field only so a test can cut a few records into several chunks.
+	chunkBytes int
 }
 
 // chunkJob is one sealed in-memory chunk awaiting compression.
@@ -135,9 +132,9 @@ type chunkJob struct {
 	data []byte
 }
 
-// defaultChunkBytes rotates in-memory chunks well before they strain the
-// freelist; a byte bound (unlike the record bound alone) keeps memory
-// predictable when records carry large file lists.
+// defaultChunkBytes caps the encoded XML of one chunk: it rotates
+// in-memory chunks well before they strain the freelist, and a byte bound
+// keeps memory predictable when records carry large file lists.
 const defaultChunkBytes = 4 << 20
 
 // NewWriter creates dir (if needed) and returns a writer. A manifest
@@ -148,11 +145,8 @@ const defaultChunkBytes = 4 << 20
 // listed by no manifest and counted by every sum over the directory.
 // Nothing else in dir is touched.
 func NewWriter(dir string, opts WriterOptions) (*Writer, error) {
-	if opts.ChunkRecords == 0 {
-		opts.ChunkRecords = 1_000_000
-	}
-	if opts.ChunkBytes <= 0 {
-		opts.ChunkBytes = defaultChunkBytes
+	if opts.chunkBytes <= 0 {
+		opts.chunkBytes = defaultChunkBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
@@ -174,11 +168,10 @@ func NewWriter(dir string, opts WriterOptions) (*Writer, error) {
 	}
 	workers := max(opts.Workers, 0)
 	w := &Writer{
-		dir:          dir,
-		chunkRecords: opts.ChunkRecords,
-		chunkBytes:   opts.ChunkBytes,
-		compress:     opts.Compress,
-		meta:         opts.Meta,
+		dir:        dir,
+		chunkBytes: opts.chunkBytes,
+		compress:   opts.Compress,
+		meta:       opts.Meta,
 		// One buffer filling, one per queued job, one per busy worker.
 		freeBufs: make(chan []byte, 2*workers+1),
 	}
@@ -214,8 +207,8 @@ func isChunkName(name string) bool {
 	return err == nil && n >= 0 && (name == chunkName(n, false) || name == chunkName(n, true))
 }
 
-// Write appends one record, rotating chunks on the record or the byte
-// budget. After a failure every Write returns that first error.
+// Write appends one record, rotating chunks on the byte budget. After a
+// failure every Write returns that first error.
 func (w *Writer) Write(rec *xmlenc.Record) error {
 	if w.err != nil {
 		return w.err
@@ -227,9 +220,8 @@ func (w *Writer) Write(rec *xmlenc.Record) error {
 		w.beginChunk()
 	}
 	w.raw = xmlenc.AppendRecord(w.raw, rec)
-	w.inChunk++
 	w.man.Records++
-	if w.inChunk >= w.chunkRecords || len(w.raw) >= w.chunkBytes {
+	if len(w.raw) >= w.chunkBytes {
 		w.err = w.sealChunk()
 	}
 	return w.err
@@ -251,7 +243,6 @@ func (w *Writer) beginChunk() {
 		meta[k] = v
 	}
 	w.raw = xmlenc.AppendHeader(w.raw, meta)
-	w.inChunk = 0
 }
 
 // sealChunk closes the in-memory chunk and writes it out: queued for a
@@ -340,9 +331,6 @@ func (w *Writer) SetCounters(distinctClients, distinctFiles uint32) {
 	w.man.DistinctClients = distinctClients
 	w.man.DistinctFiles = distinctFiles
 }
-
-// Records reports records written so far.
-func (w *Writer) Records() uint64 { return w.man.Records }
 
 // Close writes the last chunk, waits for the workers and writes the
 // manifest. A second Close returns what the first did. After a

@@ -38,7 +38,7 @@ func writeDataset(t *testing.T, dir string, n int, opts WriterOptions) {
 
 func TestWriteReadRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	writeDataset(t, dir, 250, WriterOptions{ChunkRecords: 100})
+	writeDataset(t, dir, 250, WriterOptions{chunkBytes: 6 << 10})
 
 	man, err := Open(dir)
 	if err != nil {
@@ -47,7 +47,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	if man.Records != 250 {
 		t.Fatalf("records = %d", man.Records)
 	}
-	if len(man.Chunks) != 3 { // 100 + 100 + 50
+	if len(man.Chunks) != 3 { // about 100 lines of ~62 bytes to 6 KiB
 		t.Fatalf("chunks = %v", man.Chunks)
 	}
 	if man.DistinctClients != 10 || man.DistinctFiles != 100 {
@@ -74,7 +74,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 
 func TestCompressedDataset(t *testing.T) {
 	dir := t.TempDir()
-	writeDataset(t, dir, 120, WriterOptions{ChunkRecords: 50, Compress: true})
+	writeDataset(t, dir, 120, WriterOptions{chunkBytes: 3 << 10, Compress: true})
 	man, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

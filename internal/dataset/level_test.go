@@ -58,7 +58,7 @@ func levelName(level int) string {
 // already on disk, deflated at level 6 or 4 by compress/gzip, readable.
 func TestReadsChunksOfAnyLevel(t *testing.T) {
 	src := t.TempDir()
-	writeDataset(t, src, 1000, WriterOptions{ChunkRecords: 100})
+	writeDataset(t, src, 1000, WriterOptions{chunkBytes: 6 << 10})
 	man, err := Open(src)
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,8 @@ package dataset
 import "io"
 
 // The read-ahead ring: readAheadDepth blocks of readAheadBlock bytes, so a
-// reader holds 512 KiB of chunk text whatever ChunkBytes the dataset was
-// written with.
+// reader holds 512 KiB of chunk text whatever size the dataset's chunks
+// are.
 //
 // Measured on a 2-vCPU box, go1.24, one ForEach pass with an empty
 // callback over 491k records in 33 gzip chunks (138 MB of XML, from

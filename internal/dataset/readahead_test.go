@@ -64,7 +64,7 @@ func TestCorruptChunkDetected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer noLeak(t)()
 			dir := t.TempDir()
-			writeDataset(t, dir, 120, WriterOptions{ChunkRecords: 50, Compress: tc.compress})
+			writeDataset(t, dir, 120, WriterOptions{chunkBytes: 3 << 10, Compress: tc.compress})
 			path := mangleChunk(t, dir, chunkName(1, tc.compress), tc.mangle)
 			check := func(what string, err error) {
 				t.Helper()
@@ -87,7 +87,9 @@ func TestCorruptChunkDetected(t *testing.T) {
 func TestForEachLeavesNothingBehind(t *testing.T) {
 	newDataset := func(t *testing.T) string {
 		dir := t.TempDir()
-		writeDataset(t, dir, 150, WriterOptions{ChunkRecords: 50, Compress: true})
+		// 3100 bytes close the first two chunks on their 50th record: a
+		// 73-byte header and lines of 59 to 61 bytes.
+		writeDataset(t, dir, 150, WriterOptions{chunkBytes: 3100, Compress: true})
 		return dir
 	}
 	count := func(n *int) func(*xmlenc.Record) error {

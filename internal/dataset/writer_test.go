@@ -51,16 +51,15 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 
 // TestWriterDeterministicAcrossWorkers: the directory's bytes — manifest
 // and every chunk — are a function of the records alone, whatever the
-// worker count and however the workers interleave. Both budgets rotate
-// (100 records, or 2 KiB once the records grow), and the output reads
-// back in order and verifies.
+// worker count and however the workers interleave. A 2 KiB budget
+// rotates chunks of fewer records as the records grow, and the output
+// reads back in order and verifies.
 func TestWriterDeterministicAcrossWorkers(t *testing.T) {
 	defer noLeak(t)()
 	const n = 1000
 	write := func(dir string, workers int, compress bool) {
 		w, err := NewWriter(dir, WriterOptions{
-			ChunkRecords: 100, ChunkBytes: 2 << 10,
-			Compress: compress, Workers: workers,
+			chunkBytes: 2 << 10, Compress: compress, Workers: workers,
 			Meta: map[string]string{"seed": "7"},
 		})
 		if err != nil {
@@ -134,7 +133,7 @@ func TestWriterChunkFailure(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			defer noLeak(t)()
 			dir := t.TempDir()
-			w, err := NewWriter(dir, WriterOptions{ChunkRecords: 10, Workers: workers})
+			w, err := NewWriter(dir, WriterOptions{chunkBytes: 512, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,8 +172,8 @@ func TestWriterChunkFailure(t *testing.T) {
 // (or for good, if it fails).
 func TestNewWriterRemovesStaleManifest(t *testing.T) {
 	dir := t.TempDir()
-	writeDataset(t, dir, 30, WriterOptions{ChunkRecords: 10})
-	w, err := NewWriter(dir, WriterOptions{ChunkRecords: 10})
+	writeDataset(t, dir, 30, WriterOptions{chunkBytes: 512})
+	w, err := NewWriter(dir, WriterOptions{chunkBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +207,8 @@ func TestNewWriterRemovesStaleChunks(t *testing.T) {
 		name          string
 		before, after WriterOptions
 	}{
-		{"longer then shorter", WriterOptions{ChunkRecords: 10}, WriterOptions{ChunkRecords: 30}},
-		{"gz then plain", WriterOptions{ChunkRecords: 10, Compress: true}, WriterOptions{ChunkRecords: 10}},
+		{"longer then shorter", WriterOptions{chunkBytes: 512}, WriterOptions{}},
+		{"gz then plain", WriterOptions{chunkBytes: 512, Compress: true}, WriterOptions{chunkBytes: 512}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, fresh := t.TempDir(), t.TempDir()
@@ -247,7 +246,7 @@ func TestNewWriterRemovesStaleChunks(t *testing.T) {
 // TestSealStats: one seal per chunk, the last one Close's, at any width.
 func TestSealStats(t *testing.T) {
 	for _, workers := range []int{0, 2} {
-		w, err := NewWriter(t.TempDir(), WriterOptions{ChunkRecords: 10, Compress: true, Workers: workers})
+		w, err := NewWriter(t.TempDir(), WriterOptions{chunkBytes: 512, Compress: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +256,7 @@ func TestSealStats(t *testing.T) {
 			}
 		}
 		if st := w.SealStats(); st.Chunks != 3 {
-			t.Errorf("workers=%d: %d chunks sealed after 35 records of 10 a chunk, want 3", workers, st.Chunks)
+			t.Errorf("workers=%d: %d chunks sealed after 35 records of ~45 bytes to 512, want 3", workers, st.Chunks)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)

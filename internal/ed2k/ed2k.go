@@ -130,7 +130,6 @@ const (
 	MaxStringLen   = 1 << 12 // longest filename/keyword accepted
 	MaxTagsPerFile = 32
 	MaxFilesPerMsg = 256 // offers and search answers
-	MaxSourcesPer  = 256 // sources in one FoundSources answer
 	MaxHashesPer   = 64  // fileIDs in one GetSources query
 	MaxExprNodes   = 64  // search expression tree size
 	MaxExprDepth   = 16

@@ -324,23 +324,6 @@ func TestClientIDLowHigh(t *testing.T) {
 	}
 }
 
-func TestIsQueryClassification(t *testing.T) {
-	queries := []byte{OpGetServerList, OpOfferFiles, OpGlobSearchReq,
-		OpGlobGetSources, OpGlobStatReq, OpServerDescReq}
-	answers := []byte{OpServerList, OpOfferAck, OpGlobSearchRes,
-		OpGlobFoundSrcs, OpGlobStatRes, OpServerDescRes}
-	for _, op := range queries {
-		if !IsQuery(op) {
-			t.Errorf("%s should be a query", OpcodeName(op))
-		}
-	}
-	for _, op := range answers {
-		if IsQuery(op) {
-			t.Errorf("%s should be an answer", OpcodeName(op))
-		}
-	}
-}
-
 func TestOpcodeNames(t *testing.T) {
 	if OpcodeName(OpGlobSearchReq) != "SearchReq" {
 		t.Fatal("bad name for SearchReq")

@@ -117,13 +117,8 @@ func TestMeshStructuralLimits(t *testing.T) {
 	}
 }
 
-func TestMeshOpcodesAreNotQueries(t *testing.T) {
-	// Mesh traffic is server-to-server: it must never be classified into
-	// the query/answer dialog space of the captured dataset.
+func TestMeshOpcodesAreKnown(t *testing.T) {
 	for _, op := range []byte{OpMeshAnnounce, OpMeshForward, OpMeshForwardRes} {
-		if IsQuery(op) {
-			t.Fatalf("IsQuery(%s) = true", OpcodeName(op))
-		}
 		if !KnownOpcode(op) {
 			t.Fatalf("KnownOpcode(%s) = false", OpcodeName(op))
 		}

@@ -217,17 +217,6 @@ var (
 	_ Message = (*ServerDescRes)(nil)
 )
 
-// IsQuery reports whether the opcode is a client→server query (as opposed
-// to a server answer); the dataset encoder groups dialogs by this.
-func IsQuery(op byte) bool {
-	switch op {
-	case OpGetServerList, OpOfferFiles, OpGlobSearchReq, OpGlobGetSources,
-		OpGlobStatReq, OpServerDescReq:
-		return true
-	}
-	return false
-}
-
 // String summaries for debugging.
 
 func (m *OfferFiles) String() string {

@@ -14,12 +14,10 @@ const (
 
 // Standard one-byte tag names (FT_* in the protocol specification).
 const (
-	FTFileName    = 0x01
-	FTFileSize    = 0x02
-	FTFileType    = 0x03
-	FTFileFormat  = 0x04
-	FTSources     = 0x15
-	FTCompleteSrc = 0x30
+	FTFileName = 0x01
+	FTFileSize = 0x02
+	FTFileType = 0x03
+	FTSources  = 0x15
 )
 
 // Tag is one metadata entry attached to a file: either a string value or

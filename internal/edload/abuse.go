@@ -63,13 +63,6 @@ type AbuseConfig struct {
 	Duration time.Duration
 	// Seed drives the deterministic attack payloads.
 	Seed uint64
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
-	// AnswerTimeout bounds each answer read (default 10s) — generous,
-	// because a policied server legitimately delays throttled answers.
-	AnswerTimeout time.Duration
-	// OfferBatch is the files per index-spam offer (default 8).
-	OfferBatch int
 	// Logf, when set, receives lifecycle lines.
 	Logf func(format string, args ...any)
 }
@@ -103,6 +96,16 @@ type AbuseStats struct {
 	Wall   time.Duration
 }
 
+// An attacker's connection attempt is bounded by abuseDialTimeout and
+// each answer read by abuseAnswerTimeout — generous, because a policied
+// server legitimately delays throttled answers. An index-spam offer
+// carries spamOfferBatch files.
+const (
+	abuseDialTimeout   = 5 * time.Second
+	abuseAnswerTimeout = 10 * time.Second
+	spamOfferBatch     = 8
+)
+
 // abuser is the shared state of one abuse run.
 type abuser struct {
 	cfg AbuseConfig
@@ -120,15 +123,6 @@ func RunAbuse(ctx context.Context, cfg AbuseConfig) (AbuseStats, error) {
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 5 * time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.AnswerTimeout <= 0 {
-		cfg.AnswerTimeout = 10 * time.Second
-	}
-	if cfg.OfferBatch <= 0 {
-		cfg.OfferBatch = 8
 	}
 	var worker func(ctx context.Context, a *abuser, r *randx.Rand)
 	switch cfg.Profile {
@@ -199,7 +193,7 @@ type attack struct {
 // level detail is irrelevant to the attacker.
 func (a *abuser) open(ctx context.Context, nick string) (*attack, bool) {
 	a.attempts.Add(1)
-	d := net.Dialer{Timeout: a.cfg.DialTimeout}
+	d := net.Dialer{Timeout: abuseDialTimeout}
 	conn, err := d.DialContext(ctx, "tcp4", a.cfg.Addr)
 	if err != nil {
 		a.refused.Add(1)
@@ -227,7 +221,7 @@ func (at *attack) roundTrip(a *abuser, m ed2k.Message) (ed2k.Message, error) {
 	if err := at.bw.Flush(); err != nil {
 		return nil, err
 	}
-	if err := at.conn.SetReadDeadline(time.Now().Add(a.cfg.AnswerTimeout)); err != nil {
+	if err := at.conn.SetReadDeadline(time.Now().Add(abuseAnswerTimeout)); err != nil {
 		return nil, err
 	}
 	return at.sr.Next()
@@ -308,7 +302,7 @@ func indexSpam(ctx context.Context, a *abuser, r *randx.Rand) {
 			continue
 		}
 		for ctx.Err() == nil {
-			offer := &ed2k.OfferFiles{Port: 4662, Files: forgedBatch(r, a.cfg.OfferBatch)}
+			offer := &ed2k.OfferFiles{Port: 4662, Files: forgedBatch(r, spamOfferBatch)}
 			a.sent.Add(1)
 			m, err := at.roundTrip(a, offer)
 			if err != nil {

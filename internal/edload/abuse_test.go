@@ -42,7 +42,7 @@ func TestAbuseReconnectStormThrottled(t *testing.T) {
 	})
 	st, err := RunAbuse(context.Background(), AbuseConfig{
 		Addr: d.TCPAddr().String(), Profile: AbuseReconnectStorm,
-		Workers: 4, Duration: 600 * time.Millisecond, AnswerTimeout: 2 * time.Second,
+		Workers: 4, Duration: 600 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestAbuseSearchStormThrottled(t *testing.T) {
 	})
 	st, err := RunAbuse(context.Background(), AbuseConfig{
 		Addr: d.TCPAddr().String(), Profile: AbuseSearchStorm,
-		Workers: 4, Duration: 600 * time.Millisecond, AnswerTimeout: 2 * time.Second,
+		Workers: 4, Duration: 600 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,12 +92,11 @@ func TestAbuseSearchStormThrottled(t *testing.T) {
 func TestAbuseSlowlorisReaped(t *testing.T) {
 	d := startPoliciedDaemon(t, edserverd.Config{
 		UDPAddr: "off", Shards: 2,
-		IdleTimeout:     150 * time.Millisecond,
-		PreLoginTimeout: 150 * time.Millisecond,
+		IdleTimeout: 150 * time.Millisecond,
 	})
 	st, err := RunAbuse(context.Background(), AbuseConfig{
 		Addr: d.TCPAddr().String(), Profile: AbuseSlowloris,
-		Workers: 4, Duration: 900 * time.Millisecond, AnswerTimeout: 2 * time.Second,
+		Workers: 4, Duration: 900 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +123,7 @@ func TestAbuseIndexSpamThrottled(t *testing.T) {
 	})
 	st, err := RunAbuse(context.Background(), AbuseConfig{
 		Addr: d.TCPAddr().String(), Profile: AbuseIndexSpam,
-		Workers: 4, Duration: 600 * time.Millisecond, AnswerTimeout: 2 * time.Second,
+		Workers: 4, Duration: 600 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

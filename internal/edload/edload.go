@@ -38,13 +38,6 @@ type Target struct {
 	// spread over its live servers, and each fails over to another on a
 	// connect or answer failure.
 	Addrs []string
-	// FailoverAttempts bounds reconnects per session (<= 0: 2×servers+1).
-	FailoverAttempts int
-	// AnswerTimeout bounds each answer read; hitting it is a server
-	// failure that triggers failover (default 15s).
-	AnswerTimeout time.Duration
-	// DialTimeout bounds each connection attempt (default 10s).
-	DialTimeout time.Duration
 	// Metrics, when set, serves the client-observed answer latency
 	// histograms (edload_answer_seconds{op=...}) — what the swarm's
 	// clients actually waited, as opposed to the server-side Handle
@@ -55,16 +48,15 @@ type Target struct {
 	Logf func(format string, args ...any)
 }
 
+// A session reconnects at most 2×servers+1 times. answerTimeout bounds
+// each answer read; hitting it is a server failure that triggers
+// failover. dialTimeout bounds each connection attempt.
+const (
+	answerTimeout = 15 * time.Second
+	dialTimeout   = 10 * time.Second
+)
+
 func (t *Target) defaults() {
-	if t.FailoverAttempts <= 0 {
-		t.FailoverAttempts = 2*len(t.Addrs) + 1
-	}
-	if t.AnswerTimeout <= 0 {
-		t.AnswerTimeout = 15 * time.Second
-	}
-	if t.DialTimeout <= 0 {
-		t.DialTimeout = 10 * time.Second
-	}
 	if t.Metrics == nil {
 		t.Metrics = obs.NewRegistry()
 	}
@@ -291,7 +283,7 @@ type session struct {
 func (s *session) run(ctx context.Context, plan []ed2k.Message) error {
 	avoid := ""
 	var lastErr error
-	for try := 0; try <= s.d.tgt.FailoverAttempts; try++ {
+	for try := 0; try <= 2*len(s.d.tgt.Addrs)+1; try++ {
 		if ctx.Err() != nil {
 			if lastErr != nil {
 				return lastErr
@@ -321,7 +313,7 @@ func (s *session) run(ctx context.Context, plan []ed2k.Message) error {
 // runOn drives the plan on one server connection: handshake, replay of
 // the unsettled tail, then the remaining plan from s.idx.
 func (s *session) runOn(ctx context.Context, addr string, plan []ed2k.Message) error {
-	d := net.Dialer{Timeout: s.d.tgt.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp4", addr)
 	if err != nil {
 		return err
@@ -343,7 +335,7 @@ func (s *session) runOn(ctx context.Context, addr string, plan []ed2k.Message) e
 	if _, err := s.expect(isType[*ed2k.IDChange]); err != nil {
 		return fmt.Errorf("login: %w", err)
 	}
-	s.d.mgr.ReportSuccess(addr, time.Since(login))
+	s.d.mgr.ReportSuccess(addr)
 	s.d.lat.login.Observe(time.Since(login))
 
 	// maxOutstandingHashes bounds the asked-for hashes in flight before
@@ -437,9 +429,8 @@ func (s *session) fence(addr string) error {
 	if res.Challenge != challenge {
 		return fmt.Errorf("fence challenge %#x, want %#x", res.Challenge, challenge)
 	}
-	s.d.mgr.ReportSuccess(addr, time.Since(sent))
+	s.d.mgr.ReportSuccess(addr)
 	s.d.lat.fence.Observe(time.Since(sent))
-	s.d.mgr.ReportCounts(addr, "", res.Users, res.Files)
 	return nil
 }
 
@@ -460,7 +451,7 @@ func (s *session) expect(want func(ed2k.Message) bool) (ed2k.Message, error) {
 		return nil, err
 	}
 	for {
-		if err := s.conn.SetReadDeadline(time.Now().Add(s.d.tgt.AnswerTimeout)); err != nil {
+		if err := s.conn.SetReadDeadline(time.Now().Add(answerTimeout)); err != nil {
 			return nil, err
 		}
 		m, err := s.sr.Next()

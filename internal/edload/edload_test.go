@@ -128,7 +128,7 @@ var feeds = []struct {
 }{
 	{"Run", func(ctx context.Context, tgt Target) (Stats, error) {
 		wl := workload.SmallConfig(13, 6)
-		wl.HeavyFraction, wl.RegularFraction, wl.ScannerFraction, wl.PolluterFraction = 1, 0, 0, 0
+		wl.HeavyFraction, wl.ScannerFraction, wl.PolluterFraction = 1, 0, 0
 		return Run(ctx, Config{Target: tgt, Clients: 6, Workload: wl, MaxMessagesPerClient: 1200})
 	}},
 	{"RunSpec", func(ctx context.Context, tgt Target) (Stats, error) {

@@ -29,11 +29,10 @@ func TestFailoverMidRun(t *testing.T) {
 	// is reliably still mid-plan when the victim dies.
 	wl := workload.SmallConfig(11, 12)
 	wl.HeavyFraction = 1.0
-	wl.RegularFraction = 0
 	wl.ScannerFraction = 0
 	wl.PolluterFraction = 0
 	cfg := Config{
-		Target:               Target{Addrs: addrs, AnswerTimeout: 10 * time.Second},
+		Target:               Target{Addrs: addrs},
 		Clients:              12,
 		Workload:             wl,
 		MaxMessagesPerClient: 1200,
@@ -93,11 +92,7 @@ func TestFailoverAllDeadFails(t *testing.T) {
 	for _, f := range feeds {
 		t.Run(f.name, func(t *testing.T) {
 			defer noLeak(t)()
-			st, err := f.run(context.Background(), Target{
-				Addrs:            []string{addr},
-				FailoverAttempts: 2,
-				DialTimeout:      2 * time.Second,
-			})
+			st, err := f.run(context.Background(), Target{Addrs: []string{addr}})
 			if err == nil {
 				t.Fatal("run against a dead server list succeeded")
 			}

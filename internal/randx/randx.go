@@ -5,7 +5,7 @@
 // produce byte-identical workloads, which makes every experiment in the
 // repository reproducible. The package wraps math/rand/v2's PCG and adds
 // the distributions the standard library lacks in v2 (bounded Zipf,
-// Pareto, log-normal, Poisson) plus an alias table for O(1) weighted
+// Pareto, log-normal, Gamma, Weibull) plus an alias table for O(1) weighted
 // sampling over multi-million-entry catalogs.
 package randx
 
@@ -65,33 +65,6 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 	}
 	u := 1 - r.src.Float64() // in (0,1]
 	return xm * math.Pow(u, -1/alpha)
-}
-
-// Poisson returns a Poisson(lambda) variate. For small lambda it uses
-// Knuth's product method; for large lambda a normal approximation with
-// continuity correction, which is accurate far beyond the needs of the
-// traffic model.
-func (r *Rand) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.src.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := int(math.Round(lambda + math.Sqrt(lambda)*r.src.NormFloat64()))
-	if n < 0 {
-		return 0
-	}
-	return n
 }
 
 // Gamma returns a Gamma(shape, scale) variate (mean shape*scale) using
@@ -156,6 +129,3 @@ func (r *Rand) Geometric(p float64) int {
 
 // Perm returns a random permutation of [0,n).
 func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }

@@ -98,24 +98,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestPoissonMeanSmallAndLarge(t *testing.T) {
-	r := New(3, 9)
-	for _, lambda := range []float64{0.5, 4, 25, 200} {
-		n := 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(lambda)
-		}
-		mean := float64(sum) / float64(n)
-		if math.Abs(mean-lambda) > 0.05*lambda+0.05 {
-			t.Fatalf("Poisson(%v) mean = %.3f", lambda, mean)
-		}
-	}
-	if r.Poisson(0) != 0 || r.Poisson(-1) != 0 {
-		t.Fatal("Poisson of non-positive lambda must be 0")
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := New(8, 8)
 	p := 0.2
@@ -319,18 +301,7 @@ func TestAliasTablePanics(t *testing.T) {
 	}
 }
 
-func TestParetoWeights(t *testing.T) {
-	r := New(2, 4)
-	w := make([]float64, 1000)
-	ParetoWeights(r, w, 1.5)
-	for _, v := range w {
-		if v < 1 {
-			t.Fatalf("Pareto weight below minimum: %v", v)
-		}
-	}
-}
-
-func TestPermAndShuffle(t *testing.T) {
+func TestPermIsAPermutation(t *testing.T) {
 	r := New(6, 6)
 	p := r.Perm(100)
 	seen := make([]bool, 100)
@@ -340,30 +311,14 @@ func TestPermAndShuffle(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	vals := make([]int, 50)
-	for i := range vals {
-		vals[i] = i
-	}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	sum, moved := 0, false
-	for i, v := range vals {
-		sum += v
-		if v != i {
-			moved = true
-		}
-	}
-	if sum != 49*50/2 {
-		t.Fatal("Shuffle lost elements")
-	}
-	if !moved {
-		t.Fatal("Shuffle left everything in place")
-	}
 }
 
 func BenchmarkAliasSample(b *testing.B) {
 	r := New(1, 1)
 	w := make([]float64, 1<<20)
-	ParetoWeights(r, w, 1.2)
+	for i := range w {
+		w[i] = r.Pareto(1, 1.2)
+	}
 	tab := NewAliasTable(w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

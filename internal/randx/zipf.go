@@ -64,14 +64,6 @@ func (z *Zipf) Uint64() uint64 {
 	}
 }
 
-// ParetoWeights fills out with weights drawn from Pareto(1, alpha),
-// producing the heavy-tailed popularity profile used for file catalogs.
-func ParetoWeights(r *Rand, out []float64, alpha float64) {
-	for i := range out {
-		out[i] = r.Pareto(1, alpha)
-	}
-}
-
 // AliasTable supports O(1) sampling of an index proportional to a fixed
 // weight vector (Walker/Vose alias method). Construction is O(n). The
 // workload generator uses one table over the whole file catalog, so every
@@ -137,11 +129,8 @@ func NewAliasTable(weights []float64) *AliasTable {
 	return t
 }
 
-// Len returns the number of entries in the table.
-func (t *AliasTable) Len() int { return len(t.prob) }
-
-// Sample returns an index in [0, Len()) with probability proportional to
-// its construction weight.
+// Sample returns an index of the construction weights with probability
+// proportional to its weight.
 func (t *AliasTable) Sample(r *Rand) int {
 	i := r.IntN(len(t.prob))
 	if r.Float64() < t.prob[i] {

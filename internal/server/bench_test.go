@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"edtrace/internal/ed2k"
+	"edtrace/internal/obs"
 	"edtrace/internal/randx"
 	"edtrace/internal/simtime"
 )
@@ -14,7 +15,13 @@ import (
 // benchServer builds a pre-populated server: nFiles files announced by
 // rotating clients, so GetSources and searches hit a warm index.
 func benchServer(shards, nFiles int) (*Server, []ed2k.Message) {
-	s := NewSharded("bench", "bench", shards)
+	return benchServerWith(shards, nFiles, nil)
+}
+
+// benchServerWith is benchServer registering with reg: a non-nil reg turns
+// the Handle timing on, as the daemon runs it.
+func benchServerWith(shards, nFiles int, reg *obs.Registry) (*Server, []ed2k.Message) {
+	s := NewShardedWith("bench", "bench", shards, reg)
 	r := randx.New(1, 99)
 	ids := make([]ed2k.FileID, nFiles)
 	for i := range ids {
@@ -140,8 +147,11 @@ func BenchmarkServerHandleInstrumentation(b *testing.B) {
 	const nFiles = 1 << 15
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
-			s, msgs := benchServer(1, nFiles)
-			s.SetInstrumentation(mode == "on")
+			var reg *obs.Registry
+			if mode == "on" {
+				reg = obs.NewRegistry()
+			}
+			s, msgs := benchServerWith(1, nFiles, reg)
 			mask := len(msgs) - 1
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

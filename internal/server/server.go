@@ -144,9 +144,9 @@ type Server struct {
 	// instr gates the wall-clock Handle timing (two time.Now calls per
 	// query plus a histogram observe). Counters and gauges are always
 	// live — Stats depends on them — but timing is only worth paying
-	// when somebody is watching, so it defaults on only when a registry
-	// was supplied. SetInstrumentation overrides either way.
-	instr atomic.Bool
+	// when somebody is watching, so it is on only when a registry was
+	// supplied.
+	instr bool
 }
 
 // New returns an empty single-shard server — the deterministic
@@ -176,7 +176,7 @@ func NewShardedWith(name, desc string, n int, reg *obs.Registry) *Server {
 	if n&(n-1) != 0 {
 		n = 1 << bits.Len(uint(n))
 	}
-	timing := reg != nil
+	instr := reg != nil
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -188,8 +188,8 @@ func NewShardedWith(name, desc string, n int, reg *obs.Registry) *Server {
 		mask:      uint64(n - 1),
 		reg:       reg,
 		m:         newMetrics(reg),
+		instr:     instr,
 	}
-	s.instr.Store(timing)
 	for i := range s.shards {
 		lbl := obs.L("shard", strconv.Itoa(i))
 		s.shards[i] = &shard{
@@ -208,11 +208,6 @@ func NewShardedWith(name, desc string, n int, reg *obs.Registry) *Server {
 
 // Metrics returns the registry the server's metrics live in.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// SetInstrumentation toggles the wall-clock Handle latency timing
-// (counters and gauges stay live either way). The bench harness uses
-// the off position as the uninstrumented baseline.
-func (s *Server) SetInstrumentation(on bool) { s.instr.Store(on) }
 
 // NumShards reports the shard count (after power-of-two rounding).
 func (s *Server) NumShards() int { return len(s.shards) }
@@ -279,8 +274,7 @@ func (s *Server) Handle(now simtime.Time, from ed2k.ClientID, port uint16, msg e
 	op := msg.Opcode()
 	s.m.received.Inc(op)
 	var start time.Time
-	timing := s.instr.Load()
-	if timing {
+	if s.instr {
 		start = time.Now()
 	}
 	us := s.userShard(from)
@@ -319,7 +313,7 @@ func (s *Server) Handle(now simtime.Time, from ed2k.ClientID, port uint16, msg e
 	for _, a := range answers {
 		s.m.answered.Inc(a.Opcode())
 	}
-	if timing {
+	if s.instr {
 		s.m.handle.Observe(op, time.Since(start))
 	}
 	return answers

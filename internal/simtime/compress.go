@@ -48,12 +48,6 @@ func (c *Compressor) WallAt(t Time) time.Time {
 	return c.start.Add(c.WallDelay(t))
 }
 
-// SimNow returns the simulated instant corresponding to the current
-// wall clock — how far the replay *should* have progressed.
-func (c *Compressor) SimNow() Time {
-	return Time(float64(c.nowFn().Sub(c.start)) * c.factor)
-}
-
 // Behind reports how far the replay lags the schedule: the wall time
 // elapsed past t's due instant (<= 0 when t is still in the future).
 // A persistently growing Behind means the chosen factor outruns what

@@ -40,30 +40,14 @@ const (
 // Seconds returns t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Duration converts a virtual span to a time.Duration (both are ns).
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // String formats the instant as a duration since simulation start.
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Event is a scheduled callback.
 type event struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among events at the same instant
-	fn   func()
-	idx  int
-	dead bool
-}
-
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct{ ev *event }
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (h Handle) Cancel() {
-	if h.ev != nil {
-		h.ev.dead = true
-	}
+	at  Time
+	seq uint64 // tie-break: FIFO among events at the same instant
+	fn  func()
 }
 
 type eventHeap []*event
@@ -75,16 +59,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -117,53 +93,42 @@ func (s *Scheduler) Now() Time { return s.now }
 // Fired reports how many events have executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending reports how many events are queued (including cancelled ones not
-// yet reaped).
+// Pending reports how many events are queued.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // At schedules fn to run at the absolute virtual instant t.
 // Scheduling in the past panics: it indicates a logic error in the caller,
 // and silently reordering events would destroy determinism.
-func (s *Scheduler) At(t Time, fn func()) Handle {
+func (s *Scheduler) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: scheduling at %v before now %v", t, s.now))
 	}
-	ev := &event{at: t, seq: s.seq, fn: fn}
+	heap.Push(&s.queue, &event{at: t, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return Handle{ev}
 }
 
 // After schedules fn to run d after the current instant.
-func (s *Scheduler) After(d Time, fn func()) Handle {
+func (s *Scheduler) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now+d, fn)
+	s.At(s.now+d, fn)
 }
 
-// Stop makes Run and RunUntil return after the currently executing event.
+// Stop makes RunUntil return after the currently executing event.
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // step executes the earliest pending event, advancing the clock.
 // It reports whether an event was executed.
 func (s *Scheduler) step(limit Time) bool {
-	for len(s.queue) > 0 {
-		ev := s.queue[0]
-		if ev.dead {
-			heap.Pop(&s.queue)
-			continue
-		}
-		if ev.at > limit {
-			return false
-		}
-		heap.Pop(&s.queue)
-		s.now = ev.at
-		s.fired++
-		ev.fn()
-		return true
+	if len(s.queue) == 0 || s.queue[0].at > limit {
+		return false
 	}
-	return false
+	ev := heap.Pop(&s.queue).(*event)
+	s.now = ev.at
+	s.fired++
+	ev.fn()
+	return true
 }
 
 // RunUntil executes events in order until the queue drains, Stop is
@@ -178,32 +143,16 @@ func (s *Scheduler) RunUntil(t Time) {
 	}
 }
 
-// Run executes events until the queue is empty or Stop is called.
-func (s *Scheduler) Run() {
-	s.stopped = false
-	const horizon = Time(1<<63 - 1)
-	for !s.stopped && s.step(horizon) {
-	}
-}
-
-// Every schedules fn to run now+d, then every d thereafter, until the
-// returned Handle is cancelled or the scheduler stops. fn receives the
-// firing time.
-func (s *Scheduler) Every(d Time, fn func(Time)) Handle {
+// Every schedules fn to run now+d, then every d thereafter, for as long
+// as the scheduler runs. fn receives the firing time.
+func (s *Scheduler) Every(d Time, fn func(Time)) {
 	if d <= 0 {
 		panic("simtime: Every requires a positive period")
 	}
-	ev := &event{} // stable identity for cancellation across reschedules
 	var tick func()
 	tick = func() {
-		if ev.dead {
-			return // cancelled: do not run and do not reschedule
-		}
 		fn(s.now)
-		if !ev.dead {
-			s.After(d, tick)
-		}
+		s.After(d, tick)
 	}
 	s.After(d, tick)
-	return Handle{ev}
 }

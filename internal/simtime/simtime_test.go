@@ -13,15 +13,12 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 		at := at
 		s.At(at, func() { got = append(got, s.Now()) })
 	}
-	s.Run()
+	s.RunUntil(Minute)
 	if len(got) != 4 {
 		t.Fatalf("fired %d events, want 4", len(got))
 	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) || got[3] != 5*Second {
 		t.Fatalf("events out of order: %v", got)
-	}
-	if s.Now() != 5*Second {
-		t.Fatalf("clock = %v, want 5s", s.Now())
 	}
 }
 
@@ -32,7 +29,7 @@ func TestSameInstantFIFO(t *testing.T) {
 		i := i
 		s.At(Second, func() { order = append(order, i) })
 	}
-	s.Run()
+	s.RunUntil(Minute)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie-break not FIFO: %v", order)
@@ -46,23 +43,10 @@ func TestAfterIsRelative(t *testing.T) {
 	s.At(10*Second, func() {
 		s.After(5*Second, func() { at2 = s.Now() })
 	})
-	s.Run()
+	s.RunUntil(Minute)
 	if at2 != 15*Second {
 		t.Fatalf("nested After fired at %v, want 15s", at2)
 	}
-}
-
-func TestCancel(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	h := s.At(Second, func() { fired = true })
-	h.Cancel()
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Cancelling twice is a no-op.
-	h.Cancel()
 }
 
 func TestRunUntilHorizon(t *testing.T) {
@@ -89,12 +73,12 @@ func TestStopInsideEvent(t *testing.T) {
 	count := 0
 	s.At(1*Second, func() { count++; s.Stop() })
 	s.At(2*Second, func() { count++ })
-	s.Run()
+	s.RunUntil(Minute)
 	if count != 1 {
 		t.Fatalf("count = %d, want 1 (Stop must halt the loop)", count)
 	}
-	// Run again resumes with the remaining event.
-	s.Run()
+	// Running again resumes with the remaining event.
+	s.RunUntil(Minute)
 	if count != 2 {
 		t.Fatalf("count = %d after resume, want 2", count)
 	}
@@ -110,20 +94,14 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}()
 		s.At(Second, func() {})
 	})
-	s.Run()
+	s.RunUntil(Minute)
 }
 
-func TestEveryPeriodicAndCancel(t *testing.T) {
+func TestEveryPeriodic(t *testing.T) {
 	s := NewScheduler()
 	var ticks []Time
-	var h Handle
-	h = s.Every(Second, func(now Time) {
-		ticks = append(ticks, now)
-		if len(ticks) == 3 {
-			h.Cancel()
-		}
-	})
-	s.RunUntil(Minute)
+	s.Every(Second, func(now Time) { ticks = append(ticks, now) })
+	s.RunUntil(3*Second + Second/2)
 	if len(ticks) != 3 {
 		t.Fatalf("ticks = %v, want exactly 3", ticks)
 	}
@@ -148,7 +126,7 @@ func TestQuickOrderingProperty(t *testing.T) {
 			i, at := i, Time(d)*Millisecond
 			s.At(at, func() { got = append(got, rec{at, i}) })
 		}
-		s.Run()
+		s.RunUntil(Hour)
 		if len(got) != len(delays) {
 			return false
 		}
@@ -174,7 +152,7 @@ func TestFiredAndPendingCounters(t *testing.T) {
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", s.Pending())
 	}
-	s.Run()
+	s.RunUntil(Minute)
 	if s.Fired() != 2 || s.Pending() != 0 {
 		t.Fatalf("Fired = %d Pending = %d, want 2/0", s.Fired(), s.Pending())
 	}

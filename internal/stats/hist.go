@@ -1,8 +1,8 @@
 // Package stats provides the statistical machinery §3 of the paper uses
 // on its dataset: integer frequency distributions ("for each value x, the
-// number of objects with value x"), logarithmic binning, CCDFs, maximum-
-// likelihood power-law fits with Kolmogorov-Smirnov distances, peak
-// detection for the file-size histogram, and terminal log-log plots.
+// number of objects with value x"), maximum-likelihood power-law fits
+// with Kolmogorov-Smirnov distances, peak detection for the file-size
+// histogram, and terminal log-log plots.
 package stats
 
 import (
@@ -121,73 +121,6 @@ func (h *IntHist) quantile(pts []Point, q float64) uint64 {
 		}
 	}
 	return h.max
-}
-
-// CCDF returns, for each distinct value v, the fraction of observations
-// >= v, sorted by v ascending.
-func (h *IntHist) CCDF() []struct {
-	V uint64
-	P float64
-} {
-	pts := h.Points()
-	out := make([]struct {
-		V uint64
-		P float64
-	}, len(pts))
-	var tail uint64
-	for i := len(pts) - 1; i >= 0; i-- {
-		tail += pts[i].C
-		out[i].V = pts[i].V
-		out[i].P = float64(tail) / float64(h.n)
-	}
-	return out
-}
-
-// LogBin is one logarithmic bin [Lo, Hi) with its density.
-type LogBin struct {
-	Lo, Hi  uint64
-	Count   uint64
-	Density float64 // count / bin width
-}
-
-// LogBins aggregates the distribution into bins whose edges grow by
-// factor (e.g. 2 for octaves); standard practice for reading power laws
-// out of noisy tails.
-func (h *IntHist) LogBins(factor float64) []LogBin {
-	if factor <= 1 {
-		panic("stats: log bin factor must exceed 1")
-	}
-	var bins []LogBin
-	lo := uint64(1)
-	for lo <= h.max {
-		fhi := float64(lo) * factor
-		hi := uint64(math.Ceil(fhi))
-		if hi <= lo {
-			hi = lo + 1
-		}
-		bins = append(bins, LogBin{Lo: lo, Hi: hi})
-		lo = hi
-	}
-	idx := 0
-	for _, p := range h.Points() {
-		if p.V == 0 {
-			continue
-		}
-		for idx < len(bins) && p.V >= bins[idx].Hi {
-			idx++
-		}
-		if idx < len(bins) {
-			bins[idx].Count += p.C
-		}
-	}
-	out := bins[:0]
-	for _, b := range bins {
-		if b.Count > 0 {
-			b.Density = float64(b.Count) / float64(b.Hi-b.Lo)
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // Summary is a compact description of a distribution.

@@ -9,20 +9,18 @@ import (
 // AsciiPlot renders points on a log-log scatter for terminal inspection,
 // the workbench equivalent of the paper's gnuplot figures.
 type AsciiPlot struct {
-	// Width and Height of the plot area in characters.
-	Width, Height int
 	// Title is printed above the plot.
 	Title string
-	// XLabel and YLabel annotate the axes.
-	XLabel, YLabel string
-	// LogX and LogY select logarithmic axes (default true for both in
-	// NewLogLog).
-	LogX, LogY bool
+	// XLabel annotates the x axis.
+	XLabel string
 }
 
-// NewLogLog returns a plot configured like Figures 4-7.
+// The plot area in characters.
+const plotWidth, plotHeight = 72, 20
+
+// NewLogLog returns a plot drawn like Figures 4-7.
 func NewLogLog(title string) *AsciiPlot {
-	return &AsciiPlot{Width: 72, Height: 20, Title: title, LogX: true, LogY: true}
+	return &AsciiPlot{Title: title}
 }
 
 // Render draws the (value, count) series.
@@ -30,37 +28,12 @@ func (p *AsciiPlot) Render(pts []Point) string {
 	if len(pts) == 0 {
 		return p.Title + ": (empty)\n"
 	}
-	w, h := p.Width, p.Height
-	if w < 16 {
-		w = 16
-	}
-	if h < 6 {
-		h = 6
-	}
+	w, h := plotWidth, plotHeight
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
-	tx := func(v uint64) float64 {
-		f := float64(v)
-		if p.LogX {
-			if f < 1 {
-				f = 1
-			}
-			return math.Log10(f)
-		}
-		return f
-	}
-	ty := func(c uint64) float64 {
-		f := float64(c)
-		if p.LogY {
-			if f < 1 {
-				f = 1
-			}
-			return math.Log10(f)
-		}
-		return f
-	}
+	logOf := func(v uint64) float64 { return math.Log10(max(float64(v), 1)) }
 	for _, pt := range pts {
-		x, y := tx(pt.V), ty(pt.C)
+		x, y := logOf(pt.V), logOf(pt.C)
 		minX, maxX = math.Min(minX, x), math.Max(maxX, x)
 		minY, maxY = math.Min(minY, y), math.Max(maxY, y)
 	}
@@ -75,8 +48,8 @@ func (p *AsciiPlot) Render(pts []Point) string {
 		grid[i] = []byte(strings.Repeat(" ", w))
 	}
 	for _, pt := range pts {
-		cx := int((tx(pt.V) - minX) / (maxX - minX) * float64(w-1))
-		cy := int((ty(pt.C) - minY) / (maxY - minY) * float64(h-1))
+		cx := int((logOf(pt.V) - minX) / (maxX - minX) * float64(w-1))
+		cy := int((logOf(pt.C) - minY) / (maxY - minY) * float64(h-1))
 		row := h - 1 - cy
 		grid[row][cx] = '*'
 	}
@@ -84,46 +57,23 @@ func (p *AsciiPlot) Render(pts []Point) string {
 	if p.Title != "" {
 		fmt.Fprintf(&b, "%s\n", p.Title)
 	}
-	axisFmt := func(v float64, log bool) string {
-		if log {
-			return fmt.Sprintf("%.3g", math.Pow(10, v))
-		}
-		return fmt.Sprintf("%.3g", v)
-	}
+	axisFmt := func(v float64) string { return fmt.Sprintf("%.3g", math.Pow(10, v)) }
 	for i, row := range grid {
 		label := strings.Repeat(" ", 10)
 		switch i {
 		case 0:
-			label = fmt.Sprintf("%10s", axisFmt(maxY, p.LogY))
+			label = fmt.Sprintf("%10s", axisFmt(maxY))
 		case h - 1:
-			label = fmt.Sprintf("%10s", axisFmt(minY, p.LogY))
-		case h / 2:
-			if p.YLabel != "" {
-				label = fmt.Sprintf("%10s", trimTo(p.YLabel, 10))
-			}
+			label = fmt.Sprintf("%10s", axisFmt(minY))
 		}
 		fmt.Fprintf(&b, "%s |%s|\n", label, string(row))
 	}
 	fmt.Fprintf(&b, "%10s  %-s%s%s\n", "",
-		axisFmt(minX, p.LogX),
-		strings.Repeat(" ", max(1, w-14)),
-		axisFmt(maxX, p.LogX))
+		axisFmt(minX),
+		strings.Repeat(" ", w-14),
+		axisFmt(maxX))
 	if p.XLabel != "" {
 		fmt.Fprintf(&b, "%10s  [%s]\n", "", p.XLabel)
 	}
 	return b.String()
-}
-
-func trimTo(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n]
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -56,15 +56,6 @@ func FitPowerLaw(h *IntHist) (PowerLawFit, error) {
 	return best, nil
 }
 
-// FitPowerLawAt fits with a fixed cutoff.
-func FitPowerLawAt(h *IntHist, xmin uint64) (PowerLawFit, error) {
-	fit, ok := fitAt(h.Points(), xmin)
-	if !ok {
-		return PowerLawFit{}, fmt.Errorf("stats: too few points above xmin=%d", xmin)
-	}
-	return fit, nil
-}
-
 func fitAt(pts []Point, xmin uint64) (PowerLawFit, bool) {
 	var n uint64
 	var logSum float64

@@ -39,7 +39,6 @@ const (
 	FlagSYN = 1 << 0
 	FlagACK = 1 << 1
 	FlagFIN = 1 << 2
-	FlagRST = 1 << 3
 )
 
 // Segment is a decoded TCP segment.

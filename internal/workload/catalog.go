@@ -64,8 +64,9 @@ const (
 // Config parameterises the synthetic world: the sizes and mixes some
 // caller changes. The calibrated mechanisms no caller changes are the
 // constants next to the code they drive (popularity in Generate, the
-// free riders and the 52-query cap in GeneratePopulation). The zero
-// value is unusable; start from DefaultConfig or SmallConfig.
+// free riders, the share caps, the regular sharers and the 52-query cap
+// in GeneratePopulation). The zero value is unusable; start from
+// DefaultConfig or SmallConfig.
 type Config struct {
 	Seed uint64
 
@@ -80,25 +81,14 @@ type Config struct {
 	PolluterFraction  float64
 	ForgedPerPolluter int
 
-	// ShareCaps lists (cap, fraction) pairs of client-software limits
-	// (§3.2's hypotheses): that fraction of the population cannot share
-	// more than cap files (the bump at a few thousands in Fig 6).
-	ShareCaps []ShareCap
-
-	// Profile mix; fractions should sum to <= 1 with the remainder
-	// becoming Casual.
-	RegularFraction float64
+	// Profile mix: with PolluterFraction these sum to <= 1; of the
+	// remainder, regularFraction of the population (or what is left of
+	// it) is Regular and the rest Casual.
 	HeavyFraction   float64
 	ScannerFraction float64
 
 	// Vocabulary size for filenames and searches.
 	VocabWords int
-}
-
-// ShareCap is one client-software sharing limit.
-type ShareCap struct {
-	Cap      int
-	Fraction float64
 }
 
 // DefaultConfig returns the calibrated configuration used by the
@@ -110,14 +100,9 @@ func DefaultConfig() Config {
 		NumClients:        60_000,
 		PolluterFraction:  0.01,
 		ForgedPerPolluter: 120,
-		ShareCaps: []ShareCap{
-			{Cap: 2000, Fraction: 0.25},
-			{Cap: 5000, Fraction: 0.10},
-		},
-		RegularFraction: 0.25,
-		HeavyFraction:   0.03,
-		ScannerFraction: 0.04,
-		VocabWords:      4000,
+		HeavyFraction:     0.03,
+		ScannerFraction:   0.04,
+		VocabWords:        4000,
 	}
 }
 
@@ -145,7 +130,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("workload: PolluterFraction = %v", c.PolluterFraction)
 	case c.VocabWords < 100:
 		return fmt.Errorf("workload: VocabWords = %d", c.VocabWords)
-	case c.RegularFraction+c.HeavyFraction+c.ScannerFraction+c.PolluterFraction > 1:
+	case c.HeavyFraction+c.ScannerFraction+c.PolluterFraction > 1:
 		return fmt.Errorf("workload: profile fractions exceed 1")
 	}
 	return nil
@@ -414,10 +399,6 @@ func topIndices(files []File, k int) []int {
 	}
 	return idx[:k]
 }
-
-// SampleProvide draws a genuine file index with probability proportional
-// to popularity weight (what clients choose to share).
-func (c *Catalog) SampleProvide(r *randx.Rand) int { return c.provideTab.Sample(r) }
 
 // SampleShare draws one file for a client's shared folder using the full
 // two-component popularity (body + hits).

@@ -314,9 +314,6 @@ func (e *Engine) Sessions() uint64 { return e.sessions }
 // Suppressed reports arrivals dropped by the churn.max_active cap.
 func (e *Engine) Suppressed() uint64 { return e.suppressed }
 
-// Active reports currently open sessions.
-func (e *Engine) Active() int { return e.active }
-
 // MaxActiveSeen reports the high-water mark of concurrent sessions.
 func (e *Engine) MaxActiveSeen() int { return e.maxActiveSeen }
 

@@ -75,6 +75,18 @@ type Population struct {
 // classic P2P free-riding observation; they only search and fetch.
 const freeRiderFraction = 0.50
 
+// regularFraction of the population are Regular sharers, or all that
+// the other profiles leave when they take more than 1-regularFraction.
+const regularFraction = 0.25
+
+// shareCaps are client-software sharing limits (§3.2's hypotheses): that
+// fraction of the population cannot share more than cap files (the bump
+// at a few thousands in Fig 6).
+var shareCaps = [...]struct {
+	cap      int
+	fraction float64
+}{{2000, 0.25}, {5000, 0.10}}
+
 // searchCapFraction of clients run software that allows at most
 // searchCap source queries: the singular peak at exactly 52 in Fig 7,
 // one of §3.2's client-software hypotheses. Scanners are exempt.
@@ -111,7 +123,7 @@ func GeneratePopulation(cfg Config, cat *Catalog) (*Population, error) {
 	cut1 := nPolluters
 	cut2 := cut1 + int(float64(cfg.NumClients)*cfg.ScannerFraction)
 	cut3 := cut2 + int(float64(cfg.NumClients)*cfg.HeavyFraction)
-	cut4 := cut3 + int(float64(cfg.NumClients)*cfg.RegularFraction)
+	cut4 := cut3 + int(float64(cfg.NumClients)*regularFraction)
 	for rank, idx := range order {
 		c := &pop.Clients[idx]
 		switch {
@@ -161,11 +173,11 @@ func GeneratePopulation(cfg Config, cat *Catalog) (*Population, error) {
 		if c.Profile != Polluter {
 			u := rShare.Float64()
 			acc := 0.0
-			for _, sc := range cfg.ShareCaps {
-				acc += sc.Fraction
+			for _, sc := range shareCaps {
+				acc += sc.fraction
 				if u < acc {
-					if intended > sc.Cap {
-						intended = sc.Cap
+					if intended > sc.cap {
+						intended = sc.cap
 					}
 					break
 				}

@@ -21,7 +21,6 @@ func capRichConfig() Config {
 	cfg := testConfig()
 	cfg.NumClients = 4000
 	cfg.HeavyFraction = 0.20
-	cfg.ShareCaps = []ShareCap{{Cap: 2000, Fraction: 0.30}}
 	return cfg
 }
 
@@ -277,7 +276,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.NumClients = -1 },
 		func(c *Config) { c.PolluterFraction = 0.9 },
 		func(c *Config) { c.VocabWords = 3 },
-		func(c *Config) { c.RegularFraction = 0.9; c.HeavyFraction = 0.5 },
+		func(c *Config) { c.HeavyFraction = 0.9; c.ScannerFraction = 0.5 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -298,7 +297,7 @@ func TestSamplersRespectPopularity(t *testing.T) {
 	r := randx.New(9, 9)
 	counts := make([]int, len(cat.Files))
 	for i := 0; i < 200000; i++ {
-		counts[cat.SampleProvide(r)]++
+		counts[cat.SampleShare(r)]++
 	}
 	// The most popular file must be sampled far more than the median.
 	top := topIndices(cat.Files[:cat.GenuineCount], 1)[0]

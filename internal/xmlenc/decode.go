@@ -36,7 +36,6 @@ type Decoder struct {
 	long  []byte // spill buffer of lines longer than the read buffer
 	rerr  error  // the reader's final error, returned once the data before it is used up
 	done  bool
-	count uint64
 	lineN int
 }
 
@@ -67,9 +66,6 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 
 // Meta returns the root element attributes (including "version").
 func (d *Decoder) Meta() map[string]string { return d.meta }
-
-// Count reports records decoded so far.
-func (d *Decoder) Count() uint64 { return d.count }
 
 // nextLine returns the next non-blank line, trimmed, as bytes of the read
 // buffer: valid until the following call. A last line without a newline
@@ -144,7 +140,6 @@ func (d *Decoder) Next() (*Record, error) {
 	if err := d.parseRecord(line); err != nil {
 		return nil, fmt.Errorf("line %d: %w", d.lineN, err)
 	}
-	d.count++
 	return &d.rec, nil
 }
 

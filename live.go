@@ -56,7 +56,7 @@ func (l *LiveSource) Mirror(srcIP, dstIP uint32, payload []byte) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		q.tally.late++
+		q.drop(&q.tally.late)
 		return
 	}
 	if len(q.open) == q.size {
@@ -64,7 +64,7 @@ func (l *LiveSource) Mirror(srcIP, dstIP uint32, payload []byte) {
 		case q.batches <- q.open:
 			q.open = q.getBatch()
 		default:
-			q.tally.full++
+			q.drop(&q.tally.full)
 			return
 		}
 	}

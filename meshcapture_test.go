@@ -42,7 +42,7 @@ func TestMeshCapture(t *testing.T) {
 		}
 		daemons = append(daemons, d)
 		addrs = append(addrs, d.TCPAddr().String())
-		cfg := edmesh.Config{AnnounceInterval: 40 * time.Millisecond, PeerTTL: time.Hour}
+		var cfg edmesh.Config
 		if i > 0 {
 			cfg.Bootstrap = []string{daemons[0].UDPAddr().String()}
 		}
@@ -73,8 +73,10 @@ func TestMeshCapture(t *testing.T) {
 	}
 	defer msrv.Close()
 
-	// Convergence before load, so forwards have somewhere to go.
-	deadline := time.Now().Add(5 * time.Second)
+	// Convergence before load, so forwards have somewhere to go: the
+	// joiners announce to mesh-0 at once, and its next round, one 2 s
+	// period later, tells each about the other.
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		ok := true
 		for _, m := range meshes {
@@ -109,7 +111,6 @@ func TestMeshCapture(t *testing.T) {
 	// An all-Heavy population: big share lists and source asks give each
 	// plan ~100 messages, enough traffic to kill a node mid-run.
 	wl := workload.SmallConfig(7, 12)
-	wl.RegularFraction = 0
 	wl.HeavyFraction = 1.0
 	wl.ScannerFraction = 0
 	wl.PolluterFraction = 0

@@ -2,9 +2,11 @@ package edtrace
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
+	"edtrace/internal/pcap"
 	"edtrace/internal/simtime"
 )
 
@@ -43,10 +45,23 @@ type frameQueue struct {
 	closed bool
 	start  time.Time // a live queue's clock starts at its first frame
 	tally  tally
+	perSec []pcap.SecondStats // the tally's drops by second of that clock
 }
 
 // tally counts a live queue's drops: on a full queue, and after shut.
 type tally struct{ full, late uint64 }
+
+// drop counts one live frame dropped for the reason n counts, in the
+// second it was dropped (the first, before any frame was queued); mu is
+// held.
+func (q *frameQueue) drop(n *uint64) {
+	*n++
+	sec := 0
+	if !q.start.IsZero() {
+		sec = int(time.Since(q.start) / time.Second)
+	}
+	pcap.AtSecond(&q.perSec, sec).Dropped++
+}
 
 // newFrameQueue returns a queue of frames capacity (at least 1).
 func newFrameQueue(frames int, live bool) *frameQueue {
@@ -92,6 +107,14 @@ func (q *frameQueue) account() tally {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.tally
+}
+
+// settle snapshots the tally and its drops by second under one lock, so
+// the two agree however many frames are mirrored meanwhile.
+func (q *frameQueue) settle() (tally, []pcap.SecondStats) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.tally, slices.Clone(q.perSec)
 }
 
 func (q *frameQueue) getBatch() []frameItem {

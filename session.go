@@ -33,8 +33,7 @@ type Result struct {
 	// was given).
 	Figures *analysis.Figures
 	// Fig2 is the capture-loss series; Fig3 the anonymisation-bucket
-	// analysis. Both are always non-nil (empty when the source tracks no
-	// losses).
+	// analysis. Both are always non-nil (empty when nothing was captured).
 	Fig2 *analysis.Fig2
 	Fig3 *analysis.Fig3
 }
@@ -193,6 +192,7 @@ func (sm *sessionMetrics) drop(n int) {
 // serial by construction. A Session is single-use: build one per run.
 type Session struct {
 	src Source
+	sim *SimSource // src, when it is a simulation (nil otherwise)
 	o   sessionOptions
 	ran atomic.Bool
 
@@ -206,11 +206,28 @@ type Session struct {
 	nframes   uint64
 	firstT    simtime.Time
 	lastT     simtime.Time
+	// perSecond counts processed frames by second since the first, less
+	// the seconds cut (see maxGapSeconds): the captured half of Figure 2
+	// for every source but SimSource, whose world keeps its own kernel
+	// buffer's series.
+	perSecond  []pcap.SecondStats
+	cutSeconds int
 }
+
+// maxGapSeconds bounds how far one frame of an offline source can
+// stretch the per-second series. Its timestamps are the input's (a pcap
+// stores 32-bit seconds), and a clock that jumps — an unset RTC in a
+// merged capture, a forged header — must not size the series: a frame
+// more than this past the last counted second counts in the next one,
+// and the frames after it follow on from there. A live queue stamps its
+// frames with the clock its drops are counted by, so its series is
+// never cut (and grows only with the run's wall time).
+const maxGapSeconds = 60
 
 // NewSession builds a session over src with the given options.
 func NewSession(src Source, opts ...Option) *Session {
 	s := &Session{src: src}
+	s.sim, _ = src.(*SimSource)
 	s.o.progressEvery = 8192
 	for _, opt := range opts {
 		opt(&s.o)
@@ -263,7 +280,7 @@ func (s *Session) Run(ctx context.Context) (res *Result, err error) {
 	for batch := range s.q.batches {
 		s.sm.drop(len(batch))
 	}
-	tally := s.q.account()
+	tally, drops := s.q.settle()
 	s.sm.queueDrops(tally)
 	if pipeErr != nil {
 		return nil, pipeErr
@@ -271,7 +288,7 @@ func (s *Session) Run(ctx context.Context) (res *Result, err error) {
 	if perr != nil {
 		return nil, perr
 	}
-	return s.report(start, tally), nil
+	return s.report(start, tally, drops), nil
 }
 
 // setup builds the frame queue and the record path (sinks, pipeline,
@@ -366,7 +383,7 @@ func (s *Session) datasetMeta(serverIP uint32, servers map[uint32]string) map[st
 		sort.Strings(names)
 		meta["servers"] = strings.Join(names, ",")
 	}
-	if sim, ok := s.src.(*SimSource); ok {
+	if sim := s.sim; sim != nil {
 		meta["seed"] = strconv.FormatUint(sim.Config.Workload.Seed, 10)
 		meta["clients"] = strconv.Itoa(sim.Config.Workload.NumClients)
 		meta["files"] = strconv.Itoa(sim.Config.Workload.NumFiles)
@@ -452,6 +469,16 @@ func (s *Session) commit(f frameItem) error {
 	}
 	s.nframes++
 	s.lastT = f.t
+	if s.sim == nil {
+		// A frame stamped before the first (a replayed capture's clock
+		// stepping back) counts in the first second.
+		sec := max(int((f.t-s.firstT)/simtime.Second)-s.cutSeconds, 0)
+		if n := len(s.perSecond); !s.q.live && sec > n+maxGapSeconds {
+			s.cutSeconds += sec - n
+			sec = n
+		}
+		pcap.AtSecond(&s.perSecond, sec).Captured++
+	}
 	s.sm.frameDone()
 	return nil
 }
@@ -459,8 +486,10 @@ func (s *Session) commit(f frameItem) error {
 // report assembles the Result of a run that consumed its whole source:
 // every frame that reached the queue was processed, so those are the
 // captured frames (spanning first to last: real captures carry epoch
-// timestamps), and a live queue's drops the dropped ones.
-func (s *Session) report(start time.Time, t tally) *Result {
+// timestamps), and a live queue's drops the dropped ones, second by
+// second as well (drops holds them by second of the queue's clock, which
+// starts at the first frame too).
+func (s *Session) report(start time.Time, t tally, drops []pcap.SecondStats) *Result {
 	pipe := s.pipe
 	if s.o.progress != nil {
 		s.o.progress(Progress{Frames: s.nframes, Records: pipe.Stats().Records, T: s.lastT})
@@ -476,8 +505,13 @@ func (s *Session) report(start time.Time, t tally) *Result {
 		VirtualDuration:  s.lastT - s.firstT,
 	}
 	rep.MaxBucketIdx, rep.MaxBucketSize = pipe.FileAnonymizer().MaxBucket()
-	if sim, ok := s.src.(*SimSource); ok {
-		sim.reportCapture(rep)
+	if s.sim != nil {
+		s.sim.reportCapture(rep)
+	} else {
+		for sec, d := range drops {
+			pcap.AtSecond(&s.perSecond, sec).Dropped += d.Dropped
+		}
+		rep.LossPerSecond = s.perSecond
 	}
 	res := &Result{
 		Report: rep,

@@ -336,6 +336,100 @@ func TestLiveSourceDropsAfterClose(t *testing.T) {
 	}
 }
 
+// TestFig2MatchesCaptureCounters: a capture's Figure 2 adds up to its
+// report's counters, for a live source that dropped frames on a full
+// queue and after Close, and for the replay of its pcap tee.
+func TestFig2MatchesCaptureCounters(t *testing.T) {
+	const serverIP = uint32(0x0A000001)
+	const mirrored, late = 1000, 7
+	payload := ed2k.Encode(&ed2k.StatReq{Challenge: 1})
+	live := NewLiveSource(256)
+	for i := 0; i < mirrored; i++ {
+		live.Mirror(1, serverIP, payload)
+	}
+	live.Close()
+	for i := 0; i < late; i++ {
+		live.Mirror(1, serverIP, payload)
+	}
+	tee := filepath.Join(t.TempDir(), "live.pcap")
+	reg := obs.NewRegistry()
+	liveRes, err := NewSession(live, WithServerIP(serverIP), WithPcapTee(tee), WithMetrics(reg)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if droppedBy(reg, "queue_full") == 0 || droppedBy(reg, "closed") != late {
+		t.Fatalf("drops: %d queue_full, %d closed; want some and %d",
+			droppedBy(reg, "queue_full"), droppedBy(reg, "closed"), late)
+	}
+	replayRes, err := NewSession(NewPcapSource(tee), WithServerIP(serverIP)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*Result{"live": liveRes, "replay": replayRes} {
+		rep, fig := res.Report, res.Fig2
+		if rep.EthernetCaptured == 0 || fig.TotalSeen != rep.EthernetCaptured || fig.TotalLost != rep.EthernetDropped {
+			t.Errorf("%s: Fig 2 saw %d and lost %d, the report captured %d and dropped %d",
+				name, fig.TotalSeen, fig.TotalLost, rep.EthernetCaptured, rep.EthernetDropped)
+		}
+	}
+}
+
+// TestFig2SeriesBoundedByFrames: a replayed capture's timestamps are
+// input, so its per-second series is sized by its frames, not its clock.
+// A silence of up to maxGapSeconds stays in the series; a longer jump is
+// cut, and the frames after it follow on from the next second.
+func TestFig2SeriesBoundedByFrames(t *testing.T) {
+	replay := func(secs ...uint32) []pcap.SecondStats {
+		t.Helper()
+		var buf bytes.Buffer
+		w, err := pcap.NewWriter(&buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, frame := range benchFrames(len(secs)) {
+			if err := w.Write(pcap.Record{TimeSec: secs[i], OrigLen: uint32(len(frame)), Data: frame}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "clock.pcap")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := NewSession(NewPcapSource(path), WithServerIP(0x0A000001)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fig2.TotalSeen != uint64(len(secs)) {
+			t.Fatalf("Fig 2 saw %d frames, want %d", res.Fig2.TotalSeen, len(secs))
+		}
+		return res.Report.LossPerSecond
+	}
+	captured := func(per []pcap.SecondStats) []int {
+		var at []int
+		for sec, s := range per {
+			for range s.Captured {
+				at = append(at, sec)
+			}
+		}
+		return at
+	}
+
+	// A jump the gap rule cuts: this one would cost an uncut series only
+	// a thousand seconds, so a series that is not cut fails here, before
+	// the replay below could ask for 2^32 of them.
+	per := replay(0, 30, 30+maxGapSeconds+1000, 30+maxGapSeconds+1001)
+	if got, want := captured(per), []int{0, 30, 31, 32}; !reflect.DeepEqual(got, want) || len(per) != 33 {
+		t.Fatalf("frames counted in seconds %v of %d, want %v of 33", got, len(per), want)
+	}
+	// A clock that jumps from 1970 to the end of the 32-bit range.
+	if per := replay(0, 0xFFFFFFFF); len(per) != 2 {
+		t.Fatalf("two frames made a series of %d seconds, want 2", len(per))
+	}
+}
+
 // parkedSink holds the consumer in its first Write until released.
 type parkedSink struct{ release chan struct{} }
 

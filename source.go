@@ -88,7 +88,6 @@ func (s *SimSource) reportCapture(rep *core.Report) {
 	rep.LossPerSecond = s.rep.LossPerSecond
 	rep.ServerStats = s.rep.ServerStats
 	rep.SwarmStats = s.rep.SwarmStats
-	rep.FlashTimes = s.rep.FlashTimes
 }
 
 // PcapSource replays a stored pcap capture — offline decoding of a
