@@ -19,14 +19,6 @@ type VerifyReport struct {
 // OK reports whether no invariant was violated.
 func (v *VerifyReport) OK() bool { return len(v.Violations) == 0 }
 
-// knownOps is the closed set of record kinds (spec.md).
-var knownOps = map[string]bool{
-	"OfferFiles": true, "OfferAck": true, "SearchReq": true, "SearchRes": true,
-	"GetSources": true, "FoundSources": true, "StatReq": true, "StatRes": true,
-	"GetServerList": true, "ServerList": true, "ServerDescReq": true,
-	"ServerDescRes": true,
-}
-
 const maxViolations = 20
 
 // Verify streams the dataset at dir and checks every released-data
@@ -73,7 +65,7 @@ func Verify(dir string) (*VerifyReport, error) {
 			add("record %d: timestamp %f before %f", rep.Records, r.T, lastT)
 		}
 		lastT = r.T
-		if !knownOps[r.Op] {
+		if !xmlenc.KnownOp(r.Op) {
 			add("record %d: unknown op %q", rep.Records, r.Op)
 		}
 		if servers != nil && !servers[r.Server] {

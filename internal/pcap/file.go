@@ -32,6 +32,11 @@ const (
 	LinkTypeEthernet = 1
 	fileHeaderLen    = 24
 	recordHeaderLen  = 16
+	// maxCapLen bounds a record's captured length, and so what Next
+	// allocates for one: libpcap's MAXIMUM_SNAPLEN, which no capture
+	// exceeds. It does not come from the file: a header may claim any
+	// snap length.
+	maxCapLen = 262144
 )
 
 // ErrBadFile is returned when a pcap file cannot be parsed.
@@ -76,11 +81,14 @@ type Writer struct {
 }
 
 // NewWriter writes a pcap file header to w and returns a Writer.
-// snapLen 0 means "do not truncate" (recorded as 65535).
+// snapLen 0 means "do not truncate" (recorded as 65535). A snapLen over
+// maxCapLen is recorded as maxCapLen, so a Reader reads back every record
+// a Writer writes.
 func NewWriter(w io.Writer, snapLen uint32) (*Writer, error) {
 	if snapLen == 0 {
 		snapLen = 65535
 	}
+	snapLen = min(snapLen, maxCapLen)
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var hdr [fileHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], Magic)
@@ -170,8 +178,8 @@ func (r *Reader) Next() (Record, error) {
 		OrigLen:   binary.LittleEndian.Uint32(hdr[12:]),
 	}
 	capLen := binary.LittleEndian.Uint32(hdr[8:])
-	if capLen > r.snapLen+4096 {
-		return Record{}, fmt.Errorf("%w: caplen %d exceeds snaplen", ErrBadFile, capLen)
+	if capLen > maxCapLen {
+		return Record{}, fmt.Errorf("%w: caplen %d exceeds %d", ErrBadFile, capLen, maxCapLen)
 	}
 	rec.Data = make([]byte, capLen)
 	if _, err := io.ReadFull(r.r, rec.Data); err != nil {

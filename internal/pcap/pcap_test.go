@@ -2,8 +2,10 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -107,6 +109,119 @@ func TestReaderTruncatedRecord(t *testing.T) {
 	if _, err := r.Next(); !errors.Is(err, ErrBadFile) {
 		t.Fatalf("truncated body: %v", err)
 	}
+}
+
+// pcapFile is a file header with the given snap length followed by rest.
+func pcapFile(snapLen uint32, rest []byte) []byte {
+	hdr := make([]byte, fileHeaderLen)
+	binary.LittleEndian.PutUint32(hdr[0:], Magic)
+	binary.LittleEndian.PutUint16(hdr[4:], VersionMajor)
+	binary.LittleEndian.PutUint16(hdr[6:], VersionMinor)
+	binary.LittleEndian.PutUint32(hdr[16:], snapLen)
+	binary.LittleEndian.PutUint32(hdr[20:], LinkTypeEthernet)
+	return append(hdr, rest...)
+}
+
+// readAll reads every record of a file and returns how many it read, the
+// bytes allocated meanwhile and the error that ended the records (nil at
+// the end of the file).
+func readAll(file []byte) (n int, alloc uint64, err error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := NewReader(bytes.NewReader(file))
+	for err == nil {
+		if _, err = r.Next(); err == nil {
+			n++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if err == io.EOF {
+		err = nil
+	}
+	return n, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestReaderBoundsCapLen: what a record may make Next allocate does not
+// depend on the file's header. A 40-byte file claiming a snap length of
+// 0xFFFFEFFF and a record of 0xC0000000 bytes made the reader allocate 3 GB
+// before it found the body missing.
+func TestReaderBoundsCapLen(t *testing.T) {
+	rec := make([]byte, recordHeaderLen)
+	binary.LittleEndian.PutUint32(rec[8:], 0xC0000000)
+	file := pcapFile(0xFFFFEFFF, rec)
+	if len(file) != 40 {
+		t.Fatalf("file is %d bytes", len(file))
+	}
+	n, alloc, err := readAll(file)
+	if n != 0 || !errors.Is(err, ErrBadFile) {
+		t.Fatalf("read %d records, err = %v; want none and ErrBadFile", n, err)
+	}
+	if alloc > 1<<20 {
+		t.Fatalf("a 40-byte file cost %d bytes of allocation", alloc)
+	}
+}
+
+// TestReaderHugeSnapLen: a snap length near 2³² is only a claim — the
+// reader used to add 4096 to it, wrapped around to 0 and rejected every
+// record.
+func TestReaderHugeSnapLen(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, 0)
+	w.Write(Record{TimeSec: 7, Data: bytes.Repeat([]byte{0xAB}, 60)})
+	w.Flush()
+	file := pcapFile(0xFFFFF000, buf.Bytes()[fileHeaderLen:])
+	if n, _, err := readAll(file); n != 1 || err != nil {
+		t.Fatalf("read %d records, err = %v; want 1 and no error", n, err)
+	}
+}
+
+// TestWriterClampsSnapLen: a Writer asked for a snap length the Reader
+// does not take writes no record the Reader rejects.
+func TestWriterClampsSnapLen(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, 1<<20)
+	frame := bytes.Repeat([]byte{0xCD}, maxCapLen+100)
+	w.Write(Record{TimeSec: 1, Data: frame})
+	w.Flush()
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := r.Next()
+	if err != nil || !bytes.Equal(rec.Data, frame[:maxCapLen]) || rec.OrigLen != uint32(len(frame)) {
+		t.Fatalf("read %d bytes of %d, err = %v; want the first %d", len(rec.Data), rec.OrigLen, err, maxCapLen)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("second Next: %v, want io.EOF", err)
+	}
+}
+
+// FuzzPcapReader: NewReader and Next over any bytes return records or an
+// error, never panic, and allocate no more than 1 MiB — the read buffer
+// and one record of the largest captured length — plus twice the input.
+//
+//	go test -run '^$' -fuzz '^FuzzPcapReader$' -fuzztime 15s ./internal/pcap/
+func FuzzPcapReader(f *testing.F) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, 0)
+	for i, n := range []int{0, 1, 60, 1514} {
+		w.Write(Record{TimeSec: uint32(i), TimeMicro: 999999, Data: bytes.Repeat([]byte{byte(i)}, n)})
+	}
+	w.Flush()
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:len(buf.Bytes())-3])
+	rec := make([]byte, recordHeaderLen)
+	binary.LittleEndian.PutUint32(rec[8:], 0xC0000000)
+	f.Add(pcapFile(0xFFFFEFFF, rec))
+	binary.LittleEndian.PutUint32(rec[8:], maxCapLen)
+	f.Add(pcapFile(0, rec))
+	f.Add(pcapFile(0xFFFFF000, buf.Bytes()[fileHeaderLen:]))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, file []byte) {
+		if _, alloc, _ := readAll(file); alloc > 1<<20+2*uint64(len(file)) {
+			t.Fatalf("a %d-byte file cost %d bytes of allocation", len(file), alloc)
+		}
+	})
 }
 
 func TestQuickFileRoundtrip(t *testing.T) {

@@ -25,14 +25,19 @@ const (
 // Decoder streams records back out of the XML dialect. It is strictly
 // line-oriented per the specification and decodes in place: every line is
 // parsed where the read buffer holds it, into the one Record the decoder
-// owns, so a record costs one allocation — the string its op, hashes and
-// server tag are substrings of. That is what makes analysis of huge
-// datasets cheap.
+// owns. Each attribute and child is read first in the form AppendRecord
+// writes it, in one forward scan; whatever deviates from that form goes to
+// the general scanner, which accepts the whole grammar. An op is one of
+// spec.md's twelve names, shared by every record; the hashes, keywords and
+// server tag of a record are substrings of one copy of its line, made when
+// the first of them is needed. So a record with no string but its op costs
+// no allocation and any other costs one. That is what makes analysis of
+// huge datasets cheap.
 type Decoder struct {
 	r     *bufio.Reader
 	meta  map[string]string
 	rec   Record // the record Next fills and returns, again and again
-	text  string // string(line): what a record's string fields are substrings of
+	text  string // string(line) once a string field needs it, else ""
 	long  []byte // spill buffer of lines longer than the read buffer
 	rerr  error  // the reader's final error, returned once the data before it is used up
 	done  bool
@@ -283,20 +288,43 @@ func (d *Decoder) parseRoot(line []byte) error {
 	}
 }
 
+// sub returns line[i:j] as an immutable string. The strings of a record
+// are substrings of one copy of its line, made by the first call, so a
+// record that is kept (Clone) pins one line of text and nothing else.
+func (d *Decoder) sub(line []byte, i, j int) string {
+	if d.text == "" {
+		d.text = string(line)
+	}
+	return d.text[i:j]
+}
+
 // str returns the attribute value the scanner is on as an immutable
-// string: a substring of d.text, so a record that is kept (Clone) pins
-// one line of text and nothing else.
+// string.
 func (d *Decoder) str(s *tagScanner) string {
 	if bytes.IndexByte(s.val, '&') >= 0 {
 		return unescape(string(s.val))
 	}
-	return d.text[s.valAt : s.valAt+len(s.val)]
+	return d.sub(s.line, s.valAt, s.valAt+len(s.val))
 }
 
-// parseRecord parses line, one full <r> element, into d.rec.
+// op returns the op value line[i:j], which holds no entity: one of
+// opNames is that string, not a piece of the line.
+func (d *Decoder) op(line []byte, i, j int) string {
+	for _, name := range opNames {
+		if string(line[i:j]) == name {
+			return name
+		}
+	}
+	return d.sub(line, i, j)
+}
+
+// parseRecord parses line, one full <r> element, into d.rec. Every
+// attribute and child is tried first in AppendRecord's form (fastAttr,
+// fastChild); one that is not in it is read again from its start by the
+// tagScanner, which also words every error.
 func (d *Decoder) parseRecord(line []byte) error {
 	rec := &d.rec
-	d.text = string(line) // the record's one allocation
+	d.text = ""
 	s := tagScanner{line: line}
 	name, err := s.tag()
 	if err != nil {
@@ -307,6 +335,10 @@ func (d *Decoder) parseRecord(line []byte) error {
 	}
 	var tok int
 	for {
+		if j := d.fastAttr(line, s.i); j > 0 {
+			s.i = j
+			continue
+		}
 		if tok, err = s.next(); err != nil {
 			return err
 		}
@@ -359,16 +391,223 @@ func (d *Decoder) parseRecord(line []byte) error {
 	}
 	// Children until </r>.
 	for {
-		if rest := line[s.i:]; bytes.HasPrefix(rest, []byte("</r>")) {
-			if len(rest) != len("</r>") {
-				return fmt.Errorf("%w: trailing content %q", ErrSyntax, trunc(rest))
-			}
+		if j := d.fastChild(line, s.i); j > 0 {
+			s.i = j
+			continue
+		}
+		if rest := line[s.i:]; string(rest) == "</r>" {
 			return nil
+		} else if bytes.HasPrefix(rest, []byte("</r>")) {
+			return fmt.Errorf("%w: trailing content %q", ErrSyntax, trunc(rest))
 		}
 		if err := d.parseChild(&s); err != nil {
 			return err
 		}
 	}
+}
+
+// cursor reads a line in the form AppendRecord writes. Its methods
+// consume what they read and report whether it was there; after a false
+// the caller gives up on the attribute or child it was reading.
+//
+// A literal is matched as string(c.next(len(lit))) == lit, written out
+// where it is needed: against a constant that short the compiler compares
+// a word or two in place, while a literal passed as an argument costs a
+// call of memequal, several times slower on the shortest records.
+type cursor struct {
+	line []byte
+	i    int
+}
+
+// next returns the n bytes at the cursor, fewer at the end of the line.
+func (c *cursor) next(n int) []byte {
+	return c.line[c.i:min(c.i+n, len(c.line))]
+}
+
+// end consumes the "/>" that closes a child.
+func (c *cursor) end() bool {
+	if string(c.next(2)) != "/>" {
+		return false
+	}
+	c.i += 2
+	return true
+}
+
+// num consumes an unsigned decimal no greater than limit and the quote
+// that closes it.
+func (c *cursor) num(limit uint64) (uint64, bool) {
+	v, n, ok := digits(c.line[c.i:], limit)
+	c.i += n
+	if !ok || c.i == len(c.line) || c.line[c.i] != '"' {
+		return 0, false
+	}
+	c.i++
+	return v, true
+}
+
+func (c *cursor) num32() (uint32, bool) {
+	v, ok := c.num(math.MaxUint32)
+	return uint32(v), ok
+}
+
+// text consumes a value with no '&' in it and the quote that closes it,
+// and returns where the value lies in the line.
+func (c *cursor) text() (i, j int, ok bool) {
+	i = c.i
+	n := bytes.IndexByte(c.line[i:], '"')
+	if n < 0 || bytes.IndexByte(c.line[i:i+n], '&') >= 0 {
+		return 0, 0, false
+	}
+	c.i = i + n + 1
+	return i, i + n, true
+}
+
+// value consumes a string value (see text) as d.sub of the line.
+func (d *Decoder) value(c *cursor) (string, bool) {
+	i, j, ok := c.text()
+	if !ok {
+		return "", false
+	}
+	return d.sub(c.line, i, j), true
+}
+
+// fastAttr reads the <r> attribute at line[i:] if it is in AppendRecord's
+// form — one space, a name of the record's, a value in range with no
+// entity, the closing quote — sets it in d.rec and returns the index after
+// it. Anything else returns 0. A value given up on may have set its field
+// already: the tagScanner reads the same attribute next, and sets the same
+// field again or fails.
+func (d *Decoder) fastAttr(line []byte, i int) int {
+	c := cursor{line: line, i: i}
+	if len(line)-i < 2 || line[i] != ' ' {
+		return 0
+	}
+	rec := &d.rec
+	ok := false
+	switch line[i+1] {
+	case 't':
+		if string(c.next(4)) == ` t="` {
+			c.i += 4
+			rec.T, ok = c.time()
+		}
+	case 'c':
+		if string(c.next(4)) == ` c="` {
+			c.i += 4
+			rec.Client, ok = c.num32()
+		}
+	case 'o':
+		if string(c.next(5)) == ` op="` {
+			c.i += 5
+			var from, to int
+			if from, to, ok = c.text(); ok {
+				rec.Op = d.op(line, from, to)
+			}
+		}
+	case 'd':
+		switch string(c.next(8)) {
+		case ` dir="q"`:
+			rec.Dir, ok = DirQuery, true
+		case ` dir="a"`:
+			rec.Dir, ok = DirAnswer, true
+		}
+		c.i += 8
+	case 's':
+		if string(c.next(6)) == ` srv="` {
+			c.i += 6
+			rec.Server, ok = d.value(&c)
+		}
+	case 'm':
+		switch string(c.next(8)) {
+		case ` minkb="`:
+			c.i += 8
+			rec.MinKB, ok = c.num(math.MaxUint64)
+		case ` maxkb="`:
+			c.i += 8
+			rec.MaxKB, ok = c.num(math.MaxUint64)
+		}
+	case 'u':
+		if string(c.next(8)) == ` users="` {
+			c.i += 8
+			rec.Users, ok = c.num32()
+		}
+	case 'f':
+		if string(c.next(8)) == ` files="` {
+			c.i += 8
+			rec.FilesCount, ok = c.num32()
+		}
+	case 'n':
+		if string(c.next(4)) == ` n="` {
+			c.i += 4
+			rec.Accepted, ok = c.num32()
+		}
+	}
+	if !ok {
+		return 0
+	}
+	return c.i
+}
+
+// fastChild reads the child at line[i:] if it is in AppendRecord's form —
+// <f id s [n] [ty]/>, <fr id/>, <s c/> or <k h/>, attributes in that
+// order, one space apart, values in range with no entity — appends it to
+// d.rec and returns the index after it. Anything else returns 0 and leaves
+// d.rec as it was.
+func (d *Decoder) fastChild(line []byte, i int) int {
+	c := cursor{line: line, i: i}
+	rec := &d.rec
+	switch { // the most frequent child first
+	case string(c.next(6)) == `<s c="`:
+		c.i += 6
+		id, ok := c.num32()
+		if !ok || !c.end() {
+			return 0
+		}
+		rec.Sources = append(rec.Sources, id)
+	case string(c.next(7)) == `<f id="`:
+		c.i += 7
+		var fi FileInfo
+		var ok bool
+		if fi.ID, ok = c.num32(); !ok || string(c.next(4)) != ` s="` {
+			return 0
+		}
+		c.i += 4
+		if fi.SizeKB, ok = c.num(math.MaxUint64); !ok {
+			return 0
+		}
+		if string(c.next(4)) == ` n="` {
+			c.i += 4
+			if fi.NameHash, ok = d.value(&c); !ok {
+				return 0
+			}
+		}
+		if string(c.next(5)) == ` ty="` {
+			c.i += 5
+			if fi.TypeHash, ok = d.value(&c); !ok {
+				return 0
+			}
+		}
+		if !c.end() {
+			return 0
+		}
+		rec.Files = append(rec.Files, fi)
+	case string(c.next(8)) == `<fr id="`:
+		c.i += 8
+		id, ok := c.num32()
+		if !ok || !c.end() {
+			return 0
+		}
+		rec.FileRefs = append(rec.FileRefs, id)
+	case string(c.next(6)) == `<k h="`:
+		c.i += 6
+		h, ok := d.value(&c)
+		if !ok || !c.end() {
+			return 0
+		}
+		rec.Keywords = append(rec.Keywords, h)
+	default:
+		return 0
+	}
+	return c.i
 }
 
 // parseChild parses the child element at the cursor into d.rec. Every
@@ -456,27 +695,68 @@ func (d *Decoder) parseChild(s *tagScanner) error {
 	return nil
 }
 
+// digits reads the decimal digits that start b, up to the first other
+// byte: their value and count. ok is false when there are none or their
+// value is over limit.
+func digits(b []byte, limit uint64) (v uint64, n int, ok bool) {
+	for ; n < len(b); n++ {
+		c := uint64(b[n] - '0')
+		if c > 9 {
+			break
+		}
+		// Below the first bound no digit can wrap v around; above it, the
+		// exact test.
+		if v > (math.MaxUint64-9)/10 && (v > math.MaxUint64/10 || v*10 > math.MaxUint64-c) {
+			return 0, n, false
+		}
+		v = v*10 + c
+	}
+	return v, n, n > 0 && v <= limit
+}
+
 // parseUint parses an unsigned decimal no greater than limit: digits
 // only, like strconv.ParseUint in base 10.
 func parseUint(b []byte, limit uint64) (uint64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var v uint64
-	for _, c := range b {
-		c -= '0'
-		if c > 9 || v > limit/10 {
-			return 0, false
-		}
-		v = v*10 + uint64(c)
-		if v < uint64(c) || v > limit { // wrapped around, or too wide
-			return 0, false
-		}
-	}
-	return v, true
+	v, n, ok := digits(b, limit)
+	return v, ok && n == len(b)
 }
 
 func parseUint32(b []byte) (uint32, bool) {
 	v, ok := parseUint(b, math.MaxUint32)
 	return uint32(v), ok
+}
+
+// millis reads the form appendTime writes — digits, '.', three digits —
+// from the start of b: the value in thousandths and the bytes read. ok is
+// false for any other form and for 2⁵³ thousandths or more. Below that
+// bound float64(ms)/1000 is bit for bit what strconv.ParseFloat gives for
+// the same bytes: both operands are exact, and the division rounds the
+// exact quotient once, to nearest even, as ParseFloat rounds the decimal.
+func millis(b []byte) (ms uint64, n int, ok bool) {
+	for ; n < len(b) && b[n]-'0' <= 9; n++ {
+		if ms = ms*10 + uint64(b[n]-'0'); ms >= 1<<53 {
+			return 0, 0, false
+		}
+	}
+	if n == 0 || len(b)-n < 4 || b[n] != '.' {
+		return 0, 0, false
+	}
+	for _, c := range b[n+1 : n+4] {
+		if c -= '0'; c > 9 {
+			return 0, 0, false
+		}
+		ms = ms*10 + uint64(c)
+	}
+	return ms, n + 4, ms < 1<<53
+}
+
+// time consumes t's value in appendTime's form and the quote that closes
+// it.
+func (c *cursor) time() (float64, bool) {
+	ms, n, ok := millis(c.line[c.i:])
+	if c.i += n; !ok || c.i == len(c.line) || c.line[c.i] != '"' {
+		return 0, false
+	}
+	c.i++
+	return float64(ms) / 1000, true
 }

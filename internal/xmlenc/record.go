@@ -11,6 +11,8 @@
 // against encoding/xml.
 package xmlenc
 
+import "slices"
+
 // Dir distinguishes client queries from server answers.
 type Dir uint8
 
@@ -38,6 +40,18 @@ type FileInfo struct {
 	SizeKB uint64
 	// TypeHash is the md5 of the filetype tag, empty if absent.
 	TypeHash string
+}
+
+// opNames are spec.md §3's twelve message kinds, the most frequent in a
+// capture first.
+var opNames = [...]string{
+	"GetSources", "FoundSources", "OfferFiles", "OfferAck", "StatReq", "StatRes",
+	"SearchReq", "SearchRes", "GetServerList", "ServerList", "ServerDescReq", "ServerDescRes",
+}
+
+// KnownOp reports whether op is one of spec.md §3's twelve message kinds.
+func KnownOp(op string) bool {
+	return slices.Contains(opNames[:], op)
 }
 
 // Record is one anonymised eDonkey message, query or answer.
