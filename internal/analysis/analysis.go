@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"edtrace/internal/pcap"
@@ -28,16 +27,22 @@ import (
 
 // Collector accumulates the paper's per-figure statistics from records.
 //
-// Distinct (file, client) pairs are collected as packed uint64 keys and
-// deduplicated in place at Finalize: re-announcements at every session
-// are frequent, and sort-dedup costs far less memory than a hash set per
-// file.
+// Every distinct count comes from one mechanism, a pairSet of packed
+// uint64 pairs deduplicated as it doubles: (file, client) pairs of
+// OfferFiles and of GetSources, and (server, client) pairs of a merged
+// dataset's provenance tags. Re-announcements at every session are
+// frequent, so a set holds about twice its distinct pairs, never every
+// observation; Finalize reads the figures off the sorted runs.
 type Collector struct {
-	providePairs []uint64 // fileID<<32 | client, from OfferFiles
-	askPairs     []uint64 // fileID<<32 | client, from GetSources
-	sizes        map[uint32]uint64
-	records      uint64
-	perServer    map[string]*ServerTally
+	provide pairSet // fileID<<32 | client, from OfferFiles
+	ask     pairSet // fileID<<32 | client, from GetSources
+	sizes   map[uint32]uint64
+	records uint64
+	// servers holds one tally per srv tag in order of first appearance;
+	// serverIdx maps a tag to its index, the high half of serverClients.
+	servers       []ServerTally
+	serverIdx     map[string]uint32
+	serverClients pairSet // server index<<32 | client
 }
 
 // ServerTally is one server's share of a merged multi-server dataset,
@@ -49,15 +54,13 @@ type ServerTally struct {
 	Answers uint64
 	// Clients counts distinct clients seen in this server's dialogs.
 	Clients int
-
-	clients map[uint32]struct{}
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
 		sizes:     make(map[uint32]uint64),
-		perServer: make(map[string]*ServerTally),
+		serverIdx: make(map[string]uint32),
 	}
 }
 
@@ -65,24 +68,26 @@ func NewCollector() *Collector {
 func (c *Collector) Write(r *xmlenc.Record) error {
 	c.records++
 	if r.Server != "" {
-		st := c.perServer[r.Server]
-		if st == nil {
-			st = &ServerTally{Server: r.Server, clients: make(map[uint32]struct{})}
-			c.perServer[r.Server] = st
+		i, ok := c.serverIdx[r.Server]
+		if !ok {
+			i = uint32(len(c.servers))
+			c.serverIdx[r.Server] = i
+			c.servers = append(c.servers, ServerTally{Server: r.Server})
 		}
+		st := &c.servers[i]
 		st.Records++
 		if r.Dir == xmlenc.DirQuery {
 			st.Queries++
 		} else {
 			st.Answers++
 		}
-		st.clients[r.Client] = struct{}{}
+		c.serverClients.add(uint64(i)<<32 | uint64(r.Client))
 	}
 	switch r.Op {
 	case "OfferFiles":
 		for i := range r.Files {
 			f := &r.Files[i]
-			c.providePairs = append(c.providePairs, uint64(f.ID)<<32|uint64(r.Client))
+			c.provide.add(uint64(f.ID)<<32 | uint64(r.Client))
 			if _, ok := c.sizes[f.ID]; !ok {
 				c.sizes[f.ID] = f.SizeKB
 			}
@@ -98,7 +103,7 @@ func (c *Collector) Write(r *xmlenc.Record) error {
 		}
 	case "GetSources":
 		for _, id := range r.FileRefs {
-			c.askPairs = append(c.askPairs, uint64(id)<<32|uint64(r.Client))
+			c.ask.add(uint64(id)<<32 | uint64(r.Client))
 		}
 	}
 	return nil
@@ -138,7 +143,9 @@ type Figures struct {
 	PerServer []ServerTally
 }
 
-// Finalize deduplicates and histograms everything.
+// Finalize merges each pair set's tail into its run and histograms
+// everything. The runs stay the collector's, so writing more after a
+// Finalize and finalizing again counts every record written.
 func (c *Collector) Finalize() *Figures {
 	f := &Figures{
 		Fig4: stats.NewIntHist(),
@@ -147,12 +154,18 @@ func (c *Collector) Finalize() *Figures {
 		Fig7: stats.NewIntHist(),
 		Fig8: stats.NewIntHist(),
 	}
-	perFile, provideByClient := pairCounts(&c.providePairs)
-	fillHist(f.Fig4, perFile)
-	fillHist(f.Fig6, provideByClient)
-	perFile, askByClient := pairCounts(&c.askPairs)
-	fillHist(f.Fig5, perFile)
-	fillHist(f.Fig7, askByClient)
+	// Per file, the distinct clients are the runs of the pairs' high half;
+	// per client, the distinct files are the counts of their low half.
+	provide, ask := c.provide.sorted(), c.ask.sorted()
+	forRuns(provide, 32, func(_ uint32, n int) { f.Fig4.Add(uint64(n)) })
+	forRuns(ask, 32, func(_ uint32, n int) { f.Fig5.Add(uint64(n)) })
+	provideByClient, askByClient := lowCounts(provide), lowCounts(ask)
+	for _, kc := range provideByClient {
+		f.Fig6.Add(uint64(kc.n))
+	}
+	for _, kc := range askByClient {
+		f.Fig7.Add(uint64(kc.n))
+	}
 	f.ProvideAskCorr, f.BothActive = correlate(provideByClient, askByClient)
 	for _, kb := range c.sizes {
 		f.Fig8.Add(kb)
@@ -169,56 +182,34 @@ func (c *Collector) Finalize() *Figures {
 	if fit, err := stats.FitPowerLaw(f.Fig7); err == nil {
 		f.Fit7 = fit
 	}
-	for _, st := range c.perServer {
-		t := *st
-		t.Clients = len(st.clients)
-		t.clients = nil
-		f.PerServer = append(f.PerServer, t)
-	}
-	sort.Slice(f.PerServer, func(i, j int) bool {
-		return f.PerServer[i].Server < f.PerServer[j].Server
-	})
+	f.PerServer = slices.Clone(c.servers)
+	forRuns(c.serverClients.sorted(), 32, func(server uint32, n int) { f.PerServer[server].Clients = n })
+	slices.SortFunc(f.PerServer, func(a, b ServerTally) int { return strings.Compare(a.Server, b.Server) })
 	return f
 }
 
-// pairCounts sorts and dedups the packed pairs in place, leaving *pairs
-// the distinct ones (so Write after Finalize appends to them and a later
-// Finalize counts the same set), and returns, for the high half (file)
-// and the low half (client), the number of distinct counterparts.
-func pairCounts(pairs *[]uint64) (perHigh, perLow map[uint32]uint32) {
-	slices.Sort(*pairs)
-	*pairs = slices.Compact(*pairs)
-	perHigh = make(map[uint32]uint32)
-	perLow = make(map[uint32]uint32)
-	for _, p := range *pairs {
-		perHigh[uint32(p>>32)]++
-		perLow[uint32(p)]++
-	}
-	return perHigh, perLow
-}
-
-func fillHist(h *stats.IntHist, counts map[uint32]uint32) {
-	for _, n := range counts {
-		h.Add(uint64(n))
-	}
-}
-
 // correlate computes the Pearson correlation between provided and asked
-// counts over clients present in both maps.
-func correlate(provide, ask map[uint32]uint32) (r float64, n int) {
+// counts over clients present in both lists, joining the two in their
+// client order.
+func correlate(provide, ask []keyCount) (r float64, n int) {
 	var sx, sy, sxx, syy, sxy float64
-	for client, p := range provide {
-		a, ok := ask[client]
-		if !ok {
-			continue
+	for i, j := 0, 0; i < len(provide) && j < len(ask); {
+		switch p, a := provide[i], ask[j]; {
+		case p.key < a.key:
+			i++
+		case p.key > a.key:
+			j++
+		default:
+			x, y := float64(p.n), float64(a.n)
+			sx += x
+			sy += y
+			sxx += x * x
+			syy += y * y
+			sxy += x * y
+			n++
+			i++
+			j++
 		}
-		x, y := float64(p), float64(a)
-		sx += x
-		sy += y
-		sxx += x * x
-		syy += y * y
-		sxy += x * y
-		n++
 	}
 	if n < 2 {
 		return 0, n

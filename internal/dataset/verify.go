@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"edtrace/internal/xmlenc"
@@ -44,7 +45,10 @@ func Verify(dir string) (*VerifyReport, error) {
 			rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
 		}
 	}
-	lastT := -1.0
+	// Every t is seconds since the capture started (spec §2), so 0 bounds
+	// the first record's from below, and a t that is not a finite
+	// non-negative number is reported and not compared with its neighbours.
+	lastT := 0.0
 	seenClients := newIDSet(man.DistinctClients)
 	seenFiles := newIDSet(man.DistinctFiles)
 	noteClient := func(c uint32) {
@@ -61,10 +65,14 @@ func Verify(dir string) (*VerifyReport, error) {
 	}
 	err = ForEach(dir, func(r *xmlenc.Record) error {
 		rep.Records++
-		if r.T < lastT {
-			add("record %d: timestamp %f before %f", rep.Records, r.T, lastT)
+		if math.IsNaN(r.T) || math.IsInf(r.T, 0) || r.T < 0 {
+			add("record %d: timestamp %g is not a time since the capture start", rep.Records, r.T)
+		} else {
+			if r.T < lastT {
+				add("record %d: timestamp %f before %f", rep.Records, r.T, lastT)
+			}
+			lastT = r.T
 		}
-		lastT = r.T
 		if !xmlenc.KnownOp(r.Op) {
 			add("record %d: unknown op %q", rep.Records, r.Op)
 		}

@@ -115,6 +115,51 @@ func TestVerifyDetectsViolations(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsTimesBeforeTheCapture: spec §2 makes t the seconds
+// since the capture started, so a t that is not finite or lies below 0 is
+// a violation of its own record, and the monotone check starts at the
+// first record rather than at a sentinel below every valid t.
+func TestVerifyRejectsTimesBeforeTheCapture(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		from []string // t values replaced, in order, one each
+		to   string
+		want []string
+	}{
+		{"NaN", []string{`t="0.500"`, `t="0.600"`}, `t="NaN"`, []string{
+			"record 1: timestamp NaN is not a time since the capture start",
+			"record 2: timestamp NaN is not a time since the capture start",
+		}},
+		{"negative", []string{`t="0.500"`}, `t="-0.250"`, []string{
+			"record 1: timestamp -0.25 is not a time since the capture start",
+		}},
+		{"infinite", []string{`t="2.000"`}, `t="+Inf"`, []string{
+			"record 5: timestamp +Inf is not a time since the capture start",
+		}},
+		{"far negative", []string{`t="0.500"`}, `t="-7.000"`, []string{
+			"record 1: timestamp -7 is not a time since the capture start",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeValidDataset(t, dir)
+			mangleChunk(t, dir, "chunk-00000.xml", func(b []byte) []byte {
+				for _, from := range tc.from {
+					b = bytes.Replace(b, []byte(from), []byte(tc.to), 1)
+				}
+				return b
+			})
+			rep, err := Verify(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rep.Violations, tc.want) {
+				t.Fatalf("violations %q, want %q", rep.Violations, tc.want)
+			}
+		})
+	}
+}
+
 func TestVerifyMissingDataset(t *testing.T) {
 	if _, err := Verify(t.TempDir()); err == nil {
 		t.Fatal("missing manifest accepted")

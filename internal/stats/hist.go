@@ -15,12 +15,16 @@ import (
 // IntHist counts occurrences of non-negative integer values. It switches
 // between a dense slice (small values, the common case for counts) and a
 // sparse map for outliers, keeping memory proportional to the support.
+// Its sorted points are built once and kept until the next AddN, so the
+// many readers of one figure (plot, summary, fit, peaks, KS) sort it once.
+// Like the maps it holds, an IntHist is not safe for concurrent use.
 type IntHist struct {
 	dense  []uint64
 	sparse map[uint64]uint64
 	n      uint64
 	max    uint64
 	sum    float64
+	pts    []Point // sorted non-zero points; nil until points, reset by AddN
 }
 
 // denseLimit bounds the dense slice at 32 KiB. Counts of providers,
@@ -50,6 +54,7 @@ func (h *IntHist) AddN(v, k uint64) {
 	} else {
 		h.sparse[v] += k
 	}
+	h.pts = nil
 	h.n += k
 	if v > h.max {
 		h.max = v
@@ -86,8 +91,16 @@ type Point struct {
 }
 
 // Points returns the non-zero (value, count) pairs sorted by value —
-// exactly the series plotted in the paper's Figures 4-8.
-func (h *IntHist) Points() []Point {
+// exactly the series plotted in the paper's Figures 4-8. The slice is the
+// caller's own copy.
+func (h *IntHist) Points() []Point { return slices.Clone(h.points()) }
+
+// points returns the histogram's sorted points, building them if an AddN
+// came since the last call. The slice is shared: callers only read it.
+func (h *IntHist) points() []Point {
+	if h.pts != nil {
+		return h.pts
+	}
 	out := make([]Point, 0, 256)
 	for v, c := range h.dense {
 		if c != 0 {
@@ -100,12 +113,13 @@ func (h *IntHist) Points() []Point {
 		out = append(out, Point{v, c})
 	}
 	slices.SortFunc(out[dense:], func(a, b Point) int { return cmp.Compare(a.V, b.V) })
+	h.pts = out
 	return out
 }
 
 // Quantile returns the smallest value v such that at least q (0..1) of
 // the observations are <= v.
-func (h *IntHist) Quantile(q float64) uint64 { return h.quantile(h.Points(), q) }
+func (h *IntHist) Quantile(q float64) uint64 { return h.quantile(h.points(), q) }
 
 // quantile is Quantile over pts, the histogram's Points; 0 when empty.
 func (h *IntHist) quantile(pts []Point, q float64) uint64 {
@@ -135,7 +149,7 @@ type Summary struct {
 
 // Summarize computes the summary, its three quantiles from one Points.
 func (h *IntHist) Summarize() Summary {
-	pts := h.Points()
+	pts := h.points()
 	return Summary{
 		N:      h.n,
 		Mean:   h.Mean(),

@@ -28,7 +28,7 @@ func (f PowerLawFit) String() string {
 // scanning xmin candidates and keeping the smallest KS distance. It
 // returns an error when fewer than 10 tail points remain.
 func FitPowerLaw(h *IntHist) (PowerLawFit, error) {
-	pts := h.Points()
+	pts := h.points()
 	// Candidate xmins: distinct values up to the 90th percentile, capped.
 	var candidates []uint64
 	p90 := h.quantile(pts, 0.9)
@@ -104,15 +104,16 @@ type Peak struct {
 // count within a ±windowFactor multiplicative neighbourhood, requiring at
 // least minCount observations. Peaks are returned by descending count.
 func FindPeaks(h *IntHist, windowFactor, prominence float64, minCount uint64) []Peak {
-	pts := h.Points()
+	pts := h.points()
 	var peaks []Peak
+	var window []uint64 // one point's neighbours' counts, reused
 	for i, p := range pts {
 		if p.C < minCount || p.V == 0 {
 			continue
 		}
 		lo := uint64(float64(p.V) / windowFactor)
 		hi := uint64(float64(p.V) * windowFactor)
-		var window []uint64
+		window = window[:0]
 		localMax := true
 		for j := i - 1; j >= 0 && pts[j].V >= lo; j-- {
 			window = append(window, pts[j].C)
@@ -147,11 +148,11 @@ func FindPeaks(h *IntHist, windowFactor, prominence float64, minCount uint64) []
 	return peaks
 }
 
-func medianU64(v []uint64) uint64 {
-	if len(v) == 0 {
+// medianU64 returns the upper median of s, sorting s in place.
+func medianU64(s []uint64) uint64 {
+	if len(s) == 0 {
 		return 0
 	}
-	s := append([]uint64(nil), v...)
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {
 			s[j], s[j-1] = s[j-1], s[j]

@@ -120,6 +120,38 @@ func TestIntHistMatchesMap(t *testing.T) {
 	}
 }
 
+// TestPointsIsACopyAndFollowsAddN: the histogram sorts its points once and
+// keeps them, so what a caller does to the slice Points returns must not
+// reach the next call, and an AddN after a Points must be seen by it.
+func TestPointsIsACopyAndFollowsAddN(t *testing.T) {
+	h := NewIntHist()
+	for _, v := range []uint64{3, 3, 7, 1 << 20, 5 << 20} {
+		h.Add(v)
+	}
+	want := []Point{{3, 2}, {7, 1}, {1 << 20, 1}, {5 << 20, 1}}
+	got := h.Points()
+	if !slices.Equal(got, want) {
+		t.Fatalf("Points = %v, want %v", got, want)
+	}
+	got[0] = Point{99, 99}
+	slices.Reverse(got)
+	if got := h.Points(); !slices.Equal(got, want) {
+		t.Fatalf("Points after the caller edited its slice = %v, want %v", got, want)
+	}
+	if q := h.Quantile(0.5); q != 7 {
+		t.Fatalf("median = %d, want 7", q)
+	}
+	h.AddN(3, 4)
+	h.AddN(2<<20, 1)
+	want = []Point{{3, 6}, {7, 1}, {1 << 20, 1}, {2 << 20, 1}, {5 << 20, 1}}
+	if got := h.Points(); !slices.Equal(got, want) {
+		t.Fatalf("Points after AddN = %v, want %v", got, want)
+	}
+	if s := h.Summarize(); s.N != 10 || s.Median != 3 || s.P90 != 2<<20 {
+		t.Fatalf("Summarize after AddN = %+v", s)
+	}
+}
+
 func TestIntHistAddN(t *testing.T) {
 	h := NewIntHist()
 	h.AddN(3, 100)
