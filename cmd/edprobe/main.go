@@ -79,30 +79,45 @@ type roundResult struct {
 func (p *prober) round(challenge uint32) roundResult {
 	r := roundResult{results: -1}
 	if ans, d, err := p.exchange(&ed2k.StatReq{Challenge: challenge}); err == nil {
-		if sr, ok := ans.(*ed2k.StatRes); ok && sr.Challenge == challenge {
-			r.alive, r.users, r.files, r.rtt = true, sr.Users, sr.Files, d
-		}
+		sr := ans.(*ed2k.StatRes)
+		r.alive, r.users, r.files, r.rtt = true, sr.Users, sr.Files, d
 	}
 	if ans, _, err := p.exchange(&ed2k.SearchReq{Expr: ed2k.Keyword(p.keyword)}); err == nil {
-		if sr, ok := ans.(*ed2k.SearchRes); ok {
-			r.results = len(sr.Results)
-		}
+		r.results = len(ans.(*ed2k.SearchRes).Results)
 	}
 	return r
 }
 
-// exchange sends m and decodes the first datagram back within the
-// timeout.
+// exchange sends m and returns the first datagram back within the
+// timeout that answers it. Anything else is discarded: a late answer to
+// an earlier round's request must not pass for this one's.
 func (p *prober) exchange(m ed2k.Message) (ed2k.Message, time.Duration, error) {
 	start := time.Now()
 	if _, err := p.conn.Write(ed2k.Encode(m)); err != nil {
 		return nil, 0, err
 	}
-	p.conn.SetReadDeadline(time.Now().Add(p.timeout))
-	n, err := p.conn.Read(p.buf)
-	if err != nil {
-		return nil, time.Since(start), err
+	p.conn.SetReadDeadline(start.Add(p.timeout))
+	for {
+		n, err := p.conn.Read(p.buf)
+		if err != nil {
+			return nil, time.Since(start), err
+		}
+		if ans, err := ed2k.Decode(p.buf[:n]); err == nil && answers(m, ans) {
+			return ans, time.Since(start), nil
+		}
 	}
-	ans, err := ed2k.Decode(p.buf[:n])
-	return ans, time.Since(start), err
+}
+
+// answers reports whether ans answers req: a status answer must echo
+// the ping's challenge, and a search needs a search answer.
+func answers(req, ans ed2k.Message) bool {
+	switch q := req.(type) {
+	case *ed2k.StatReq:
+		sr, ok := ans.(*ed2k.StatRes)
+		return ok && sr.Challenge == q.Challenge
+	case *ed2k.SearchReq:
+		_, ok := ans.(*ed2k.SearchRes)
+		return ok
+	}
+	return false
 }

@@ -8,10 +8,17 @@
 // decode → anonymise → store pipeline, producing the same XML dataset
 // (or pcap) as a simulated or replayed capture — ready for edanalyze.
 //
+// With -mesh n it runs n daemons in one process, peered by
+// internal/edmesh (gossip discovery, miss-forwarding, health-based
+// ejection) and observed by one merged capture whose dataset tags every
+// record with the name of the node that handled it — the
+// distributed-observation deployment the paper's conclusion argues for.
+//
 // Usage:
 //
-//	edserverd -tcp 127.0.0.1:4661 -udp 127.0.0.1:4665 -shards 64
+//	edserverd -tcp 127.0.0.1:4661 -udp 127.0.0.1:4665
 //	edserverd -dataset /tmp/self -figures     # capture your own traffic
+//	edserverd -mesh 3 -dataset /tmp/mesh      # 3 nodes at ports 4661-4663, one merged capture
 //	edserverd -metrics 127.0.0.1:9100         # Prometheus + healthz endpoint
 //	edserverd -policy policy.json             # admission/rate-limit/shed policies
 package main
@@ -27,18 +34,20 @@ import (
 	"time"
 
 	"edtrace"
+	"edtrace/internal/edmesh"
 	"edtrace/internal/edserverd"
+	"edtrace/internal/obs"
 	"edtrace/internal/policy"
 	"edtrace/internal/simtime"
 )
 
 func main() {
 	var (
-		tcp     = flag.String("tcp", "127.0.0.1:4661", `TCP listen address ("off" disables)`)
-		udp     = flag.String("udp", "127.0.0.1:4665", `UDP listen address ("off" disables)`)
-		name    = flag.String("name", "edserverd", "server name")
+		tcp     = flag.String("tcp", "127.0.0.1:4661", `TCP listen address ("off" disables); mesh node i listens at port + i`)
+		udp     = flag.String("udp", "127.0.0.1:4665", `UDP listen address ("off" disables); mesh node i listens at port + i`)
+		name    = flag.String("name", "edserverd", "server name (mesh node i is name-i)")
 		desc    = flag.String("desc", "edtrace eDonkey directory server", "server description")
-		shards  = flag.Int("shards", 0, "index shards (0 = 4×GOMAXPROCS, min 16)")
+		mesh    = flag.Int("mesh", 1, "run this many daemons peered as a mesh, under one merged capture")
 		expire  = flag.Duration("expire", 5*time.Minute, "source-expiry sweep interval")
 		ttl     = flag.Duration("ttl", 2*time.Hour, "source TTL")
 		dataset = flag.String("dataset", "", "self-capture: write the anonymised XML dataset here")
@@ -60,35 +69,49 @@ func main() {
 	if *polFile != "" {
 		var err error
 		if pol, err = policy.LoadConfig(*polFile); err != nil {
-			fmt.Fprintln(os.Stderr, "edserverd:", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
-	d, err := edserverd.Start(edserverd.Config{
+	// One registry holds every daemon's series (node-labelled in a mesh)
+	// and the self-capture's.
+	reg := obs.NewRegistry()
+	c, err := edmesh.StartCluster(*mesh, edserverd.Config{
 		TCPAddr:        *tcp,
 		UDPAddr:        *udp,
 		Name:           *name,
 		Desc:           *desc,
-		Shards:         *shards,
 		SourceTTL:      simtime.Time(*ttl),
 		ExpiryInterval: *expire,
-		MetricsAddr:    *metrics,
 		Policy:         pol,
 		IdleTimeout:    *idle,
 		Logf:           logf,
-	})
+	}, reg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, err) // already names its package
 		os.Exit(1)
 	}
+	var msrv *obs.Server
+	if *metrics != "" {
+		if msrv, err = obs.Serve(*metrics, reg, c.Health); err != nil {
+			c.Shutdown(context.Background())
+			fail(fmt.Errorf("metrics: %w", err))
+		}
+		logf("edserverd: metrics on http://%s/metrics", msrv.Addr())
+	}
 
-	// Self-capture: the daemon observed by its own capture pipeline.
+	// Self-capture: the daemons observed by their own capture pipeline,
+	// a mesh's records tagged with the node that handled them.
 	capturing := *dataset != "" || *tee != "" || *figures
 	var session <-chan sessionResult
 	if capturing {
-		// The Session's series (frames, drops, queue depth, anonymiser
-		// tables, dataset seal stalls) join the daemon's at -metrics.
-		opts := []edtrace.Option{edtrace.WithMetrics(d.Metrics())}
+		var src *edtrace.ServerSource
+		if len(c.Daemons) == 1 {
+			src = edtrace.NewServerSource(c.Daemons[0], 0)
+		} else if src, err = edtrace.NewMeshSource(c.Daemons, 0); err != nil {
+			c.Shutdown(context.Background())
+			fail(err)
+		}
+		opts := []edtrace.Option{edtrace.WithMetrics(reg)}
 		if *dataset != "" {
 			opts = append(opts, edtrace.WithDataset(*dataset, *gz))
 		}
@@ -98,7 +121,7 @@ func main() {
 		if *figures {
 			opts = append(opts, edtrace.WithFigures())
 		}
-		session = runCapture(edtrace.NewServerSource(d, 0), opts)
+		session = runCapture(src, opts)
 		logf("edserverd: self-capture running (dataset=%q tee=%q)", *dataset, *tee)
 	}
 
@@ -116,20 +139,36 @@ func main() {
 		early = &r
 		logf("edserverd: self-capture ended, shutting down")
 	}
+	// The endpoint outlives the drain: /healthz answers 503 until it
+	// closes.
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := d.Shutdown(ctx); err != nil {
+	if err := c.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "edserverd: shutdown:", err)
 	}
+	if msrv != nil {
+		msrv.Close()
+	}
 
-	st := d.Stats()
-	fmt.Printf("served %d connections (%d messages tcp, %d udp, %d answers, %d bad) over %v\n",
-		st.Conns, st.TCPMsgs, st.UDPMsgs, st.Answers, st.BadMsgs, d.Uptime().Round(time.Second))
-	fmt.Printf("index: %d files, %d sources, %d users\n",
-		st.Server.IndexedFiles, st.Server.IndexedSources, st.Server.Users)
-	if p := d.Policy(); p != nil {
-		adm, thr, shed := p.Totals()
-		fmt.Printf("policy: %d admitted, %d throttled, %d shed\n", adm, thr, shed)
+	for i, d := range c.Daemons {
+		var node string
+		if len(c.Daemons) > 1 {
+			node = d.Name() + ": "
+		}
+		st := d.Stats()
+		fmt.Printf("%sserved %d connections (%d messages tcp, %d udp, %d answers, %d bad) over %v\n",
+			node, st.Conns, st.TCPMsgs, st.UDPMsgs, st.Answers, st.BadMsgs, d.Uptime().Round(time.Second))
+		fmt.Printf("%sindex: %d files, %d sources, %d users\n",
+			node, st.Server.IndexedFiles, st.Server.IndexedSources, st.Server.Users)
+		if p := d.Policy(); p != nil {
+			adm, thr, shed := p.Totals()
+			fmt.Printf("%spolicy: %d admitted, %d throttled, %d shed\n", node, adm, thr, shed)
+		}
+		if len(c.Meshes) > 0 {
+			ms := c.Meshes[i].Stats()
+			fmt.Printf("%smesh: %d/%d peers healthy, %d forwards sent, %d served, %d answers merged\n",
+				node, ms.PeersHealthy, ms.PeersKnown, ms.ForwardsSent, ms.ForwardsServed, ms.ForwardAnswers)
+		}
 	}
 
 	if capturing {
@@ -140,8 +179,7 @@ func main() {
 			r = <-session
 		}
 		if r.err != nil {
-			fmt.Fprintln(os.Stderr, "edserverd: capture:", r.err)
-			os.Exit(1)
+			fail(fmt.Errorf("capture: %w", r.err))
 		}
 		fmt.Println(r.res.Report)
 		if r.res.Figures != nil {
@@ -156,13 +194,18 @@ func main() {
 	}
 }
 
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "edserverd:", err)
+	os.Exit(1)
+}
+
 type sessionResult struct {
 	res *edtrace.Result
 	err error
 }
 
 // runCapture runs the self-capture session in the background; it ends
-// when the daemon shuts down (the ServerSource closes itself).
+// when the last daemon shuts down (the ServerSource closes itself).
 func runCapture(src *edtrace.ServerSource, opts []edtrace.Option) <-chan sessionResult {
 	done := make(chan sessionResult, 1)
 	go func() {

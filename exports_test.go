@@ -56,7 +56,6 @@ var testOnlyKeep = map[string]string{
 	"internal/anonymize.FileBuckets.Lookup":          "accessor",
 	"internal/clients.Swarm.FlashWindows":            "accessor",
 	"internal/edmesh.Mesh.Peers":                     "accessor",
-	"internal/edserverd.Daemon.MetricsAddr":          "accessor",
 	"internal/netsim.Reassembler.PendingCount":       "accessor",
 	"internal/pcap.KernelBuffer.Len":                 "accessor",
 	"internal/pcap.KernelBuffer.Used":                "accessor",

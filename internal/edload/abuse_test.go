@@ -35,7 +35,7 @@ func TestAbuseUnknownProfile(t *testing.T) {
 // most of a reconnect storm is refused at accept.
 func TestAbuseReconnectStormThrottled(t *testing.T) {
 	d := startPoliciedDaemon(t, edserverd.Config{
-		UDPAddr: "off", Shards: 2,
+		UDPAddr: "off",
 		Policy: &policy.Config{
 			Admission: &policy.AdmissionSpec{PerIPRate: 5, PerIPBurst: 5},
 		},
@@ -63,7 +63,7 @@ func TestAbuseReconnectStormThrottled(t *testing.T) {
 // flood degrades to empty answers at the throttle cadence.
 func TestAbuseSearchStormThrottled(t *testing.T) {
 	d := startPoliciedDaemon(t, edserverd.Config{
-		UDPAddr: "off", Shards: 2,
+		UDPAddr: "off",
 		Policy: &policy.Config{
 			Messages: &policy.MessageSpec{
 				SearchesPerSec: 2, SearchBurst: 2,
@@ -91,7 +91,7 @@ func TestAbuseSearchStormThrottled(t *testing.T) {
 // socket is eventually reaped and the swarm observes it.
 func TestAbuseSlowlorisReaped(t *testing.T) {
 	d := startPoliciedDaemon(t, edserverd.Config{
-		UDPAddr: "off", Shards: 2,
+		UDPAddr:     "off",
 		IdleTimeout: 150 * time.Millisecond,
 	})
 	st, err := RunAbuse(context.Background(), AbuseConfig{
@@ -113,7 +113,7 @@ func TestAbuseSlowlorisReaped(t *testing.T) {
 // flood is acked with Accepted 0 and the index stays near-clean.
 func TestAbuseIndexSpamThrottled(t *testing.T) {
 	d := startPoliciedDaemon(t, edserverd.Config{
-		UDPAddr: "off", Shards: 2,
+		UDPAddr: "off",
 		Policy: &policy.Config{
 			Messages: &policy.MessageSpec{
 				OffersPerSec: 1, OfferBurst: 2,

@@ -17,7 +17,7 @@ import (
 // price for federation, paid only on misses.
 func BenchmarkMeshForward(b *testing.B) {
 	start := func(name string, bootstrap ...string) (*edserverd.Daemon, *Mesh) {
-		d, err := edserverd.Start(edserverd.Config{Name: name, Shards: 2, ExpiryInterval: -1})
+		d, err := edserverd.Start(edserverd.Config{Name: name, ExpiryInterval: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,7 +33,7 @@ type node struct {
 
 func startNode(t *testing.T, name string, cfg Config) *node {
 	t.Helper()
-	d, err := edserverd.Start(edserverd.Config{Name: name, Shards: 2, ExpiryInterval: -1})
+	d, err := edserverd.Start(edserverd.Config{Name: name, ExpiryInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

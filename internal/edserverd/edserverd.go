@@ -80,10 +80,6 @@ type Config struct {
 	Name string
 	Desc string
 
-	// Shards is the index shard count (rounded up to a power of two).
-	// Zero means 4×GOMAXPROCS, at least 16.
-	Shards int
-
 	// SourceTTL expires sources that stopped re-announcing (default 2h
 	// of daemon uptime).
 	SourceTTL simtime.Time
@@ -106,15 +102,10 @@ type Config struct {
 	// Metrics is the registry the daemon (and its index) registers
 	// into. Nil means a private registry, still readable via
 	// Daemon.Metrics — supply one to aggregate several daemons (each
-	// under its own Sub labels) on a single endpoint.
+	// under its own Sub labels) on a single endpoint. The daemon serves
+	// no endpoint itself: a command serves the registry with obs.Serve
+	// and Daemon.Health.
 	Metrics *obs.Registry
-
-	// MetricsAddr, when non-empty, serves /metrics, /metrics.json and
-	// /healthz on that address (":0" for an ephemeral port). /healthz
-	// degrades to 503 the moment graceful shutdown begins, while the
-	// endpoint itself stays up until the drain completes — the
-	// load-balancer drain signal.
-	MetricsAddr string
 
 	// Logf, when set, receives one line per lifecycle event and per
 	// connection error (not per message).
@@ -173,8 +164,7 @@ type Daemon struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	reg  *obs.Registry
-	msrv *obs.Server
+	reg *obs.Registry
 
 	// pol is the traffic-policy engine (nil when no policy configured);
 	// udpSem bounds the mesh-forward goroutines spawned by udpLoop to
@@ -229,12 +219,6 @@ func Start(cfg Config) (*Daemon, error) {
 	if cfg.Desc == "" {
 		cfg.Desc = "edtrace eDonkey directory server"
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 4 * runtime.GOMAXPROCS(0)
-		if cfg.Shards < 16 {
-			cfg.Shards = 16
-		}
-	}
 	if cfg.ExpiryInterval == 0 {
 		cfg.ExpiryInterval = 5 * time.Minute
 	}
@@ -252,9 +236,12 @@ func Start(cfg Config) (*Daemon, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	// The index's shard count is a locking strategy, not a setting: it
+	// cannot move answers (TestShardedMatchesSingleShard).
+	shards := max(4*runtime.GOMAXPROCS(0), 16)
 	d := &Daemon{
 		cfg:    cfg,
-		srv:    server.NewShardedWith(cfg.Name, cfg.Desc, cfg.Shards, reg),
+		srv:    server.NewShardedWith(cfg.Name, cfg.Desc, shards, reg),
 		start:  time.Now(),
 		conns:  make(map[net.Conn]struct{}),
 		reg:    reg,
@@ -325,22 +312,8 @@ func Start(cfg Config) (*Daemon, error) {
 			d.pol.RunDetector(d.ctx, d.inflight.Value, d.hHandle.Snapshot)
 		}()
 	}
-	if cfg.MetricsAddr != "" {
-		msrv, err := obs.Serve(cfg.MetricsAddr, reg, d.Health)
-		if err != nil {
-			// The serving goroutines are already up: tear down exactly as
-			// Shutdown would and wait for them to drain, so none of them
-			// runs (or logs via cfg.Logf) after this constructor reports
-			// failure. The unbounded wait is safe — the loops exit as soon
-			// as their listeners close.
-			d.Shutdown(context.Background())
-			return nil, fmt.Errorf("edserverd: metrics: %w", err)
-		}
-		d.msrv = msrv
-		d.logf("edserverd: metrics on http://%s/metrics", msrv.Addr())
-	}
-	d.logf("edserverd: serving tcp=%v udp=%v shards=%d",
-		d.TCPAddr(), d.UDPAddr(), d.srv.NumShards())
+	d.logf("edserverd: %s serving tcp=%v udp=%v shards=%d",
+		cfg.Name, d.TCPAddr(), d.UDPAddr(), d.srv.NumShards())
 	return d, nil
 }
 
@@ -356,15 +329,6 @@ func (d *Daemon) Health() error {
 
 // Metrics returns the registry the daemon's metrics live in.
 func (d *Daemon) Metrics() *obs.Registry { return d.reg }
-
-// MetricsAddr returns the bound metrics endpoint address ("" when the
-// endpoint is disabled).
-func (d *Daemon) MetricsAddr() string {
-	if d.msrv == nil {
-		return ""
-	}
-	return d.msrv.Addr()
-}
 
 func (d *Daemon) logf(format string, args ...any) {
 	if d.cfg.Logf != nil {
@@ -459,7 +423,7 @@ func (d *Daemon) Policy() *policy.Engine { return d.pol }
 // the serving loops to drain (bounded by ctx). Idempotent.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.closeOnce.Do(func() {
-		d.logf("edserverd: shutting down")
+		d.logf("edserverd: %s shutting down", d.cfg.Name)
 		d.cancel()
 		d.closeListeners()
 		d.connMu.Lock()
@@ -475,14 +439,8 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		if d.msrv != nil {
-			d.msrv.Close() // endpoint outlives the drain: 503s until here
-		}
 		return nil
 	case <-ctx.Done():
-		if d.msrv != nil {
-			d.msrv.Close()
-		}
 		return ctx.Err()
 	}
 }

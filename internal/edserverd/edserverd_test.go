@@ -65,7 +65,7 @@ func testEntry(i byte, name string) ed2k.FileEntry {
 }
 
 func TestDaemonTCPSession(t *testing.T) {
-	d := startTest(t, Config{Shards: 4})
+	d := startTest(t, Config{})
 	conn, sr := dialAndLogin(t, d)
 
 	// Announce two files.
@@ -180,7 +180,7 @@ func TestDaemonTapMirrorsDialog(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var seen []tapped
-	d := startTest(t, Config{Shards: 2})
+	d := startTest(t, Config{})
 	d.SetTap(func(src, dst uint32, payload []byte) {
 		mu.Lock()
 		seen = append(seen, tapped{src, dst, payload[1]})

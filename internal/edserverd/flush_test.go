@@ -87,9 +87,9 @@ func mixedRequests(n int) []ed2k.Message {
 // answers, in fewer socket writes than requests.
 func TestPipelinedBurstAnswersInOrder(t *testing.T) {
 	const n = 200
-	cfg := Config{Shards: 4, Name: "ref", Desc: "flush rule"}
+	cfg := Config{Name: "ref", Desc: "flush rule"}
 	d := startTest(t, cfg)
-	ref := server.NewSharded(cfg.Name, cfg.Desc, cfg.Shards)
+	ref := server.New(cfg.Name, cfg.Desc)
 	conn := loginAs(t, d)
 
 	preload := &ed2k.OfferFiles{Port: flushTestPort, Files: []ed2k.FileEntry{
@@ -122,7 +122,7 @@ func TestPipelinedBurstAnswersInOrder(t *testing.T) {
 // "nothing left to parse" would deadlock against a client that waits
 // for it.
 func TestFlushBeforeBlockingRead(t *testing.T) {
-	d := startTest(t, Config{Shards: 2})
+	d := startTest(t, Config{})
 	conn, sr := dialAndLogin(t, d)
 	second := ed2k.FrameTCP(&ed2k.StatReq{Challenge: 2})
 	if _, err := conn.Write(append(ed2k.FrameTCP(&ed2k.StatReq{Challenge: 1}), second[:3]...)); err != nil {
@@ -150,7 +150,7 @@ func TestFlushBeforeBlockingRead(t *testing.T) {
 // it (logged once, and not mistaken for an idle reap).
 func TestNeverReadingClientIsBounded(t *testing.T) {
 	var writeLogs atomic.Int32
-	d := startTest(t, Config{Shards: 2, Logf: func(format string, _ ...any) {
+	d := startTest(t, Config{Logf: func(format string, _ ...any) {
 		if strings.Contains(format, "write:") {
 			writeLogs.Add(1)
 		}
@@ -262,7 +262,7 @@ func statBurst(n int) (reqs, answers []byte) {
 // same segment. The garbage kills the session, but the answers to the
 // requests ahead of it were earned and must reach the client first.
 func TestAnswersSurviveBadFrame(t *testing.T) {
-	d := startTest(t, Config{Shards: 2})
+	d := startTest(t, Config{})
 	conn := loginAs(t, d)
 	reqs, want := statBurst(50)
 	if _, err := conn.Write(append(reqs, 0xAB, 1, 2, 3, 4, 5, 6, 7)); err != nil {
@@ -278,7 +278,7 @@ func TestAnswersSurviveBadFrame(t *testing.T) {
 // TestAnswersSurviveHalfClose: a burst, then the client closes its
 // sending side. Every answer arrives, then EOF.
 func TestAnswersSurviveHalfClose(t *testing.T) {
-	d := startTest(t, Config{Shards: 2})
+	d := startTest(t, Config{})
 	conn := loginAs(t, d)
 	reqs, want := statBurst(50)
 	if _, err := conn.Write(reqs); err != nil {

@@ -28,7 +28,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // deadline existed, a client that logged in and went silent pinned its
 // goroutine, fd and the active gauge until daemon shutdown.
 func TestIdleConnectionReaped(t *testing.T) {
-	d := startTest(t, Config{Shards: 2, IdleTimeout: 150 * time.Millisecond})
+	d := startTest(t, Config{IdleTimeout: 150 * time.Millisecond})
 	conn, sr := dialAndLogin(t, d)
 
 	// Go silent. The daemon, not the client, must hang up.
@@ -49,7 +49,6 @@ func TestIdleConnectionReaped(t *testing.T) {
 // stricter pre-login deadline.
 func TestPreLoginTimeout(t *testing.T) {
 	d := startTest(t, Config{
-		Shards:          2,
 		IdleTimeout:     time.Hour, // only the pre-login deadline may fire
 		preLoginTimeout: 100 * time.Millisecond,
 	})
@@ -65,7 +64,7 @@ func TestPreLoginTimeout(t *testing.T) {
 // reset is the network misbehaving and must land in conn_errors, not
 // inflate bad_messages ("undecodable inputs").
 func TestTransportErrorsNotBad(t *testing.T) {
-	d := startTest(t, Config{Shards: 2})
+	d := startTest(t, Config{})
 	conn, _ := dialAndLogin(t, d)
 
 	// SetLinger(0) turns Close into an RST: the daemon's next read fails
@@ -83,7 +82,7 @@ func TestTransportErrorsNotBad(t *testing.T) {
 // TestGarbageStillCountsBad: the flip side — protocol garbage stays in
 // bad_messages and does not leak into conn_errors.
 func TestGarbageStillCountsBad(t *testing.T) {
-	d := startTest(t, Config{Shards: 2})
+	d := startTest(t, Config{})
 	conn, _ := dialAndLogin(t, d)
 	if _, err := conn.Write([]byte{0xAB, 1, 2, 3, 4, 5, 6, 7}); err != nil {
 		t.Fatal(err)
@@ -100,7 +99,7 @@ func TestGarbageStillCountsBad(t *testing.T) {
 // past the bound, and the overflow is answered locally and counted.
 func TestUDPForwardGoroutineBound(t *testing.T) {
 	const bound = udpForwardConcurrency
-	d := startTest(t, Config{TCPAddr: "off", Shards: 2})
+	d := startTest(t, Config{TCPAddr: "off"})
 	released := make(chan struct{})
 	var entered atomic.Int64
 	d.SetResolver(func(ctx context.Context, msg ed2k.Message, local []ed2k.Message) []ed2k.Message {
@@ -139,7 +138,6 @@ func TestUDPForwardGoroutineBound(t *testing.T) {
 // over-cap connections before they get a goroutine.
 func TestPolicyConnAdmission(t *testing.T) {
 	d := startTest(t, Config{
-		Shards: 2,
 		Policy: &policy.Config{
 			Admission: &policy.AdmissionSpec{PerIPRate: 0.001, PerIPBurst: 2},
 		},
@@ -181,7 +179,6 @@ func TestPolicyConnAdmission(t *testing.T) {
 func policiedSession(t *testing.T, msgs *policy.MessageSpec) (*Daemon, *net.TCPConn, *ed2k.StreamReader) {
 	t.Helper()
 	d := startTest(t, Config{
-		Shards: 2,
 		Policy: &policy.Config{Messages: msgs},
 	})
 	conn, sr := dialAndLogin(t, d)
@@ -296,7 +293,6 @@ func TestPolicyAskBudget(t *testing.T) {
 // new connections are refused.
 func TestPolicyDetectorSheds(t *testing.T) {
 	d := startTest(t, Config{
-		Shards: 2,
 		Policy: &policy.Config{
 			Shed: &policy.ShedSpec{
 				P99High:       policy.Duration(time.Nanosecond),

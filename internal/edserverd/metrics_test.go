@@ -15,12 +15,15 @@ import (
 )
 
 // TestDaemonMetricsEndpoint drives a small dialog and asserts the live
-// HTTP endpoint exposes the daemon and index series in both formats.
+// HTTP endpoint a command serves over the daemon's registry exposes the
+// daemon and index series in both formats.
 func TestDaemonMetricsEndpoint(t *testing.T) {
-	d := startTest(t, Config{Shards: 2, MetricsAddr: "127.0.0.1:0"})
-	if d.MetricsAddr() == "" {
-		t.Fatal("metrics endpoint not bound")
+	d := startTest(t, Config{})
+	msrv, err := obs.Serve("127.0.0.1:0", d.Metrics(), d.Health)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer msrv.Close()
 	conn, sr := dialAndLogin(t, d)
 	if _, err := conn.Write(ed2k.FrameTCP(&ed2k.OfferFiles{Port: 4662, Files: []ed2k.FileEntry{
 		testEntry(1, "mahler second.mp3"),
@@ -31,7 +34,7 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := "http://" + d.MetricsAddr()
+	base := "http://" + msrv.Addr()
 	get := func(path string) (int, string) {
 		t.Helper()
 		resp, err := http.Get(base + path)

@@ -165,7 +165,6 @@ func benchProbe(b *testing.B, pol *policy.Config, storm bool) {
 	d, err := Start(Config{
 		UDPAddr: "off",
 		Policy:  pol,
-		Shards:  4,
 	})
 	if err != nil {
 		b.Fatal(err)

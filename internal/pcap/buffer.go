@@ -12,8 +12,8 @@ import (
 // further frames are dropped and counted, exactly like libpcap's
 // ps_drop statistic that the paper reads its Figure 2 from.
 //
-// The buffer is safe for one producer and one consumer goroutine in live
-// mode; in pure simulation mode all calls come from the single event loop.
+// Only the simulator uses it: every call comes from its single event
+// loop (a live capture queues frames in the Session's own batch queue).
 type KernelBuffer struct {
 	mu       sync.Mutex
 	capBytes int

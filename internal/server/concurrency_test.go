@@ -15,7 +15,7 @@ import (
 // test. Totals are checked afterwards: no offer, ask or search may be
 // lost to a data race.
 func TestConcurrentHandle(t *testing.T) {
-	s := NewSharded("t", "d", 8)
+	s := NewShardedWith("t", "d", 8, nil)
 	const (
 		workers    = 16
 		perWorker  = 200
@@ -71,7 +71,7 @@ func TestConcurrentHandle(t *testing.T) {
 // matches a full count of the surviving per-file source lists, and every
 // source the sweeps could not have expired is still answerable.
 func TestExpireSourcesUnderConcurrentHandle(t *testing.T) {
-	s := NewSharded("t", "d", 4)
+	s := NewShardedWith("t", "d", 4, nil)
 	s.SourceTTL = simtime.Hour
 
 	const (
@@ -157,7 +157,7 @@ func TestExpireSourcesUnderConcurrentHandle(t *testing.T) {
 // every posting points at the file the table holds under that ID and the
 // keyword gauge is back to the number of tokens the live files have.
 func TestSearchRacesExpiryAndReannouncement(t *testing.T) {
-	s := NewSharded("t", "d", 8)
+	s := NewShardedWith("t", "d", 8, nil)
 	s.SourceTTL = simtime.Hour
 	const (
 		announcers = 4
@@ -280,7 +280,7 @@ func TestSearchRacesExpiryAndReannouncement(t *testing.T) {
 // table, the keyword postings, and (for idle clients) the user table —
 // and comes back cleanly when re-announced.
 func TestExpireReclaimsIndex(t *testing.T) {
-	s := NewSharded("t", "d", 4)
+	s := NewShardedWith("t", "d", 4, nil)
 	s.SourceTTL = simtime.Hour
 	s.Handle(0, 1, 1, offer(1, entry(1, "vivaldi seasons.mp3", 1, "Audio")))
 	s.Handle(3*simtime.Hour, 2, 2, offer(2, entry(2, "vivaldi concerto.mp3", 1, "Audio")))
@@ -324,7 +324,7 @@ func TestExpireReclaimsIndex(t *testing.T) {
 // TestShardRoutingDeterministic pins the property concurrency relies on:
 // the same key always lands on the same shard, whatever the caller.
 func TestShardRoutingDeterministic(t *testing.T) {
-	s := NewSharded("t", "d", 16)
+	s := NewShardedWith("t", "d", 16, nil)
 	if s.NumShards() != 16 {
 		t.Fatalf("shards = %d", s.NumShards())
 	}
@@ -341,13 +341,13 @@ func TestShardRoutingDeterministic(t *testing.T) {
 	}
 }
 
-// TestNewShardedRounding documents the power-of-two rounding.
+// TestNewShardedRounding documents NewShardedWith's power-of-two rounding.
 func TestNewShardedRounding(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
 		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
-		if got := NewSharded("t", "d", c.in).NumShards(); got != c.want {
-			t.Errorf("NewSharded(%d) = %d shards, want %d", c.in, got, c.want)
+		if got := NewShardedWith("t", "d", c.in, nil).NumShards(); got != c.want {
+			t.Errorf("NewShardedWith(%d) = %d shards, want %d", c.in, got, c.want)
 		}
 	}
 }
@@ -384,8 +384,8 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 		}
 		return out
 	}
-	a := run(NewSharded("t", "d", 1))
-	b := run(NewSharded("t", "d", 8))
+	a := run(NewShardedWith("t", "d", 1, nil))
+	b := run(NewShardedWith("t", "d", 8, nil))
 	if len(a) != len(b) {
 		t.Fatalf("answer counts differ: %d vs %d", len(a), len(b))
 	}

@@ -37,7 +37,7 @@ func newRefAndServers(shards ...int) (*refIndex, []*Server, offerFunc) {
 	ref := &refIndex{byID: make(map[ed2k.FileID]*refFile)}
 	var servers []*Server
 	for _, n := range shards {
-		servers = append(servers, NewSharded("t", "d", n))
+		servers = append(servers, NewShardedWith("t", "d", n, nil))
 	}
 	return ref, servers, func(from ed2k.ClientID, port uint16, files ...ed2k.FileEntry) {
 		ref.offer(from, port, files...)

@@ -152,23 +152,17 @@ type Server struct {
 // New returns an empty single-shard server — the deterministic
 // configuration the discrete-event simulator drives from one goroutine.
 func New(name, desc string) *Server {
-	return NewSharded(name, desc, 1)
+	return NewShardedWith(name, desc, 1, nil)
 }
 
-// NewSharded returns an empty server whose index is split across n
+// NewShardedWith returns an empty server whose index is split across n
 // independently-lockable shards (n is rounded up to a power of two;
-// n <= 1 degenerates to the single-lock layout). Metrics go to a
-// private registry and Handle timing is off — the simulator's
-// configuration. Use NewShardedWith to expose the metrics.
-func NewSharded(name, desc string, n int) *Server {
-	return NewShardedWith(name, desc, n, nil)
-}
-
-// NewShardedWith is NewSharded registering all metrics with reg: the
-// per-shard and aggregate index gauges, the per-opcode received and
-// answered counters, the Handle latency histograms, and the expiry
-// reclaim counters. A nil reg uses a private registry (still readable
-// via Metrics) and leaves Handle timing off.
+// n <= 1 degenerates to the single-lock layout), registering all
+// metrics with reg: the per-shard and aggregate index gauges, the
+// per-opcode received and answered counters, the Handle latency
+// histograms, and the expiry reclaim counters. A nil reg uses a
+// private registry (still readable via Metrics) and leaves Handle
+// timing off — the simulator's configuration.
 func NewShardedWith(name, desc string, n int, reg *obs.Registry) *Server {
 	if n < 1 {
 		n = 1

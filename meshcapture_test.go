@@ -3,7 +3,6 @@ package edtrace
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -23,51 +22,28 @@ import (
 // TestMeshCapture is the full mesh deployment in one process: three
 // meshed daemons serve a failing-over TCP swarm, one of them killed
 // mid-run, while a single NewMeshSource session captures all of them
-// into one dataset whose records carry per-server provenance tags. One
-// endpoint serves every node's metrics, labelled by node, and is scraped
-// while the survivors are still up.
+// into one dataset whose records carry per-server provenance tags. The
+// cluster starts as the daemon command starts it, and one endpoint serves
+// every node's metrics, labelled by node, beside the capture's; it is
+// scraped while the survivors are still up.
 func TestMeshCapture(t *testing.T) {
-	var daemons []*edserverd.Daemon
-	var meshes []*edmesh.Mesh
-	var addrs []string
 	names := []string{"mesh-0", "mesh-1", "mesh-2"}
 	reg := obs.NewRegistry()
-	for i, name := range names {
-		d, err := edserverd.Start(edserverd.Config{
-			Name: name, Shards: 2, ExpiryInterval: -1,
-			Metrics: reg.Sub(obs.L("node", name)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		daemons = append(daemons, d)
-		addrs = append(addrs, d.TCPAddr().String())
-		var cfg edmesh.Config
-		if i > 0 {
-			cfg.Bootstrap = []string{daemons[0].UDPAddr().String()}
-		}
-		m, err := edmesh.New(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		meshes = append(meshes, m)
+	c, err := edmesh.StartCluster(len(names), edserverd.Config{Name: "mesh", ExpiryInterval: -1}, reg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		for i, m := range meshes {
-			m.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			daemons[i].Shutdown(ctx)
-			cancel()
-		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		c.Shutdown(ctx)
+		cancel()
 	})
-	msrv, err := obs.Serve("127.0.0.1:0", reg, func() error {
-		for _, d := range daemons {
-			if d.Health() == nil {
-				return nil
-			}
-		}
-		return errors.New("all mesh nodes down")
-	})
+	daemons, meshes := c.Daemons, c.Meshes
+	var addrs []string
+	for _, d := range daemons {
+		addrs = append(addrs, d.TCPAddr().String())
+	}
+	msrv, err := obs.Serve("127.0.0.1:0", reg, c.Health)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +80,7 @@ func TestMeshCapture(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		res, err := NewSession(src, WithFigures(), WithDataset(dir, false)).Run(context.Background())
+		res, err := NewSession(src, WithFigures(), WithDataset(dir, false), WithMetrics(reg)).Run(context.Background())
 		done <- result{res, err}
 	}()
 
@@ -167,13 +143,10 @@ func TestMeshCapture(t *testing.T) {
 	checkMeshScrape(t, "http://"+msrv.Addr(), names)
 
 	// Tear the survivors down; the last daemon's shutdown ends the session.
-	for i, m := range meshes[:victim] {
-		m.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := daemons[i].Shutdown(ctx); err != nil {
-			t.Fatal(err)
-		}
-		cancel()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
 	r := <-done
 	if r.err != nil {
@@ -233,7 +206,7 @@ func TestMeshCapture(t *testing.T) {
 
 // checkMeshScrape reads a loaded mesh's endpoint at base: the exposition
 // carries every node's series under its node label and non-zero traffic
-// counters, the JSON variant decodes, and the health check passes while
+// counters (the merged capture's among them), the JSON variant decodes, and the health check passes while
 // any node serves.
 func checkMeshScrape(t *testing.T, base string, nodes []string) {
 	t.Helper()
@@ -281,6 +254,7 @@ func checkMeshScrape(t *testing.T, base string, nodes []string) {
 		"edserver_received_total",
 		"edmesh_announces_sent_total",
 		"edmesh_forwards_sent_total",
+		"edsession_frames_total",
 	} {
 		if sum(family) == 0 {
 			t.Errorf("%s is zero on a loaded mesh", family)

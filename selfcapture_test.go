@@ -22,7 +22,7 @@ import (
 // deployment, entirely in-process.
 func TestSelfCapture(t *testing.T) {
 	defer noLeak(t)()
-	d, err := edserverd.Start(edserverd.Config{UDPAddr: "off", Shards: 4})
+	d, err := edserverd.Start(edserverd.Config{UDPAddr: "off"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSelfCapture(t *testing.T) {
 // carries no provenance tags.
 func TestSelfCaptureUDP(t *testing.T) {
 	defer noLeak(t)()
-	d, err := edserverd.Start(edserverd.Config{TCPAddr: "off", UDPAddr: "127.0.0.1:0", Shards: 2})
+	d, err := edserverd.Start(edserverd.Config{TCPAddr: "off", UDPAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
