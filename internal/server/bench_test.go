@@ -6,10 +6,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"edtrace/internal/clients"
 	"edtrace/internal/ed2k"
 	"edtrace/internal/obs"
 	"edtrace/internal/randx"
 	"edtrace/internal/simtime"
+	"edtrace/internal/workload"
 )
 
 // benchServer builds a pre-populated server: nFiles files announced by
@@ -103,38 +105,144 @@ func BenchmarkServerHandle(b *testing.B) {
 	})
 }
 
-// BenchmarkServerSearch measures searches alone, and the kind
-// benchServer's mix has none of: several keywords and constraints, so a
-// candidate list is chosen among lists of very different lengths (a
-// word's ~155 files, "mp3"'s MaxPostingList) and most candidates are
-// rejected by the other operands before MaxSearchResults are found.
+// BenchmarkServerSearch measures searches alone, over two indexes.
+//
+// "words" asks the kind benchServer's mix has none of: several keywords
+// and constraints, so a candidate list is chosen among lists of very
+// different lengths (a word's ~155 files, "mp3"'s MaxPostingList) and
+// most candidates are rejected by the other operands before
+// MaxSearchResults are found. Its names all read "word%d track%d.mp3",
+// so they share most of their byte pairs.
+//
+// "catalog" asks what the serve benchmark asks: a workload.Generate
+// catalog offered and searched by the clients' own plans (see
+// catalogSearches). Beside ns/op it reports the share of the candidates
+// whose signature passes that the keyword test then rejects.
 func BenchmarkServerSearch(b *testing.B) {
-	const nFiles = 1 << 15
-	s, _ := benchServer(1, nFiles)
-	r := randx.New(2, 99)
-	reqs := make([]ed2k.Message, 1024)
-	for i := range reqs {
-		word := ed2k.Keyword(fmt.Sprintf("word%d", r.IntN(211)))
-		digits := ed2k.Keyword(fmt.Sprintf("track%d", 1+r.IntN(32))) // a substring of many track numbers
-		var expr *ed2k.SearchExpr
-		switch i % 4 {
-		case 0:
-			expr = ed2k.And(word, digits)
-		case 1:
-			expr = ed2k.And(ed2k.And(ed2k.Keyword("mp3"), word), ed2k.SizeAtLeast(uint32(r.IntN(nFiles))<<10))
-		case 2:
-			expr = ed2k.And(ed2k.AndNot(word, digits), ed2k.TypeIs("audio"))
-		default:
-			expr = ed2k.And(ed2k.Or(word, ed2k.Keyword(fmt.Sprintf("word%d", r.IntN(211)))), digits)
+	b.Run("words", func(b *testing.B) {
+		const nFiles = 1 << 15
+		s, _ := benchServer(1, nFiles)
+		r := randx.New(2, 99)
+		reqs := make([]*ed2k.SearchReq, 1024)
+		for i := range reqs {
+			word := ed2k.Keyword(fmt.Sprintf("word%d", r.IntN(211)))
+			digits := ed2k.Keyword(fmt.Sprintf("track%d", 1+r.IntN(32))) // a substring of many track numbers
+			var expr *ed2k.SearchExpr
+			switch i % 4 {
+			case 0:
+				expr = ed2k.And(word, digits)
+			case 1:
+				expr = ed2k.And(ed2k.And(ed2k.Keyword("mp3"), word), ed2k.SizeAtLeast(uint32(r.IntN(nFiles))<<10))
+			case 2:
+				expr = ed2k.And(ed2k.AndNot(word, digits), ed2k.TypeIs("audio"))
+			default:
+				expr = ed2k.And(ed2k.Or(word, ed2k.Keyword(fmt.Sprintf("word%d", r.IntN(211)))), digits)
+			}
+			reqs[i] = &ed2k.SearchReq{Expr: expr}
 		}
-		reqs[i] = &ed2k.SearchReq{Expr: expr}
-	}
-	mask := len(reqs) - 1
+		runSearches(b, s, reqs)
+	})
+	b.Run("catalog", func(b *testing.B) {
+		s, reqs := catalogSearches(b, 1)
+		passed, rejected := 0, 0
+		for _, m := range reqs {
+			p, r := signaturePasses(s, m)
+			passed, rejected = passed+p, rejected+r
+		}
+		runSearches(b, s, reqs)
+		b.ReportMetric(float64(rejected)/float64(passed), "rejected/passed")
+	})
+}
+
+func runSearches(b *testing.B, s *Server, reqs []*ed2k.SearchReq) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Handle(simtime.Time(i), ed2k.ClientID(1000+i%512), 4662, reqs[i&mask])
+		s.Handle(simtime.Time(i), ed2k.ClientID(1000+i%512), 4662, reqs[i%len(reqs)])
 	}
+}
+
+// catalogSearches indexes a workload.Generate catalog the way the serve
+// benchmark preloads its daemon — every client of the population offers
+// what its plan offers, in population order, at the benchmark's sizes —
+// and returns the searches the same plans ask.
+func catalogSearches(b *testing.B, seed uint64) (*Server, []*ed2k.SearchReq) {
+	wl := workload.DefaultConfig()
+	wl.Seed = seed
+	wl.NumFiles, wl.NumClients, wl.VocabWords = 20_000, 1_500, 1_000
+	cat, err := workload.Generate(wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pop, err := workload.GeneratePopulation(wl, cat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	planner := clients.NewPlanner(cat, clients.DefaultTraffic())
+	root := randx.New(seed, 0xBE7C4)
+	s := New("bench", "bench")
+	var reqs []*ed2k.SearchReq
+	for i := range pop.Clients {
+		c := &pop.Clients[i]
+		for _, m := range planner.Messages(c, root.Split(uint64(i)+1), 48) {
+			switch m := m.(type) {
+			case *ed2k.OfferFiles:
+				s.Handle(0, ed2k.ClientID(c.IP), 4662, m)
+			case *ed2k.SearchReq:
+				reqs = append(reqs, m)
+			}
+		}
+	}
+	if len(reqs) == 0 {
+		b.Fatal("the population's plans ask no search")
+	}
+	return s, reqs
+}
+
+// signaturePasses walks the candidates handleSearch walks for m and
+// counts those whose signature passes, and of them those a keyword of the
+// expression then rejects. The clients ask ANDs of keywords and
+// constraints, so a keyword rejects a candidate exactly when the tree
+// with its constraints taken as true is false.
+func signaturePasses(s *Server, m *ed2k.SearchReq) (passed, rejected int) {
+	expr := lowerExpr(m.Expr)
+	lists, _, ok := s.cover(expr, nil)
+	if !ok {
+		return 0, 0
+	}
+	need := requiredSig(expr)
+	budget, hits := MaxCandidates, 0
+	for _, c := range lists {
+		lst := c.postings[:min(len(c.postings), budget)]
+		budget -= len(lst)
+		for _, p := range lst {
+			live := p.f.live.Load()
+			if p.sig&need != need || live == 0 {
+				continue
+			}
+			passed++
+			if !keywordsHold(expr, c.leaf, p.f) {
+				rejected++
+			} else if evalExpr(expr, c.leaf, p.f, live) {
+				if hits++; hits == MaxSearchResults {
+					return passed, rejected
+				}
+			}
+		}
+	}
+	return passed, rejected
+}
+
+// keywordsHold evaluates an AND tree's keywords against f, taking every
+// other leaf as true.
+func keywordsHold(e, known *ed2k.SearchExpr, f *indexedFile) bool {
+	switch e.Kind {
+	case ed2k.KindKeyword:
+		return evalExpr(e, known, f, 0)
+	case ed2k.KindAnd:
+		return keywordsHold(e.Left, known, f) && keywordsHold(e.Right, known, f)
+	}
+	return true
 }
 
 // BenchmarkServerHandleInstrumentation measures what the observability

@@ -263,9 +263,13 @@ func TestSearchRacesExpiryAndReannouncement(t *testing.T) {
 			if len(lst) == 0 {
 				t.Errorf("posting list %q left empty", kw)
 			}
-			for _, f := range lst {
+			for _, p := range lst {
+				f := p.f
 				if s.fileShard(f.entry.ID).files[f.entry.ID] != f {
 					t.Errorf("posting list %q holds a dead pointer to file %x", kw, f.entry.ID[:2])
+				}
+				if p.sig != nameSig(f.nameLower) {
+					t.Errorf("posting list %q holds a signature that is not file %x's", kw, f.entry.ID[:2])
 				}
 			}
 		}

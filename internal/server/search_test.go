@@ -16,7 +16,7 @@ import (
 // the protocol's own evaluator (ed2k.SearchExpr.Matches) under the
 // documented candidate rule and bounds. It models no expiry, so a
 // keyword's posting list is simply the first MaxPostingList files that
-// hold the token.
+// hold the token. It keeps a file's tags by the index's rule (refTags).
 type refIndex struct {
 	files []*refFile
 	byID  map[ed2k.FileID]*refFile
@@ -71,7 +71,8 @@ func (r *refIndex) offer(from ed2k.ClientID, port uint16, files ...ed2k.FileEntr
 		if rf == nil {
 			rf = &refFile{entry: f}
 			rf.entry.Client, rf.entry.Port = from, port
-			if name, ok := f.Name(); ok {
+			rf.entry.Tags = refTags(f.Tags)
+			if name, ok := rf.entry.Name(); ok {
 				rf.tokens = Tokenize(name)
 			}
 			r.byID[f.ID] = rf
@@ -79,6 +80,20 @@ func (r *refIndex) offer(from ed2k.ClientID, port uint16, files ...ed2k.FileEntr
 		}
 		if !slices.Contains(rf.sources, from) {
 			rf.sources = append(rf.sources, from)
+		}
+	}
+}
+
+// refTags is the index's tag rule, measured with the encoder: the longest
+// prefix of tags, fewer than MaxTagsPerFile, with which a SearchRes of
+// MaxSearchResults such files, each with its sources tag, is one TCP
+// frame.
+func refTags(tags []ed2k.Tag) []ed2k.Tag {
+	for n := min(len(tags), ed2k.MaxTagsPerFile-1); ; n-- {
+		hit := ed2k.FileEntry{Tags: append(slices.Clone(tags[:n]), ed2k.UintTag(ed2k.FTSources, 0))}
+		full := &ed2k.SearchRes{Results: slices.Repeat([]ed2k.FileEntry{hit}, MaxSearchResults)}
+		if len(ed2k.FrameTCP(full))-5 <= ed2k.MaxTCPFrame {
+			return tags[:n]
 		}
 	}
 }
@@ -375,10 +390,31 @@ func fuzzSearchFiles(offer offerFunc) {
 		entry(5, "alive.mp3", 3<<20, ""),
 	)
 	offer(3, 4662, entry(1, "mozart requiem live.mp3", 5<<20, "Audio"), entry(2, "x", 1, ""))
+	// Names with every byte pair of a word they do not contain: a search
+	// that takes them as candidates passes the signature and fails the
+	// keyword test (see signaturePassSeeds).
+	offer(4, 4662, entry(6, "liv ive.mp3", 4<<20, "Audio"), entry(7, "ozart moz.mp3", 5<<20, "Audio"))
+	// A file offered with as many tags as an entry may carry.
+	tagged := entry(8, "rock tagged.mp3", 2<<20, "Audio")
+	for len(tagged.Tags) < ed2k.MaxTagsPerFile {
+		tagged.Tags = append(tagged.Tags, ed2k.UintTag(byte(0x40+len(tagged.Tags)), 1))
+	}
+	offer(5, 4662, tagged)
 	for i := 0; i < 2*MaxSearchResults; i++ {
 		e := entry(byte(10+i), fmt.Sprintf("common rock take%d.mp3", i), uint32(i)<<20, "Audio")
 		offer(ed2k.ClientID(4+i%3), 4662, e)
 	}
+}
+
+// signaturePassSeeds pairs names of fuzzSearchFiles with a word each
+// carries every byte pair of but does not contain, and the search that
+// takes the name as a candidate for that word.
+var signaturePassSeeds = []struct {
+	name, word string
+	expr       *ed2k.SearchExpr
+}{
+	{"liv ive.mp3", "live", ed2k.And(ed2k.Keyword("ive"), ed2k.Keyword("live"))},
+	{"ozart moz.mp3", "mozart", ed2k.And(ed2k.Keyword("ozart"), ed2k.Keyword("Mozart"))},
 }
 
 func asciiExpr(e *ed2k.SearchExpr) bool {
@@ -395,14 +431,22 @@ func asciiExpr(e *ed2k.SearchExpr) bool {
 
 // FuzzSearchMatchesReference decodes the fuzz bytes as a message and,
 // when they are a search, requires a 1- and an 8-shard server to answer
-// it exactly as the naive reference does. Words with non-ASCII bytes are
-// skipped: the index folds case by Unicode, the protocol evaluator by
-// ASCII, and the two are only claimed equal on ASCII.
+// it exactly as the naive reference does, with an answer the decoder
+// accepts. Words with non-ASCII bytes are skipped: the index folds case
+// by Unicode, the protocol evaluator by ASCII, and the two are only
+// claimed equal on ASCII.
 func FuzzSearchMatchesReference(f *testing.F) {
 	ref, servers, offerAll := newRefAndServers(1, 8)
 	fuzzSearchFiles(offerAll)
+	for _, c := range signaturePassSeeds {
+		if nameSig(c.word)&^nameSig(c.name) != 0 || strings.Contains(c.name, c.word) {
+			f.Fatalf("%q does not pass %q's signature without containing it", c.name, c.word)
+		}
+		f.Add(ed2k.Encode(&ed2k.SearchReq{Expr: c.expr}))
+	}
 	avail := &ed2k.SearchExpr{Kind: ed2k.KindMetaNum, Meta: ed2k.MetaNameAvail, NumOp: ed2k.NumericMin, Value: 2}
 	for _, e := range []*ed2k.SearchExpr{
+		ed2k.Keyword("tagged"),
 		ed2k.Keyword("MOZART"),
 		ed2k.Keyword("absentword"),
 		ed2k.Keyword("common"),
@@ -424,8 +468,116 @@ func FuzzSearchMatchesReference(f *testing.F) {
 			return
 		}
 		req, ok := msg.(*ed2k.SearchReq)
-		if ok && asciiExpr(req.Expr) {
-			sameAsReference(t, ref, servers, req.Expr)
+		if !ok || !asciiExpr(req.Expr) {
+			return
+		}
+		if _, err := ed2k.Decode(ed2k.Encode(sameAsReference(t, ref, servers, req.Expr))); err != nil {
+			t.Fatalf("%s: the answer does not decode: %v", req.Expr, err)
 		}
 	})
+}
+
+// FuzzSignatureIsNecessary holds the signature to what it promises: it
+// turns away only candidates the full test would. For any bytes, a word
+// a name contains has no signature bit the name lacks; and for random
+// trees over a seeded catalog, every posting a tree matches carries the
+// tree's required signature.
+func FuzzSignatureIsNecessary(f *testing.F) {
+	s := New("t", "d")
+	searchCatalog(3, 400, func(from ed2k.ClientID, port uint16, files ...ed2k.FileEntry) {
+		s.Handle(0, from, port, &ed2k.OfferFiles{Client: from, Port: port, Files: files})
+	})
+	var postings []posting
+	for _, sh := range s.shards {
+		for _, lst := range sh.keywords {
+			postings = append(postings, lst...)
+		}
+	}
+	f.Add("mozart requiem live.mp3", uint(8), uint(15), "ozar", uint64(1))
+	f.Add("liv ive.mp3", uint(0), uint(3), "live", uint64(2))
+	f.Add("caf\xc3\xa9 \xff\xfe\x00", uint(3), uint(9), "\xc3\xa9", uint64(3))
+	f.Fuzz(func(t *testing.T, name string, i, j uint, word string, seed uint64) {
+		lo, hi := min(i, j, uint(len(name))), min(max(i, j), uint(len(name)))
+		for _, w := range []string{name[lo:hi], word} {
+			if strings.Contains(name, w) && nameSig(w)&^nameSig(name) != 0 {
+				t.Fatalf("%q contains %q, but its signature %#x lacks bits of %#x", name, w, nameSig(name), nameSig(w))
+			}
+		}
+		r := randx.New(seed, 31)
+		for q := 0; q < 8; q++ {
+			expr := lowerExpr(randExpr(r, 3, false))
+			need := requiredSig(expr)
+			for _, p := range postings {
+				if need&^p.sig != 0 && evalExpr(expr, nil, p.f, p.f.live.Load()) {
+					t.Fatalf("%s matches %q, whose signature %#x lacks bits of the required %#x", expr, p.f.nameLower, p.sig, need)
+				}
+			}
+		}
+	})
+}
+
+// TestSearchAnswersDecode offers what the decoder accepts at its limits
+// and requires every answer the index gives to be one its receivers
+// decode: a file offered with MaxTagsPerFile tags (the sources tag would
+// make one too many), and twelve files whose tags fill most of what an
+// offer may carry (a full answer would exceed MaxTCPFrame).
+func TestSearchAnswersDecode(t *testing.T) {
+	long := strings.Repeat("x", ed2k.MaxStringLen)
+	cases := []struct {
+		name  string
+		files func(n int) ed2k.FileEntry
+		batch int
+	}{
+		{"tags", func(n int) ed2k.FileEntry {
+			e := entry(byte(n), "mozart requiem.mp3", 5<<20, "Audio")
+			for len(e.Tags) < ed2k.MaxTagsPerFile {
+				e.Tags = append(e.Tags, ed2k.UintTag(byte(0x40+len(e.Tags)), 1))
+			}
+			return e
+		}, 1},
+		{"bytes", func(n int) ed2k.FileEntry {
+			e := entry(byte(n), "mozart "+long[len("mozart "):], 5<<20, "Audio")
+			e.Tags = e.Tags[:1]
+			for k := 0; k < 30; k++ {
+				e.Tags = append(e.Tags, ed2k.StringTag(byte(0x40+k), long))
+			}
+			return e
+		}, 6},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := New("t", "d")
+			for n := 0; n < MaxSearchResults; n += c.batch {
+				var files []ed2k.FileEntry
+				for k := n; k < n+c.batch; k++ {
+					files = append(files, c.files(k+1))
+				}
+				s.Handle(0, 1, 4662, decodesAsSent(t, offer(1, files...)))
+			}
+			res := s.Handle(0, 7, 7, &ed2k.SearchReq{Expr: ed2k.Keyword("mozart")})[0].(*ed2k.SearchRes)
+			if len(res.Results) != MaxSearchResults {
+				t.Fatalf("search found %d files, want %d", len(res.Results), MaxSearchResults)
+			}
+			got := decodesAsSent(t, res).(*ed2k.SearchRes)
+			for _, e := range got.Results {
+				if name, _ := e.Name(); !strings.HasPrefix(name, "mozart ") {
+					t.Fatalf("a result lost its name: %q", name)
+				}
+			}
+		})
+	}
+}
+
+// decodesAsSent fails t unless m decodes both as a datagram and as a TCP
+// frame, and returns what the frame decodes to.
+func decodesAsSent(t *testing.T, m ed2k.Message) ed2k.Message {
+	t.Helper()
+	if _, err := ed2k.Decode(ed2k.Encode(m)); err != nil {
+		t.Fatalf("%T: %v", m, err)
+	}
+	got, err := ed2k.NewStreamReader(bytes.NewReader(ed2k.FrameTCP(m))).Next()
+	if err != nil {
+		t.Fatalf("%T as a TCP frame: %v", m, err)
+	}
+	return got
 }

@@ -19,7 +19,10 @@
 // A search locks less than that: a posting list holds the indexed files
 // themselves, in announcement order, so a search reads one slice header
 // per keyword under that keyword's shard lock and then walks the list
-// with no lock held. Three invariants make that safe.
+// with no lock held. Beside each file a posting holds the byte-pair
+// signature of its lowered name, so the walk turns away most candidates
+// without loading the file (see nameSig). Three invariants make the
+// lock-free walk safe.
 //
 //   - Everything a search reads from an indexedFile is write-once,
 //     filled in before the file is appended to any posting list, except
@@ -60,6 +63,18 @@ const (
 	MaxPostingList = 4096
 )
 
+// What one search result costs on the wire besides its file's tags: the
+// entry head (fileID, client, port, tag count) and the sources tag the
+// answer adds (type, name length, one-byte name, value).
+const (
+	resultHeadBytes = 16 + 4 + 2 + 4
+	sourcesTagBytes = 1 + 2 + 1 + 4
+	// maxResultTagBytes bounds the encoded tags an indexed file keeps, so
+	// that a SearchRes of MaxSearchResults files (opcode, result count,
+	// the results) fits one TCP frame.
+	maxResultTagBytes = (ed2k.MaxTCPFrame-1-4)/MaxSearchResults - resultHeadBytes - sourcesTagBytes
+)
+
 type source struct {
 	id       ed2k.ClientID
 	port     uint16
@@ -88,6 +103,53 @@ type indexedFile struct {
 	sources []source
 }
 
+// posting is one entry of a keyword's posting list: an indexed file and
+// the signature of its lowered name, computed once when the file was
+// created. A search tests the signature against the one its expression
+// requires before it loads the file.
+type posting struct {
+	sig uint64
+	f   *indexedFile
+}
+
+// nameSig is the byte-pair signature of s: bit pairBit(s[i], s[i+1]) set
+// for every adjacent pair of bytes. Every byte pair of a substring is a
+// byte pair of the string, so strings.Contains(name, word) implies that
+// nameSig(word) is a subset of nameSig(name), whatever the bytes; the
+// converse does not hold, and a candidate the signature passes is still
+// tested in full. A word shorter than two bytes requires nothing.
+func nameSig(s string) uint64 {
+	var sig uint64
+	for i := 1; i < len(s); i++ {
+		sig |= 1 << pairBit(s[i-1], s[i])
+	}
+	return sig
+}
+
+// pairBit spreads the 65,536 byte pairs over a signature's 64 bits: the
+// top six bits of a multiplicative hash of the pair.
+func pairBit(a, b byte) uint {
+	return uint((uint32(a)<<8|uint32(b))*0x9E3779B1) >> 26
+}
+
+// requiredSig is the signature every file a lowered expression matches
+// must carry: a keyword's own, the union over an AND, the intersection
+// over an OR, the left side's of an ANDNOT, and none for a size, type or
+// availability constraint.
+func requiredSig(e *ed2k.SearchExpr) uint64 {
+	switch e.Kind {
+	case ed2k.KindKeyword:
+		return nameSig(e.Word)
+	case ed2k.KindAnd:
+		return requiredSig(e.Left) | requiredSig(e.Right)
+	case ed2k.KindOr:
+		return requiredSig(e.Left) & requiredSig(e.Right)
+	case ed2k.KindNot:
+		return requiredSig(e.Left)
+	}
+	return 0
+}
+
 // Stats counts server activity per opcode plus index gauges.
 type Stats struct {
 	// Received counts handled queries by opcode name.
@@ -107,14 +169,14 @@ type Stats struct {
 type shard struct {
 	mu    sync.RWMutex
 	files map[ed2k.FileID]*indexedFile
-	// keywords maps a token to the files whose name holds it, in
-	// announcement order, each file once. mu guards the map and each
-	// list's slice header; the elements a header covers never change, so
-	// a search copies the header under RLock and reads the elements after
-	// the unlock. Writers keep that true: offers append (writing only
-	// past the len any reader holds), the sweep replaces a list it has to
-	// shrink with a new one.
-	keywords map[string][]*indexedFile
+	// keywords maps a token to the postings of the files whose name holds
+	// it, in announcement order, each file once. mu guards the map and
+	// each list's slice header; the elements a header covers never
+	// change, so a search copies the header under RLock and reads the
+	// elements after the unlock. Writers keep that true: offers append
+	// (writing only past the len any reader holds), the sweep replaces a
+	// list it has to shrink with a new one.
+	keywords map[string][]posting
 	users    map[ed2k.ClientID]simtime.Time
 
 	// Index gauges, updated at the mutation points (under the lock
@@ -188,7 +250,7 @@ func NewShardedWith(name, desc string, n int, reg *obs.Registry) *Server {
 		lbl := obs.L("shard", strconv.Itoa(i))
 		s.shards[i] = &shard{
 			files:     make(map[ed2k.FileID]*indexedFile),
-			keywords:  make(map[string][]*indexedFile),
+			keywords:  make(map[string][]posting),
 			users:     make(map[ed2k.ClientID]simtime.Time),
 			gFiles:    reg.Gauge("edserver_shard_files", "indexed files per shard", lbl),
 			gKeywords: reg.Gauge("edserver_shard_keywords", "keyword posting lists per shard", lbl),
@@ -338,7 +400,7 @@ func (s *Server) handleOffer(now simtime.Time, from ed2k.ClientID, port uint16, 
 		idx := sh.files[f.ID]
 		isNew := idx == nil
 		if isNew {
-			idx = &indexedFile{entry: ed2k.FileEntry{ID: f.ID, Client: from, Port: port, Tags: ownTags(f.Tags)}}
+			idx = &indexedFile{entry: ed2k.FileEntry{ID: f.ID, Client: from, Port: port, Tags: ownTags(resultTags(f.Tags))}}
 			if name, ok := idx.entry.Name(); ok {
 				idx.nameLower = strings.ToLower(name)
 			}
@@ -362,6 +424,7 @@ func (s *Server) handleOffer(now simtime.Time, from ed2k.ClientID, port uint16, 
 		if isNew {
 			name, _ := idx.entry.Name()
 			toks := Tokenize(name)
+			p := posting{sig: nameSig(idx.nameLower), f: idx}
 			for i, kw := range toks {
 				if slices.Contains(toks[:i], kw) {
 					continue
@@ -374,7 +437,7 @@ func (s *Server) handleOffer(now simtime.Time, from ed2k.ClientID, port uint16, 
 					if len(lst) == 0 {
 						ks.gKeywords.Inc()
 					}
-					ks.keywords[kw] = append(lst, idx)
+					ks.keywords[kw] = append(lst, p)
 				}
 				ks.mu.Unlock()
 			}
@@ -393,6 +456,27 @@ var oneByteNames = func() (a [256]byte) {
 	}
 	return a
 }()
+
+// resultTags is the longest prefix of an offered file's tags that the
+// index keeps: at most MaxTagsPerFile-1 of them, because an answer adds
+// the sources tag, and at most maxResultTagBytes of them on the wire, so
+// that a full SearchRes stays one TCP frame. Without them an offer the
+// decoder accepts could make answers the decoder rejects.
+func resultTags(tags []ed2k.Tag) []ed2k.Tag {
+	size := 0
+	for i, t := range tags {
+		size += 1 + 2 + len(t.Name) // type, name length, name
+		if t.Type == ed2k.TagString {
+			size += 2 + len(t.Str)
+		} else {
+			size += 4
+		}
+		if i == ed2k.MaxTagsPerFile-1 || size > maxResultTagBytes {
+			return tags[:i]
+		}
+	}
+	return tags
+}
 
 // ownTags copies an offered file's tags into storage of the index's own.
 // A decoded message holds all its files' tags, names and strings in
@@ -494,15 +578,18 @@ func (s *Server) handleSearch(m *ed2k.SearchReq) ed2k.Message {
 		return res
 	}
 	expr := lowerExpr(m.Expr)
-	var buf [4][]*indexedFile // an OR of more keywords than this allocates
+	var buf [4]covering // an OR of more keywords than this allocates
 	lists, _, ok := s.cover(expr, buf[:0])
 	if !ok {
 		return res
 	}
+	need := requiredSig(expr)
 
 	// Walk the candidates with no lock held (see shard.keywords), in
-	// announcement order. A file both sides of an OR cover comes by
-	// twice; the hit list is short enough to dedupe by scanning it.
+	// announcement order. A posting whose signature lacks a bit the
+	// expression requires cannot match, and is passed over without
+	// loading its file. A file both sides of an OR cover comes by twice;
+	// the hit list is short enough to dedupe by scanning it.
 	var (
 		hits   [MaxSearchResults]*indexedFile
 		live   [MaxSearchResults]uint32
@@ -510,14 +597,19 @@ func (s *Server) handleSearch(m *ed2k.SearchReq) ed2k.Message {
 		budget = MaxCandidates
 	)
 scan:
-	for _, lst := range lists {
+	for _, c := range lists {
+		lst := c.postings
 		if len(lst) > budget {
 			lst = lst[:budget]
 		}
 		budget -= len(lst)
-		for _, f := range lst {
+		for _, p := range lst {
+			if p.sig&need != need {
+				continue
+			}
+			f := p.f
 			src := f.live.Load()
-			if src == 0 || !evalExpr(expr, f, src) || slices.Contains(hits[:n], f) {
+			if src == 0 || !evalExpr(expr, c.leaf, f, src) || slices.Contains(hits[:n], f) {
 				continue
 			}
 			hits[n], live[n] = f, src
@@ -549,17 +641,27 @@ scan:
 	return res
 }
 
+// covering is one posting list a search walks and the keyword leaf of the
+// lowered expression that list belongs to. Every file on the list holds
+// the leaf's word as a token, so the leaf is true for every candidate the
+// list supplies and is not tested again.
+type covering struct {
+	postings []posting
+	leaf     *ed2k.SearchExpr
+}
+
 // cover appends to dst posting lists that together hold every indexed
-// file the lowered expression e can match, and reports their total
-// length. It follows the tree: a keyword is covered by its own list; an
-// AND by the shorter of its sides' covers (the left on a tie, so a chain
-// of ANDs scans its leftmost rarest keyword), or by the only side that
-// has one; an ANDNOT by its left side's; an OR by both sides' covers one
-// after the other. ok is false when the index has no such lists — a size,
-// type or availability constraint on its own, a word that is no file's
-// token, an OR with such a side — and the search then answers nothing
-// rather than scan the file table.
-func (s *Server) cover(e *ed2k.SearchExpr, dst [][]*indexedFile) (lists [][]*indexedFile, cost int, ok bool) {
+// file the lowered expression e can match, each with its keyword leaf,
+// and reports their total length. It follows the tree: a keyword is
+// covered by its own list; an AND by the shorter of its sides' covers
+// (the left on a tie, so a chain of ANDs scans its leftmost rarest
+// keyword), or by the only side that has one; an ANDNOT by its left
+// side's; an OR by both sides' covers one after the other. ok is false
+// when the index has no such lists — a size, type or availability
+// constraint on its own, a word that is no file's token, an OR with such
+// a side — and the search then answers nothing rather than scan the file
+// table.
+func (s *Server) cover(e *ed2k.SearchExpr, dst []covering) (lists []covering, cost int, ok bool) {
 	switch e.Kind {
 	case ed2k.KindKeyword:
 		ks := s.kwShard(e.Word)
@@ -569,7 +671,7 @@ func (s *Server) cover(e *ed2k.SearchExpr, dst [][]*indexedFile) (lists [][]*ind
 		if !indexed {
 			return dst, 0, false
 		}
-		return append(dst, lst), len(lst), true
+		return append(dst, covering{postings: lst, leaf: e}), len(lst), true
 	case ed2k.KindAnd:
 		left, lcost, lok := s.cover(e.Left, dst)
 		if !lok {
@@ -635,10 +737,12 @@ func lowerInto(e *ed2k.SearchExpr, slab *[]ed2k.SearchExpr) *ed2k.SearchExpr {
 
 // evalExpr evaluates a lowered search tree against an indexed file's
 // write-once metadata and the source count the caller loaded from it.
-func evalExpr(e *ed2k.SearchExpr, idx *indexedFile, live uint32) bool {
+// known is the keyword leaf whose posting list supplied the file (nil
+// for none): the file holds its word, so it is true without a test.
+func evalExpr(e, known *ed2k.SearchExpr, idx *indexedFile, live uint32) bool {
 	switch e.Kind {
 	case ed2k.KindKeyword:
-		return strings.Contains(idx.nameLower, e.Word)
+		return e == known || strings.Contains(idx.nameLower, e.Word)
 	case ed2k.KindMetaStr:
 		return e.Meta == ed2k.MetaNameType && idx.typeLower == e.Word
 	case ed2k.KindMetaNum:
@@ -656,11 +760,11 @@ func evalExpr(e *ed2k.SearchExpr, idx *indexedFile, live uint32) bool {
 		}
 		return field >= e.Value
 	case ed2k.KindAnd:
-		return evalExpr(e.Left, idx, live) && evalExpr(e.Right, idx, live)
+		return evalExpr(e.Left, known, idx, live) && evalExpr(e.Right, known, idx, live)
 	case ed2k.KindOr:
-		return evalExpr(e.Left, idx, live) || evalExpr(e.Right, idx, live)
+		return evalExpr(e.Left, known, idx, live) || evalExpr(e.Right, known, idx, live)
 	case ed2k.KindNot:
-		return evalExpr(e.Left, idx, live) && !evalExpr(e.Right, idx, live)
+		return evalExpr(e.Left, known, idx, live) && !evalExpr(e.Right, known, idx, live)
 	}
 	return false
 }
@@ -712,7 +816,7 @@ func (s *Server) ExpireSources(now simtime.Time) {
 	// pointer alone and no file shard is consulted. A list that shrinks
 	// is rebuilt, never compacted in place: a search may still be
 	// walking the old one.
-	dead := func(f *indexedFile) bool { return f.live.Load() == 0 }
+	dead := func(p posting) bool { return p.f.live.Load() == 0 }
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for kw, lst := range sh.keywords {
