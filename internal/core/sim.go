@@ -175,7 +175,10 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 	var upID, downID uint16
 
 	// Server side: deliver uplink frames, decode, answer on the downlink.
+	// The loop encodes each answer at once, so the index builds them all
+	// in one reused buffer.
 	srvReasm := netsim.NewReassembler()
+	var answers server.Answers
 	w.uplink.Deliver = func(now simtime.Time, frame []byte) {
 		ip, err := netsim.DecodeEthernet(frame)
 		if err != nil {
@@ -197,7 +200,7 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 		if err != nil {
 			return // the real server also drops garbage silently
 		}
-		for _, ans := range w.srv.Handle(now, ed2k.ClientID(hdr.Src), udp.SrcPort, msg) {
+		for _, ans := range w.srv.HandleInto(&answers, now, ed2k.ClientID(hdr.Src), udp.SrcPort, msg) {
 			downID++
 			w.dnlink.SendUDP(cfg.ServerIP, hdr.Src, serverPort, udp.SrcPort,
 				downID, ed2k.Encode(ans), mtu)

@@ -158,6 +158,39 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestFitDatagram: a search answer is cut to the longest prefix of its
+// results whose encoding fits the room, whatever the tags' shapes; an
+// answer that fits, and any other kind, is returned as it is.
+func TestFitDatagram(t *testing.T) {
+	long := string(make([]byte, MaxStringLen))
+	var results []FileEntry
+	for i := 0; i < 12; i++ {
+		e := sampleEntry(byte(i))
+		for k := 0; k < i%4; k++ {
+			e.Tags = append(e.Tags, Tag{Name: []byte("long name"), Type: TagString, Str: long[:1000*k+i]})
+		}
+		results = append(results, e)
+	}
+	res := &SearchRes{Results: results}
+	full := len(Encode(res))
+	for _, room := range []int{6, 100, 1000, 5000, full - 1, full, MaxDatagram} {
+		got := FitDatagram(res, room).(*SearchRes)
+		if n := len(Encode(got)); n > room {
+			t.Fatalf("room %d: the fitted answer encodes to %d bytes", room, n)
+		}
+		if k := len(got.Results); k < len(results) {
+			if n := len(Encode(&SearchRes{Results: results[:k+1]})); n <= room {
+				t.Fatalf("room %d: cut to %d results, but %d take %d bytes", room, k, k+1, n)
+			}
+		} else if got != res {
+			t.Fatalf("room %d: an answer that fits was copied", room)
+		}
+	}
+	if st := (&StatRes{}); FitDatagram(st, 1) != Message(st) {
+		t.Fatal("FitDatagram changed an answer that is no SearchRes")
+	}
+}
+
 func TestStructuralErrors(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":                {},

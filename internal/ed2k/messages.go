@@ -118,6 +118,31 @@ func (m *SearchRes) appendPayload(b []byte) []byte {
 	return b
 }
 
+// MaxDatagram is the most payload one IPv4 UDP datagram carries: 65,535
+// bytes less the 20-byte IPv4 and 8-byte UDP headers.
+const MaxDatagram = 65535 - 20 - 8
+
+// FitDatagram returns m when its UDP encoding takes at most room bytes or
+// when it is no SearchRes; a longer SearchRes becomes a new one holding
+// the longest prefix of its results that fits. A search answer is the
+// only answer a server sends that can outgrow a datagram: each result
+// carries its file's tags, as many bytes of them as a server keeps (one
+// TCP frame's worth for a full answer), while the protocol's count limits
+// keep every other answer far below 64 KiB.
+func FitDatagram(m Message, room int) Message {
+	res, ok := m.(*SearchRes)
+	if !ok {
+		return m
+	}
+	size := 2 + 4 // protocol byte, opcode, result count
+	for i := range res.Results {
+		if size += entryLen(&res.Results[i]); size > room {
+			return &SearchRes{Results: res.Results[:i]}
+		}
+	}
+	return m
+}
+
 // GetSources asks for providers of one or more fileIDs.
 type GetSources struct {
 	Hashes []FileID

@@ -165,6 +165,20 @@ func appendFileEntry(b []byte, e *FileEntry) []byte {
 	return b
 }
 
+// entryLen is the size appendFileEntry encodes e in.
+func entryLen(e *FileEntry) int {
+	n := fileEntryHead
+	for _, t := range e.Tags {
+		n += 1 + 2 + len(t.Name) // type, name length, name
+		if t.Type == TagString {
+			n += 2 + len(t.Str)
+		} else {
+			n += 4
+		}
+	}
+	return n
+}
+
 // entrySlabs is the storage one message's file entries are decoded into:
 // tag slots and tag-name bytes handed out from one slab each, and the
 // string bytes the decode has seen, which setStrings copies into one

@@ -492,13 +492,25 @@ func cloneUDPAddr(a *net.UDPAddr) *net.UDPAddr {
 	return &c
 }
 
+// forwardResHead is what a MeshForwardRes of one answer adds to that
+// answer's encoding: protocol byte, opcode, request ID, answer count and
+// the answer's u16 length.
+const forwardResHead = 2 + 4 + 1 + 2
+
 // serveForward answers one peer-forwarded query from the local index.
 // An empty answer list is still sent: it releases the asking node's
-// wait early instead of costing it the full forward timeout.
+// wait early instead of costing it the full forward timeout. The batch
+// travels in one datagram, so a forwarded search, answered by one
+// SearchRes, keeps the results that fit beside the batch's own bytes
+// (which also keeps it within its u16 length); the FoundSources of a
+// forwarded GetSources are at most MaxForwardAnswers of ~320 bytes.
 func (m *Mesh) serveForward(from *net.UDPAddr, fw *ed2k.MeshForward) {
 	answers := m.d.AnswerRemote(fw.Query)
 	if len(answers) > ed2k.MaxForwardAnswers {
 		answers = answers[:ed2k.MaxForwardAnswers]
+	}
+	for i, a := range answers {
+		answers[i] = ed2k.FitDatagram(a, ed2k.MaxDatagram-forwardResHead)
 	}
 	m.cFwdServed.Inc()
 	res := &ed2k.MeshForwardRes{ReqID: fw.ReqID, Answers: answers}

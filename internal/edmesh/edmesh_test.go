@@ -241,6 +241,37 @@ func TestForwardMissAnswered(t *testing.T) {
 	}
 }
 
+// TestForwardedSearchFitsDatagram: a peer whose search answer would not
+// fit the one datagram a MeshForwardRes travels in forwards the results
+// that fit, instead of an answer batch its socket cannot send; the asker
+// relays them to the client.
+func TestForwardedSearchFitsDatagram(t *testing.T) {
+	n0 := startNode(t, "mesh-0", fastCfg())
+	n1 := startNode(t, "mesh-1", fastCfg(n0.udpAddr()))
+	waitFor(t, 3*time.Second, "2-node convergence", func() bool {
+		return knows(n0.m, "mesh-1") && knows(n1.m, "mesh-0")
+	})
+	// Two files of ~44 KB a result each, offered one datagram apiece,
+	// live only on n1.
+	big := func(i byte) ed2k.FileEntry {
+		e := testEntry(i, "mozart "+strings.Repeat("x", 4000)+".mp3")
+		for k := 0; k < 10; k++ {
+			e.Tags = append(e.Tags, ed2k.StringTag(byte(0x40+k), strings.Repeat(string(rune('a'+k)), 4000)))
+		}
+		return e
+	}
+	offerVia(t, n1, big(1))
+	offerVia(t, n1, big(2))
+
+	ans := udpAsk(t, udpClient(t, n0.udpAddr()), &ed2k.SearchReq{Expr: ed2k.Keyword("mozart")}, 3*time.Second)
+	if sr, ok := ans.(*ed2k.SearchRes); !ok || len(sr.Results) != 1 || sr.Results[0].ID != big(1).ID {
+		t.Fatalf("forwarded search answer = %T, want the first file alone", ans)
+	}
+	if st := n0.m.Stats(); st.ForwardTimeouts != 0 {
+		t.Fatalf("asker stats = %+v: the peer's answer never came", st)
+	}
+}
+
 // TestDeadPeerEjected proves backoff-and-eject: once a killed daemon is
 // ejected, new misses are not forwarded to it any more.
 func TestDeadPeerEjected(t *testing.T) {

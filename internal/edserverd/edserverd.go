@@ -556,6 +556,7 @@ type connIO struct {
 	conn     *net.TCPConn
 	out      []byte // framed answers awaiting one Write
 	scratch  []byte // tap payload, valid only during the tap call
+	answers  server.Answers
 	loggedIn bool
 	werr     error // first write failure; the session is over
 }
@@ -608,6 +609,17 @@ func (c *connIO) mirror(srcKey, dstKey uint32, m ed2k.Message) {
 	}
 }
 
+// mirrorFrame is mirror for an answer already framed: the UDP-style
+// encoding is the frame with its length field dropped — the protocol
+// byte, then the frame from the opcode on — so the answer is not
+// encoded twice.
+func (c *connIO) mirrorFrame(srcKey, dstKey uint32, m ed2k.Message, frame []byte) {
+	if tap := c.d.tapFor(m); tap != nil {
+		c.scratch = append(append(c.scratch[:0], ed2k.ProtoEDonkey), frame[5:]...)
+		(*tap)(srcKey, dstKey, c.scratch)
+	}
+}
+
 // serveConn runs one TCP session: framed requests in, framed answers
 // out, strictly request→answers ordered per connection.
 //
@@ -622,6 +634,12 @@ func (c *connIO) mirror(srcKey, dstKey uint32, m ed2k.Message) {
 // a second request buffered, sees exactly one write per answer group as
 // before. Order holds because there is one buffer, appended to in
 // handling order and written front to back by this goroutine alone.
+//
+// The index builds each request's answers in the session's own
+// server.Answers, so serving allocates nothing for them. They are
+// borrowed until the next request is handled, and everything that reads
+// them — the resolver, the tap, the framing into out — is done with them
+// by then.
 func (d *Daemon) serveConn(c *connIO) {
 	remote := c.conn.RemoteAddr().(*net.TCPAddr)
 	clientKey := AddrKey(remote.IP, remote.Port)
@@ -709,7 +727,7 @@ func (d *Daemon) serveConn(c *connIO) {
 			} else {
 				t0 := time.Now()
 				d.inflight.Inc()
-				answers = d.srv.Handle(now, clientID, clientPort, msg)
+				answers = d.srv.HandleInto(&c.answers, now, clientID, clientPort, msg)
 				answers = d.resolveMisses(msg, answers)
 				d.inflight.Dec()
 				d.hHandle.Observe(time.Since(t0))
@@ -717,8 +735,9 @@ func (d *Daemon) serveConn(c *connIO) {
 		}
 
 		for _, a := range answers {
-			c.mirror(serverKey, clientKey, a)
+			head := len(c.out)
 			c.out = ed2k.AppendFrameTCP(c.out, a)
+			c.mirrorFrame(serverKey, clientKey, a, c.out[head:])
 		}
 		d.nAns.Add(uint64(len(answers)))
 		if len(c.out) >= flushBound && c.flush() != nil {
@@ -791,7 +810,11 @@ func (d *Daemon) udpLoop() {
 }
 
 // answerUDP runs one decoded client datagram through the index (and,
-// when forward is set, the resolver) and writes the answers back.
+// when forward is set, the resolver) and writes the answers back, each
+// fitted to one datagram (ed2k.FitDatagram): a search answer too long
+// for one carries the results that fit instead of failing the write. It
+// runs on the read loop and on forwarding goroutines alike, so its
+// answers come from Handle, on fresh storage.
 func (d *Daemon) answerUDP(msg ed2k.Message, from *net.UDPAddr, clientKey, serverKey uint32, forward bool) {
 	t0 := time.Now()
 	d.inflight.Inc()
@@ -803,6 +826,7 @@ func (d *Daemon) answerUDP(msg ed2k.Message, from *net.UDPAddr, clientKey, serve
 	d.hHandle.Observe(time.Since(t0))
 	d.nAns.Add(uint64(len(answers)))
 	for _, a := range answers {
+		a = ed2k.FitDatagram(a, ed2k.MaxDatagram)
 		d.mirror(serverKey, clientKey, a)
 		if _, err := d.udpConn.WriteToUDP(ed2k.Encode(a), from); err != nil && d.ctx.Err() == nil {
 			d.logf("edserverd: udp write: %v", err)
@@ -946,7 +970,8 @@ func (d *Daemon) tapFor(m ed2k.Message) *TapFunc {
 // mirror feeds the tap with the UDP-style encoding of one message. This
 // is the UDP path's variant: its answers can be mirrored from forwarding
 // goroutines, so it encodes into a fresh slice; TCP sessions go through
-// connIO.mirror and a per-connection scratch buffer.
+// connIO.mirror and connIO.mirrorFrame and a per-connection scratch
+// buffer.
 func (d *Daemon) mirror(srcKey, dstKey uint32, m ed2k.Message) {
 	if tap := d.tapFor(m); tap != nil {
 		(*tap)(srcKey, dstKey, ed2k.Encode(m))

@@ -1,9 +1,11 @@
 package edserverd
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,40 +175,146 @@ func TestDaemonUDP(t *testing.T) {
 	t.Fatalf("bad datagram not counted: %+v", d.Stats())
 }
 
+// TestDaemonTapMirrorsDialog: the tap sees every query and answer of a
+// TCP session but its login, in order, and each tapped answer is the
+// UDP encoding of the answer the client decoded — the bytes the session
+// cuts from its frames, not a second encoding.
 func TestDaemonTapMirrorsDialog(t *testing.T) {
 	type tapped struct {
 		src, dst uint32
-		op       byte
+		payload  []byte
 	}
 	var mu sync.Mutex
 	var seen []tapped
 	d := startTest(t, Config{})
 	d.SetTap(func(src, dst uint32, payload []byte) {
 		mu.Lock()
-		seen = append(seen, tapped{src, dst, payload[1]})
+		seen = append(seen, tapped{src, dst, bytes.Clone(payload)})
 		mu.Unlock()
 	})
 	conn, sr := dialAndLogin(t, d)
-	if _, err := conn.Write(ed2k.FrameTCP(&ed2k.StatReq{Challenge: 1})); err != nil {
-		t.Fatal(err)
+	dialog := []struct {
+		req     ed2k.Message
+		answers int
+	}{
+		{&ed2k.StatReq{Challenge: 1}, 1},
+		{&ed2k.OfferFiles{Port: 4662, Files: []ed2k.FileEntry{
+			testEntry(1, "mozart requiem.mp3"), testEntry(2, "mozart symphony.mp3"),
+		}}, 1},
+		{&ed2k.SearchReq{Expr: ed2k.Keyword("mozart")}, 1},
+		{&ed2k.GetSources{Hashes: []ed2k.FileID{testEntry(1, "").ID, testEntry(9, "").ID, testEntry(2, "").ID}}, 2},
+		{&ed2k.SearchReq{Expr: ed2k.Keyword("absentword")}, 1},
+		{&ed2k.StatReq{Challenge: 2}, 1},
 	}
-	if _, err := sr.Next(); err != nil {
-		t.Fatal(err)
+	var want [][]byte // the dialog as the tap must see it
+	for _, c := range dialog {
+		if _, err := conn.Write(ed2k.FrameTCP(c.req)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ed2k.Encode(c.req))
+		for i := 0; i < c.answers; i++ {
+			m, err := sr.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, ed2k.Encode(m))
+		}
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
-	// Login/IDChange are session plumbing, not mirrored: exactly one
-	// query and one answer.
-	if len(seen) != 2 {
-		t.Fatalf("tapped %d messages, want 2: %+v", len(seen), seen)
+	// Login/IDChange are session plumbing, not mirrored.
+	if len(seen) != len(want) {
+		t.Fatalf("tapped %d messages, want %d", len(seen), len(want))
 	}
 	sk := d.ServerKey()
-	if seen[0].op != ed2k.OpGlobStatReq || seen[0].dst != sk {
-		t.Fatalf("query tap: %+v (server key %x)", seen[0], sk)
+	ck := seen[0].src
+	k := 0
+	for _, c := range dialog {
+		if q := seen[k]; q.src != ck || q.dst != sk {
+			t.Fatalf("query %T tapped %x -> %x, want %x -> %x", c.req, q.src, q.dst, ck, sk)
+		}
+		k++
+		for i := 0; i < c.answers; i++ {
+			if a := seen[k]; a.src != sk || a.dst != ck {
+				t.Fatalf("answer %d to %T tapped %x -> %x, want %x -> %x", i, c.req, a.src, a.dst, sk, ck)
+			}
+			k++
+		}
 	}
-	if seen[1].op != ed2k.OpGlobStatRes || seen[1].src != sk || seen[1].dst != seen[0].src {
-		t.Fatalf("answer tap: %+v", seen[1])
+	for i := range want {
+		if !bytes.Equal(seen[i].payload, want[i]) {
+			t.Fatalf("tapped message %d (opcode 0x%02X):\n got % X\nwant % X", i, want[i][1], seen[i].payload, want[i])
+		}
+	}
+}
+
+// bigEntry is a file whose search result takes ~44 KB on the wire: a
+// 4,011-byte name and ten 4,000-byte string tags. Two of them answer a
+// search with more than one datagram carries.
+func bigEntry(i byte) ed2k.FileEntry {
+	e := testEntry(i, "mozart "+strings.Repeat("x", 4000)+".mp3")
+	for k := 0; k < 10; k++ {
+		e.Tags = append(e.Tags, ed2k.StringTag(byte(0x40+k), strings.Repeat(string(rune('a'+k)), 4000)))
+	}
+	return e
+}
+
+// TestUDPSearchAnswerFitsDatagram: a UDP search whose answer would not
+// fit one datagram is answered with the longest prefix of its results
+// that does, and the tap mirrors what was sent.
+func TestUDPSearchAnswerFitsDatagram(t *testing.T) {
+	d := startTest(t, Config{})
+	var mu sync.Mutex
+	var tappedRes []byte
+	d.SetTap(func(src, dst uint32, payload []byte) {
+		if payload[1] == ed2k.OpGlobSearchRes {
+			mu.Lock()
+			tappedRes = bytes.Clone(payload)
+			mu.Unlock()
+		}
+	})
+	conn, sr := dialAndLogin(t, d)
+	offer := &ed2k.OfferFiles{Port: 4662, Files: []ed2k.FileEntry{bigEntry(1), bigEntry(2)}}
+	if _, err := conn.Write(ed2k.FrameTCP(offer)); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := sr.Next(); err != nil {
+		t.Fatal(err)
+	} else if ack, ok := m.(*ed2k.OfferAck); !ok || ack.Accepted != 2 {
+		t.Fatalf("offer answer = %#v", m)
+	}
+	whole := d.srv.Handle(0, 1, 1, &ed2k.SearchReq{Expr: ed2k.Keyword("mozart")})[0]
+	if n := len(ed2k.Encode(whole)); n <= ed2k.MaxDatagram {
+		t.Fatalf("the whole answer takes %d bytes, which fits a datagram: the test no longer tests", n)
+	}
+
+	uc, err := net.DialUDP("udp4", nil, d.UDPAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uc.Close()
+	if _, err := uc.Write(ed2k.Encode(&ed2k.SearchReq{Expr: ed2k.Keyword("mozart")})); err != nil {
+		t.Fatal(err)
+	}
+	uc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 64<<10)
+	n, err := uc.Read(buf)
+	if err != nil {
+		t.Fatalf("no answer to a search whose answer exceeds a datagram: %v", err)
+	}
+	m, err := ed2k.Decode(buf[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := m.(*ed2k.SearchRes)
+	if !ok || len(res.Results) != 1 || res.Results[0].ID != bigEntry(1).ID {
+		t.Fatalf("answer = %T with %d results, want the first file alone", m, len(res.Results))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !bytes.Equal(tappedRes, buf[:n]) {
+		t.Fatalf("the tap mirrored %d bytes, the client received %d", len(tappedRes), n)
 	}
 }
 

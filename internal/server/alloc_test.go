@@ -31,3 +31,46 @@ func TestSearchAllocs(t *testing.T) {
 		t.Fatalf("a %d-hit two-keyword search allocates %.0f times, ceiling %d", MaxSearchResults, got, ceiling)
 	}
 }
+
+// TestReusedAnswersAllocs pins what a served request costs the allocator
+// through one reused Answers, as a daemon session serves: nothing, once
+// the buffer has grown to the requests it serves. The kinds share the
+// buffer, so each reuses storage the others grew too.
+func TestReusedAnswersAllocs(t *testing.T) {
+	s := New("t", "d")
+	for i := 0; i < 40; i++ {
+		e := entry(byte(i), fmt.Sprintf("common word%d take%d.mp3", i%2, i), 1000, "Audio")
+		for k := 0; k <= i%3; k++ { // one to three sources a file
+			from := ed2k.ClientID(100 + i + 1000*k)
+			s.Handle(0, from, 1, offer(from, e))
+		}
+	}
+	var unknown ed2k.FileID
+	unknown[3] = 0xEE
+	reqs := []struct {
+		name    string
+		req     ed2k.Message
+		answers int
+	}{
+		{"search", &ed2k.SearchReq{Expr: ed2k.And(ed2k.Keyword("common"), ed2k.Keyword("word1"))}, 1},
+		{"getsources", &ed2k.GetSources{Hashes: []ed2k.FileID{
+			entry(1, "", 0, "").ID, unknown, entry(2, "", 0, "").ID, entry(5, "", 0, "").ID,
+		}}, 3},
+		{"offer", offer(107, entry(7, "common word1 take7.mp3", 1000, "Audio")), 1},
+		{"stat", &ed2k.StatReq{Challenge: 9}, 1},
+	}
+	var a Answers
+	for _, c := range reqs {
+		if got := len(s.HandleInto(&a, 0, 107, 1, c.req)); got != c.answers {
+			t.Fatalf("%s: %d answers, want %d", c.name, got, c.answers)
+		}
+	}
+	if res := s.HandleInto(&a, 0, 107, 1, reqs[0].req)[0].(*ed2k.SearchRes); len(res.Results) != MaxSearchResults {
+		t.Fatalf("search found %d files, want %d", len(res.Results), MaxSearchResults)
+	}
+	for _, c := range reqs {
+		if got := testing.AllocsPerRun(200, func() { s.HandleInto(&a, 0, 107, 1, c.req) }); got != 0 {
+			t.Errorf("%s through a reused Answers allocates %.0f times, want 0", c.name, got)
+		}
+	}
+}

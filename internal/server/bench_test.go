@@ -77,15 +77,23 @@ func benchServerWith(shards, nFiles int, reg *obs.Registry) (*Server, []ed2k.Mes
 // the scaling claim behind the sharded refactor. The single-shard
 // variants show the serial baseline and the single-lock collapse under
 // parallelism; the sharded/parallel variant is what edserverd runs.
+// "single-shard-serial-reused" is the serial baseline through one reused
+// Answers, as a daemon session serves: CI's alloc gate holds it at 0
+// allocs/op.
 func BenchmarkServerHandle(b *testing.B) {
 	const nFiles = 1 << 15
-	run := func(b *testing.B, shards int, parallel bool) {
+	run := func(b *testing.B, shards int, parallel, reused bool) {
 		s, msgs := benchServer(shards, nFiles)
 		mask := len(msgs) - 1
+		var a Answers
 		b.ResetTimer()
 		if !parallel {
 			for i := 0; i < b.N; i++ {
-				s.Handle(simtime.Time(i), ed2k.ClientID(1000+i%512), 4662, msgs[i&mask])
+				if reused {
+					s.HandleInto(&a, simtime.Time(i), ed2k.ClientID(1000+i%512), 4662, msgs[i&mask])
+				} else {
+					s.Handle(simtime.Time(i), ed2k.ClientID(1000+i%512), 4662, msgs[i&mask])
+				}
 			}
 		} else {
 			var cursor atomic.Uint64
@@ -98,10 +106,11 @@ func BenchmarkServerHandle(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
 	}
-	b.Run("single-shard-serial", func(b *testing.B) { run(b, 1, false) })
-	b.Run("single-shard-parallel", func(b *testing.B) { run(b, 1, true) })
+	b.Run("single-shard-serial", func(b *testing.B) { run(b, 1, false, false) })
+	b.Run("single-shard-serial-reused", func(b *testing.B) { run(b, 1, false, true) })
+	b.Run("single-shard-parallel", func(b *testing.B) { run(b, 1, true, false) })
 	b.Run(fmt.Sprintf("sharded-%d-parallel", shardCountForCPU()), func(b *testing.B) {
-		run(b, shardCountForCPU(), true)
+		run(b, shardCountForCPU(), true, false)
 	})
 }
 
@@ -118,6 +127,7 @@ func BenchmarkServerHandle(b *testing.B) {
 // catalog offered and searched by the clients' own plans (see
 // catalogSearches). Beside ns/op it reports the share of the candidates
 // whose signature passes that the keyword test then rejects.
+// "catalog-reused" asks the same through one reused Answers.
 func BenchmarkServerSearch(b *testing.B) {
 	b.Run("words", func(b *testing.B) {
 		const nFiles = 1 << 15
@@ -140,7 +150,7 @@ func BenchmarkServerSearch(b *testing.B) {
 			}
 			reqs[i] = &ed2k.SearchReq{Expr: expr}
 		}
-		runSearches(b, s, reqs)
+		runSearches(b, s, reqs, false)
 	})
 	b.Run("catalog", func(b *testing.B) {
 		s, reqs := catalogSearches(b, 1)
@@ -149,16 +159,25 @@ func BenchmarkServerSearch(b *testing.B) {
 			p, r := signaturePasses(s, m)
 			passed, rejected = passed+p, rejected+r
 		}
-		runSearches(b, s, reqs)
+		runSearches(b, s, reqs, false)
 		b.ReportMetric(float64(rejected)/float64(passed), "rejected/passed")
+	})
+	b.Run("catalog-reused", func(b *testing.B) {
+		s, reqs := catalogSearches(b, 1)
+		runSearches(b, s, reqs, true)
 	})
 }
 
-func runSearches(b *testing.B, s *Server, reqs []*ed2k.SearchReq) {
+func runSearches(b *testing.B, s *Server, reqs []*ed2k.SearchReq, reused bool) {
+	var a Answers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Handle(simtime.Time(i), ed2k.ClientID(1000+i%512), 4662, reqs[i%len(reqs)])
+		if reused {
+			s.HandleInto(&a, simtime.Time(i), ed2k.ClientID(1000+i%512), 4662, reqs[i%len(reqs)])
+		} else {
+			s.Handle(simtime.Time(i), ed2k.ClientID(1000+i%512), 4662, reqs[i%len(reqs)])
+		}
 	}
 }
 
@@ -205,7 +224,7 @@ func catalogSearches(b *testing.B, seed uint64) (*Server, []*ed2k.SearchReq) {
 // constraints, so a keyword rejects a candidate exactly when the tree
 // with its constraints taken as true is false.
 func signaturePasses(s *Server, m *ed2k.SearchReq) (passed, rejected int) {
-	expr := lowerExpr(m.Expr)
+	expr := lowerExpr(m.Expr, new([]ed2k.SearchExpr))
 	lists, _, ok := s.cover(expr, nil)
 	if !ok {
 		return 0, 0

@@ -48,13 +48,20 @@ func newRefAndServers(shards ...int) (*refIndex, []*Server, offerFunc) {
 }
 
 // sameAsReference fails t unless every server answers expr as ref does,
-// byte for byte, and returns that answer.
-func sameAsReference(t *testing.T, ref *refIndex, servers []*Server, expr *ed2k.SearchExpr) *ed2k.SearchRes {
+// byte for byte, and returns that answer. With bufs, server i answers
+// through bufs[i], which the caller reuses from call to call; without,
+// through Handle.
+func sameAsReference(t *testing.T, ref *refIndex, servers []*Server, bufs []Answers, expr *ed2k.SearchExpr) *ed2k.SearchRes {
 	t.Helper()
 	wantRes := ref.search(expr)
 	want := ed2k.Encode(wantRes)
-	for _, s := range servers {
-		ans := s.Handle(0, 7, 7, &ed2k.SearchReq{Expr: expr})
+	for i, s := range servers {
+		var ans []ed2k.Message
+		if bufs != nil {
+			ans = s.HandleInto(&bufs[i], 0, 7, 7, &ed2k.SearchReq{Expr: expr})
+		} else {
+			ans = s.Handle(0, 7, 7, &ed2k.SearchReq{Expr: expr})
+		}
 		if len(ans) != 1 {
 			t.Fatalf("%s: %d answers", expr, len(ans))
 		}
@@ -316,7 +323,7 @@ func TestSearchMatchesReference(t *testing.T) {
 						t.Fatalf("%s: cover %v (%v), the rarest-keyword rule picks %q (%v)", expr, kws, ok, pkw, pok)
 					}
 				}
-				if n := len(sameAsReference(t, ref, servers, expr).Results); n > 0 {
+				if n := len(sameAsReference(t, ref, servers, nil, expr).Results); n > 0 {
 					hits++
 					if n == MaxSearchResults {
 						full++
@@ -432,12 +439,15 @@ func asciiExpr(e *ed2k.SearchExpr) bool {
 // FuzzSearchMatchesReference decodes the fuzz bytes as a message and,
 // when they are a search, requires a 1- and an 8-shard server to answer
 // it exactly as the naive reference does, with an answer the decoder
-// accepts. Words with non-ASCII bytes are skipped: the index folds case
+// accepts. Each server answers through one Answers reused across the
+// inputs, as a daemon session answers, so an answer that kept a piece of
+// the one before it fails here. Words with non-ASCII bytes are skipped: the index folds case
 // by Unicode, the protocol evaluator by ASCII, and the two are only
 // claimed equal on ASCII.
 func FuzzSearchMatchesReference(f *testing.F) {
 	ref, servers, offerAll := newRefAndServers(1, 8)
 	fuzzSearchFiles(offerAll)
+	bufs := make([]Answers, len(servers))
 	for _, c := range signaturePassSeeds {
 		if nameSig(c.word)&^nameSig(c.name) != 0 || strings.Contains(c.name, c.word) {
 			f.Fatalf("%q does not pass %q's signature without containing it", c.name, c.word)
@@ -471,7 +481,7 @@ func FuzzSearchMatchesReference(f *testing.F) {
 		if !ok || !asciiExpr(req.Expr) {
 			return
 		}
-		if _, err := ed2k.Decode(ed2k.Encode(sameAsReference(t, ref, servers, req.Expr))); err != nil {
+		if _, err := ed2k.Decode(ed2k.Encode(sameAsReference(t, ref, servers, bufs, req.Expr))); err != nil {
 			t.Fatalf("%s: the answer does not decode: %v", req.Expr, err)
 		}
 	})
@@ -505,7 +515,7 @@ func FuzzSignatureIsNecessary(f *testing.F) {
 		}
 		r := randx.New(seed, 31)
 		for q := 0; q < 8; q++ {
-			expr := lowerExpr(randExpr(r, 3, false))
+			expr := lowerExpr(randExpr(r, 3, false), new([]ed2k.SearchExpr))
 			need := requiredSig(expr)
 			for _, p := range postings {
 				if need&^p.sig != 0 && evalExpr(expr, nil, p.f, p.f.live.Load()) {

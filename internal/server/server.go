@@ -322,11 +322,57 @@ func Tokenize(name string) []string {
 	return out
 }
 
+// Answers is the storage HandleInto builds one request's answers in: the
+// answer list, the SearchRes with its results and their one tag array,
+// the FoundSources values and the one endpoint array their sources are
+// cut from, the OfferAck, the StatRes and the lowered copy of a search's
+// expression. Every piece grows to the largest request it has served and
+// is then reused, so a caller that keeps one Answers per goroutine
+// allocates nothing for the answers to searches, source asks, offers and
+// stats in steady state; the rare server-list and description answers
+// are made fresh. A buffer keeps no array it has outgrown, so what it
+// holds between requests is its own storage — at most ~69 KiB at the
+// protocol's limits (64 hashes of 50 sources, 12 results of 32 tags, 64
+// expression nodes), a few KiB for typical traffic — plus references to
+// data it does not own: indexed files' tags from its answers, the last
+// search's words, and answers a caller appended past the list it was
+// handed.
+//
+// The answers HandleInto returns are borrowed: they are valid until the
+// next HandleInto on the same Answers, which overwrites them in place. A
+// caller that keeps an answer longer, or hands it to another goroutine,
+// uses Handle instead. The zero value is ready to use; an Answers is not
+// safe for concurrent use.
+//
+// The single answers are pointers made on first use, not values: no
+// answer then points into the Answers itself, so Handle's fresh one stays
+// on its stack and allocates only the answers a request has.
+type Answers struct {
+	msgs    []ed2k.Message
+	res     *ed2k.SearchRes
+	results []ed2k.FileEntry
+	tags    []ed2k.Tag
+	found   []ed2k.FoundSources
+	eps     []ed2k.Endpoint
+	ack     *ed2k.OfferAck
+	stat    *ed2k.StatRes
+	slab    []ed2k.SearchExpr
+}
+
 // Handle processes one decoded query at virtual time now, from the given
 // client coordinates, and returns the answers to send (possibly several:
-// GetSources yields one FoundSources per known hash). Safe for
+// GetSources yields one FoundSources per known hash). The answers are the
+// caller's to keep: Handle is HandleInto on fresh storage. Safe for
 // concurrent use.
 func (s *Server) Handle(now simtime.Time, from ed2k.ClientID, port uint16, msg ed2k.Message) []ed2k.Message {
+	var a Answers
+	return s.HandleInto(&a, now, from, port, msg)
+}
+
+// HandleInto is Handle building the answers in a's storage; they are
+// valid until the next call on a (see Answers). Safe for concurrent use
+// with distinct Answers.
+func (s *Server) HandleInto(a *Answers, now simtime.Time, from ed2k.ClientID, port uint16, msg ed2k.Message) []ed2k.Message {
 	op := msg.Opcode()
 	s.m.received.Inc(op)
 	var start time.Time
@@ -341,38 +387,38 @@ func (s *Server) Handle(now simtime.Time, from ed2k.ClientID, port uint16, msg e
 	us.users[from] = now
 	us.mu.Unlock()
 
-	var answers []ed2k.Message
+	a.msgs = a.msgs[:0]
 	switch m := msg.(type) {
 	case *ed2k.OfferFiles:
-		answers = append(answers, s.handleOffer(now, from, port, m))
+		a.msgs = append(a.msgs, s.handleOffer(a, now, from, port, m))
 	case *ed2k.GetSources:
-		answers = append(answers, s.handleGetSources(now, m)...)
+		s.handleGetSources(a, now, m)
 	case *ed2k.SearchReq:
-		answers = append(answers, s.handleSearch(m))
+		a.msgs = append(a.msgs, s.handleSearch(a, m))
 	case *ed2k.StatReq:
 		users, files := s.counts()
-		answers = append(answers, &ed2k.StatRes{
-			Challenge: m.Challenge,
-			Users:     uint32(users),
-			Files:     uint32(files),
-		})
+		if a.stat == nil {
+			a.stat = new(ed2k.StatRes)
+		}
+		*a.stat = ed2k.StatRes{Challenge: m.Challenge, Users: uint32(users), Files: uint32(files)}
+		a.msgs = append(a.msgs, a.stat)
 	case ed2k.GetServerList:
 		// This server knows no others: the list is always empty.
-		answers = append(answers, &ed2k.ServerList{})
+		a.msgs = append(a.msgs, &ed2k.ServerList{})
 	case ed2k.ServerDescReq:
-		answers = append(answers, &ed2k.ServerDescRes{Name: s.Name, Desc: s.Desc})
+		a.msgs = append(a.msgs, &ed2k.ServerDescRes{Name: s.Name, Desc: s.Desc})
 	default:
 		// Answers arriving at the server (spoofed or looped) are ignored,
 		// like a real server would.
 		return nil
 	}
-	for _, a := range answers {
-		s.m.answered.Inc(a.Opcode())
+	for _, ans := range a.msgs {
+		s.m.answered.Inc(ans.Opcode())
 	}
 	if s.instr {
 		s.m.handle.Observe(op, time.Since(start))
 	}
-	return answers
+	return a.msgs
 }
 
 // HandleRemote answers a query forwarded by a peer server against the
@@ -380,18 +426,21 @@ func (s *Server) Handle(now simtime.Time, from ed2k.ClientID, port uint16, msg e
 // peer's, not ours), no per-user opcode counters, and never any further
 // forwarding — the single-hop rule that keeps a mesh of servers
 // loop-free. Unlike Handle, a search miss still returns the empty
-// SearchRes: the peer needs an explicit "no hits" to stop waiting.
+// SearchRes: the peer needs an explicit "no hits" to stop waiting. The
+// answers are on fresh storage, like Handle's.
 func (s *Server) HandleRemote(now simtime.Time, msg ed2k.Message) []ed2k.Message {
+	var a Answers
 	switch m := msg.(type) {
 	case *ed2k.GetSources:
-		return s.handleGetSources(now, m)
+		s.handleGetSources(&a, now, m)
+		return a.msgs
 	case *ed2k.SearchReq:
-		return []ed2k.Message{s.handleSearch(m)}
+		return append(a.msgs, s.handleSearch(&a, m))
 	}
 	return nil
 }
 
-func (s *Server) handleOffer(now simtime.Time, from ed2k.ClientID, port uint16, m *ed2k.OfferFiles) ed2k.Message {
+func (s *Server) handleOffer(a *Answers, now simtime.Time, from ed2k.ClientID, port uint16, m *ed2k.OfferFiles) ed2k.Message {
 	accepted := uint32(0)
 	for i := range m.Files {
 		f := &m.Files[i]
@@ -444,7 +493,11 @@ func (s *Server) handleOffer(now simtime.Time, from ed2k.ClientID, port uint16, 
 		}
 		accepted++
 	}
-	return &ed2k.OfferAck{Accepted: accepted}
+	if a.ack == nil {
+		a.ack = new(ed2k.OfferAck)
+	}
+	a.ack.Accepted = accepted
+	return a.ack
 }
 
 // oneByteNames backs the one-byte tag names of indexed files, the
@@ -537,9 +590,19 @@ func addSource(idx *indexedFile, id ed2k.ClientID, port uint16, now simtime.Time
 	return true
 }
 
-func (s *Server) handleGetSources(now simtime.Time, m *ed2k.GetSources) []ed2k.Message {
-	var out []ed2k.Message
-	for _, h := range m.Hashes {
+// handleGetSources appends to a.msgs one FoundSources per known hash with
+// a live source. The answers are values of a.found, which grows at most
+// once a request, to room for every hash still to come; their sources
+// are cut from a.eps, capacity-clipped so that appending to one answer's
+// sources cannot write into the next. The cut is made once the loop is
+// over, from the endpoint array as it ended: an array that grew during
+// the loop keeps no answer on its predecessor, and clearing the previous
+// request's answers first leaves no stale one beyond len(a.found), so a
+// buffer keeps no endpoint array but its own.
+func (s *Server) handleGetSources(a *Answers, now simtime.Time, m *ed2k.GetSources) {
+	clear(a.found)
+	a.found, a.eps = a.found[:0], a.eps[:0]
+	for i, h := range m.Hashes {
 		sh := s.fileShard(h)
 		sh.mu.RLock()
 		idx := sh.files[h]
@@ -547,37 +610,50 @@ func (s *Server) handleGetSources(now simtime.Time, m *ed2k.GetSources) []ed2k.M
 			sh.mu.RUnlock()
 			continue // unknown files are silently unanswered, like real servers
 		}
-		ans := &ed2k.FoundSources{
-			Hash:    h,
-			Sources: make([]ed2k.Endpoint, 0, min(len(idx.sources), MaxSourcesPerAnswer)),
-		}
+		a.eps = slices.Grow(a.eps, min(len(idx.sources), MaxSourcesPerAnswer))
+		first := len(a.eps)
 		for _, src := range idx.sources {
 			if s.SourceTTL > 0 && now-src.lastSeen > s.SourceTTL {
 				continue
 			}
-			ans.Sources = append(ans.Sources, ed2k.Endpoint{ID: src.id, Port: src.port})
-			if len(ans.Sources) >= MaxSourcesPerAnswer {
+			a.eps = append(a.eps, ed2k.Endpoint{ID: src.id, Port: src.port})
+			if len(a.eps)-first >= MaxSourcesPerAnswer {
 				break
 			}
 		}
 		sh.mu.RUnlock()
-		if len(ans.Sources) > 0 {
-			out = append(out, ans)
+		if len(a.eps) == first {
+			continue
 		}
+		if len(a.found) == cap(a.found) {
+			a.found = slices.Grow(a.found, len(m.Hashes)-i)
+		}
+		a.found = append(a.found, ed2k.FoundSources{Hash: h, Sources: a.eps[first:]})
 	}
-	return out
+	a.msgs = slices.Grow(a.msgs, len(a.found))
+	first := 0
+	for j := range a.found {
+		n := len(a.found[j].Sources)
+		a.found[j].Sources = a.eps[first : first+n : first+n]
+		first += n
+		a.msgs = append(a.msgs, &a.found[j])
+	}
 }
 
 // ftSources is the name of the sources tag every search result carries;
 // all answers share it, and nothing writes to an answer's tag names.
 var ftSources = []byte{ed2k.FTSources}
 
-func (s *Server) handleSearch(m *ed2k.SearchReq) ed2k.Message {
-	res := &ed2k.SearchRes{}
+func (s *Server) handleSearch(a *Answers, m *ed2k.SearchReq) ed2k.Message {
+	if a.res == nil {
+		a.res = new(ed2k.SearchRes)
+	}
+	res := a.res
+	res.Results = nil
 	if m.Expr == nil {
 		return res
 	}
-	expr := lowerExpr(m.Expr)
+	expr := lowerExpr(m.Expr, &a.slab)
 	var buf [4]covering // an OR of more keywords than this allocates
 	lists, _, ok := s.cover(expr, buf[:0])
 	if !ok {
@@ -622,15 +698,24 @@ scan:
 		return res
 	}
 
-	// One Results slice and one tag array for the whole answer. Each
-	// result's tags are the file's plus the sources tag, capacity-clipped
-	// so that appending to one result cannot write into the next.
+	// One Results slice and one tag array for the whole answer, a's own
+	// when they are long enough. Each result's tags are the file's plus
+	// the sources tag, capacity-clipped so that appending to one result
+	// cannot write into the next. The results past this answer's are
+	// cleared, so none keeps a tag array a has outgrown.
 	total := n
 	for _, f := range hits[:n] {
 		total += len(f.entry.Tags)
 	}
-	tags := make([]ed2k.Tag, 0, total)
-	res.Results = make([]ed2k.FileEntry, n)
+	if cap(a.tags) < total {
+		a.tags = make([]ed2k.Tag, 0, total)
+	}
+	if cap(a.results) < n {
+		a.results = make([]ed2k.FileEntry, n)
+	}
+	tags := a.tags[:0]
+	res.Results = a.results[:n]
+	clear(a.results[n:])
 	for i, f := range hits[:n] {
 		start := len(tags)
 		tags = append(tags, f.entry.Tags...)
@@ -704,14 +789,18 @@ func (s *Server) cover(e *ed2k.SearchExpr, dst []covering) (lists []covering, co
 // evaluation against the cached lowered index needs no per-candidate
 // case folding. Semantics match ed2k.SearchExpr.Matches for ASCII input
 // (a property-checked invariant in the tests). The clone's nodes come
-// from one slab sized by the tree; the request's own tree is left as it
-// is, because the daemon may forward it to peers after Handle.
-func lowerExpr(e *ed2k.SearchExpr) *ed2k.SearchExpr {
+// from *slab, replaced by one sized by the tree when it is too short; the
+// request's own tree is left as it is, because the daemon may forward it
+// to peers after Handle.
+func lowerExpr(e *ed2k.SearchExpr, slab *[]ed2k.SearchExpr) *ed2k.SearchExpr {
 	if e == nil {
 		return nil
 	}
-	slab := make([]ed2k.SearchExpr, 0, exprNodes(e))
-	return lowerInto(e, &slab)
+	if n := exprNodes(e); cap(*slab) < n {
+		*slab = make([]ed2k.SearchExpr, 0, n)
+	}
+	*slab = (*slab)[:0]
+	return lowerInto(e, slab)
 }
 
 func exprNodes(e *ed2k.SearchExpr) int {

@@ -238,7 +238,7 @@ func TestEvalExprMatchesSpec(t *testing.T) {
 	}
 	for _, ex := range exprs {
 		want := ex.Matches(&e)
-		got := evalExpr(lowerExpr(ex), nil, idx, 1)
+		got := evalExpr(lowerExpr(ex, new([]ed2k.SearchExpr)), nil, idx, 1)
 		if got != want {
 			t.Errorf("%s: evalExpr=%v, spec=%v", ex, got, want)
 		}
