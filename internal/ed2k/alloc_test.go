@@ -5,6 +5,7 @@
 package ed2k
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 )
@@ -119,6 +120,65 @@ func TestDecodeAllocsConstant(t *testing.T) {
 				t.Errorf("%s of %d: %.0f allocations (%.0f at %d); want the same at every size, at most %d",
 					kind.name, n, allocs, first, kind.sizes[0], decodeAllocCeiling)
 			}
+		}
+	}
+}
+
+// TestStreamReaderAllocs pins what StreamReader.Next costs a frame in
+// steady state, frame by frame over one pipelined mix of every pooled
+// kind: nothing for a numeric kind, one allocation (the string its values
+// share) for a string-carrying pooled kind. SearchReq is not a pooled
+// kind and costs what its fresh Decode does.
+func TestStreamReaderAllocs(t *testing.T) {
+	search := &SearchReq{Expr: And(Keyword("mozart"), SizeAtLeast(1<<20))}
+	searchRaw := Encode(search)
+	mix := []struct {
+		m    Message
+		want float64
+	}{
+		{&GetSources{Hashes: []FileID{{1}, {2}, {3}}}, 0},
+		{&FoundSources{Hash: FileID{9}, Sources: []Endpoint{{ID: 1, Port: 2}, {ID: 3, Port: 4}}}, 0},
+		{&StatReq{Challenge: 7}, 0},
+		{&StatRes{Challenge: 7, Users: 10, Files: 20}, 0},
+		{&OfferAck{Accepted: 3}, 0},
+		{searchResOf(12), 1},
+		{&OfferFiles{Client: 1, Port: 4662, Files: entriesOf(3)}, 1},
+		{search, testing.AllocsPerRun(100, func() { Decode(searchRaw) })},
+	}
+	var round []byte
+	for _, k := range mix {
+		round = AppendFrameTCP(round, k.m)
+	}
+	sr := NewStreamReader(&loopReader{data: round})
+	next := func() {
+		if _, err := sr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A GC cycle empties the pools; pin the collector off, as
+	// TestDecodePooledZeroAlloc does. A pool's fast path is per P: pin
+	// to one, as testing.AllocsPerRun does.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 64*len(mix); i++ {
+		next() // warm the pools and grow slice capacity to steady state
+	}
+	const rounds = 100
+	mallocs := make([]uint64, len(mix))
+	var ms runtime.MemStats
+	for r := 0; r < rounds; r++ {
+		for i := range mix {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			next()
+			runtime.ReadMemStats(&ms)
+			mallocs[i] += ms.Mallocs - before
+		}
+	}
+	for i, k := range mix {
+		if got := float64(mallocs[i]) / rounds; got != k.want {
+			t.Errorf("%s through StreamReader.Next: %.2f allocations a frame, want %.0f",
+				OpcodeName(k.m.Opcode()), got, k.want)
 		}
 	}
 }

@@ -159,7 +159,8 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 // reader against the one-shot ParseTCPStream on the same bytes: the
 // message sequence must be identical under any segmentation, and the
 // two must agree on whether the stream ends cleanly, mid-frame, or in
-// garbage.
+// garbage. A StreamReader message is borrowed until the next call, so
+// each is compared before the reader is asked for another.
 func FuzzStreamReader(f *testing.F) {
 	var stream []byte
 	for _, m := range fuzzSeedMessages() {
@@ -189,7 +190,7 @@ func FuzzStreamReader(f *testing.F) {
 		want, consumed, werr := ParseTCPStream(data)
 
 		sr := NewStreamReader(&chunkReader{data: data, chunk: chunk})
-		var got []Message
+		got := 0
 		var gerr error
 		for {
 			m, err := sr.Next()
@@ -197,37 +198,35 @@ func FuzzStreamReader(f *testing.F) {
 				gerr = err
 				break
 			}
-			got = append(got, m)
-			if len(got) > len(want) {
-				t.Fatalf("StreamReader produced %d messages, ParseTCPStream %d", len(got), len(want))
+			if got == len(want) {
+				t.Fatalf("StreamReader produced more than ParseTCPStream's %d messages", len(want))
 			}
-		}
-		for i := range got {
-			if !msgEqual(got[i], want[i]) {
-				t.Fatalf("message %d differs:\nstream %#v\nparse  %#v", i, got[i], want[i])
+			if !msgEqual(m, want[got]) {
+				t.Fatalf("message %d differs:\nstream %#v\nparse  %#v", got, m, want[got])
 			}
+			got++
 		}
 		switch {
 		case werr != nil:
 			// Garbage frame: the incremental reader must also die on it
 			// (possibly with io.ErrUnexpectedEOF if the bad frame's
 			// length claim runs past the buffered bytes).
-			if gerr == io.EOF && len(got) == len(want) {
+			if gerr == io.EOF && got == len(want) {
 				t.Fatalf("ParseTCPStream failed (%v), StreamReader ended cleanly", werr)
 			}
 		case consumed == len(data):
 			if gerr != io.EOF {
 				t.Fatalf("clean stream: StreamReader err %v, want EOF", gerr)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("clean stream: %d messages, want %d", len(got), len(want))
+			if got != len(want) {
+				t.Fatalf("clean stream: %d messages, want %d", got, len(want))
 			}
 		default:
 			if gerr != io.ErrUnexpectedEOF {
 				t.Fatalf("stream ends mid-frame: StreamReader err %v, want ErrUnexpectedEOF", gerr)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("mid-frame stream: %d messages, want %d", len(got), len(want))
+			if got != len(want) {
+				t.Fatalf("mid-frame stream: %d messages, want %d", got, len(want))
 			}
 		}
 	})

@@ -160,7 +160,7 @@ func ParseTCPStream(stream []byte) (msgs []Message, consumed int, err error) {
 			}
 			payload = inflated
 		}
-		m, derr := decodeTCPBody(op, payload)
+		m, derr := decodeTCPBody(op, payload, false)
 		if derr != nil {
 			return msgs, off, derr
 		}
@@ -179,16 +179,22 @@ func ParseTCPStream(stream []byte) (msgs []Message, consumed int, err error) {
 //
 // Frames are decoded in place: the decoder reads payload bytes directly
 // out of the reader's buffer (and packed frames out of a reusable
-// inflate buffer), never re-copying the body. Decoded messages own their
-// data, so they stay valid across subsequent Next calls; each is a fresh
-// Decode's, a fixed number of allocations whatever it carries, its slices
-// capacity-clipped sub-slices of per-message slabs (see decode.go).
+// inflate buffer), never re-copying the body. The message Next returns
+// is borrowed: it comes from DecodePooled's per-type pools, and the next
+// call on the same reader hands it back to them (Release), so it and
+// every slice inside it are valid until then and no longer. A caller
+// that keeps anything of a message past its next Next copies it, as
+// server.handleOffer copies the tags it indexes. In steady state a
+// frame of a numeric kind costs no allocation and one of the pooled
+// string-carrying kinds one, the string its values share; the kinds
+// DecodePooled does not pool cost what a fresh Decode's do.
 type StreamReader struct {
 	r     io.Reader
 	buf   []byte
 	start int // parse resumes here
 	end   int // valid bytes end here
 	err   error
+	last  Message // lent by the previous Next; released by this one
 
 	// Packed-frame machinery, built lazily on the first 0xD4 frame and
 	// reused for the rest of the session.
@@ -197,15 +203,27 @@ type StreamReader struct {
 	zbuf []byte
 }
 
+// Read buffers start at readBufSize bytes. One grown past shrinkAbove
+// for a large frame goes back to readBufSize once drained, so a session
+// is not left holding the largest frame it ever read; ordinary traffic
+// stays below the threshold and never re-allocates.
+const (
+	readBufSize = 4 << 10
+	shrinkAbove = 64 << 10
+)
+
 // NewStreamReader returns a frame reader over r.
 func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{r: r, buf: make([]byte, 4096)}
+	return &StreamReader{r: r, buf: make([]byte, readBufSize)}
 }
 
-// Next returns the next complete message from the stream. It returns
-// io.EOF on a clean end-of-stream (between frames) and
-// io.ErrUnexpectedEOF when the stream ends mid-frame.
+// Next returns the next complete message from the stream, valid until
+// the following call (see StreamReader). It returns io.EOF on a clean
+// end-of-stream (between frames) and io.ErrUnexpectedEOF when the
+// stream ends mid-frame.
 func (sr *StreamReader) Next() (Message, error) {
+	Release(sr.last)
+	sr.last = nil
 	for {
 		if sr.err != nil {
 			return nil, sr.err
@@ -214,10 +232,21 @@ func (sr *StreamReader) Next() (Message, error) {
 			sr.err = perr
 			return nil, sr.err
 		} else if ok {
+			sr.last = m
 			return m, nil
 		}
-		// No complete frame buffered: make room, then read more.
-		if sr.start > 0 && (sr.end == len(sr.buf) || sr.start == sr.end) {
+		// No complete frame buffered: make room, then read more. A
+		// buffer grown for a large frame that has since drained to less
+		// than a small buffer's worth goes back to the small size
+		// (messages never alias either buffer).
+		if len(sr.zbuf) > shrinkAbove {
+			sr.zbuf = nil
+		}
+		if len(sr.buf) > shrinkAbove && sr.end-sr.start < readBufSize {
+			small := make([]byte, readBufSize)
+			sr.end = copy(small, sr.buf[sr.start:sr.end])
+			sr.start, sr.buf = 0, small
+		} else if sr.start > 0 && (sr.end == len(sr.buf) || sr.start == sr.end) {
 			sr.end = copy(sr.buf, sr.buf[sr.start:sr.end])
 			sr.start = 0
 		}
@@ -277,7 +306,7 @@ func (sr *StreamReader) parseFrame() (m Message, ok bool, err error) {
 			return nil, false, err
 		}
 	}
-	m, err = decodeTCPBody(op, payload)
+	m, err = decodeTCPBody(op, payload, true)
 	if err != nil {
 		return nil, false, err
 	}
@@ -299,7 +328,7 @@ func (sr *StreamReader) inflate(payload []byte) ([]byte, error) {
 		return nil, semanticf("packed frame: %v", err)
 	}
 	if sr.zbuf == nil {
-		sr.zbuf = make([]byte, 4096)
+		sr.zbuf = make([]byte, readBufSize)
 	}
 	total := 0
 	for {
@@ -326,8 +355,9 @@ func (sr *StreamReader) inflate(payload []byte) ([]byte, error) {
 
 // decodeTCPBody decodes one frame body (already inflated). The payload
 // is read in place — never copied — and the returned message does not
-// alias it.
-func decodeTCPBody(op byte, payload []byte) (Message, error) {
+// alias it. pooled selects, as for decodeBody, whether high-volume kinds
+// come from the per-type pools.
+func decodeTCPBody(op byte, payload []byte, pooled bool) (Message, error) {
 	switch op {
 	case OpLoginRequest:
 		r := &buffer{b: payload}
@@ -354,6 +384,6 @@ func decodeTCPBody(op byte, payload []byte) (Message, error) {
 		if err := validateBody(op, len(payload)); err != nil {
 			return nil, err
 		}
-		return decodeBody(op, payload, false)
+		return decodeBody(op, payload, pooled)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"testing/quick"
@@ -342,5 +343,98 @@ func TestStreamReaderPackedFrames(t *testing.T) {
 	}
 	if m2, err := sr.Next(); err != nil || m2.(*StatReq).Challenge != 4 {
 		t.Fatalf("after packed: %v %v", m2, err)
+	}
+}
+
+// TestStreamReaderShrinksAfterLargeFrame: a frame larger than
+// shrinkAbove grows the read buffer, and packed the inflate buffer, only
+// until it has been read. Once the next frame is read the session holds
+// no more than shrinkAbove of either, whatever its largest frame was.
+func TestStreamReaderShrinksAfterLargeFrame(t *testing.T) {
+	big := &OfferFiles{Client: 1, Port: 2}
+	name := strings.Repeat("a long file name ", 120)
+	for len(big.Files) < MaxFilesPerMsg {
+		e := sampleEntry(byte(len(big.Files)))
+		e.Tags[0] = StringTag(FTFileName, name)
+		big.Files = append(big.Files, e)
+	}
+	plain := FrameTCP(big)
+	if len(plain) < 512<<10 {
+		t.Fatalf("large frame is %d bytes, want at least 512 KiB", len(plain))
+	}
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{{"plain", plain}, {"packed", FrameTCPPacked(big)}} {
+		// The small frame arrives in a read of its own, after the large
+		// one has been handed out.
+		sr := NewStreamReader(io.MultiReader(bytes.NewReader(c.frame),
+			bytes.NewReader(FrameTCP(&StatReq{Challenge: 5}))))
+		m, err := sr.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := len(m.(*OfferFiles).Files); got != len(big.Files) {
+			t.Fatalf("%s: %d files, want %d", c.name, got, len(big.Files))
+		}
+		if m, err := sr.Next(); err != nil || m.(*StatReq).Challenge != 5 {
+			t.Fatalf("%s: after the large frame: %v %v", c.name, m, err)
+		}
+		if held := cap(sr.buf) + cap(sr.zbuf); held > shrinkAbove {
+			t.Errorf("%s: reader holds %d bytes of buffers after a %d-byte frame, want at most %d",
+				c.name, held, len(plain), shrinkAbove)
+		}
+	}
+}
+
+// loopReader serves data over and over, as much of it as fits each Read.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.data[l.off:])
+	l.off = (l.off + n) % len(l.data)
+	return n, nil
+}
+
+// BenchmarkStreamReader reads pipelined rounds of frames through one
+// reader, as the two ends of a serve session read them: the numeric
+// requests that make up most of a client's traffic, and the answers a
+// client reads, one string-carrying SearchRes among them. An op is one
+// round. CI's alloc gate wants 0 allocs/op on requests and at most 1,
+// the SearchRes string, on answers.
+func BenchmarkStreamReader(b *testing.B) {
+	for _, mix := range []struct {
+		name string
+		msgs []Message
+	}{
+		{"requests", []Message{
+			&GetSources{Hashes: []FileID{{1}}},
+			&StatReq{Challenge: 7},
+			&GetSources{Hashes: []FileID{{1}, {2}, {3}, {4}}},
+		}},
+		{"answers", []Message{
+			&FoundSources{Hash: FileID{1}, Sources: []Endpoint{{ID: 1, Port: 4662}}},
+			&FoundSources{Hash: FileID{2}, Sources: []Endpoint{{ID: 1, Port: 4662}, {ID: 2, Port: 4662}, {ID: 3, Port: 4662}}},
+			&StatRes{Challenge: 7, Users: 10, Files: 20},
+			&OfferAck{Accepted: 3},
+			searchResOf(12),
+		}},
+	} {
+		b.Run(mix.name, func(b *testing.B) {
+			round := streamOf(mix.msgs...)
+			sr := NewStreamReader(&loopReader{data: round})
+			b.ReportAllocs()
+			b.SetBytes(int64(len(round)))
+			for i := 0; i < b.N; i++ {
+				for range mix.msgs {
+					if _, err := sr.Next(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -526,7 +526,9 @@ func (d *Daemon) track(c net.Conn, add bool) {
 // flushBound caps the answer bytes a session holds back: at or above
 // it the pending answers are written even when more requests are already
 // buffered, which bounds memory per connection (with the 4 KiB read
-// buffer: 8 KiB plus one request's answers) and keeps a closed-loop
+// buffer: 8 KiB plus one request's answers; a request frame over 64 KiB
+// grows the read buffer only until it has been read, see
+// ed2k.StreamReader) and keeps a closed-loop
 // client from waiting for a whole window of answers at once. Chosen by
 // measurement, bench/run.sh workload serve (2 vCPUs, 2 connections x 64
 // outstanding, 15 s, seeds 6 and 7 twice each, medians; a write per
@@ -635,11 +637,13 @@ func (c *connIO) mirrorFrame(srcKey, dstKey uint32, m ed2k.Message, frame []byte
 // before. Order holds because there is one buffer, appended to in
 // handling order and written front to back by this goroutine alone.
 //
-// The index builds each request's answers in the session's own
-// server.Answers, so serving allocates nothing for them. They are
-// borrowed until the next request is handled, and everything that reads
-// them — the resolver, the tap, the framing into out — is done with them
-// by then.
+// The request is borrowed from the StreamReader, which takes it back
+// at the next Next, and the index builds its answers in the session's
+// own server.Answers, so neither is fresh garbage per request. Both are
+// valid until the next request is parsed, and everything that reads
+// them — the policy, the index, the resolver's synchronous forward, the
+// tap, the framing into out — is done with them by then; the index
+// copies what it keeps of an offer.
 func (d *Daemon) serveConn(c *connIO) {
 	remote := c.conn.RemoteAddr().(*net.TCPAddr)
 	clientKey := AddrKey(remote.IP, remote.Port)
