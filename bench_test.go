@@ -506,7 +506,7 @@ func BenchmarkSessionPipelineMetrics(b *testing.B) {
 	if st.DecodedOK == 0 {
 		b.Fatal("session decoded nothing — benchmark frames are broken")
 	}
-	if got := reg.Counter("edsession_frames_total", "").Value(); got != uint64(b.N) {
+	if got := counterOf(reg, "edsession_frames_total"); got != uint64(b.N) {
 		b.Fatalf("frames counter %d, want %d", got, b.N)
 	}
 	b.ReportMetric(float64(st.DecodedOK)/b.Elapsed().Seconds(), "msgs/s")
@@ -627,7 +627,7 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 		var tc clients.TrafficConfig = cfg.Traffic
 		tc.Duration = 2 * simtime.Hour
 		cfg.Traffic = tc
-		w, err := core.NewSimWorld(cfg)
+		w, err := core.NewSimWorld(cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

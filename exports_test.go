@@ -57,8 +57,6 @@ var testOnlyKeep = map[string]string{
 	"internal/clients.Swarm.FlashWindows":            "accessor",
 	"internal/edmesh.Mesh.Peers":                     "accessor",
 	"internal/netsim.Reassembler.PendingCount":       "accessor",
-	"internal/pcap.KernelBuffer.Len":                 "accessor",
-	"internal/pcap.KernelBuffer.Used":                "accessor",
 	"internal/pcap.Reader.Count":                     "accessor",
 	"internal/pcap.Reader.SnapLen":                   "accessor",
 	"internal/pcap.Writer.Count":                     "accessor",

@@ -10,6 +10,7 @@ import (
 	"edtrace/internal/anonymize"
 	"edtrace/internal/ed2k"
 	"edtrace/internal/netsim"
+	"edtrace/internal/pcap"
 	"edtrace/internal/simtime"
 	"edtrace/internal/xmlenc"
 )
@@ -254,11 +255,12 @@ func tinySimConfig() SimConfig {
 }
 
 // runWorld runs cfg's world into a test-local pipeline writing to sink
-// and folds the pipeline's counters into the report, the way an
-// edtrace.Session does for a SimSource.
+// and folds the pipeline's counters and the capture's ledger into the
+// report, the way an edtrace.Session does for a SimSource.
 func runWorld(t testing.TB, cfg SimConfig, sink RecordSink) *Report {
 	t.Helper()
-	w, err := NewSimWorld(cfg)
+	var ledger pcap.Ledger
+	w, err := NewSimWorld(cfg, &ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +271,16 @@ func runWorld(t testing.TB, cfg SimConfig, sink RecordSink) *Report {
 			p.ExpireReassembly(now)
 			lastExpire = now
 		}
-		return p.ProcessFrame(now, frame)
+		if err := p.ProcessFrame(now, frame); err != nil {
+			return err
+		}
+		ledger.Capture(int(now / simtime.Second))
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep.LossPerSecond, rep.EthernetCaptured, rep.EthernetDropped = ledger.Account()
 	rep.Pipeline = p.Stats()
 	rep.DistinctClients = p.ClientAnonymizer().Count()
 	rep.DistinctFiles = p.FileAnonymizer().Count()
@@ -368,7 +375,7 @@ func TestNewSimWorldRejectsNonPositiveCapture(t *testing.T) {
 	} {
 		cfg := tinySimConfig()
 		tc.mutate(&cfg)
-		_, err := NewSimWorld(cfg)
+		_, err := NewSimWorld(cfg, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: err = %v, want an error naming the field", tc.field, err)
 		}

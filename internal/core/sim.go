@@ -83,7 +83,8 @@ type Report struct {
 	// WallClock is how long the simulation took for real.
 	WallClock time.Duration
 
-	// Capture layer (Fig 2).
+	// Capture layer (Fig 2): the frames' consumer fills it in from the
+	// capture's pcap.Ledger; RunFrames leaves it empty.
 	EthernetCaptured uint64
 	EthernetDropped  uint64
 	LossPerSecond    []pcap.SecondStats
@@ -144,8 +145,9 @@ type SimWorld struct {
 }
 
 // NewSimWorld builds the testbed: catalog, population, server, links with
-// a capture tap on both directions, and the kernel buffer.
-func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
+// a capture tap on both directions, and the kernel buffer, whose overflow
+// is counted in drops (nil: not counted).
+func NewSimWorld(cfg SimConfig, drops *pcap.Ledger) (*SimWorld, error) {
 	if cfg.ServicePerPoll <= 0 {
 		return nil, fmt.Errorf("core: ServicePerPoll = %d (want > 0)", cfg.ServicePerPoll)
 	}
@@ -163,7 +165,7 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 
 	w := &SimWorld{cfg: cfg, sched: simtime.NewScheduler()}
 	w.srv = server.New("edtrace-sim", "simulated eDonkey server (ten weeks reproduction)")
-	w.buf = pcap.NewKernelBuffer(cfg.KernelBufferBytes)
+	w.buf = pcap.NewKernelBuffer(cfg.KernelBufferBytes, drops)
 
 	w.uplink = netsim.NewLink(w.sched, linkBitsPerSec, 5*simtime.Millisecond)
 	w.dnlink = netsim.NewLink(w.sched, linkBitsPerSec, 5*simtime.Millisecond)
@@ -262,8 +264,7 @@ func (w *SimWorld) fail(err error) {
 // every frame the capture machine drains to fn. Extra drain time after
 // the traffic horizon lets the capture machine empty its backlog. The
 // run stops early when ctx is cancelled or fn returns an error; either
-// way the report carries the capture- and world-layer counters
-// accumulated so far.
+// way the report carries the world-layer counters accumulated so far.
 func (w *SimWorld) RunFrames(ctx context.Context, fn FrameFunc) (*Report, error) {
 	if w.ran {
 		return nil, errors.New("core: SimWorld already ran")
@@ -284,12 +285,9 @@ func (w *SimWorld) RunFrames(ctx context.Context, fn FrameFunc) (*Report, error)
 		dur = w.sched.Now()
 	}
 	return &Report{
-		VirtualDuration:  dur,
-		WallClock:        time.Since(start),
-		EthernetCaptured: w.buf.Captured(),
-		EthernetDropped:  w.buf.Dropped(),
-		LossPerSecond:    w.buf.PerSecond(),
-		ServerStats:      w.srv.Stats(),
-		SwarmStats:       w.swarm.Stats(),
+		VirtualDuration: dur,
+		WallClock:       time.Since(start),
+		ServerStats:     w.srv.Stats(),
+		SwarmStats:      w.swarm.Stats(),
 	}, w.runErr
 }

@@ -70,7 +70,7 @@ func captureChunks(tb testing.TB) (chunks [][]byte, records int) {
 		cfg.Workload.ScannerFraction = 0
 		cfg.Workload.HeavyFraction = 0
 		cfg.Traffic.Duration = simtime.Hour
-		world, err := core.NewSimWorld(cfg)
+		world, err := core.NewSimWorld(cfg, nil)
 		if err != nil {
 			cs.err = err
 			return

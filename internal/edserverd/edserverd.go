@@ -545,6 +545,22 @@ func (d *Daemon) track(c net.Conn, add bool) {
 // plateau.
 const flushBound = 4 << 10
 
+// A session buffer grown past shrinkAbove goes back to a flush's worth
+// once written or mirrored, as the StreamReader's read buffers do: a
+// SearchRes fitted to MaxTCPFrame can take ~1 MiB, and the session must
+// not hold that for the rest of its life. Ordinary answers stay below
+// the threshold and never re-allocate.
+const shrinkAbove = 64 << 10
+
+// reuse returns b emptied, or a small buffer in its place if b grew past
+// shrinkAbove.
+func reuse(b []byte) []byte {
+	if cap(b) > shrinkAbove {
+		return make([]byte, 0, flushBound)
+	}
+	return b[:0]
+}
+
 // connIO is one TCP session's socket plus the answers not yet written
 // to it. It is the io.Reader serveConn's StreamReader pulls from, and
 // its Read is the only place the session can block on the client: it
@@ -592,7 +608,7 @@ func (c *connIO) flush() error {
 	c.conn.SetWriteDeadline(time.Now().Add(c.d.writeTimeout))
 	c.d.nFlush.Add(1) // before the write: a client holding an answer can rely on the count
 	_, err := c.conn.Write(c.out)
-	c.out = c.out[:0]
+	c.out = reuse(c.out)
 	if err != nil {
 		c.werr = err
 		if c.d.ctx.Err() == nil {
@@ -608,6 +624,7 @@ func (c *connIO) mirror(srcKey, dstKey uint32, m ed2k.Message) {
 	if tap := c.d.tapFor(m); tap != nil {
 		c.scratch = ed2k.AppendEncode(c.scratch[:0], m)
 		(*tap)(srcKey, dstKey, c.scratch)
+		c.scratch = reuse(c.scratch)
 	}
 }
 
@@ -619,6 +636,7 @@ func (c *connIO) mirrorFrame(srcKey, dstKey uint32, m ed2k.Message, frame []byte
 	if tap := c.d.tapFor(m); tap != nil {
 		c.scratch = append(append(c.scratch[:0], ed2k.ProtoEDonkey), frame[5:]...)
 		(*tap)(srcKey, dstKey, c.scratch)
+		c.scratch = reuse(c.scratch)
 	}
 }
 

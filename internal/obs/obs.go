@@ -222,11 +222,20 @@ func (k kind) String() string {
 // child is one labelled series of a family: either a direct metric or
 // a read callback.
 type child struct {
-	labels  []Label
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	gaugeFn func() float64
+	labels    []Label
+	counter   *Counter
+	gauge     *Gauge
+	hist      *Histogram
+	counterFn func() uint64
+	gaugeFn   func() float64
+}
+
+// counterValue reads a counter child, direct or callback.
+func (c *child) counterValue() uint64 {
+	if c.counterFn != nil {
+		return c.counterFn()
+	}
+	return c.counter.Value()
 }
 
 type family struct {
@@ -347,12 +356,25 @@ func (r *Registry) getChild(name, help string, k kind, labels []Label, init func
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	var out *Counter
 	r.getChild(name, help, kindCounter, labels, func(c *child) {
+		if c.counterFn != nil {
+			panic("obs: " + name + " is a counter func, not a counter")
+		}
 		if c.counter == nil {
 			c.counter = &Counter{}
 		}
 		out = c.counter
 	})
 	return out
+}
+
+// CounterFunc registers a read callback rendered as a counter: for a
+// count its owner keeps anyway, read at scrape time rather than copied
+// into a Counter. A re-registration replaces the callback, so the series
+// describes the latest owner (a second Session on a registry).
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
+	r.getChild(name, help, kindCounter, labels, func(c *child) {
+		c.counter, c.counterFn = nil, fn
+	})
 }
 
 // Gauge returns the gauge for name+labels, creating it on first use.
@@ -506,7 +528,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for _, c := range r.childSnapshots(f) {
 			switch f.kind {
 			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, formatLabels(c.labels), c.counter.Value())
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, formatLabels(c.labels), c.counterValue())
 			case kindGauge:
 				var v float64
 				if c.gaugeFn != nil {
@@ -562,7 +584,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			b.WriteString("}, ")
 			switch f.kind {
 			case kindCounter:
-				fmt.Fprintf(&b, "\"value\": %d}", c.counter.Value())
+				fmt.Fprintf(&b, "\"value\": %d}", c.counterValue())
 			case kindGauge:
 				var v float64
 				if c.gaugeFn != nil {

@@ -243,6 +243,7 @@ func TestFuncReRegistrationRace(t *testing.T) {
 			}
 			v := float64(i)
 			reg.GaugeFunc("race_gauge", "g", func() float64 { return v })
+			reg.CounterFunc("race_total", "c", func() uint64 { return uint64(v) })
 			peer := strconv.Itoa(i % 4)
 			reg.GaugeFunc("race_peer", "per peer", func() float64 { return v }, L("peer", peer))
 			if i%8 == 0 {
@@ -397,4 +398,40 @@ func TestHTTPEndpoint(t *testing.T) {
 	if code, _ := get("/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz after unhealthy = %d, want 503", code)
 	}
+}
+
+// TestCounterFunc: a counter callback renders as a counter in both
+// formats, a re-registration points the series at the new owner, and
+// the name cannot also be had as a direct Counter.
+func TestCounterFunc(t *testing.T) {
+	reg := NewRegistry()
+	first, second := uint64(5), uint64(2)
+	reg.CounterFunc("cf_frames_total", "frames", func() uint64 { return first }, L("reason", "x"))
+	render := func() (string, string) {
+		var p, j strings.Builder
+		if err := reg.WritePrometheus(&p); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.WriteJSON(&j); err != nil {
+			t.Fatal(err)
+		}
+		return p.String(), j.String()
+	}
+	p, j := render()
+	if !strings.Contains(p, "# TYPE cf_frames_total counter\n") || !strings.Contains(p, `cf_frames_total{reason="x"} 5`+"\n") {
+		t.Fatalf("exposition:\n%s", p)
+	}
+	if !strings.Contains(j, `"value": 5}`) {
+		t.Fatalf("JSON:\n%s", j)
+	}
+	reg.CounterFunc("cf_frames_total", "frames", func() uint64 { return second }, L("reason", "x"))
+	if p, _ = render(); !strings.Contains(p, `cf_frames_total{reason="x"} 2`+"\n") {
+		t.Fatalf("re-registered callback not rendered:\n%s", p)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Counter on a counter func did not panic")
+		}
+	}()
+	reg.Counter("cf_frames_total", "frames", L("reason", "x"))
 }

@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"edtrace/internal/simtime"
 )
@@ -9,75 +10,47 @@ import (
 // KernelBuffer models the bounded buffer between the capturing kernel and
 // the user-space decoder. The tap produces frames into it; the pipeline
 // consumes them at its service rate. When a burst fills the byte budget,
-// further frames are dropped and counted, exactly like libpcap's
-// ps_drop statistic that the paper reads its Figure 2 from.
+// further frames are dropped and counted in the capture's Ledger as
+// QueueFull, exactly like libpcap's ps_drop statistic that the paper
+// reads its Figure 2 from. The frames it stores are counted by whoever
+// consumes them.
 //
-// Only the simulator uses it: every call comes from its single event
-// loop (a live capture queues frames in the Session's own batch queue).
+// Only the simulator uses it, from its single event loop (a live capture
+// queues frames in the Session's own batch queue).
 type KernelBuffer struct {
-	mu       sync.Mutex
 	capBytes int
 	used     int
 	queue    []Record
-
-	captured uint64
-	dropped  uint64
-
-	// Per-second series, indexed by virtual second since start.
-	perSecond []SecondStats
-}
-
-// SecondStats aggregates one virtual second of capture activity.
-type SecondStats struct {
-	Captured uint64
-	Dropped  uint64
+	drops    *Ledger
 }
 
 // NewKernelBuffer returns a buffer with the given byte budget, the knob
-// the paper could not enlarge on the shared capture machine.
-func NewKernelBuffer(capBytes int) *KernelBuffer {
+// the paper could not enlarge on the shared capture machine. Overflow is
+// counted in drops, by virtual second (nil: not counted).
+func NewKernelBuffer(capBytes int, drops *Ledger) *KernelBuffer {
 	if capBytes <= 0 {
 		panic("pcap: kernel buffer needs a positive byte budget")
 	}
-	return &KernelBuffer{capBytes: capBytes}
-}
-
-// AtSecond returns second sec of the per-second series *per, extending
-// the series with empty seconds up to it.
-func AtSecond(per *[]SecondStats, sec int) *SecondStats {
-	if n := sec + 1 - len(*per); n > 0 {
-		*per = append(*per, make([]SecondStats, n)...)
-	}
-	return &(*per)[sec]
-}
-
-func (k *KernelBuffer) second(now simtime.Time) *SecondStats {
-	return AtSecond(&k.perSecond, int(now/simtime.Second))
+	return &KernelBuffer{capBytes: capBytes, drops: drops}
 }
 
 // Produce offers one frame at virtual time now. It reports whether the
 // frame was stored; false means the buffer was full and the frame lost.
 func (k *KernelBuffer) Produce(now simtime.Time, frame []byte) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	sec := k.second(now)
 	if k.used+len(frame) > k.capBytes {
-		k.dropped++
-		sec.Dropped++
+		if k.drops != nil {
+			k.drops.Drop(int(now/simtime.Second), QueueFull)
+		}
 		return false
 	}
 	k.queue = append(k.queue, RecordAt(now, frame))
 	k.used += len(frame)
-	k.captured++
-	sec.Captured++
 	return true
 }
 
 // Consume removes and returns up to max frames. It returns nil when the
 // buffer is empty.
 func (k *KernelBuffer) Consume(max int) []Record {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if len(k.queue) == 0 {
 		return nil
 	}
@@ -97,44 +70,6 @@ func (k *KernelBuffer) Consume(max int) []Record {
 	return out
 }
 
-// Len reports queued frames; Used reports queued bytes.
-func (k *KernelBuffer) Len() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.queue)
-}
-
-// Used reports the occupied byte budget.
-func (k *KernelBuffer) Used() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.used
-}
-
-// Captured returns total frames stored since start.
-func (k *KernelBuffer) Captured() uint64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.captured
-}
-
-// Dropped returns total frames lost to overflow since start.
-func (k *KernelBuffer) Dropped() uint64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.dropped
-}
-
-// PerSecond returns a copy of the per-second capture/loss series —
-// the data behind Figure 2.
-func (k *KernelBuffer) PerSecond() []SecondStats {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]SecondStats, len(k.perSecond))
-	copy(out, k.perSecond)
-	return out
-}
-
 // Tap adapts a KernelBuffer to the netsim.Tap interface: every mirrored
 // frame is offered to the buffer.
 type Tap struct {
@@ -144,4 +79,101 @@ type Tap struct {
 // Frame implements netsim.Tap.
 func (t Tap) Frame(now simtime.Time, frame []byte) {
 	t.Buf.Produce(now, frame)
+}
+
+// SecondStats aggregates one second of capture activity.
+type SecondStats struct {
+	Captured uint64
+	Dropped  uint64
+}
+
+// Reason is why a frame offered to a capture was not processed.
+type Reason uint8
+
+const (
+	// QueueFull: the buffer between the tap and the decoder had no room
+	// (libpcap's ps_drop).
+	QueueFull Reason = iota
+	// Closed: the frame was offered after the capture was closed.
+	Closed
+	// Aborted: the frame was in flight when the run failed or was
+	// cancelled.
+	Aborted
+	// NumReasons counts the reasons above.
+	NumReasons
+)
+
+var reasonNames = [NumReasons]string{"queue_full", "closed", "aborted"}
+
+// String returns the reason's metric label value.
+func (r Reason) String() string { return reasonNames[r] }
+
+// Ledger is a capture's one account of the frames offered to it: each is
+// counted once, as captured (processed by the decoder) or as dropped for
+// one Reason, in totals and in a per-second series, Figure 2's data. Each
+// event is counted by the component that owns it, in the second its own
+// clock places it in.
+//
+// Captured frames have a single writer, the goroutine that processes
+// them, so counting one takes no lock. Drops come from the tap side and
+// from the error paths, so they take one. The totals are safe to read at
+// any time; Seconds and Account belong to the capturing goroutine (or to
+// whoever runs after it).
+type Ledger struct {
+	captured    atomic.Uint64
+	dropped     [NumReasons]atomic.Uint64
+	capturedPer []uint64
+
+	mu         sync.Mutex
+	droppedPer []uint64
+}
+
+// at returns second sec of *per, extending it with empty seconds.
+func at(per *[]uint64, sec int) *uint64 {
+	if n := sec + 1 - len(*per); n > 0 {
+		*per = append(*per, make([]uint64, n)...)
+	}
+	return &(*per)[sec]
+}
+
+// Capture counts one processed frame in second sec.
+func (l *Ledger) Capture(sec int) {
+	*at(&l.capturedPer, sec)++
+	l.captured.Add(1)
+}
+
+// Drop counts one frame dropped for reason r in second sec. Safe for
+// concurrent use.
+func (l *Ledger) Drop(sec int, r Reason) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	*at(&l.droppedPer, sec)++
+	l.dropped[r].Add(1)
+}
+
+// Captured returns the frames processed so far.
+func (l *Ledger) Captured() uint64 { return l.captured.Load() }
+
+// Dropped returns the frames dropped so far for reason r.
+func (l *Ledger) Dropped(r Reason) uint64 { return l.dropped[r].Load() }
+
+// Seconds returns the length of the series of captured frames.
+func (l *Ledger) Seconds() int { return len(l.capturedPer) }
+
+// Account returns the per-second series with its totals, which agree
+// with it however many frames are dropped meanwhile.
+func (l *Ledger) Account() (per []SecondStats, captured, dropped uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	per = make([]SecondStats, max(len(l.capturedPer), len(l.droppedPer)))
+	for sec, n := range l.capturedPer {
+		per[sec].Captured = n
+	}
+	for sec, n := range l.droppedPer {
+		per[sec].Dropped = n
+	}
+	for r := range l.dropped {
+		dropped += l.dropped[r].Load()
+	}
+	return per, l.captured.Load(), dropped
 }

@@ -8,9 +8,12 @@
 // unsufficient and get full of packets, while some others still arrive.
 // The kernel cannot store these new packets in the buffer, and some are
 // thus lost. The number of lost packets is stored in a kernel structure".
-// KernelBuffer reproduces exactly this accounting: a bounded byte-budget
-// ring written by the tap and drained by the decoder, counting drops and
-// exposing a per-second loss series.
+// KernelBuffer reproduces this buffer: a bounded byte budget written by
+// the tap and drained by the decoder, whose overflow it counts in the
+// capture's Ledger. The Ledger is that kernel structure, for every kind
+// of capture: one account of the frames offered, each counted once as
+// captured or dropped, in totals and in the per-second series of
+// Figure 2.
 package pcap
 
 import (

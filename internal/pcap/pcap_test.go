@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -253,7 +255,8 @@ func TestQuickFileRoundtrip(t *testing.T) {
 }
 
 func TestKernelBufferDropsWhenFull(t *testing.T) {
-	k := NewKernelBuffer(100)
+	var l Ledger
+	k := NewKernelBuffer(100, &l)
 	frame := bytes.Repeat([]byte{1}, 40)
 	if !k.Produce(0, frame) || !k.Produce(0, frame) {
 		t.Fatal("first two frames must fit")
@@ -261,8 +264,9 @@ func TestKernelBufferDropsWhenFull(t *testing.T) {
 	if k.Produce(0, frame) {
 		t.Fatal("third frame must overflow (120 > 100)")
 	}
-	if k.Captured() != 2 || k.Dropped() != 1 {
-		t.Fatalf("captured=%d dropped=%d", k.Captured(), k.Dropped())
+	if l.Dropped(QueueFull) != 1 || l.Captured() != 0 {
+		t.Fatalf("ledger: dropped=%d captured=%d, want 1 and 0 (the consumer counts what it takes)",
+			l.Dropped(QueueFull), l.Captured())
 	}
 	// Draining frees budget.
 	got := k.Consume(1)
@@ -275,7 +279,7 @@ func TestKernelBufferDropsWhenFull(t *testing.T) {
 }
 
 func TestKernelBufferFIFOAndTimestamps(t *testing.T) {
-	k := NewKernelBuffer(1 << 20)
+	k := NewKernelBuffer(1<<20, nil)
 	k.Produce(1500*simtime.Millisecond, []byte("a"))
 	k.Produce(2*simtime.Second, []byte("b"))
 	recs := k.Consume(0)
@@ -290,16 +294,28 @@ func TestKernelBufferFIFOAndTimestamps(t *testing.T) {
 	}
 }
 
+// TestKernelBufferPerSecondSeries: the buffer's drops and the frames its
+// consumer takes land in one ledger, each in its own virtual second.
 func TestKernelBufferPerSecondSeries(t *testing.T) {
-	k := NewKernelBuffer(50)
+	var l Ledger
+	k := NewKernelBuffer(50, &l)
+	drain := func() {
+		for _, r := range k.Consume(0) {
+			l.Capture(int(r.Time() / simtime.Second))
+		}
+	}
 	big := bytes.Repeat([]byte{1}, 30)
 	// Second 0: one stored, one dropped.
 	k.Produce(100*simtime.Millisecond, big)
 	k.Produce(200*simtime.Millisecond, big)
 	// Second 2: drain then store.
-	k.Consume(0)
+	drain()
 	k.Produce(2*simtime.Second+simtime.Millisecond, big)
-	s := k.PerSecond()
+	drain()
+	s, captured, dropped := l.Account()
+	if captured != 2 || dropped != 1 {
+		t.Fatalf("totals: captured %d dropped %d, want 2 and 1", captured, dropped)
+	}
 	if len(s) != 3 {
 		t.Fatalf("series length %d, want 3", len(s))
 	}
@@ -315,15 +331,13 @@ func TestKernelBufferPerSecondSeries(t *testing.T) {
 }
 
 func TestKernelBufferConsumeLimit(t *testing.T) {
-	k := NewKernelBuffer(1 << 20)
+	const budget = 1 << 20
+	k := NewKernelBuffer(budget, nil)
 	for i := 0; i < 10; i++ {
 		k.Produce(0, []byte{byte(i)})
 	}
 	if got := k.Consume(3); len(got) != 3 {
 		t.Fatalf("Consume(3) returned %d", len(got))
-	}
-	if k.Len() != 7 {
-		t.Fatalf("Len = %d", k.Len())
 	}
 	if got := k.Consume(0); len(got) != 7 {
 		t.Fatalf("Consume(0) returned %d", len(got))
@@ -331,8 +345,9 @@ func TestKernelBufferConsumeLimit(t *testing.T) {
 	if k.Consume(5) != nil {
 		t.Fatal("empty buffer must return nil")
 	}
-	if k.Used() != 0 {
-		t.Fatalf("Used = %d after drain", k.Used())
+	// Drained, the buffer has its whole budget back.
+	if !k.Produce(0, make([]byte, budget)) {
+		t.Fatal("a frame of the whole budget does not fit a drained buffer")
 	}
 }
 
@@ -342,14 +357,66 @@ func TestNewKernelBufferPanicsOnZero(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewKernelBuffer(0)
+	NewKernelBuffer(0, nil)
 }
 
 func TestTapAdapterFeedsBuffer(t *testing.T) {
-	k := NewKernelBuffer(1 << 10)
+	k := NewKernelBuffer(1<<10, nil)
 	tap := Tap{Buf: k}
 	tap.Frame(simtime.Second, []byte("mirrored"))
-	if k.Captured() != 1 {
+	if len(k.Consume(0)) != 1 {
 		t.Fatal("tap did not feed the buffer")
+	}
+}
+
+// TestLedgerAccount: captures from one goroutine and drops from several
+// land in one account whose series adds up to its totals, and whose
+// dropped total is the sum of the reasons' — also when it is taken while
+// frames are still being dropped.
+func TestLedgerAccount(t *testing.T) {
+	const captures, droppers, drops = 5000, 4, 1000
+	var l Ledger
+	var wg sync.WaitGroup
+	for g := range droppers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range drops {
+				l.Drop(i%7, Reason(g%int(NumReasons)))
+			}
+		}()
+	}
+	for i := range captures {
+		l.Capture(i / 1000)
+		if i == captures/2 {
+			per, _, dropped := l.Account()
+			var sum uint64
+			for _, s := range per {
+				sum += s.Dropped
+			}
+			if sum != dropped {
+				t.Fatalf("mid-run account: the series drops %d, the total %d", sum, dropped)
+			}
+		}
+	}
+	wg.Wait()
+	per, captured, dropped := l.Account()
+	var seen, lost uint64
+	for _, s := range per {
+		seen += s.Captured
+		lost += s.Dropped
+	}
+	if captured != captures || seen != captures || dropped != droppers*drops || lost != dropped {
+		t.Fatalf("account: captured %d (series %d), dropped %d (series %d); want %d and %d",
+			captured, seen, dropped, lost, captures, droppers*drops)
+	}
+	if l.Dropped(QueueFull) != 2*drops || l.Dropped(Closed) != drops || l.Dropped(Aborted) != drops {
+		t.Fatalf("by reason: %d %d %d", l.Dropped(QueueFull), l.Dropped(Closed), l.Dropped(Aborted))
+	}
+	if len(per) != 7 || l.Seconds() != 5 {
+		t.Fatalf("series spans %d seconds, %d of them captured; want 7 and 5", len(per), l.Seconds())
+	}
+	if got := []string{QueueFull.String(), Closed.String(), Aborted.String()}; !reflect.DeepEqual(got, []string{"queue_full", "closed", "aborted"}) {
+		t.Fatalf("reason names %v", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"edtrace/internal/netsim"
+	"edtrace/internal/pcap"
 	"edtrace/internal/simtime"
 )
 
@@ -55,8 +56,12 @@ func (l *LiveSource) Mirror(srcIP, dstIP uint32, payload []byte) {
 	q := l.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.start.IsZero() {
+		q.start = time.Now()
+	}
+	t := simtime.Time(time.Since(q.start))
 	if q.closed {
-		q.drop(&q.tally.late)
+		q.ledger.Drop(int(t/simtime.Second), pcap.Closed)
 		return
 	}
 	if len(q.open) == q.size {
@@ -64,17 +69,14 @@ func (l *LiveSource) Mirror(srcIP, dstIP uint32, payload []byte) {
 		case q.batches <- q.open:
 			q.open = q.getBatch()
 		default:
-			q.drop(&q.tally.full)
+			q.ledger.Drop(int(t/simtime.Second), pcap.QueueFull)
 			return
 		}
-	}
-	if q.start.IsZero() {
-		q.start = time.Now()
 	}
 	n := len(q.open)
 	q.open = q.open[:n+1]
 	f := &q.open[n]
-	f.t = simtime.Time(time.Since(q.start))
+	f.t = t
 	f.data = netsim.AppendUDPFrame(f.data[:0], srcIP, dstIP, liveClientPort, liveServerPort, payload)
 }
 

@@ -113,14 +113,15 @@ func WithFileBytePair(a, b int) Option {
 
 // WithMetrics publishes the session pipeline's metrics into reg:
 // frames/records/batches throughput counters, the queue depth, dropped
-// frames by reason (queue_full, closed: a live source's Figure 2 losses,
-// live; aborted: cancellation or a pipeline error), and the anonymisation
-// tables' size (distinct clients and files, the clientID table's bytes,
-// the largest fileID bucket — Figure 3's diagnostic, live). Without it
-// the session adds no instrumentation to the hot path. Counters are
-// cumulative across sessions sharing a registry; the gauges describe the
-// most recent session (a re-registration re-points the queue's read
-// callbacks, and each session overwrites the anonymiser gauges).
+// frames by reason (queue_full: the Figure 2 losses, live, of a live
+// queue or a simulation's kernel buffer; closed: offered after the
+// capture closed; aborted: cancellation or a pipeline error), and the
+// anonymisation tables' size (distinct clients and files, the clientID
+// table's bytes, the largest fileID bucket — Figure 3's diagnostic,
+// live). The frame counters read the capture's ledger, which the report
+// and Figure 2 read too, so the three agree. Without it the session adds
+// no instrumentation to the hot path. Every series describes the most
+// recent session on reg: a later session re-points them at its own.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(o *sessionOptions) { o.metrics = reg }
 }

@@ -2,7 +2,6 @@ package edtrace
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"time"
 
@@ -26,41 +25,26 @@ type frameItem struct {
 	data []byte
 }
 
-// frameQueue is that queue, with its source's overflow policy. Offline
-// frames wait for room (Session.produce): a replay must lose nothing, and
-// the simulator models its own kernel buffer. Live ones (LiveSource.Mirror)
-// never wait: with no room they are dropped and counted, as the capture
-// machine's kernel buffer drops the frames of the paper's Figure 2.
+// frameQueue is that queue, with its source's overflow policy, and the
+// capture's ledger. Offline frames wait for room (Session.produce): a
+// replay must lose nothing, and the simulator models its own kernel
+// buffer. Live ones (LiveSource.Mirror) never wait: with no room they are
+// dropped and counted, as the capture machine's kernel buffer drops the
+// frames of the paper's Figure 2.
 type frameQueue struct {
 	batches chan []frameItem // full batches, in capture order
 	free    chan []frameItem // consumed batches, back to the filling side
 	size    int              // frames per batch
 	live    bool
 	done    chan struct{} // closed by shut
+	ledger  pcap.Ledger   // every frame offered to the capture, counted once
 
 	// open is the batch being filled: a live queue's is under mu until
 	// shut, an offline one's belongs to the producer goroutine.
 	mu     sync.Mutex
 	open   []frameItem
 	closed bool
-	start  time.Time // a live queue's clock starts at its first frame
-	tally  tally
-	perSec []pcap.SecondStats // the tally's drops by second of that clock
-}
-
-// tally counts a live queue's drops: on a full queue, and after shut.
-type tally struct{ full, late uint64 }
-
-// drop counts one live frame dropped for the reason n counts, in the
-// second it was dropped (the first, before any frame was queued); mu is
-// held.
-func (q *frameQueue) drop(n *uint64) {
-	*n++
-	sec := 0
-	if !q.start.IsZero() {
-		sec = int(time.Since(q.start) / time.Second)
-	}
-	pcap.AtSecond(&q.perSec, sec).Dropped++
+	start  time.Time // a live queue's clock starts at the first Mirror
 }
 
 // newFrameQueue returns a queue of frames capacity (at least 1).
@@ -100,21 +84,6 @@ func (q *frameQueue) shut() {
 		q.closed = true
 		close(q.done)
 	}
-}
-
-// account snapshots the tally (all zero for an offline queue).
-func (q *frameQueue) account() tally {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.tally
-}
-
-// settle snapshots the tally and its drops by second under one lock, so
-// the two agree however many frames are mirrored meanwhile.
-func (q *frameQueue) settle() (tally, []pcap.SecondStats) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.tally, slices.Clone(q.perSec)
 }
 
 func (q *frameQueue) getBatch() []frameItem {

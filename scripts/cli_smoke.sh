@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# cli_smoke.sh — the daemon command end to end on fixed loopback ports:
-# a two-node `edserverd -mesh 2` under one gzip merged capture, loaded
-# across both nodes by `edload` and stopped with SIGTERM. The daemon must
-# exit 0, and `edanalyze -verify` must accept the dataset and name both
-# nodes in its per-server breakdown.
+# cli_smoke.sh — the commands end to end. First a simulated capture whose
+# kernel buffer overflows (`edsim -bufkb 4 -service 40`) with a pcap tee:
+# it must report losses, and `edanalyze -pcap` must replay the tee with
+# the same captured count and none lost. Then the daemon on fixed
+# loopback ports: a two-node `edserverd -mesh 2` under one gzip merged
+# capture, loaded across both nodes by `edload` and stopped with SIGTERM.
+# The daemon must exit 0, and `edanalyze -verify` must accept the dataset
+# and name both nodes in its per-server breakdown.
 #
 # Usage: scripts/cli_smoke.sh   (binds tcp 14661-14662, udp 14665-14666)
 set -euo pipefail
@@ -17,7 +20,28 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$tmp/" ./cmd/edserverd ./cmd/edload ./cmd/edanalyze
+go build -o "$tmp/" ./cmd/edserverd ./cmd/edload ./cmd/edanalyze ./cmd/edsim
+
+# ethernet_line FILE prints the "captured lost" pair of a report's
+# `ethernet: N captured, M lost` line.
+ethernet_line() {
+    sed -n 's/^ethernet: \([0-9]*\) captured, \([0-9]*\) lost$/\1 \2/p' "$1"
+}
+"$tmp/edsim" -weeks 0.002 -clients 300 -files 2000 -bufkb 4 -service 40 \
+    -figures=false -tee "$tmp/lossy.pcap" > "$tmp/sim.txt"
+"$tmp/edanalyze" -pcap "$tmp/lossy.pcap" -server 192.168.0.1 > "$tmp/replay.txt"
+read -r sim_captured sim_lost <<< "$(ethernet_line "$tmp/sim.txt")"
+read -r replay_captured replay_lost <<< "$(ethernet_line "$tmp/replay.txt")"
+echo "lossy capture: $sim_captured captured, $sim_lost lost; replay: $replay_captured captured, $replay_lost lost"
+if [ -z "$sim_lost" ] || [ "$sim_lost" -eq 0 ]; then
+    echo "cli smoke: the starved simulated capture reports no losses" >&2
+    exit 1
+fi
+if [ "$replay_captured" != "$sim_captured" ] || [ "$replay_lost" != 0 ]; then
+    echo "cli smoke: the replay of the capture's tee does not capture what it did, losslessly" >&2
+    exit 1
+fi
+
 ds="$tmp/ds"
 "$tmp/edserverd" -mesh 2 -tcp 127.0.0.1:14661 -udp 127.0.0.1:14665 \
     -dataset "$ds" -gz -quiet &

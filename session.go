@@ -52,67 +52,57 @@ func (t teeSink) Write(r *xmlenc.Record) error {
 
 // sessionMetrics instruments one Run when WithMetrics was given; a nil
 // receiver (no registry) makes every method a no-op, so the uninstru-
-// mented hot path pays only a nil check per frame.
+// mented hot path pays only a nil check per batch.
+//
+// Every edsession_* series reads its one owner at scrape time: the frame
+// counts the capture's ledger, the rest what the consumer goroutine
+// publishes after each batch (the pipeline, its anonymisation tables and
+// the dataset writer are only safe from that goroutine). A later session
+// on the same registry re-points the series at its own.
 type sessionMetrics struct {
-	frames      *obs.Counter
-	records     *obs.Counter
-	batches     *obs.Counter
-	lastRecords uint64
-	pipe        *core.Pipeline
-	// Drops by reason: aborted as they happen, the queue's from its tally.
-	aborted, queueFull, closed *obs.Counter
-	lastTally                  tally
-	// The anonymisation tables belong to the consumer goroutine, so it
-	// publishes their sizes itself (batchDone) instead of lending them to
-	// a scrape-time callback.
+	pipe                                                *core.Pipeline
+	dw                                                  *dataset.Writer // nil without WithDataset
 	anonClients, anonFiles, clientTableBytes, maxBucket *obs.Gauge
-	// The dataset writer's seal accounting belongs to that goroutine too
-	// (sealsDone); dw is nil without WithDataset. Seconds are not
-	// integers, so scrapes read them through callbacks over these atomics.
-	dw                      *dataset.Writer
-	chunks                  *obs.Counter
-	lastChunks              uint64
-	sealNanos, sealMaxNanos *atomic.Int64
+	// The callbacks outlive the run in the registry, so they hold these
+	// and not the session's tables.
+	pub *published
+}
+
+// published is what the consumer publishes for scrapes.
+type published struct {
+	batches, records, chunks atomic.Uint64
+	sealNanos, sealMaxNanos  atomic.Int64
 }
 
 func newSessionMetrics(reg *obs.Registry, q *frameQueue, pipe *core.Pipeline, dw *dataset.Writer) *sessionMetrics {
 	if reg == nil {
 		return nil
 	}
-	dropped := func(reason string) *obs.Counter {
-		return reg.Counter("edsession_dropped_frames_total", "frames not processed, by reason", obs.L("reason", reason))
-	}
 	sm := &sessionMetrics{
-		frames:    reg.Counter("edsession_frames_total", "frames processed by the pipeline stage"),
-		records:   reg.Counter("edsession_records_total", "anonymised records emitted"),
-		batches:   reg.Counter("edsession_batches_total", "frame batches consumed from the queue"),
-		aborted:   dropped("aborted"),
-		queueFull: dropped("queue_full"),
-		closed:    dropped("closed"),
-		pipe:      pipe,
-
+		pipe:             pipe,
 		anonClients:      reg.Gauge("edsession_anonymizer_clients", "distinct clientIDs anonymised so far"),
 		anonFiles:        reg.Gauge("edsession_anonymizer_files", "distinct fileIDs anonymised so far"),
 		clientTableBytes: reg.Gauge("edsession_anonymizer_client_table_bytes", "clientID table footprint: directory plus materialised pages"),
 		maxBucket:        reg.Gauge("edsession_anonymizer_max_bucket", "largest fileID anonymisation array (the paper's Figure 3 annotation)"),
-
-		dw:           dw,
-		chunks:       reg.Counter("edsession_dataset_chunks_total", "dataset chunks sealed"),
-		sealNanos:    new(atomic.Int64),
-		sealMaxNanos: new(atomic.Int64),
+		dw:               dw,
+		pub:              new(published),
 	}
+	l, pub := &q.ledger, sm.pub
+	reg.CounterFunc("edsession_frames_total", "frames processed by the pipeline stage", l.Captured)
+	for r := range pcap.NumReasons {
+		reg.CounterFunc("edsession_dropped_frames_total", "frames not processed, by reason",
+			func() uint64 { return l.Dropped(r) }, obs.L("reason", r.String()))
+	}
+	reg.CounterFunc("edsession_records_total", "anonymised records emitted", pub.records.Load)
+	reg.CounterFunc("edsession_batches_total", "frame batches consumed from the queue", pub.batches.Load)
+	reg.CounterFunc("edsession_dataset_chunks_total", "dataset chunks sealed", pub.chunks.Load)
 	// What sealing those chunks cost the consumer: one chunk's compression
 	// each for an in-process source, back-pressure from busy workers for an
-	// offline one. While a seal lasts, the frame queue is not drained. The
-	// callbacks outlive the run in the registry, so they hold the two
-	// counters and not the session's tables.
-	sealNanos, sealMaxNanos := sm.sealNanos, sm.sealMaxNanos
+	// offline one. While a seal lasts, the frame queue is not drained.
 	reg.GaugeFunc("edsession_dataset_seal_seconds_total", "time the record path spent sealing dataset chunks",
-		func() float64 { return time.Duration(sealNanos.Load()).Seconds() })
+		func() float64 { return time.Duration(pub.sealNanos.Load()).Seconds() })
 	reg.GaugeFunc("edsession_dataset_seal_max_seconds", "longest single stall of the record path sealing a dataset chunk",
-		func() float64 { return time.Duration(sealMaxNanos.Load()).Seconds() })
-	// Queue gauges are read callbacks over this session's queue; a later
-	// session on the same registry re-points them at its own.
+		func() float64 { return time.Duration(pub.sealMaxNanos.Load()).Seconds() })
 	reg.GaugeFunc("edsession_queue_batches", "full frame batches waiting between source and pipeline",
 		func() float64 { return float64(len(q.batches)) })
 	reg.GaugeFunc("edsession_queue_capacity_batches", "frame queue capacity in batches, the one being filled included",
@@ -120,25 +110,14 @@ func newSessionMetrics(reg *obs.Registry, q *frameQueue, pipe *core.Pipeline, dw
 	return sm
 }
 
-// frameDone counts one processed frame.
-func (sm *sessionMetrics) frameDone() {
-	if sm != nil {
-		sm.frames.Inc()
-	}
-}
-
-// batchDone counts one consumed batch and folds in the records the
-// pipeline emitted for it, the state of its anonymisation tables (the
-// pipeline is only safe from this goroutine, so atomics carry the values
-// to concurrent scrapes) and the queue's tally.
-func (sm *sessionMetrics) batchDone(t tally) {
+// batchDone counts one consumed batch and publishes the records the
+// pipeline has emitted and the state of its anonymisation tables.
+func (sm *sessionMetrics) batchDone() {
 	if sm == nil {
 		return
 	}
-	sm.batches.Inc()
-	rec := sm.pipe.Stats().Records
-	sm.records.Add(rec - sm.lastRecords)
-	sm.lastRecords = rec
+	sm.pub.batches.Add(1)
+	sm.pub.records.Store(sm.pipe.Stats().Records)
 	ca, fa := sm.pipe.ClientAnonymizer(), sm.pipe.FileAnonymizer()
 	sm.anonClients.Set(int64(ca.Count()))
 	sm.anonFiles.Set(int64(fa.Count()))
@@ -146,18 +125,6 @@ func (sm *sessionMetrics) batchDone(t tally) {
 	_, size := fa.MaxBucket()
 	sm.maxBucket.Set(int64(size))
 	sm.sealsDone()
-	sm.queueDrops(t)
-}
-
-// queueDrops publishes the queue's drops after each batch, and at the end
-// of the run from the tally the report is built from: the two agree.
-func (sm *sessionMetrics) queueDrops(t tally) {
-	if sm == nil {
-		return
-	}
-	sm.queueFull.Add(t.full - sm.lastTally.full)
-	sm.closed.Add(t.late - sm.lastTally.late)
-	sm.lastTally = t
 }
 
 // sealsDone publishes the dataset writer's seal accounting: after each
@@ -167,17 +134,9 @@ func (sm *sessionMetrics) sealsDone() {
 		return
 	}
 	st := sm.dw.SealStats()
-	sm.chunks.Add(st.Chunks - sm.lastChunks)
-	sm.lastChunks = st.Chunks
-	sm.sealNanos.Store(int64(st.Total))
-	sm.sealMaxNanos.Store(int64(st.Max))
-}
-
-// drop counts frames abandoned by an error or cancellation.
-func (sm *sessionMetrics) drop(n int) {
-	if sm != nil && n > 0 {
-		sm.aborted.Add(uint64(n))
-	}
+	sm.pub.chunks.Store(st.Chunks)
+	sm.pub.sealNanos.Store(int64(st.Total))
+	sm.pub.sealMaxNanos.Store(int64(st.Max))
 }
 
 // Session runs one capture: a Source streams timestamped ethernet frames
@@ -202,16 +161,11 @@ type Session struct {
 	tee       *pcap.Writer
 	dsWorkers int // dataset writer's background width, from the source
 	sm        *sessionMetrics
-	q         *frameQueue // source → consumer
-	nframes   uint64
+	q         *frameQueue // source → consumer, and the capture's ledger
 	firstT    simtime.Time
 	lastT     simtime.Time
-	// perSecond counts processed frames by second since the first, less
-	// the seconds cut (see maxGapSeconds): the captured half of Figure 2
-	// for every source but SimSource, whose world keeps its own kernel
-	// buffer's series.
-	perSecond  []pcap.SecondStats
-	cutSeconds int
+	// origin is second 0 of the ledger's series (see second).
+	origin simtime.Time
 }
 
 // maxGapSeconds bounds how far one frame of an offline source can
@@ -219,9 +173,7 @@ type Session struct {
 // stores 32-bit seconds), and a clock that jumps — an unset RTC in a
 // merged capture, a forged header — must not size the series: a frame
 // more than this past the last counted second counts in the next one,
-// and the frames after it follow on from there. A live queue stamps its
-// frames with the clock its drops are counted by, so its series is
-// never cut (and grows only with the run's wall time).
+// and the frames after it follow on from there.
 const maxGapSeconds = 60
 
 // NewSession builds a session over src with the given options.
@@ -275,20 +227,19 @@ func (s *Session) Run(ctx context.Context) (res *Result, err error) {
 	pipeErr := s.consume(ctx)
 	cancel()
 	perr := <-prodErr
-	// Batches still queued when the consumer gave up; on success the
-	// channel is closed and empty, so this is free.
+	// The producer's unflushed batch and the batches still queued when
+	// the consumer gave up; on success both are empty, so this is free.
+	s.abort(s.q.open)
 	for batch := range s.q.batches {
-		s.sm.drop(len(batch))
+		s.abort(batch)
 	}
-	tally, drops := s.q.settle()
-	s.sm.queueDrops(tally)
 	if pipeErr != nil {
 		return nil, pipeErr
 	}
 	if perr != nil {
 		return nil, perr
 	}
-	return s.report(start, tally, drops), nil
+	return s.report(start), nil
 }
 
 // setup builds the frame queue and the record path (sinks, pipeline,
@@ -316,6 +267,9 @@ func (s *Session) setup() (closers []func() error, err error) {
 	var servers map[uint32]string
 	if ss, ok := s.src.(*ServerSource); ok {
 		servers = ss.names
+	}
+	if s.sim != nil {
+		s.sim.drops = &s.q.ledger
 	}
 	var dw *dataset.Writer
 	if s.o.datasetDir != "" {
@@ -394,9 +348,10 @@ func (s *Session) datasetMeta(serverIP uint32, servers map[uint32]string) map[st
 // produce runs the source until it ends, then closes the queue. An
 // offline source's frames are batched into the queue here; a live source
 // fills it itself, and its Frames only waits for the end of the capture.
-// The last partial batch is flushed at the end (dropped after a failure),
-// so batching never loses frames; it can delay them (a trickling live
-// source holds up to batchSize-1 frames until the batch fills).
+// The last partial batch is flushed at the end (left for Run to drop
+// after a failure), so batching never loses frames; it can delay them (a
+// trickling live source holds up to batchSize-1 frames until the batch
+// fills).
 func (s *Session) produce(ctx context.Context) error {
 	q := s.q
 	err := s.src.Frames(ctx, func(t simtime.Time, frame []byte) error {
@@ -411,9 +366,6 @@ func (s *Session) produce(ctx context.Context) error {
 	q.shut()
 	if err == nil {
 		err = q.flush(ctx)
-	}
-	if err != nil {
-		s.sm.drop(len(q.open))
 	}
 	close(q.batches)
 	return err
@@ -431,19 +383,19 @@ func (s *Session) consume(ctx context.Context) error {
 			}
 			for i, f := range batch {
 				if err := s.commit(f); err != nil {
-					s.sm.drop(len(batch) - i)
+					s.abort(batch[i:])
 					return err
 				}
 				if f.t-lastExpire > simtime.Minute {
 					s.pipe.ExpireReassembly(f.t)
 					lastExpire = f.t
 				}
-				if s.o.progress != nil && s.nframes%s.o.progressEvery == 0 {
-					s.o.progress(Progress{Frames: s.nframes, Records: s.pipe.Stats().Records, T: f.t})
+				if n := s.q.ledger.Captured(); s.o.progress != nil && n%s.o.progressEvery == 0 {
+					s.o.progress(Progress{Frames: n, Records: s.pipe.Stats().Records, T: f.t})
 				}
 			}
 			s.q.recycle(batch)
-			s.sm.batchDone(s.q.account())
+			s.sm.batchDone()
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -453,7 +405,7 @@ func (s *Session) consume(ctx context.Context) error {
 // commit takes one frame through the pipeline: pcap tee, decode →
 // anonymise → store, count. A frame that fails is not counted; the caller
 // drops it. Every frame that enters the queue leaves the session through
-// commit or a drop, exactly once, so processed + dropped == offered holds
+// commit or abort, exactly once, so processed + dropped == offered holds
 // on every exit path.
 func (s *Session) commit(f frameItem) error {
 	if s.tee != nil {
@@ -464,35 +416,48 @@ func (s *Session) commit(f frameItem) error {
 	if err := s.pipe.ProcessFrame(f.t, f.data); err != nil {
 		return err
 	}
-	if s.nframes == 0 {
+	if s.q.ledger.Captured() == 0 {
 		s.firstT = f.t
-	}
-	s.nframes++
-	s.lastT = f.t
-	if s.sim == nil {
-		// A frame stamped before the first (a replayed capture's clock
-		// stepping back) counts in the first second.
-		sec := max(int((f.t-s.firstT)/simtime.Second)-s.cutSeconds, 0)
-		if n := len(s.perSecond); !s.q.live && sec > n+maxGapSeconds {
-			s.cutSeconds += sec - n
-			sec = n
+		if s.sim == nil && !s.q.live {
+			s.origin = f.t
 		}
-		pcap.AtSecond(&s.perSecond, sec).Captured++
 	}
-	s.sm.frameDone()
+	s.lastT = f.t
+	s.q.ledger.Capture(s.second(f.t))
 	return nil
 }
 
+// abort counts frames abandoned by an error or cancellation.
+func (s *Session) abort(frames []frameItem) {
+	for _, f := range frames {
+		s.q.ledger.Drop(s.second(f.t), pcap.Aborted)
+	}
+}
+
+// second places a frame stamped t in the ledger's series. A simulation
+// and a live queue stamp frames on clocks that start at 0, the clocks
+// their drops are counted by, so their series starts there too. Any
+// other source's timestamps are input: its series starts at its first
+// frame, and maxGapSeconds cuts the jumps in it. A frame stamped before
+// the origin (a replayed capture's clock stepping back) counts in the
+// first second.
+func (s *Session) second(t simtime.Time) int {
+	sec := max(int((t-s.origin)/simtime.Second), 0)
+	if n := s.q.ledger.Seconds(); s.sim == nil && !s.q.live && sec > n+maxGapSeconds {
+		s.origin += simtime.Time(sec-n) * simtime.Second
+		sec = n
+	}
+	return sec
+}
+
 // report assembles the Result of a run that consumed its whole source:
-// every frame that reached the queue was processed, so those are the
-// captured frames (spanning first to last: real captures carry epoch
-// timestamps), and a live queue's drops the dropped ones, second by
-// second as well (drops holds them by second of the queue's clock, which
-// starts at the first frame too).
-func (s *Session) report(start time.Time, t tally, drops []pcap.SecondStats) *Result {
+// the ledger's account is the capture layer, and a simulation adds its
+// world's.
+func (s *Session) report(start time.Time) *Result {
 	pipe := s.pipe
+	per, captured, dropped := s.q.ledger.Account()
 	if s.o.progress != nil {
-		s.o.progress(Progress{Frames: s.nframes, Records: pipe.Stats().Records, T: s.lastT})
+		s.o.progress(Progress{Frames: captured, Records: pipe.Stats().Records, T: s.lastT})
 	}
 	rep := &core.Report{
 		WallClock:        time.Since(start),
@@ -500,19 +465,13 @@ func (s *Session) report(start time.Time, t tally, drops []pcap.SecondStats) *Re
 		DistinctClients:  pipe.ClientAnonymizer().Count(),
 		DistinctFiles:    pipe.FileAnonymizer().Count(),
 		BucketSizes:      pipe.FileAnonymizer().BucketSizes(),
-		EthernetCaptured: s.nframes,
-		EthernetDropped:  t.full + t.late,
+		EthernetCaptured: captured,
+		EthernetDropped:  dropped,
+		LossPerSecond:    per,
 		VirtualDuration:  s.lastT - s.firstT,
 	}
 	rep.MaxBucketIdx, rep.MaxBucketSize = pipe.FileAnonymizer().MaxBucket()
-	if s.sim != nil {
-		s.sim.reportCapture(rep)
-	} else {
-		for sec, d := range drops {
-			pcap.AtSecond(&s.perSecond, sec).Dropped += d.Dropped
-		}
-		rep.LossPerSecond = s.perSecond
-	}
+	s.sim.reportWorld(rep)
 	res := &Result{
 		Report: rep,
 		Fig2:   analysis.NewFig2(rep.LossPerSecond),

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"edtrace/internal/core"
 	"edtrace/internal/dataset"
 	"edtrace/internal/obs"
 	"edtrace/internal/simtime"
@@ -16,34 +17,54 @@ import (
 )
 
 // TestSessionWithMetrics checks the pipeline's own counters agree with
-// the session report on a clean run, and that the queue gauges render.
+// the session report, on a clean run and on a simulated capture whose
+// kernel buffer overflows: every frame the world offered is on /metrics
+// as processed or dropped, and the drops are the report's. It also checks
+// that the queue gauges render.
 func TestSessionWithMetrics(t *testing.T) {
+	for _, in := range []struct {
+		name  string
+		sim   core.SimConfig
+		lossy bool
+	}{{"clean", tinySim(), false}, {"lossy", lossySim(), true}} {
+		t.Run(in.name, func(t *testing.T) { testSessionWithMetrics(t, in.sim, in.lossy) })
+	}
+}
+
+func testSessionWithMetrics(t *testing.T, sim core.SimConfig, lossy bool) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	res, err := NewSession(NewSimSource(tinySim()), WithMetrics(reg), WithDataset(dir, true)).Run(context.Background())
+	res, err := NewSession(NewSimSource(sim), WithMetrics(reg), WithDataset(dir, true)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Report.Pipeline
-	if got := reg.Counter("edsession_frames_total", "").Value(); got != p.Frames {
+	rep := res.Report
+	p := rep.Pipeline
+	if got := counterOf(reg, "edsession_frames_total"); got != p.Frames {
 		t.Fatalf("frames counter %d, report %d", got, p.Frames)
 	}
-	if got := reg.Counter("edsession_records_total", "").Value(); got != p.Records {
+	if got := counterOf(reg, "edsession_records_total"); got != p.Records {
 		t.Fatalf("records counter %d, report %d", got, p.Records)
 	}
-	for _, reason := range []string{"queue_full", "closed", "aborted"} {
+	if _, dropped := checkConservation(t, reg, rep.EthernetCaptured+rep.EthernetDropped); dropped != rep.EthernetDropped {
+		t.Fatalf("/metrics dropped %d frames, the report %d", dropped, rep.EthernetDropped)
+	}
+	if lossy != (droppedBy(reg, "queue_full") > 0) {
+		t.Fatalf("%d frames dropped on a full queue, lossy run: %v", droppedBy(reg, "queue_full"), lossy)
+	}
+	for _, reason := range []string{"closed", "aborted"} {
 		if got := droppedBy(reg, reason); got != 0 {
-			t.Fatalf("clean run dropped %d frames (%s)", got, reason)
+			t.Fatalf("run dropped %d frames (%s)", got, reason)
 		}
 	}
-	if reg.Counter("edsession_batches_total", "").Value() == 0 {
+	if counterOf(reg, "edsession_batches_total") == 0 {
 		t.Fatal("no batches counted")
 	}
 	// The anonymiser gauges end on the report's own figures.
 	for name, want := range map[string]int64{
-		"edsession_anonymizer_clients":    int64(res.Report.DistinctClients),
-		"edsession_anonymizer_files":      int64(res.Report.DistinctFiles),
-		"edsession_anonymizer_max_bucket": int64(res.Report.MaxBucketSize),
+		"edsession_anonymizer_clients":    int64(rep.DistinctClients),
+		"edsession_anonymizer_files":      int64(rep.DistinctFiles),
+		"edsession_anonymizer_max_bucket": int64(rep.MaxBucketSize),
 	} {
 		if got := reg.Gauge(name, "").Value(); got != want || want == 0 {
 			t.Errorf("%s = %d, report says %d", name, got, want)
@@ -60,7 +81,7 @@ func TestSessionWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("edsession_dataset_chunks_total", "").Value(); got != uint64(len(man.Chunks)) || got == 0 {
+	if got := counterOf(reg, "edsession_dataset_chunks_total"); got != uint64(len(man.Chunks)) || got == 0 {
 		t.Errorf("edsession_dataset_chunks_total = %d, the manifest lists %d chunks", got, len(man.Chunks))
 	}
 
@@ -170,7 +191,7 @@ func TestSessionMetricsDroppedInFlight(t *testing.T) {
 	if got := droppedBy(reg, "aborted"); got != inFlight {
 		t.Fatalf("aborted drops %d, want all %d in flight", got, inFlight)
 	}
-	if got := reg.Counter("edsession_frames_total", "").Value(); got != 0 {
+	if got := counterOf(reg, "edsession_frames_total"); got != 0 {
 		t.Fatalf("frames counter %d, want 0 (first frame never completed)", got)
 	}
 }

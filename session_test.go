@@ -3,11 +3,15 @@ package edtrace
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,9 +61,42 @@ func (w *watchedSource) Frames(ctx context.Context, emit EmitFunc) error {
 	})
 }
 
+// counterOf reads the series of counter family name with exactly these
+// labels from reg's JSON rendering, as a scraper sees it (0 if there is
+// none): the session's counters are callbacks, not obs.Counters.
+func counterOf(reg *obs.Registry, name string, labels ...obs.Label) uint64 {
+	var b strings.Builder
+	if err := reg.WriteJSON(&b); err != nil {
+		panic(err)
+	}
+	var fams map[string]struct {
+		Samples []struct {
+			Labels map[string]string `json:"labels"`
+			Value  json.Number       `json:"value"`
+		} `json:"samples"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &fams); err != nil {
+		panic(err)
+	}
+	want := map[string]string{}
+	for _, l := range labels {
+		want[l.Key] = l.Value
+	}
+	for _, smp := range fams[name].Samples {
+		if maps.Equal(smp.Labels, want) {
+			v, err := strconv.ParseUint(smp.Value.String(), 10, 64)
+			if err != nil {
+				panic(err)
+			}
+			return v
+		}
+	}
+	return 0
+}
+
 // droppedBy reads one reason's series of the session's drop counter.
 func droppedBy(reg *obs.Registry, reason string) uint64 {
-	return reg.Counter("edsession_dropped_frames_total", "", obs.L("reason", reason)).Value()
+	return counterOf(reg, "edsession_dropped_frames_total", obs.L("reason", reason))
 }
 
 // checkConservation asserts the session's frame accounting on reg:
@@ -67,7 +104,7 @@ func droppedBy(reg *obs.Registry, reason string) uint64 {
 // once.
 func checkConservation(t *testing.T, reg *obs.Registry, emitted uint64) (frames, dropped uint64) {
 	t.Helper()
-	frames = reg.Counter("edsession_frames_total", "").Value()
+	frames = counterOf(reg, "edsession_frames_total")
 	for _, reason := range []string{"queue_full", "closed", "aborted"} {
 		dropped += droppedBy(reg, reason)
 	}

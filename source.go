@@ -52,7 +52,8 @@ type SimSource struct {
 	// Config is the full simulation configuration.
 	Config core.SimConfig
 
-	rep *core.Report
+	drops *pcap.Ledger // the Session's, for the kernel buffer's overflow
+	rep   *core.Report
 }
 
 // NewSimSource returns a simulator-backed source for cfg.
@@ -63,12 +64,12 @@ func NewSimSource(cfg core.SimConfig) *SimSource {
 // Frames implements Source: it builds the world and runs it, forwarding
 // every drained frame to emit in deterministic order.
 func (s *SimSource) Frames(ctx context.Context, emit EmitFunc) error {
-	w, err := core.NewSimWorld(s.Config)
+	w, err := core.NewSimWorld(s.Config, s.drops)
 	if err != nil {
 		return err
 	}
 	rep, err := w.RunFrames(ctx, core.FrameFunc(emit))
-	s.rep = rep // surfaced via reportCapture when the session succeeds
+	s.rep = rep // surfaced via reportWorld when the session succeeds
 	return err
 }
 
@@ -76,16 +77,14 @@ func (s *SimSource) pipelineDefaults() (uint32, [2]int, bool) {
 	return s.Config.ServerIP, s.Config.FileBytePair, true
 }
 
-// reportCapture puts the world's capture layer (its kernel buffer's
-// counts and losses, server and swarm statistics) in the final report.
-func (s *SimSource) reportCapture(rep *core.Report) {
-	if s.rep == nil {
+// reportWorld puts the world's layer (its virtual duration, server and
+// swarm statistics) in the final report; nil (not a simulation) adds
+// nothing.
+func (s *SimSource) reportWorld(rep *core.Report) {
+	if s == nil || s.rep == nil {
 		return
 	}
 	rep.VirtualDuration = s.rep.VirtualDuration
-	rep.EthernetCaptured = s.rep.EthernetCaptured
-	rep.EthernetDropped = s.rep.EthernetDropped
-	rep.LossPerSecond = s.rep.LossPerSecond
 	rep.ServerStats = s.rep.ServerStats
 	rep.SwarmStats = s.rep.SwarmStats
 }
