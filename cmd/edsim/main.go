@@ -11,15 +11,12 @@
 //	edsim -weeks 1 -clients 15000 -files 80000 -out /tmp/ds -figures
 //	edsim -spec examples/specs/tenweeks.json -out /tmp/ds
 //
-// With -spec, the capture's world (seed, catalog, population) and its
-// virtual duration come from a workload spec (docs/workload-spec.md)
-// instead of the individual flags, so the simulated capture and a live
-// `edload -spec` replay describe the same experiment: a world field the
-// spec leaves out takes the spec format's default (Spec.WorldConfig),
-// never the -clients/-files flag. The virtual capture needs no
-// -compress: its clock is already simulated, so ten spec weeks cost
-// only CPU. Spec-driven arrival shaping (phases, diurnal curves, flash
-// crowds) applies to the live replay path.
+// The clients play a workload spec's sessions: the built-in default
+// (Poisson arrivals along a diurnal curve, ~3 sessions a client over
+// -weeks), or with -spec a spec file (docs/workload-spec.md) whose world,
+// duration, phases, curves, churn and releases replace
+// -weeks/-clients/-files/-seed; a world field it leaves out takes
+// Spec.WorldConfig's default. Ten spec weeks cost only CPU: no -compress.
 //
 // -service is polled every 50 ms, so it takes effect in steps of 20
 // frames/s; a rate below one frame a poll (< 20) is an error, as is a
@@ -45,7 +42,7 @@ func main() {
 		clientsN = flag.Int("clients", 8000, "number of clients")
 		filesN   = flag.Int("files", 50000, "genuine catalog size")
 		seed     = flag.Uint64("seed", 1, "world seed")
-		specFile = flag.String("spec", "", "workload spec JSON: take world + duration from it (overrides -weeks/-clients/-files/-seed)")
+		specFile = flag.String("spec", "", "workload spec JSON whose world, duration, phases, curves, churn and releases drive the capture (overrides -weeks/-clients/-files/-seed)")
 		out      = flag.String("out", "", "dataset output directory (empty = no dataset)")
 		gz       = flag.Bool("gz", false, "gzip dataset chunks")
 		figures  = flag.Bool("figures", true, "compute and print the figures")
@@ -69,6 +66,7 @@ func main() {
 		}
 		sim.Workload = s.WorldConfig()
 		sim.Traffic.Duration = s.Total()
+		sim.Spec = s
 		fmt.Printf("spec %q: %v of virtual capture, %d clients, %d files\n",
 			s.Name, sim.Traffic.Duration, sim.Workload.NumClients, sim.Workload.NumFiles)
 	}
@@ -104,6 +102,7 @@ func main() {
 	}
 
 	fmt.Println(res.Report)
+	fmt.Printf("sessions: %d, releases fired: %d\n", res.Report.SwarmStats.Sessions, res.Report.SwarmStats.Releases)
 	fmt.Printf("capture losses: %d (rate %.2e, spread over %d bursty seconds)\n",
 		res.Fig2.TotalLost, res.Fig2.LossRate(), res.Fig2.BurstSeconds())
 	fmt.Printf("fileID buckets: max %d (bucket %d), mean %.1f, %d pathological\n",

@@ -174,7 +174,8 @@ func main() {
 		return
 	}
 
-	eng, err := workload.NewEngine(polluterSpec())
+	spec := polluterSpec()
+	eng, err := workload.NewEngine(spec, spec.WorldConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,6 @@ var testOnlyKeep = map[string]string{
 	"internal/anonymize.ClientDirect.Lookup":         "accessor",
 	"internal/anonymize.ClientDirect.PagesAllocated": "accessor",
 	"internal/anonymize.FileBuckets.Lookup":          "accessor",
-	"internal/clients.Swarm.FlashWindows":            "accessor",
 	"internal/edmesh.Mesh.Peers":                     "accessor",
 	"internal/netsim.Reassembler.PendingCount":       "accessor",
 	"internal/pcap.Reader.Count":                     "accessor",

@@ -12,11 +12,12 @@ import (
 )
 
 // goldenSimFrames is the SHA-256 over every (t, len, frame) a small
-// SimSource emits, computed at commit 95bb4c7 with the traffic model's
-// default four flash crowds (the stream commit 4e071f7 pinned with one
-// crowd was unchanged up to there). The determinism tests compare two
-// runs of one binary; this compares the binary with its ancestors.
-const goldenSimFrames = "d5704e16a9f6eb1fbd810b33131811c00d942d97fa091b231d14e7444aebffb2"
+// SimSource emits (19,224 frames), computed when the swarm began to play
+// the default workload spec's sessions instead of pre-scheduling every
+// client's activity; the stream pinned at commit 95bb4c7, with four
+// hard-coded flash crowds, ended there. The determinism tests compare
+// two runs of one binary; this compares the binary with its ancestors.
+const goldenSimFrames = "c202339c1e76a08ecbe3f44b484278b7bb3aea3a73ba2c8a3e4884ff61b38a9e"
 
 func TestGoldenSimSourceFrames(t *testing.T) {
 	sim := core.DefaultSimConfig()
@@ -51,7 +52,7 @@ func TestGoldenSimSourceFrames(t *testing.T) {
 
 // lossySim is tinySim with a capture machine too small for its peaks:
 // a 4 KiB kernel buffer drained 2 frames per poll (40 frames/s), so
-// flash crowds overflow it and Figure 2 has losses to show.
+// bursts of traffic overflow it and Figure 2 has losses to show.
 func lossySim() core.SimConfig {
 	sim := tinySim()
 	sim.KernelBufferBytes = 4 << 10
@@ -67,7 +68,7 @@ var goldenLossy = struct {
 	captured, dropped, lost uint64
 	seconds, burstSeconds   int
 	seriesDigest            string
-}{27966, 130, 130, 10721, 43, "447802bd7d60c0f5b9416a6e8a9ee28f67a1fc320d5c69005c19d76877882738"}
+}{25696, 80, 80, 10800, 26, "7b2f47a721951b43c3790353f91e547c482865d145b463c8f6804aa3810e3fea"}
 
 func TestGoldenLossyCaptureAccount(t *testing.T) {
 	res := runSim(t, lossySim())

@@ -35,10 +35,7 @@ func (p *Planner) Messages(c *workload.Client, r *randx.Rand, maxMsgs int) []ed2
 
 	// Announcements: the shared folder in batches.
 	for off := 0; off < len(c.Shares) && room(); {
-		batch := p.tc.OfferBatch
-		if off+batch > len(c.Shares) {
-			batch = len(c.Shares) - off
-		}
+		batch := min(p.tc.OfferBatch, len(c.Shares)-off)
 		out = append(out, offerMessage(p.cat, c, c.Shares[off:off+batch]))
 		off += batch
 	}
@@ -50,10 +47,7 @@ func (p *Planner) Messages(c *workload.Client, r *randx.Rand, maxMsgs int) []ed2
 	searches := c.SearchCount
 	for (len(pending) > 0 || searches > 0) && room() {
 		if len(pending) > 0 && (searches == 0 || !r.Bool(0.2)) {
-			batch := 1 + r.IntN(asksPerMessage)
-			if batch > len(pending) {
-				batch = len(pending)
-			}
+			batch := min(1+r.IntN(asksPerMessage), len(pending))
 			out = append(out, askMessage(p.cat, r, pending[:batch]))
 			pending = pending[batch:]
 		} else {
@@ -75,14 +69,7 @@ func (p *Planner) SessionMessages(c *workload.Client, r *randx.Rand, maxMsgs int
 	if len(crowd) == 0 {
 		return p.Messages(c, r, maxMsgs)
 	}
-	k := 1 + r.IntN(asksPerMessage)
-	if k > len(crowd) {
-		k = len(crowd)
-	}
-	ask := &ed2k.GetSources{}
-	for _, i := range r.Perm(len(crowd))[:k] {
-		ask.Hashes = append(ask.Hashes, crowd[i])
-	}
+	ask := crowdAsk(r, crowd)
 	budget := maxMsgs
 	if budget > 0 {
 		budget--
@@ -101,6 +88,17 @@ func (p *Planner) SessionMessages(c *workload.Client, r *randx.Rand, maxMsgs int
 	out = append(out, ask)
 	out = append(out, rest[i:]...)
 	return out
+}
+
+// crowdAsk is a flash-crowd session's first ask: a sample of up to
+// asksPerMessage of a fresh release's fileIDs.
+func crowdAsk(r *randx.Rand, crowd []ed2k.FileID) *ed2k.GetSources {
+	k := min(1+r.IntN(asksPerMessage), len(crowd))
+	ask := &ed2k.GetSources{}
+	for _, i := range r.Perm(len(crowd))[:k] {
+		ask.Hashes = append(ask.Hashes, crowd[i])
+	}
+	return ask
 }
 
 // askList materialises a client's distinct ask list up front: Fig 7

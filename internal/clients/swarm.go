@@ -1,11 +1,13 @@
-// Package clients simulates the eDonkey client population: it turns the
-// behavioural plans of workload.Population into scheduled UDP messages on
-// the virtual clock.
+// Package clients simulates the eDonkey client population: it plays the
+// sessions of a workload.Engine on the virtual clock, turning each into
+// its client's UDP messages.
 //
 // The traffic model carries everything §2 and §3 of the paper need:
 //
-//   - sessions with diurnal modulation and flash crowds, producing the
-//     traffic peaks that overflow the capture buffer (Fig 2);
+//   - sessions that arrive and leave along the spec's rate curve —
+//     phases, diurnal and weekly cycles, release-driven flash crowds —
+//     producing the traffic peaks that overflow the capture buffer
+//     (Fig 2);
 //   - announcements (offers) re-sent at each session start, source and
 //     keyword searches spread over sessions (Figs 4–8);
 //   - scanners probing many fileIDs including unknown ones — the paper
@@ -31,8 +33,8 @@ import (
 type SendFunc func(srcIP uint32, srcPort uint16, payload []byte)
 
 // TrafficConfig is what a caller sets of the traffic process: its span,
-// and the offer batch the Planner shares. The calibrated traffic shape is
-// fixed by the constants below.
+// and the offer batch the Planner shares. When clients connect is the
+// workload spec's; what a session sends is fixed by the constants below.
 type TrafficConfig struct {
 	// Duration is the virtual capture length.
 	Duration simtime.Time
@@ -42,24 +44,8 @@ type TrafficConfig struct {
 	OfferBatch int
 }
 
-// sessionsPerClient is the base number of sessions a client spreads its
-// activity over; the count also grows with its ask budget.
-const sessionsPerClient = 3
-
 // asksPerMessage bounds the fileIDs per GetSources query (clients batch).
 const asksPerMessage = 3
-
-// diurnalAmplitude in [0,1) is the day/night swing of activity.
-const diurnalAmplitude = 0.45
-
-// Each of flashCrowds sudden load spikes (reconnect storms after
-// outages, releases) brings flashParticipants of the clients into one
-// flashDuration window, far above the diurnal peak.
-const (
-	flashCrowds       = 4
-	flashDuration     = 90 * simtime.Second
-	flashParticipants = 0.05
-)
 
 // badMessageRate is the probability a sent message is corrupted. It
 // applies to client messages only; with server answers making up roughly
@@ -107,11 +93,14 @@ type Stats struct {
 	Searches         uint64
 	Pings            uint64
 	Sessions         uint64
+	Releases         uint64
 }
 
-// Swarm schedules the whole population's traffic.
+// Swarm plays an engine's event stream: each open session keeps its
+// next messages on the clock, so what is pending follows the sessions
+// that are open, not the length of the capture.
 type Swarm struct {
-	cfg  workload.Config
+	eng  *workload.Engine
 	tc   TrafficConfig
 	cat  *workload.Catalog
 	pop  *workload.Population
@@ -120,176 +109,189 @@ type Swarm struct {
 	rng  *randx.Rand
 	zipf *randx.Zipf
 
-	flashStarts []simtime.Time
-	stats       Stats
+	// rounds is how many sessions a client spreads its asks and searches
+	// over: as many as the spec expects of each client, at least one.
+	rounds  int
+	budgets []budget
+	stats   Stats
 }
 
-// NewSwarm wires a swarm; call Schedule once, then run the scheduler.
-func NewSwarm(cfg workload.Config, tc TrafficConfig, cat *workload.Catalog,
-	pop *workload.Population, sch *simtime.Scheduler, send SendFunc) (*Swarm, error) {
+// budget is what one client has left to ask and search, drawn once at
+// its first session, and how many sessions it has opened.
+type budget struct {
+	asks     []int32
+	searches int
+	sessions int
+}
+
+// NewSwarm wires a swarm to the engine's world; call Start once, then
+// run the scheduler.
+func NewSwarm(eng *workload.Engine, tc TrafficConfig, sch *simtime.Scheduler, send SendFunc) (*Swarm, error) {
 	if err := tc.Validate(); err != nil {
 		return nil, err
 	}
+	spec, pop := eng.Spec(), eng.Population()
 	s := &Swarm{
-		cfg: cfg, tc: tc, cat: cat, pop: pop, sch: sch, send: send,
-		rng: randx.New(cfg.Seed, 0xA24BAED4963EE407),
+		eng: eng, tc: tc, cat: eng.Catalog(), pop: pop, sch: sch, send: send,
+		rng:     randx.New(spec.Seed, 0xA24BAED4963EE407),
+		rounds:  max(1, int(spec.ExpectedSessions()/float64(len(pop.Clients)))),
+		budgets: make([]budget, len(pop.Clients)),
 	}
-	s.zipf = randx.NewZipf(s.rng.Split(99), 1.4, 2, uint64(len(cat.Vocab())-1))
+	s.zipf = randx.NewZipf(s.rng.Split(99), 1.4, 2, uint64(len(s.cat.Vocab())-1))
 	return s, nil
 }
 
 // Stats returns activity counters (valid after the scheduler ran).
 func (s *Swarm) Stats() Stats { return s.stats }
 
-// FlashWindows exposes the scheduled flash-crowd start times.
-func (s *Swarm) FlashWindows() []simtime.Time { return s.flashStarts }
-
-// intensity is the diurnal activity profile in [1-A, 1+A].
-func (s *Swarm) intensity(t simtime.Time) float64 {
-	day := float64(t%simtime.Day) / float64(simtime.Day)
-	return 1 + diurnalAmplitude*math.Sin(2*math.Pi*day)
+// Start puts the engine's first event on the clock. Each event, when it
+// fires, puts the next one there, so the engine is one pending event. A
+// session's messages all lie inside its lifetime, so its end needs
+// nothing.
+func (s *Swarm) Start() {
+	ev, ok := s.eng.Next()
+	if !ok {
+		return
+	}
+	s.sch.At(ev.At, func() {
+		switch ev.Kind {
+		case workload.EvRelease:
+			s.stats.Releases++
+		case workload.EvSessionStart:
+			s.startSession(ev)
+		}
+		s.Start()
+	})
 }
 
-// sampleTime draws an activity instant in [lo, hi) following the diurnal
-// profile, by rejection against the peak intensity.
-func (s *Swarm) sampleTime(r *randx.Rand, lo, hi simtime.Time) simtime.Time {
-	if hi <= lo {
-		return lo
+// startSession opens one session. Its client sends three chains of
+// messages, each one pending event at a time: the shared folder in
+// batches and then, in a flash crowd, an ask for the release; status
+// pings; and, at instants spread uniformly over its lifetime, its
+// management queries and a share of what the client has left to ask
+// and search.
+func (s *Swarm) startSession(ev workload.Event) {
+	s.stats.Sessions++
+	ss := &session{s: s, c: s.pop.Clients[ev.Client], r: s.rng.Split(ev.Session), end: ev.At + ev.Dur}
+	ss.c.LowID = ev.LowID // the engine draws the session's reachability
+	b := &s.budgets[ev.Client]
+	if b.sessions == 0 {
+		b.asks, b.searches = askList(s.cat, &ss.c, ss.r), ss.c.SearchCount
 	}
-	span := int64(hi - lo)
-	peak := 1 + diurnalAmplitude
-	for tries := 0; tries < 16; tries++ {
-		t := lo + simtime.Time(r.Int64N(span))
-		if r.Float64()*peak <= s.intensity(t) {
-			return t
-		}
+	// Each of the client's rounds takes an even share; the last takes
+	// what is left, so one ask list spans all its sessions.
+	left := max(1, s.rounds-b.sessions)
+	b.sessions++
+	n := len(b.asks) / left
+	ss.asks, b.asks = b.asks[:n:n], b.asks[n:]
+	ss.searches = b.searches / left
+	b.searches -= ss.searches
+	if ev.Release >= 0 {
+		ss.crowd = s.eng.Releases()[ev.Release].IDs(s.cat)
 	}
-	return lo + simtime.Time(r.Int64N(span))
+	if ss.r.Bool(0.2) {
+		ss.queries = append(ss.queries, ed2k.GetServerList{})
+	}
+	if ss.r.Bool(0.05) {
+		ss.queries = append(ss.queries, ed2k.ServerDescReq{})
+	}
+	ss.announce()
+	ss.ping()
+	ss.next()
 }
 
-// Schedule enqueues every client's sessions plus the flash crowds.
-func (s *Swarm) Schedule() {
-	for i := range s.pop.Clients {
-		s.scheduleClient(i)
-	}
-	s.scheduleFlashCrowds()
+// session is one open session: its client (a copy, with the session's
+// reachability) and what it has still to send.
+type session struct {
+	s   *Swarm
+	c   workload.Client
+	r   *randx.Rand
+	end simtime.Time
+
+	offered  int            // shares announced so far
+	crowd    []ed2k.FileID  // the release a flash-crowd session asks for
+	queries  []ed2k.Message // management queries
+	asks     []int32
+	searches int
 }
 
-func (s *Swarm) scheduleClient(idx int) {
-	c := &s.pop.Clients[idx]
-	r := s.rng.Split(uint64(idx) + 1)
-
-	// Session count grows with activity so heavy clients spread out.
-	sessions := sessionsPerClient
-	if extra := c.AskCount / 50; extra > 0 {
-		sessions += extra
-	}
-	if sessions > 24 {
-		sessions = 24
-	}
-	s.stats.Sessions += uint64(sessions)
-
-	pending := askList(s.cat, c, r)
-
-	searchesLeft := c.SearchCount
-	for sess := 0; sess < sessions; sess++ {
-		asks := len(pending) / (sessions - sess)
-		var sessionAsks []int32
-		sessionAsks, pending = pending[:asks], pending[asks:]
-		searches := searchesLeft / (sessions - sess)
-		searchesLeft -= searches
-
-		// Session placement follows the diurnal profile; duration is
-		// log-normal around two hours.
-		dur := simtime.Time(float64(2*simtime.Hour) * r.LogNormal(0, 0.6))
-		if dur > s.tc.Duration/2 {
-			dur = s.tc.Duration / 2
-		}
-		maxStart := s.tc.Duration - dur
-		if maxStart <= 0 {
-			maxStart = 1
-		}
-		start := s.sampleTime(r, 0, maxStart)
-		s.scheduleSession(c, r, start, dur, sessionAsks, searches)
-	}
-}
-
-func (s *Swarm) scheduleSession(c *workload.Client, r *randx.Rand,
-	start, dur simtime.Time, asks []int32, searches int) {
-	end := start + dur
-
-	// Announce the shared folder at session start, in batches.
-	if len(c.Shares) > 0 {
-		s.scheduleOffers(c, r, start)
-	}
-
-	// Periodic status pings while the session lasts.
-	for t := start + statPingEvery/2; t < end; t += statPingEvery {
-		s.sch.At(t, func() {
-			s.stats.Pings++
-			s.emit(c, r, &ed2k.StatReq{Challenge: r.Uint32()})
-		})
-	}
-
-	// Occasional management queries.
-	if r.Bool(0.2) {
-		t := s.sampleTime(r, start, end)
-		s.sch.At(t, func() { s.emit(c, r, ed2k.GetServerList{}) })
-	}
-	if r.Bool(0.05) {
-		t := s.sampleTime(r, start, end)
-		s.sch.At(t, func() { s.emit(c, r, ed2k.ServerDescReq{}) })
-	}
-
-	// Source asks, batched into GetSources messages.
-	for len(asks) > 0 {
-		batch := 1 + r.IntN(asksPerMessage)
-		if batch > len(asks) {
-			batch = len(asks)
-		}
-		var group []int32
-		group, asks = asks[:batch], asks[batch:]
-		t := s.sampleTime(r, start, end)
-		s.sch.At(t, func() {
-			msg := askMessage(s.cat, r, group) // at fire time: its draws interleave with the session's
+// announce sends the next batch of the shared folder, the next one a
+// fraction of a second later; once the folder is out, a crowd session
+// asks for its release.
+func (ss *session) announce() {
+	s, r, c := ss.s, ss.r, &ss.c
+	if ss.offered == len(c.Shares) {
+		if ss.crowd != nil {
+			msg := crowdAsk(r, ss.crowd)
 			s.stats.SourceAsks += uint64(len(msg.Hashes))
 			s.emit(c, r, msg)
-		})
+		}
+		return
 	}
-
-	// Keyword searches.
-	for k := 0; k < searches; k++ {
-		t := s.sampleTime(r, start, end)
-		s.sch.At(t, func() {
-			s.stats.Searches++
-			s.emit(c, r, &ed2k.SearchReq{Expr: randomSearchExpr(s.cat, s.zipf, r)})
-		})
+	batch := s.tc.OfferBatch
+	if r.Bool(0.01) {
+		// Rare jumbo announcements exceed the MTU and fragment —
+		// deliberately more often than the paper's 2·10⁻⁷ so the
+		// reassembly path is exercised at laptop scale.
+		batch = s.tc.OfferBatch * 6
+	}
+	batch = min(batch, len(c.Shares)-ss.offered)
+	s.stats.Offers++
+	s.emit(c, r, offerMessage(s.cat, c, c.Shares[ss.offered:ss.offered+batch]))
+	ss.offered += batch
+	if ss.offered < len(c.Shares) || ss.crowd != nil {
+		s.sch.After(simtime.Time(200+r.IntN(800))*simtime.Millisecond, ss.announce)
 	}
 }
 
-func (s *Swarm) scheduleOffers(c *workload.Client, r *randx.Rand, start simtime.Time) {
-	shares := c.Shares
-	t := start
-	for off := 0; off < len(shares); {
-		batch := s.tc.OfferBatch
-		if r.Bool(0.01) {
-			// Rare jumbo announcements exceed the MTU and fragment —
-			// deliberately more often than the paper's 2·10⁻⁷ so the
-			// reassembly path is exercised at laptop scale.
-			batch = s.tc.OfferBatch * 6
-		}
-		if off+batch > len(shares) {
-			batch = len(shares) - off
-		}
-		msg := offerMessage(s.cat, c, shares[off:off+batch])
-		off += batch
-		tt := t
-		s.sch.At(tt, func() {
-			s.stats.Offers++
-			s.emit(c, r, msg)
-		})
-		t += simtime.Time(200+r.IntN(800)) * simtime.Millisecond
+// ping sends a status ping, the first as the session connects (so a
+// flash crowd is a burst of pings, as a reconnect storm is) and then
+// every statPingEvery while it lasts.
+func (ss *session) ping() {
+	ss.s.stats.Pings++
+	ss.s.emit(&ss.c, ss.r, &ed2k.StatReq{Challenge: ss.r.Uint32()})
+	if t := ss.s.sch.Now() + statPingEvery; t < ss.end {
+		ss.s.sch.At(t, ss.ping)
 	}
+}
+
+// left is how many messages the session still sends at random instants,
+// an ask batch counted at its mean of two asks.
+func (ss *session) left() int { return len(ss.queries) + ss.searches + (len(ss.asks)+1)/2 }
+
+// next schedules the session's next randomly placed message at the
+// earliest of left() uniform instants in the rest of its lifetime, so
+// the messages fall where independent uniform draws would put them.
+func (ss *session) next() {
+	k := ss.left()
+	if k == 0 {
+		return
+	}
+	now := ss.s.sch.Now()
+	gap := float64(ss.end-now) * (1 - math.Pow(ss.r.Float64(), 1/float64(k)))
+	ss.s.sch.At(now+simtime.Time(gap), ss.send)
+}
+
+// send sends one of the session's remaining randomly placed messages,
+// each kind in proportion to what is left of it, then schedules the next.
+func (ss *session) send() {
+	s, r, c := ss.s, ss.r, &ss.c
+	switch u := r.IntN(ss.left()); {
+	case u < len(ss.queries):
+		s.emit(c, r, ss.queries[0])
+		ss.queries = ss.queries[1:]
+	case u < len(ss.queries)+ss.searches:
+		ss.searches--
+		s.stats.Searches++
+		s.emit(c, r, &ed2k.SearchReq{Expr: randomSearchExpr(s.cat, s.zipf, r)})
+	default:
+		batch := min(1+r.IntN(asksPerMessage), len(ss.asks))
+		msg := askMessage(s.cat, r, ss.asks[:batch])
+		ss.asks = ss.asks[batch:]
+		s.stats.SourceAsks += uint64(len(msg.Hashes))
+		s.emit(c, r, msg)
+	}
+	ss.next()
 }
 
 func randomFileID(r *randx.Rand) ed2k.FileID {
@@ -353,33 +355,5 @@ func corruptSemantic(r *randx.Rand, raw []byte) []byte {
 			0xFF, 0xFF, 0xFF, 0xFF, // count: lie
 		}
 		return bad
-	}
-}
-
-func (s *Swarm) scheduleFlashCrowds() {
-	r := s.rng.Split(0xF1A5)
-	n := len(s.pop.Clients)
-	participants := int(float64(n) * flashParticipants)
-	for k := 0; k < flashCrowds; k++ {
-		at := simtime.Time(r.Int64N(int64(s.tc.Duration * 9 / 10)))
-		s.flashStarts = append(s.flashStarts, at)
-		// A reconnect storm: participants ping and re-search in a narrow
-		// window, hammering the server far above the diurnal peak.
-		for p := 0; p < participants; p++ {
-			c := &s.pop.Clients[r.IntN(n)]
-			burst := 2 + r.IntN(6)
-			for b := 0; b < burst; b++ {
-				t := at + simtime.Time(r.Int64N(int64(flashDuration)))
-				cc, rr := c, r
-				s.sch.At(t, func() {
-					if rr.Bool(0.5) {
-						s.stats.Pings++
-						s.emit(cc, rr, &ed2k.StatReq{Challenge: rr.Uint32()})
-					} else {
-						s.emit(cc, rr, ed2k.GetServerList{})
-					}
-				})
-			}
-		}
 	}
 }

@@ -9,24 +9,43 @@ import (
 	"edtrace/internal/workload"
 )
 
-func testWorld(t *testing.T, nClients int, tc TrafficConfig) (*Swarm, *simtime.Scheduler, *[]sentMsg) {
+type sentMsg struct {
+	at      simtime.Time
+	src     uint32
+	payload []byte
+}
+
+// testSpec is six hours of Poisson sessions, three a client on average,
+// over nClients clients: the default traffic's shape without its
+// diurnal curve.
+func testSpec(nClients int) *workload.Spec {
+	return &workload.Spec{
+		Name:     "swarm-test",
+		Seed:     1,
+		Arrivals: workload.ArrivalSpec{Process: "poisson"},
+		Phases: []workload.PhaseSpec{{Name: "capture", Duration: workload.Duration(6 * simtime.Hour),
+			Rate: 3 * float64(nClients) / 360}},
+		Churn: workload.ChurnSpec{SessionDuration: workload.DistSpec{
+			Dist: "lognormal", Mean: workload.Duration(2 * simtime.Hour)}},
+	}
+}
+
+// testWorld wires a swarm playing spec over a calibrated world of
+// nClients clients; every message it sends is recorded with its instant.
+func testWorld(t *testing.T, nClients int, spec *workload.Spec) (*Swarm, *simtime.Scheduler, *[]sentMsg) {
 	t.Helper()
 	cfg := workload.DefaultConfig()
 	cfg.NumFiles = 5000
 	cfg.NumClients = nClients
 	cfg.VocabWords = 300
-	cat, err := workload.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop, err := workload.GeneratePopulation(cfg, cat)
+	eng, err := workload.NewEngine(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sch := simtime.NewScheduler()
 	var sent []sentMsg
-	swarm, err := NewSwarm(cfg, tc, cat, pop, sch, func(src uint32, sport uint16, payload []byte) {
-		sent = append(sent, sentMsg{src: src, payload: append([]byte(nil), payload...)})
+	swarm, err := NewSwarm(eng, DefaultTraffic(), sch, func(src uint32, sport uint16, payload []byte) {
+		sent = append(sent, sentMsg{at: sch.Now(), src: src, payload: append([]byte(nil), payload...)})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,21 +53,15 @@ func testWorld(t *testing.T, nClients int, tc TrafficConfig) (*Swarm, *simtime.S
 	return swarm, sch, &sent
 }
 
-type sentMsg struct {
-	src     uint32
-	payload []byte
-}
-
-func shortTraffic() TrafficConfig {
-	tc := DefaultTraffic()
-	tc.Duration = 6 * simtime.Hour
-	return tc
+// run plays the whole spec and drains what its sessions left pending.
+func run(swarm *Swarm, sch *simtime.Scheduler) {
+	swarm.Start()
+	sch.RunUntil(swarm.eng.Total() + simtime.Hour)
 }
 
 func TestSwarmGeneratesDecodableTraffic(t *testing.T) {
-	swarm, sch, sent := testWorld(t, 300, shortTraffic())
-	swarm.Schedule()
-	sch.RunUntil(simtime.Week)
+	swarm, sch, sent := testWorld(t, 300, testSpec(300))
+	run(swarm, sch)
 
 	if len(*sent) == 0 {
 		t.Fatal("swarm sent nothing")
@@ -73,9 +86,8 @@ func TestSwarmGeneratesDecodableTraffic(t *testing.T) {
 			t.Fatalf("unclassified decode error: %v", err)
 		}
 	}
-	// Corruption accounting must match the decoder's verdicts. Structural
-	// corruption can by chance stay decodable? No: our corruptors always
-	// break the message for this protocol subset.
+	// Corruption accounting must match the decoder's verdicts: our
+	// corruptors always break the message for this protocol subset.
 	if uint64(structural) != st.CorruptStructure {
 		t.Fatalf("structural: decoder saw %d, swarm injected %d", structural, st.CorruptStructure)
 	}
@@ -90,29 +102,24 @@ func TestSwarmGeneratesDecodableTraffic(t *testing.T) {
 }
 
 func TestSwarmDeterminism(t *testing.T) {
-	tc := shortTraffic()
-	s1, sch1, sent1 := testWorld(t, 100, tc)
-	s1.Schedule()
-	sch1.RunUntil(simtime.Week)
-	s2, sch2, sent2 := testWorld(t, 100, tc)
-	s2.Schedule()
-	sch2.RunUntil(simtime.Week)
+	s1, sch1, sent1 := testWorld(t, 100, testSpec(100))
+	run(s1, sch1)
+	s2, sch2, sent2 := testWorld(t, 100, testSpec(100))
+	run(s2, sch2)
 	if len(*sent1) != len(*sent2) {
 		t.Fatalf("runs differ: %d vs %d messages", len(*sent1), len(*sent2))
 	}
 	for i := range *sent1 {
 		a, b := (*sent1)[i], (*sent2)[i]
-		if a.src != b.src || string(a.payload) != string(b.payload) {
+		if a.at != b.at || a.src != b.src || string(a.payload) != string(b.payload) {
 			t.Fatalf("message %d differs between identical runs", i)
 		}
 	}
 }
 
 func TestCorruptionRates(t *testing.T) {
-	tc := shortTraffic()
-	swarm, sch, sent := testWorld(t, 400, tc)
-	swarm.Schedule()
-	sch.RunUntil(simtime.Week)
+	swarm, sch, _ := testWorld(t, 400, testSpec(400))
+	run(swarm, sch)
 	st := swarm.Stats()
 	total := float64(st.MessagesSent)
 	bad := float64(st.CorruptStructure + st.CorruptSemantic)
@@ -125,16 +132,14 @@ func TestCorruptionRates(t *testing.T) {
 	if frac < 0.7 || frac > 0.86 {
 		t.Fatalf("structural share %.3f, want ~0.78", frac)
 	}
-	_ = sent
 }
 
 func TestAskDistinctnessPreservesCap(t *testing.T) {
 	// Clients capped at 52 source-asks must ask for exactly 52 distinct
-	// files (they are the mechanism behind Fig 7's spike).
-	swarm, sch, sent := testWorld(t, 500, shortTraffic())
-	swarm.Schedule()
-	sch.RunUntil(simtime.Week)
-	_ = swarm
+	// files over all their sessions (they are the mechanism behind Fig
+	// 7's spike).
+	swarm, sch, sent := testWorld(t, 500, testSpec(500))
+	run(swarm, sch)
 
 	askedBy := map[uint32]map[ed2k.FileID]bool{}
 	for _, m := range *sent {
@@ -166,22 +171,65 @@ func TestAskDistinctnessPreservesCap(t *testing.T) {
 	}
 }
 
+// TestFlashCrowdSpikesTraffic plays a spec with one release whose crowd
+// multiplies arrivals by 5 for half an hour: session starts a minute
+// inside the window must be at least 2.5 times those outside it, and
+// the crowd's sessions, and only they, ask for the released files.
 func TestFlashCrowdSpikesTraffic(t *testing.T) {
-	tc := shortTraffic()
-	swarm, sch, sent := testWorld(t, 400, tc)
-	swarm.Schedule()
+	const (
+		at     = 3 * simtime.Hour
+		window = 30 * simtime.Minute
+	)
+	spec := testSpec(400)
+	spec.Releases = []workload.ReleaseSpec{{At: workload.Duration(at), Name: "hit", Files: 4,
+		CrowdBoost: 5, CrowdDuration: workload.Duration(window)}}
+	swarm, sch, sent := testWorld(t, 400, spec)
 
-	// Count messages per minute.
-	perMin := map[int64]int{}
-	// Re-wire send to record times: easiest is counting after run via
-	// scheduling order; instead we sample the scheduler clock in the
-	// callback by wrapping — redo with a fresh world.
-	_ = sent
-	sch.RunUntil(simtime.Week)
-	_ = perMin
+	// Session starts per minute, read off the swarm's own counter.
+	var perMin []uint64
+	var last uint64
+	sch.Every(simtime.Minute, func(simtime.Time) {
+		perMin = append(perMin, swarm.stats.Sessions-last)
+		last = swarm.stats.Sessions
+	})
+	run(swarm, sch)
 
-	if len(swarm.FlashWindows()) != flashCrowds {
-		t.Fatalf("flash windows: %v", swarm.FlashWindows())
+	var in, out, inMin, outMin float64
+	for m, n := range perMin[:spec.Total()/simtime.Minute] {
+		if t := simtime.Time(m) * simtime.Minute; t >= at && t < at+window {
+			in, inMin = in+float64(n), inMin+1
+		} else {
+			out, outMin = out+float64(n), outMin+1
+		}
+	}
+	if in/inMin < 2.5*out/outMin {
+		t.Fatalf("%.1f session starts a minute in the crowd window, %.1f outside: want at least 2.5x", in/inMin, out/outMin)
+	}
+	if swarm.Stats().Releases != 1 {
+		t.Fatalf("%d releases fired, want 1", swarm.Stats().Releases)
+	}
+
+	released := map[ed2k.FileID]bool{}
+	for _, id := range swarm.eng.Releases()[0].IDs(swarm.cat) {
+		released[id] = true
+	}
+	crowdAsks := 0
+	for _, m := range *sent {
+		msg, err := ed2k.Decode(m.payload)
+		gs, ok := msg.(*ed2k.GetSources)
+		if err != nil || !ok || !released[gs.Hashes[0]] {
+			continue
+		}
+		crowdAsks++
+		if m.at < at {
+			t.Fatalf("released file asked for at %v, before its release at %v", m.at, at)
+		}
+	}
+	// The engine tags every session arriving in the window with the
+	// release, and each asks for it once: all of them but the few whose
+	// ask was corrupted on the way.
+	if float64(crowdAsks) > in || float64(crowdAsks) < 0.95*in {
+		t.Fatalf("%d asks for released files from %.0f crowd sessions", crowdAsks, in)
 	}
 }
 
@@ -200,18 +248,5 @@ func TestTrafficValidate(t *testing.T) {
 	tc := DefaultTraffic()
 	if err := tc.Validate(); err != nil {
 		t.Fatalf("default rejected: %v", err)
-	}
-}
-
-func TestIntensityProfile(t *testing.T) {
-	tc := shortTraffic()
-	swarm, _, _ := testWorld(t, 10, tc)
-	peakT := simtime.Time(float64(simtime.Day) * 0.25) // sin peak at quarter day
-	troughT := simtime.Time(float64(simtime.Day) * 0.75)
-	if swarm.intensity(peakT) <= swarm.intensity(troughT) {
-		t.Fatal("diurnal profile inverted")
-	}
-	if swarm.intensity(0) != 1 {
-		t.Fatalf("midnight intensity = %v", swarm.intensity(0))
 	}
 }

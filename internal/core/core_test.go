@@ -12,6 +12,7 @@ import (
 	"edtrace/internal/netsim"
 	"edtrace/internal/pcap"
 	"edtrace/internal/simtime"
+	"edtrace/internal/workload"
 	"edtrace/internal/xmlenc"
 )
 
@@ -379,5 +380,134 @@ func TestNewSimWorldRejectsNonPositiveCapture(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: err = %v, want an error naming the field", tc.field, err)
 		}
+	}
+}
+
+// TestPendingFollowsOpenSessions: over a simulated week, what waits on
+// the clock is bounded by the sessions open at once — each holds at
+// most three pending events (its offers, its pings, its next randomly
+// placed message) — plus a constant for the engine, the capture
+// machine's timers and the frames in flight. Pre-scheduling every
+// message of the capture instead would put the whole week's traffic
+// there (116,855 events for this world at its start).
+func TestPendingFollowsOpenSessions(t *testing.T) {
+	cfg := tinySimConfig()
+	cfg.Traffic.Duration = simtime.Week
+	w, err := NewSimWorld(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	if _, err := w.RunFrames(context.Background(), func(simtime.Time, []byte) error {
+		peak = max(peak, w.sched.Pending())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := workload.NewEngine(defaultSpec(cfg.Workload, cfg.Traffic.Duration), cfg.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ok := eng.Next(); ok; _, ok = eng.Next() {
+	}
+	t.Logf("peak pending %d, max active sessions %d", peak, eng.MaxActiveSeen())
+	if bound := 3*eng.MaxActiveSeen() + 64; peak > bound {
+		t.Fatalf("peak pending events %d > 3 × %d open sessions + 64", peak, eng.MaxActiveSeen())
+	}
+}
+
+// TestSimWorldPlaysSpec runs examples/specs/smokeday.json the way
+// `edsim -spec` does: a night phase at 0.12 sessions a minute, a day
+// phase at 0.25, a diurnal curve peaking at 20:00 and a release at 12 h
+// whose crowd multiplies arrivals by 5 for 2 h. The session starts of
+// the night and of the day outside the crowd each follow the spec's
+// rate curve (the 0.12 : 0.25 ratio times the diurnal curve) within
+// 30 % (~48 and ~233 are expected), and the release's files are asked
+// for on the wire from 12 h on and never before. A Traffic.Duration
+// other than the spec's span is an error.
+func TestSimWorldPlaysSpec(t *testing.T) {
+	spec, err := workload.LoadSpec("../../examples/specs/smokeday.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultSimConfig()
+	cfg.Workload = spec.WorldConfig()
+	cfg.Traffic.Duration = spec.Total()
+	cfg.Spec = spec
+	bad := cfg
+	bad.Traffic.Duration += simtime.Hour
+	if _, err := NewSimWorld(bad, nil); err == nil || !strings.Contains(err.Error(), "Traffic.Duration") {
+		t.Errorf("a spec over 24h with Traffic.Duration 25h: err = %v, want an error naming both", err)
+	}
+	w, err := NewSimWorld(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same spec and world give the world's engine and this one the
+	// same catalog, released files included.
+	eng, err := workload.NewEngine(spec, cfg.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := map[ed2k.FileID]bool{}
+	for _, id := range eng.Releases()[0].IDs(eng.Catalog()) {
+		released[id] = true
+	}
+
+	// Session starts so far, read at each edge of the segments.
+	edges := []simtime.Time{0, 8 * simtime.Hour, 12 * simtime.Hour, 14 * simtime.Hour, spec.Total()}
+	started := make([]float64, len(edges))
+	for i, at := range edges[1:] {
+		w.sched.At(at, func() { started[i+1] = float64(w.swarm.Stats().Sessions) })
+	}
+	rel := spec.Releases[0].At.Sim()
+	var asked, early int
+	if _, err := w.RunFrames(context.Background(), func(now simtime.Time, frame []byte) error {
+		ip, _ := netsim.DecodeEthernet(frame)
+		hdr, payload, err := netsim.DecodeIPv4(ip)
+		if err != nil || hdr.Dst != cfg.ServerIP || hdr.MoreFrags || hdr.FragOff != 0 {
+			return nil
+		}
+		_, body, err := netsim.DecodeUDP(hdr.Src, hdr.Dst, payload)
+		if err != nil {
+			return nil
+		}
+		if msg, err := ed2k.Decode(body); err == nil {
+			if gs, ok := msg.(*ed2k.GetSources); ok && released[gs.Hashes[0]] {
+				asked++
+				if now < rel {
+					early++
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// expected integrates the spec's rate curve over [from, to).
+	expected := func(from, to simtime.Time) float64 {
+		sum := 0.0
+		for at := from + simtime.Minute/2; at < to; at += simtime.Minute {
+			sum += spec.RateAt(at)
+		}
+		return sum
+	}
+	night := started[1]
+	day := started[2] - started[1] + started[4] - started[3]
+	wantNight := expected(edges[0], edges[1])
+	wantDay := expected(edges[1], edges[2]) + expected(edges[3], edges[4])
+	t.Logf("sessions: night %.0f (expected %.1f), day outside the crowd %.0f (expected %.1f), crowd %.0f; %d asks for the release",
+		night, wantNight, day, wantDay, started[3]-started[2], asked)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{{"night", night, wantNight}, {"day", day, wantDay}} {
+		if c.got < 0.7*c.want || c.got > 1.3*c.want {
+			t.Errorf("%s: %.0f sessions, the spec's curve expects %.1f (±30%%)", c.name, c.got, c.want)
+		}
+	}
+	if asked == 0 || early > 0 {
+		t.Errorf("%d asks for the release's files, %d of them before its instant %v", asked, early, rel)
 	}
 }

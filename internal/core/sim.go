@@ -24,6 +24,9 @@ import (
 type SimConfig struct {
 	Workload workload.Config
 	Traffic  clients.TrafficConfig
+	// Spec, when set, is the workload spec whose sessions the clients
+	// play; it must span Traffic.Duration. Nil plays defaultSpec.
+	Spec *workload.Spec
 
 	// ServerIP locates the captured server (it listens on serverPort).
 	ServerIP uint32
@@ -58,6 +61,27 @@ const (
 	// ServicePerPoll × 20 frames/s.
 	pollInterval = 50 * simtime.Millisecond
 )
+
+// The default traffic, what a capture without a spec plays: Poisson
+// session arrivals along a diurnal curve of amplitude 0.45 peaking at
+// 06:00, sessions lasting a log-normal time of median 2 h, and
+// defaultSessions sessions a client over the capture whatever its span
+// (every client three, a tenth of them a fourth).
+const defaultSessions = 3.1
+
+// defaultSpec is the default traffic over a capture of span d.
+func defaultSpec(wl workload.Config, d simtime.Time) *workload.Spec {
+	s := &workload.Spec{
+		Name:     "default",
+		Seed:     wl.Seed,
+		Arrivals: workload.ArrivalSpec{Process: "poisson"},
+		Phases:   []workload.PhaseSpec{{Name: "capture", Duration: workload.Duration(d), Rate: 1}},
+		Diurnal:  &workload.DiurnalSpec{Amplitude: 0.45, PeakHour: 6},
+		Churn:    workload.ChurnSpec{SessionDuration: workload.DistSpec{Dist: "lognormal", Mean: workload.Duration(2 * simtime.Hour)}},
+	}
+	s.Phases[0].Rate = defaultSessions * float64(wl.NumClients) / s.ExpectedSessions()
+	return s
+}
 
 // DefaultSimConfig returns a laptop-scale capture configuration
 // (one virtual week, ~15 k clients) with the paper's mechanisms enabled.
@@ -154,11 +178,17 @@ func NewSimWorld(cfg SimConfig, drops *pcap.Ledger) (*SimWorld, error) {
 	if cfg.KernelBufferBytes <= 0 {
 		return nil, fmt.Errorf("core: KernelBufferBytes = %d (want > 0)", cfg.KernelBufferBytes)
 	}
-	cat, err := workload.Generate(cfg.Workload)
-	if err != nil {
+	if err := cfg.Traffic.Validate(); err != nil {
 		return nil, err
 	}
-	pop, err := workload.GeneratePopulation(cfg.Workload, cat)
+	spec := cfg.Spec
+	if spec == nil {
+		spec = defaultSpec(cfg.Workload, cfg.Traffic.Duration)
+	} else if spec.Total() != cfg.Traffic.Duration {
+		return nil, fmt.Errorf("core: Spec spans %v but Traffic.Duration is %v",
+			workload.Duration(spec.Total()), workload.Duration(cfg.Traffic.Duration))
+	}
+	eng, err := workload.NewEngine(spec, cfg.Workload)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +255,7 @@ func NewSimWorld(cfg SimConfig, drops *pcap.Ledger) (*SimWorld, error) {
 		}
 		w.uplink.SendUDP(srcIP, cfg.ServerIP, srcPort, serverPort, dgID, payload, mtu)
 	}
-	w.swarm, err = clients.NewSwarm(cfg.Workload, cfg.Traffic, cat, pop, w.sched, send)
+	w.swarm, err = clients.NewSwarm(eng, cfg.Traffic, w.sched, send)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +290,7 @@ func (w *SimWorld) fail(err error) {
 	w.sched.Stop()
 }
 
-// RunFrames schedules the swarm and executes the capture, delivering
+// RunFrames starts the swarm and executes the capture, delivering
 // every frame the capture machine drains to fn. Extra drain time after
 // the traffic horizon lets the capture machine empty its backlog. The
 // run stops early when ctx is cancelled or fn returns an error; either
@@ -274,7 +304,7 @@ func (w *SimWorld) RunFrames(ctx context.Context, fn FrameFunc) (*Report, error)
 	w.ctx = ctx
 
 	start := time.Now()
-	w.swarm.Schedule()
+	w.swarm.Start()
 	horizon := w.cfg.Traffic.Duration + 30*simtime.Second
 	w.sched.RunUntil(horizon)
 

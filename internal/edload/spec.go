@@ -119,7 +119,7 @@ func RunSpec(ctx context.Context, cfg SpecConfig) (SpecStats, error) {
 	if cfg.MaxMessagesPerSession <= 0 {
 		cfg.MaxMessagesPerSession = 256
 	}
-	eng, err := workload.NewEngine(cfg.Spec)
+	eng, err := workload.NewEngine(cfg.Spec, cfg.Spec.WorldConfig())
 	if err != nil {
 		return st, err
 	}
@@ -151,7 +151,7 @@ func RunSpec(ctx context.Context, cfg SpecConfig) (SpecStats, error) {
 		if behind > st.MaxBehind {
 			st.MaxBehind = behind
 		}
-		met.rateMilli.Set(int64(eng.RateAt(ev.At) * 1000))
+		met.rateMilli.Set(int64(cfg.Spec.RateAt(ev.At) * 1000))
 		met.behindMS.Set(behind.Milliseconds())
 		switch ev.Kind {
 		case workload.EvRelease:

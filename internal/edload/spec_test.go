@@ -152,7 +152,7 @@ func TestSpecReplayPacing(t *testing.T) {
 // arrivals in order.
 func engineStarts(t *testing.T, spec *workload.Spec) (*workload.Engine, []workload.Event) {
 	t.Helper()
-	eng, err := workload.NewEngine(spec)
+	eng, err := workload.NewEngine(spec, spec.WorldConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,6 @@ func (r *Rand) Float64() float64 { return r.src.Float64() }
 // IntN returns a uniform value in [0,n). It panics if n <= 0.
 func (r *Rand) IntN(n int) int { return r.src.IntN(n) }
 
-// Int64N returns a uniform value in [0,n). It panics if n <= 0.
-func (r *Rand) Int64N(n int64) int64 { return r.src.Int64N(n) }
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.src.Float64() < p }
 

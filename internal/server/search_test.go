@@ -239,7 +239,7 @@ func searchCatalog(seed uint64, nFiles int, offer offerFunc) {
 			e.Tags = append(e.Tags, ed2k.StringTag(ed2k.FTFileName, name.String()))
 		}
 		if !r.Bool(0.1) {
-			e.Tags = append(e.Tags, ed2k.UintTag(ed2k.FTFileSize, uint32(r.Int64N(1<<30))))
+			e.Tags = append(e.Tags, ed2k.UintTag(ed2k.FTFileSize, uint32(r.IntN(1<<30))))
 		}
 		if typ := types[r.IntN(len(types))]; typ != "" {
 			e.Tags = append(e.Tags, ed2k.StringTag(ed2k.FTFileType, randCase(r, typ)))
@@ -272,9 +272,9 @@ func randLeaf(r *randx.Rand) *ed2k.SearchExpr {
 	case n < 66:
 		return ed2k.Keyword("absentword")
 	case n < 74:
-		return ed2k.SizeAtLeast(uint32(r.Int64N(1 << 30)))
+		return ed2k.SizeAtLeast(uint32(r.IntN(1 << 30)))
 	case n < 82:
-		return ed2k.SizeAtMost(uint32(r.Int64N(1 << 30)))
+		return ed2k.SizeAtMost(uint32(r.IntN(1 << 30)))
 	case n < 92:
 		return ed2k.TypeIs(randCase(r, []string{"audio", "video", "pro", "image"}[r.IntN(4)]))
 	case n < 98:

@@ -172,28 +172,13 @@ func makeVocab(r *randx.Rand, n int) []string {
 	return out
 }
 
-var typeByKind = map[FileKind]string{
-	KindAudio:      "Audio",
-	KindVideoBroad: "Video",
-	KindCD700:      "Video",
-	KindHalfCD:     "Video",
-	KindThirdCD:    "Video",
-	KindQuarterCD:  "Video",
-	KindDoubleCD:   "Video",
-	KindGB:         "Video",
-	KindDoc:        "Doc",
-}
-
-var extByKind = map[FileKind]string{
-	KindAudio:      ".mp3",
-	KindVideoBroad: ".avi",
-	KindCD700:      ".avi",
-	KindHalfCD:     ".avi",
-	KindThirdCD:    ".avi",
-	KindQuarterCD:  ".avi",
-	KindDoubleCD:   ".avi",
-	KindGB:         ".iso",
-	KindDoc:        ".pdf",
+// kinds holds each kind's file type tag and name extension.
+var kinds = [...]struct{ typ, ext string }{
+	KindAudio: {"Audio", ".mp3"}, KindVideoBroad: {"Video", ".avi"},
+	KindCD700: {"Video", ".avi"}, KindHalfCD: {"Video", ".avi"},
+	KindThirdCD: {"Video", ".avi"}, KindQuarterCD: {"Video", ".avi"},
+	KindDoubleCD: {"Video", ".avi"}, KindGB: {"Video", ".iso"},
+	KindDoc: {"Doc", ".pdf"},
 }
 
 const mb = 1 << 20
@@ -301,7 +286,7 @@ func Generate(cfg Config) (*Catalog, error) {
 		for k, kmax := 0, 1+rFiles.IntN(4); k < kmax; k++ {
 			name += " " + cat.wordAt(zipf.Uint64())
 		}
-		name += extByKind[kind]
+		name += kinds[kind].ext
 		w := rFiles.Pareto(1, bodyAlpha)
 		if rFiles.Bool(hitFraction) {
 			h := rFiles.Pareto(1, hitAlpha)
@@ -314,7 +299,7 @@ func Generate(cfg Config) (*Catalog, error) {
 			ID:     ed2k.FileID(id),
 			Name:   name,
 			Size:   size,
-			Type:   typeByKind[kind],
+			Type:   kinds[kind].typ,
 			Weight: w,
 		})
 	}

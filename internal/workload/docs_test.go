@@ -45,7 +45,7 @@ func TestDocsExamplesExecute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("example %d does not parse: %v\n%s", i+1, err, b)
 		}
-		eng, err := NewEngine(spec)
+		eng, err := NewEngine(spec, spec.WorldConfig())
 		if err != nil {
 			t.Fatalf("example %d (%q) rejected by engine: %v", i+1, spec.Name, err)
 		}
@@ -83,7 +83,7 @@ func TestShippedSpecsLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if _, err := NewEngine(spec); err != nil {
+		if _, err := NewEngine(spec, spec.WorldConfig()); err != nil {
 			t.Fatalf("%s: engine rejects shipped spec: %v", path, err)
 		}
 	}

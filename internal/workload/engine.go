@@ -8,9 +8,10 @@
 // exist on long, non-stationary timelines. The engine generates those
 // timelines: a non-homogeneous renewal process (Poisson, Gamma or
 // Weibull interarrivals, thinned against the spec's rate curve) emits
-// session arrivals; each session draws a lifetime from the churn model
-// and ends accordingly; release events inject new catalog files and
-// multiply the arrival rate for their flash-crowd window.
+// session arrivals, taking the population's clients in shuffled rounds;
+// each session draws a lifetime from the churn model and ends
+// accordingly; release events inject new catalog files and multiply the
+// arrival rate for their flash-crowd window.
 //
 // Determinism is the contract: the same spec and seed produce a
 // byte-identical event stream, and the stream never depends on the
@@ -138,11 +139,16 @@ type Engine struct {
 	pop   *Population
 	total simtime.Time
 
-	phaseEnds []simtime.Time
-	releases  []Release
+	releases []Release
 
 	rArr, rSel *randx.Rand
 	maxRate    float64 // thinning bound, arrivals per simulated minute
+
+	// round is the population in a random order: arriving sessions take
+	// its clients from next on, and a new round draws a new order, so
+	// every client connects once before any connects twice.
+	round []int
+	next  int
 
 	relNext       int
 	ends          endHeap
@@ -154,22 +160,20 @@ type Engine struct {
 	suppressed    uint64
 }
 
-// NewEngine validates the spec, generates the synthetic world (catalog
-// + population from the spec's seed and world overrides), materialises
-// every release's files into the catalog, and positions the arrival
-// process at t=0.
+// NewEngine validates the spec, generates the synthetic world the caller
+// describes (normally spec.WorldConfig()), materialises every release's
+// files into the catalog, and positions the arrival process at t=0.
 //
 // Released files are appended after the generated catalog, so
 // Catalog.GenuineCount still delimits the *generated* genuine prefix;
 // the appended range mixes genuine releases and their forged variants,
 // distinguished by File.Forged.
-func NewEngine(spec *Spec) (*Engine, error) {
-	if err := spec.Validate(); err != nil {
+func NewEngine(spec *Spec, wl Config) (*Engine, error) {
+	cat, err := Generate(wl) // validates the world first: a spec may derive from it
+	if err != nil {
 		return nil, err
 	}
-	wl := spec.WorldConfig()
-	cat, err := Generate(wl)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	pop, err := GeneratePopulation(wl, cat)
@@ -182,18 +186,13 @@ func NewEngine(spec *Spec) (*Engine, error) {
 		pop:   pop,
 		total: spec.Total(),
 	}
-	acc := simtime.Time(0)
-	for _, p := range spec.Phases {
-		acc += p.Duration.Sim()
-		e.phaseEnds = append(e.phaseEnds, acc)
-	}
 
 	root := randx.New(spec.Seed, 0x10E14EE1E5C0FFEE)
 	e.rArr = root.Split(1)
 	e.rSel = root.Split(2)
 	rRel := root.Split(3)
 	e.materialiseReleases(wl, rRel)
-	e.maxRate = e.computeMaxRate()
+	e.maxRate = spec.maxRate()
 
 	e.nextArr = 0
 	e.advanceArrival()
@@ -225,13 +224,13 @@ func (e *Engine) materialiseReleases(wl Config, r *randx.Rand) {
 			for k, kmax := 0, 1+r.IntN(3); k < kmax; k++ {
 				name += " " + e.cat.wordAt(r.Uint64())
 			}
-			name += extByKind[kind]
+			name += kinds[kind].ext
 			rel.Genuine = append(rel.Genuine, int32(len(e.cat.Files)))
 			e.cat.Files = append(e.cat.Files, File{
 				ID:     ed2k.FileID(id),
 				Name:   name,
 				Size:   size,
-				Type:   typeByKind[kind],
+				Type:   kinds[kind].typ,
 				Weight: hitWeightCap, // a fresh release is by definition hot
 			})
 		}
@@ -251,56 +250,14 @@ func (e *Engine) materialiseReleases(wl Config, r *randx.Rand) {
 	}
 }
 
-// computeMaxRate returns an upper bound on RateAt over the whole
-// schedule: the thinning envelope. Crowd windows can overlap, so their
-// contribution is the maximum product of boosts simultaneously active.
-func (e *Engine) computeMaxRate() float64 {
-	phaseMax := 0.0
-	for _, p := range e.spec.Phases {
-		m := p.Rate
-		if p.RateEnd > m {
-			m = p.RateEnd
-		}
-		if m > phaseMax {
-			phaseMax = m
-		}
-	}
-	diurnalMax := 1.0
-	if d := e.spec.Diurnal; d != nil {
-		diurnalMax = 1 + d.Amplitude
-	}
-	weeklyMax := 1.0
-	if w := e.spec.Weekly; w != nil {
-		for _, f := range w.DayFactors {
-			if f > weeklyMax {
-				weeklyMax = f
-			}
-		}
-	}
-	crowdMax := 1.0
-	for i := range e.spec.Releases {
-		// Product of boosts active at this window's start: windows that
-		// contain it are exactly the overlaps to account for.
-		at := e.spec.Releases[i].At.Sim()
-		prod := 1.0
-		for j := range e.spec.Releases {
-			r := &e.spec.Releases[j]
-			if at >= r.At.Sim() && at < r.At.Sim()+r.CrowdDuration.Sim() {
-				prod *= r.CrowdBoost
-			}
-		}
-		if prod > crowdMax {
-			crowdMax = prod
-		}
-	}
-	return phaseMax * diurnalMax * weeklyMax * crowdMax
-}
-
 // Catalog returns the generated catalog, released files included.
 func (e *Engine) Catalog() *Catalog { return e.cat }
 
 // Population returns the generated client population.
 func (e *Engine) Population() *Population { return e.pop }
+
+// Spec returns the spec the engine expands.
+func (e *Engine) Spec() *Spec { return e.spec }
 
 // Total returns the schedule's simulated span.
 func (e *Engine) Total() simtime.Time { return e.total }
@@ -316,62 +273,6 @@ func (e *Engine) Suppressed() uint64 { return e.suppressed }
 
 // MaxActiveSeen reports the high-water mark of concurrent sessions.
 func (e *Engine) MaxActiveSeen() int { return e.maxActiveSeen }
-
-// PhaseAt names the schedule phase containing t (the last phase for
-// t at or past the horizon).
-func (e *Engine) PhaseAt(t simtime.Time) string {
-	for i, end := range e.phaseEnds {
-		if t < end {
-			return e.spec.Phases[i].Name
-		}
-	}
-	return e.spec.Phases[len(e.spec.Phases)-1].Name
-}
-
-// RateAt evaluates the composed rate curve at t, in session arrivals
-// per simulated minute: phase schedule × diurnal curve × weekly curve
-// × the product of active flash-crowd boosts.
-func (e *Engine) RateAt(t simtime.Time) float64 {
-	rate := e.phaseRate(t)
-	if d := e.spec.Diurnal; d != nil {
-		hour := float64(t%simtime.Day) / float64(simtime.Hour)
-		rate *= 1 + d.Amplitude*math.Cos(2*math.Pi*(hour-d.PeakHour)/24)
-	}
-	if w := e.spec.Weekly; w != nil {
-		if f := w.DayFactors[int(t/simtime.Day)%7]; f > 0 {
-			rate *= f
-		}
-	}
-	for i := range e.spec.Releases {
-		r := &e.spec.Releases[i]
-		if t >= r.At.Sim() && t < r.At.Sim()+r.CrowdDuration.Sim() {
-			rate *= r.CrowdBoost
-		}
-	}
-	return rate
-}
-
-// phaseRate is the piecewise-linear schedule value at t.
-func (e *Engine) phaseRate(t simtime.Time) float64 {
-	start := simtime.Time(0)
-	for i, end := range e.phaseEnds {
-		if t < end || i == len(e.phaseEnds)-1 {
-			p := &e.spec.Phases[i]
-			if p.RateEnd <= 0 {
-				return p.Rate
-			}
-			frac := float64(t-start) / float64(end-start)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return p.Rate + (p.RateEnd-p.Rate)*frac
-		}
-		start = end
-	}
-	return 0
-}
 
 // drawGap draws one candidate interarrival at the envelope rate, in
 // simulated time. Thinning against RateAt makes the accepted stream
@@ -410,7 +311,7 @@ func (e *Engine) advanceArrival() {
 			e.arrDone = true
 			return
 		}
-		if e.rArr.Float64()*e.maxRate <= e.RateAt(t) {
+		if e.rArr.Float64()*e.maxRate <= e.spec.RateAt(t) {
 			e.nextArr = t
 			return
 		}
@@ -434,10 +335,7 @@ func (e *Engine) drawSessionDur() simtime.Time {
 		}
 		v = mean * e.rSel.LogNormal(0, sigma)
 	}
-	if v < float64(simtime.Second) {
-		v = float64(simtime.Second)
-	}
-	return simtime.Time(v)
+	return simtime.Time(min(max(v, float64(simtime.Second)), float64(e.total)))
 }
 
 // crowdAt returns the index of the flash crowd containing t (the
@@ -482,7 +380,7 @@ func (e *Engine) Next() (Event, bool) {
 				At:      relAt,
 				Kind:    EvRelease,
 				Client:  -1,
-				Phase:   e.PhaseAt(relAt),
+				Phase:   e.spec.PhaseAt(relAt),
 				Release: int32(i),
 			}, true
 
@@ -494,7 +392,7 @@ func (e *Engine) Next() (Event, bool) {
 				Kind:    EvSessionEnd,
 				Session: end.session,
 				Client:  end.client,
-				Phase:   e.PhaseAt(end.at),
+				Phase:   e.spec.PhaseAt(end.at),
 				Release: -1,
 			}, true
 
@@ -505,15 +403,16 @@ func (e *Engine) Next() (Event, bool) {
 				e.suppressed++
 				continue
 			}
-			client := int32(e.rSel.IntN(len(e.pop.Clients)))
+			if e.next == len(e.round) {
+				e.round, e.next = e.rSel.Perm(len(e.pop.Clients)), 0
+			}
+			client := int32(e.round[e.next])
+			e.next++
 			lowID := e.pop.Clients[client].LowID
 			if f := e.spec.Churn.LowIDFraction; f != nil {
 				lowID = e.rSel.Bool(*f)
 			}
-			end := at + e.drawSessionDur()
-			if end > e.total {
-				end = e.total
-			}
+			end := at + min(e.drawSessionDur(), e.total-at)
 			e.sessions++
 			e.active++
 			if e.active > e.maxActiveSeen {
@@ -526,7 +425,7 @@ func (e *Engine) Next() (Event, bool) {
 				Session: e.sessions,
 				Client:  client,
 				LowID:   lowID,
-				Phase:   e.PhaseAt(at),
+				Phase:   e.spec.PhaseAt(at),
 				Release: e.crowdAt(at),
 				Dur:     end - at,
 			}, true

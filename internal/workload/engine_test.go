@@ -2,8 +2,10 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,7 +47,7 @@ func fullSpec(seed uint64, compress float64) *Spec {
 // level identity the determinism contract is stated in.
 func drain(t *testing.T, s *Spec) (string, *Engine) {
 	t.Helper()
-	eng, err := NewEngine(s)
+	eng, err := NewEngine(s, s.WorldConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestEngineCompressInvariance(t *testing.T) {
 func TestEngineChurnBounds(t *testing.T) {
 	s := fullSpec(11, 1)
 	s.Churn.MaxActive = 16
-	eng, err := NewEngine(s)
+	eng, err := NewEngine(s, s.WorldConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +99,7 @@ func TestEngineChurnBounds(t *testing.T) {
 	open := make(map[uint64]simtime.Time)
 	lowID := 0
 	starts := 0
+	perClient := make([]int, len(eng.Population().Clients))
 	var prev simtime.Time
 	for {
 		ev, ok := eng.Next()
@@ -121,6 +124,7 @@ func TestEngineChurnBounds(t *testing.T) {
 				t.Fatalf("session %d runs past the horizon", ev.Session)
 			}
 			open[ev.Session] = ev.At
+			perClient[ev.Client]++
 			if ev.LowID {
 				lowID++
 			}
@@ -145,6 +149,10 @@ func TestEngineChurnBounds(t *testing.T) {
 	if eng.MaxActiveSeen() > s.Churn.MaxActive {
 		t.Fatalf("MaxActiveSeen = %d", eng.MaxActiveSeen())
 	}
+	// Clients connect in rounds: none twice before every one once.
+	if lo, hi := slices.Min(perClient), slices.Max(perClient); hi-lo > 1 {
+		t.Fatalf("sessions a client range over [%d, %d] across %d starts", lo, hi, starts)
+	}
 	// low_id_fraction 0.3 ± sampling noise.
 	frac := float64(lowID) / float64(starts)
 	if frac < 0.2 || frac > 0.4 {
@@ -154,7 +162,7 @@ func TestEngineChurnBounds(t *testing.T) {
 
 func TestEngineReleases(t *testing.T) {
 	s := fullSpec(3, 1)
-	eng, err := NewEngine(s)
+	eng, err := NewEngine(s, s.WorldConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,31 +217,35 @@ func TestEngineReleases(t *testing.T) {
 
 func TestEngineRateCurve(t *testing.T) {
 	s := fullSpec(1, 1)
-	eng, err := NewEngine(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Diurnal: rate at the peak hour beats the trough 12h away (same
 	// phase, same day).
 	day := 24 * simtime.Hour
 	peak := day + simtime.Time(float64(simtime.Hour)*20)
 	trough := day + simtime.Time(float64(simtime.Hour)*8)
-	if eng.RateAt(peak) <= eng.RateAt(trough) {
-		t.Fatalf("diurnal peak %v <= trough %v", eng.RateAt(peak), eng.RateAt(trough))
+	if s.RateAt(peak) <= s.RateAt(trough) {
+		t.Fatalf("diurnal peak %v <= trough %v", s.RateAt(peak), s.RateAt(trough))
 	}
 	// Flash crowd: rate inside the first crowd window beats the same
 	// hour a day later (identical diurnal position, no crowd).
 	in := 13 * simtime.Hour
 	out := in + day
-	if eng.RateAt(in) <= eng.RateAt(out) {
-		t.Fatalf("crowd window rate %v <= baseline %v", eng.RateAt(in), eng.RateAt(out))
+	if s.RateAt(in) <= s.RateAt(out) {
+		t.Fatalf("crowd window rate %v <= baseline %v", s.RateAt(in), s.RateAt(out))
 	}
 	// Phase ramp: warmup starts at 2/min and ends near 6/min.
-	if r0 := eng.RateAt(0); r0 > 4 {
+	if r0 := s.RateAt(0); r0 > 4 {
 		t.Fatalf("ramp start rate = %v", r0)
 	}
-	if eng.PhaseAt(0) != "warmup" || eng.PhaseAt(7*simtime.Hour) != "steady" {
+	if s.PhaseAt(0) != "warmup" || s.PhaseAt(7*simtime.Hour) != "steady" {
 		t.Fatal("phase lookup broken")
+	}
+	// The integral of the curve is the mean number of Poisson arrivals
+	// (no max_active cap): the engine's count lies within 4 sigma of it.
+	s.Arrivals, s.Churn.MaxActive = ArrivalSpec{Process: "poisson"}, 0
+	_, eng := drain(t, s)
+	want := s.ExpectedSessions()
+	if got := float64(eng.Sessions()); math.Abs(got-want) > 4*math.Sqrt(want) {
+		t.Fatalf("%v sessions, the rate curve expects %.1f", got, want)
 	}
 }
 
@@ -273,7 +285,7 @@ func BenchmarkEngineEvents(b *testing.B) {
 	events := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := NewEngine(s)
+		eng, err := NewEngine(s, s.WorldConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,7 +343,7 @@ func TestSpecWorldDefaults(t *testing.T) {
 	}
 
 	for _, s := range []*Spec{base(nil), base(&WorldSpec{Files: 300, VocabWords: 120})} {
-		eng, err := NewEngine(s)
+		eng, err := NewEngine(s, s.WorldConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,9 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -27,15 +29,16 @@ type Duration simtime.Time
 // Sim converts to the simulated-clock type.
 func (d Duration) Sim() simtime.Time { return simtime.Time(d) }
 
-// String renders the span compactly (largest units first).
+// String renders the span compactly (largest units first) and exactly:
+// a residue below a second is written as fractional milliseconds, so
+// ParseDuration(d.String()) == d.
 func (d Duration) String() string {
-	t := simtime.Time(d)
-	if t == 0 {
+	if d == 0 {
 		return "0s"
 	}
-	neg := ""
-	if t < 0 {
-		neg, t = "-", -t
+	neg, t := "", uint64(d)
+	if d < 0 {
+		neg, t = "-", -t // as uint64, so the most negative value negates too
 	}
 	var b strings.Builder
 	for _, u := range []struct {
@@ -43,15 +46,15 @@ func (d Duration) String() string {
 		name string
 	}{
 		{simtime.Week, "w"}, {simtime.Day, "d"}, {simtime.Hour, "h"},
-		{simtime.Minute, "m"}, {simtime.Second, "s"}, {simtime.Millisecond, "ms"},
+		{simtime.Minute, "m"}, {simtime.Second, "s"},
 	} {
-		if n := t / u.span; n > 0 {
+		if n := t / uint64(u.span); n > 0 {
 			fmt.Fprintf(&b, "%d%s", n, u.name)
-			t -= n * u.span
+			t -= n * uint64(u.span)
 		}
 	}
-	if b.Len() == 0 {
-		return neg + t.String() // sub-millisecond residue
+	if t > 0 {
+		b.WriteString(strconv.FormatFloat(float64(t)/float64(simtime.Millisecond), 'f', -1, 64) + "ms")
 	}
 	return neg + b.String()
 }
@@ -103,7 +106,11 @@ func ParseDuration(s string) (Duration, error) {
 		found := false
 		for _, u := range units {
 			if strings.HasPrefix(s, u.suffix) {
-				total += simtime.Time(num * float64(u.span))
+				v := math.Round(num * float64(u.span))
+				if v >= math.MaxInt64 || total > math.MaxInt64-simtime.Time(v) {
+					return 0, fmt.Errorf("workload: duration %q out of range", orig)
+				}
+				total += simtime.Time(v)
 				s = s[len(u.suffix):]
 				found, matched = true, true
 				break
@@ -268,6 +275,107 @@ func (s *Spec) Total() simtime.Time {
 	return t
 }
 
+// RateAt evaluates the composed rate curve at t, in session arrivals
+// per simulated minute: phase schedule × diurnal curve × weekly curve
+// × the product of active flash-crowd boosts.
+func (s *Spec) RateAt(t simtime.Time) float64 {
+	rate := s.phaseRate(t)
+	if d := s.Diurnal; d != nil {
+		hour := float64(t%simtime.Day) / float64(simtime.Hour)
+		rate *= 1 + d.Amplitude*math.Cos(2*math.Pi*(hour-d.PeakHour)/24)
+	}
+	if w := s.Weekly; w != nil {
+		if f := w.DayFactors[int(t/simtime.Day)%7]; f > 0 {
+			rate *= f
+		}
+	}
+	for i := range s.Releases {
+		r := &s.Releases[i]
+		if t >= r.At.Sim() && t < r.At.Sim()+r.CrowdDuration.Sim() {
+			rate *= r.CrowdBoost
+		}
+	}
+	return rate
+}
+
+// maxRate returns an upper bound on RateAt over the whole
+// schedule: the thinning envelope. Crowd windows can overlap, so their
+// contribution is the maximum product of boosts simultaneously active.
+func (s *Spec) maxRate() float64 {
+	phaseMax := 0.0
+	for _, p := range s.Phases {
+		phaseMax = max(phaseMax, p.Rate, p.RateEnd)
+	}
+	diurnalMax := 1.0
+	if d := s.Diurnal; d != nil {
+		diurnalMax = 1 + d.Amplitude
+	}
+	weeklyMax := 1.0
+	if w := s.Weekly; w != nil {
+		weeklyMax = max(weeklyMax, slices.Max(w.DayFactors[:]))
+	}
+	crowdMax := 1.0
+	for i := range s.Releases {
+		// Product of boosts active at this window's start: windows that
+		// contain it are exactly the overlaps to account for.
+		at := s.Releases[i].At.Sim()
+		prod := 1.0
+		for j := range s.Releases {
+			r := &s.Releases[j]
+			if at >= r.At.Sim() && at < r.At.Sim()+r.CrowdDuration.Sim() {
+				prod *= r.CrowdBoost
+			}
+		}
+		crowdMax = max(crowdMax, prod)
+	}
+	return phaseMax * diurnalMax * weeklyMax * crowdMax
+}
+
+// PhaseAt names the schedule phase containing t (the last phase for
+// t at or past the horizon).
+func (s *Spec) PhaseAt(t simtime.Time) string {
+	i, _ := s.phase(t)
+	return s.Phases[i].Name
+}
+
+// phase returns the index and the start of the phase containing t (the
+// last phase for t at or past the horizon).
+func (s *Spec) phase(t simtime.Time) (int, simtime.Time) {
+	start := simtime.Time(0)
+	for i := range s.Phases[:len(s.Phases)-1] {
+		end := start + s.Phases[i].Duration.Sim()
+		if t < end {
+			return i, start
+		}
+		start = end
+	}
+	return len(s.Phases) - 1, start
+}
+
+// phaseRate is the piecewise-linear schedule value at t.
+func (s *Spec) phaseRate(t simtime.Time) float64 {
+	i, start := s.phase(t)
+	p := &s.Phases[i]
+	if p.RateEnd <= 0 {
+		return p.Rate
+	}
+	frac := min(max(float64(t-start)/float64(p.Duration), 0), 1)
+	return p.Rate + (p.RateEnd-p.Rate)*frac
+}
+
+// ExpectedSessions is the mean number of session arrivals over the
+// schedule, the integral of RateAt (arrivals churn.max_active suppresses
+// aside), taken by the midpoint rule over steps of about a minute.
+func (s *Spec) ExpectedSessions() float64 {
+	total := float64(s.Total())
+	n := min(max(total/float64(simtime.Minute), 64), 1<<20)
+	steps, sum := int(n), 0.0
+	for i := 0; i < steps; i++ {
+		sum += s.RateAt(simtime.Time((float64(i) + 0.5) * total / float64(steps)))
+	}
+	return sum * total / float64(steps) / float64(simtime.Minute)
+}
+
 // Validate reports spec errors early, with field-level messages.
 func (s *Spec) Validate() error {
 	if len(s.Phases) == 0 {
@@ -283,10 +391,15 @@ func (s *Spec) Validate() error {
 	if s.Arrivals.Shape < 0 {
 		return fmt.Errorf("workload spec: arrivals.shape = %v", s.Arrivals.Shape)
 	}
+	var total simtime.Time
 	for i, p := range s.Phases {
 		if p.Duration <= 0 {
 			return fmt.Errorf("workload spec: phases[%d] (%s): duration = %v", i, p.Name, p.Duration)
 		}
+		if total > math.MaxInt64-p.Duration.Sim() {
+			return fmt.Errorf("workload spec: phases[%d] (%s): the phases sum past %v", i, p.Name, Duration(math.MaxInt64))
+		}
+		total += p.Duration.Sim()
 		if p.Rate < 0 || (p.Rate == 0 && p.RateEnd == 0) {
 			return fmt.Errorf("workload spec: phases[%d] (%s): rate = %v", i, p.Name, p.Rate)
 		}
@@ -325,7 +438,6 @@ func (s *Spec) Validate() error {
 	if s.Churn.MaxActive < 0 {
 		return fmt.Errorf("workload spec: churn.max_active = %v", s.Churn.MaxActive)
 	}
-	total := s.Total()
 	for i, r := range s.Releases {
 		if r.At < 0 || r.At.Sim() >= total {
 			return fmt.Errorf("workload spec: releases[%d].at = %v outside the %v schedule", i, r.At, Duration(total))
@@ -339,7 +451,7 @@ func (s *Spec) Validate() error {
 		if r.CrowdBoost < 1 {
 			return fmt.Errorf("workload spec: releases[%d].crowd_boost = %v (want >= 1)", i, r.CrowdBoost)
 		}
-		if r.CrowdDuration <= 0 {
+		if r.CrowdDuration <= 0 || r.CrowdDuration.Sim() > math.MaxInt64-r.At.Sim() {
 			return fmt.Errorf("workload spec: releases[%d].crowd_duration = %v", i, r.CrowdDuration)
 		}
 	}

@@ -2,7 +2,10 @@
 # cli_smoke.sh — the commands end to end. First a simulated capture whose
 # kernel buffer overflows (`edsim -bufkb 4 -service 40`) with a pcap tee:
 # it must report losses, and `edanalyze -pcap` must replay the tee with
-# the same captured count and none lost. Then the daemon on fixed
+# the same captured count and none lost. Then a simulated capture of the
+# spec examples/specs/smokeday.json: it must play sessions and fire the
+# spec's release, and `edanalyze -verify` must accept its dataset. Then
+# the daemon on fixed
 # loopback ports: a two-node `edserverd -mesh 2` under one gzip merged
 # capture, loaded across both nodes by `edload` and stopped with SIGTERM.
 # The daemon must exit 0, and `edanalyze -verify` must accept the dataset
@@ -41,6 +44,15 @@ if [ "$replay_captured" != "$sim_captured" ] || [ "$replay_lost" != 0 ]; then
     echo "cli smoke: the replay of the capture's tee does not capture what it did, losslessly" >&2
     exit 1
 fi
+
+"$tmp/edsim" -spec examples/specs/smokeday.json -figures=false -out "$tmp/spec" > "$tmp/spec.txt"
+read -r sessions releases <<< "$(sed -n 's/^sessions: \([0-9]*\), releases fired: \([0-9]*\)$/\1 \2/p' "$tmp/spec.txt")"
+echo "spec capture: ${sessions:-no} sessions, ${releases:-no} releases fired"
+if [ -z "$sessions" ] || [ "$sessions" -eq 0 ] || [ "$releases" != 1 ]; then
+    echo "cli smoke: edsim -spec did not play the spec's sessions and its release" >&2
+    exit 1
+fi
+"$tmp/edanalyze" -in "$tmp/spec" -verify | grep '^verified'
 
 ds="$tmp/ds"
 "$tmp/edserverd" -mesh 2 -tcp 127.0.0.1:14661 -udp 127.0.0.1:14665 \
