@@ -1,10 +1,17 @@
 package edtrace
 
 import (
+	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"edtrace/internal/core"
@@ -93,4 +100,65 @@ func TestGoldenLossyCaptureAccount(t *testing.T) {
 	if res.Fig2.TotalLost != g.lost || res.Fig2.BurstSeconds() != g.burstSeconds {
 		t.Errorf("Fig 2: %d lost in %d burst seconds, want %d in %d", res.Fig2.TotalLost, res.Fig2.BurstSeconds(), g.lost, g.burstSeconds)
 	}
+}
+
+// goldenDataset pins the whole chain on one tinySim capture: a SHA-256
+// over the records its dataset stores (every chunk's XML in order, after
+// decompression when the chunks are gzipped) and one over the rendered
+// figures. The records are the anonymiser's output, so any change to how
+// clientIDs or fileIDs are assigned moves the first; the dataset writer's
+// workers and the gzip setting must not move either.
+var goldenDataset = struct{ records, figures string }{
+	"0f61638c800a5f9d0573bb31065be8a02839c4d6f2ff619d0208ba538abd47af",
+	"552cc040c4efdede8318194f7d733aa30c59d015b2fa5bacd7c87863c044f4fa",
+}
+
+func TestGoldenDatasetRecords(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		for _, gz := range []bool{false, true} {
+			t.Run(fmt.Sprintf("procs=%d/gz=%v", procs, gz), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				dir := t.TempDir()
+				res := runSim(t, tinySim(), WithFigures(), WithDataset(dir, gz))
+				if got := datasetRecordsDigest(t, dir); got != goldenDataset.records {
+					t.Errorf("records digest = %s over %d records, want %s", got, res.Report.Pipeline.Records, goldenDataset.records)
+				}
+				sum := sha256.Sum256([]byte(res.Figures.Render()))
+				if got := hex.EncodeToString(sum[:]); got != goldenDataset.figures {
+					t.Errorf("Figures.Render digest = %s, want %s", got, goldenDataset.figures)
+				}
+			})
+		}
+	}
+}
+
+// datasetRecordsDigest hashes the decompressed contents of dir's chunk
+// files in name order, which is the order they were written.
+func datasetRecordsDigest(t *testing.T, dir string) string {
+	t.Helper()
+	chunks, err := filepath.Glob(filepath.Join(dir, "chunk-*.xml*"))
+	if err != nil || len(chunks) == 0 {
+		t.Fatalf("no chunks in %s (%v)", dir, err)
+	}
+	h := sha256.New()
+	for _, name := range chunks {
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r io.Reader = f
+		if strings.HasSuffix(name, ".gz") {
+			zr, err := gzip.NewReader(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r = zr
+		}
+		_, err = io.Copy(h, r)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
