@@ -25,7 +25,9 @@ package edtrace
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -237,61 +239,94 @@ func BenchmarkFig8FileSizes(b *testing.B) {
 
 // --- Ablations: the paper's §2.4 data-structure arguments -------------
 
-// BenchmarkAblationClientAnon compares the paper's direct-index array
-// against the classical hashtable it rejects, on the billions-of-lookups
-// access pattern (mostly repeat clients). The dense stream fills the low
-// 2^24 IDs, where the array's pages are few and full; the sparse streams
-// spread 3000 clients (a capture the size of the benchmark's) and a
-// million over the whole 32-bit space, where nearly every client has a
-// page to itself and the page directory is what a lookup misses on. The
-// array's page size was chosen from these rows (docs/architecture.md).
+// BenchmarkAblationClientAnon is the curve the clientID table was chosen
+// from: the pipeline's hashed table against the paper's direct-index
+// array (paged), at 10^3, 10^5 and 10^7 distinct IDs, each either dense
+// (the low 2^24 IDs, where the array's pages fill) or uniform over the
+// 32-bit space (a capture's high IDs, where nearly every client has a
+// page to itself). Each row first inserts every ID once, untimed except
+// for the longest single insert, and reports the table's heap per client;
+// the timed loop then looks up repeat clients, the billions-of-lookups
+// pattern of a capture. The array's uniform 10^7 row is not run: it
+// touches all 2^20 pages, 16 GiB.
 func BenchmarkAblationClientAnon(b *testing.B) {
 	const draws = 1 << 20
-	r := randx.New(42, 42)
-	sparse := func(distinct int) []uint32 {
-		pool := make([]uint32, distinct)
-		for i := range pool {
-			pool[i] = r.Uint32()
-		}
-		ids := make([]uint32, draws)
-		for i := range ids {
-			ids[i] = pool[r.IntN(distinct)]
-		}
-		return ids
-	}
-	dense := make([]uint32, draws)
-	for i := range dense {
-		dense[i] = r.Uint32() % (1 << 24) // heavy reuse like real traffic
-	}
-	for _, stream := range []struct {
-		name string
-		ids  []uint32
+	type clientAnonymizer interface{ Anonymize(uint32) uint32 }
+	tables := []struct {
+		name  string
+		fresh func() clientAnonymizer
 	}{
-		{"dense", dense},
-		{"sparse-3000", sparse(3000)},
-		{"sparse-1M", sparse(1 << 20)},
-	} {
-		ids := stream.ids
-		// One untimed pass assigns every ID (and materialises its page),
-		// so the rows time lookups, not the kernel's page faults; the
-		// table outlives the ramp-up of b.N so that pass runs once.
-		bench := func(anon interface{ Anonymize(uint32) uint32 }) func(*testing.B) {
-			warm := false
-			return func(b *testing.B) {
-				if !warm {
-					for _, id := range ids {
-						anon.Anonymize(id)
+		{"table", func() clientAnonymizer { return anonymize.NewClientTable() }},
+		{"direct-array", func() clientAnonymizer { return anonymize.NewClientDirect() }},
+	}
+	// Both spaces are walked by a bijection, so the n IDs are distinct
+	// without a set to deduplicate them: an odd multiplier permutes the
+	// low 2^24, murmur3's finaliser the whole 32-bit space.
+	spaces := []struct {
+		name string
+		id   func(i uint32) uint32
+	}{
+		{"dense", func(i uint32) uint32 { return i * 2654435761 & (1<<24 - 1) }},
+		{"uniform", func(i uint32) uint32 {
+			i ^= i >> 16
+			i *= 0x85ebca6b
+			i ^= i >> 13
+			i *= 0xc2b2ae35
+			return i ^ i>>16
+		}},
+	}
+	heapAlloc := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for _, n := range []int{1e3, 1e5, 1e7} {
+		for _, space := range spaces {
+			for _, tab := range tables {
+				name := fmt.Sprintf("%s-%d/%s", space.name, n, tab.name)
+				if n == 1e7 && space.name == "uniform" && tab.name == "direct-array" {
+					continue // every page of the array: 16 GiB
+				}
+				// The table outlives the ramp-up of b.N, so the insert
+				// pass runs once a row.
+				var anon clientAnonymizer
+				var lookups []uint32
+				var perClient float64
+				var longest time.Duration
+				b.Run(name, func(b *testing.B) {
+					if anon == nil {
+						before := heapAlloc()
+						anon = tab.fresh()
+						// The collector is off meanwhile, so the longest
+						// insert is the structure's own stall (a page, a
+						// map's growth) or a first touch of fresh memory,
+						// not a mark assist.
+						gc := debug.SetGCPercent(-1)
+						for i := 0; i < n; i++ {
+							id := space.id(uint32(i))
+							t0 := time.Now()
+							anon.Anonymize(id)
+							longest = max(longest, time.Since(t0))
+						}
+						debug.SetGCPercent(gc)
+						perClient = float64(heapAlloc()-before) / float64(n)
+						r := randx.New(42, 42)
+						lookups = make([]uint32, draws)
+						for i := range lookups {
+							lookups[i] = space.id(uint32(r.IntN(n)))
+						}
+						b.ResetTimer()
 					}
-					warm = true
-					b.ResetTimer()
-				}
-				for i := 0; i < b.N; i++ {
-					anon.Anonymize(ids[i&(draws-1)])
-				}
+					for i := 0; i < b.N; i++ {
+						anon.Anonymize(lookups[i&(draws-1)])
+					}
+					b.ReportMetric(perClient, "B/client")
+					b.ReportMetric(float64(longest.Nanoseconds()), "max-insert-ns")
+				})
+				anon, lookups = nil, nil // free the row before the next builds
 			}
 		}
-		b.Run(stream.name+"/direct-array", bench(anonymize.NewClientDirect()))
-		b.Run(stream.name+"/hashtable", bench(anonymize.NewClientMap()))
 	}
 }
 

@@ -105,10 +105,11 @@ func TestProducedDatasetPassesVerification(t *testing.T) {
 }
 
 // TestSessionHeapFollowsClients is the end-to-end pin on the clientID
-// table's page size: a capture of a thousand clients spread over the IPv4
+// table's footprint: a capture of a thousand clients spread over the IPv4
 // space, storing its dataset and computing its figures, holds tens of
-// megabytes when it ends. With a page large enough that every client
-// materialises megabytes of untouched cells it holds gigabytes.
+// megabytes when it ends (14 MB on a 2-vCPU x86-64 box). A table that
+// pays for the ID space around each client instead — the paper's array
+// paged in 4 MiB pages — holds gigabytes.
 func TestSessionHeapFollowsClients(t *testing.T) {
 	sim := tinySim()
 	sim.Workload.NumClients = 1100

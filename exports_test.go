@@ -36,41 +36,42 @@ import (
 // Keys are the package path relative to the module, then the identifier,
 // with a method or field qualified by its type.
 var testOnlyKeep = map[string]string{
-	"internal/anonymize.NewClientMap":               "reference",
-	"internal/anonymize.ClientMap.Anonymize":        "reference",
-	"internal/anonymize.ClientMap.Count":            "reference",
-	"internal/anonymize.NewFileMap":                 "reference",
-	"internal/anonymize.FileMap.Anonymize":          "reference",
-	"internal/anonymize.FileMap.Count":              "reference",
-	"internal/anonymize.NewFileSingleSorted":        "reference",
-	"internal/anonymize.FileSingleSorted.Anonymize": "reference",
-	"internal/anonymize.FileSingleSorted.Count":     "reference",
-	"internal/ed2k.SearchExpr.Matches":              "reference",
+	"internal/anonymize.NewClientDirect":             "reference",
+	"internal/anonymize.ClientDirect.Anonymize":      "reference",
+	"internal/anonymize.ClientDirect.Count":          "reference",
+	"internal/anonymize.ClientDirect.Lookup":         "reference",
+	"internal/anonymize.ClientDirect.MemoryBytes":    "reference",
+	"internal/anonymize.ClientDirect.PagesAllocated": "reference",
+	"internal/anonymize.NewFileMap":                  "reference",
+	"internal/anonymize.FileMap.Anonymize":           "reference",
+	"internal/anonymize.FileMap.Count":               "reference",
+	"internal/anonymize.NewFileSingleSorted":         "reference",
+	"internal/anonymize.FileSingleSorted.Anonymize":  "reference",
+	"internal/anonymize.FileSingleSorted.Count":      "reference",
+	"internal/ed2k.SearchExpr.Matches":               "reference",
 
 	"internal/ed2k.Or":         "search",
 	"internal/ed2k.AndNot":     "search",
 	"internal/ed2k.SizeAtMost": "search",
 
-	"internal/anonymize.ClientDirect.Lookup":         "accessor",
-	"internal/anonymize.ClientDirect.PagesAllocated": "accessor",
-	"internal/anonymize.FileBuckets.Lookup":          "accessor",
-	"internal/edmesh.Mesh.Peers":                     "accessor",
-	"internal/netsim.Reassembler.PendingCount":       "accessor",
-	"internal/pcap.Reader.Count":                     "accessor",
-	"internal/pcap.Reader.SnapLen":                   "accessor",
-	"internal/pcap.Writer.Count":                     "accessor",
-	"internal/policy.Engine.Shedding":                "accessor",
-	"internal/server.Server.Metrics":                 "accessor",
-	"internal/server.Server.Users":                   "accessor",
-	"internal/simtime.Scheduler.Fired":               "accessor",
-	"internal/simtime.Scheduler.Pending":             "accessor",
-	"internal/stats.IntHist.Count":                   "accessor",
-	"internal/stats.IntHist.Max":                     "accessor",
-	"internal/stats.IntHist.Quantile":                "accessor",
-	"internal/tcpsim.FlowReassembler.ActiveFlows":    "accessor",
-	"internal/workload.Engine.MaxActiveSeen":         "accessor",
-	"internal/workload.Engine.Sessions":              "accessor",
-	"internal/xmlenc.Decoder.Meta":                   "accessor",
+	"internal/anonymize.FileBuckets.Lookup":       "accessor",
+	"internal/edmesh.Mesh.Peers":                  "accessor",
+	"internal/netsim.Reassembler.PendingCount":    "accessor",
+	"internal/pcap.Reader.Count":                  "accessor",
+	"internal/pcap.Reader.SnapLen":                "accessor",
+	"internal/pcap.Writer.Count":                  "accessor",
+	"internal/policy.Engine.Shedding":             "accessor",
+	"internal/server.Server.Metrics":              "accessor",
+	"internal/server.Server.Users":                "accessor",
+	"internal/simtime.Scheduler.Fired":            "accessor",
+	"internal/simtime.Scheduler.Pending":          "accessor",
+	"internal/stats.IntHist.Count":                "accessor",
+	"internal/stats.IntHist.Max":                  "accessor",
+	"internal/stats.IntHist.Quantile":             "accessor",
+	"internal/tcpsim.FlowReassembler.ActiveFlows": "accessor",
+	"internal/workload.Engine.MaxActiveSeen":      "accessor",
+	"internal/workload.Engine.Sessions":           "accessor",
+	"internal/xmlenc.Decoder.Meta":                "accessor",
 }
 
 // TestNoTestOnlyExports fails on any exported identifier of the root

@@ -3,16 +3,16 @@
 //   - clientID: encoded by order of appearance. The paper rejects hashing
 //     (trivially invertible over the 2^32 space) and shuffling, and uses a
 //     flat array of 2^32 integers — 16 GB — indexed by the clientID so
-//     every lookup is one memory access. ClientDirect is that array cut
-//     into 16 KiB pages (4096 cells, one /20 of the ID space) behind a
-//     directory of 2^20 page pointers: a lookup is a shift, a directory
-//     load, a mask and a cell load, and a page materialises the first
-//     time an ID on it is seen. The table therefore costs 8 MiB of
-//     directory plus 16 KiB per distinct /20 touched. There is no
-//     separate "eager" layout with every page allocated up front: that
-//     is this table once every page has been touched, which a capture
-//     of the paper's 90 M clients approaches — the paper's 16 GiB
-//     array, plus the directory.
+//     every lookup is one memory access. ClientTable, the pipeline's
+//     table, keeps the same pseudonyms (the next integer on first sight)
+//     in a Go map, so it costs what the clients it has seen cost — 12 to
+//     19 bytes each — wherever in the 32-bit space their IDs fall.
+//     ClientDirect is the paper's array, cut into 16 KiB pages behind a
+//     directory of 2^20 page pointers: 8 MiB of directory plus 16 KiB for
+//     every /20 of the ID space touched. It stays as the reference the
+//     table is tested against and the ablation row it is measured
+//     against; it is smaller only when IDs fill a range densely, which
+//     the high IDs of a capture do not (docs/architecture.md).
 //   - fileID: also order of appearance, but 128-bit identifiers rule the
 //     flat array out. The paper splits the set into 65 536 sorted arrays
 //     indexed by two bytes of the fileID, and discovers that using the
@@ -24,18 +24,51 @@
 //   - timestamps: rebased to seconds since the start of the capture
 //     (done by the pipeline, which owns the clock).
 //
-// Map-based and single-sorted-array baselines are included because the
-// paper explicitly argues classical structures are "too slow and/or too
-// space consuming"; the ablation benchmarks quantify that claim.
+// Map-based and single-sorted-array fileID baselines are included because
+// the paper explicitly argues classical structures are "too slow and/or
+// too space consuming"; the ablation benchmarks quantify that claim.
 package anonymize
 
-import "fmt"
+// clientEntryBytes is what one client costs ClientTable, taken across a
+// growth cycle of the map: 8 bytes of key and value plus a control byte
+// a slot, at a load between 7/16 and 7/8 of the slots, is 10 to 21 bytes.
+// The ablation benchmark measures 12 to 19.
+const clientEntryBytes = 16
 
-// The page size is a constant chosen from a measured curve (4, 16 and
-// 64 KiB pages against live heap, lookup time and the ablation benchmark:
-// docs/architecture.md). Smaller pages waste less around a lone ID but
-// grow the directory, which is the one part of the table the garbage
-// collector scans and, at 2^20 entries, already larger than L2.
+// ClientTable assigns each clientID the next integer the first time it
+// is seen. Its map holds no pointers, so the garbage collector never
+// scans it, and Go's map grows one bounded table at a time, so no insert
+// stalls the capture for a rehash of the whole table.
+type ClientTable struct {
+	m map[uint32]uint32
+}
+
+// NewClientTable returns an empty table.
+func NewClientTable() *ClientTable {
+	return &ClientTable{m: make(map[uint32]uint32)}
+}
+
+// Anonymize returns the stable anonymised identifier for id, assigning
+// the next integer on first sight.
+func (c *ClientTable) Anonymize(id uint32) uint32 {
+	if v, ok := c.m[id]; ok {
+		return v
+	}
+	v := uint32(len(c.m))
+	c.m[id] = v
+	return v
+}
+
+// Count returns how many distinct clientIDs have been seen.
+func (c *ClientTable) Count() uint32 { return uint32(len(c.m)) }
+
+// MemoryBytes estimates the table's footprint from the clients it holds.
+func (c *ClientTable) MemoryBytes() uint64 {
+	return uint64(len(c.m)) * clientEntryBytes
+}
+
+// The paper's array, paged: 16 KiB pages (4096 cells, one /20 of the ID
+// space) behind a directory of 2^20 page pointers.
 const (
 	clientSpaceBits = 32
 	pageBits        = 12 // 4096 cells (16 KiB) per page
@@ -48,8 +81,10 @@ const (
 
 // ClientDirect is the paper's direct-index structure: conceptually one
 // array of 2^32 uint32 cells, cell i holding the anonymisation of
-// clientID i. Cells store anon+1 so the zero value means "unseen" and
-// fresh pages need no initialisation pass.
+// clientID i. A page materialises the first time an ID on it is seen;
+// cells store anon+1 so the zero value means "unseen" and fresh pages
+// need no initialisation pass. Once every page has been touched it is
+// the paper's 16 GiB array plus the directory.
 type ClientDirect struct {
 	dir   *[dirEntries]*[pageCells]uint32
 	pages int
@@ -61,9 +96,8 @@ func NewClientDirect() *ClientDirect {
 	return &ClientDirect{dir: new([dirEntries]*[pageCells]uint32)}
 }
 
-// Anonymize returns the stable anonymised identifier for id, assigning
-// the next integer on first sight: one index computation and at most one
-// page allocation.
+// Anonymize is ClientTable.Anonymize: one index computation and at most
+// one page allocation.
 func (c *ClientDirect) Anonymize(id uint32) uint32 {
 	page := c.dir[id>>pageBits]
 	if page == nil {
@@ -100,40 +134,8 @@ func (c *ClientDirect) Count() uint32 { return c.next }
 // PagesAllocated reports how many pages have materialised.
 func (c *ClientDirect) PagesAllocated() int { return c.pages }
 
-// MemoryBytes is the table's current footprint: the directory and every
+// MemoryBytes is the array's footprint: the directory and every
 // materialised page.
 func (c *ClientDirect) MemoryBytes() uint64 {
 	return dirBytes + uint64(c.pages)*pageBytes
-}
-
-// ClientMap is the classical-hashtable baseline the paper dismisses as too
-// slow for billions of lookups. It exists for the ablation benchmarks.
-type ClientMap struct {
-	m    map[uint32]uint32
-	next uint32
-}
-
-// NewClientMap returns an empty map-based anonymizer.
-func NewClientMap() *ClientMap {
-	return &ClientMap{m: make(map[uint32]uint32)}
-}
-
-// Anonymize is ClientDirect.Anonymize over a Go map.
-func (c *ClientMap) Anonymize(id uint32) uint32 {
-	if v, ok := c.m[id]; ok {
-		return v
-	}
-	v := c.next
-	c.next++
-	c.m[id] = v
-	return v
-}
-
-// Count returns how many distinct clientIDs have been seen.
-func (c *ClientMap) Count() uint32 { return c.next }
-
-// String describes the structure for reports.
-func (c *ClientDirect) String() string {
-	return fmt.Sprintf("direct-index array: %d clients, %d/%d pages of %d KiB, %.1f MiB with the directory",
-		c.next, c.pages, dirEntries, pageBytes>>10, float64(c.MemoryBytes())/(1<<20))
 }

@@ -206,7 +206,7 @@ type Pipeline struct {
 	servers map[uint32]string
 
 	dec     *FrameDecoder
-	clients *anonymize.ClientDirect
+	clients *anonymize.ClientTable
 	files   *anonymize.FileBuckets
 	sink    RecordSink
 	stats   PipelineStats // emit-side counters (Records/Queries/Answers)
@@ -221,7 +221,7 @@ func NewPipeline(serverIP uint32, fileBytePair [2]int, sink RecordSink) *Pipelin
 	return &Pipeline{
 		ServerIP: serverIP,
 		dec:      NewFrameDecoder(),
-		clients:  anonymize.NewClientDirect(),
+		clients:  anonymize.NewClientTable(),
 		files:    anonymize.NewFileBuckets(fileBytePair[0], fileBytePair[1]),
 		sink:     sink,
 
@@ -245,7 +245,7 @@ func (p *Pipeline) Stats() PipelineStats {
 }
 
 // ClientAnonymizer exposes the clientID structure (for reports).
-func (p *Pipeline) ClientAnonymizer() *anonymize.ClientDirect { return p.clients }
+func (p *Pipeline) ClientAnonymizer() *anonymize.ClientTable { return p.clients }
 
 // FileAnonymizer exposes the fileID buckets (for Fig 3).
 func (p *Pipeline) FileAnonymizer() *anonymize.FileBuckets { return p.files }

@@ -82,7 +82,7 @@ func newSessionMetrics(reg *obs.Registry, q *frameQueue, pipe *core.Pipeline, dw
 		pipe:             pipe,
 		anonClients:      reg.Gauge("edsession_anonymizer_clients", "distinct clientIDs anonymised so far"),
 		anonFiles:        reg.Gauge("edsession_anonymizer_files", "distinct fileIDs anonymised so far"),
-		clientTableBytes: reg.Gauge("edsession_anonymizer_client_table_bytes", "clientID table footprint: directory plus materialised pages"),
+		clientTableBytes: reg.Gauge("edsession_anonymizer_client_table_bytes", "clientID table footprint, estimated from the clients it holds"),
 		maxBucket:        reg.Gauge("edsession_anonymizer_max_bucket", "largest fileID anonymisation array (the paper's Figure 3 annotation)"),
 		dw:               dw,
 		pub:              new(published),

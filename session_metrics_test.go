@@ -70,9 +70,9 @@ func testSessionWithMetrics(t *testing.T, sim core.SimConfig, lossy bool) {
 			t.Errorf("%s = %d, report says %d", name, got, want)
 		}
 	}
-	// A few hundred clients: the table is its directory and little more.
-	if got := reg.Gauge("edsession_anonymizer_client_table_bytes", "").Value(); got <= 0 || got > 32<<20 {
-		t.Errorf("edsession_anonymizer_client_table_bytes = %d, want in (0, 32 MiB]", got)
+	// A few hundred clients: a few bytes of table each.
+	if got, most := reg.Gauge("edsession_anonymizer_client_table_bytes", "").Value(), 64*int64(rep.DistinctClients); got <= 0 || got > most {
+		t.Errorf("edsession_anonymizer_client_table_bytes = %d for %d clients, want in (0, %d]", got, rep.DistinctClients, most)
 	}
 
 	// Every chunk of the dataset was sealed once, the last by Close, and
