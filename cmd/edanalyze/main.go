@@ -16,8 +16,10 @@ package main
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -32,34 +34,51 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams passed in; it
+// returns the exit status: 0, 1 on a failed analysis, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("edanalyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in       = flag.String("in", "", "dataset directory")
-		pcapFile = flag.String("pcap", "", "raw pcap capture to replay instead of a dataset")
-		server   = flag.String("server", "", "server IPv4 address (required with -pcap)")
-		csv      = flag.String("csv", "", "directory to write per-figure CSV series")
-		verify   = flag.Bool("verify", false, "check every spec invariant before analysing")
-		windows  = flag.Int("windows", 0, "nested capture windows for the finite-measurement-bias report (0 = off, needs -in)")
+		in       = fs.String("in", "", "dataset directory")
+		pcapFile = fs.String("pcap", "", "raw pcap capture to replay instead of a dataset")
+		server   = fs.String("server", "", "server IPv4 address (required with -pcap)")
+		csv      = fs.String("csv", "", "directory to write per-figure CSV series")
+		verify   = fs.Bool("verify", false, "check every spec invariant before analysing")
+		windows  = fs.Int("windows", 0, "nested capture windows for the finite-measurement-bias report (0 = off, needs -in)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "edanalyze:", msg)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "edanalyze:", err)
+		return 1
+	}
 	if (*in == "") == (*pcapFile == "") {
-		fmt.Fprintln(os.Stderr, "edanalyze: exactly one of -in or -pcap is required")
-		os.Exit(2)
+		return usage("exactly one of -in or -pcap is required")
 	}
 	if *verify && *pcapFile != "" {
-		fmt.Fprintln(os.Stderr, "edanalyze: -verify checks dataset invariants and requires -in")
-		os.Exit(2)
+		return usage("-verify checks dataset invariants and requires -in")
 	}
 	if *windows != 0 && *in == "" {
-		fmt.Fprintln(os.Stderr, "edanalyze: -windows re-analyses a dataset and requires -in")
-		os.Exit(2)
+		return usage("-windows re-analyses a dataset and requires -in")
 	}
 
 	var figs *analysis.Figures
 	if *pcapFile != "" {
 		ip := net.ParseIP(*server)
 		if ip == nil || ip.To4() == nil {
-			fmt.Fprintln(os.Stderr, "edanalyze: -pcap needs -server a.b.c.d")
-			os.Exit(2)
+			return usage("-pcap needs -server a.b.c.d")
 		}
 		serverIP := binary.BigEndian.Uint32(ip.To4())
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -70,34 +89,31 @@ func main() {
 			edtrace.WithFigures(),
 		).Run(ctx)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "edanalyze:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Println(res.Report)
+		fmt.Fprintln(stdout, res.Report)
 		figs = res.Figures
 	} else {
 		man, err := dataset.Open(*in)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "edanalyze:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Printf("dataset: %d records in %d chunks, %d clients, %d fileIDs\n",
+		fmt.Fprintf(stdout, "dataset: %d records in %d chunks, %d clients, %d fileIDs\n",
 			man.Records, len(man.Chunks), man.DistinctClients, man.DistinctFiles)
 
 		if *verify {
 			rep, err := dataset.Verify(*in)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "edanalyze:", err)
-				os.Exit(1)
+				return fail(err)
 			}
 			if !rep.OK() {
-				fmt.Fprintln(os.Stderr, "edanalyze: dataset violates its specification:")
+				fmt.Fprintln(stderr, "edanalyze: dataset violates its specification:")
 				for _, v := range rep.Violations {
-					fmt.Fprintln(os.Stderr, "  -", v)
+					fmt.Fprintln(stderr, "  -", v)
 				}
-				os.Exit(1)
+				return 1
 			}
-			fmt.Printf("verified: all spec invariants hold over %d records\n", rep.Records)
+			fmt.Fprintf(stdout, "verified: all spec invariants hold over %d records\n", rep.Records)
 		}
 
 		c := analysis.NewCollector()
@@ -108,8 +124,7 @@ func main() {
 			}
 			return c.Write(r)
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, "edanalyze:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		figs = c.Finalize()
 
@@ -118,22 +133,19 @@ func main() {
 			// Records at exactly maxT must land inside the full window.
 			ws, err := analysis.NewWindowSet(maxT+1e-9, *windows)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "edanalyze:", err)
-				os.Exit(1)
+				return fail(err)
 			}
 			if err := dataset.ForEach(*in, ws.Write); err != nil {
-				fmt.Fprintln(os.Stderr, "edanalyze:", err)
-				os.Exit(1)
+				return fail(err)
 			}
-			fmt.Print(ws.Finalize().Render())
+			fmt.Fprint(stdout, ws.Finalize().Render())
 		}
 	}
-	fmt.Print(figs.Render())
+	fmt.Fprint(stdout, figs.Render())
 
 	if *csv != "" {
 		if err := os.MkdirAll(*csv, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "edanalyze:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		series := map[string]*stats.IntHist{
 			"fig4_providers_per_file.csv": figs.Fig4,
@@ -146,10 +158,10 @@ func main() {
 			var b strings.Builder
 			analysis.WriteCSV(h, &b)
 			if err := os.WriteFile(filepath.Join(*csv, name), []byte(b.String()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "edanalyze:", err)
-				os.Exit(1)
+				return fail(err)
 			}
 		}
-		fmt.Printf("CSV series written to %s\n", *csv)
+		fmt.Fprintf(stdout, "CSV series written to %s\n", *csv)
 	}
+	return 0
 }

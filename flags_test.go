@@ -42,7 +42,8 @@ func TestEveryFlagHasARow(t *testing.T) {
 }
 
 // commandFlags maps each command under cmd/ to the names of the flags
-// its main.go defines with the flag package's top-level functions.
+// its main.go defines with the flag package's top-level functions or
+// the methods of a FlagSet named fs.
 func commandFlags(t *testing.T) map[string][]string {
 	t.Helper()
 	mains, err := filepath.Glob("cmd/*/main.go")
@@ -66,7 +67,9 @@ func commandFlags(t *testing.T) map[string][]string {
 			if !ok {
 				return true
 			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			// Flags are defined on the flag package or, in a command
+			// whose main calls run(args, …), on its FlagSet fs.
+			if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != "flag" && recv.Name != "fs" || sel.Sel.Name == "NewFlagSet" {
 				return true
 			}
 			// A flag's name is its definition's first string argument:
