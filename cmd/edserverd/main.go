@@ -38,7 +38,6 @@ import (
 	"edtrace/internal/edserverd"
 	"edtrace/internal/obs"
 	"edtrace/internal/policy"
-	"edtrace/internal/simtime"
 )
 
 func main() {
@@ -48,8 +47,6 @@ func main() {
 		name    = flag.String("name", "edserverd", "server name (mesh node i is name-i)")
 		desc    = flag.String("desc", "edtrace eDonkey directory server", "server description")
 		mesh    = flag.Int("mesh", 1, "run this many daemons peered as a mesh, under one merged capture")
-		expire  = flag.Duration("expire", 5*time.Minute, "source-expiry sweep interval")
-		ttl     = flag.Duration("ttl", 2*time.Hour, "source TTL")
 		dataset = flag.String("dataset", "", "self-capture: write the anonymised XML dataset here")
 		gz      = flag.Bool("gz", false, "gzip self-capture dataset chunks")
 		tee     = flag.String("tee", "", "self-capture: mirror traffic into this pcap file")
@@ -76,15 +73,13 @@ func main() {
 	// and the self-capture's.
 	reg := obs.NewRegistry()
 	c, err := edmesh.StartCluster(*mesh, edserverd.Config{
-		TCPAddr:        *tcp,
-		UDPAddr:        *udp,
-		Name:           *name,
-		Desc:           *desc,
-		SourceTTL:      simtime.Time(*ttl),
-		ExpiryInterval: *expire,
-		Policy:         pol,
-		IdleTimeout:    *idle,
-		Logf:           logf,
+		TCPAddr:     *tcp,
+		UDPAddr:     *udp,
+		Name:        *name,
+		Desc:        *desc,
+		Policy:      pol,
+		IdleTimeout: *idle,
+		Logf:        logf,
 	}, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err) // already names its package

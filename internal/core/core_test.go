@@ -11,6 +11,7 @@ import (
 	"edtrace/internal/ed2k"
 	"edtrace/internal/netsim"
 	"edtrace/internal/pcap"
+	"edtrace/internal/server"
 	"edtrace/internal/simtime"
 	"edtrace/internal/workload"
 	"edtrace/internal/xmlenc"
@@ -413,6 +414,86 @@ func TestPendingFollowsOpenSessions(t *testing.T) {
 	t.Logf("peak pending %d, max active sessions %d", peak, eng.MaxActiveSeen())
 	if bound := 3*eng.MaxActiveSeen() + 64; peak > bound {
 		t.Fatalf("peak pending events %d > 3 × %d open sessions + 64", peak, eng.MaxActiveSeen())
+	}
+}
+
+// TestIndexFollowsRecentOffers is TestPendingFollowsOpenSessions' twin
+// for the server's index: over one simulated week at 400 clients, the
+// sources the index holds after each sweep are never more than the
+// distinct (client, file) pairs offered in the last SourceTTL +
+// SweepEvery. A source is one client's offer of one file, refreshed in
+// place, so a swept index holds at most those pairs; an index that is
+// never swept keeps every provider that ever offered.
+func TestIndexFollowsRecentOffers(t *testing.T) {
+	cfg := tinySimConfig()
+	cfg.Traffic.Duration = simtime.Week
+	w, err := NewSimWorld(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The offers the server receives, read from the frames its uplink
+	// delivers the way the server reads them.
+	type pair struct {
+		client ed2k.ClientID
+		file   ed2k.FileID
+	}
+	offered := map[pair]simtime.Time{}
+	reasm := netsim.NewReassembler()
+	serve := w.uplink.Deliver
+	w.uplink.Deliver = func(now simtime.Time, frame []byte) {
+		serve(now, frame)
+		ip, err := netsim.DecodeEthernet(frame)
+		if err != nil {
+			return
+		}
+		hdr, payload, err := netsim.DecodeIPv4(ip)
+		if err != nil || hdr.Protocol != netsim.ProtoUDP {
+			return
+		}
+		dg, ok := reasm.Push(now, hdr, payload)
+		if !ok {
+			return
+		}
+		_, body, err := netsim.DecodeUDP(hdr.Src, hdr.Dst, dg)
+		if err != nil {
+			return
+		}
+		msg, err := ed2k.Decode(body)
+		o, ok := msg.(*ed2k.OfferFiles)
+		if err != nil || !ok {
+			return
+		}
+		for _, f := range o.Files {
+			offered[pair{ed2k.ClientID(hdr.Src), f.ID}] = now
+		}
+	}
+	w.sched.Every(simtime.Minute, reasm.Expire)
+
+	// Registered after the world's own sweep, so at each instant this
+	// reads the index that sweep has just left.
+	window := w.srv.SourceTTL + server.SweepEvery
+	worst, checks := 0.0, 0
+	w.sched.Every(server.SweepEvery, func(now simtime.Time) {
+		recent := 0
+		for p, at := range offered {
+			if now-at > window {
+				delete(offered, p)
+			} else {
+				recent++
+			}
+		}
+		if recent == 0 {
+			return
+		}
+		worst = max(worst, float64(w.srv.Stats().IndexedSources)/float64(recent))
+		checks++
+	})
+	if _, err := w.RunFrames(context.Background(), func(simtime.Time, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d sweeps: at most %.3f indexed sources per (client, file) pair offered in the last %v", checks, worst, window)
+	if checks == 0 || worst > 1 {
+		t.Fatalf("indexed sources reached %.2f × the pairs offered in the last %v (want ≤ 1)", worst, window)
 	}
 }
 

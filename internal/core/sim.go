@@ -261,8 +261,9 @@ func NewSimWorld(cfg SimConfig, drops *pcap.Ledger) (*SimWorld, error) {
 	}
 
 	// Capture machine: drain the kernel buffer at the service rate and
-	// push frames to the deliver hook; expire the server's stale
-	// reassemblies once a virtual minute.
+	// push frames to the deliver hook. The server expires its stale
+	// reassemblies once a virtual minute, and sweeps its index on the
+	// daemon's schedule.
 	w.sched.Every(pollInterval, func(now simtime.Time) {
 		if w.runErr != nil {
 			return
@@ -279,6 +280,7 @@ func NewSimWorld(cfg SimConfig, drops *pcap.Ledger) (*SimWorld, error) {
 		}
 	})
 	w.sched.Every(simtime.Minute, srvReasm.Expire)
+	w.sched.Every(server.SweepEvery, w.srv.ExpireSources)
 
 	return w, nil
 }

@@ -80,12 +80,8 @@ type Config struct {
 	Name string
 	Desc string
 
-	// SourceTTL expires sources that stopped re-announcing (default 2h
-	// of daemon uptime).
-	SourceTTL simtime.Time
-
 	// ExpiryInterval is the wall-clock period of the source-expiry
-	// sweep (default 5 minutes; <0 disables the sweeper).
+	// sweep (0 means server.SweepEvery; <0 disables the sweeper).
 	ExpiryInterval time.Duration
 
 	// Policy, when set, is the traffic-policy configuration the daemon
@@ -220,7 +216,7 @@ func Start(cfg Config) (*Daemon, error) {
 		cfg.Desc = "edtrace eDonkey directory server"
 	}
 	if cfg.ExpiryInterval == 0 {
-		cfg.ExpiryInterval = 5 * time.Minute
+		cfg.ExpiryInterval = time.Duration(server.SweepEvery)
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 3 * time.Minute
@@ -256,9 +252,6 @@ func Start(cfg Config) (*Daemon, error) {
 			return nil, err
 		}
 		d.pol = eng
-	}
-	if cfg.SourceTTL > 0 {
-		d.srv.SourceTTL = cfg.SourceTTL
 	}
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 

@@ -188,6 +188,11 @@ type shard struct {
 	gSources  *obs.Gauge
 }
 
+// SweepEvery is the period at which both tiers call ExpireSources: the
+// daemon on its wall clock, the simulator on its virtual one. A source
+// not re-announced within SourceTTL is gone by the next sweep.
+const SweepEvery = 5 * simtime.Minute
+
 // Server is an in-memory eDonkey directory server, safe for concurrent
 // Handle/ExpireSources/Stats calls. The exported configuration fields
 // must be set before the first concurrent use.
@@ -195,7 +200,7 @@ type Server struct {
 	// Name and Desc are returned by ServerDescRes.
 	Name string
 	Desc string
-	// SourceTTL expires sources that stopped re-announcing.
+	// SourceTTL expires sources that stopped re-announcing (2 h).
 	SourceTTL simtime.Time
 
 	shards []*shard
