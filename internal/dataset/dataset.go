@@ -11,7 +11,11 @@
 // twice the speed of compress/flate's level 4, the writer's effort
 // before, into fewer bytes (TestCompressionLevelRule holds the sizes);
 // the effort is the writer's business alone, and readers take a member of
-// any. Readers (ForEach, Verify) stream chunk by chunk with one record in
+// any. The Writer streams a chunk through the deflater in 64 KiB
+// segments as it fills, never holding one whole: it holds about 1 MiB
+// whatever the budget, inline or with its one background compressor,
+// and a member's bytes are the same however its text was segmented.
+// Readers (ForEach, Verify) stream chunk by chunk with one record in
 // memory at a time — the same xmlenc.Record, refilled for every callback,
 // which runs on the caller's goroutine — while a goroutine owned by the
 // call reads and inflates at most 512 KiB of chunk text ahead of it
@@ -60,38 +64,34 @@ const manifestName = "manifest.json"
 // Writer writes a dataset directory.
 //
 // Write — called serially, from the session's record-sink goroutine —
-// appends record lines into an in-memory chunk buffer. A full chunk is
-// sealed and written to disk, compressed if configured, either by one of
-// Workers background goroutines or, when Workers is 0, on the caller's
-// goroutine. With workers, compression — still the largest cost of a
-// compressed dataset — leaves the record pipeline's critical path;
-// without them every sealed chunk stalls the caller for one chunk's
-// compression, and with them for as long as every worker is busy.
-// SealStats counts those stalls. Each goroutine that compresses owns one
-// deflater, whose state (tables, one block of tokens, a 64 KiB output
-// buffer written through to the file) is the same size for any chunk.
+// appends record lines to a segment of about segmentSize bytes. A full
+// segment goes to the compressor, which creates a chunk's file at its
+// first segment, deflates every segment into it as it comes, and ends
+// the gzip member at the chunk's last, when the chunk reaches its byte
+// budget. No chunk is ever held whole: the writer holds a segment or
+// three, and the compressor one deflater — a window of the input, one
+// block of tokens, a 64 KiB output buffer — about 1 MiB in all, whatever
+// the budget.
 //
-// Record order is preserved by construction, not by synchronisation:
-// chunk names are assigned serially at rotation time and the manifest
-// lists them in that order, so the on-disk completion order is
-// irrelevant to readers, and the directory's bytes are the same at any
-// worker count. Buffers recycle through a freelist, and the bounded job
-// queue caps memory at roughly (2×workers+1) chunks.
+// The compressor runs inside Write and Close, where a stall lasts one
+// segment's deflate, or, with Background, on one goroutine of the
+// writer's own fed through a bounded channel, where Write waits only
+// while segmentsInFlight segments are queued. SealStats counts those
+// stalls. Either way one compressor writes the chunks in record order,
+// and a member's bytes depend on its chunk's text alone, not on where
+// segments split it, so the directory's bytes are the same.
 type Writer struct {
 	dir        string
 	chunkBytes int
 	compress   bool
 	meta       map[string]string
 
-	raw     []byte // the chunk being assembled; nil between chunks
-	curName string
-
-	jobs     chan chunkJob // nil when Workers == 0
-	freeBufs chan []byte
-	dfl      *deflater // the caller goroutine's, when Workers == 0
-	wg       sync.WaitGroup
-	werrMu   sync.Mutex
-	werr     error // first error of a worker
+	seg     []byte // chunk text not yet handed to the compressor
+	inChunk int    // bytes of the open chunk so far; 0 between chunks
+	c       compressor
+	segs    chan segment  // to the background compressor; nil inline
+	free    chan []byte   // segments back from it, for reuse
+	done    chan struct{} // closed when it has returned
 
 	seal   SealStats
 	closed bool
@@ -99,25 +99,25 @@ type Writer struct {
 	man    Manifest
 }
 
-// SealStats is what sealing chunks has cost the goroutine that calls
-// Write and Close: inline compression without workers, back-pressure
-// from a full job queue with them. A capture fed by a bounded queue
-// loses frames while such a stall outlasts the queue.
+// SealStats is what writing chunks has cost the goroutine that calls
+// Write and Close: the time spent compressing inline, or waiting for the
+// background compressor. A capture fed by a bounded queue loses frames
+// while such a stall outlasts the queue.
 type SealStats struct {
 	Chunks uint64        // chunks sealed so far
-	Total  time.Duration // spent sealing them, summed
-	Max    time.Duration // the longest single seal
+	Total  time.Duration // spent compressing or waiting for the compressor, summed
+	Max    time.Duration // the longest single stall
 }
 
 // WriterOptions configures a dataset writer.
 type WriterOptions struct {
 	// Compress gzips chunk files (.xml.gz).
 	Compress bool
-	// Workers is the number of background goroutines that compress and
-	// write sealed chunks; 0 does that work inside Write and Close. The
-	// files written are the same at any value. Write and Close must be
+	// Background compresses and writes chunk files on one goroutine of
+	// the writer's own; false does that work inside Write and Close. The
+	// files written are the same either way. Write and Close must be
 	// called from a single goroutine either way.
-	Workers int
+	Background bool
 	// Meta is copied into the manifest and each chunk header.
 	Meta map[string]string
 
@@ -126,16 +126,39 @@ type WriterOptions struct {
 	chunkBytes int
 }
 
-// chunkJob is one sealed in-memory chunk awaiting compression.
-type chunkJob struct {
-	name string
-	data []byte
+const (
+	// defaultChunkBytes caps the encoded XML of one chunk, so a ten-week
+	// capture is a directory of files of a readable size.
+	defaultChunkBytes = 4 << 20
+	// segmentSize is how much chunk text Write gathers before handing it
+	// to the compressor; a segment is that plus one record, its buffer
+	// room for a large one more.
+	segmentSize = 64 << 10
+	segmentCap  = segmentSize + 16<<10
+	// segmentsInFlight is how many segments the writer and its
+	// background compressor share.
+	segmentsInFlight = 3
+)
+
+// segment is chunk text handed to the compressor, its chunk's last when
+// last is set.
+type segment struct {
+	text []byte
+	last bool
 }
 
-// defaultChunkBytes caps the encoded XML of one chunk: it rotates
-// in-memory chunks well before they strain the freelist, and a byte bound
-// keeps memory predictable when records carry large file lists.
-const defaultChunkBytes = 4 << 20
+// compressor writes chunk files from their segments, in order, on one
+// goroutine, and names them as the manifest does. After an error it
+// takes nothing more.
+type compressor struct {
+	dir    string
+	dfl    *deflater // nil when chunks are not compressed
+	f      *os.File  // the open chunk's file
+	chunks int       // chunk files created
+
+	mu  sync.Mutex
+	err error // the first error; read by the writer, written by the compressor
+}
 
 // NewWriter creates dir (if needed) and returns a writer. A manifest
 // left there by an earlier dataset is removed first — until Close
@@ -166,23 +189,29 @@ func NewWriter(dir string, opts WriterOptions) (*Writer, error) {
 			return nil, fmt.Errorf("dataset: %w", err)
 		}
 	}
-	workers := max(opts.Workers, 0)
 	w := &Writer{
 		dir:        dir,
 		chunkBytes: opts.chunkBytes,
 		compress:   opts.Compress,
 		meta:       opts.Meta,
-		// One buffer filling, one per queued job, one per busy worker.
-		freeBufs: make(chan []byte, 2*workers+1),
+		seg:        make([]byte, 0, segmentCap),
+		c:          compressor{dir: dir},
 	}
 	w.man.Version = "1.0"
 	w.man.Meta = opts.Meta
-	if workers > 0 {
-		w.jobs = make(chan chunkJob, workers) // a sealed chunk per worker may wait
-		for i := 0; i < workers; i++ {
-			w.wg.Add(1)
-			go w.worker()
+	if opts.Compress {
+		w.c.dfl = new(deflater)
+	}
+	if opts.Background {
+		// Either channel can hold every segment there is, so no send
+		// blocks: the writer waits only to receive a free one.
+		w.segs = make(chan segment, segmentsInFlight)
+		w.free = make(chan []byte, segmentsInFlight)
+		for range segmentsInFlight - 1 {
+			w.free <- make([]byte, 0, segmentCap)
 		}
+		w.done = make(chan struct{})
+		go w.background()
 	}
 	return w, nil
 }
@@ -216,114 +245,125 @@ func (w *Writer) Write(rec *xmlenc.Record) error {
 	if w.closed {
 		return errors.New("dataset: write after Close")
 	}
-	if w.raw == nil {
+	if w.inChunk == 0 {
 		w.beginChunk()
 	}
-	w.raw = xmlenc.AppendRecord(w.raw, rec)
+	n := len(w.seg)
+	w.seg = xmlenc.AppendRecord(w.seg, rec)
+	w.inChunk += len(w.seg) - n
 	w.man.Records++
-	if len(w.raw) >= w.chunkBytes {
-		w.err = w.sealChunk()
+	if w.inChunk >= w.chunkBytes {
+		w.err = w.handOff(true)
+	} else if len(w.seg) >= segmentSize {
+		w.err = w.handOff(false)
 	}
 	return w.err
 }
 
-// beginChunk starts the next chunk in a recycled buffer: it assigns the
-// file name (recorded in manifest order) and appends the header.
+// beginChunk starts the next chunk: it assigns the file name (recorded
+// in manifest order) and appends the header to the segment, which the
+// last chunk's seal left empty.
 func (w *Writer) beginChunk() {
-	select {
-	case w.raw = <-w.freeBufs:
-	default:
-		w.raw = make([]byte, 0, w.chunkBytes+defaultChunkBytes/4)
-	}
 	n := len(w.man.Chunks)
-	w.curName = chunkName(n, w.compress)
-	w.man.Chunks = append(w.man.Chunks, w.curName)
+	w.man.Chunks = append(w.man.Chunks, chunkName(n, w.compress))
 	meta := map[string]string{"chunk": strconv.Itoa(n)}
 	for k, v := range w.meta {
 		meta[k] = v
 	}
-	w.raw = xmlenc.AppendHeader(w.raw, meta)
+	w.seg = xmlenc.AppendHeader(w.seg, meta)
+	w.inChunk = len(w.seg)
 }
 
-// sealChunk closes the in-memory chunk and writes it out: queued for a
-// worker (blocking here when every worker is busy is the writer's
-// backpressure), or on this goroutine without workers. It returns the
-// first chunk-write error known so far.
-func (w *Writer) sealChunk() error {
+// handOff gives the segment to the compressor — with the footer, sealing
+// the chunk, when last — and returns the compressor's first error so far.
+// Inline it compresses the segment; in background it queues it and
+// takes a free one, waiting while segmentsInFlight are queued.
+func (w *Writer) handOff(last bool) error {
 	start := time.Now()
-	defer func() {
-		d := time.Since(start)
+	if last {
+		w.seg = xmlenc.AppendFooter(w.seg)
+		w.inChunk = 0
 		w.seal.Chunks++
-		w.seal.Total += d
-		w.seal.Max = max(w.seal.Max, d)
-	}()
-	job := chunkJob{name: w.curName, data: xmlenc.AppendFooter(w.raw)}
-	w.raw = nil
-	if w.jobs == nil {
-		return w.writeChunkFile(job, &w.dfl)
 	}
-	w.jobs <- job
-	return w.workerErr()
+	s := segment{text: w.seg, last: last}
+	if w.segs == nil {
+		w.c.take(s)
+		w.seg = w.seg[:0]
+	} else {
+		w.segs <- s
+		w.seg = <-w.free
+	}
+	w.stalled(start)
+	return w.c.failed()
 }
 
-// SealStats reports the chunks sealed so far and what sealing them cost
-// the caller of Write and Close — whose goroutine this must be called
-// from, like them.
+// stalled counts the caller's stall since start.
+func (w *Writer) stalled(start time.Time) {
+	d := time.Since(start)
+	w.seal.Total += d
+	w.seal.Max = max(w.seal.Max, d)
+}
+
+// SealStats reports the chunks sealed so far and what writing them has
+// cost the caller of Write and Close — whose goroutine this must be
+// called from, like them.
 func (w *Writer) SealStats() SealStats { return w.seal }
 
-func (w *Writer) worker() {
-	defer w.wg.Done()
-	var dfl *deflater
-	for job := range w.jobs {
-		if err := w.writeChunkFile(job, &dfl); err != nil {
-			w.werrMu.Lock()
-			if w.werr == nil {
-				w.werr = err
-			}
-			w.werrMu.Unlock()
-		}
+// background runs the compressor over the segments handed off, and
+// hands each buffer back.
+func (w *Writer) background() {
+	defer close(w.done)
+	for s := range w.segs {
+		w.c.take(s)
+		w.free <- s.text[:0]
 	}
 }
 
-func (w *Writer) workerErr() error {
-	w.werrMu.Lock()
-	defer w.werrMu.Unlock()
-	return w.werr
-}
-
-// writeChunkFile writes one chunk to disk, compressing if configured,
-// and recycles its buffer. The deflater belongs to the calling goroutine
-// and is reused between chunks; a member it writes depends on the
-// chunk's bytes alone.
-func (w *Writer) writeChunkFile(job chunkJob, dfl **deflater) error {
-	defer w.recycle(job.data)
-	f, err := os.Create(filepath.Join(w.dir, job.name))
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
+// take writes one segment to its chunk's file: it creates the file at the
+// chunk's first segment and ends the member and closes the file at its
+// last. The deflater is reused from chunk to chunk.
+func (c *compressor) take(s segment) {
+	if c.failed() != nil {
+		return
 	}
-	if w.compress {
-		if *dfl == nil {
-			*dfl = new(deflater)
+	err := c.write(s)
+	if c.f != nil && (s.last || err != nil) {
+		if cerr := c.f.Close(); err == nil {
+			err = cerr
 		}
-		err = (*dfl).writeMember(f, job.data)
-	} else {
-		_, err = f.Write(job.data)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+		c.f = nil
 	}
 	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
+		c.mu.Lock()
+		c.err = fmt.Errorf("dataset: %w", err)
+		c.mu.Unlock()
 	}
-	return nil
 }
 
-// recycle offers a written chunk's buffer to the next beginChunk.
-func (w *Writer) recycle(buf []byte) {
-	select {
-	case w.freeBufs <- buf[:0]:
-	default:
+func (c *compressor) write(s segment) (err error) {
+	if c.f == nil {
+		if c.f, err = os.Create(filepath.Join(c.dir, chunkName(c.chunks, c.dfl != nil))); err != nil {
+			return err
+		}
+		c.chunks++
+		if c.dfl != nil {
+			c.dfl.reset(c.f)
+		}
 	}
+	if c.dfl == nil {
+		_, err = c.f.Write(s.text)
+		return err
+	}
+	if _, err = c.dfl.Write(s.text); err == nil && s.last {
+		err = c.dfl.Close()
+	}
+	return err
+}
+
+func (c *compressor) failed() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
 }
 
 // SetCounters records the anonymisation totals in the manifest.
@@ -332,23 +372,25 @@ func (w *Writer) SetCounters(distinctClients, distinctFiles uint32) {
 	w.man.DistinctFiles = distinctFiles
 }
 
-// Close writes the last chunk, waits for the workers and writes the
-// manifest. A second Close returns what the first did. After a
-// chunk-write failure it returns that error and leaves no manifest, so
+// Close seals the last chunk, waits for the background compressor and
+// writes the manifest. A second Close returns what the first did. After
+// a chunk-write failure it returns that error and leaves no manifest, so
 // a broken dataset is unreadable rather than silently truncated.
 func (w *Writer) Close() error {
 	if w.closed {
 		return w.err
 	}
 	w.closed = true
-	if w.err == nil && w.raw != nil {
-		w.err = w.sealChunk()
+	if w.err == nil && w.inChunk > 0 {
+		w.err = w.handOff(true)
 	}
-	if w.jobs != nil {
-		close(w.jobs)
-		w.wg.Wait()
+	if w.segs != nil {
+		start := time.Now()
+		close(w.segs)
+		<-w.done
+		w.stalled(start)
 		if w.err == nil {
-			w.err = w.workerErr()
+			w.err = w.c.failed()
 		}
 	}
 	if w.err == nil {

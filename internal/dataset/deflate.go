@@ -32,18 +32,34 @@ import (
 // is smallest, so no block is larger than storing its bytes. Huffman
 // codes are length-limited by package-merge. The bit writer is 64-bit and
 // kept in locals through the token loop, and its bytes go to the
-// destination through a fixed buffer. The tables are cleared for every
-// member, so a member's bytes depend on its input alone, and what the
-// deflater holds does not depend on the input's size.
+// destination through a fixed buffer.
+//
+// A member is streamed: reset starts it, Write feeds its input in pieces
+// of any size and Close ends it. The deflater keeps a window of the
+// input: the 32 KiB a match may reach back, the current block's bytes
+// for a stored block, and a lookahead of 2×258+8 bytes past the last
+// anchor looked up, which is as far as the lazy look and insert read, so
+// the matcher decides on a piece's last anchors what it would decide on
+// the whole input. Literals are emitted once no match can reach back
+// over them, and the tables are cleared for every member, so a member's
+// bytes depend on its input alone — not on where it was split, nor on
+// what the deflater wrote before — and what the deflater holds does not
+// depend on the input's size.
 type deflater struct {
 	w   io.Writer
 	err error // the first error w returned
 
-	// The matcher: src[:emitted] has become tokens, and the current
-	// block's tokens stand for src[blockStart:emitted].
+	// The matcher: src holds the member's input from position base on
+	// (cap(src) is windowSize), src[:emitted] has become tokens, the
+	// current block's tokens stand for src[blockStart:emitted], and the
+	// next anchor's quote is looked for from src[next]. crc covers all
+	// the input so far.
 	src        []byte
+	base       int
 	emitted    int
 	blockStart int
+	next       int
+	crc        uint32
 	toks       []uint32 // the current block's tokens
 	litFreq    [maxLitSyms]uint32
 	distFreq   [maxDistSyms]uint32
@@ -74,16 +90,25 @@ type deflater struct {
 const (
 	hash4Bits = 13
 	hash8Bits = 14
-	// maxBlockTokens bounds a block, and so what the deflater holds of
-	// its input. A token covers a byte at least, so every block but the
-	// last covers 32 KiB or more, and storing them costs at most 5 bytes
-	// per 32 KiB of input.
+	// maxBlockTokens bounds a block's tokens. A token covers a byte at
+	// least, so every block but the last covers 32 KiB or more, and
+	// storing them costs at most 5 bytes per 32 KiB of input.
 	maxBlockTokens = 32 << 10
-	minMatch       = 4
-	maxMatch       = 258
-	lazyBelow      = 32
-	outSize        = 64 << 10
-	flushAt        = outSize - 8 // a flush writes 8 bytes at out[o:]
+	// maxBlockSpan bounds the input one block stands for, which the
+	// window keeps for a stored block. Chunk text's blocks end on
+	// maxBlockTokens long before (205 KB at most over the curve's
+	// capture); only long matches, up to 258 bytes a token, reach it,
+	// and a block it ends covers more than 32 KiB too.
+	maxBlockSpan = 512 << 10
+	minMatch     = 4
+	maxMatch     = 258
+	lazyBelow    = 32
+	// lookahead is what the matcher needs past an anchor: a match, the
+	// next anchor inside it, that one's match and its 8-byte load.
+	lookahead  = 2*maxMatch + 8
+	windowSize = maxBlockSpan + 64<<10
+	outSize    = 64 << 10
+	flushAt    = outSize - 8 // a flush writes 8 bytes at out[o:]
 
 	// A token is a literal byte, or tokMatch | the distance's code << 24 |
 	// length-3 << 16 | the distance's extra bits.
@@ -94,46 +119,92 @@ const (
 // flags, no modification time, XFL 0, OS unknown.
 var gzipHeader = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}
 
-// writeMember writes src to w as one gzip member. At the first call it
-// allocates the deflater's buffers, reused after.
-func (d *deflater) writeMember(w io.Writer, src []byte) error {
+// reset starts a member written to w. At the first call it allocates the
+// deflater's buffers, reused after.
+func (d *deflater) reset(w io.Writer) {
 	if d.out == nil {
+		d.src = make([]byte, 0, windowSize)
 		d.out = make([]byte, outSize)
 		d.toks = make([]uint32, 0, maxBlockTokens)
 		d.clToks = make([]uint16, 0, len(d.lens))
 	}
 	d.w, d.err = w, nil
-	d.src, d.emitted, d.blockStart = src, 0, 0
+	d.src, d.base, d.emitted, d.blockStart, d.next, d.crc = d.src[:0], 0, 0, 0, 0, 0
+	d.toks = d.toks[:0]
+	clear(d.litFreq[:])
+	clear(d.distFreq[:])
 	clear(d.t4[:])
 	clear(d.t8[:])
 	d.o = copy(d.out, gzipHeader[:])
 	d.acc, d.nacc = 0, 0
+}
 
-	d.match()
+// Write deflates p as the member's next input, but for the lookahead
+// the matcher holds back until more input or Close. It returns the
+// destination's first error.
+func (d *deflater) Write(p []byte) (int, error) {
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, p)
+	for n := 0; n < len(p); {
+		if len(d.src) == cap(d.src) {
+			d.slide()
+		}
+		k := min(len(p)-n, cap(d.src)-len(d.src))
+		d.src = append(d.src, p[n:n+k]...)
+		n += k
+		d.match(false)
+	}
+	return len(p), d.err
+}
+
+// Close deflates the input held back, codes the last block and writes
+// the gzip trailer. It does not close the destination.
+func (d *deflater) Close() error {
+	d.match(true)
 	d.block(true)
 	d.put(0, (8-d.nacc)&7)
-	d.put(uint64(crc32.ChecksumIEEE(src)), 32)
-	d.put(uint64(uint32(len(src))), 32)
+	d.put(uint64(d.crc), 32)
+	d.put(uint64(uint32(d.base+len(d.src))), 32)
 	d.writeOut()
-	d.w, d.src = nil, nil
+	d.w = nil
 	return d.err
 }
 
-// match turns src into tokens, block by block.
-func (d *deflater) match() {
+// slide drops from the window the input before the current block and
+// before the history of the bytes not yet emitted. After match(false),
+// at most ~800 bytes are not yet emitted and a block spans at most
+// maxBlockSpan, so that frees 64 KiB less those at least.
+func (d *deflater) slide() {
+	drop := max(0, min(d.blockStart, d.emitted-histSize))
+	d.src = d.src[:copy(d.src, d.src[drop:])]
+	d.base += drop
+	d.emitted -= drop
+	d.blockStart -= drop
+	d.next -= drop
+}
+
+// match turns the window's input into tokens, block by block: all of it
+// when final, else up to the last anchor with a lookahead behind it.
+// A match reaches back at most maxMatch bytes before its anchor, so the
+// bytes before that, short of the next anchor, are emitted as literals.
+func (d *deflater) match(final bool) {
 	src := d.src
 	last := len(src) - 8 // the last anchor that can load 8 bytes
-	next := 0            // where to look for the next anchor's quote
+	stop := last         // the last anchor looked up now
+	if !final {
+		stop = len(src) - lookahead
+	}
 	for {
-		q := bytes.IndexByte(src[next:], '"')
+		q := bytes.IndexByte(src[d.next:], '"')
 		if q < 0 {
+			d.next = len(src)
 			break
 		}
-		p := next + q + 1
-		if p > last {
+		p := d.next + q + 1
+		if p > stop {
+			d.next = p - 1
 			break
 		}
-		next = p
+		d.next = p
 		start, end, dist := d.find(p)
 		if end == 0 {
 			continue
@@ -155,9 +226,13 @@ func (d *deflater) match() {
 		d.literals(start)
 		d.backref(end-start, dist)
 		d.insert(p, end, last)
-		next = end - 1
+		d.next = end - 1
 	}
-	d.literals(len(src))
+	if final {
+		d.literals(len(src))
+	} else {
+		d.literals(d.next - maxMatch)
+	}
 }
 
 // find looks up anchor p, enters it into the tables and returns the
@@ -168,14 +243,16 @@ func (d *deflater) find(p int) (start, end, dist int) {
 	v := binary.LittleEndian.Uint64(src[p:])
 	h4, h8 := hash4(v), hash8(v)
 	c4, c8 := d.t4[h4], d.t8[h8]
-	d.t4[h4], d.t8[h8] = uint32(p), uint32(p)
+	at := uint32(d.base + p)
+	d.t4[h4], d.t8[h8] = at, at
 
 	limit := min(maxMatch, len(src)-p)
 	n := 0
 	for i, c := range [2]uint32{c8, c4} {
-		// Positions are kept mod 2³², which is exact within a window:
-		// a candidate past the window is out of range whatever its value.
-		back := uint32(p) - c
+		// The tables hold positions in the member, mod 2³², which is
+		// exact within a window: a candidate past the window is out of
+		// range whatever its value, and one within it is in src.
+		back := at - c
 		if back-1 >= histSize || i == 1 && c == c8 {
 			continue
 		}
@@ -223,17 +300,17 @@ func (d *deflater) insert(p, end, last int) {
 		}
 		p += q + 1
 		v := binary.LittleEndian.Uint64(src[p:])
-		d.t4[hash4(v)], d.t8[hash8(v)] = uint32(p), uint32(p)
+		d.t4[hash4(v)], d.t8[hash8(v)] = uint32(d.base+p), uint32(d.base+p)
 	}
 }
 
 // literals emits src[emitted:to] as literals.
 func (d *deflater) literals(to int) {
 	for d.emitted < to {
-		if len(d.toks) == maxBlockTokens {
+		if len(d.toks) == maxBlockTokens || d.emitted-d.blockStart == maxBlockSpan {
 			d.block(false)
 		}
-		n := min(to-d.emitted, maxBlockTokens-len(d.toks))
+		n := min(to-d.emitted, maxBlockTokens-len(d.toks), maxBlockSpan-(d.emitted-d.blockStart))
 		for _, b := range d.src[d.emitted : d.emitted+n] {
 			d.toks = append(d.toks, uint32(b))
 			d.litFreq[b]++
@@ -244,7 +321,7 @@ func (d *deflater) literals(to int) {
 
 // backref emits a match of length bytes from dist back.
 func (d *deflater) backref(length, dist int) {
-	if len(d.toks) == maxBlockTokens {
+	if len(d.toks) == maxBlockTokens || d.emitted+length-d.blockStart > maxBlockSpan {
 		d.block(false)
 	}
 	l, x := length-3, dist-1

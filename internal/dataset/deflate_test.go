@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -11,15 +12,43 @@ import (
 	"edtrace/internal/xmlenc"
 )
 
-// deflateMember is one member as writeChunkFile writes it, from d or, if
-// d is nil, from a fresh deflater.
+// writeMember writes src to w as one gzip member, fed whole.
+func (d *deflater) writeMember(w io.Writer, src []byte) error {
+	d.reset(w)
+	d.Write(src)
+	return d.Close()
+}
+
+// deflateMember is one member of src, fed whole, from d or, if d is nil,
+// from a fresh deflater.
 func deflateMember(tb testing.TB, d *deflater, src []byte) []byte {
+	tb.Helper()
+	return deflateSplit(tb, d, src, nil)
+}
+
+// deflateSplit is deflateMember with src fed in pieces as long as cuts
+// says, round after round; a round that feeds nothing feeds the rest
+// whole.
+func deflateSplit(tb testing.TB, d *deflater, src []byte, cuts []int) []byte {
 	tb.Helper()
 	if d == nil {
 		d = new(deflater)
 	}
 	var out bytes.Buffer
-	if err := d.writeMember(&out, src); err != nil {
+	d.reset(&out)
+	for len(src) > 0 {
+		fed := 0
+		for _, c := range cuts {
+			n := min(len(src), c)
+			d.Write(src[:n])
+			src, fed = src[n:], fed+n
+		}
+		if fed == 0 {
+			d.Write(src)
+			src = nil
+		}
+	}
+	if err := d.Close(); err != nil {
 		tb.Fatal(err)
 	}
 	return out.Bytes()
@@ -156,6 +185,45 @@ func TestDeflateMatchAcrossBlocks(t *testing.T) {
 				t.Fatalf("the repeat saved %d bytes, want it taken as a match", len(w)-len(m))
 			}
 		})
+	}
+}
+
+// TestDeflateSplitsMatchWhole: a member's bytes do not depend on how its
+// input is split — into pieces around the lookahead's size, around a
+// segment's, or of one byte — over inputs long enough to slide the
+// window many times: chunk text, runs of quotes (258 bytes a token),
+// which cut blocks on maxBlockSpan, and random bytes, which go stored.
+// The members keep within storedBound.
+func TestDeflateSplitsMatchWhole(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 14))
+	random := make([]byte, 1<<20)
+	for i := range random {
+		random[i] = byte(rng.Uint32())
+	}
+	near, seg := make([]int, 64), make([]int, 64)
+	for i := range near {
+		near[i] = rng.IntN(2 * lookahead)
+		seg[i] = segmentSize - 4096 + rng.IntN(8192)
+	}
+	text := sampleText(3 << 20)
+	d := new(deflater)
+	for _, tc := range []struct {
+		name string
+		src  []byte
+		cuts []int
+	}{
+		{"text near the lookahead", text, near},
+		{"text by segments", text, seg},
+		{"text byte by byte", text[:600<<10], []int{1}},
+		{"quotes near the lookahead", bytes.Repeat([]byte{'"'}, 3<<20), near},
+		{"quotes by segments", bytes.Repeat([]byte{'"'}, 3<<20), seg},
+		{"random by segments", random, seg},
+		{"mixed near the lookahead", slices.Concat(text[:400<<10], random[:300<<10], bytes.Repeat([]byte(`"ab`), 200<<10), text[:300<<10]), near},
+	} {
+		whole := roundTrip(t, tc.src)
+		if got := deflateSplit(t, d, tc.src, tc.cuts); !bytes.Equal(got, whole) {
+			t.Errorf("%s: the member differs from the whole input's", tc.name)
+		}
 	}
 }
 
@@ -322,21 +390,28 @@ func TestDeflateHoldsNoChunk(t *testing.T) {
 // FuzzDeflateRoundTrip: for any input the member reads back through
 // compress/gzip (one member, nothing after it) and through gunzip, stays
 // within storedBound, and is the same from a reused deflater as from a
-// fresh one.
+// fresh one, and fed in the pieces cuts gives as fed whole.
 //
 //	go test -run '^$' -fuzz '^FuzzDeflateRoundTrip$' -fuzztime 15s ./internal/dataset/
 func FuzzDeflateRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte(`"`))
-	f.Add(sampleText(5000))
-	f.Add(bytes.Repeat([]byte(`"ab"`), 300))
-	f.Add(append(sampleText(2000), quoteFree(12, 2000, 200)...))
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte(`"`), []byte{0})
+	f.Add(sampleText(5000), []byte{1, 0, 255, 7})
+	f.Add(bytes.Repeat([]byte(`"ab"`), 300), []byte{3})
+	f.Add(append(sampleText(2000), quoteFree(12, 2000, 200)...), []byte{200, 31})
 	reused := new(deflater)
 	deflateMember(f, reused, sampleText(70<<10))
-	f.Fuzz(func(t *testing.T, src []byte) {
+	f.Fuzz(func(t *testing.T, src, cuts []byte) {
 		m := roundTrip(t, src)
 		if again := deflateMember(t, reused, src); !bytes.Equal(again, m) {
 			t.Fatalf("%d bytes: a reused deflater wrote a different member", len(src))
+		}
+		pieces := make([]int, len(cuts))
+		for i, c := range cuts {
+			pieces[i] = int(c)
+		}
+		if split := deflateSplit(t, reused, src, pieces); !bytes.Equal(split, m) {
+			t.Fatalf("%d bytes cut by % x: a different member than fed whole", len(src), cuts)
 		}
 	})
 }

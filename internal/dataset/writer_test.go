@@ -50,16 +50,17 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestWriterDeterministicAcrossWorkers: the directory's bytes — manifest
-// and every chunk — are a function of the records alone, whatever the
-// worker count and however the workers interleave. A 2 KiB budget
-// rotates chunks of fewer records as the records grow, and the output
-// reads back in order and verifies.
+// and every chunk — are a function of the records alone, compressed
+// inline or in background. A 2 KiB budget rotates chunks of fewer
+// records as the records grow, and a 100 KiB one makes chunks of two
+// segments; every compressed chunk is the member its text gives fed
+// whole, and the output reads back in order and verifies.
 func TestWriterDeterministicAcrossWorkers(t *testing.T) {
 	defer noLeak(t)()
-	const n = 1000
-	write := func(dir string, workers int, compress bool) {
+	const n = 3000
+	write := func(dir string, budget int, background, compress bool) {
 		w, err := NewWriter(dir, WriterOptions{
-			chunkBytes: 2 << 10, Compress: compress, Workers: workers,
+			chunkBytes: budget, Compress: compress, Background: background,
 			Meta: map[string]string{"seed": "7"},
 		})
 		if err != nil {
@@ -67,73 +68,98 @@ func TestWriterDeterministicAcrossWorkers(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			rec := &xmlenc.Record{T: float64(i), Client: uint32(i % 10), Op: "OfferFiles", Dir: xmlenc.DirQuery}
-			for f := 0; f < i/100; f++ { // later records are larger
+			for f := 0; f < i/300; f++ { // later records are larger
 				rec.Files = append(rec.Files, xmlenc.FileInfo{ID: uint32(f), SizeKB: 700 * 1024})
 			}
 			if err := w.Write(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
-		w.SetCounters(10, n/100-1)
+		w.SetCounters(10, n/300-1)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, compress := range []bool{false, true} {
-		var want map[string][]byte
-		for _, workers := range []int{0, 1, runtime.GOMAXPROCS(0), 8} {
-			dir := t.TempDir()
-			write(dir, workers, compress)
-			got := readDir(t, dir)
-			if want == nil {
-				want = got
-				man, err := Open(dir)
-				if err != nil {
-					t.Fatal(err)
+	for _, budget := range []int{2 << 10, 100 << 10} {
+		for _, compress := range []bool{false, true} {
+			var want map[string][]byte
+			for _, background := range []bool{false, true} {
+				dir := t.TempDir()
+				write(dir, budget, background, compress)
+				got := readDir(t, dir)
+				if want == nil {
+					want = got
+					checkWritten(t, dir, got, budget, compress, n)
+					continue
 				}
-				if len(man.Chunks) <= n/100 {
-					t.Fatalf("byte budget did not rotate: %d chunks", len(man.Chunks))
+				if len(got) != len(want) {
+					t.Fatalf("budget %d compress=%v background: %d files, want %d", budget, compress, len(got), len(want))
 				}
-				if ext := filepath.Ext(man.Chunks[0]); (ext == ".gz") != compress {
-					t.Fatalf("compress=%v wrote %s", compress, man.Chunks[0])
-				}
-				var i int
-				if err := ForEach(dir, func(r *xmlenc.Record) error {
-					if r.T != float64(i) {
-						return fmt.Errorf("record %d out of order: %+v", i, r)
+				for name, data := range want {
+					if !bytes.Equal(got[name], data) {
+						t.Errorf("budget %d compress=%v: %s differs in background from inline", budget, compress, name)
 					}
-					i++
-					return nil
-				}); err != nil || i != n {
-					t.Fatalf("read back %d of %d records: %v", i, n, err)
-				}
-				if rep, err := Verify(dir); err != nil || !rep.OK() {
-					t.Fatalf("Verify: %v %v", err, rep)
-				}
-				continue
-			}
-			if len(got) != len(want) {
-				t.Fatalf("compress=%v workers=%d: %d files, want %d", compress, workers, len(got), len(want))
-			}
-			for name, data := range want {
-				if !bytes.Equal(got[name], data) {
-					t.Errorf("compress=%v workers=%d: %s differs from the Workers=0 output", compress, workers, name)
 				}
 			}
 		}
 	}
 }
 
+// checkWritten checks a dataset of n records written at budget: chunks
+// rotated, named for compress, each member the one its text gives fed
+// whole, and the records read back in order and verify.
+func checkWritten(t *testing.T, dir string, files map[string][]byte, budget int, compress bool, n int) {
+	t.Helper()
+	man, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Chunks) < 4 {
+		t.Fatalf("budget %d did not rotate: %d chunks", budget, len(man.Chunks))
+	}
+	if ext := filepath.Ext(man.Chunks[0]); (ext == ".gz") != compress {
+		t.Fatalf("compress=%v wrote %s", compress, man.Chunks[0])
+	}
+	if compress {
+		d := new(deflater)
+		for i, name := range man.Chunks {
+			text, err := stdlibGunzip(files[name])
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if budget > segmentSize && i < len(man.Chunks)-1 && len(text) <= segmentSize {
+				t.Fatalf("%s: %d bytes of text, want more than a segment", name, len(text))
+			}
+			if !bytes.Equal(files[name], deflateMember(t, d, text)) {
+				t.Errorf("%s differs from its text deflated whole", name)
+			}
+		}
+	}
+	var i int
+	if err := ForEach(dir, func(r *xmlenc.Record) error {
+		if r.T != float64(i) {
+			return fmt.Errorf("record %d out of order: %+v", i, r)
+		}
+		i++
+		return nil
+	}); err != nil || i != n {
+		t.Fatalf("read back %d of %d records: %v", i, n, err)
+	}
+	if rep, err := Verify(dir); err != nil || !rep.OK() {
+		t.Fatalf("Verify: %v %v", err, rep)
+	}
+}
+
 // TestWriterChunkFailure makes a chunk file un-creatable mid-run (a
 // directory already sits under its name): the first error surfaces from
 // Write or Close and sticks, no manifest makes the broken dataset
-// readable, and no worker goroutine outlives Close.
+// readable, and no background goroutine outlives Close.
 func TestWriterChunkFailure(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, background := range []bool{false, true} {
+		t.Run(map[bool]string{false: "inline", true: "background"}[background], func(t *testing.T) {
 			defer noLeak(t)()
 			dir := t.TempDir()
-			w, err := NewWriter(dir, WriterOptions{chunkBytes: 512, Workers: workers})
+			w, err := NewWriter(dir, WriterOptions{chunkBytes: 512, Background: background})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +170,7 @@ func TestWriterChunkFailure(t *testing.T) {
 			for i := 0; i < 100 && werr == nil; i++ {
 				werr = w.Write(&xmlenc.Record{T: float64(i), Op: "StatReq", Dir: xmlenc.DirQuery})
 			}
-			if workers == 0 && werr == nil {
+			if !background && werr == nil {
 				t.Fatal("Write did not report the failed chunk")
 			}
 			cerr := w.Close()
@@ -243,10 +269,12 @@ func TestNewWriterRemovesStaleChunks(t *testing.T) {
 	}
 }
 
-// TestSealStats: one seal per chunk, the last one Close's, at any width.
+// TestSealStats: one seal per chunk, the last one Close's; the stalls
+// are what Write and Close spent compressing or waiting for the
+// compressor, segment by segment, chunk sealed or not.
 func TestSealStats(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		w, err := NewWriter(t.TempDir(), WriterOptions{chunkBytes: 512, Compress: true, Workers: workers})
+	for _, background := range []bool{false, true} {
+		w, err := NewWriter(t.TempDir(), WriterOptions{chunkBytes: 512, Compress: true, Background: background})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,15 +284,113 @@ func TestSealStats(t *testing.T) {
 			}
 		}
 		if st := w.SealStats(); st.Chunks != 3 {
-			t.Errorf("workers=%d: %d chunks sealed after 35 records of ~45 bytes to 512, want 3", workers, st.Chunks)
+			t.Errorf("background=%v: %d chunks sealed after 35 records of ~45 bytes to 512, want 3", background, st.Chunks)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		st := w.SealStats()
-		if st.Chunks != 4 || st.Max <= 0 || st.Total < st.Max || st.Total > time.Duration(st.Chunks)*st.Max {
-			t.Errorf("workers=%d: after Close: %+v", workers, st)
+		if st := w.SealStats(); st.Chunks != 4 || st.Max <= 0 || st.Total < st.Max {
+			t.Errorf("background=%v: after Close: %+v", background, st)
 		}
+	}
+	// A chunk of several segments stalls its writer before it is sealed.
+	w, err := NewWriter(t.TempDir(), WriterOptions{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*segmentSize/40; i++ {
+		if err := w.Write(&xmlenc.Record{T: float64(i), Op: "StatReq", Dir: xmlenc.DirQuery}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := w.SealStats(); st.Chunks != 0 || st.Max <= 0 || st.Total <= st.Max {
+		t.Errorf("inline, before the first seal: %+v, want two stalls or more", st)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordText is the i-th of a run of records offering two files each,
+// about 300 bytes of text apiece.
+func recordText(i int) *xmlenc.Record {
+	rec := &xmlenc.Record{T: float64(i) / 8, Client: uint32(i % 5000), Op: "OfferFiles", Dir: xmlenc.DirQuery}
+	for f := range 2 {
+		id := uint32(i*2+f) % 70000
+		rec.Files = append(rec.Files, xmlenc.FileInfo{ID: id, SizeKB: uint64(id % 9000), NameHash: fmt.Sprintf("%032x", id), TypeHash: "b22f0418e8ac915eb66f829d262d14a2"})
+	}
+	return rec
+}
+
+// TestWriterHoldsNoChunk: what a compressed writer holds does not follow
+// its chunk budget. With a 64 MiB budget and 8 MiB of records, so one
+// chunk that is never sealed before Close, the live heap, sampled as the
+// records go in, grows by less than 1.5 MiB, inline and in background.
+func TestWriterHoldsNoChunk(t *testing.T) {
+	for _, background := range []bool{false, true} {
+		before := liveHeap()
+		w, err := NewWriter(t.TempDir(), WriterOptions{chunkBytes: 64 << 20, Compress: true, Background: background})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var peak uint64
+		for i := 0; w.inChunk < 8<<20; i++ {
+			if err := w.Write(recordText(i)); err != nil {
+				t.Fatal(err)
+			}
+			if i%2048 == 0 {
+				peak = max(peak, liveHeap())
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		grew := int64(peak) - int64(before)
+		t.Logf("background=%v: the live heap grew by %d KiB at most", background, grew>>10)
+		if grew >= 3<<19 {
+			t.Errorf("background=%v: a writer of one 64 MiB chunk held %d bytes", background, grew)
+		}
+		runtime.KeepAlive(w)
+	}
+}
+
+// TestWriterDeflatesOneSegmentACall: no Write or Close hands the matcher
+// more than one segment and one record (and the footer), whatever the
+// chunk budget, so no call stalls for longer than that takes. The
+// deflater's input position counts the bytes; it restarts at a chunk's
+// first segment, which is shorter than any chunk before it.
+func TestWriterDeflatesOneSegmentACall(t *testing.T) {
+	w, err := NewWriter(t.TempDir(), WriterOptions{chunkBytes: 300 << 10, Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := func() int { return w.c.dfl.base + len(w.c.dfl.src) }
+	limit := func(line int) int { return segmentSize + line + len(xmlenc.AppendFooter(nil)) }
+	most := 0
+	for i := 0; i < 20000; i++ {
+		rec := recordText(i)
+		before := fed()
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		handed := fed() - before
+		if handed < 0 {
+			handed = fed()
+		}
+		most = max(most, handed)
+		if line := len(xmlenc.AppendRecord(nil, rec)); handed > limit(line) {
+			t.Fatalf("Write %d handed the deflater %d bytes, over a segment and a record of %d", i, handed, line)
+		}
+	}
+	before := fed()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if handed := fed() - before; handed <= 0 || handed > limit(0) {
+		t.Fatalf("Close handed the deflater %d bytes", handed)
+	}
+	if st := w.SealStats(); st.Chunks < 4 || most < segmentSize {
+		t.Fatalf("%d chunks, at most %d bytes a call: the test did not cross seals and segments", st.Chunks, most)
 	}
 }
 

@@ -39,11 +39,12 @@ type sessionOptions struct {
 // the chunk files. The writer is closed (and the manifest written) on
 // every exit path, including cancellation and mid-run errors.
 //
-// Chunks are compressed and written off the record path, on GOMAXPROCS
-// background goroutines — except when the source is mirrored by the
-// process it captures (LiveSource, ServerSource): there the work stays
-// on the session's goroutine, sparing the daemon's CPUs, and the queue
-// fills behind each seal. The files written are the same either way.
+// Chunk text is compressed and written as it fills, 64 KiB at a time,
+// off the record path on one background goroutine — except when the
+// source is mirrored by the process it captures (LiveSource,
+// ServerSource): there the work stays on the session's goroutine,
+// sparing the daemon's CPUs, and the queue fills behind each segment's
+// deflate. The files written are the same either way.
 func WithDataset(dir string, gzip bool) Option {
 	return func(o *sessionOptions) {
 		o.datasetDir = dir

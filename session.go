@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,12 +95,13 @@ func newSessionMetrics(reg *obs.Registry, q *frameQueue, pipe *core.Pipeline, dw
 	reg.CounterFunc("edsession_records_total", "anonymised records emitted", pub.records.Load)
 	reg.CounterFunc("edsession_batches_total", "frame batches consumed from the queue", pub.batches.Load)
 	reg.CounterFunc("edsession_dataset_chunks_total", "dataset chunks sealed", pub.chunks.Load)
-	// What sealing those chunks cost the consumer: one chunk's compression
-	// each for an in-process source, back-pressure from busy workers for an
-	// offline one. While a seal lasts, the frame queue is not drained.
-	reg.GaugeFunc("edsession_dataset_seal_seconds_total", "time the record path spent sealing dataset chunks",
+	// What writing the dataset cost the consumer: a segment's compression
+	// at a time for an in-process source, waiting for the background
+	// compressor for an offline one. While a stall lasts, the frame queue
+	// is not drained.
+	reg.GaugeFunc("edsession_dataset_seal_seconds_total", "time the record path spent compressing dataset text or waiting for the compressor",
 		func() float64 { return time.Duration(pub.sealNanos.Load()).Seconds() })
-	reg.GaugeFunc("edsession_dataset_seal_max_seconds", "longest single stall of the record path sealing a dataset chunk",
+	reg.GaugeFunc("edsession_dataset_seal_max_seconds", "longest single stall of the record path compressing dataset text or waiting for the compressor",
 		func() float64 { return time.Duration(pub.sealMaxNanos.Load()).Seconds() })
 	reg.GaugeFunc("edsession_queue_batches", "full frame batches waiting between source and pipeline",
 		func() float64 { return float64(len(q.batches)) })
@@ -156,14 +156,14 @@ type Session struct {
 	ran atomic.Bool
 
 	// Per-run state: setup builds it, the steps below share it.
-	pipe      *core.Pipeline
-	collector *analysis.Collector
-	tee       *pcap.Writer
-	dsWorkers int // dataset writer's background width, from the source
-	sm        *sessionMetrics
-	q         *frameQueue // source → consumer, and the capture's ledger
-	firstT    simtime.Time
-	lastT     simtime.Time
+	pipe         *core.Pipeline
+	collector    *analysis.Collector
+	tee          *pcap.Writer
+	dsBackground bool // whether the dataset writer compresses in background, from the source
+	sm           *sessionMetrics
+	q            *frameQueue // source → consumer, and the capture's ledger
+	firstT       simtime.Time
+	lastT        simtime.Time
 	// origin is second 0 of the ledger's series (see second).
 	origin simtime.Time
 }
@@ -273,16 +273,15 @@ func (s *Session) setup() (closers []func() error, err error) {
 	}
 	var dw *dataset.Writer
 	if s.o.datasetDir != "" {
-		// An offline source leaves the other CPUs idle: chunk compression
-		// goes to them. A live one shares them with its daemon.
-		if !s.q.live {
-			s.dsWorkers = runtime.GOMAXPROCS(0)
-		}
+		// An offline source leaves the other CPUs idle: compression goes
+		// to one of them. A live one shares them with its daemon, and
+		// compresses on the consumer, a segment at a time.
+		s.dsBackground = !s.q.live
 		var werr error
 		dw, werr = dataset.NewWriter(s.o.datasetDir, dataset.WriterOptions{
-			Compress: s.o.datasetGzip,
-			Workers:  s.dsWorkers,
-			Meta:     s.datasetMeta(serverIP, servers),
+			Compress:   s.o.datasetGzip,
+			Background: s.dsBackground,
+			Meta:       s.datasetMeta(serverIP, servers),
 		})
 		if werr != nil {
 			return nil, werr

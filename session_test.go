@@ -698,13 +698,13 @@ func TestLiveSourceMonotoneUnderConcurrentMirror(t *testing.T) {
 	}
 }
 
-// TestDatasetWriterWidthFollowsSource: the dataset writer's background
-// width is derived from the source, not set by the caller. An offline
-// source (simulator, pcap replay, a caller's own Source) has the
-// machine's CPUs to itself and gets GOMAXPROCS workers; a source mirrored
-// by the process it captures (LiveSource, and ServerSource over one
-// daemon or a mesh) shares them with its daemons and gets none. Every
-// dataset verifies.
+// TestDatasetWriterWidthFollowsSource: where the dataset writer
+// compresses is derived from the source, not set by the caller. An
+// offline source (simulator, pcap replay, a caller's own Source) has the
+// machine's CPUs to itself and compresses on a background goroutine; a
+// source mirrored by the process it captures (LiveSource, and
+// ServerSource over one daemon or a mesh) shares them with its daemons
+// and compresses inline. Every dataset verifies.
 func TestDatasetWriterWidthFollowsSource(t *testing.T) {
 	defer noLeak(t)()
 	sim := tinySim()
@@ -733,12 +733,12 @@ func TestDatasetWriterWidthFollowsSource(t *testing.T) {
 		l.Close()
 	}
 
-	offline := runtime.GOMAXPROCS(0)
+	const offline = true
 	for _, tc := range []struct {
 		name string
 		src  func(*testing.T) Source
 		opts []Option
-		want int
+		want bool
 	}{
 		{"SimSource", func(t *testing.T) Source { return NewSimSource(sim) },
 			[]Option{WithPcapTee(pcapPath)}, offline},
@@ -750,13 +750,13 @@ func TestDatasetWriterWidthFollowsSource(t *testing.T) {
 			src := NewLiveSource(0)
 			mirrored(src, 0x0A000001)
 			return src
-		}, []Option{WithServerIP(0x0A000001)}, 0},
+		}, []Option{WithServerIP(0x0A000001)}, false},
 		{"ServerSource", func(t *testing.T) Source {
 			d := startDaemon(t, "")
 			src := NewServerSource(d, 0)
 			mirrored(src.LiveSource, d.ServerKey())
 			return src
-		}, nil, 0},
+		}, nil, false},
 		{"NewMeshSource", func(t *testing.T) Source {
 			daemons := []*edserverd.Daemon{startDaemon(t, "mesh-0"), startDaemon(t, "mesh-1")}
 			src, err := NewMeshSource(daemons, 0)
@@ -765,7 +765,7 @@ func TestDatasetWriterWidthFollowsSource(t *testing.T) {
 			}
 			mirrored(src.LiveSource, daemons[1].ServerKey())
 			return src
-		}, nil, 0},
+		}, nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -774,8 +774,8 @@ func TestDatasetWriterWidthFollowsSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.dsWorkers != tc.want {
-				t.Fatalf("dataset writer ran with %d workers, want %d", s.dsWorkers, tc.want)
+			if s.dsBackground != tc.want {
+				t.Fatalf("dataset writer compressed in background: %v, want %v", s.dsBackground, tc.want)
 			}
 			rep, err := dataset.Verify(dir)
 			if err != nil {
