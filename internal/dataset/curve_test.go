@@ -8,7 +8,10 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -27,10 +30,11 @@ import (
 // same 9.4 % over level 6 as it costs that workload's dataset on this
 // seed.
 var captureStream struct {
-	once    sync.Once
-	chunks  [][]byte // whole chunk documents: header, record lines, footer
-	records int
-	err     error
+	once           sync.Once
+	chunks         [][]byte // whole chunk documents: header, record lines, footer
+	records        int
+	clients, files uint32 // the anonymisers' counts, for a manifest
+	err            error
 }
 
 // chunkSink assembles record lines into chunk documents.
@@ -82,6 +86,7 @@ func captureChunks(tb testing.TB) (chunks [][]byte, records int) {
 		}
 		sink.seal()
 		cs.chunks, cs.records = sink.chunks, sink.records
+		cs.clients, cs.files = pipe.ClientAnonymizer().Count(), pipe.FileAnonymizer().Count()
 	})
 	if cs.err != nil {
 		tb.Fatal(cs.err)
@@ -179,6 +184,54 @@ func BenchmarkInflate(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+			}
+		}
+		report(b)
+	})
+}
+
+// BenchmarkReadPass times one read of the curve's capture as a dataset of
+// the writer's members: a bare ForEach, and Verify over it, per record.
+// Both goroutines of the read path run, the read-ahead's inflating and
+// the caller's decoding and checking.
+//
+//	go test -run '^$' -bench '^BenchmarkReadPass$' ./internal/dataset/
+func BenchmarkReadPass(b *testing.B) {
+	chunks, records := captureChunks(b)
+	dir := b.TempDir()
+	man := Manifest{Version: "1.0", Records: uint64(records),
+		DistinctClients: captureStream.clients, DistinctFiles: captureStream.files}
+	for i, m := range deflateMembers(b, chunks) {
+		man.Chunks = append(man.Chunks, chunkName(i, true))
+		if err := os.WriteFile(filepath.Join(dir, chunkName(i, true)), m, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	data, err := json.Marshal(&man)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	report := func(b *testing.B) {
+		b.SetBytes(int64(totalLen(chunks)))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+	}
+	b.Run("pass=ForEach", func(b *testing.B) {
+		for b.Loop() {
+			n := 0
+			if err := ForEach(dir, func(*xmlenc.Record) error { n++; return nil }); err != nil || n != records {
+				b.Fatalf("read %d of %d records: %v", n, records, err)
+			}
+		}
+		report(b)
+	})
+	b.Run("pass=Verify", func(b *testing.B) {
+		for b.Loop() {
+			rep, err := Verify(dir)
+			if err != nil || !rep.OK() {
+				b.Fatalf("Verify: %v %v", err, rep)
 			}
 		}
 		report(b)

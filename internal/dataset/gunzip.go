@@ -18,11 +18,14 @@ import (
 //
 // Input comes from a 64 KiB buffer; while eight bytes of it remain, one
 // 64-bit load refills the bit buffer without a branch. Huffman codes
-// decode through a 10-bit (literal/length) or 8-bit (distance) primary
+// decode through a 12-bit (literal/length) or 8-bit (distance) primary
 // table and sub-tables behind it, rebuilt into the same storage for
-// every dynamic block. Output is decoded straight into a window of
-// histSize bytes of history plus room for 224 KiB more, which slides
-// only once the caller has read everything decoded.
+// every dynamic block. A literal/length primary entry whose bits hold
+// a literal's code and all of the next literal's holds both literals
+// (pairLiterals): a chunk's hex digests are mostly literals of short
+// codes, and each pair is one lookup less. Output is decoded straight
+// into a window of histSize bytes of history plus room for 224 KiB more,
+// which slides only once the caller has read everything decoded.
 //
 // The reader accepts and rejects exactly what gzip.Reader with
 // Multistream(false) does, errors included by class — gzip.ErrHeader,
@@ -68,7 +71,7 @@ const (
 	// still ends inside the window.
 	outLimit = winSize - 264
 
-	litBits     = 10 // primary table widths
+	litBits     = 12 // primary table widths: 16 KiB of literal/length entries
 	distBits    = 8
 	maxLitSyms  = 286 // the symbols a dynamic block may code
 	maxDistSyms = 30
@@ -364,6 +367,7 @@ func (z *gunzip) dynamic() error {
 	if !z.dyn.lit.build(lens[:nlit], litSyms[:], litBits) || !z.dyn.dist.build(lens[nlit:], distSyms[:], distBits) {
 		return z.corrupt()
 	}
+	z.dyn.lit.pairLiterals()
 	// compress/flate reads at least the end-of-block code's length before
 	// it decodes a literal/length symbol; so does symbol.
 	z.dyn.lit.min = max(z.dyn.lit.min, uint(lens[256]))
@@ -392,8 +396,11 @@ func (z *gunzip) huffman() error {
 }
 
 // huffmanFast is the hot loop. Every pass refills the bit buffer to at
-// least 56 bits, which covers two literals or one whole match (15 + 5
-// bits of length, 15 + 13 of distance): nothing it reads can run short.
+// least 56 bits, which covers two literal entries — a literal of up to 15
+// bits or a pair within 12, then another pair — or one whole match (15 +
+// 5 bits of length, 15 + 13 of distance): nothing it reads can run
+// short. A literal entry's two bytes are stored whole and the output
+// moves on by one or two, into the slack the window keeps past outLimit.
 func (z *gunzip) huffmanFast() error {
 	in, pos := z.in[:z.end], z.pos
 	bitbuf, nbits := z.bits, z.nbits
@@ -416,14 +423,14 @@ func (z *gunzip) huffmanFast() error {
 			n := uint(e & entLen)
 			bitbuf >>= n
 			nbits -= n
-			win[wpos] = byte(e >> 16)
-			wpos++
+			binary.LittleEndian.PutUint16(win[wpos:], uint16(e>>16))
+			wpos += literals(e)
 			if e = litPrimary[bitbuf&(1<<litBits-1)]; e&kindLiteral != 0 {
 				n := uint(e & entLen)
 				bitbuf >>= n
 				nbits -= n
-				win[wpos] = byte(e >> 16)
-				wpos++
+				binary.LittleEndian.PutUint16(win[wpos:], uint16(e>>16))
+				wpos += literals(e)
 			}
 			continue
 		}
@@ -620,13 +627,17 @@ func (z *gunzip) corrupt() error {
 // compress/flate it wants t.min bits before it decides anything, then
 // the matched code's length: a shortfall of either is a short input,
 // while a code t does not assign, or a symbol the format forbids, is
-// corrupt input.
+// corrupt input. Of a pair of literals it takes the first alone, whose
+// length is all compress/flate would want.
 func (z *gunzip) symbol(t *huffTable) (uint32, error) {
 	z.more()
 	if z.nbits < t.min {
 		return 0, z.short()
 	}
 	e := t.lookup(z.bits) // bits past nbits are zero if the input has ended
+	if first := e >> 8 & 15; e&kindLiteral != 0 && first != 0 {
+		e = kindLiteral | e&0xff0000 | first
+	}
 	n := uint(e & entLen)
 	if n > z.nbits {
 		return 0, z.short()
@@ -650,9 +661,11 @@ func (z *gunzip) extra(e uint32) (int, error) {
 // A table entry is the code's length in bits 0–7 — what decoding it
 // consumes — a kind in bits 12–15 with, for a length or distance, its
 // count of extra bits in bits 8–11, and a value in bits 16–31: the
-// literal, the length or distance base, or a sub-table's offset. An entry
-// of no kind is a code the tree leaves unassigned (length 0) or a symbol
-// the format forbids, both corrupt input.
+// literal, the length or distance base, or a sub-table's offset. A
+// literal entry that holds a pair has the second literal in bits 24–31,
+// the first one's code length in bits 8–11 and the two codes' in bits
+// 0–7. An entry of no kind is a code the tree leaves unassigned (length
+// 0) or a symbol the format forbids, both corrupt input.
 const (
 	entLen      = 0xff
 	kindCopy    = 1 << 12
@@ -670,6 +683,10 @@ type huffTable struct {
 	subMask uint64
 	min     uint // the bits compress/flate loads before it decodes a symbol
 }
+
+// literals is how many literals a literal entry holds: two where it
+// gives the first one's length.
+func literals(e uint32) int { return 1 + int((e>>8&15+15)>>4) }
 
 func newHuffTable(capacity int) huffTable {
 	return huffTable{entries: make([]uint32, 0, capacity)}
@@ -744,6 +761,25 @@ func (t *huffTable) build(lengths []uint8, syms []uint32, primary uint) bool {
 	return true
 }
 
+// pairLiterals makes each primary entry of a literal/length table whose
+// litBits hold a literal's code and all of a second literal's after it
+// hold both literals. The entry at i decodes the code in the low bits of
+// i; the code after a first one of n bits is decoded by the entry at
+// i>>n, which stands for every value of the n bits above when its code
+// has at most litBits-n bits. Going down from the highest index, it reads
+// only entries it has not yet paired: i>>n is below i, or is i at 0.
+func (t *huffTable) pairLiterals() {
+	primary := (*[1 << litBits]uint32)(t.entries)
+	for i := len(primary) - 1; i >= 0; i-- {
+		e := primary[i]
+		n := e & 15 // the code's length: no code is longer than 15 bits
+		next := primary[uint(i)>>n]
+		if e&next&kindLiteral != 0 && n+next&entLen <= litBits {
+			primary[i] = kindLiteral | next>>16<<24 | e&0xff0000 | n<<8 | (n + next&entLen)
+		}
+	}
+}
+
 // The symbols of the three codes, as table entries less their lengths.
 var litSyms, distSyms, clSyms = func() (lit [288]uint32, dist [32]uint32, cl [19]uint32) {
 	for i := range 256 {
@@ -786,6 +822,7 @@ var fixedLit, fixedDist = func() (lit, dist huffTable) {
 	}
 	lit, dist = newHuffTable(1<<litBits), newHuffTable(1<<distBits)
 	lit.build(lens[:], litSyms[:], litBits)
+	lit.pairLiterals()
 	for i := range 32 {
 		lens[i] = 5
 	}

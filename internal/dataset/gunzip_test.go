@@ -406,6 +406,98 @@ func TestGunzipTruncatedAndCorrupted(t *testing.T) {
 	}
 }
 
+// fibonacciText is the bytes 'a', 'b', ... in Fibonacci counts — 1, 1,
+// 2, 3, 5, ... of the last — shuffled: the counts that make the deepest
+// Huffman tree for their total, so that deflated literal-only they carry
+// codes of every length from 1 bit to beyond litBits.
+func fibonacciText(symbols int, seed uint64) []byte {
+	var b []byte
+	for i, prev, count := 0, 0, 1; i < symbols; i, prev, count = i+1, count, prev+count {
+		b = append(b, bytes.Repeat([]byte{byte('a' + symbols - 1 - i)}, count)...)
+	}
+	rng := rand.New(rand.NewPCG(seed, 7))
+	rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+	return b
+}
+
+// digestText is lines of md5-like digests, the literals a chunk's hashes
+// deflate to.
+func digestText(lines int) []byte {
+	var b []byte
+	for i := range lines {
+		b = fmt.Appendf(b, "<k h=\"%032x\"/>\n", uint64(i)*0x9e3779b97f4a7c15)
+	}
+	return b
+}
+
+// pairedMember is a member of literals alone.
+type pairedMember struct {
+	name string
+	data []byte
+	deep bool // its code has lengths from 1 bit to beyond litBits
+}
+
+// pairedMembers are members whose literal/length codes pair literals in
+// the primary table — literal-only dynamic blocks, compress/flate's
+// HuffmanOnly over skewed text and over digests — and, last, a
+// fixed-code block of literals, whose codes are too long to pair.
+func pairedMembers(tb testing.TB) []pairedMember {
+	var w bitWriter
+	var toks []token
+	for _, c := range digestText(8) {
+		toks = append(toks, token{lit: c})
+	}
+	fixedRaw := w.fixedBlock(true, toks, nil)
+	w.align()
+	return []pairedMember{
+		{"fibonacci 14", gzipped(tb, fibonacciText(14, 1), flate.HuffmanOnly, gzip.Header{}), true},
+		{"fibonacci 16", gzipped(tb, fibonacciText(16, 2), flate.HuffmanOnly, gzip.Header{}), true},
+		{"digests", gzipped(tb, digestText(40), flate.HuffmanOnly, gzip.Header{}), false},
+		{"fixed", member(plainHeader, w.out, fixedRaw), false},
+	}
+}
+
+// TestGunzipPairedLiterals: members whose codes pair literals read as
+// compress/gzip reads them, whole and cut at every byte — where the input
+// ends symbol decodes a pair's first literal alone, as compress/flate
+// would. The dynamic members must really hold pairs, and the deep ones
+// codes of one bit and codes longer than the primary table's.
+func TestGunzipPairedLiterals(t *testing.T) {
+	for _, m := range pairedMembers(t) {
+		t.Run(m.name, func(t *testing.T) {
+			sameAsStdlib(t, m.data)
+			for n := range m.data {
+				sameAsStdlib(t, m.data[:n])
+			}
+			var z gunzip
+			if err := z.reset(bytes.NewReader(m.data)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.Copy(io.Discard, &z); err != nil {
+				t.Fatal(err)
+			}
+			if z.lit == &fixedLit {
+				return
+			}
+			pairs, lens := 0, map[uint32]bool{}
+			for _, e := range z.dyn.lit.entries {
+				if e&kindLiteral != 0 {
+					if literals(e) == 2 {
+						pairs++
+						lens[e>>8&15] = true
+					} else {
+						lens[e&entLen] = true
+					}
+				}
+			}
+			if pairs == 0 || m.deep && (!lens[1] || z.dyn.lit.subMask == 0) {
+				t.Fatalf("%d pairs, code lengths %v, sub-tables %v: not the codes the test is for",
+					pairs, lens, z.dyn.lit.subMask != 0)
+			}
+		})
+	}
+}
+
 // TestGunzipOneMember: a chunk is one member (spec.md §5). Whatever
 // follows the trailer, even a second valid member, is an error.
 func TestGunzipOneMember(t *testing.T) {
@@ -441,6 +533,9 @@ func FuzzGunzipMatchesStdlib(f *testing.F) {
 	fixedRaw := w.fixedBlock(true, []token{{lit: 'a'}, {length: 10, dist: 1}, {lit: 'b'}, {length: 30, dist: 11}}, nil)
 	w.align()
 	f.Add(member(plainHeader, w.out, fixedRaw))
+	for _, m := range pairedMembers(f) {
+		f.Add(m.data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0x1f, 0x8b})
 	f.Fuzz(func(t *testing.T, data []byte) {

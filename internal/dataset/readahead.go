@@ -13,11 +13,14 @@ import "io"
 // 494, 128K×2 618, 128K×4 422, 128K×8 461, 512K×4 445, and 4M×2 — whole
 // chunks — 733. Small blocks pay a hand-over per 16 or 32 KiB; two blocks
 // leave the producer waiting at every swap; chunk-sized blocks fall out
-// of the cache. The pass is bound by decode, not inflate: on the same
-// chunks the XML decoder alone takes 340 ms on the consumer's goroutine
-// and gunzip alone 295 ms (≈ 470 MB/s) on the producer's, so more depth
-// or a wider producer buys nothing. (With compress/gzip, which inflated
-// at ≈ 210 MB/s, the pass took 625 ms at 128K×4 and was bound by inflate.)
+// of the cache. Decode and inflate are near balance: on what the same
+// command writes today (454k records in 27 chunks, 110 MB of XML) the
+// XML decoder alone takes ~245 ms on the consumer's goroutine and gunzip
+// alone ~275 ms (≈ 400 MB/s) on the producer's, and a pass ~330 ms
+// (medians of six runs, each the median of seven; single runs moved
+// ±15 %). More depth buys nothing, and a wider producer little. (With
+// compress/gzip, which inflated at ≈ 210 MB/s, the pass took 625 ms at
+// 128K×4 and was bound by inflate.)
 // gunzip.Read copies out of its window into the ring instead of decoding
 // into the ring's blocks: both copies of a pass, that one and the
 // decoder's out of the ring, are 3 % of its CPU, and the first lands on

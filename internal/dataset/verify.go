@@ -24,9 +24,10 @@ const maxViolations = 20
 
 // Verify streams the dataset at dir and checks every released-data
 // invariant: monotone timestamps, known ops, dense anonymised IDs
-// consistent with the manifest counters, hex-only hashes, KB sizes. A
-// merged multi-server dataset (manifest meta "servers") additionally
-// requires every record's srv provenance tag to name a declared server.
+// consistent with the manifest counters, md5 digests for hashes, KB
+// sizes. A merged multi-server dataset (manifest meta "servers")
+// additionally requires every record's srv provenance tag to name a
+// declared server.
 func Verify(dir string) (*VerifyReport, error) {
 	man, err := Open(dir)
 	if err != nil {
@@ -89,14 +90,16 @@ func Verify(dir string) (*VerifyReport, error) {
 			noteClient(s)
 		}
 		for i := range r.Files {
-			noteFile(r.Files[i].ID)
-			if !hexOnly(r.Files[i].NameHash) || !hexOnly(r.Files[i].TypeHash) {
-				add("record %d: non-hex hash", rep.Records)
+			f := &r.Files[i]
+			noteFile(f.ID)
+			// n and ty are omitted when empty (spec §2); h never is.
+			if f.NameHash != "" && !isDigest(f.NameHash) || f.TypeHash != "" && !isDigest(f.TypeHash) {
+				add("record %d: file hash not an md5 digest", rep.Records)
 			}
 		}
 		for _, k := range r.Keywords {
-			if !hexOnly(k) {
-				add("record %d: non-hex keyword hash %q", rep.Records, k)
+			if !isDigest(k) {
+				add("record %d: keyword hash %q not an md5 digest", rep.Records, k)
 			}
 		}
 		return nil
@@ -168,12 +171,40 @@ func (s *idSet) add(id uint32) {
 	}
 }
 
-func hexOnly(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return false
-		}
+// isDigest reports whether s is an md5 digest as spec §4 has it: 32
+// lower-case hexadecimal digits. It checks the digits a word of eight at
+// a time. A word with a byte of 0x80 or more fails; below that, adding
+// 0x80-lo to a byte sets its high bit exactly when the byte is lo or
+// more, and adding 0x7f-hi exactly when it is above hi, and neither add
+// carries into the next byte. A byte is a digit when the first add for
+// '0' sets the bit and the second for '9' does not, or likewise for 'a'
+// and 'f'.
+func isDigest(s string) bool {
+	if len(s) != 32 {
+		return false
 	}
-	return true
+	bad := notHex(le64(s[0:])) | notHex(le64(s[8:])) | notHex(le64(s[16:])) | notHex(le64(s[24:]))
+	return bad&highBits == 0
+}
+
+const (
+	lowBits  = 0x0101010101010101
+	highBits = 0x8080808080808080
+)
+
+// notHex sets the high bit of every byte of w that is not a lower-case
+// hexadecimal digit, when no byte of w is 0x80 or more; otherwise it
+// sets the high bit of at least one byte.
+func notHex(w uint64) uint64 {
+	digit := (w + lowBits*(0x80-'0')) &^ (w + lowBits*(0x7f-'9'))
+	letter := (w + lowBits*(0x80-'a')) &^ (w + lowBits*(0x7f-'f'))
+	return w | ^(digit | letter)
+}
+
+// le64 loads the first eight bytes of s, the first lowest; the compiler
+// makes it one load.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }

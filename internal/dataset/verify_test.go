@@ -13,7 +13,7 @@ import (
 )
 
 // writeValidDataset builds a dataset obeying every spec invariant:
-// dense IDs by order of appearance, monotone t, hex hashes.
+// dense IDs by order of appearance, monotone t, md5 digests for hashes.
 func writeValidDataset(t *testing.T, dir string) {
 	t.Helper()
 	w, err := NewWriter(dir, WriterOptions{})
@@ -27,18 +27,26 @@ func writeValidDataset(t *testing.T, dir string) {
 	}
 }
 
+// The digests in writeValidRecords: md5 of "requiem.mp3", "Audio" and
+// "mozart".
+const (
+	nameDigest    = "21ba6d6319dc503daf20f63940d600c3"
+	typeDigest    = "b22f0418e8ac915eb66f829d262d14a2"
+	keywordDigest = "e842795b282293fd61bc294c49edb12b"
+)
+
 // writeValidRecords writes the five records of writeValidDataset.
 func writeValidRecords(tb testing.TB, w *Writer) {
 	tb.Helper()
 	recs := []*xmlenc.Record{
 		{T: 0.5, Client: 0, Op: "OfferFiles", Dir: xmlenc.DirQuery,
-			Files: []xmlenc.FileInfo{{ID: 0, NameHash: "ab12", SizeKB: 10, TypeHash: "ff00"}}},
+			Files: []xmlenc.FileInfo{{ID: 0, NameHash: nameDigest, SizeKB: 10, TypeHash: typeDigest}}},
 		{T: 0.6, Client: 0, Op: "OfferAck", Dir: xmlenc.DirAnswer, Accepted: 1},
 		{T: 1.0, Client: 1, Op: "GetSources", Dir: xmlenc.DirQuery, FileRefs: []uint32{0, 1}},
 		{T: 1.2, Client: 1, Op: "FoundSources", Dir: xmlenc.DirAnswer,
 			FileRefs: []uint32{0}, Sources: []uint32{0, 2}},
 		{T: 2.0, Client: 2, Op: "SearchReq", Dir: xmlenc.DirQuery,
-			Keywords: []string{"deadbeef"}},
+			Keywords: []string{keywordDigest}},
 	}
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
@@ -100,7 +108,7 @@ func TestVerifyDetectsViolations(t *testing.T) {
 
 	// Non-hex hash (raw string leaked).
 	rep = corrupt(t, func(s string) string {
-		return strings.Replace(s, `h="deadbeef"`, `h="mozart requiem"`, 1)
+		return strings.Replace(s, `h="`+keywordDigest+`"`, `h="mozart requiem"`, 1)
 	})
 	if rep.OK() {
 		t.Fatal("raw string missed")
@@ -157,6 +165,89 @@ func TestVerifyRejectsTimesBeforeTheCapture(t *testing.T) {
 				t.Fatalf("violations %q, want %q", rep.Violations, tc.want)
 			}
 		})
+	}
+}
+
+// TestVerifyRequiresDigests: spec §4 makes n, ty and h md5 digests — 32
+// lower-case hexadecimal digits — so a digest of another length, an
+// upper-case one or an empty h is a violation; an n or ty left out is
+// not, as the encoder omits them when empty.
+func TestVerifyRequiresDigests(t *testing.T) {
+	const fileViolation = "record 1: file hash not an md5 digest"
+	keywordViolation := func(h string) string {
+		return `record 5: keyword hash "` + h + `" not an md5 digest`
+	}
+	for _, tc := range []struct {
+		name     string
+		from, to string
+		want     []string
+	}{
+		{"h of 31", keywordDigest, keywordDigest[:31], []string{keywordViolation(keywordDigest[:31])}},
+		{"h of 33", keywordDigest, keywordDigest + "0", []string{keywordViolation(keywordDigest + "0")}},
+		{"h upper case", keywordDigest, strings.ToUpper(keywordDigest), []string{keywordViolation(strings.ToUpper(keywordDigest))}},
+		{"h empty", `h="` + keywordDigest + `"`, `h=""`, []string{keywordViolation("")}},
+		{"n of 31", nameDigest, nameDigest[:31], []string{fileViolation}},
+		{"n of 33", nameDigest, nameDigest + "f", []string{fileViolation}},
+		{"ty upper case", typeDigest, strings.ToUpper(typeDigest), []string{fileViolation}},
+		{"ty of 31", typeDigest, typeDigest[1:], []string{fileViolation}},
+		{"n left out", ` n="` + nameDigest + `"`, ``, nil},
+		{"ty left out", ` ty="` + typeDigest + `"`, ``, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeValidDataset(t, dir)
+			mangleChunk(t, dir, "chunk-00000.xml", func(b []byte) []byte {
+				if !bytes.Contains(b, []byte(tc.from)) {
+					t.Fatalf("chunk holds no %q", tc.from)
+				}
+				return bytes.Replace(b, []byte(tc.from), []byte(tc.to), 1)
+			})
+			rep, err := Verify(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rep.Violations, tc.want) {
+				t.Fatalf("violations %q, want %q", rep.Violations, tc.want)
+			}
+		})
+	}
+}
+
+// hexDigestScalar is isDigest's reference: a byte at a time.
+func hexDigestScalar(s string) bool {
+	if len(s) != 32 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIsDigestExhaustive: every byte value at every position of a digest,
+// over a digest of every digit and over one of the range ends, and the
+// lengths around 32 — the word-at-a-time check agrees with the scalar one
+// each time.
+func TestIsDigestExhaustive(t *testing.T) {
+	for _, digest := range []string{"0123456789abcdef0123456789abcdef", "09af09af09af09af09af09af09af09af"} {
+		b := []byte(digest)
+		for pos := range b {
+			for c := range 256 {
+				b[pos] = byte(c)
+				if got, want := isDigest(string(b)), hexDigestScalar(string(b)); got != want {
+					t.Fatalf("isDigest(%q) = %v, want %v", b, got, want)
+				}
+			}
+			b[pos] = digest[pos]
+		}
+	}
+	for _, n := range []int{0, 8, 31, 33} {
+		s := strings.Repeat("a", n)
+		if isDigest(s) {
+			t.Errorf("isDigest accepts %d digits", n)
+		}
 	}
 }
 
