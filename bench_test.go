@@ -652,8 +652,14 @@ func BenchmarkDaemonLoad(b *testing.B) {
 }
 
 // BenchmarkSimulatorEventRate measures the discrete-event engine itself:
-// virtual-seconds simulated per wall-second for a small world.
+// a small world's two virtual hours, the frames it captures dropped. With
+// -benchmem it reports the world's allocations per run; allocs/frame is
+// the same count over the frames the capture machine drained.
 func BenchmarkSimulatorEventRate(b *testing.B) {
+	var frames uint64
+	discard := func(simtime.Time, []byte) error { frames++; return nil }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultSimConfig()
 		cfg.Workload.NumClients = 500
@@ -666,9 +672,11 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		discard := func(simtime.Time, []byte) error { return nil }
 		if _, err := w.RunFrames(context.Background(), discard); err != nil {
 			b.Fatal(err)
 		}
 	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(frames), "allocs/frame")
 }

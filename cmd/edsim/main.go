@@ -21,6 +21,13 @@
 // -service is polled every 50 ms, so it takes effect in steps of 20
 // frames/s; a rate below one frame a poll (< 20) is an error, as is a
 // -bufkb below 1.
+//
+// -metrics addr serves the session's metrics and the net/http/pprof
+// handlers while the run lasts, so a long simulation can be watched and
+// profiled:
+//
+//	edsim -spec examples/specs/tenweeks.json -metrics localhost:6060 &
+//	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
 package main
 
 import (
@@ -32,6 +39,7 @@ import (
 
 	"edtrace"
 	"edtrace/internal/core"
+	"edtrace/internal/obs"
 	"edtrace/internal/simtime"
 	"edtrace/internal/workload"
 )
@@ -50,6 +58,7 @@ func main() {
 		service  = flag.Int("service", 6000, "capture service rate (frames/sec)")
 		tee      = flag.String("tee", "", "mirror processed frames into a pcap file")
 		progress = flag.Bool("progress", false, "print periodic progress")
+		metrics  = flag.String("metrics", "", "serve /metrics, /metrics.json, /healthz and /debug/pprof on this address while the run lasts")
 	)
 	flag.Parse()
 
@@ -88,6 +97,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "\r%12d frames  %12d records  t=%v   ",
 				p.Frames, p.Records, p.T)
 		}), edtrace.WithProgressEvery(1<<16))
+	}
+
+	if *metrics != "" {
+		reg := obs.NewRegistry()
+		srv, err := obs.Serve(*metrics, reg, nil)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "edsim: metrics:", err)
+			os.Exit(1)
+		}
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "edsim: metrics on http://%s/metrics\n", srv.Addr())
+		opts = append(opts, edtrace.WithMetrics(reg))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -30,6 +30,8 @@ import (
 )
 
 // SendFunc delivers one client datagram to the server's network path.
+// The payload is valid only for the call: the swarm encodes every
+// message into one reused buffer.
 type SendFunc func(srcIP uint32, srcPort uint16, payload []byte)
 
 // TrafficConfig is what a caller sets of the traffic process: its span,
@@ -114,6 +116,12 @@ type Swarm struct {
 	rounds  int
 	budgets []budget
 	stats   Stats
+
+	// pending is the engine's event on the clock; fire, bound once,
+	// plays it.
+	pending workload.Event
+	fire    func()
+	enc     []byte // the message being sent
 }
 
 // budget is what one client has left to ask and search, drawn once at
@@ -138,6 +146,7 @@ func NewSwarm(eng *workload.Engine, tc TrafficConfig, sch *simtime.Scheduler, se
 		budgets: make([]budget, len(pop.Clients)),
 	}
 	s.zipf = randx.NewZipf(s.rng.Split(99), 1.4, 2, uint64(len(s.cat.Vocab())-1))
+	s.fire = s.play
 	return s, nil
 }
 
@@ -153,15 +162,20 @@ func (s *Swarm) Start() {
 	if !ok {
 		return
 	}
-	s.sch.At(ev.At, func() {
-		switch ev.Kind {
-		case workload.EvRelease:
-			s.stats.Releases++
-		case workload.EvSessionStart:
-			s.startSession(ev)
-		}
-		s.Start()
-	})
+	s.pending = ev
+	s.sch.At(ev.At, s.fire)
+}
+
+// play fires the pending engine event and puts the next one on the
+// clock.
+func (s *Swarm) play() {
+	switch ev := s.pending; ev.Kind {
+	case workload.EvRelease:
+		s.stats.Releases++
+	case workload.EvSessionStart:
+		s.startSession(ev)
+	}
+	s.Start()
 }
 
 // startSession opens one session. Its client sends three chains of
@@ -173,6 +187,7 @@ func (s *Swarm) Start() {
 func (s *Swarm) startSession(ev workload.Event) {
 	s.stats.Sessions++
 	ss := &session{s: s, c: s.pop.Clients[ev.Client], r: s.rng.Split(ev.Session), end: ev.At + ev.Dur}
+	ss.announceFn, ss.pingFn, ss.sendFn = ss.announce, ss.ping, ss.send
 	ss.c.LowID = ev.LowID // the engine draws the session's reachability
 	b := &s.budgets[ev.Client]
 	if b.sessions == 0 {
@@ -213,6 +228,10 @@ type session struct {
 	queries  []ed2k.Message // management queries
 	asks     []int32
 	searches int
+
+	// The chains' next steps, bound once so that putting one on the
+	// clock allocates nothing.
+	announceFn, pingFn, sendFn func()
 }
 
 // announce sends the next batch of the shared folder, the next one a
@@ -240,7 +259,7 @@ func (ss *session) announce() {
 	s.emit(c, r, offerMessage(s.cat, c, c.Shares[ss.offered:ss.offered+batch]))
 	ss.offered += batch
 	if ss.offered < len(c.Shares) || ss.crowd != nil {
-		s.sch.After(simtime.Time(200+r.IntN(800))*simtime.Millisecond, ss.announce)
+		s.sch.After(simtime.Time(200+r.IntN(800))*simtime.Millisecond, ss.announceFn)
 	}
 }
 
@@ -251,7 +270,7 @@ func (ss *session) ping() {
 	ss.s.stats.Pings++
 	ss.s.emit(&ss.c, ss.r, &ed2k.StatReq{Challenge: ss.r.Uint32()})
 	if t := ss.s.sch.Now() + statPingEvery; t < ss.end {
-		ss.s.sch.At(t, ss.ping)
+		ss.s.sch.At(t, ss.pingFn)
 	}
 }
 
@@ -269,7 +288,7 @@ func (ss *session) next() {
 	}
 	now := ss.s.sch.Now()
 	gap := float64(ss.end-now) * (1 - math.Pow(ss.r.Float64(), 1/float64(k)))
-	ss.s.sch.At(now+simtime.Time(gap), ss.send)
+	ss.s.sch.At(now+simtime.Time(gap), ss.sendFn)
 }
 
 // send sends one of the session's remaining randomly placed messages,
@@ -304,7 +323,8 @@ func randomFileID(r *randx.Rand) ed2k.FileID {
 // emit encodes and sends one message, possibly corrupting it per the
 // calibrated client-bug rates.
 func (s *Swarm) emit(c *workload.Client, r *randx.Rand, msg ed2k.Message) {
-	raw := ed2k.Encode(msg)
+	s.enc = ed2k.AppendEncode(s.enc[:0], msg)
+	raw := s.enc
 	if r.Bool(badMessageRate) {
 		if r.Bool(badStructuralShare) {
 			raw = corruptStructural(r, raw)

@@ -1,6 +1,7 @@
 package clients
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -56,7 +57,7 @@ func testWorld(t *testing.T, nClients int, spec *workload.Spec) (*Swarm, *simtim
 // run plays the whole spec and drains what its sessions left pending.
 func run(swarm *Swarm, sch *simtime.Scheduler) {
 	swarm.Start()
-	sch.RunUntil(swarm.eng.Total() + simtime.Hour)
+	sch.RunUntil(context.Background(), swarm.eng.Total()+simtime.Hour)
 }
 
 func TestSwarmGeneratesDecodableTraffic(t *testing.T) {

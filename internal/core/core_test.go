@@ -289,6 +289,48 @@ func runWorld(t testing.TB, cfg SimConfig, sink RecordSink) *Report {
 	return rep
 }
 
+// TestCaptureTapPollsOnGrid: the taps feed the kernel buffer, a frame
+// entering it empty arms a poll at the first grid instant strictly
+// after the frame, the machine polls every pollInterval while frames
+// remain, at most ServicePerPoll a poll, and an emptied buffer leaves
+// nothing on the clock.
+func TestCaptureTapPollsOnGrid(t *testing.T) {
+	w := &SimWorld{
+		cfg:   SimConfig{ServicePerPoll: 2},
+		sched: simtime.NewScheduler(),
+		buf:   pcap.NewKernelBuffer(1<<20, nil),
+	}
+	w.poll = w.drain
+	type drained struct{ at, stamp simtime.Time }
+	var got []drained
+	w.deliver = func(stamp simtime.Time, _ []byte) error {
+		got = append(got, drained{w.sched.Now(), stamp})
+		return nil
+	}
+	ms := simtime.Millisecond
+	produced := []simtime.Time{10 * ms, 100 * ms, 200 * ms, 200 * ms, 201 * ms, 202 * ms, 210 * ms, 2 * simtime.Second}
+	for _, at := range produced {
+		w.sched.At(at, func() { captureTap{w}.Frame(at, []byte{1}) })
+	}
+	w.sched.RunUntil(context.Background(), simtime.Hour)
+	want := []drained{
+		{50 * ms, 10 * ms},
+		{150 * ms, 100 * ms}, // on a grid instant: the next one
+		{250 * ms, 200 * ms}, {250 * ms, 200 * ms},
+		{300 * ms, 201 * ms}, {300 * ms, 202 * ms},
+		{350 * ms, 210 * ms},
+		{2050 * ms, 2 * simtime.Second},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("drained (poll, frame) = %v\nwant %v", got, want)
+	}
+	// Eight frames, six polls, nothing left armed.
+	if w.sched.Fired() != 14 || w.sched.Pending() != 0 || w.buf.Len() != 0 {
+		t.Fatalf("fired %d, pending %d, buffered %d; want 14, 0, 0",
+			w.sched.Fired(), w.sched.Pending(), w.buf.Len())
+	}
+}
+
 func TestSimWorldEndToEnd(t *testing.T) {
 	sink := &memSink{}
 	rep := runWorld(t, tinySimConfig(), sink)

@@ -58,7 +58,9 @@ const (
 	linkBitsPerSec = 100e6
 	// pollInterval is how often the capture machine drains the kernel
 	// buffer (ServicePerPoll frames at most), so the service rate is
-	// ServicePerPoll × 20 frames/s.
+	// ServicePerPoll × 20 frames/s. It polls on the grid of multiples of
+	// pollInterval, but only while the buffer holds frames (see
+	// captureTap).
 	pollInterval = 50 * simtime.Millisecond
 )
 
@@ -160,12 +162,50 @@ type SimWorld struct {
 	uplink *netsim.Link
 	dnlink *netsim.Link
 
-	// deliver receives the frames drained from the kernel buffer; ctx
-	// stops the run. RunFrames sets both.
+	// deliver receives the frames drained from the kernel buffer;
+	// RunFrames sets it. poll is the pre-bound drain.
 	deliver FrameFunc
-	ctx     context.Context
+	poll    func()
 	runErr  error
 	ran     bool
+}
+
+// captureTap mirrors both links into the kernel buffer. A frame that
+// enters the buffer empty arms the capture machine's next poll, at the
+// first grid instant strictly after the frame; drain keeps polling
+// every pollInterval while frames remain. The polls thus fall on the
+// instants the machine polled when it ran every pollInterval from the
+// start, minus those that found the buffer empty: a frame produced on
+// a grid instant waits for the next one, as it did whenever that
+// instant's poll had been scheduled before the frame's arrival
+// (docs/architecture.md, "The event core", gives the exceptions).
+type captureTap struct{ w *SimWorld }
+
+// Frame implements netsim.Tap.
+func (c captureTap) Frame(now simtime.Time, frame []byte) {
+	w := c.w
+	empty := w.buf.Len() == 0
+	if w.buf.Produce(now, frame) && empty {
+		w.sched.At((now/pollInterval+1)*pollInterval, w.poll)
+	}
+}
+
+// drain is one poll of the capture machine: it pushes up to
+// ServicePerPoll frames to the deliver hook and polls again a
+// pollInterval later if the buffer still holds frames.
+func (w *SimWorld) drain() {
+	if w.runErr != nil {
+		return
+	}
+	for _, rec := range w.buf.Consume(w.cfg.ServicePerPoll) {
+		if err := w.deliver(rec.Time(), rec.Data); err != nil {
+			w.fail(err)
+			return
+		}
+	}
+	if w.buf.Len() > 0 {
+		w.sched.At(w.sched.Now()+pollInterval, w.poll)
+	}
 }
 
 // NewSimWorld builds the testbed: catalog, population, server, links with
@@ -196,21 +236,24 @@ func NewSimWorld(cfg SimConfig, drops *pcap.Ledger) (*SimWorld, error) {
 	w := &SimWorld{cfg: cfg, sched: simtime.NewScheduler()}
 	w.srv = server.New("edtrace-sim", "simulated eDonkey server (ten weeks reproduction)")
 	w.buf = pcap.NewKernelBuffer(cfg.KernelBufferBytes, drops)
+	w.poll = w.drain
 
 	w.uplink = netsim.NewLink(w.sched, linkBitsPerSec, 5*simtime.Millisecond)
 	w.dnlink = netsim.NewLink(w.sched, linkBitsPerSec, 5*simtime.Millisecond)
-	tap := pcap.Tap{Buf: w.buf}
-	w.uplink.AttachTap(tap)
-	w.dnlink.AttachTap(tap)
+	w.uplink.AttachTap(captureTap{w})
+	w.dnlink.AttachTap(captureTap{w})
 
 	mangle := randx.New(cfg.Workload.Seed, 0xDEAD10CC)
 	var upID, downID uint16
 
 	// Server side: deliver uplink frames, decode, answer on the downlink.
 	// The loop encodes each answer at once, so the index builds them all
-	// in one reused buffer.
+	// in one reused buffer, and each answer's bytes in another: SendUDP
+	// copies them into the frame. The request is decoded into a pooled
+	// message, released once its answers are sent.
 	srvReasm := netsim.NewReassembler()
 	var answers server.Answers
+	var enc []byte
 	w.uplink.Deliver = func(now simtime.Time, frame []byte) {
 		ip, err := netsim.DecodeEthernet(frame)
 		if err != nil {
@@ -228,15 +271,16 @@ func NewSimWorld(cfg SimConfig, drops *pcap.Ledger) (*SimWorld, error) {
 		if err != nil {
 			return
 		}
-		msg, err := ed2k.Decode(body)
+		msg, err := ed2k.DecodePooled(body)
 		if err != nil {
 			return // the real server also drops garbage silently
 		}
 		for _, ans := range w.srv.HandleInto(&answers, now, ed2k.ClientID(hdr.Src), udp.SrcPort, msg) {
 			downID++
-			w.dnlink.SendUDP(cfg.ServerIP, hdr.Src, serverPort, udp.SrcPort,
-				downID, ed2k.Encode(ans), mtu)
+			enc = ed2k.AppendEncode(enc[:0], ans)
+			w.dnlink.SendUDP(cfg.ServerIP, hdr.Src, serverPort, udp.SrcPort, downID, enc, mtu)
 		}
+		ed2k.Release(msg)
 	}
 
 	// Client side: the swarm feeds the uplink; rare wire mangling breaks
@@ -260,25 +304,8 @@ func NewSimWorld(cfg SimConfig, drops *pcap.Ledger) (*SimWorld, error) {
 		return nil, err
 	}
 
-	// Capture machine: drain the kernel buffer at the service rate and
-	// push frames to the deliver hook. The server expires its stale
-	// reassemblies once a virtual minute, and sweeps its index on the
-	// daemon's schedule.
-	w.sched.Every(pollInterval, func(now simtime.Time) {
-		if w.runErr != nil {
-			return
-		}
-		if err := w.ctx.Err(); err != nil {
-			w.fail(err)
-			return
-		}
-		for _, rec := range w.buf.Consume(cfg.ServicePerPoll) {
-			if err := w.deliver(rec.Time(), rec.Data); err != nil {
-				w.fail(err)
-				return
-			}
-		}
-	})
+	// The server expires its stale reassemblies once a virtual minute,
+	// and sweeps its index on the daemon's schedule.
 	w.sched.Every(simtime.Minute, srvReasm.Expire)
 	w.sched.Every(server.SweepEvery, w.srv.ExpireSources)
 
@@ -295,20 +322,23 @@ func (w *SimWorld) fail(err error) {
 // RunFrames starts the swarm and executes the capture, delivering
 // every frame the capture machine drains to fn. Extra drain time after
 // the traffic horizon lets the capture machine empty its backlog. The
-// run stops early when ctx is cancelled or fn returns an error; either
-// way the report carries the world-layer counters accumulated so far.
+// run stops early when ctx is cancelled (the scheduler's loop looks at
+// it, since an idle stretch has no event) or fn returns an error;
+// either way the report carries the world-layer counters accumulated
+// so far.
 func (w *SimWorld) RunFrames(ctx context.Context, fn FrameFunc) (*Report, error) {
 	if w.ran {
 		return nil, errors.New("core: SimWorld already ran")
 	}
 	w.ran = true
 	w.deliver = fn
-	w.ctx = ctx
 
 	start := time.Now()
 	w.swarm.Start()
 	horizon := w.cfg.Traffic.Duration + 30*simtime.Second
-	w.sched.RunUntil(horizon)
+	if err := w.sched.RunUntil(ctx, horizon); err != nil && w.runErr == nil {
+		w.runErr = err
+	}
 
 	// On an early stop the report covers only the virtual span actually
 	// simulated, so rates computed over VirtualDuration stay meaningful.

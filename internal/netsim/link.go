@@ -40,6 +40,11 @@ func macFor(dst []byte, ip uint32) {
 // every layer into one buffer — the allocation-free encode path for
 // pooled frame buffers on the live-capture mirror.
 func AppendUDPFrame(buf []byte, src, dst uint32, srcPort, dstPort uint16, payload []byte) []byte {
+	return appendUDPFrame(buf, 0, src, dst, srcPort, dstPort, payload)
+}
+
+// appendUDPFrame is AppendUDPFrame with IP identification id.
+func appendUDPFrame(buf []byte, id uint16, src, dst uint32, srcPort, dstPort uint16, payload []byte) []byte {
 	udpLen := UDPHeaderLen + len(payload)
 	off := len(buf)
 	buf = append(buf, make([]byte, EthernetHeaderLen+IPv4HeaderLen+udpLen)...)
@@ -53,6 +58,7 @@ func AppendUDPFrame(buf []byte, src, dst uint32, srcPort, dstPort uint16, payloa
 	ip := eth[EthernetHeaderLen:]
 	ip[0] = 0x45 // version 4, IHL 5
 	binary.BigEndian.PutUint16(ip[2:], uint16(IPv4HeaderLen+udpLen))
+	binary.BigEndian.PutUint16(ip[4:], id)
 	ip[8] = 64 // TTL
 	ip[9] = ProtoUDP
 	binary.BigEndian.PutUint32(ip[12:], src)
@@ -88,17 +94,31 @@ type Tap interface {
 // Link models the server's access link: frames arrive after a serialization
 // delay determined by bandwidth plus fixed propagation latency, in FIFO
 // order. A tap, when attached, sees every frame at its arrival instant.
+//
+// A frame's arrival is the end of its serialization, which starts when
+// the frame before it has left (busyTill only grows), plus the latency.
+// With the bandwidth and the latency fixed, no frame arrives before one
+// sent earlier, so the frames in flight are a FIFO: each Send schedules
+// the one pre-bound deliverNext at its frame's arrival, and deliverNext
+// takes the oldest frame. The event keeps the (instant, sequence) it
+// had when each frame carried its own callback, so ties with other
+// events break as they always did.
 type Link struct {
 	sched *simtime.Scheduler
-	// BitsPerSec is the link bandwidth; zero means infinite.
-	BitsPerSec float64
-	// Latency is one-way propagation delay.
-	Latency simtime.Time
+	// bitsPerSec (zero: infinite) and latency are set by NewLink only:
+	// changing either while frames are in flight could reorder arrivals,
+	// and deliverNext relies on their order.
+	bitsPerSec float64
+	latency    simtime.Time
 	// Deliver is invoked for every frame reaching the far end.
 	Deliver func(now simtime.Time, frame []byte)
 
 	tap      Tap
 	busyTill simtime.Time
+
+	inFlight    [][]byte // inFlight[head:] are the frames sent, not arrived
+	head        int
+	deliverNext func()
 
 	// Carried counts frames transported; Bytes counts frame bytes.
 	Carried uint64
@@ -107,7 +127,9 @@ type Link struct {
 
 // NewLink returns a link scheduling deliveries on sched.
 func NewLink(sched *simtime.Scheduler, bitsPerSec float64, latency simtime.Time) *Link {
-	return &Link{sched: sched, BitsPerSec: bitsPerSec, Latency: latency}
+	l := &Link{sched: sched, bitsPerSec: bitsPerSec, latency: latency}
+	l.deliverNext = l.deliver
+	return l
 }
 
 // AttachTap mirrors all subsequent frames to t.
@@ -116,35 +138,51 @@ func (l *Link) AttachTap(t Tap) { l.tap = t }
 // Send queues one frame for transmission. The frame slice must not be
 // mutated afterwards; the link does not copy it.
 func (l *Link) Send(frame []byte) {
-	now := l.sched.Now()
-	start := now
-	if l.busyTill > start {
-		start = l.busyTill // FIFO serialization
-	}
+	start := max(l.sched.Now(), l.busyTill) // FIFO serialization
 	var txTime simtime.Time
-	if l.BitsPerSec > 0 {
+	if l.bitsPerSec > 0 {
 		bits := float64(len(frame) * 8)
-		txTime = simtime.Time(bits / l.BitsPerSec * float64(simtime.Second))
+		txTime = simtime.Time(bits / l.bitsPerSec * float64(simtime.Second))
 	}
-	done := start + txTime
-	l.busyTill = done
-	arrive := done + l.Latency
+	l.busyTill = start + txTime
 	l.Carried++
 	l.Bytes += uint64(len(frame))
-	l.sched.At(arrive, func() {
-		if l.tap != nil {
-			l.tap.Frame(arrive, frame)
-		}
-		if l.Deliver != nil {
-			l.Deliver(arrive, frame)
-		}
-	})
+	l.inFlight = append(l.inFlight, frame)
+	l.sched.At(l.busyTill+l.latency, l.deliverNext)
+}
+
+// deliver hands the oldest frame in flight to the tap and the far end.
+// Its slot is cleared; the rest of the FIFO moves to the front once the
+// delivered part is half of it.
+func (l *Link) deliver() {
+	frame := l.inFlight[l.head]
+	l.inFlight[l.head] = nil
+	l.head++
+	if 2*l.head >= len(l.inFlight) {
+		n := copy(l.inFlight, l.inFlight[l.head:])
+		clear(l.inFlight[l.head:])
+		l.inFlight, l.head = l.inFlight[:n], 0
+	}
+	now := l.sched.Now()
+	if l.tap != nil {
+		l.tap.Frame(now, frame)
+	}
+	if l.Deliver != nil {
+		l.Deliver(now, frame)
+	}
 }
 
 // SendUDP is a convenience building the full ethernet/IP/UDP stack around
 // an application payload and fragmenting at mtu. ipID disambiguates
-// fragments of different datagrams from the same host.
+// fragments of different datagrams from the same host. A datagram that
+// fits the MTU is built in one allocation, the frame itself.
 func (l *Link) SendUDP(src, dst uint32, srcPort, dstPort uint16, ipID uint16, payload []byte, mtu int) {
+	size := IPv4HeaderLen + UDPHeaderLen + len(payload)
+	if size <= mtu {
+		frame := make([]byte, 0, EthernetHeaderLen+size)
+		l.Send(appendUDPFrame(frame, ipID, src, dst, srcPort, dstPort, payload))
+		return
+	}
 	dg := EncodeUDP(src, dst, srcPort, dstPort, payload)
 	h := IPv4Header{ID: ipID, Protocol: ProtoUDP, Src: src, Dst: dst}
 	for _, pkt := range FragmentIPv4(h, dg, mtu) {

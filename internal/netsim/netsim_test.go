@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -271,7 +272,7 @@ func TestLinkSerializationAndTap(t *testing.T) {
 	frame := make([]byte, 1000)
 	link.Send(frame)
 	link.Send(frame) // queued behind the first
-	sched.RunUntil(simtime.Minute)
+	sched.RunUntil(context.Background(), simtime.Minute)
 
 	if len(delivered) != 2 || len(tap.times) != 2 {
 		t.Fatalf("delivered %d, tapped %d", len(delivered), len(tap.times))
@@ -284,6 +285,112 @@ func TestLinkSerializationAndTap(t *testing.T) {
 	if link.Carried != 2 || link.Bytes != 2000 {
 		t.Fatalf("stats: %d frames %d bytes", link.Carried, link.Bytes)
 	}
+
+	// Frames of mixed sizes, sent in bursts that queue behind each other
+	// and after gaps that leave the link idle, arrive in send order, each
+	// at the end of its own serialization plus the latency.
+	sched = simtime.NewScheduler()
+	link = NewLink(sched, 8000, 10*simtime.Millisecond)
+	type arrival struct {
+		at    simtime.Time
+		frame []byte
+	}
+	var got []arrival
+	link.Deliver = func(now simtime.Time, f []byte) { got = append(got, arrival{now, f}) }
+	var want []arrival
+	var busyTill simtime.Time
+	sizes := []int{1, 1500, 60, 999, 8, 400, 1514, 42}
+	for i, size := range sizes {
+		at := simtime.Time(i/3) * 3 * simtime.Second // three a burst
+		f := bytes.Repeat([]byte{byte(i)}, size)
+		sched.At(at, func() { link.Send(f) })
+		busyTill = max(at, busyTill) + simtime.Time(size)*simtime.Millisecond
+		want = append(want, arrival{busyTill + 10*simtime.Millisecond, f})
+	}
+	sched.RunUntil(context.Background(), simtime.Minute)
+	if len(got) != len(want) {
+		t.Fatalf("%d frames arrived, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].at != want[i].at || &got[i].frame[0] != &want[i].frame[0] {
+			t.Fatalf("arrival %d: frame %d at %v, want frame %d at %v",
+				i, got[i].frame[0], got[i].at, want[i].frame[0], want[i].at)
+		}
+	}
+}
+
+// TestSendUDPMatchesLayeredEncoding: for every payload length up to
+// past the MTU, SendUDP puts on the wire exactly the frames of the
+// layered path, EncodeEthernet over FragmentIPv4 over EncodeUDP.
+func TestSendUDPMatchesLayeredEncoding(t *testing.T) {
+	const mtu = 1500
+	const src, dst, sport, dport, id = 0x0A000001, 0xC0A80001, 4672, 4665, 0xBEEF
+	sched := simtime.NewScheduler()
+	link := NewLink(sched, 0, 0)
+	tap := &collectTap{}
+	link.AttachTap(tap)
+	payload := make([]byte, mtu+64)
+	for i := range payload {
+		payload[i] = byte(i*7 + 3)
+	}
+	for n := 0; n <= len(payload); n++ {
+		tap.frames = tap.frames[:0]
+		link.SendUDP(src, dst, sport, dport, id, payload[:n], mtu)
+		sched.RunUntil(context.Background(), sched.Now())
+		h := IPv4Header{ID: id, Protocol: ProtoUDP, Src: src, Dst: dst}
+		want := FragmentIPv4(h, EncodeUDP(src, dst, sport, dport, payload[:n]), mtu)
+		if len(tap.frames) != len(want) {
+			t.Fatalf("payload %d: %d frames, want %d", n, len(tap.frames), len(want))
+		}
+		for i, pkt := range want {
+			if !bytes.Equal(tap.frames[i], EncodeEthernet(src, dst, pkt)) {
+				t.Fatalf("payload %d: frame %d differs from the layered encoding", n, i)
+			}
+		}
+	}
+}
+
+// FuzzReassembler fragments a datagram at a fuzzed MTU and pushes the
+// fragments in a fuzzed order, with duplicates: each byte of order
+// picks the next fragment to push. Push must never panic, and must
+// yield the original datagram exactly when the distinct fragments
+// pushed since its last yield cover all of it, and nothing otherwise.
+func FuzzReassembler(f *testing.F) {
+	f.Add([]byte("a datagram that fits"), uint16(1500), []byte{0, 0})
+	f.Add(bytes.Repeat([]byte("jumbo offer "), 300), uint16(1500), []byte{2, 1, 1, 0, 2})
+	f.Add(bytes.Repeat([]byte{0xE3, 0x15}, 100), uint16(28), []byte{24, 3, 3, 7, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, dg []byte, mtu uint16, order []byte) {
+		if len(dg) > 1<<14 || len(order) > 1<<10 {
+			return
+		}
+		h := IPv4Header{ID: 77, Protocol: ProtoUDP, Src: 1, Dst: 2}
+		pkts := FragmentIPv4(h, dg, max(int(mtu), IPv4HeaderLen+8))
+		r := NewReassembler()
+		seen := make([]bool, len(pkts))
+		left := len(pkts)
+		for _, b := range order {
+			i := int(b) % len(pkts)
+			fh, body, err := DecodeIPv4(pkts[i])
+			if err != nil {
+				t.Fatalf("fragment %d does not decode: %v", i, err)
+			}
+			out, ok := r.Push(0, fh, body)
+			if !seen[i] {
+				seen[i] = true
+				left--
+			}
+			if complete := left == 0; ok != complete {
+				t.Fatalf("push of fragment %d of %d: yield %v, want %v", i, len(pkts), ok, complete)
+			}
+			if ok {
+				if !bytes.Equal(out, dg) {
+					t.Fatalf("yielded %d bytes that are not the %d-byte datagram", len(out), len(dg))
+				}
+				clear(seen)
+				left = len(pkts)
+			}
+		}
+	})
 }
 
 func TestLinkSendUDPEndToEnd(t *testing.T) {
@@ -315,7 +422,7 @@ func TestLinkSendUDPEndToEnd(t *testing.T) {
 		payload[i] = byte(i * 3)
 	}
 	link.SendUDP(0x01010101, 0x02020202, 4662, 4661, 99, payload, 1500)
-	sched.RunUntil(simtime.Minute)
+	sched.RunUntil(context.Background(), simtime.Minute)
 	if !bytes.Equal(got, payload) {
 		t.Fatal("UDP payload did not survive the full stack")
 	}

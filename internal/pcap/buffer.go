@@ -20,7 +20,9 @@ import (
 type KernelBuffer struct {
 	capBytes int
 	used     int
-	queue    []Record
+	queue    []Record // queue[head:] waits, oldest first
+	head     int
+	out      []Record // what Consume returns, reused
 	drops    *Ledger
 }
 
@@ -48,37 +50,37 @@ func (k *KernelBuffer) Produce(now simtime.Time, frame []byte) bool {
 	return true
 }
 
-// Consume removes and returns up to max frames. It returns nil when the
-// buffer is empty.
+// Len reports how many frames wait in the buffer.
+func (k *KernelBuffer) Len() int { return len(k.queue) - k.head }
+
+// Consume removes up to max frames (every frame when max <= 0) and
+// returns them oldest first, in a slice the buffer reuses: it is valid
+// until the next Consume. It returns nil when the buffer is empty.
+//
+// The queue keeps its array across polls: taken slots are cleared, the
+// rest moves to the front once the taken part is half of it, and an
+// emptied queue starts again at its first slot.
 func (k *KernelBuffer) Consume(max int) []Record {
-	if len(k.queue) == 0 {
+	n := k.Len()
+	if n == 0 {
 		return nil
 	}
-	n := len(k.queue)
 	if max > 0 && n > max {
 		n = max
 	}
-	out := make([]Record, n)
-	copy(out, k.queue[:n])
-	for _, r := range out {
+	taken := k.queue[k.head : k.head+n]
+	k.out = append(k.out[:0], taken...)
+	for _, r := range taken {
 		k.used -= len(r.Data)
 	}
-	k.queue = k.queue[n:]
-	if len(k.queue) == 0 {
-		k.queue = nil // let the backing array go
+	clear(taken)
+	k.head += n
+	if 2*k.head >= len(k.queue) {
+		m := copy(k.queue, k.queue[k.head:])
+		clear(k.queue[k.head:]) // the moved records' old slots; m <= head
+		k.queue, k.head = k.queue[:m], 0
 	}
-	return out
-}
-
-// Tap adapts a KernelBuffer to the netsim.Tap interface: every mirrored
-// frame is offered to the buffer.
-type Tap struct {
-	Buf *KernelBuffer
-}
-
-// Frame implements netsim.Tap.
-func (t Tap) Frame(now simtime.Time, frame []byte) {
-	t.Buf.Produce(now, frame)
+	return k.out
 }
 
 // SecondStats aggregates one second of capture activity.

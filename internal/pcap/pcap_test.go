@@ -360,12 +360,41 @@ func TestNewKernelBufferPanicsOnZero(t *testing.T) {
 	NewKernelBuffer(0, nil)
 }
 
-func TestTapAdapterFeedsBuffer(t *testing.T) {
-	k := NewKernelBuffer(1<<10, nil)
-	tap := Tap{Buf: k}
-	tap.Frame(simtime.Second, []byte("mirrored"))
-	if len(k.Consume(0)) != 1 {
-		t.Fatal("tap did not feed the buffer")
+// TestKernelBufferConsumeReusesStorage: polls that drain part of the
+// buffer and polls that empty it allocate nothing once the queue and
+// the result slice have grown, and the frames still leave in order.
+func TestKernelBufferConsumeReusesStorage(t *testing.T) {
+	k := NewKernelBuffer(1<<20, nil)
+	frames := make([][]byte, 64)
+	for i := range frames {
+		frames[i] = []byte{byte(i)}
+	}
+	next, want := 0, 0
+	cycle := func() {
+		for range 5 {
+			k.Produce(0, frames[next%len(frames)])
+			next++
+		}
+		for _, r := range k.Consume(3) {
+			if r.Data[0] != byte(want%len(frames)) {
+				t.Fatalf("frame %d out of order", want)
+			}
+			want++
+		}
+		if k.Len() > 20 {
+			for _, r := range k.Consume(0) {
+				if r.Data[0] != byte(want%len(frames)) {
+					t.Fatalf("frame %d out of order", want)
+				}
+				want++
+			}
+		}
+	}
+	for range 100 {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("%v allocations a produce/consume cycle, want 0", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"edtrace/internal/clients"
 	"edtrace/internal/ed2k"
@@ -326,4 +327,60 @@ func shardCountForCPU() int {
 		n = 16
 	}
 	return n
+}
+
+// BenchmarkExpireSources measures one sweep of a 16-shard index (the
+// daemon's count up to 4 CPUs) holding files=n files of one source each,
+// none of them due to expire: the sweep walks everything and changes
+// nothing, so every iteration does the same work. Beside ns/op it
+// reports ms/sweep and shard-ms, the longest a reader waited on one
+// shard while the sweep ran. A prober goroutine takes each shard's read
+// lock in turn, as a search does, and times the wait; it cycles through
+// the shards in about a microsecond, so it meets the sweep near the
+// start of each shard's walk and shard-ms is the longest walk of a
+// single shard, to within that cycle. It needs a second CPU to run
+// beside the sweep.
+//
+//	go test -run '^$' -bench '^BenchmarkExpireSources$' -benchtime 3x ./internal/server/
+func BenchmarkExpireSources(b *testing.B) {
+	for _, n := range []int{100_000, 1_000_000} {
+		var s *Server
+		b.Run(fmt.Sprintf("files=%d", n), func(b *testing.B) {
+			if s == nil {
+				s, _ = benchServer(16, n)
+			}
+			runtime.GC() // the build's garbage, not the sweep's
+			stop := make(chan struct{})
+			waited := make(chan time.Duration)
+			go func() {
+				var longest time.Duration
+				for {
+					for _, sh := range s.shards {
+						select {
+						case <-stop:
+							waited <- longest
+							return
+						default:
+						}
+						t0 := time.Now()
+						sh.mu.RLock()
+						longest = max(longest, time.Since(t0))
+						sh.mu.RUnlock()
+					}
+				}
+			}()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.ExpireSources(0)
+			}
+			b.StopTimer()
+			close(stop)
+			longest := <-waited
+			if got := s.Stats().IndexedFiles; got != n {
+				b.Fatalf("%d files after the sweep, want %d: it expired some", got, n)
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/sweep")
+			b.ReportMetric(longest.Seconds()*1e3, "shard-ms")
+		})
+	}
 }
