@@ -550,9 +550,9 @@ func BenchmarkSessionPipelineMetrics(b *testing.B) {
 // BenchmarkSessionMirror is BenchmarkSessionPipeline on the live path:
 // the same frame mix's payloads handed to LiveSource.Mirror, as the
 // daemon's tap calls it, into a running Session with no sink. The caller
-// keeps the queue at most half full, so every call is a frame encoded
-// into a queue slot and processed, none a drop. CI gates it at 0
-// allocs/frame: the queue's slots keep their buffers across recycling.
+// keeps the queue at most half full, so every call is a frame written
+// into its batch's block and processed, none a drop. CI gates it at 0
+// allocs/frame: a recycled batch keeps the blocks its last fill used.
 func BenchmarkSessionMirror(b *testing.B) {
 	const serverIP = 0x0A000001
 	const hdr = netsim.EthernetHeaderLen + netsim.IPv4HeaderLen + netsim.UDPHeaderLen

@@ -22,9 +22,9 @@
 // frames/s; a rate below one frame a poll (< 20) is an error, as is a
 // -bufkb below 1.
 //
-// -metrics addr serves the session's metrics and the net/http/pprof
-// handlers while the run lasts, so a long simulation can be watched and
-// profiled:
+// -metrics addr serves the session's metrics, the simulated index's
+// gauges, the virtual time reached and the net/http/pprof handlers while
+// the run lasts, so a long simulation can be watched and profiled:
 //
 //	edsim -spec examples/specs/tenweeks.json -metrics localhost:6060 &
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10

@@ -1,6 +1,8 @@
 package clients
 
 import (
+	"slices"
+
 	"edtrace/internal/ed2k"
 	"edtrace/internal/randx"
 	"edtrace/internal/workload"
@@ -129,6 +131,13 @@ func askList(cat *workload.Catalog, c *workload.Client, r *randx.Rand) []int32 {
 // askMessage builds the GetSources query for one group of an ask list.
 func askMessage(cat *workload.Catalog, r *randx.Rand, group []int32) *ed2k.GetSources {
 	msg := &ed2k.GetSources{}
+	fillAsk(msg, cat, r, group)
+	return msg
+}
+
+// fillAsk makes msg the GetSources query for group, reusing its slice.
+func fillAsk(msg *ed2k.GetSources, cat *workload.Catalog, r *randx.Rand, group []int32) {
+	msg.Hashes = msg.Hashes[:0]
 	for _, f := range group {
 		if f < 0 {
 			msg.Hashes = append(msg.Hashes, randomFileID(r))
@@ -136,27 +145,35 @@ func askMessage(cat *workload.Catalog, r *randx.Rand, group []int32) *ed2k.GetSo
 			msg.Hashes = append(msg.Hashes, cat.Files[f].ID)
 		}
 	}
-	return msg
 }
 
 // offerMessage builds the OfferFiles announcing shares, a run of the
 // client's shared folder (catalog indices).
 func offerMessage(cat *workload.Catalog, c *workload.Client, shares []int32) *ed2k.OfferFiles {
-	msg := &ed2k.OfferFiles{Client: edID(c), Port: 4662}
-	for _, fi := range shares {
-		f := &cat.Files[fi]
-		msg.Files = append(msg.Files, ed2k.FileEntry{
-			ID:     f.ID,
-			Client: edID(c),
-			Port:   4662,
-			Tags: []ed2k.Tag{
-				ed2k.StringTag(ed2k.FTFileName, f.Name),
-				ed2k.UintTag(ed2k.FTFileSize, f.Size),
-				ed2k.StringTag(ed2k.FTFileType, f.Type),
-			},
-		})
-	}
+	msg := &ed2k.OfferFiles{}
+	fillOffer(msg, cat, c, shares)
 	return msg
+}
+
+// fillOffer makes msg the OfferFiles announcing shares. It reuses msg's
+// entries and their tags, so filling a message again allocates nothing
+// once it has held as many files.
+func fillOffer(msg *ed2k.OfferFiles, cat *workload.Catalog, c *workload.Client, shares []int32) {
+	id := edID(c)
+	msg.Client, msg.Port = id, 4662
+	msg.Files = slices.Grow(msg.Files[:0], len(shares))[:len(shares)]
+	for i, fi := range shares {
+		f, e := &cat.Files[fi], &msg.Files[i]
+		e.ID, e.Client, e.Port = f.ID, id, 4662
+		if len(e.Tags) != 3 {
+			e.Tags = []ed2k.Tag{
+				ed2k.StringTag(ed2k.FTFileName, ""),
+				ed2k.UintTag(ed2k.FTFileSize, 0),
+				ed2k.StringTag(ed2k.FTFileType, ""),
+			}
+		}
+		e.Tags[0].Str, e.Tags[1].Num, e.Tags[2].Str = f.Name, f.Size, f.Type
+	}
 }
 
 // edID is the ed2k-level clientID: the IP for reachable clients, a

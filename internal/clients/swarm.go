@@ -122,6 +122,10 @@ type Swarm struct {
 	pending workload.Event
 	fire    func()
 	enc     []byte // the message being sent
+	// offer and ask are refilled for each announcement and source ask:
+	// emit encodes a message at once, so the swarm needs one of each.
+	offer ed2k.OfferFiles
+	ask   ed2k.GetSources
 }
 
 // budget is what one client has left to ask and search, drawn once at
@@ -256,7 +260,8 @@ func (ss *session) announce() {
 	}
 	batch = min(batch, len(c.Shares)-ss.offered)
 	s.stats.Offers++
-	s.emit(c, r, offerMessage(s.cat, c, c.Shares[ss.offered:ss.offered+batch]))
+	fillOffer(&s.offer, s.cat, c, c.Shares[ss.offered:ss.offered+batch])
+	s.emit(c, r, &s.offer)
 	ss.offered += batch
 	if ss.offered < len(c.Shares) || ss.crowd != nil {
 		s.sch.After(simtime.Time(200+r.IntN(800))*simtime.Millisecond, ss.announceFn)
@@ -305,10 +310,10 @@ func (ss *session) send() {
 		s.emit(c, r, &ed2k.SearchReq{Expr: randomSearchExpr(s.cat, s.zipf, r)})
 	default:
 		batch := min(1+r.IntN(asksPerMessage), len(ss.asks))
-		msg := askMessage(s.cat, r, ss.asks[:batch])
+		fillAsk(&s.ask, s.cat, r, ss.asks[:batch])
 		ss.asks = ss.asks[batch:]
-		s.stats.SourceAsks += uint64(len(msg.Hashes))
-		s.emit(c, r, msg)
+		s.stats.SourceAsks += uint64(len(s.ask.Hashes))
+		s.emit(c, r, &s.ask)
 	}
 	ss.next()
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"edtrace/internal/anonymize"
 	"edtrace/internal/clients"
 	"edtrace/internal/ed2k"
 	"edtrace/internal/netsim"
+	"edtrace/internal/obs"
 	"edtrace/internal/pcap"
 	"edtrace/internal/randx"
 	"edtrace/internal/server"
@@ -168,6 +170,9 @@ type SimWorld struct {
 	poll    func()
 	runErr  error
 	ran     bool
+	// polled is the virtual time of the capture machine's last poll, for
+	// a scrape from another goroutine (RegisterMetrics).
+	polled atomic.Int64
 }
 
 // captureTap mirrors both links into the kernel buffer. A frame that
@@ -197,6 +202,7 @@ func (w *SimWorld) drain() {
 	if w.runErr != nil {
 		return
 	}
+	w.polled.Store(int64(w.sched.Now()))
 	for _, rec := range w.buf.Consume(w.cfg.ServicePerPoll) {
 		if err := w.deliver(rec.Time(), rec.Data); err != nil {
 			w.fail(err)
@@ -310,6 +316,15 @@ func NewSimWorld(cfg SimConfig, drops *pcap.Ledger) (*SimWorld, error) {
 	w.sched.Every(server.SweepEvery, w.srv.ExpireSources)
 
 	return w, nil
+}
+
+// RegisterMetrics shows the world on reg while it runs: its server's
+// index gauges (server.ExposeIndex) and the virtual time it has reached,
+// as of its capture machine's last poll.
+func (w *SimWorld) RegisterMetrics(reg *obs.Registry) {
+	w.srv.ExposeIndex(reg)
+	reg.GaugeFunc("edsim_virtual_seconds", "virtual time the simulated world has reached, as of its capture machine's last poll",
+		func() float64 { return float64(w.polled.Load()) / float64(simtime.Second) })
 }
 
 // fail records the first error and stops the event loop after the

@@ -34,17 +34,33 @@ func macFor(dst []byte, ip uint32) {
 	dst[5] = byte(ip)
 }
 
+// UDPFrameHeaderLen is what a frame built by AppendUDPFrame adds to its
+// payload: the ethernet, IPv4 and UDP headers.
+const UDPFrameHeaderLen = EthernetHeaderLen + IPv4HeaderLen + UDPHeaderLen
+
+// MaxUDPPayload is the largest payload one UDP datagram over IPv4 can
+// carry: the IPv4 total length is 16 bits and covers both headers.
+const MaxUDPPayload = 0xFFFF - IPv4HeaderLen - UDPHeaderLen
+
 // AppendUDPFrame appends a complete ethernet/IPv4/UDP frame carrying
 // payload to buf and returns the extended slice. It is byte-for-byte
 // identical to EncodeEthernet(EncodeIPv4(EncodeUDP(...))) but writes
-// every layer into one buffer — the allocation-free encode path for
-// pooled frame buffers on the live-capture mirror.
+// every layer into one buffer.
 func AppendUDPFrame(buf []byte, src, dst uint32, srcPort, dstPort uint16, payload []byte) []byte {
-	return appendUDPFrame(buf, 0, src, dst, srcPort, dstPort, payload)
+	return appendUDPFrame(buf, 0, src, dst, srcPort, dstPort, payload, true)
 }
 
-// appendUDPFrame is AppendUDPFrame with IP identification id.
-func appendUDPFrame(buf []byte, id uint16, src, dst uint32, srcPort, dstPort uint16, payload []byte) []byte {
+// AppendUDPFrameNoChecksum is AppendUDPFrame with the UDP checksum left
+// 0, which RFC 768 defines as "no checksum" (DecodeUDP skips it): for a
+// frame built around a datagram the process already holds, where the
+// sum would check nothing. The IPv4 header checksum is computed.
+func AppendUDPFrameNoChecksum(buf []byte, src, dst uint32, srcPort, dstPort uint16, payload []byte) []byte {
+	return appendUDPFrame(buf, 0, src, dst, srcPort, dstPort, payload, false)
+}
+
+// appendUDPFrame is AppendUDPFrame with IP identification id, and the
+// UDP checksum computed only when sum is set.
+func appendUDPFrame(buf []byte, id uint16, src, dst uint32, srcPort, dstPort uint16, payload []byte, sum bool) []byte {
 	udpLen := UDPHeaderLen + len(payload)
 	off := len(buf)
 	buf = append(buf, make([]byte, EthernetHeaderLen+IPv4HeaderLen+udpLen)...)
@@ -70,7 +86,9 @@ func appendUDPFrame(buf []byte, id uint16, src, dst uint32, srcPort, dstPort uin
 	binary.BigEndian.PutUint16(dg[2:], dstPort)
 	binary.BigEndian.PutUint16(dg[4:], uint16(udpLen))
 	copy(dg[UDPHeaderLen:], payload)
-	binary.BigEndian.PutUint16(dg[6:], udpChecksum(src, dst, dg))
+	if sum {
+		binary.BigEndian.PutUint16(dg[6:], udpChecksum(src, dst, dg))
+	}
 	return buf
 }
 
@@ -180,7 +198,7 @@ func (l *Link) SendUDP(src, dst uint32, srcPort, dstPort uint16, ipID uint16, pa
 	size := IPv4HeaderLen + UDPHeaderLen + len(payload)
 	if size <= mtu {
 		frame := make([]byte, 0, EthernetHeaderLen+size)
-		l.Send(appendUDPFrame(frame, ipID, src, dst, srcPort, dstPort, payload))
+		l.Send(appendUDPFrame(frame, ipID, src, dst, srcPort, dstPort, payload, true))
 		return
 	}
 	dg := EncodeUDP(src, dst, srcPort, dstPort, payload)

@@ -250,6 +250,38 @@ func TestEthernetRoundtrip(t *testing.T) {
 	}
 }
 
+// TestAppendUDPFrameNoChecksum: up to the largest payload a datagram
+// carries, the frame is AppendUDPFrame's with the UDP checksum 0, and
+// it decodes whole: the IPv4 header checksum holds, and DecodeUDP skips
+// a zero UDP checksum.
+func TestAppendUDPFrameNoChecksum(t *testing.T) {
+	const src, dst = 0x0A000001, 0xC0A80001
+	const sumAt = EthernetHeaderLen + IPv4HeaderLen + 6
+	payload := make([]byte, MaxUDPPayload)
+	for i := range payload {
+		payload[i] = byte(i*7 + 3)
+	}
+	for _, n := range []int{0, 1, 2, 1471, 1473, MaxUDPPayload} {
+		want := AppendUDPFrame(nil, src, dst, 4672, 4665, payload[:n])
+		want[sumAt], want[sumAt+1] = 0, 0
+		got := AppendUDPFrameNoChecksum(nil, src, dst, 4672, 4665, payload[:n])
+		if !bytes.Equal(got, want) || len(got) != UDPFrameHeaderLen+n {
+			t.Fatalf("payload %d: not AppendUDPFrame's frame with a zero UDP checksum", n)
+		}
+		ip, err := DecodeEthernet(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, dg, err := DecodeIPv4(ip)
+		if err != nil {
+			t.Fatalf("payload %d: %v", n, err)
+		}
+		if _, body, err := DecodeUDP(h.Src, h.Dst, dg); err != nil || !bytes.Equal(body, payload[:n]) {
+			t.Fatalf("payload %d: DecodeUDP: %v", n, err)
+		}
+	}
+}
+
 type collectTap struct {
 	times  []simtime.Time
 	frames [][]byte

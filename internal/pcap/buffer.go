@@ -101,11 +101,14 @@ const (
 	// Aborted: the frame was in flight when the run failed or was
 	// cancelled.
 	Aborted
+	// Oversize: the message offered is larger than any UDP datagram can
+	// carry (netsim.MaxUDPPayload), so no frame holds it.
+	Oversize
 	// NumReasons counts the reasons above.
 	NumReasons
 )
 
-var reasonNames = [NumReasons]string{"queue_full", "closed", "aborted"}
+var reasonNames = [NumReasons]string{"queue_full", "closed", "aborted", "oversize"}
 
 // String returns the reason's metric label value.
 func (r Reason) String() string { return reasonNames[r] }

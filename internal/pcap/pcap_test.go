@@ -403,7 +403,7 @@ func TestKernelBufferConsumeReusesStorage(t *testing.T) {
 // dropped total is the sum of the reasons' — also when it is taken while
 // frames are still being dropped.
 func TestLedgerAccount(t *testing.T) {
-	const captures, droppers, drops = 5000, 4, 1000
+	const captures, droppers, drops = 5000, 4, 1000 // one dropper a Reason
 	var l Ledger
 	var wg sync.WaitGroup
 	for g := range droppers {
@@ -439,13 +439,15 @@ func TestLedgerAccount(t *testing.T) {
 		t.Fatalf("account: captured %d (series %d), dropped %d (series %d); want %d and %d",
 			captured, seen, dropped, lost, captures, droppers*drops)
 	}
-	if l.Dropped(QueueFull) != 2*drops || l.Dropped(Closed) != drops || l.Dropped(Aborted) != drops {
-		t.Fatalf("by reason: %d %d %d", l.Dropped(QueueFull), l.Dropped(Closed), l.Dropped(Aborted))
+	for r := range NumReasons {
+		if l.Dropped(r) != drops {
+			t.Fatalf("%d frames dropped as %s, want %d", l.Dropped(r), r, drops)
+		}
 	}
 	if len(per) != 7 || l.Seconds() != 5 {
 		t.Fatalf("series spans %d seconds, %d of them captured; want 7 and 5", len(per), l.Seconds())
 	}
-	if got := []string{QueueFull.String(), Closed.String(), Aborted.String()}; !reflect.DeepEqual(got, []string{"queue_full", "closed", "aborted"}) {
+	if got := []string{QueueFull.String(), Closed.String(), Aborted.String(), Oversize.String()}; !reflect.DeepEqual(got, []string{"queue_full", "closed", "aborted", "oversize"}) {
 		t.Fatalf("reason names %v", got)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -112,10 +113,21 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 }
 
-// registerIndexGauges registers the aggregate index gauges as read
-// callbacks over the per-shard atomics, so the exposition, Stats() and
-// StatReq all report the same numbers from the same source.
-func (s *Server) registerIndexGauges(reg *obs.Registry) {
+// ExposeIndex registers the index gauges in reg, per shard and in
+// aggregate, as read callbacks over the shards' own atomics, so the
+// exposition, Stats() and StatReq all report the same numbers from the
+// same source. NewShardedWith calls it with the server's registry; a
+// server built without one (the simulator's) shows its index on another
+// registry through it, with Handle timing left off.
+func (s *Server) ExposeIndex(reg *obs.Registry) {
+	read := func(g *obs.Gauge) func() float64 { return func() float64 { return float64(g.Value()) } }
+	for i, sh := range s.shards {
+		lbl := obs.L("shard", strconv.Itoa(i))
+		reg.GaugeFunc("edserver_shard_files", "indexed files per shard", read(sh.gFiles), lbl)
+		reg.GaugeFunc("edserver_shard_keywords", "keyword posting lists per shard", read(sh.gKeywords), lbl)
+		reg.GaugeFunc("edserver_shard_users", "registered users per shard", read(sh.gUsers), lbl)
+		reg.GaugeFunc("edserver_shard_sources", "indexed sources per shard", read(sh.gSources), lbl)
+	}
 	sum := func(pick func(*shard) *obs.Gauge) func() float64 {
 		return func() float64 {
 			t := int64(0)

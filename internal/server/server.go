@@ -37,7 +37,6 @@ package server
 import (
 	"math/bits"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -252,18 +251,17 @@ func NewShardedWith(name, desc string, n int, reg *obs.Registry) *Server {
 		instr:     instr,
 	}
 	for i := range s.shards {
-		lbl := obs.L("shard", strconv.Itoa(i))
 		s.shards[i] = &shard{
 			files:     make(map[ed2k.FileID]*indexedFile),
 			keywords:  make(map[string][]posting),
 			users:     make(map[ed2k.ClientID]simtime.Time),
-			gFiles:    reg.Gauge("edserver_shard_files", "indexed files per shard", lbl),
-			gKeywords: reg.Gauge("edserver_shard_keywords", "keyword posting lists per shard", lbl),
-			gUsers:    reg.Gauge("edserver_shard_users", "registered users per shard", lbl),
-			gSources:  reg.Gauge("edserver_shard_sources", "indexed sources per shard", lbl),
+			gFiles:    new(obs.Gauge),
+			gKeywords: new(obs.Gauge),
+			gUsers:    new(obs.Gauge),
+			gSources:  new(obs.Gauge),
 		}
 	}
-	s.registerIndexGauges(reg)
+	s.ExposeIndex(reg)
 	return s
 }
 

@@ -17,14 +17,18 @@ import (
 // software equivalent of the port mirror feeding the paper's capture
 // machine); the source wraps each datagram in a synthetic ethernet/IP/UDP
 // frame so the decoding pipeline runs the identical code path as the
-// simulator and pcap replay.
+// simulator and pcap replay. The frame's UDP checksum is 0, "no
+// checksum" (RFC 768): the datagram is the process's own, so a sum
+// would check nothing, and a pcap tee of the capture carries it so.
 //
-// Mirror writes each frame straight into the Session's queue, which the
-// source owns from NewLiveSource on (so frames mirrored before Run wait
-// there) and which plays the capture machine's kernel buffer: a frame
-// that does not fit is dropped and counted, like libpcap's ps_drop behind
-// the paper's Figure 2. The Session finds the queue on the source itself:
-// give it the LiveSource unwrapped.
+// Mirror writes each frame once, straight into the Session's queue,
+// which the source owns from NewLiveSource on (so frames mirrored before
+// Run wait there) and which plays the capture machine's kernel buffer: a
+// frame that does not fit is dropped and counted, like libpcap's ps_drop
+// behind the paper's Figure 2. The frame's bytes belong to its batch
+// (see frameBatch), so the queue holds about the bytes queued. The
+// Session finds the queue on the source itself: give it the LiveSource
+// unwrapped.
 type LiveSource struct {
 	q   *frameQueue
 	ran atomic.Bool
@@ -50,8 +54,10 @@ const (
 // identify the dialog (edserverd.AddrKey derives them from real
 // addresses), payload is the raw eDonkey message. Mirror never blocks:
 // when the queue is full, or the source is closed, the datagram is
-// dropped and counted as a capture loss. Safe for concurrent use; one
-// lock stamps and queues a frame, so frames queue in timestamp order.
+// dropped and counted as a capture loss; so is a message larger than
+// any UDP datagram can carry (pcap.Oversize), for which no frame is
+// built. Safe for concurrent use; one lock stamps and queues a frame,
+// so frames queue in timestamp order.
 func (l *LiveSource) Mirror(srcIP, dstIP uint32, payload []byte) {
 	q := l.q
 	q.mu.Lock()
@@ -60,24 +66,28 @@ func (l *LiveSource) Mirror(srcIP, dstIP uint32, payload []byte) {
 		q.start = time.Now()
 	}
 	t := simtime.Time(time.Since(q.start))
-	if q.closed {
-		q.ledger.Drop(int(t/simtime.Second), pcap.Closed)
+	sec := int(t / simtime.Second)
+	switch {
+	case q.closed:
+		q.ledger.Drop(sec, pcap.Closed)
+		return
+	case len(payload) > netsim.MaxUDPPayload:
+		q.ledger.Drop(sec, pcap.Oversize)
 		return
 	}
-	if len(q.open) == q.size {
+	if len(q.open.items) == q.size {
 		select {
 		case q.batches <- q.open:
 			q.open = q.getBatch()
 		default:
-			q.ledger.Drop(int(t/simtime.Second), pcap.QueueFull)
+			q.ledger.Drop(sec, pcap.QueueFull)
 			return
 		}
 	}
-	n := len(q.open)
-	q.open = q.open[:n+1]
-	f := &q.open[n]
-	f.t = t
-	f.data = netsim.AppendUDPFrame(f.data[:0], srcIP, dstIP, liveClientPort, liveServerPort, payload)
+	b := q.open
+	frame := b.frame(netsim.UDPFrameHeaderLen + len(payload))
+	b.items = append(b.items, frameItem{t,
+		netsim.AppendUDPFrameNoChecksum(frame[:0], srcIP, dstIP, liveClientPort, liveServerPort, payload)})
 }
 
 // Close ends the capture: the Session processes what is queued and

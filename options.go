@@ -116,13 +116,17 @@ func WithFileBytePair(a, b int) Option {
 // frames/records/batches throughput counters, the queue depth, dropped
 // frames by reason (queue_full: the Figure 2 losses, live, of a live
 // queue or a simulation's kernel buffer; closed: offered after the
-// capture closed; aborted: cancellation or a pipeline error), and the
-// anonymisation tables' size (distinct clients and files, the clientID
-// table's bytes, the largest fileID bucket — Figure 3's diagnostic,
-// live). The frame counters read the capture's ledger, which the report
-// and Figure 2 read too, so the three agree. Without it the session adds
-// no instrumentation to the hot path. Every series describes the most
-// recent session on reg: a later session re-points them at its own.
+// capture closed; aborted: cancellation or a pipeline error; oversize:
+// a live message no UDP datagram can carry), and the anonymisation
+// tables' size (distinct clients and files, the clientID table's bytes,
+// the largest fileID bucket — Figure 3's diagnostic, live). A SimSource
+// adds its world's: the simulated index's edserver_shard_* and
+// edserver_index_* gauges and the virtual time reached
+// (edsim_virtual_seconds). The frame counters read the capture's ledger,
+// which the report and Figure 2 read too, so the three agree. Without it
+// the session adds no instrumentation to the hot path. Every series
+// describes the most recent session on reg: a later session re-points
+// them at its own.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(o *sessionOptions) { o.metrics = reg }
 }

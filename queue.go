@@ -19,10 +19,49 @@ const (
 	batchSize   = 128
 )
 
+// liveBlockSize is the size of the blocks a live batch writes its frames
+// into: batchSize frames of 512 bytes. The frames of a simulated capture
+// average ~260 bytes and 87 % are at most 512, so a batch of ordinary
+// traffic fills one block, and a queue at rest holds a block a batch. A
+// frame larger than a block gets a buffer of its own.
+const liveBlockSize = batchSize * 512
+
 // frameItem is one frame in flight between the source and the pipeline.
 type frameItem struct {
 	t    simtime.Time
 	data []byte
+}
+
+// frameBatch is what the queue hands over: up to the queue's batch size
+// of frames, in capture order. A live batch also owns its frames' bytes:
+// Mirror writes them back to back into blocks that travel with the
+// batch, so what the queue holds follows what is queued, not the largest
+// frame it ever saw. An offline batch carries its source's frames and
+// owns no blocks.
+type frameBatch struct {
+	items []frameItem
+	// This fill has written blocks[:used], the last of them up to off.
+	blocks    [][]byte
+	used, off int
+}
+
+// frame returns n bytes of b's memory for one frame, valid until b is
+// recycled: the rest of the current block, the next block, or for a
+// frame larger than a block a buffer of its own.
+func (b *frameBatch) frame(n int) []byte {
+	if n > liveBlockSize {
+		return make([]byte, n)
+	}
+	if b.used == 0 || b.off+n > liveBlockSize {
+		if b.used == len(b.blocks) {
+			b.blocks = append(b.blocks, make([]byte, liveBlockSize))
+		}
+		b.used++
+		b.off = 0
+	}
+	f := b.blocks[b.used-1][b.off : b.off+n : b.off+n]
+	b.off += n
+	return f
 }
 
 // frameQueue is that queue, with its source's overflow policy, and the
@@ -32,8 +71,8 @@ type frameItem struct {
 // dropped and counted, as the capture machine's kernel buffer drops the
 // frames of the paper's Figure 2.
 type frameQueue struct {
-	batches chan []frameItem // full batches, in capture order
-	free    chan []frameItem // consumed batches, back to the filling side
+	batches chan *frameBatch // full batches, in capture order
+	free    chan *frameBatch // consumed batches, back to the filling side
 	size    int              // frames per batch
 	live    bool
 	done    chan struct{} // closed by shut
@@ -42,7 +81,7 @@ type frameQueue struct {
 	// open is the batch being filled: a live queue's is under mu until
 	// shut, an offline one's belongs to the producer goroutine.
 	mu     sync.Mutex
-	open   []frameItem
+	open   *frameBatch
 	closed bool
 	start  time.Time // a live queue's clock starts at the first Mirror
 }
@@ -51,19 +90,20 @@ type frameQueue struct {
 func newFrameQueue(frames int, live bool) *frameQueue {
 	size := min(batchSize, frames)
 	depth := (frames + size - 1) / size
-	return &frameQueue{
-		batches: make(chan []frameItem, depth-1),
-		free:    make(chan []frameItem, depth+1), // every batch: depth-1 queued, the open one, the consumer's
+	q := &frameQueue{
+		batches: make(chan *frameBatch, depth-1),
+		free:    make(chan *frameBatch, depth+1), // every batch: depth-1 queued, the open one, the consumer's
 		size:    size,
 		live:    live,
 		done:    make(chan struct{}),
-		open:    make([]frameItem, 0, size),
 	}
+	q.open = q.getBatch()
+	return q
 }
 
 // flush hands the open batch over, waiting for room.
 func (q *frameQueue) flush(ctx context.Context) error {
-	if len(q.open) == 0 {
+	if len(q.open.items) == 0 {
 		return nil
 	}
 	select {
@@ -86,24 +126,27 @@ func (q *frameQueue) shut() {
 	}
 }
 
-func (q *frameQueue) getBatch() []frameItem {
+func (q *frameQueue) getBatch() *frameBatch {
 	select {
 	case b := <-q.free:
 		return b
 	default:
-		return make([]frameItem, 0, q.size)
+		return &frameBatch{items: make([]frameItem, 0, q.size)}
 	}
 }
 
-// recycle returns a consumed batch to the filling side. A live batch
-// keeps its slots' buffers for Mirror to encode into; an offline one is
-// cleared, so stale frame pointers don't pin the source's buffers.
-func (q *frameQueue) recycle(b []frameItem) {
-	if !q.live {
-		clear(b)
-	}
+// recycle returns a consumed batch to the filling side. Its frames are
+// cleared, so stale pointers pin neither an offline source's buffers nor
+// a large live frame's own; of its blocks it keeps those its last fill
+// used, so a burst of large frames is let go by the next ordinary fill.
+func (q *frameQueue) recycle(b *frameBatch) {
+	clear(b.items)
+	b.items = b.items[:0]
+	clear(b.blocks[b.used:])
+	b.blocks = b.blocks[:b.used]
+	b.used, b.off = 0, 0
 	select {
-	case q.free <- b[:0]:
+	case q.free <- b:
 	default:
 	}
 }

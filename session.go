@@ -229,9 +229,9 @@ func (s *Session) Run(ctx context.Context) (res *Result, err error) {
 	perr := <-prodErr
 	// The producer's unflushed batch and the batches still queued when
 	// the consumer gave up; on success both are empty, so this is free.
-	s.abort(s.q.open)
+	s.abort(s.q.open.items)
 	for batch := range s.q.batches {
-		s.abort(batch)
+		s.abort(batch.items)
 	}
 	if pipeErr != nil {
 		return nil, pipeErr
@@ -269,7 +269,7 @@ func (s *Session) setup() (closers []func() error, err error) {
 		servers = ss.names
 	}
 	if s.sim != nil {
-		s.sim.drops = &s.q.ledger
+		s.sim.drops, s.sim.reg = &s.q.ledger, s.o.metrics
 	}
 	var dw *dataset.Writer
 	if s.o.datasetDir != "" {
@@ -356,8 +356,8 @@ func (s *Session) produce(ctx context.Context) error {
 	err := s.src.Frames(ctx, func(t simtime.Time, frame []byte) error {
 		// Emitting transfers the frame: it is batched before anything can
 		// fail, so a refused frame is dropped, not lost from the count.
-		q.open = append(q.open, frameItem{t, frame})
-		if len(q.open) < q.size {
+		q.open.items = append(q.open.items, frameItem{t, frame})
+		if len(q.open.items) < q.size {
 			return ctx.Err()
 		}
 		return q.flush(ctx)
@@ -380,9 +380,9 @@ func (s *Session) consume(ctx context.Context) error {
 			if !ok {
 				return nil
 			}
-			for i, f := range batch {
+			for i, f := range batch.items {
 				if err := s.commit(f); err != nil {
-					s.abort(batch[i:])
+					s.abort(batch.items[i:])
 					return err
 				}
 				if f.t-lastExpire > simtime.Minute {

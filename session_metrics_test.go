@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -52,7 +53,7 @@ func testSessionWithMetrics(t *testing.T, sim core.SimConfig, lossy bool) {
 	if lossy != (droppedBy(reg, "queue_full") > 0) {
 		t.Fatalf("%d frames dropped on a full queue, lossy run: %v", droppedBy(reg, "queue_full"), lossy)
 	}
-	for _, reason := range []string{"closed", "aborted"} {
+	for _, reason := range []string{"closed", "aborted", "oversize"} {
 		if got := droppedBy(reg, reason); got != 0 {
 			t.Fatalf("run dropped %d frames (%s)", got, reason)
 		}
@@ -103,6 +104,54 @@ func testSessionWithMetrics(t *testing.T, sim core.SimConfig, lossy bool) {
 		if strings.Contains(buf.String(), zero) {
 			t.Errorf("exposition has %q after a dataset was written", zero)
 		}
+	}
+}
+
+// TestSimSourceMetricsShowTheWorld: scraped while a SimSource session
+// runs, its registry shows the simulated world — the index's per-shard
+// and aggregate gauges, and the virtual time reached — but no Handle
+// timing: the simulated server is timed by nothing.
+func TestSimSourceMetricsShowTheWorld(t *testing.T) {
+	reg := obs.NewRegistry()
+	var mid string
+	_, err := NewSession(NewSimSource(tinySim()), WithMetrics(reg), WithProgressEvery(4096),
+		WithProgress(func(Progress) {
+			if mid != "" {
+				return
+			}
+			var b strings.Builder
+			if err := reg.WritePrometheus(&b); err != nil {
+				t.Error(err)
+			}
+			mid = b.String()
+		}),
+	).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(series string) float64 {
+		for _, line := range strings.Split(mid, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		return -1
+	}
+	for _, series := range []string{
+		`edserver_shard_files{shard="0"}`, `edserver_shard_keywords{shard="0"}`,
+		`edserver_shard_users{shard="0"}`, `edserver_shard_sources{shard="0"}`,
+		"edserver_index_files", "edsim_virtual_seconds",
+	} {
+		if v := value(series); v <= 0 {
+			t.Errorf("%s = %v mid-run, want > 0", series, v)
+		}
+	}
+	if strings.Contains(mid, "edserver_handle_seconds") {
+		t.Error("the simulated server's Handle is timed")
 	}
 }
 

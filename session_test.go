@@ -105,7 +105,7 @@ func droppedBy(reg *obs.Registry, reason string) uint64 {
 func checkConservation(t *testing.T, reg *obs.Registry, emitted uint64) (frames, dropped uint64) {
 	t.Helper()
 	frames = counterOf(reg, "edsession_frames_total")
-	for _, reason := range []string{"queue_full", "closed", "aborted"} {
+	for _, reason := range []string{"queue_full", "closed", "aborted", "oversize"} {
 		dropped += droppedBy(reg, reason)
 	}
 	if frames+dropped != emitted {

@@ -11,6 +11,7 @@ import (
 	"edtrace/internal/anonymize"
 	"edtrace/internal/core"
 	"edtrace/internal/edserverd"
+	"edtrace/internal/obs"
 	"edtrace/internal/pcap"
 	"edtrace/internal/simtime"
 )
@@ -47,12 +48,15 @@ type liveSource interface{ liveQueue() (*frameQueue, error) }
 
 // SimSource runs the synthetic world (server, swarm, links, kernel
 // buffer) and yields the frames its capture machine drains — the paper's
-// whole measurement as a frame stream.
+// whole measurement as a frame stream. In a session WithMetrics, the
+// world shows on the registry while it runs (core.SimWorld's
+// RegisterMetrics); its server's Handle stays untimed either way.
 type SimSource struct {
 	// Config is the full simulation configuration.
 	Config core.SimConfig
 
-	drops *pcap.Ledger // the Session's, for the kernel buffer's overflow
+	drops *pcap.Ledger  // the Session's, for the kernel buffer's overflow
+	reg   *obs.Registry // the Session's WithMetrics registry, if any
 	rep   *core.Report
 }
 
@@ -67,6 +71,9 @@ func (s *SimSource) Frames(ctx context.Context, emit EmitFunc) error {
 	w, err := core.NewSimWorld(s.Config, s.drops)
 	if err != nil {
 		return err
+	}
+	if s.reg != nil {
+		w.RegisterMetrics(s.reg)
 	}
 	rep, err := w.RunFrames(ctx, core.FrameFunc(emit))
 	s.rep = rep // surfaced via reportWorld when the session succeeds
