@@ -8,9 +8,11 @@
 //	edanalyze -in /tmp/ds [-csv /tmp/csv] [-windows 4]
 //	edanalyze -pcap /tmp/capture.pcap -server 192.168.0.1
 //
-// -windows N re-analyses the dataset under N nested capture windows
-// (full span, half, quarter, ...) and reports how every figure shifts —
-// the finite-measurement-bias question of Benamara & Magnien.
+// -windows N, 2 to 8, re-analyses the dataset under N nested capture
+// windows (full span, half, quarter, ...) and reports how every figure
+// shifts — the finite-measurement-bias question of Benamara & Magnien.
+// analysis.Run reads a dataset once for -verify, the windows and the
+// figures together (twice for windows over a manifest without max_t).
 package main
 
 import (
@@ -28,9 +30,7 @@ import (
 
 	"edtrace"
 	"edtrace/internal/analysis"
-	"edtrace/internal/dataset"
 	"edtrace/internal/stats"
-	"edtrace/internal/xmlenc"
 )
 
 func main() {
@@ -47,8 +47,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pcapFile = fs.String("pcap", "", "raw pcap capture to replay instead of a dataset")
 		server   = fs.String("server", "", "server IPv4 address (required with -pcap)")
 		csv      = fs.String("csv", "", "directory to write per-figure CSV series")
-		verify   = fs.Bool("verify", false, "check every spec invariant before analysing")
-		windows  = fs.Int("windows", 0, "nested capture windows for the finite-measurement-bias report (0 = off, needs -in)")
+		verify   = fs.Bool("verify", false, "check every spec invariant of the dataset")
+		windows  = fs.Int("windows", 0, "nested capture windows for the finite-measurement-bias report: 0 (off) or 2 to 8, needs -in")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -73,6 +73,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *windows != 0 && *in == "" {
 		return usage("-windows re-analyses a dataset and requires -in")
 	}
+	if *windows != 0 && (*windows < 2 || *windows > 8) {
+		return usage("-windows takes 0 or 2 to 8 nested windows")
+	}
 
 	var figs *analysis.Figures
 	if *pcapFile != "" {
@@ -94,52 +97,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, res.Report)
 		figs = res.Figures
 	} else {
-		man, err := dataset.Open(*in)
+		res, err := analysis.Run(*in, analysis.Options{Verify: *verify, Windows: *windows})
 		if err != nil {
 			return fail(err)
 		}
+		man := res.Manifest
 		fmt.Fprintf(stdout, "dataset: %d records in %d chunks, %d clients, %d fileIDs\n",
 			man.Records, len(man.Chunks), man.DistinctClients, man.DistinctFiles)
-
-		if *verify {
-			rep, err := dataset.Verify(*in)
-			if err != nil {
-				return fail(err)
-			}
-			if !rep.OK() {
+		if v := res.Verify; v != nil {
+			if !v.OK() {
 				fmt.Fprintln(stderr, "edanalyze: dataset violates its specification:")
-				for _, v := range rep.Violations {
-					fmt.Fprintln(stderr, "  -", v)
+				for _, s := range v.Violations {
+					fmt.Fprintln(stderr, "  -", s)
 				}
 				return 1
 			}
-			fmt.Fprintf(stdout, "verified: all spec invariants hold over %d records\n", rep.Records)
+			fmt.Fprintf(stdout, "verified: all spec invariants hold over %d records\n", v.Records)
 		}
-
-		c := analysis.NewCollector()
-		maxT := 0.0
-		if err := dataset.ForEach(*in, func(r *xmlenc.Record) error {
-			if r.T > maxT {
-				maxT = r.T
-			}
-			return c.Write(r)
-		}); err != nil {
-			return fail(err)
+		if res.Bias != nil {
+			fmt.Fprint(stdout, res.Bias.Render())
 		}
-		figs = c.Finalize()
-
-		if *windows != 0 {
-			// Second pass: route every record into the nested windows.
-			// Records at exactly maxT must land inside the full window.
-			ws, err := analysis.NewWindowSet(maxT+1e-9, *windows)
-			if err != nil {
-				return fail(err)
-			}
-			if err := dataset.ForEach(*in, ws.Write); err != nil {
-				return fail(err)
-			}
-			fmt.Fprint(stdout, ws.Finalize().Render())
-		}
+		figs = res.Figures
 	}
 	fmt.Fprint(stdout, figs.Render())
 

@@ -6,7 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 
 	"edtrace"
@@ -21,29 +25,86 @@ import (
 // the writer's width must not move it.
 const goldenAnalyzeOutput = "017b351dac39c6a97f80c8c8a48c4af759bacbf79d726c8974d939f0e3a9124e"
 
-func TestGoldenAnalyzeOutput(t *testing.T) {
+// goldenCapture writes the capture of TestGoldenAnalyzeOutput into a new
+// directory and returns it.
+func goldenCapture(t *testing.T, gz bool) string {
+	t.Helper()
 	sim := core.DefaultSimConfig()
 	sim.Workload.NumClients = 300
 	sim.Workload.NumFiles = 3000
 	sim.Workload.VocabWords = 300
 	sim.Traffic.Duration = 3 * simtime.Hour
+	dir := t.TempDir()
+	if _, err := edtrace.NewSession(edtrace.NewSimSource(sim), edtrace.WithDataset(dir, gz)).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// analyze runs `edanalyze -in dir -verify -windows 4` and returns what it
+// prints.
+func analyze(t *testing.T, dir string) []byte {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-in", dir, "-verify", "-windows", "4"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	return stdout.Bytes()
+}
+
+func TestGoldenAnalyzeOutput(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		for _, gz := range []bool{false, true} {
 			t.Run(fmt.Sprintf("procs=%d/gz=%v", procs, gz), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				dir := t.TempDir()
-				if _, err := edtrace.NewSession(edtrace.NewSimSource(sim), edtrace.WithDataset(dir, gz)).Run(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				var stdout, stderr bytes.Buffer
-				if code := run([]string{"-in", dir, "-verify", "-windows", "4"}, &stdout, &stderr); code != 0 {
-					t.Fatalf("exit %d: %s", code, stderr.String())
-				}
-				sum := sha256.Sum256(stdout.Bytes())
+				out := analyze(t, goldenCapture(t, gz))
+				sum := sha256.Sum256(out)
 				if got := hex.EncodeToString(sum[:]); got != goldenAnalyzeOutput {
-					t.Errorf("output digest = %s over %d lines, want %s", got, bytes.Count(stdout.Bytes(), []byte("\n")), goldenAnalyzeOutput)
+					t.Errorf("output digest = %s over %d lines, want %s", got, bytes.Count(out, []byte("\n")), goldenAnalyzeOutput)
 				}
 			})
+		}
+	}
+}
+
+// TestAnalyzeOutputWithoutMaxT: a manifest without max_t, as a writer
+// that did not record it left it, is read with a pre-pass for the span,
+// and edanalyze prints the same bytes as over the manifest with it.
+func TestAnalyzeOutputWithoutMaxT(t *testing.T) {
+	maxT := regexp.MustCompile(`(?m)^  "max_t": .*\n`)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			dir := goldenCapture(t, true)
+			with := analyze(t, dir)
+			path := filepath.Join(dir, "manifest.json")
+			man, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !maxT.Match(man) {
+				t.Fatalf("manifest has no max_t:\n%s", man)
+			}
+			if err := os.WriteFile(path, maxT.ReplaceAll(man, nil), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if without := analyze(t, dir); !bytes.Equal(with, without) {
+				t.Fatalf("without max_t:\n%s\nwith it:\n%s", without, with)
+			}
+		})
+	}
+}
+
+// TestWindowsOutOfRange: -windows takes 0 or 2 to 8; any other count is
+// bad usage, refused before the dataset is read.
+func TestWindowsOutOfRange(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []string{"-3", "1", "9", "20"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-in", dir, "-windows", n}, &stdout, &stderr); code != 2 {
+			t.Errorf("-windows %s: exit %d, want 2 (%s)", n, code, stderr.String())
+		} else if !strings.Contains(stderr.String(), "-windows takes 0 or 2 to 8") {
+			t.Errorf("-windows %s: stderr %q", n, stderr.String())
 		}
 	}
 }

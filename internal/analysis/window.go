@@ -14,11 +14,11 @@ import (
 // the Benamara & Magnien question ("Removing bias due to finite
 // measurement of dynamic systems", PAPERS.md): measured distributions
 // of a dynamic system depend on how long you watch it. Each record is
-// routed into every window [0, total/2^k) that contains its timestamp,
-// so a single pass over the dataset yields the same figures computed
-// as if the capture had been stopped at each nested length, and the
-// per-figure shifts between windows quantify the finite-measurement
-// bias directly.
+// routed into the full window and every window [0, total/2^k) that
+// contains its timestamp, so a single pass over the dataset yields the
+// same figures computed as if the capture had been stopped at each
+// nested length, and the per-figure shifts between windows quantify the
+// finite-measurement bias directly.
 type WindowSet struct {
 	total   float64 // capture span in seconds
 	windows []float64
@@ -26,17 +26,14 @@ type WindowSet struct {
 }
 
 // NewWindowSet builds n nested windows over a capture spanning total
-// seconds: total, total/2, ..., total/2^(n-1). n is clamped to [2, 8];
-// total must be positive.
+// seconds: total, total/2, ..., total/2^(n-1). n must be in [2, 8] and
+// total positive.
 func NewWindowSet(total float64, n int) (*WindowSet, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("analysis: window total = %v", total)
 	}
-	if n < 2 {
-		n = 2
-	}
-	if n > 8 {
-		n = 8
+	if n < 2 || n > 8 {
+		return nil, fmt.Errorf("analysis: %d windows, want 2 to 8", n)
 	}
 	w := &WindowSet{total: total}
 	span := total
@@ -49,14 +46,17 @@ func NewWindowSet(total float64, n int) (*WindowSet, error) {
 }
 
 // Write routes one record into every window containing its timestamp.
-// It implements core.RecordSink / dataset.ForEach callbacks, so the
-// whole nested analysis is one dataset pass.
+// The full window takes every record: its span is the capture's, and a
+// capture's last t plus a margin may round back to that t. It implements
+// core.RecordSink / dataset.ForEach callbacks, so the whole nested
+// analysis is one dataset pass.
 func (w *WindowSet) Write(r *xmlenc.Record) error {
-	for i, span := range w.windows {
-		if r.T < span {
-			if err := w.cols[i].Write(r); err != nil {
-				return err
-			}
+	if err := w.cols[0].Write(r); err != nil {
+		return err
+	}
+	for i := 1; i < len(w.windows) && r.T < w.windows[i]; i++ {
+		if err := w.cols[i].Write(r); err != nil {
+			return err
 		}
 	}
 	return nil

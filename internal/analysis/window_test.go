@@ -75,3 +75,39 @@ func TestKSDistance(t *testing.T) {
 		t.Fatalf("half-shifted distributions: KS = %v, want 0.5", d)
 	}
 }
+
+// TestWindowSetFullWindowTakesLastRecord: from 2²⁴ s on, the margin
+// edanalyze adds to the capture's last t rounds away (2²⁵ + 1e-9 is 2²⁵
+// in float64), so the full window must take every record whatever its t.
+func TestWindowSetFullWindowTakesLastRecord(t *testing.T) {
+	const last = 1 << 25
+	ws, err := NewWindowSet(last+1e-9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{0, last / 2, last} {
+		if err := ws.Write(&xmlenc.Record{T: v, Op: "StatReq"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := ws.Finalize()
+	if got := rep.Windows[0].Records; got != 3 {
+		t.Fatalf("full window records = %d, want 3", got)
+	}
+	if got := rep.Windows[1].Records; got != 1 {
+		t.Fatalf("half window records = %d, want 1", got)
+	}
+}
+
+func TestWindowSetRejectsBadCount(t *testing.T) {
+	for _, n := range []int{-3, 0, 1, 9, 20} {
+		if _, err := NewWindowSet(100, n); err == nil {
+			t.Errorf("%d windows accepted", n)
+		}
+	}
+	for _, n := range []int{2, 8} {
+		if _, err := NewWindowSet(100, n); err != nil {
+			t.Errorf("%d windows: %v", n, err)
+		}
+	}
+}

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -51,6 +52,10 @@ type Manifest struct {
 	Chunks []string `json:"chunks"`
 	// Records is the total record count across chunks.
 	Records uint64 `json:"records"`
+	// MaxT is the largest t of any record, as its chunk text carries it:
+	// the capture's span, known before a record is read. Nil in a
+	// manifest from a writer that did not record it.
+	MaxT *float64 `json:"max_t,omitempty"`
 	// DistinctClients and DistinctFiles are the anonymisation counters:
 	// clientIDs and fileIDs are dense in [0, N).
 	DistinctClients uint32 `json:"distinct_clients"`
@@ -93,6 +98,7 @@ type Writer struct {
 	free    chan []byte   // segments back from it, for reuse
 	done    chan struct{} // closed when it has returned
 
+	maxT   float64 // the largest finite t written, 0 before any
 	seal   SealStats
 	closed bool
 	err    error // first error seen by Write or Close; sticky
@@ -252,6 +258,9 @@ func (w *Writer) Write(rec *xmlenc.Record) error {
 	w.seg = xmlenc.AppendRecord(w.seg, rec)
 	w.inChunk += len(w.seg) - n
 	w.man.Records++
+	if rec.T > w.maxT && rec.T <= math.MaxFloat64 {
+		w.maxT = rec.T
+	}
 	if w.inChunk >= w.chunkBytes {
 		w.err = w.handOff(true)
 	} else if len(w.seg) >= segmentSize {
@@ -400,6 +409,14 @@ func (w *Writer) Close() error {
 }
 
 func (w *Writer) writeManifest() error {
+	// A record's t is written with three fraction digits (spec §2), and
+	// that rounding, like reading the digits back, keeps the order of
+	// values: the largest t read is the largest written, read back.
+	maxT, err := strconv.ParseFloat(strconv.FormatFloat(w.maxT, 'f', 3, 64), 64)
+	if err != nil {
+		return err
+	}
+	w.man.MaxT = &maxT
 	data, err := json.MarshalIndent(&w.man, "", "  ")
 	if err != nil {
 		return err

@@ -25,113 +25,144 @@ const maxViolations = 20
 // Verify streams the dataset at dir and checks every released-data
 // invariant: monotone timestamps, known ops, dense anonymised IDs
 // consistent with the manifest counters, md5 digests for hashes, KB
-// sizes. A merged multi-server dataset (manifest meta "servers")
-// additionally requires every record's srv provenance tag to name a
-// declared server.
+// sizes, the manifest's max_t. A merged multi-server dataset (manifest
+// meta "servers") additionally requires every record's srv provenance
+// tag to name a declared server. It is one Checker over one ForEach.
 func Verify(dir string) (*VerifyReport, error) {
 	man, err := Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	var servers map[string]bool
-	if s := man.Meta["servers"]; s != "" {
-		servers = make(map[string]bool)
-		for _, name := range strings.Split(s, ",") {
-			servers[name] = true
-		}
+	c := NewChecker(man)
+	if err := ForEach(dir, c.Write); err != nil {
+		return nil, err
 	}
-	rep := &VerifyReport{}
-	add := func(format string, args ...any) {
-		if len(rep.Violations) < maxViolations {
-			rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
-		}
-	}
+	return c.Report(), nil
+}
+
+// Checker checks a dataset's records against the invariants of spec §4
+// as a ForEach pass reads them: Write takes each record in order, and
+// Report adds the checks that need them all. A wrong record count is not
+// among them: ForEach fails on it.
+type Checker struct {
+	man     *Manifest
+	servers map[string]bool // nil for a single-server dataset
+	rep     VerifyReport
 	// Every t is seconds since the capture started (spec §2), so 0 bounds
 	// the first record's from below, and a t that is not a finite
 	// non-negative number is reported and not compared with its neighbours.
-	lastT := 0.0
-	seenClients := newIDSet(man.DistinctClients)
-	seenFiles := newIDSet(man.DistinctFiles)
-	noteClient := func(c uint32) {
-		seenClients.add(c)
-		if c > rep.MaxClientID {
-			rep.MaxClientID = c
+	lastT, maxT float64
+	clients     *idSet
+	files       *idSet
+}
+
+// NewChecker returns a checker for the records of the dataset man
+// describes.
+func NewChecker(man *Manifest) *Checker {
+	c := &Checker{
+		man:     man,
+		clients: newIDSet(man.DistinctClients),
+		files:   newIDSet(man.DistinctFiles),
+	}
+	if s := man.Meta["servers"]; s != "" {
+		c.servers = make(map[string]bool)
+		for _, name := range strings.Split(s, ",") {
+			c.servers[name] = true
 		}
 	}
-	noteFile := func(f uint32) {
-		seenFiles.add(f)
-		if f > rep.MaxFileID {
-			rep.MaxFileID = f
+	return c
+}
+
+func (c *Checker) add(format string, args ...any) {
+	if len(c.rep.Violations) < maxViolations {
+		c.rep.Violations = append(c.rep.Violations, fmt.Sprintf(format, args...))
+	}
+}
+
+func (c *Checker) noteClient(id uint32) {
+	c.clients.add(id)
+	c.rep.MaxClientID = max(c.rep.MaxClientID, id)
+}
+
+func (c *Checker) noteFile(id uint32) {
+	c.files.add(id)
+	c.rep.MaxFileID = max(c.rep.MaxFileID, id)
+}
+
+// Write checks one record. It never fails: a violation goes to the
+// report.
+func (c *Checker) Write(r *xmlenc.Record) error {
+	rep := &c.rep
+	rep.Records++
+	if math.IsNaN(r.T) || math.IsInf(r.T, 0) || r.T < 0 {
+		c.add("record %d: timestamp %g is not a time since the capture start", rep.Records, r.T)
+	} else {
+		if r.T < c.lastT {
+			c.add("record %d: timestamp %f before %f", rep.Records, r.T, c.lastT)
+		}
+		c.lastT = r.T
+		c.maxT = max(c.maxT, r.T)
+	}
+	if !xmlenc.KnownOp(r.Op) {
+		c.add("record %d: unknown op %q", rep.Records, r.Op)
+	}
+	if c.servers != nil && !c.servers[r.Server] {
+		c.add("record %d: srv tag %q not among declared servers", rep.Records, r.Server)
+	} else if c.servers == nil && r.Server != "" {
+		c.add("record %d: srv tag %q in a single-server dataset", rep.Records, r.Server)
+	}
+	c.noteClient(r.Client)
+	for _, f := range r.FileRefs {
+		c.noteFile(f)
+	}
+	for _, s := range r.Sources {
+		c.noteClient(s)
+	}
+	for i := range r.Files {
+		f := &r.Files[i]
+		c.noteFile(f.ID)
+		// n and ty are omitted when empty (spec §2); h never is.
+		if f.NameHash != "" && !isDigest(f.NameHash) || f.TypeHash != "" && !isDigest(f.TypeHash) {
+			c.add("record %d: file hash not an md5 digest", rep.Records)
 		}
 	}
-	err = ForEach(dir, func(r *xmlenc.Record) error {
-		rep.Records++
-		if math.IsNaN(r.T) || math.IsInf(r.T, 0) || r.T < 0 {
-			add("record %d: timestamp %g is not a time since the capture start", rep.Records, r.T)
-		} else {
-			if r.T < lastT {
-				add("record %d: timestamp %f before %f", rep.Records, r.T, lastT)
-			}
-			lastT = r.T
+	for _, k := range r.Keywords {
+		if !isDigest(k) {
+			c.add("record %d: keyword hash %q not an md5 digest", rep.Records, k)
 		}
-		if !xmlenc.KnownOp(r.Op) {
-			add("record %d: unknown op %q", rep.Records, r.Op)
-		}
-		if servers != nil && !servers[r.Server] {
-			add("record %d: srv tag %q not among declared servers", rep.Records, r.Server)
-		} else if servers == nil && r.Server != "" {
-			add("record %d: srv tag %q in a single-server dataset", rep.Records, r.Server)
-		}
-		noteClient(r.Client)
-		for _, f := range r.FileRefs {
-			noteFile(f)
-		}
-		for _, s := range r.Sources {
-			noteClient(s)
-		}
-		for i := range r.Files {
-			f := &r.Files[i]
-			noteFile(f.ID)
-			// n and ty are omitted when empty (spec §2); h never is.
-			if f.NameHash != "" && !isDigest(f.NameHash) || f.TypeHash != "" && !isDigest(f.TypeHash) {
-				add("record %d: file hash not an md5 digest", rep.Records)
-			}
-		}
-		for _, k := range r.Keywords {
-			if !isDigest(k) {
-				add("record %d: keyword hash %q not an md5 digest", rep.Records, k)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	if rep.Records != man.Records {
-		add("manifest claims %d records, read %d", man.Records, rep.Records)
+	return nil
+}
+
+// Report adds the whole-dataset checks to what Write found and returns
+// the report. Call it once, after the last record.
+func (c *Checker) Report() *VerifyReport {
+	man, rep := c.man, &c.rep
+	if man.MaxT != nil && *man.MaxT != c.maxT {
+		c.add("manifest max_t %v, largest t read %v", *man.MaxT, c.maxT)
 	}
 	// Density: anonymised IDs must be exactly 0..N-1.
 	if man.DistinctClients > 0 {
-		if seenClients.distinct != uint64(man.DistinctClients) {
-			add("manifest claims %d clients, dataset references %d",
-				man.DistinctClients, seenClients.distinct)
+		if c.clients.distinct != uint64(man.DistinctClients) {
+			c.add("manifest claims %d clients, dataset references %d",
+				man.DistinctClients, c.clients.distinct)
 		}
 		if rep.MaxClientID != man.DistinctClients-1 {
-			add("max clientID %d, want %d (dense order-of-appearance)",
+			c.add("max clientID %d, want %d (dense order-of-appearance)",
 				rep.MaxClientID, man.DistinctClients-1)
 		}
 	}
 	if man.DistinctFiles > 0 {
-		if seenFiles.distinct != uint64(man.DistinctFiles) {
-			add("manifest claims %d files, dataset references %d",
-				man.DistinctFiles, seenFiles.distinct)
+		if c.files.distinct != uint64(man.DistinctFiles) {
+			c.add("manifest claims %d files, dataset references %d",
+				man.DistinctFiles, c.files.distinct)
 		}
 		if rep.MaxFileID != man.DistinctFiles-1 {
-			add("max fileID %d, want %d (dense order-of-appearance)",
+			c.add("max fileID %d, want %d (dense order-of-appearance)",
 				rep.MaxFileID, man.DistinctFiles-1)
 		}
 	}
-	return rep, nil
+	return rep
 }
 
 // idSet counts the distinct anonymised IDs a dataset references. The spec

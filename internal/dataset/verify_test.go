@@ -141,8 +141,10 @@ func TestVerifyRejectsTimesBeforeTheCapture(t *testing.T) {
 		{"negative", []string{`t="0.500"`}, `t="-0.250"`, []string{
 			"record 1: timestamp -0.25 is not a time since the capture start",
 		}},
+		// The last record's t was the manifest's max_t.
 		{"infinite", []string{`t="2.000"`}, `t="+Inf"`, []string{
 			"record 5: timestamp +Inf is not a time since the capture start",
+			"manifest max_t 2, largest t read 1.2",
 		}},
 		{"far negative", []string{`t="0.500"`}, `t="-7.000"`, []string{
 			"record 1: timestamp -7 is not a time since the capture start",
@@ -157,6 +159,49 @@ func TestVerifyRejectsTimesBeforeTheCapture(t *testing.T) {
 				}
 				return b
 			})
+			rep, err := Verify(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rep.Violations, tc.want) {
+				t.Fatalf("violations %q, want %q", rep.Violations, tc.want)
+			}
+		})
+	}
+}
+
+// TestVerifyChecksMaxT: spec §4 makes the manifest's max_t the largest t
+// of any record. One below or above it is a violation; a manifest without
+// the field, from a writer that did not record it, is not.
+func TestVerifyChecksMaxT(t *testing.T) {
+	for _, tc := range []struct {
+		name, maxT string // the max_t line's replacement; "" drops it
+		want       []string
+	}{
+		{"missing", "", nil},
+		{"below", `"max_t": 1.999,`, []string{"manifest max_t 1.999, largest t read 2"}},
+		{"above", `"max_t": 2.001,`, []string{"manifest max_t 2.001, largest t read 2"}},
+		{"negative", `"max_t": -2,`, []string{"manifest max_t -2, largest t read 2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeValidDataset(t, dir)
+			path := filepath.Join(dir, manifestName)
+			man, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			line := []byte("  \"max_t\": 2,\n")
+			if !bytes.Contains(man, line) {
+				t.Fatalf("manifest has no max_t of 2:\n%s", man)
+			}
+			repl := []byte(nil)
+			if tc.maxT != "" {
+				repl = []byte("  " + tc.maxT + "\n")
+			}
+			if err := os.WriteFile(path, bytes.Replace(man, line, repl, 1), 0o644); err != nil {
+				t.Fatal(err)
+			}
 			rep, err := Verify(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -321,7 +366,8 @@ func TestVerifyHugeClaimCostsNothing(t *testing.T) {
 // FuzzVerifyManifest: Open, ForEach and Verify on any manifest over a
 // small valid set of chunks — a plain one and a .gz one — return an error
 // or a result; none panics, and none allocates more than 8 MiB plus 64
-// bytes per byte of manifest.
+// bytes per byte of manifest. A report never passes a max_t other than
+// the chunks' largest t.
 //
 //	go test -run '^$' -fuzz '^FuzzVerifyManifest$' -fuzztime 15s ./internal/dataset/
 func FuzzVerifyManifest(f *testing.F) {
@@ -355,6 +401,11 @@ func FuzzVerifyManifest(f *testing.F) {
 	f.Add([]byte(`{"version":"1.0","chunks":["chunk-00000.xml"],"records":5,"distinct_clients":4294967295,"distinct_files":4294967295}`))
 	f.Add([]byte(`{"version":"1.0","chunks":["chunk-00000.xml"],"records":5,"meta":{"servers":"a,b"}}`))
 	f.Add([]byte(`{"version":"1.0","chunks":["chunk-00000.xml.gz"],"records":18446744073709551615}`))
+	// Both chunks' largest t is 2: max_t missing, below, above, negative,
+	// huge and not a number.
+	for _, maxT := range []string{``, `"max_t":1.5,`, `"max_t":2.5,`, `"max_t":-1,`, `"max_t":1e308,`, `"max_t":"2",`} {
+		f.Add([]byte(`{"version":"1.0","chunks":["chunk-00000.xml","chunk-00001.xml.gz"],"records":10,` + maxT + `"distinct_clients":3,"distinct_files":2}`))
+	}
 	f.Add([]byte(`{"version":"1.0","chunks":null}`))
 	f.Add([]byte(`{"version":"2.0"}`))
 	f.Add([]byte(`[]`))
@@ -364,13 +415,19 @@ func FuzzVerifyManifest(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if man, err := Open(dir); err == nil && man == nil {
+		man, err := Open(dir)
+		if err == nil && man == nil {
 			t.Fatal("Open returned neither a manifest nor an error")
 		}
 		n := 0
 		ForEach(dir, func(*xmlenc.Record) error { n++; return nil })
-		if rep, err := Verify(dir); err == nil && rep == nil {
+		rep, err := Verify(dir)
+		if err == nil && rep == nil {
 			t.Fatal("Verify returned neither a report nor an error")
+		}
+		// Every chunk's largest t is 2.
+		if rep != nil && man.MaxT != nil && *man.MaxT != 2 && rep.OK() {
+			t.Fatalf("Verify passed a max_t of %v", *man.MaxT)
 		}
 		runtime.ReadMemStats(&after)
 		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(8<<20+64*len(manifest)); grew > bound {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -426,5 +427,56 @@ func TestOpenChunkOrderIsNumeric(t *testing.T) {
 	}
 	if _, err := Open(put(&Manifest{Version: "1.0", Chunks: []string{"../chunk-00000.xml"}})); err == nil {
 		t.Fatal("chunk name outside the directory accepted")
+	}
+}
+
+// TestWriterRecordsMaxT: the manifest's max_t is the largest t a reader
+// decodes from the chunks, bit for bit — the written text rounds t to
+// milliseconds — whatever the order of the records. A t that is not a
+// finite non-negative number does not count, nor does an empty dataset
+// have any but 0.
+func TestWriterRecordsMaxT(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ts   []float64
+	}{
+		{"empty", nil},
+		{"rounded down", []float64{0.0004, 1.0004}},
+		{"rounded up", []float64{0.5, 7.9996}},
+		{"not last", []float64{1, 1 << 25, 3}},
+		{"past 2^24 s", []float64{18144000.0006, 1<<24 + 0.0005}},
+		{"not times", []float64{2.5, math.NaN(), -4, math.Inf(1), math.Inf(-1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := NewWriter(dir, WriterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range tc.ts {
+				if err := w.Write(&xmlenc.Record{T: v, Op: "StatReq", Dir: xmlenc.DirQuery}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			man, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := 0.0
+			if err := ForEach(dir, func(r *xmlenc.Record) error {
+				if r.T > read && !math.IsInf(r.T, 1) {
+					read = r.T
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if man.MaxT == nil || math.Float64bits(*man.MaxT) != math.Float64bits(read) {
+				t.Fatalf("manifest max_t %v, largest t read %v", man.MaxT, read)
+			}
+		})
 	}
 }

@@ -4,7 +4,8 @@
 # it must report losses, and `edanalyze -pcap` must replay the tee with
 # the same captured count and none lost. Then a simulated capture of the
 # spec examples/specs/smokeday.json: it must play sessions and fire the
-# spec's release, and `edanalyze -verify` must accept its dataset. Then
+# spec's release, and `edanalyze -verify -windows 4` must accept its
+# dataset and print the same over a copy whose manifest lacks max_t. Then
 # the daemon on fixed
 # loopback ports: a two-node `edserverd -mesh 2` under one gzip merged
 # capture, loaded across both nodes by `edload` and stopped with SIGTERM.
@@ -56,7 +57,19 @@ if [ -z "$sessions" ] || [ "$sessions" -eq 0 ] || [ "$releases" != 1 ]; then
     echo "cli smoke: edsim -spec did not play the spec's sessions and its release" >&2
     exit 1
 fi
-"$tmp/edanalyze" -in "$tmp/spec" -verify | grep '^verified'
+"$tmp/edanalyze" -in "$tmp/spec" -verify -windows 4 > "$tmp/windows.txt"
+grep '^verified' "$tmp/windows.txt"
+# A manifest without max_t, as a writer that did not record it left it,
+# is read with a pre-pass for the span, to the same output.
+cp -r "$tmp/spec" "$tmp/spec-old"
+grep -v '^  "max_t": ' "$tmp/spec/manifest.json" > "$tmp/spec-old/manifest.json"
+if cmp -s "$tmp/spec/manifest.json" "$tmp/spec-old/manifest.json"; then
+    echo "cli smoke: the spec capture's manifest has no max_t" >&2
+    exit 1
+fi
+"$tmp/edanalyze" -in "$tmp/spec-old" -verify -windows 4 > "$tmp/windows-old.txt"
+cmp "$tmp/windows.txt" "$tmp/windows-old.txt"
+echo "spec capture: -verify -windows 4 prints the same with and without max_t"
 
 ds="$tmp/ds"
 "$tmp/edserverd" -mesh 2 -tcp 127.0.0.1:14661 -udp 127.0.0.1:14665 \
