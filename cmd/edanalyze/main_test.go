@@ -15,7 +15,9 @@ import (
 
 	"edtrace"
 	"edtrace/internal/core"
+	"edtrace/internal/dataset"
 	"edtrace/internal/simtime"
+	"edtrace/internal/xmlenc"
 )
 
 // goldenAnalyzeOutput is the SHA-256 of what `edanalyze -in DIR -verify
@@ -105,6 +107,50 @@ func TestWindowsOutOfRange(t *testing.T) {
 			t.Errorf("-windows %s: exit %d, want 2 (%s)", n, code, stderr.String())
 		} else if !strings.Contains(stderr.String(), "-windows takes 0 or 2 to 8") {
 			t.Errorf("-windows %s: stderr %q", n, stderr.String())
+		}
+	}
+}
+
+// TestSpanPastDurationRange: a manifest's max_t sets the windows' span, and
+// a span past time.Duration's ~292 years prints in hours instead of
+// wrapping to a negative duration; spans within it print as before, down
+// to the empty capture's.
+func TestSpanPastDurationRange(t *testing.T) {
+	dir := t.TempDir()
+	w, err := dataset.NewWriter(dir, dataset.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(&xmlenc.Record{Op: "StatReq", Dir: xmlenc.DirQuery}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "manifest.json")
+	man, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxT := regexp.MustCompile(`(?m)^  "max_t": .*$`)
+	if !maxT.Match(man) {
+		t.Fatalf("manifest has no max_t:\n%s", man)
+	}
+	for _, tc := range []struct{ maxT, span string }{
+		{"0", "0s"},
+		{"9223372036", "2562047h47m16s"}, // the last whole second time.Duration holds
+		{"9223372037", "2562048h"},
+		{"1e308", "2.77777777777778e+304h"},
+	} {
+		if err := os.WriteFile(path, maxT.ReplaceAll(man, []byte(`  "max_t": `+tc.maxT+`,`)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-in", dir, "-windows", "2"}, &stdout, &stderr); code != 0 {
+			t.Fatalf("max_t %s: exit %d: %s", tc.maxT, code, stderr.String())
+		}
+		if want := "2 nested windows over " + tc.span + " of capture"; !strings.Contains(stdout.String(), want) {
+			t.Errorf("max_t %s: output lacks %q:\n%s", tc.maxT, want, stdout.String())
 		}
 	}
 }

@@ -31,8 +31,12 @@ import (
 // uint64 pairs deduplicated as it doubles: (file, client) pairs of
 // OfferFiles and of GetSources, and (server, client) pairs of a merged
 // dataset's provenance tags. Re-announcements at every session are
-// frequent, so a set holds about twice its distinct pairs, never every
-// observation; Finalize reads the figures off the sorted runs.
+// frequent, so a set holds its distinct pairs, delta coded at 1–3 bytes
+// each on the figures' captures, and a tail of new observations no longer
+// than its run, never every observation. Finalize merges each tail,
+// releases its buffer, and reads the figures off the coded runs as a
+// stream: per file the groups of a high half, per client the counts of the
+// radix-sorted low halves.
 type Collector struct {
 	provide pairSet // fileID<<32 | client, from OfferFiles
 	ask     pairSet // fileID<<32 | client, from GetSources
@@ -145,7 +149,8 @@ type Figures struct {
 
 // Finalize merges each pair set's tail into its run and histograms
 // everything. The runs stay the collector's, so writing more after a
-// Finalize and finalizing again counts every record written.
+// Finalize and finalizing again counts every record written; the tails'
+// buffers are released, and a later write allocates a new one.
 func (c *Collector) Finalize() *Figures {
 	f := &Figures{
 		Fig4: stats.NewIntHist(),
@@ -154,12 +159,14 @@ func (c *Collector) Finalize() *Figures {
 		Fig7: stats.NewIntHist(),
 		Fig8: stats.NewIntHist(),
 	}
-	// Per file, the distinct clients are the runs of the pairs' high half;
-	// per client, the distinct files are the counts of their low half.
-	provide, ask := c.provide.sorted(), c.ask.sorted()
-	forRuns(provide, 32, func(_ uint32, n int) { f.Fig4.Add(uint64(n)) })
-	forRuns(ask, 32, func(_ uint32, n int) { f.Fig5.Add(uint64(n)) })
-	provideByClient, askByClient := lowCounts(provide), lowCounts(ask)
+	// Per file, the distinct clients are the groups of the pairs' high
+	// half; per client, the distinct files are the counts of their low half.
+	c.provide.finish()
+	c.ask.finish()
+	c.serverClients.finish()
+	c.provide.groups(func(_ uint32, n int) { f.Fig4.Add(uint64(n)) })
+	c.ask.groups(func(_ uint32, n int) { f.Fig5.Add(uint64(n)) })
+	provideByClient, askByClient := c.provide.lowCounts(), c.ask.lowCounts()
 	for _, kc := range provideByClient {
 		f.Fig6.Add(uint64(kc.n))
 	}
@@ -183,7 +190,7 @@ func (c *Collector) Finalize() *Figures {
 		f.Fit7 = fit
 	}
 	f.PerServer = slices.Clone(c.servers)
-	forRuns(c.serverClients.sorted(), 32, func(server uint32, n int) { f.PerServer[server].Clients = n })
+	c.serverClients.groups(func(server uint32, n int) { f.PerServer[server].Clients = n })
 	slices.SortFunc(f.PerServer, func(a, b ServerTally) int { return strings.Compare(a.Server, b.Server) })
 	return f
 }

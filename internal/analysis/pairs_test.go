@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -9,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"edtrace/internal/core"
+	"edtrace/internal/pcap"
 	"edtrace/internal/randx"
+	"edtrace/internal/simtime"
 	"edtrace/internal/stats"
 	"edtrace/internal/xmlenc"
 )
@@ -191,17 +195,30 @@ func fuzzRecords(data []byte, emit func(*xmlenc.Record)) {
 	}
 }
 
-// checkCollector compares c's figures with ref's and checks that each of
-// c's pair sets holds at most twice its distinct pairs plus mergeFloor.
+// checkCollector compares c's figures with ref's and checks what each of
+// c's pair sets holds once finalized: its run, trimmed to its length, at
+// most 10 bytes a distinct pair, and no tail buffer.
 func checkCollector(t *testing.T, when string, c *Collector, ref *refCollector) {
 	t.Helper()
 	if got, want := c.Finalize().Render(), ref.Finalize().Render(); got != want {
 		t.Fatalf("%s: figures differ from the reference:\n%s\nwant\n%s", when, got, want)
 	}
 	for name, s := range map[string]*pairSet{"provide": &c.provide, "ask": &c.ask, "server": &c.serverClients} {
-		if bound := 2*s.run + mergeFloor; cap(s.buf) > bound {
-			t.Fatalf("%s: %s pairs hold %d slots for %d distinct pairs, over %d", when, name, cap(s.buf), s.run, bound)
-		}
+		checkFinished(t, when+": "+name, s)
+	}
+}
+
+// checkFinished checks the byte bounds of a finished set.
+func checkFinished(t *testing.T, what string, s *pairSet) {
+	t.Helper()
+	if s.tail != nil {
+		t.Fatalf("%s: a finished set holds a tail of %d slots", what, cap(s.tail))
+	}
+	if cap(s.run) != len(s.run) {
+		t.Fatalf("%s: a finished run of %d bytes holds %d", what, len(s.run), cap(s.run))
+	}
+	if len(s.run) > 10*s.n {
+		t.Fatalf("%s: %d distinct pairs take %d bytes, over 10 a pair", what, s.n, len(s.run))
 	}
 }
 
@@ -230,9 +247,10 @@ func FuzzCollectorMatchesReference(f *testing.F) {
 }
 
 // TestCollectorHoldsDistinctPairs: a million offer observations over ten
-// thousand distinct pairs leave the collector holding about twice the
-// distinct pairs, not every observation, and a merge on top of that
-// allocates only its tail-sized scratch.
+// thousand distinct pairs leave the collector holding the distinct pairs
+// in at most 4 bytes each and a tail no longer than its run, not every
+// observation, and a merge of a tail the run already holds allocates only
+// its tail-sized scratch.
 func TestCollectorHoldsDistinctPairs(t *testing.T) {
 	const files, clients, observations = 100, 100, 1_000_000
 	c := NewCollector()
@@ -243,27 +261,174 @@ func TestCollectorHoldsDistinctPairs(t *testing.T) {
 		rec.Files[0].ID = uint32(r.IntN(files))
 		c.Write(rec)
 	}
-	if bound := 2*files*clients + mergeFloor; cap(c.provide.buf) > bound {
-		t.Fatalf("%d observations of %d distinct pairs hold %d slots, over %d", observations, files*clients, cap(c.provide.buf), bound)
-	}
-	// A merge once the run is full allocates one tail-sized scratch,
-	// rounded up to the heap's 8 KiB pages, and nothing else: the buffer
-	// is not regrown.
 	s := &c.provide
-	for len(s.buf) < s.limit-1 {
-		s.add(s.buf[0])
+	if s.n != files*clients || len(s.run) > 4*s.n || cap(s.tail) > s.limit() {
+		t.Fatalf("%d observations of %d distinct pairs hold %d pairs in %d bytes and a tail of %d slots, want at most %d bytes and %d slots",
+			observations, files*clients, s.n, len(s.run), cap(s.tail), 4*files*clients, s.limit())
 	}
-	tail := s.limit - s.run
+	// A merge that adds no pair allocates one tail-sized scratch, rounded
+	// up to the heap's 8 KiB pages, and nothing else: the run is kept.
+	const held = 7<<32 | 7
+	for len(s.tail) < s.limit()-1 {
+		s.add(held)
+	}
+	tail, run := s.limit(), &s.run[0]
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s.add(s.buf[0])
+	s.add(held)
 	runtime.ReadMemStats(&after)
-	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(8*tail); got > want+8192 {
-		t.Fatalf("a merge of a %d-pair tail allocated %d bytes, want about %d", tail, got, want)
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(8*tail); got > want+8192 || &s.run[0] != run || len(s.tail) != 0 {
+		t.Fatalf("a merge of a %d-pair tail allocated %d bytes, want about %d, and the run moved: %v", tail, got, want, &s.run[0] != run)
 	}
 	f := c.Finalize()
 	if f.Fig4.N() != files || f.Fig6.N() != clients || f.Fig4.Count(clients) != files {
 		t.Fatalf("figures: fig4 %v, fig6 %v", f.Fig4.Points(), f.Fig6.Points())
+	}
+	checkFinished(t, "provide", s)
+	if len(s.run) > 4*files*clients {
+		t.Fatalf("%d distinct pairs take %d bytes, over 4 a pair", files*clients, len(s.run))
+	}
+}
+
+// pairs decodes the set's run.
+func (s *pairSet) pairs() []uint64 {
+	var out []uint64
+	var p uint64
+	for at := 0; at < len(s.run); {
+		p, at = nextPair(s.run, at, p)
+		out = append(out, p)
+	}
+	return out
+}
+
+// checkRun finishes s and checks it against the pairs added to it: its run
+// decodes to them, sorted and deduplicated, its groups and low-half counts
+// are theirs, and it holds the bytes of a finished set.
+func checkRun(t *testing.T, s *pairSet, added []uint64) {
+	t.Helper()
+	s.finish()
+	want := slices.Compact(slices.Sorted(slices.Values(added)))
+	if got := s.pairs(); !slices.Equal(got, want) || s.n != len(want) {
+		t.Fatalf("run of %d pairs (n %d) decodes to %d pairs, want %d; first difference at %d",
+			len(s.run), s.n, len(got), len(want), firstDiff(got, want))
+	}
+	var groups, wantGroups []keyCount
+	s.groups(func(hi uint32, n int) { groups = append(groups, keyCount{hi, n}) })
+	lows := make(map[uint32]int)
+	for _, p := range want {
+		if k := len(wantGroups) - 1; k >= 0 && wantGroups[k].key == uint32(p>>32) {
+			wantGroups[k].n++
+		} else {
+			wantGroups = append(wantGroups, keyCount{uint32(p >> 32), 1})
+		}
+		lows[uint32(p)]++
+	}
+	if !slices.Equal(groups, wantGroups) {
+		t.Fatalf("groups %v, want %v", groups, wantGroups)
+	}
+	wantLows := make([]keyCount, 0, len(lows))
+	for k, n := range lows {
+		wantLows = append(wantLows, keyCount{k, n})
+	}
+	slices.SortFunc(wantLows, func(a, b keyCount) int { return cmp.Compare(a.key, b.key) })
+	if got := s.lowCounts(); !slices.Equal(got, wantLows) {
+		t.Fatalf("low counts %v, want %v", got, wantLows)
+	}
+	checkFinished(t, "run", s)
+}
+
+func firstDiff(a, b []uint64) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// fuzzKeys are the pairs a fuzz op jumps to: both ends of uint64, both ends
+// of a high half, high halves 2³²−1 apart, and one whose digits all differ.
+var fuzzKeys = [...]uint64{0, 1, 1<<32 - 1, 1 << 32, (1<<32 - 1) << 32, 1<<64 - 1, 1<<64 - 2, 1 << 63, 0x9e37_79b9_7f4a_7c15}
+
+// FuzzPairRun: over any sequence of adds, with the set finished between
+// them, the run holds what slices.Sort and slices.Compact make of every pair
+// added so far. data is read two bytes an op, ctl and x. ctl's low two
+// bits pick the op: jump to fuzzKeys[x] and add it; add a group of
+// (x+1)<<(ctl>>5) pairs sharing the current high half, the low half
+// stepping by ctl>>2&7 (0 repeats one pair), wrapping within the group;
+// move the current pair on by x<<(ctl>>2&63) and add it; or finish and
+// check.
+//
+//	go test -run '^$' -fuzz '^FuzzPairRun$' -fuzztime 15s ./internal/analysis/
+func FuzzPairRun(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 5, 3, 0, 2, 1})
+	f.Add([]byte{0, 4, 0xe5, 0xff, 3, 0, 0, 2, 0xe1, 0xff, 3, 0})
+	f.Add([]byte{0xa1, 9, 0x82, 1, 0xa5, 9, 3, 0, 0xe1, 3, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s pairSet
+		var added []uint64
+		var k uint64
+		add := func(p uint64) {
+			s.add(p)
+			added = append(added, p)
+		}
+		for ; len(data) >= 2 && len(added) < 1<<16; data = data[2:] {
+			ctl, x := data[0], data[1]
+			switch ctl & 3 {
+			case 0:
+				k = fuzzKeys[int(x)%len(fuzzKeys)]
+				add(k)
+			case 1:
+				step := uint32(ctl >> 2 & 7)
+				for range (int(x) + 1) << (ctl >> 5) {
+					k = k&^math.MaxUint32 | uint64(uint32(k)+step)
+					add(k)
+				}
+			case 2:
+				k += uint64(x) << (ctl >> 2 & 63)
+				add(k)
+			default:
+				checkRun(t, &s, added)
+			}
+		}
+		checkRun(t, &s, added)
+	})
+}
+
+// TestRunBytesOnBenchCapture: on a capture shaped like the benchmark's
+// (3,000 clients, 12,000 files, an hour, no scanners or heavy clients), a
+// finished collector holds each distinct offer and ask pair in at most 3
+// bytes.
+func TestRunBytesOnBenchCapture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates an hour of a 3,000-client server")
+	}
+	cfg := core.DefaultSimConfig()
+	cfg.Workload.Seed = 31
+	cfg.Workload.NumClients = 3_000
+	cfg.Workload.NumFiles = 12_000
+	cfg.Workload.ScannerFraction = 0
+	cfg.Workload.HeavyFraction = 0
+	cfg.Traffic.Duration = simtime.Hour
+	cfg.FrameMangleRate = 5e-4
+	w, err := core.NewSimWorld(cfg, &pcap.Ledger{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollector()
+	p := core.NewPipeline(cfg.ServerIP, cfg.FileBytePair, c)
+	if _, err := w.RunFrames(context.Background(), func(now simtime.Time, frame []byte) error {
+		return p.ProcessFrame(now, frame)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.Finalize()
+	for name, s := range map[string]*pairSet{"provide": &c.provide, "ask": &c.ask} {
+		perPair := float64(len(s.run)) / float64(s.n)
+		t.Logf("%s: %d distinct pairs in %d bytes, %.2f a pair", name, s.n, len(s.run), perPair)
+		if s.n < 10_000 || perPair > 3 {
+			t.Errorf("%s: %d distinct pairs take %.2f bytes each, want at least 10,000 pairs at most 3 bytes each", name, s.n, perPair)
+		}
 	}
 }
 
@@ -280,6 +445,14 @@ func TestRadixSortMatchesSort(t *testing.T) {
 			want := slices.Sorted(slices.Values(keys))
 			if got := radixSort(keys, make([]uint64, n)); !slices.Equal(got, want) {
 				t.Fatalf("mask %#x, %d keys: not sorted", mask, n)
+			}
+			lows := make([]uint32, n)
+			for i, k := range keys {
+				lows[i] = uint32(k)
+			}
+			want32 := slices.Sorted(slices.Values(lows))
+			if got := radixSort(lows, make([]uint32, n)); !slices.Equal(got, want32) {
+				t.Fatalf("mask %#x, %d uint32 keys: not sorted", mask, n)
 			}
 		}
 	}
@@ -315,8 +488,8 @@ func BenchmarkPairSetStall(b *testing.B) {
 					s.add(k)
 					full = max(full, time.Since(t0))
 				}
-				if n := len(s.sorted()); n != distinct {
-					b.Fatalf("%d distinct pairs, want %d", n, distinct)
+				if s.finish(); s.n != distinct {
+					b.Fatalf("%d distinct pairs, want %d", s.n, distinct)
 				}
 			}
 			b.ReportMetric(float64(growing.Microseconds())/1e3, "grow-stall-ms")

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 
@@ -127,9 +128,18 @@ func ksDistance(a, b *stats.IntHist) float64 {
 	return maxGap
 }
 
-// fmtSpan renders a window length in human units.
+// maxDurationSpan is the longest span fmtSpan renders as a time.Duration:
+// half a second short of its ~292 years, so that rounding to the second
+// stays in range.
+const maxDurationSpan = float64(math.MaxInt64 - time.Second/2)
+
+// fmtSpan renders a window length in human units: as a time.Duration
+// rounded to the second, and past its range in whole hours, to 15 digits.
 func fmtSpan(seconds float64) string {
-	return time.Duration(seconds * float64(time.Second)).Round(time.Second).String()
+	if ns := seconds * float64(time.Second); ns < maxDurationSpan {
+		return time.Duration(ns).Round(time.Second).String()
+	}
+	return strconv.FormatFloat(math.Round(seconds/3600), 'g', 15, 64) + "h"
 }
 
 // Render produces the per-figure shift tables: for each of the paper's

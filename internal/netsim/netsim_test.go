@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -460,5 +461,49 @@ func TestLinkSendUDPEndToEnd(t *testing.T) {
 	}
 	if reasm.Fragments == 0 {
 		t.Fatal("expected fragmentation")
+	}
+}
+
+// checksumAddRef is checksumAdd as it was before it read 64-bit words: one
+// 16-bit big-endian word a step.
+func checksumAddRef(sum uint32, b []byte) uint32 {
+	for i := 0; i+1 < len(b); i += 2 {
+		sum += uint32(binary.BigEndian.Uint16(b[i:]))
+	}
+	if len(b)%2 == 1 {
+		sum += uint32(b[len(b)-1]) << 8
+	}
+	return sum
+}
+
+// FuzzChecksumMatchesReference: for every starting sum and every input,
+// odd lengths included, checksumAdd returns the reference's sum, and so
+// checksumFold of it the reference's checksum.
+//
+//	go test -run '^$' -fuzz '^FuzzChecksumMatchesReference$' -fuzztime 15s ./internal/netsim/
+func FuzzChecksumMatchesReference(f *testing.F) {
+	f.Add(uint32(0), []byte{})
+	f.Add(uint32(0), []byte{0x45, 0, 0, 0x1c, 0xab, 0xcd, 0, 0, 0x40, 0x11, 0, 0, 0xc0, 0xa8, 0, 1, 0xc0, 0xa8, 0, 2})
+	f.Add(uint32(0xffff_ffff), []byte{0, 1})
+	f.Add(uint32(0xffff_0000), bytes.Repeat([]byte{0xff}, 61))
+	f.Fuzz(func(t *testing.T, sum uint32, b []byte) {
+		got, want := checksumAdd(sum, b), checksumAddRef(sum, b)
+		if got != want || checksumFold(got) != checksumFold(want) {
+			t.Fatalf("checksumAdd(%#x, %d bytes) = %#x, want %#x", sum, len(b), got, want)
+		}
+	})
+}
+
+// TestChecksumLongInput: past the 256 KiB a 32-bit lane takes before it is
+// added into the sum, checksumAdd still matches the reference, all bytes
+// 0xff and every starting sum's wrap alike.
+func TestChecksumLongInput(t *testing.T) {
+	for _, n := range []int{8 << 15, 8<<15 + 1, 8<<15 + 8, 3<<18 + 7} {
+		b := bytes.Repeat([]byte{0xff}, n)
+		for _, sum := range []uint32{0, 1, 0xffff, 0xffff_ffff} {
+			if got, want := checksumAdd(sum, b), checksumAddRef(sum, b); got != want {
+				t.Fatalf("%d bytes from %#x: %#x, want %#x", n, sum, got, want)
+			}
+		}
 	}
 }

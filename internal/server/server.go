@@ -300,29 +300,66 @@ func (s *Server) userShard(id ed2k.ClientID) *shard {
 }
 
 // Tokenize splits a filename into lowercase keywords the way historical
-// servers did: runs of letters and digits, length >= 2.
+// servers did: runs of ASCII letters and digits, length >= 2. It makes at
+// most two allocations: the result, sized by a counting pass, and, when a
+// token has upper case, one lowered copy of the tokens that they are all
+// cut from. Otherwise they are cut from name itself. (Lowering the whole
+// name would not do: strings.ToLower changes the byte length of invalid
+// UTF-8 and of some runes, and the offsets would no longer match.)
 func Tokenize(name string) []string {
-	var out []string
+	n, size, upper := 0, 0, false
+	forTokens(name, func(tok string) {
+		n++
+		size += len(tok)
+		for i := 0; i < len(tok) && !upper; i++ {
+			upper = tok[i] >= 'A' && tok[i] <= 'Z'
+		}
+	})
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	if !upper {
+		forTokens(name, func(tok string) { out = append(out, tok) })
+		return out
+	}
+	var b strings.Builder
+	b.Grow(size)
+	forTokens(name, func(tok string) {
+		for i := 0; i < len(tok); i++ {
+			c := tok[i]
+			if c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			b.WriteByte(c)
+		}
+	})
+	lower := b.String()
+	forTokens(name, func(tok string) {
+		out = append(out, lower[:len(tok)])
+		lower = lower[len(tok):]
+	})
+	return out
+}
+
+// forTokens calls fn with each run of at least two ASCII letters and
+// digits in name, in order.
+func forTokens(name string, fn func(tok string)) {
 	start := -1
-	flush := func(end int) {
-		if start >= 0 && end-start >= 2 {
-			out = append(out, strings.ToLower(name[start:end]))
+	for i := 0; i <= len(name); i++ {
+		if i < len(name) {
+			if c := name[i]; c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
+				if start < 0 {
+					start = i
+				}
+				continue
+			}
+		}
+		if start >= 0 && i-start >= 2 {
+			fn(name[start:i])
 		}
 		start = -1
 	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		alnum := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-		if alnum {
-			if start < 0 {
-				start = i
-			}
-		} else {
-			flush(i)
-		}
-	}
-	flush(len(name))
-	return out
 }
 
 // Answers is the storage HandleInto builds one request's answers in: the
@@ -472,7 +509,8 @@ func (s *Server) handleOffer(a *Answers, now simtime.Time, from ed2k.ClientID, p
 		// announcement that created the file indexes it, and a token the
 		// name repeats is indexed once, so a posting list holds each file
 		// at most once. The tokens are cut from the file's own copy of the
-		// name, so a keyword's map key does not pin the message either.
+		// name, or from one lowered copy of its tokens, so a keyword's map
+		// key does not pin the message either.
 		if isNew {
 			name, _ := idx.entry.Name()
 			toks := Tokenize(name)

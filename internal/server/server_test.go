@@ -2,9 +2,12 @@ package server
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"edtrace/internal/ed2k"
+	"edtrace/internal/randx"
 	"edtrace/internal/simtime"
 )
 
@@ -241,6 +244,64 @@ func TestEvalExprMatchesSpec(t *testing.T) {
 		got := evalExpr(lowerExpr(ex, new([]ed2k.SearchExpr)), nil, idx, 1)
 		if got != want {
 			t.Errorf("%s: evalExpr=%v, spec=%v", ex, got, want)
+		}
+	}
+}
+
+// tokenizeRef is Tokenize as it was before it counted and lowered in one
+// copy: each token lowered on its own, the result grown token by token.
+func tokenizeRef(name string) []string {
+	var out []string
+	start := -1
+	flush := func(end int) {
+		if start >= 0 && end-start >= 2 {
+			out = append(out, strings.ToLower(name[start:end]))
+		}
+		start = -1
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		alnum := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+		if alnum {
+			if start < 0 {
+				start = i
+			}
+		} else {
+			flush(i)
+		}
+	}
+	flush(len(name))
+	return out
+}
+
+// TestTokenizeMatchesReference: on names whose lowering changes their byte
+// length (a Latin-1 name, as eDonkey clients send them, the dotted capital
+// I, the Kelvin sign), on ASCII, on mixed case, and on random bytes,
+// Tokenize gives the reference's tokens in at most two allocations.
+func TestTokenizeMatchesReference(t *testing.T) {
+	names := []string{
+		"Caf\xe9 Mix.mp3", "\u0130stanbul \u0130Z ab", "200\u212a Kelvin\u212aK.avi", "mozart requiem.mp3",
+		"Hello WORLD", "A_B-C  d", "", "x", "ab", "AB", "MiXeD_CaSe-42.iso", "..--..",
+	}
+	r := randx.New(44, 44)
+	alphabet := []byte("aZ9_ .\x80\xc4\xb0\xe2\x84\xaaqQ")
+	for range 2000 {
+		b := make([]byte, r.IntN(40))
+		for i := range b {
+			if r.IntN(2) == 0 {
+				b[i] = byte(r.IntN(256))
+			} else {
+				b[i] = alphabet[r.IntN(len(alphabet))]
+			}
+		}
+		names = append(names, string(b))
+	}
+	for _, name := range names {
+		if got, want := Tokenize(name), tokenizeRef(name); !slices.Equal(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { Tokenize(name) }); allocs > 2 {
+			t.Fatalf("Tokenize(%q): %v allocations, want at most 2", name, allocs)
 		}
 	}
 }

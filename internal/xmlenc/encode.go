@@ -3,7 +3,6 @@ package xmlenc
 import (
 	"math"
 	"strconv"
-	"strings"
 )
 
 // The encoder for the XML dialect specified in spec.md is three append
@@ -157,12 +156,18 @@ func appendAttr(b []byte, key, val string) []byte {
 	return append(b, '"')
 }
 
-// appendEscaped writes val with the five XML entities escaped.
+// xmlSpecial marks the bytes appendEscaped writes as entities.
+var xmlSpecial = [256]bool{'&': true, '<': true, '>': true, '"': true, '\'': true}
+
+// appendEscaped writes val with the five XML entities escaped: one table
+// lookup a byte, and the runs between entities appended whole.
 func appendEscaped(b []byte, val string) []byte {
-	if !strings.ContainsAny(val, `&<>"'`) {
-		return append(b, val...)
-	}
+	last := 0
 	for i := 0; i < len(val); i++ {
+		if !xmlSpecial[val[i]] {
+			continue
+		}
+		b = append(b, val[last:i]...)
 		switch val[i] {
 		case '&':
 			b = append(b, "&amp;"...)
@@ -172,11 +177,10 @@ func appendEscaped(b []byte, val string) []byte {
 			b = append(b, "&gt;"...)
 		case '"':
 			b = append(b, "&quot;"...)
-		case '\'':
-			b = append(b, "&apos;"...)
 		default:
-			b = append(b, val[i])
+			b = append(b, "&apos;"...)
 		}
+		last = i + 1
 	}
-	return b
+	return append(b, val[last:]...)
 }

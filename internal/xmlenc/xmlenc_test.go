@@ -428,3 +428,48 @@ func BenchmarkDecodeRecord(b *testing.B) {
 		}
 	}
 }
+
+// appendEscapedRef is appendEscaped as it was before its byte table: a
+// strings.ContainsAny check, then a switch a byte.
+func appendEscapedRef(b []byte, val string) []byte {
+	if !strings.ContainsAny(val, `&<>"'`) {
+		return append(b, val...)
+	}
+	for i := 0; i < len(val); i++ {
+		switch val[i] {
+		case '&':
+			b = append(b, "&amp;"...)
+		case '<':
+			b = append(b, "&lt;"...)
+		case '>':
+			b = append(b, "&gt;"...)
+		case '"':
+			b = append(b, "&quot;"...)
+		case '\'':
+			b = append(b, "&apos;"...)
+		default:
+			b = append(b, val[i])
+		}
+	}
+	return b
+}
+
+// TestAppendEscapedEveryByte: every byte value, alone, between others, in
+// one value holding all 256, and at either end of a long value, is written
+// as the reference writes it.
+func TestAppendEscapedEveryByte(t *testing.T) {
+	var all []byte
+	for c := range 256 {
+		all = append(all, byte(c))
+	}
+	vals := []string{"", string(all), string(all[128:]) + string(all[:128])}
+	for c := range 256 {
+		s := string([]byte{byte(c)})
+		vals = append(vals, s, "a"+s+"b", s+s, s+"file name long enough to skip ahead.mp3", "file name long enough.mp3"+s)
+	}
+	for _, v := range vals {
+		if got, want := appendEscaped([]byte(`<x a="`), v), appendEscapedRef([]byte(`<x a="`), v); !bytes.Equal(got, want) {
+			t.Fatalf("appendEscaped(%q) = %q, want %q", v, got, want)
+		}
+	}
+}
