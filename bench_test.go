@@ -44,7 +44,6 @@ import (
 	"edtrace/internal/obs"
 	"edtrace/internal/randx"
 	"edtrace/internal/simtime"
-	"edtrace/internal/tcpsim"
 	"edtrace/internal/workload"
 )
 
@@ -589,33 +588,6 @@ func BenchmarkSessionMirror(b *testing.B) {
 		b.Fatalf("%d of %d mirrored frames decoded, %d dropped", rep.Pipeline.DecodedOK, b.N, rep.EthernetDropped)
 	}
 	b.ReportMetric(float64(rep.Pipeline.DecodedOK)/b.Elapsed().Seconds(), "msgs/s")
-}
-
-// BenchmarkTCPReconstruction quantifies the paper's footnote 2: the
-// reason the analysis is UDP-only. The same small segment-loss rates that
-// barely dent UDP datagram decoding destroy a superlinear fraction of TCP
-// *messages*, because one lost segment stalls an entire flow.
-func BenchmarkTCPReconstruction(b *testing.B) {
-	for _, loss := range []struct {
-		name string
-		rate float64
-	}{
-		{"loss-0pct", 0},
-		{"loss-0.5pct", 0.005},
-		{"loss-2pct", 0.02},
-	} {
-		b.Run(loss.name, func(b *testing.B) {
-			var res tcpsim.ExperimentResult
-			for i := 0; i < b.N; i++ {
-				res = tcpsim.ReconstructionExperiment{
-					Flows: 400, MsgsPerFlow: 10, LossRate: loss.rate, Seed: uint64(i + 1),
-				}.Run()
-			}
-			b.ReportMetric(100*res.RecoveryRate(), "recovered_pct")
-			b.ReportMetric(float64(res.Stats.AbortedFlows), "aborted_flows")
-			b.ReportMetric(float64(res.Stats.GapStalls), "gap_stalls")
-		})
-	}
 }
 
 // BenchmarkDaemonLoad measures the real deployment end to end: an

@@ -116,6 +116,9 @@ type Swarm struct {
 	rounds  int
 	budgets []budget
 	stats   Stats
+	// crowds[i] is what release i's flash crowd asks for, listed once:
+	// with its forged variants a release holds thousands of fileIDs.
+	crowds [][]ed2k.FileID
 
 	// pending is the engine's event on the clock; fire, bound once,
 	// plays it.
@@ -150,6 +153,9 @@ func NewSwarm(eng *workload.Engine, tc TrafficConfig, sch *simtime.Scheduler, se
 		budgets: make([]budget, len(pop.Clients)),
 	}
 	s.zipf = randx.NewZipf(s.rng.Split(99), 1.4, 2, uint64(len(s.cat.Vocab())-1))
+	for i := range eng.Releases() {
+		s.crowds = append(s.crowds, eng.Releases()[i].IDs(s.cat))
+	}
 	s.fire = s.play
 	return s, nil
 }
@@ -206,7 +212,7 @@ func (s *Swarm) startSession(ev workload.Event) {
 	ss.searches = b.searches / left
 	b.searches -= ss.searches
 	if ev.Release >= 0 {
-		ss.crowd = s.eng.Releases()[ev.Release].IDs(s.cat)
+		ss.crowd = s.crowds[ev.Release]
 	}
 	if ss.r.Bool(0.2) {
 		ss.queries = append(ss.queries, ed2k.GetServerList{})

@@ -13,10 +13,9 @@ import (
 //
 // where length covers opcode + payload. The paper captured this stream
 // too but analysed UDP only, because packet losses break TCP stream
-// reconstruction (its footnote 2); internal/tcpsim reproduces that
-// finding. The proto byte is 0xE3 for plain frames and 0xD4 for frames
-// whose payload is zlib-compressed ("packed"), an eMule extension many
-// clients used.
+// reconstruction (its footnote 2). The proto byte is 0xE3 for plain
+// frames and 0xD4 for frames whose payload is zlib-compressed
+// ("packed"), an eMule extension many clients used.
 
 // ProtoPacked marks a zlib-compressed frame.
 const ProtoPacked = 0xD4
@@ -104,20 +103,6 @@ func AppendFrameTCP(dst []byte, m Message) []byte {
 
 // FrameTCP serialises a message as one TCP stream frame.
 func FrameTCP(m Message) []byte { return AppendFrameTCP(nil, m) }
-
-// FrameTCPPacked serialises a message as a packed (zlib) frame.
-func FrameTCPPacked(m Message) []byte {
-	payload := m.appendPayload(nil)
-	var z bytes.Buffer
-	zw := zlib.NewWriter(&z)
-	zw.Write(payload)
-	zw.Close()
-	out := make([]byte, 0, 6+z.Len())
-	out = append(out, ProtoPacked)
-	out = binary.LittleEndian.AppendUint32(out, uint32(1+z.Len()))
-	out = append(out, m.Opcode())
-	return append(out, z.Bytes()...)
-}
 
 // MaxTCPFrame bounds a frame length; longer claims are structural junk.
 const MaxTCPFrame = 1 << 20

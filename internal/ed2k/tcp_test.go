@@ -2,6 +2,7 @@ package ed2k
 
 import (
 	"bytes"
+	"compress/zlib"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -12,6 +13,21 @@ import (
 	"testing/iotest"
 	"testing/quick"
 )
+
+// FrameTCPPacked serialises a message as a packed (zlib) frame, as an
+// eMule client sends it; the program only reads such frames.
+func FrameTCPPacked(m Message) []byte {
+	payload := m.appendPayload(nil)
+	var z bytes.Buffer
+	zw := zlib.NewWriter(&z)
+	zw.Write(payload)
+	zw.Close()
+	out := make([]byte, 0, 6+z.Len())
+	out = append(out, ProtoPacked)
+	out = binary.LittleEndian.AppendUint32(out, uint32(1+z.Len()))
+	out = append(out, m.Opcode())
+	return append(out, z.Bytes()...)
+}
 
 func TestFrameTCPRoundtrip(t *testing.T) {
 	msgs := []Message{

@@ -121,12 +121,17 @@ type Release struct {
 	Forged []int32
 }
 
-// IDs returns the genuine released fileIDs — what a flash crowd asks
-// for. Forged variants ride along in search answers, not here.
+// IDs returns the released fileIDs, genuine then forged — what a flash
+// crowd asks for. A crowd session samples its asks from all of them, so
+// the forged variants reach the capture, and its fileID buckets, the way
+// the paper's pollution did: through the clients that fetch them.
 func (r *Release) IDs(cat *Catalog) []ed2k.FileID {
-	out := make([]ed2k.FileID, len(r.Genuine))
-	for i, fi := range r.Genuine {
-		out[i] = cat.Files[fi].ID
+	out := make([]ed2k.FileID, 0, len(r.Genuine)+len(r.Forged))
+	for _, fi := range r.Genuine {
+		out = append(out, cat.Files[fi].ID)
+	}
+	for _, fi := range r.Forged {
+		out = append(out, cat.Files[fi].ID)
 	}
 	return out
 }

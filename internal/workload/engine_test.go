@@ -182,8 +182,8 @@ func TestEngineReleases(t *testing.T) {
 			t.Fatalf("forged variant lacks the pollution prefix: % x", f.ID[:2])
 		}
 	}
-	if len(rels[0].IDs(eng.Catalog())) != 5 {
-		t.Fatal("IDs must cover the genuine released files")
+	if len(rels[0].IDs(eng.Catalog())) != 5+8 {
+		t.Fatal("IDs must cover the genuine released files and their forged variants")
 	}
 
 	var relEvents []Event

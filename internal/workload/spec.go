@@ -257,7 +257,8 @@ type ReleaseSpec struct {
 	Files int `json:"files"`
 	// ForgedVariants is how many forged (polluted) variants of the
 	// released files appear alongside them, with the classic fixed-
-	// prefix fileIDs — the adversarial case of examples/pollution.
+	// prefix fileIDs; the flash crowd asks for them with the genuine
+	// files, so they reach Fig 3's buckets (TestFig3ForgedRelease).
 	ForgedVariants int `json:"forged_variants,omitempty"`
 	// CrowdBoost multiplies the arrival rate during the crowd window
 	// (1 = no crowd).
