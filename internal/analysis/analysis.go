@@ -37,10 +37,14 @@ import (
 // releases its buffer, and reads the figures off the coded runs as a
 // stream: per file the groups of a high half, per client the counts of the
 // radix-sorted low halves.
+//
+// Fig 8's sizes, a file's first size winning, are a sizeTable: a table
+// indexed by the dense anonymised file ID, about 8 bytes a file, with a
+// map for IDs too far past the files sized so far to grow it over.
 type Collector struct {
-	provide pairSet // fileID<<32 | client, from OfferFiles
-	ask     pairSet // fileID<<32 | client, from GetSources
-	sizes   map[uint32]uint64
+	provide pairSet   // fileID<<32 | client, from OfferFiles
+	ask     pairSet   // fileID<<32 | client, from GetSources
+	sizes   sizeTable // fileID → first SizeKB, from OfferFiles and SearchRes
 	records uint64
 	// servers holds one tally per srv tag in order of first appearance;
 	// serverIdx maps a tag to its index, the high half of serverClients.
@@ -62,10 +66,7 @@ type ServerTally struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		sizes:     make(map[uint32]uint64),
-		serverIdx: make(map[string]uint32),
-	}
+	return &Collector{serverIdx: make(map[string]uint32)}
 }
 
 // Write implements core.RecordSink / dataset.ForEach callbacks.
@@ -92,18 +93,13 @@ func (c *Collector) Write(r *xmlenc.Record) error {
 		for i := range r.Files {
 			f := &r.Files[i]
 			c.provide.add(uint64(f.ID)<<32 | uint64(r.Client))
-			if _, ok := c.sizes[f.ID]; !ok {
-				c.sizes[f.ID] = f.SizeKB
-			}
+			c.sizes.add(f.ID, f.SizeKB)
 		}
 	case "SearchRes":
 		// Search answers also reveal file sizes (the paper's Fig 8 uses
 		// "the answers of the server to some queries").
 		for i := range r.Files {
-			f := &r.Files[i]
-			if _, ok := c.sizes[f.ID]; !ok {
-				c.sizes[f.ID] = f.SizeKB
-			}
+			c.sizes.add(r.Files[i].ID, r.Files[i].SizeKB)
 		}
 	case "GetSources":
 		for _, id := range r.FileRefs {
@@ -147,10 +143,11 @@ type Figures struct {
 	PerServer []ServerTally
 }
 
-// Finalize merges each pair set's tail into its run and histograms
-// everything. The runs stay the collector's, so writing more after a
-// Finalize and finalizing again counts every record written; the tails'
-// buffers are released, and a later write allocates a new one.
+// Finalize merges each pair set's tail into its run, trims the sizes'
+// table to its last sized file and histograms everything. The runs and
+// the sizes stay the collector's, so writing more after a Finalize and
+// finalizing again counts every record written; the tails' buffers are
+// released, and a later write allocates a new one.
 func (c *Collector) Finalize() *Figures {
 	f := &Figures{
 		Fig4: stats.NewIntHist(),
@@ -174,9 +171,8 @@ func (c *Collector) Finalize() *Figures {
 		f.Fig7.Add(uint64(kc.n))
 	}
 	f.ProvideAskCorr, f.BothActive = correlate(provideByClient, askByClient)
-	for _, kb := range c.sizes {
-		f.Fig8.Add(kb)
-	}
+	c.sizes.finish()
+	c.sizes.fill(f.Fig8)
 	if fit, err := stats.FitPowerLaw(f.Fig4); err == nil {
 		f.Fit4 = fit
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"testing"
@@ -197,7 +198,8 @@ func fuzzRecords(data []byte, emit func(*xmlenc.Record)) {
 
 // checkCollector compares c's figures with ref's and checks what each of
 // c's pair sets holds once finalized: its run, trimmed to its length, at
-// most 10 bytes a distinct pair, and no tail buffer.
+// most 10 bytes a distinct pair, and no tail buffer. It checks the sizes'
+// table too.
 func checkCollector(t *testing.T, when string, c *Collector, ref *refCollector) {
 	t.Helper()
 	if got, want := c.Finalize().Render(), ref.Finalize().Render(); got != want {
@@ -205,6 +207,36 @@ func checkCollector(t *testing.T, when string, c *Collector, ref *refCollector) 
 	}
 	for name, s := range map[string]*pairSet{"provide": &c.provide, "ask": &c.ask, "server": &c.serverClients} {
 		checkFinished(t, when+": "+name, s)
+	}
+	checkSizes(t, when, &c.sizes)
+}
+
+// checkSizes checks what a finished sizeTable holds: a table trimmed to
+// its last sized ID, nothing past its length, at most 4n + 2·denseSlack
+// IDs for its n sized files, a seen bit for each, and a far map of IDs
+// past the table only.
+func checkSizes(t *testing.T, when string, s *sizeTable) {
+	t.Helper()
+	seen := 0
+	for _, w := range s.seen {
+		seen += bits.OnesCount64(w)
+	}
+	if seen+len(s.far) != s.n {
+		t.Fatalf("%s: %d sized files, %d seen bits and %d far", when, s.n, seen, len(s.far))
+	}
+	if cap(s.kb) != len(s.kb) || cap(s.seen) != len(s.seen) || len(s.seen) != (len(s.kb)+63)/64 {
+		t.Fatalf("%s: a finished table of %d IDs holds %d sizes and %d seen words of %d", when, len(s.kb), cap(s.kb), len(s.seen), cap(s.seen))
+	}
+	if len(s.kb) > 0 && s.seen[(len(s.kb)-1)/64]>>((len(s.kb)-1)%64)&1 == 0 {
+		t.Fatalf("%s: a finished table of %d IDs does not size its last", when, len(s.kb))
+	}
+	if len(s.kb) > 4*s.n+2*denseSlack {
+		t.Fatalf("%s: %d sized files take a table of %d IDs, over 4n + %d", when, s.n, len(s.kb), 2*denseSlack)
+	}
+	for id := range s.far {
+		if int(id) < len(s.kb) {
+			t.Fatalf("%s: far ID %d lies within the table's %d", when, id, len(s.kb))
+		}
 	}
 }
 
@@ -398,7 +430,7 @@ func FuzzPairRun(f *testing.F) {
 // TestRunBytesOnBenchCapture: on a capture shaped like the benchmark's
 // (3,000 clients, 12,000 files, an hour, no scanners or heavy clients), a
 // finished collector holds each distinct offer and ask pair in at most 3
-// bytes.
+// bytes, and each sized file in at most 9, none of them far.
 func TestRunBytesOnBenchCapture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates an hour of a 3,000-client server")
@@ -423,6 +455,12 @@ func TestRunBytesOnBenchCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Finalize()
+	sz := &c.sizes
+	perFile := float64(8*(len(sz.kb)+len(sz.seen))) / float64(sz.n)
+	t.Logf("sizes: %d files in a table of %d IDs, %.2f bytes a file, %d far", sz.n, len(sz.kb), perFile, len(sz.far))
+	if sz.n < 10_000 || perFile > 9 || len(sz.far) != 0 {
+		t.Errorf("sizes: %d files take %.2f bytes each and %d are far, want at least 10,000 files at most 9 bytes each, none far", sz.n, perFile, len(sz.far))
+	}
 	for name, s := range map[string]*pairSet{"provide": &c.provide, "ask": &c.ask} {
 		perPair := float64(len(s.run)) / float64(s.n)
 		t.Logf("%s: %d distinct pairs in %d bytes, %.2f a pair", name, s.n, len(s.run), perPair)

@@ -11,6 +11,7 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -180,13 +181,17 @@ func (c *Config) Validate() error {
 }
 
 // ParseConfig decodes and validates a JSON config. Unknown fields are
-// errors: a typo'd knob must not silently fall back to a default.
+// errors: a typo'd knob must not silently fall back to a default. So is
+// anything but white space after the config's one JSON value.
 func ParseConfig(data []byte) (*Config, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var c Config
 	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("policy config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("policy config: content after the JSON value")
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err

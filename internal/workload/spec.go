@@ -10,6 +10,7 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"slices"
@@ -468,13 +469,17 @@ func (s *Spec) Validate() error {
 }
 
 // ParseSpec decodes and validates a JSON spec. Unknown fields are
-// errors: a typo'd knob must not silently fall back to a default.
+// errors: a typo'd knob must not silently fall back to a default. So is
+// anything but white space after the spec's one JSON value.
 func ParseSpec(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("workload spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("workload spec: content after the JSON value")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -65,6 +65,22 @@ func TestDurationStringRoundTrips(t *testing.T) {
 	}
 }
 
+// trailingSpec is a valid spec followed by a second JSON value.
+var trailingSpec = overflowSpec("1h", "1h") + ` {"bogus":1}`
+
+// TestSpecRejectsTrailingContent: anything but white space after the
+// spec's JSON value is an error, as an unknown field is.
+func TestSpecRejectsTrailingContent(t *testing.T) {
+	for _, in := range []string{trailingSpec, overflowSpec("1h", "1h") + "}", overflowSpec("1h", "1h") + " 0"} {
+		if _, err := ParseSpec([]byte(in)); err == nil {
+			t.Errorf("a spec followed by %q accepted", in[len(overflowSpec("1h", "1h")):])
+		}
+	}
+	if _, err := ParseSpec([]byte(" " + overflowSpec("1h", "1h") + "\n\t ")); err != nil {
+		t.Errorf("a spec in white space rejected: %v", err)
+	}
+}
+
 // FuzzParseSpec: whatever ParseSpec accepts spans a positive time, and
 // writing it back as JSON and parsing that gives the same spec (an empty
 // releases list comes back as none, which means the same).
@@ -86,6 +102,8 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(overflowSpec("9000w", "9000w")))
 	f.Add([]byte(overflowSpec("1.0005s", "0.25ms")))
 	f.Add([]byte(strings.Replace(overflowSpec("1w", "1m"), `"churn"`, `"releases": [], "churn"`, 1)))
+	f.Add([]byte(trailingSpec))
+	f.Add([]byte(overflowSpec("1h", "1h") + "}"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil {

@@ -65,7 +65,9 @@ func (l *LiveSource) Mirror(srcIP, dstIP uint32, payload []byte) {
 	if q.start.IsZero() {
 		q.start = time.Now()
 	}
-	t := simtime.Time(time.Since(q.start))
+	// Whole microseconds, as the pcap tee keeps them: a finer stamp could
+	// print a record's millisecond t one higher live than replayed.
+	t := simtime.Time(time.Since(q.start).Truncate(time.Microsecond))
 	sec := int(t / simtime.Second)
 	switch {
 	case q.closed:

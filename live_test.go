@@ -15,6 +15,7 @@ import (
 	"edtrace/internal/netsim"
 	"edtrace/internal/obs"
 	"edtrace/internal/pcap"
+	"edtrace/internal/simtime"
 )
 
 // udpChecksumAt is the offset of the UDP checksum in a frame built by
@@ -154,6 +155,33 @@ func TestLiveQueueReleasesLargeFrames(t *testing.T) {
 	if after > before+liveHeapBound {
 		t.Fatalf("live heap %.1f MB before the burst, %.1f MB after it and a round of ordinary frames; bound +%d MB",
 			float64(before)/1e6, float64(after)/1e6, liveHeapBound>>20)
+	}
+}
+
+// TestLiveStampsWholeMicroseconds: Mirror stamps every frame it queues in
+// whole microseconds, the pcap tee's resolution, so the tee replays each
+// frame at the very time the live capture took it.
+func TestLiveStampsWholeMicroseconds(t *testing.T) {
+	src := NewLiveSource(0)
+	q := src.q
+	payload := ed2k.Encode(&ed2k.StatReq{Challenge: 1})
+	var items []frameItem
+	for range 3 * batchSize {
+		src.Mirror(0x01020304, 0x0A000001, payload)
+		select {
+		case b := <-q.batches:
+			items = append(items, b.items...)
+		default:
+		}
+	}
+	items = append(items, q.open.items...)
+	if len(items) != 3*batchSize {
+		t.Fatalf("%d frames queued, want %d", len(items), 3*batchSize)
+	}
+	for i, it := range items {
+		if it.t%simtime.Microsecond != 0 {
+			t.Fatalf("frame %d stamped %d ns, not a whole microsecond", i, int64(it.t))
+		}
 	}
 }
 
