@@ -1,6 +1,7 @@
 package anonymize
 
 import (
+	"encoding/binary"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -390,6 +391,206 @@ func TestQuickFileBucketsBijective(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// randomFileIDs draws n fileIDs as hashes are: uniform 128-bit values.
+func randomFileIDs(r *randx.Rand, n int) []ed2k.FileID {
+	ids := make([]ed2k.FileID, n)
+	for i := range ids {
+		binary.LittleEndian.PutUint64(ids[i][:8], r.Uint64())
+		binary.LittleEndian.PutUint64(ids[i][8:], r.Uint64())
+	}
+	return ids
+}
+
+// TestFileBucketsFootprint: the table holds the buckets in use and not
+// 65 536 empty ones — a capture's ~12 000 fileIDs take under a megabyte,
+// the 256 KiB directory included — and MemoryBytes tells the truth about
+// its live bytes: the table's objects (HeapAlloc after a collection) are
+// within 1.5x of the figure. The spans that hold them (HeapInuse, what a
+// process pays) are bounded too: at a million IDs the buckets' outgrown
+// arrays leave holes there, ~43 B a fileID against ~30 B live, and a
+// growth policy that leaves more of them (an eighth at a time reads
+// ~53 B) fails the bound.
+func TestFileBucketsFootprint(t *testing.T) {
+	heap := func() (live, inuse uint64) {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc, ms.HeapInuse
+	}
+	for _, c := range []struct {
+		n           int
+		live, inuse uint64 // heap growth allowed, bytes
+	}{
+		{12_000, 1_000_000, 1_000_000},
+		{1_000_000, 32 * 1_000_000, 48 * 1_000_000},
+	} {
+		ids := randomFileIDs(randx.New(5, uint64(c.n)), c.n)
+		live0, inuse0 := heap()
+		f := NewFileBuckets(5, 11)
+		for _, id := range ids {
+			f.Anonymize(id)
+		}
+		live1, inuse1 := heap()
+		held, spans := live1-live0, inuse1-inuse0
+		runtime.KeepAlive(f)
+		runtime.KeepAlive(ids) // freed in between, it would hide 16 bytes an ID
+
+		mem := f.MemoryBytes()
+		t.Logf("%d ids: live heap grew by %d (%.1f B a fileID), in-use spans by %d (%.1f B), MemoryBytes %d",
+			f.Count(), held, float64(held)/float64(f.Count()), spans, float64(spans)/float64(f.Count()), mem)
+		if f.Count() != uint32(c.n) {
+			t.Fatalf("Count = %d, want %d", f.Count(), c.n)
+		}
+		if held > c.live {
+			t.Errorf("%d ids: live heap grew by %d bytes, want <= %d", c.n, held, c.live)
+		}
+		if spans > c.inuse {
+			t.Errorf("%d ids: in-use spans grew by %d bytes, want <= %d", c.n, spans, c.inuse)
+		}
+		if 2*held > 3*mem || 2*mem > 3*held {
+			t.Errorf("%d ids: live heap grew by %d bytes, MemoryBytes says %d: not within 1.5x", c.n, held, mem)
+		}
+	}
+}
+
+// TestFileBucketsAllocs: a repeat and a Lookup never allocate, and a
+// first sight allocates at most once: its bucket's growth.
+func TestFileBucketsAllocs(t *testing.T) {
+	const base = 1 << 14
+	ids := randomFileIDs(randx.New(6, 7), 2*base)
+	f := NewFileBuckets(5, 11)
+	for _, id := range ids[:base] {
+		f.Anonymize(id)
+	}
+	if a := testing.AllocsPerRun(100, func() { f.Anonymize(ids[base/2]) }); a != 0 {
+		t.Errorf("seen id: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { f.Lookup(ids[base/3]) }); a != 0 {
+		t.Errorf("Lookup: %v allocs, want 0", a)
+	}
+	next := base
+	// The slice of buckets in use grows too, rarely enough that the
+	// integer division AllocsPerRun makes leaves one a first sight.
+	if a := testing.AllocsPerRun(base-1, func() { f.Anonymize(ids[next]); next++ }); a > 1 {
+		t.Errorf("first-seen ids: %v allocs each, want <= 1", a)
+	}
+	if f.Count() != 2*base {
+		t.Fatalf("Count = %d, want %d", f.Count(), 2*base)
+	}
+}
+
+// fileStream spells an ID stream for FuzzFileBucketsMatchesMap: each ID
+// is a fresh one (its 16 bytes), a repeat of an earlier one, or the one
+// before it with one byte changed.
+type fileStream []byte
+
+func (s fileStream) fresh(id ed2k.FileID) fileStream { return append(append(s, 0xFF), id[:]...) }
+func (s fileStream) repeat(k byte) fileStream        { return append(s, k&0x3F) }
+func (s fileStream) neighbour(i, v byte) fileStream  { return append(s, 0x40|i&0x0F, v) }
+
+// decode reads the stream back; a truncated fresh ID is zero-padded.
+func (s fileStream) decode() []ed2k.FileID {
+	var ids []ed2k.FileID
+	for len(s) > 0 {
+		op := s[0]
+		s = s[1:]
+		switch {
+		case op < 0x40 && len(ids) > 0:
+			ids = append(ids, ids[int(op)%len(ids)])
+		case op < 0x80 && len(ids) > 0 && len(s) > 0:
+			id := ids[len(ids)-1]
+			id[op&0x0F] = s[0]
+			s = s[1:]
+			ids = append(ids, id)
+		default:
+			var id ed2k.FileID
+			s = s[copy(id[:], s):]
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// FuzzFileBucketsMatchesMap: the bucketed table is the hashtable under
+// any byte pair and any stream — the same pseudonyms, again on a replay
+// into the same table, a Lookup that agrees before and after each first
+// sight, bucket sizes that are a recount by the two index bytes and a
+// largest bucket that is a scan's.
+func FuzzFileBucketsMatchesMap(f *testing.F) {
+	forged := func(prefix ...byte) ed2k.FileID { // the pollution tools' fixed prefixes
+		id := fid(prefix...)
+		id[7], id[9], id[15] = 0x5A, 0xA5, byte(len(prefix))
+		return id
+	}
+	var fig3 fileStream
+	for i := byte(0); i < 6; i++ {
+		fig3 = fig3.fresh(forged(0x00, 0x00, i)).fresh(forged(0x01, 0x00, i)).neighbour(15, i)
+	}
+	fig3 = fig3.repeat(0).repeat(5).repeat(17).neighbour(1, 0x00)
+	var spread fileStream
+	for _, id := range randomFileIDs(randx.New(9, 9), 12) {
+		spread = spread.fresh(id).neighbour(5, id[5]^1).neighbour(11, 0).repeat(id[0])
+	}
+	f.Add(byte(0), byte(1), []byte(fig3))
+	f.Add(byte(5), byte(11), []byte(fig3))
+	f.Add(byte(5), byte(11), []byte(spread))
+	f.Add(byte(7), byte(8), []byte(spread))
+	f.Fuzz(func(t *testing.T, a, b byte, stream []byte) {
+		a, b = a%16, b%16
+		if a == b {
+			return
+		}
+		ids := fileStream(stream).decode()
+		fb, mp := NewFileBuckets(int(a), int(b)), NewFileMap()
+		want := make(map[ed2k.FileID]uint32)
+		for i, id := range ids {
+			v, ok := fb.Lookup(id)
+			if w, seen := want[id]; ok != seen || v != w {
+				t.Fatalf("id %d: Lookup before = %d,%v, want %d,%v", i, v, ok, w, seen)
+			}
+			got, w := fb.Anonymize(id), mp.Anonymize(id)
+			if got != w {
+				t.Fatalf("id %d: buckets %d, map %d", i, got, w)
+			}
+			want[id] = w
+			if v, ok := fb.Lookup(id); !ok || v != w {
+				t.Fatalf("id %d: Lookup after = %d,%v, want %d", i, v, ok, w)
+			}
+		}
+		for i, id := range ids {
+			if got := fb.Anonymize(id); got != want[id] {
+				t.Fatalf("replayed id %d: %d, first time %d", i, got, want[id])
+			}
+		}
+		if fb.Count() != mp.Count() || int(fb.Count()) != len(want) {
+			t.Fatalf("Count = %d, map %d, distinct %d", fb.Count(), mp.Count(), len(want))
+		}
+
+		// Whole-table loops are slow under the fuzzer's instrumentation,
+		// so the sizes are compared as arrays and the largest bucket is
+		// found among the buckets in use: the lowest index of the largest
+		// size, as a scan in index order finds it.
+		var recount [BucketCount]int
+		bucketOf := func(id ed2k.FileID) int { return int(id[a])<<8 | int(id[b]) }
+		for id := range want {
+			recount[bucketOf(id)]++
+		}
+		// Equal to the recount, the sizes also sum to Count.
+		if sizes := fb.BucketSizes(); len(sizes) != BucketCount || [BucketCount]int(sizes) != recount {
+			t.Fatal("BucketSizes differs from a recount by the index bytes")
+		}
+		wantIdx, wantSize := 0, 0
+		for id := range want {
+			if k, n := bucketOf(id), recount[bucketOf(id)]; n > wantSize || n == wantSize && k < wantIdx {
+				wantIdx, wantSize = k, n
+			}
+		}
+		if idx, size := fb.MaxBucket(); idx != wantIdx || size != wantSize {
+			t.Fatalf("MaxBucket = %d,%d, scan finds %d,%d", idx, size, wantIdx, wantSize)
+		}
+	})
 }
 
 func TestNewFileBucketsValidation(t *testing.T) {

@@ -18,7 +18,9 @@
 //     indexed by two bytes of the fileID, and discovers that using the
 //     *first* two bytes is pathological because forged fileIDs cluster on
 //     a few prefixes (its Figure 3). FileBuckets implements the bucketed
-//     structure with a configurable byte pair.
+//     structure with a configurable byte pair, storing only the buckets
+//     in use behind a 256 KiB directory: ~0.86 MB for 12 000 random
+//     fileIDs, ~30 B a fileID once every bucket is in use.
 //   - strings (search keywords, filenames, server descriptions): md5.
 //   - filesizes: truncated to kilobytes.
 //   - timestamps: rebased to seconds since the start of the capture

@@ -71,7 +71,7 @@ func (p *Planner) SessionMessages(c *workload.Client, r *randx.Rand, maxMsgs int
 	if len(crowd) == 0 {
 		return p.Messages(c, r, maxMsgs)
 	}
-	ask := crowdAsk(r, crowd)
+	ask, _ := crowdAsk(r, crowd, nil)
 	budget := maxMsgs
 	if budget > 0 {
 		budget--
@@ -93,14 +93,17 @@ func (p *Planner) SessionMessages(c *workload.Client, r *randx.Rand, maxMsgs int
 }
 
 // crowdAsk is a flash-crowd session's first ask: a sample of up to
-// asksPerMessage of a fresh release's fileIDs.
-func crowdAsk(r *randx.Rand, crowd []ed2k.FileID) *ed2k.GetSources {
+// asksPerMessage of a fresh release's fileIDs, the head of a permutation
+// of them drawn into perm's storage. It returns the permutation too, for
+// a caller that reuses it as the next perm.
+func crowdAsk(r *randx.Rand, crowd []ed2k.FileID, perm []int) (*ed2k.GetSources, []int) {
 	k := min(1+r.IntN(asksPerMessage), len(crowd))
 	ask := &ed2k.GetSources{}
-	for _, i := range r.Perm(len(crowd))[:k] {
+	perm = r.PermInto(perm, len(crowd))
+	for _, i := range perm[:k] {
 		ask.Hashes = append(ask.Hashes, crowd[i])
 	}
-	return ask
+	return ask, perm
 }
 
 // askList materialises a client's distinct ask list up front: Fig 7

@@ -129,6 +129,8 @@ type Swarm struct {
 	// emit encodes a message at once, so the swarm needs one of each.
 	offer ed2k.OfferFiles
 	ask   ed2k.GetSources
+	// perm is the index buffer a crowd session's ask is sampled from.
+	perm []int
 }
 
 // budget is what one client has left to ask and search, drawn once at
@@ -251,7 +253,8 @@ func (ss *session) announce() {
 	s, r, c := ss.s, ss.r, &ss.c
 	if ss.offered == len(c.Shares) {
 		if ss.crowd != nil {
-			msg := crowdAsk(r, ss.crowd)
+			var msg *ed2k.GetSources
+			msg, s.perm = crowdAsk(r, ss.crowd, s.perm)
 			s.stats.SourceAsks += uint64(len(msg.Hashes))
 			s.emit(c, r, msg)
 		}

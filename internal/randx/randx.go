@@ -12,6 +12,7 @@ package randx
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 )
 
 // Rand is a deterministic random source with distribution helpers.
@@ -125,4 +126,16 @@ func (r *Rand) Geometric(p float64) int {
 }
 
 // Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
+func (r *Rand) Perm(n int) []int { return r.PermInto(nil, n) }
+
+// PermInto is Perm drawn into p's storage, which it grows only when p
+// cannot hold n: math/rand/v2's Perm, the identity shuffled by the same
+// Fisher–Yates, so the same draws give the same permutation.
+func (r *Rand) PermInto(p []int, n int) []int {
+	p = slices.Grow(p[:0], n)[:n]
+	for i := range p {
+		p[i] = i
+	}
+	r.src.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}

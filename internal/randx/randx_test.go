@@ -2,6 +2,8 @@ package randx
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -310,6 +312,26 @@ func TestPermIsAPermutation(t *testing.T) {
 			t.Fatalf("Perm not a permutation: %v", p)
 		}
 		seen[v] = true
+	}
+}
+
+// TestPermIntoIsPerm: a permutation drawn into a reused buffer is
+// math/rand/v2's, draw for draw, and leaves the stream where Perm does.
+func TestPermIntoIsPerm(t *testing.T) {
+	var buf []int
+	for _, n := range []int{0, 1, 2, 7, 100, 3, 7200, 50} {
+		want, got := rand.New(rand.NewPCG(9, uint64(n))), New(9, uint64(n))
+		buf = got.PermInto(buf, n)
+		if p := want.Perm(n); !slices.Equal(buf, p) {
+			t.Fatalf("n=%d: PermInto %v, math/rand/v2 Perm %v", n, buf, p)
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("n=%d: the streams part after the permutation", n)
+		}
+	}
+	r := New(1, 2)
+	if a := testing.AllocsPerRun(10, func() { buf = r.PermInto(buf, 100) }); a != 0 {
+		t.Errorf("PermInto into a buffer that holds n: %v allocs", a)
 	}
 }
 

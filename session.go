@@ -59,9 +59,9 @@ func (t teeSink) Write(r *xmlenc.Record) error {
 // the dataset writer are only safe from that goroutine). A later session
 // on the same registry re-points the series at its own.
 type sessionMetrics struct {
-	pipe                                                *core.Pipeline
-	dw                                                  *dataset.Writer // nil without WithDataset
-	anonClients, anonFiles, clientTableBytes, maxBucket *obs.Gauge
+	pipe                                                                *core.Pipeline
+	dw                                                                  *dataset.Writer // nil without WithDataset
+	anonClients, anonFiles, clientTableBytes, fileTableBytes, maxBucket *obs.Gauge
 	// The callbacks outlive the run in the registry, so they hold these
 	// and not the session's tables.
 	pub *published
@@ -82,6 +82,7 @@ func newSessionMetrics(reg *obs.Registry, q *frameQueue, pipe *core.Pipeline, dw
 		anonClients:      reg.Gauge("edsession_anonymizer_clients", "distinct clientIDs anonymised so far"),
 		anonFiles:        reg.Gauge("edsession_anonymizer_files", "distinct fileIDs anonymised so far"),
 		clientTableBytes: reg.Gauge("edsession_anonymizer_client_table_bytes", "clientID table footprint, estimated from the clients it holds"),
+		fileTableBytes:   reg.Gauge("edsession_anonymizer_file_table_bytes", "fileID table live capacity: directory, bucket headers and slots (not the heap spans it keeps in use)"),
 		maxBucket:        reg.Gauge("edsession_anonymizer_max_bucket", "largest fileID anonymisation array (the paper's Figure 3 annotation)"),
 		dw:               dw,
 		pub:              new(published),
@@ -122,6 +123,7 @@ func (sm *sessionMetrics) batchDone() {
 	sm.anonClients.Set(int64(ca.Count()))
 	sm.anonFiles.Set(int64(fa.Count()))
 	sm.clientTableBytes.Set(int64(ca.MemoryBytes()))
+	sm.fileTableBytes.Set(int64(fa.MemoryBytes()))
 	_, size := fa.MaxBucket()
 	sm.maxBucket.Set(int64(size))
 	sm.sealsDone()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"edtrace/internal/anonymize"
 	"edtrace/internal/core"
 	"edtrace/internal/dataset"
 	"edtrace/internal/obs"
@@ -74,6 +75,10 @@ func testSessionWithMetrics(t *testing.T, sim core.SimConfig, lossy bool) {
 	// A few hundred clients: a few bytes of table each.
 	if got, most := reg.Gauge("edsession_anonymizer_client_table_bytes", "").Value(), 64*int64(rep.DistinctClients); got <= 0 || got > most {
 		t.Errorf("edsession_anonymizer_client_table_bytes = %d for %d clients, want in (0, %d]", got, rep.DistinctClients, most)
+	}
+	// The fileID table: its 256 KiB directory and a few bytes a file.
+	if got, most := reg.Gauge("edsession_anonymizer_file_table_bytes", "").Value(), 64*int64(rep.DistinctFiles)+4*anonymize.BucketCount; got <= 0 || got > most {
+		t.Errorf("edsession_anonymizer_file_table_bytes = %d for %d files, want in (0, %d]", got, rep.DistinctFiles, most)
 	}
 
 	// Every chunk of the dataset was sealed once, the last by Close, and
