@@ -74,3 +74,26 @@ func TestReusedAnswersAllocs(t *testing.T) {
 		}
 	}
 }
+
+// newFileSink keeps TestNewFileAllocs' records on the heap.
+var newFileSink *indexedFile
+
+// TestNewFileAllocs pins what the index's record of a new file costs
+// beside the record itself: one allocation for its packed tags and, when
+// its name has upper case, one for the lowered name, which the packed
+// tags then hold too. A lower-case name is its own lowered name.
+func TestNewFileAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want float64
+	}{
+		{"mozart requiem live.mp3", 2},
+		{"Mozart Requiem LIVE.mp3", 3},
+	} {
+		e := entry(1, c.name, 5<<20, "Audio")
+		e.Tags = append(e.Tags, ed2k.Tag{Name: []byte("bitrate"), Type: ed2k.TagUint32, Num: 192})
+		if got := testing.AllocsPerRun(200, func() { newFileSink = newIndexedFile(&e, 7, 4662) }); got != c.want {
+			t.Errorf("%q: the record of a new file allocates %.0f times, want %.0f (the record included)", c.name, got, c.want)
+		}
+	}
+}

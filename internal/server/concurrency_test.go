@@ -250,7 +250,7 @@ func TestSearchRacesExpiryAndReannouncement(t *testing.T) {
 	tokens := make(map[string]bool)
 	for _, sh := range s.shards {
 		for _, idx := range sh.files {
-			for _, kw := range Tokenize(idx.nameLower) {
+			for _, kw := range Tokenize(idx.nameLower()) {
 				tokens[kw] = true
 			}
 		}
@@ -265,11 +265,11 @@ func TestSearchRacesExpiryAndReannouncement(t *testing.T) {
 			}
 			for _, p := range lst {
 				f := p.f
-				if s.fileShard(f.entry.ID).files[f.entry.ID] != f {
-					t.Errorf("posting list %q holds a dead pointer to file %x", kw, f.entry.ID[:2])
+				if s.fileShard(f.id).files[f.id] != f {
+					t.Errorf("posting list %q holds a dead pointer to file %x", kw, f.id[:2])
 				}
-				if p.sig != nameSig(f.nameLower) {
-					t.Errorf("posting list %q holds a signature that is not file %x's", kw, f.entry.ID[:2])
+				if p.sig != nameSig(f.nameLower()) {
+					t.Errorf("posting list %q holds a signature that is not file %x's", kw, f.id[:2])
 				}
 			}
 		}
@@ -322,6 +322,36 @@ func TestExpireReclaimsIndex(t *testing.T) {
 	// vivaldi, seasons, mp3 (shared), concerto — exactly 4 live keywords.
 	if total != 4 {
 		t.Fatalf("keyword table holds %d entries, want 4", total)
+	}
+}
+
+// TestSweepRebuildsListAtLiveSize: a sweep that strips k of a keyword
+// list's n postings replaces the list with one of exactly n-k postings,
+// not with a copy of all n trimmed, and leaves a list with no dead
+// posting as it was.
+func TestSweepRebuildsListAtLiveSize(t *testing.T) {
+	const n, k = 40, 13
+	s := New("t", "d")
+	s.SourceTTL = simtime.Hour
+	for i := 0; i < n; i++ {
+		at := 2 * simtime.Hour
+		if i%3 == 0 && i/3 < k { // the k files the sweep finds stale
+			at = 0
+		}
+		from := ed2k.ClientID(100 + i)
+		s.Handle(at, from, 1, offer(from, entry(byte(i), fmt.Sprintf("common take%d.mp3", i), 1, "Audio")))
+	}
+	kw := s.shards[0].keywords
+	if got := len(kw["common"]); got != n {
+		t.Fatalf("%d postings before the sweep, want %d", got, n)
+	}
+	take1 := kw["take1"] // a live file's own list
+	s.ExpireSources(2 * simtime.Hour)
+	if lst := kw["common"]; len(lst) != n-k || cap(lst) != n-k {
+		t.Fatalf("after stripping %d of %d postings: len %d, cap %d, want both %d", k, n, len(lst), cap(lst), n-k)
+	}
+	if lst := kw["take1"]; &lst[0] != &take1[0] {
+		t.Fatal("a list with no dead posting was rebuilt")
 	}
 }
 

@@ -89,9 +89,10 @@ func handleBuckets() []time.Duration {
 // themselves (they are updated at the mutation points, under the locks
 // already held there) — these are the cross-shard families.
 type metrics struct {
-	received *opCounters // edserver_received_total{op=}
-	answered *opCounters // edserver_answered_total{op=}
-	handle   *opHists    // edserver_handle_seconds{op=}
+	received *opCounters    // edserver_received_total{op=}
+	answered *opCounters    // edserver_answered_total{op=}
+	handle   *opHists       // edserver_handle_seconds{op=}
+	sweep    *obs.Histogram // edserver_sweep_shard_seconds
 
 	reclaimedSources *obs.Counter
 	reclaimedFiles   *obs.Counter
@@ -104,6 +105,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		answered: newOpCounters(reg, "edserver_answered_total", "answers emitted by opcode"),
 		handle: newOpHists(reg, "edserver_handle_seconds",
 			"index Handle latency by query opcode", handleBuckets()),
+		sweep: reg.Histogram("edserver_sweep_shard_seconds",
+			"how long the expiry sweep held each shard's lock, one observation per shard per sweep", nil),
 		reclaimedSources: reg.Counter("edserver_reclaimed_sources_total",
 			"sources dropped by the expiry sweep"),
 		reclaimedFiles: reg.Counter("edserver_reclaimed_files_total",

@@ -106,3 +106,29 @@ func TestMetricsTimingDefaults(t *testing.T) {
 		t.Errorf("Handle timing not recorded with a registry:\n%s", buf.String())
 	}
 }
+
+// TestSweepShardHistogram: with timing on, one sweep of an n-shard server
+// adds n observations of edserver_sweep_shard_seconds, one per shard
+// whatever the sweep finds; without a registry it adds none.
+func TestSweepShardHistogram(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewShardedWith("m", "sweep", 8, reg)
+	s.Handle(0, 1, 4662, offer(1, entry(1, "sweep test.mp3", 1, "Audio")))
+	for sweeps := 1; sweeps <= 2; sweeps++ {
+		s.ExpireSources(simtime.Time(sweeps) * 3 * simtime.Hour)
+		if got, want := s.m.sweep.Snapshot().Count, uint64(sweeps*s.NumShards()); got != want {
+			t.Fatalf("after %d sweeps of %d shards: %d observations, want %d", sweeps, s.NumShards(), got, want)
+		}
+	}
+	var buf strings.Builder
+	reg.WritePrometheus(&buf)
+	if want := "edserver_sweep_shard_seconds_count 16"; !strings.Contains(buf.String(), want) {
+		t.Errorf("exposition missing %q", want)
+	}
+
+	plain := New("p", "plain")
+	plain.ExpireSources(3 * simtime.Hour)
+	if got := plain.m.sweep.Snapshot().Count; got != 0 {
+		t.Errorf("a sweep without a registry made %d observations, want 0", got)
+	}
+}

@@ -31,11 +31,11 @@ func (r *addrRange) holds(p unsafe.Pointer, n uintptr) bool {
 
 // TestIndexOwnsOfferedFiles: once a fresh-decoded 200-file offer is
 // handled, nothing the index keeps lies inside the message's slabs —
-// not a file's tag array, tag names or string values, not its lowered
-// name or type, not a keyword key cut from its name — so no decoded
-// message stays reachable from the index. Names are lower case, so
-// strings.ToLower hands back its argument and would alias whatever it
-// was given.
+// not a file's packed tags, not its lowered name, not a tag name or
+// string value its answers unpack, not a keyword key cut from its name —
+// so no decoded message stays reachable from the index. Names are lower
+// case, so strings.ToLower hands back its argument and would alias
+// whatever it was given.
 func TestIndexOwnsOfferedFiles(t *testing.T) {
 	files := make([]ed2k.FileEntry, 200)
 	for i := range files {
@@ -80,16 +80,13 @@ func TestIndexOwnsOfferedFiles(t *testing.T) {
 	for _, sh := range s.shards {
 		for _, f := range sh.files {
 			indexed++
-			if inMessage(unsafe.Pointer(unsafe.SliceData(f.entry.Tags)), uintptr(len(f.entry.Tags))*tagSize) {
-				t.Fatalf("file %x: tag array inside the message", f.entry.ID)
+			if inMessage(str(string(f.tags))) || inMessage(str(f.nameLower())) {
+				t.Fatalf("file %x: packed tags or lowered name inside the message", f.id)
 			}
-			for _, tg := range f.entry.Tags {
+			for _, tg := range f.tags.appendTo(nil) {
 				if inMessage(unsafe.Pointer(unsafe.SliceData(tg.Name)), uintptr(len(tg.Name))) || inMessage(str(tg.Str)) {
-					t.Fatalf("file %x: tag %q inside the message", f.entry.ID, tg.Name)
+					t.Fatalf("file %x: unpacked tag %q inside the message", f.id, tg.Name)
 				}
-			}
-			if inMessage(str(f.nameLower)) || inMessage(str(f.typeLower)) {
-				t.Fatalf("file %x: lowered name or type inside the message", f.entry.ID)
 			}
 		}
 		for kw := range sh.keywords {

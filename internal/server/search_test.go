@@ -519,7 +519,7 @@ func FuzzSignatureIsNecessary(f *testing.F) {
 			need := requiredSig(expr)
 			for _, p := range postings {
 				if need&^p.sig != 0 && evalExpr(expr, nil, p.f, p.f.live.Load()) {
-					t.Fatalf("%s matches %q, whose signature %#x lacks bits of the required %#x", expr, p.f.nameLower, p.sig, need)
+					t.Fatalf("%s matches %q, whose signature %#x lacks bits of the required %#x", expr, p.f.nameLower(), p.sig, need)
 				}
 			}
 		}

@@ -41,6 +41,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
+	"unsafe"
 
 	"edtrace/internal/ed2k"
 	"edtrace/internal/obs"
@@ -83,24 +85,33 @@ type source struct {
 // indexedFile is one file of the index. The file table owns it; posting
 // lists point at it, and searches read it through them with no lock.
 type indexedFile struct {
-	// Write-once, set before the file is reachable from any posting
-	// list: the metadata of the first announcement, and its lowered name
-	// and type and its size, so that search evaluation never folds case
-	// or scans tags per candidate.
-	entry     ed2k.FileEntry
-	nameLower string
-	typeLower string
-	size      uint32
+	// Everything but live and sources is write-once, set before the file
+	// is reachable from any posting list: the first announcement's fileID
+	// and announcer, its size, and its kept tags packed in one string
+	// (see packedTags), followed there by its lowered name when lowering
+	// changes the name; tags[nameLo:nameHi] is the lowered name either
+	// way. So search evaluation never folds a name's case or scans tags
+	// for a name or size per candidate. The fields are ordered so that
+	// the record fits the 80-byte size class.
+	id     ed2k.FileID
+	client ed2k.ClientID
+	port   uint16
+	size   uint32
 	// live is len(sources), stored under the owning shard's write lock
 	// and loaded by searches without it: the sources tag and the
 	// availability constraint of an answer. It is 0 only once the expiry
 	// sweep has deleted the file from the table, and then stays 0 — a
 	// re-announcement makes a new indexedFile — so a posting whose file
 	// reads 0 is dead.
-	live atomic.Uint32
+	live           atomic.Uint32
+	nameLo, nameHi uint32
+	tags           packedTags
 	// sources is guarded by the owning shard's lock.
 	sources []source
 }
+
+// nameLower is the file's name, lowered as strings.ToLower lowers it.
+func (f *indexedFile) nameLower() string { return string(f.tags[f.nameLo:f.nameHi]) }
 
 // posting is one entry of a keyword's posting list: an indexed file and
 // the signature of its lowered name, computed once when the file was
@@ -208,10 +219,10 @@ type Server struct {
 	reg *obs.Registry
 	m   *metrics
 	// instr gates the wall-clock Handle timing (two time.Now calls per
-	// query plus a histogram observe). Counters and gauges are always
-	// live — Stats depends on them — but timing is only worth paying
-	// when somebody is watching, so it is on only when a registry was
-	// supplied.
+	// query plus a histogram observe) and the sweep's (the same per
+	// shard). Counters and gauges are always live — Stats depends on
+	// them — but timing is only worth paying when somebody is watching,
+	// so it is on only when a registry was supplied.
 	instr bool
 }
 
@@ -226,9 +237,10 @@ func New(name, desc string) *Server {
 // n <= 1 degenerates to the single-lock layout), registering all
 // metrics with reg: the per-shard and aggregate index gauges, the
 // per-opcode received and answered counters, the Handle latency
-// histograms, and the expiry reclaim counters. A nil reg uses a
-// private registry (still readable via Metrics) and leaves Handle
-// timing off — the simulator's configuration.
+// histograms, the sweep's shard-hold histogram and the expiry reclaim
+// counters. A nil reg uses a private registry (still readable via
+// Metrics) and leaves Handle and sweep timing off — the simulator's
+// configuration.
 func NewShardedWith(name, desc string, n int, reg *obs.Registry) *Server {
 	if n < 1 {
 		n = 1
@@ -489,14 +501,7 @@ func (s *Server) handleOffer(a *Answers, now simtime.Time, from ed2k.ClientID, p
 		idx := sh.files[f.ID]
 		isNew := idx == nil
 		if isNew {
-			idx = &indexedFile{entry: ed2k.FileEntry{ID: f.ID, Client: from, Port: port, Tags: ownTags(resultTags(f.Tags))}}
-			if name, ok := idx.entry.Name(); ok {
-				idx.nameLower = strings.ToLower(name)
-			}
-			if typ, ok := idx.entry.Type(); ok {
-				idx.typeLower = strings.ToLower(typ)
-			}
-			idx.size, _ = idx.entry.Size()
+			idx = newIndexedFile(f, from, port)
 			sh.files[f.ID] = idx
 			sh.gFiles.Inc()
 		}
@@ -508,13 +513,13 @@ func (s *Server) handleOffer(a *Answers, now simtime.Time, from ed2k.ClientID, p
 		// lists live in other shards; never nest shard locks). Only the
 		// announcement that created the file indexes it, and a token the
 		// name repeats is indexed once, so a posting list holds each file
-		// at most once. The tokens are cut from the file's own copy of the
-		// name, or from one lowered copy of its tokens, so a keyword's map
-		// key does not pin the message either.
+		// at most once. The tokens are cut from the file's packed tags, or
+		// from one lowered copy of its tokens, so a keyword's map key does
+		// not pin the message either.
 		if isNew {
-			name, _ := idx.entry.Name()
+			name, _ := idx.tags.name()
 			toks := Tokenize(name)
-			p := posting{sig: nameSig(idx.nameLower), f: idx}
+			p := posting{sig: nameSig(idx.nameLower()), f: idx}
 			for i, kw := range toks {
 				if slices.Contains(toks[:i], kw) {
 					continue
@@ -541,9 +546,33 @@ func (s *Server) handleOffer(a *Answers, now simtime.Time, from ed2k.ClientID, p
 	return a.ack
 }
 
-// oneByteNames backs the one-byte tag names of indexed files, the
-// standard form of every tag name: name b is oneByteNames[b:b+1:b+1].
-// Nothing writes to a tag name the index hands out (see ftSources).
+// newIndexedFile is the index's record of an offered file first
+// announced by from: nothing in it points into the offer. It keeps two
+// objects, the record and the file's packed tags; lowering a name with
+// upper case makes a third, which it drops once copied into the packed
+// tags.
+func newIndexedFile(f *ed2k.FileEntry, from ed2k.ClientID, port uint16) *indexedFile {
+	kept := resultTags(f.Tags)
+	e := ed2k.FileEntry{Tags: kept}
+	name, _ := e.Name()
+	lower := strings.ToLower(name)
+	if lower == name {
+		lower = "" // the packed name serves
+	}
+	idx := &indexedFile{id: f.ID, client: from, port: port, tags: packTags(kept, lower)}
+	start, end, _ := idx.tags.find(ed2k.FTFileName, ed2k.TagString)
+	if lower != "" {
+		start, end = len(idx.tags)-len(lower), len(idx.tags)
+	}
+	idx.nameLo, idx.nameHi = uint32(start), uint32(end)
+	idx.size, _ = idx.tags.size()
+	return idx
+}
+
+// oneByteNames backs the one-byte tag names that answers carry, the
+// standard form of every tag name: name b is oneByteNames[b:b+1:b+1], so
+// unpacking a file's tags costs no name storage. Nothing writes to a tag
+// name the index hands out (see ftSources).
 var oneByteNames = func() (a [256]byte) {
 	for i := range a {
 		a[i] = byte(i)
@@ -572,48 +601,165 @@ func resultTags(tags []ed2k.Tag) []ed2k.Tag {
 	return tags
 }
 
-// ownTags copies an offered file's tags into storage of the index's own.
-// A decoded message holds all its files' tags, names and strings in
-// shared slabs, so keeping the message's tags would keep every file of
-// the offer alive for as long as this one is indexed. The copy is one tag
-// array and one string holding every string value; one-byte names point
-// into oneByteNames, and only a longer name costs a third allocation.
-func ownTags(tags []ed2k.Tag) []ed2k.Tag {
+// packedTags is an indexed file's kept tags (resultTags) in one string of
+// the index's own: a count byte, then each tag as the wire lays it out —
+// its type, its name's length (two bytes, little endian), its name, and
+// a string's length and bytes or a number's four bytes — and after the
+// last tag whatever the file appended (its lowered name). No tags is the
+// empty string. A decoded message holds all its files' tags, names and
+// strings in shared slabs, so keeping the message's tags would keep
+// every file of the offer alive for as long as this one is indexed; the
+// packed copy is one allocation, ~50 bytes for a typical file where a
+// tag array of its own took 144 and more.
+type packedTags string
+
+// packTags packs tags, which resultTags bounded: fewer than 256 of them,
+// each name and string shorter than 64 KiB. A tag of any type but
+// TagString keeps its number, as the encoder does. tail follows the
+// tags.
+func packTags(tags []ed2k.Tag, tail string) packedTags {
 	if len(tags) == 0 {
-		return nil
+		return ""
 	}
-	strs, long := 0, 0
+	n := 1 + len(tail)
 	for _, t := range tags {
-		strs += len(t.Str)
-		if len(t.Name) > 1 {
-			long += len(t.Name)
+		value := 4
+		if t.Type == ed2k.TagString {
+			value = 2 + len(t.Str)
+		}
+		n += 1 + 2 + len(t.Name) + value
+	}
+	var b strings.Builder
+	b.Grow(n)
+	u16 := func(v int) {
+		b.WriteByte(byte(v))
+		b.WriteByte(byte(v >> 8))
+	}
+	b.WriteByte(byte(len(tags)))
+	for _, t := range tags {
+		b.WriteByte(t.Type)
+		u16(len(t.Name))
+		b.Write(t.Name)
+		if t.Type == ed2k.TagString {
+			u16(len(t.Str))
+			b.WriteString(t.Str)
+		} else {
+			u16(int(t.Num))
+			u16(int(t.Num >> 16))
 		}
 	}
-	var sb strings.Builder
-	sb.Grow(strs)
-	for _, t := range tags {
-		sb.WriteString(t.Str)
+	b.WriteString(tail)
+	return packedTags(b.String())
+}
+
+// count is the number of tags p holds.
+func (p packedTags) count() int {
+	if p == "" {
+		return 0
 	}
-	all := sb.String()
-	var names []byte
-	if long > 0 {
-		names = make([]byte, 0, long)
-	}
-	out := make([]ed2k.Tag, len(tags))
-	for i, t := range tags {
-		out[i] = ed2k.Tag{Str: all[:len(t.Str)], Num: t.Num, Type: t.Type}
-		all = all[len(t.Str):]
-		switch len(t.Name) {
+	return int(p[0])
+}
+
+// appendTo appends p's tags to dst, as they were packed. A tag's Str is
+// a substring of p. A one-byte name points into oneByteNames; a longer
+// one is a read-only view of p's bytes, which nothing writes to (see
+// ftSources).
+func (p packedTags) appendTo(dst []ed2k.Tag) []ed2k.Tag {
+	k := len(dst)
+	dst = slices.Grow(dst, p.count())[:k+p.count()]
+	for i := 1; k < len(dst); k++ {
+		t := &dst[k]
+		t.Type = p[i]
+		n := int(p[i+1]) | int(p[i+2])<<8
+		i += 3
+		switch n {
 		case 0:
+			t.Name = nil
 		case 1:
-			b := int(t.Name[0])
-			out[i].Name = oneByteNames[b : b+1 : b+1]
+			b := int(p[i])
+			t.Name = oneByteNames[b : b+1 : b+1]
 		default:
-			names = append(names, t.Name...)
-			out[i].Name = names[len(names)-len(t.Name) : len(names) : len(names)]
+			t.Name = unsafe.Slice(unsafe.StringData(string(p[i:])), n)
+		}
+		i += n
+		if t.Type == ed2k.TagString {
+			n = int(p[i]) | int(p[i+1])<<8
+			t.Str, t.Num = string(p[i+2:i+2+n]), 0
+			i += 2 + n
+		} else {
+			t.Str, t.Num = "", p.u32(i)
+			i += 4
 		}
 	}
-	return out
+	return dst
+}
+
+// u32 is the little-endian number at offset i of p.
+func (p packedTags) u32(i int) uint32 {
+	return uint32(p[i]) | uint32(p[i+1])<<8 | uint32(p[i+2])<<16 | uint32(p[i+3])<<24
+}
+
+// find returns where the value of the first of p's tags named by the
+// one-byte id with the given type begins and ends in p (a string's
+// bytes, a number's four), as ed2k.FileEntry's Name, Type and Size find
+// theirs. It walks the tags' lengths only, building no ed2k.Tag: a
+// search's type test calls it for every candidate.
+func (p packedTags) find(id, typ byte) (start, end int, ok bool) {
+	for i, k := 1, p.count(); k > 0; k-- {
+		t, n := p[i], int(p[i+1])|int(p[i+2])<<8
+		start = i + 3 + n
+		if t == ed2k.TagString {
+			start += 2
+			end = start + (int(p[start-2]) | int(p[start-1])<<8)
+		} else {
+			end = start + 4
+		}
+		if t == typ && n == 1 && p[i+3] == id {
+			return start, end, true
+		}
+		i = end
+	}
+	return 0, 0, false
+}
+
+// name, typ and size are the file's name, type and size tags, as
+// ed2k.FileEntry's Name, Type and Size report them.
+func (p packedTags) name() (string, bool) {
+	start, end, ok := p.find(ed2k.FTFileName, ed2k.TagString)
+	return string(p[start:end]), ok
+}
+
+func (p packedTags) typ() (string, bool) {
+	start, end, ok := p.find(ed2k.FTFileType, ed2k.TagString)
+	return string(p[start:end]), ok
+}
+
+func (p packedTags) size() (uint32, bool) {
+	start, _, ok := p.find(ed2k.FTFileSize, ed2k.TagUint32)
+	if !ok {
+		return 0, false
+	}
+	return p.u32(start), true
+}
+
+// equalLower reports whether strings.ToLower(s) == lower without
+// allocating when s is ASCII. Lowering maps each ASCII byte on its own,
+// so an ASCII prefix of s that differs from lower's decides the answer;
+// the first other byte hands the rest to strings.ToLower.
+func equalLower(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return strings.ToLower(s) == lower
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if i == len(lower) || c != lower[i] {
+			return false
+		}
+	}
+	return len(s) == len(lower)
 }
 
 // addSource registers or refreshes one provider; the caller holds the
@@ -740,13 +886,13 @@ scan:
 	}
 
 	// One Results slice and one tag array for the whole answer, a's own
-	// when they are long enough. Each result's tags are the file's plus
-	// the sources tag, capacity-clipped so that appending to one result
-	// cannot write into the next. The results past this answer's are
-	// cleared, so none keeps a tag array a has outgrown.
+	// when they are long enough. Each result's tags are the file's,
+	// unpacked, plus the sources tag, capacity-clipped so that appending
+	// to one result cannot write into the next. The results past this
+	// answer's are cleared, so none keeps a tag array a has outgrown.
 	total := n
 	for _, f := range hits[:n] {
-		total += len(f.entry.Tags)
+		total += f.tags.count()
 	}
 	if cap(a.tags) < total {
 		a.tags = make([]ed2k.Tag, 0, total)
@@ -759,10 +905,9 @@ scan:
 	clear(a.results[n:])
 	for i, f := range hits[:n] {
 		start := len(tags)
-		tags = append(tags, f.entry.Tags...)
+		tags = f.tags.appendTo(tags)
 		tags = append(tags, ed2k.Tag{Name: ftSources, Type: ed2k.TagUint32, Num: live[i]})
-		res.Results[i] = f.entry
-		res.Results[i].Tags = tags[start:len(tags):len(tags)]
+		res.Results[i] = ed2k.FileEntry{ID: f.id, Client: f.client, Port: f.port, Tags: tags[start:len(tags):len(tags)]}
 	}
 	return res
 }
@@ -872,9 +1017,13 @@ func lowerInto(e *ed2k.SearchExpr, slab *[]ed2k.SearchExpr) *ed2k.SearchExpr {
 func evalExpr(e, known *ed2k.SearchExpr, idx *indexedFile, live uint32) bool {
 	switch e.Kind {
 	case ed2k.KindKeyword:
-		return e == known || strings.Contains(idx.nameLower, e.Word)
+		return e == known || strings.Contains(idx.nameLower(), e.Word)
 	case ed2k.KindMetaStr:
-		return e.Meta == ed2k.MetaNameType && idx.typeLower == e.Word
+		if e.Meta != ed2k.MetaNameType {
+			return false
+		}
+		typ, _ := idx.tags.typ()
+		return equalLower(typ, e.Word)
 	case ed2k.KindMetaNum:
 		var field uint32
 		switch e.Meta {
@@ -905,12 +1054,22 @@ func evalExpr(e, known *ed2k.SearchExpr, idx *indexedFile, live uint32) bool {
 // with no live source are deleted, the postings that point at them are
 // stripped from the keyword lists, and users idle past the TTL are
 // forgotten. Shards are swept one at a time, so concurrent Handle calls
-// only ever wait for one shard's sweep.
+// only ever wait for one shard's sweep. With timing on, each shard's
+// two lock holds, summed, are one observation of
+// edserver_sweep_shard_seconds.
 func (s *Server) ExpireSources(now simtime.Time) {
 	if s.SourceTTL <= 0 {
 		return
 	}
-	for _, sh := range s.shards {
+	var held []time.Duration
+	if s.instr {
+		held = make([]time.Duration, len(s.shards))
+	}
+	for i, sh := range s.shards {
+		var start time.Time
+		if s.instr {
+			start = time.Now()
+		}
 		sh.mu.Lock()
 		for id, idx := range sh.files {
 			kept := idx.sources[:0]
@@ -938,22 +1097,40 @@ func (s *Server) ExpireSources(now simtime.Time) {
 			}
 		}
 		sh.mu.Unlock()
+		if s.instr {
+			held[i] = time.Since(start)
+		}
 	}
 	// Strip the dead postings: those of the files deleted above, and any
 	// an offer racing an earlier sweep appended after that sweep had
 	// passed its keyword. A file re-announced since is a new indexedFile
 	// with postings of its own, so the dead ones are told apart by the
 	// pointer alone and no file shard is consulted. A list that shrinks
-	// is rebuilt, never compacted in place: a search may still be
-	// walking the old one.
-	dead := func(p posting) bool { return p.f.live.Load() == 0 }
-	for _, sh := range s.shards {
+	// is rebuilt at the size of its live postings, never compacted in
+	// place: a search may still be walking the old one.
+	for i, sh := range s.shards {
+		var start time.Time
+		if s.instr {
+			start = time.Now()
+		}
 		sh.mu.Lock()
 		for kw, lst := range sh.keywords {
-			if !slices.ContainsFunc(lst, dead) {
+			live := 0
+			for _, p := range lst {
+				if p.f.live.Load() != 0 {
+					live++
+				}
+			}
+			if live == len(lst) {
 				continue
 			}
-			if kept := slices.DeleteFunc(slices.Clone(lst), dead); len(kept) > 0 {
+			kept := make([]posting, 0, live)
+			for _, p := range lst {
+				if p.f.live.Load() != 0 {
+					kept = append(kept, p)
+				}
+			}
+			if len(kept) > 0 {
 				sh.keywords[kw] = kept
 			} else {
 				delete(sh.keywords, kw)
@@ -961,6 +1138,9 @@ func (s *Server) ExpireSources(now simtime.Time) {
 			}
 		}
 		sh.mu.Unlock()
+		if s.instr {
+			s.m.sweep.Observe(held[i] + time.Since(start))
+		}
 	}
 }
 

@@ -221,12 +221,7 @@ func TestEvalExprMatchesSpec(t *testing.T) {
 	// reference implementation (ed2k.SearchExpr.Matches) on keyword,
 	// type and size shapes.
 	e := entry(1, "Mozart Requiem LIVE.mp3", 5<<20, "Audio")
-	idx := &indexedFile{
-		entry:     e,
-		nameLower: "mozart requiem live.mp3",
-		typeLower: "audio",
-		size:      5 << 20,
-	}
+	idx := newIndexedFile(&e, 1, 1)
 	exprs := []*ed2k.SearchExpr{
 		ed2k.Keyword("MOZART"),
 		ed2k.Keyword("requiem"),
