@@ -8,17 +8,10 @@
 // decode → anonymise → store pipeline, producing the same XML dataset
 // (or pcap) as a simulated or replayed capture — ready for edanalyze.
 //
-// With -mesh n it runs n daemons in one process, peered by
-// internal/edmesh (gossip discovery, miss-forwarding, health-based
-// ejection) and observed by one merged capture whose dataset tags every
-// record with the name of the node that handled it — the
-// distributed-observation deployment the paper's conclusion argues for.
-//
 // Usage:
 //
 //	edserverd -tcp 127.0.0.1:4661 -udp 127.0.0.1:4665
 //	edserverd -dataset /tmp/self -figures     # capture your own traffic
-//	edserverd -mesh 3 -dataset /tmp/mesh      # 3 nodes at ports 4661-4663, one merged capture
 //	edserverd -metrics 127.0.0.1:9100         # Prometheus + healthz endpoint
 //	edserverd -policy policy.json             # admission/rate-limit/shed policies
 package main
@@ -34,7 +27,6 @@ import (
 	"time"
 
 	"edtrace"
-	"edtrace/internal/edmesh"
 	"edtrace/internal/edserverd"
 	"edtrace/internal/obs"
 	"edtrace/internal/policy"
@@ -42,11 +34,10 @@ import (
 
 func main() {
 	var (
-		tcp     = flag.String("tcp", "127.0.0.1:4661", `TCP listen address ("off" disables); mesh node i listens at port + i`)
-		udp     = flag.String("udp", "127.0.0.1:4665", `UDP listen address ("off" disables); mesh node i listens at port + i`)
-		name    = flag.String("name", "edserverd", "server name (mesh node i is name-i)")
+		tcp     = flag.String("tcp", "127.0.0.1:4661", `TCP listen address ("off" disables)`)
+		udp     = flag.String("udp", "127.0.0.1:4665", `UDP listen address ("off" disables)`)
+		name    = flag.String("name", "edserverd", "server name")
 		desc    = flag.String("desc", "edtrace eDonkey directory server", "server description")
-		mesh    = flag.Int("mesh", 1, "run this many daemons peered as a mesh, under one merged capture")
 		dataset = flag.String("dataset", "", "self-capture: write the anonymised XML dataset here")
 		gz      = flag.Bool("gz", false, "gzip self-capture dataset chunks")
 		tee     = flag.String("tee", "", "self-capture: mirror traffic into this pcap file")
@@ -69,43 +60,36 @@ func main() {
 			fail(err)
 		}
 	}
-	// One registry holds every daemon's series (node-labelled in a mesh)
-	// and the self-capture's.
+	// One registry holds the daemon's series and the self-capture's.
 	reg := obs.NewRegistry()
-	c, err := edmesh.StartCluster(*mesh, edserverd.Config{
+	d, err := edserverd.Start(edserverd.Config{
 		TCPAddr:     *tcp,
 		UDPAddr:     *udp,
 		Name:        *name,
 		Desc:        *desc,
 		Policy:      pol,
 		IdleTimeout: *idle,
+		Metrics:     reg,
 		Logf:        logf,
-	}, reg)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err) // already names its package
 		os.Exit(1)
 	}
 	var msrv *obs.Server
 	if *metrics != "" {
-		if msrv, err = obs.Serve(*metrics, reg, c.Health); err != nil {
-			c.Shutdown(context.Background())
+		if msrv, err = obs.Serve(*metrics, reg, d.Health); err != nil {
+			d.Shutdown(context.Background())
 			fail(fmt.Errorf("metrics: %w", err))
 		}
 		logf("edserverd: metrics on http://%s/metrics", msrv.Addr())
 	}
 
-	// Self-capture: the daemons observed by their own capture pipeline,
-	// a mesh's records tagged with the node that handled them.
+	// Self-capture: the daemon observed by its own capture pipeline.
 	capturing := *dataset != "" || *tee != "" || *figures
 	var session <-chan sessionResult
 	if capturing {
-		var src *edtrace.ServerSource
-		if len(c.Daemons) == 1 {
-			src = edtrace.NewServerSource(c.Daemons[0], 0)
-		} else if src, err = edtrace.NewMeshSource(c.Daemons, 0); err != nil {
-			c.Shutdown(context.Background())
-			fail(err)
-		}
+		src := edtrace.NewServerSource(d, 0)
 		opts := []edtrace.Option{edtrace.WithMetrics(reg)}
 		if *dataset != "" {
 			opts = append(opts, edtrace.WithDataset(*dataset, *gz))
@@ -138,32 +122,21 @@ func main() {
 	// closes.
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := c.Shutdown(ctx); err != nil {
+	if err := d.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "edserverd: shutdown:", err)
 	}
 	if msrv != nil {
 		msrv.Close()
 	}
 
-	for i, d := range c.Daemons {
-		var node string
-		if len(c.Daemons) > 1 {
-			node = d.Name() + ": "
-		}
-		st := d.Stats()
-		fmt.Printf("%sserved %d connections (%d messages tcp, %d udp, %d answers, %d bad) over %v\n",
-			node, st.Conns, st.TCPMsgs, st.UDPMsgs, st.Answers, st.BadMsgs, d.Uptime().Round(time.Second))
-		fmt.Printf("%sindex: %d files, %d sources, %d users\n",
-			node, st.Server.IndexedFiles, st.Server.IndexedSources, st.Server.Users)
-		if p := d.Policy(); p != nil {
-			adm, thr, shed := p.Totals()
-			fmt.Printf("%spolicy: %d admitted, %d throttled, %d shed\n", node, adm, thr, shed)
-		}
-		if len(c.Meshes) > 0 {
-			ms := c.Meshes[i].Stats()
-			fmt.Printf("%smesh: %d/%d peers healthy, %d forwards sent, %d served, %d answers merged\n",
-				node, ms.PeersHealthy, ms.PeersKnown, ms.ForwardsSent, ms.ForwardsServed, ms.ForwardAnswers)
-		}
+	st := d.Stats()
+	fmt.Printf("served %d connections (%d messages tcp, %d udp, %d answers, %d bad) over %v\n",
+		st.Conns, st.TCPMsgs, st.UDPMsgs, st.Answers, st.BadMsgs, d.Uptime().Round(time.Second))
+	fmt.Printf("index: %d files, %d sources, %d users\n",
+		st.Server.IndexedFiles, st.Server.IndexedSources, st.Server.Users)
+	if p := d.Policy(); p != nil {
+		adm, thr, shed := p.Totals()
+		fmt.Printf("policy: %d admitted, %d throttled, %d shed\n", adm, thr, shed)
 	}
 
 	if capturing {
@@ -200,7 +173,7 @@ type sessionResult struct {
 }
 
 // runCapture runs the self-capture session in the background; it ends
-// when the last daemon shuts down (the ServerSource closes itself).
+// when the daemon shuts down (the ServerSource closes itself).
 func runCapture(src *edtrace.ServerSource, opts []edtrace.Option) <-chan sessionResult {
 	done := make(chan sessionResult, 1)
 	go func() {

@@ -13,9 +13,8 @@
 //     cover the paper's settings and one more: SimSource (the
 //     discrete-event world), PcapSource (offline replay of a stored
 //     capture), LiveSource (real UDP traffic mirrored from a server
-//     socket), and ServerSource (self-capture of running edserverd
-//     daemons' accepted traffic: one daemon, or a mesh's daemons merged
-//     into one tagged record stream by NewMeshSource).
+//     socket), and ServerSource (self-capture of a running edserverd
+//     daemon's accepted traffic).
 //   - A Session drives any Source through the capture pipeline of the
 //     paper's Figure 1 — decode, anonymise, store — configured with
 //     functional options (WithDataset, WithFigures, WithSink,

@@ -56,7 +56,6 @@ var testOnlyKeep = map[string]string{
 	"internal/ed2k.SizeAtMost": "search",
 
 	"internal/anonymize.FileBuckets.Lookup":    "accessor",
-	"internal/edmesh.Mesh.Peers":               "accessor",
 	"internal/netsim.Reassembler.PendingCount": "accessor",
 	"internal/pcap.Reader.Count":               "accessor",
 	"internal/pcap.Reader.SnapLen":             "accessor",

@@ -1,11 +1,10 @@
 package clients
 
-// This file is the client side of the mesh story: the dynamic server
-// list every real eDonkey client carries (server.met and the
-// ED2KServerManager of the era's clients). A client holds several known
-// servers, connects to the best live one, and on a connect or answer
-// failure marks it down and reconnects elsewhere —
-// which is exactly what edload's failover loop needs.
+// This file is the dynamic server list every real eDonkey client
+// carries (server.met and the ED2KServerManager of the era's clients).
+// A client holds several known servers, connects to the best live one,
+// and on a connect or answer failure marks it down and reconnects
+// elsewhere — which is exactly what edload's failover loop needs.
 
 import (
 	"fmt"

@@ -199,12 +199,6 @@ type Pipeline struct {
 	// ServerIP classifies direction: traffic towards it is a query.
 	ServerIP uint32
 
-	// servers, when non-nil, replaces the single ServerIP with a set of
-	// captured servers (merged multi-server capture): any address in the
-	// map classifies direction, and the matching name is stamped on the
-	// record as its provenance tag.
-	servers map[uint32]string
-
 	dec     *FrameDecoder
 	clients *anonymize.ClientTable
 	files   *anonymize.FileBuckets
@@ -227,15 +221,6 @@ func NewPipeline(serverIP uint32, fileBytePair [2]int, sink RecordSink) *Pipelin
 
 		typeHashes: make(map[string]string),
 	}
-}
-
-// NewPipelineMulti builds a pipeline observing several servers at once —
-// the merged capture of a mesh deployment. servers maps each server's
-// address key to the provenance name stamped on its records.
-func NewPipelineMulti(servers map[uint32]string, fileBytePair [2]int, sink RecordSink) *Pipeline {
-	p := NewPipeline(0, fileBytePair, sink)
-	p.servers = servers
-	return p
 }
 
 // Stats returns a copy of the counters: the embedded decoder's plus the

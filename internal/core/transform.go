@@ -25,25 +25,7 @@ func (p *Pipeline) transform(now simtime.Time, src, dst uint32, msg ed2k.Message
 	rec.Reset()
 	rec.T = now.Seconds()
 	rec.Op = ed2k.OpcodeName(msg.Opcode())
-	if p.servers != nil {
-		// Merged multi-server capture: any captured server anchors the
-		// dialog, and its name is the record's provenance tag. Server-to-
-		// server traffic (both ends in the map) is not a client dialog.
-		srvName, dstIsServer := p.servers[dst]
-		srcName, srcIsServer := p.servers[src]
-		switch {
-		case dstIsServer && !srcIsServer:
-			rec.Dir = xmlenc.DirQuery
-			rec.Client = p.clients.Anonymize(src)
-			rec.Server = srvName
-		case srcIsServer && !dstIsServer:
-			rec.Dir = xmlenc.DirAnswer
-			rec.Client = p.clients.Anonymize(dst)
-			rec.Server = srcName
-		default:
-			return nil
-		}
-	} else if dst == p.ServerIP {
+	if dst == p.ServerIP {
 		rec.Dir = xmlenc.DirQuery
 		rec.Client = p.clients.Anonymize(src)
 	} else if src == p.ServerIP {

@@ -123,6 +123,54 @@ func TestVerifyDetectsViolations(t *testing.T) {
 	}
 }
 
+// TestVerifySrvProvenance: a merged dataset's manifest names its servers
+// (meta "servers") and every record carries one of them in srv; a record
+// naming another server is flagged, and so is any srv in a dataset that
+// names none. Datasets merged from several servers were written before
+// the writer stopped producing them, and they still read and verify.
+func TestVerifySrvProvenance(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		meta map[string]string
+		tags []string // one record each, client IDs 0, 1, ...
+		want string   // "" verifies
+	}{
+		{"declared servers", map[string]string{"servers": "a,b"}, []string{"a", "b", "a"}, ""},
+		{"undeclared server", map[string]string{"servers": "a,b"}, []string{"a", "c"},
+			`record 2: srv tag "c" not among declared servers`},
+		{"single-server dataset", nil, []string{"", "a"},
+			`record 2: srv tag "a" in a single-server dataset`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := NewWriter(dir, WriterOptions{Meta: tc.meta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tag := range tc.tags {
+				r := &xmlenc.Record{T: float64(i), Client: uint32(i), Op: "StatReq", Dir: xmlenc.DirQuery, Server: tag}
+				if err := w.Write(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.SetCounters(uint32(len(tc.tags)), 0)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Verify(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case tc.want == "" && !rep.OK():
+				t.Fatalf("violations: %v", rep.Violations)
+			case tc.want != "" && !slices.Equal(rep.Violations, []string{tc.want}):
+				t.Fatalf("violations %q, want [%q]", rep.Violations, tc.want)
+			}
+		})
+	}
+}
+
 // TestVerifyRejectsTimesBeforeTheCapture: spec §2 makes t the seconds
 // since the capture started, so a t that is not finite or lies below 0 is
 // a violation of its own record, and the monotone check starts at the

@@ -101,20 +101,6 @@ func validateBody(op byte, n int) error {
 		if n < 4 {
 			return structuralf("ServerDescRes payload %d < 4", n)
 		}
-	case OpMeshAnnounce:
-		// count + one fixed-size entry with an empty name minimum.
-		if n < 1+meshPeerFixedSize {
-			return structuralf("MeshAnnounce payload %d < %d", n, 1+meshPeerFixedSize)
-		}
-	case OpMeshForward:
-		// reqID + a nested datagram header minimum.
-		if n < 6 {
-			return structuralf("MeshForward payload %d < 6", n)
-		}
-	case OpMeshForwardRes:
-		if n < 5 {
-			return structuralf("MeshForwardRes payload %d < 5", n)
-		}
 	default:
 		return structuralf("unknown opcode 0x%02X", op)
 	}
@@ -160,9 +146,8 @@ func (mp *msgPool[T]) get(pooled bool) *T {
 func (mp *msgPool[T]) put(v *T) { mp.p.Put(v) }
 
 // Pools for the message kinds the capture hot path sees in volume.
-// SearchReq (expression tree), ServerDescRes (strings) and the mesh
-// messages allocate fresh: they are rare, and their strings could not be
-// recycled anyway.
+// SearchReq (expression tree) and ServerDescRes (strings) allocate
+// fresh: they are rare, and their strings could not be recycled anyway.
 var (
 	serverListPool   msgPool[ServerList]
 	offerFilesPool   msgPool[OfferFiles]
@@ -247,12 +232,6 @@ func decodeBody(op byte, payload []byte, pooled bool) (Message, error) {
 		m = ServerDescReq{}
 	case OpServerDescRes:
 		m, err = decodeServerDescRes(&r)
-	case OpMeshAnnounce:
-		m, err = decodeMeshAnnounce(&r)
-	case OpMeshForward:
-		m, err = decodeMeshForward(&r)
-	case OpMeshForwardRes:
-		m, err = decodeMeshForwardRes(&r)
 	}
 	if err == nil && r.remaining() != 0 {
 		err = semanticf("%d trailing bytes after %s", r.remaining(), OpcodeName(op))

@@ -46,8 +46,6 @@ const (
 	OpGlobStatRes    = 0x97 // answer: users/files counters
 	OpServerDescReq  = 0xA2 // management: server name/description
 	OpServerDescRes  = 0xA3 // answer: name + description strings
-
-	// Server-to-server mesh opcodes (0xA4-0xA6) are declared in mesh.go.
 )
 
 // opcodeNames maps opcodes to human-readable names for logs and stats.
@@ -64,9 +62,6 @@ var opcodeNames = map[byte]string{
 	OpGlobStatRes:    "StatRes",
 	OpServerDescReq:  "ServerDescReq",
 	OpServerDescRes:  "ServerDescRes",
-	OpMeshAnnounce:   "MeshAnnounce",
-	OpMeshForward:    "MeshForward",
-	OpMeshForwardRes: "MeshForwardRes",
 }
 
 // OpcodeName returns a stable human-readable name for an opcode.

@@ -203,6 +203,12 @@ func TestStructuralErrors(t *testing.T) {
 		"serverlist bad mod":   append([]byte{ProtoEDonkey, OpServerList}, make([]byte, 4)...),
 		"getserverlist extra":  {ProtoEDonkey, OpGetServerList, 1},
 		"foundsrc too short":   append([]byte{ProtoEDonkey, OpGlobFoundSrcs}, make([]byte, 10)...),
+		// Not eDonkey opcodes: a one-peer announce, a forwarded GetSources
+		// and an empty forward answer of a server mesh this codec once
+		// spoke are unknown opcodes like any other.
+		"unknown opcode 0xA4": append([]byte{ProtoEDonkey, 0xA4, 1}, make([]byte, 18)...),
+		"unknown opcode 0xA5": append([]byte{ProtoEDonkey, 0xA5, 0, 0, 0, 0}, Encode(&GetSources{Hashes: []FileID{{1}}})...),
+		"unknown opcode 0xA6": {ProtoEDonkey, 0xA6, 0, 0, 0, 0, 0},
 	}
 	for name, raw := range cases {
 		_, err := Decode(raw)

@@ -338,6 +338,103 @@ func TestStreamReaderOversizedFrame(t *testing.T) {
 	}
 }
 
+// TestSegmentLossBreaksTCPFlow is the paper's footnote 2: it analysed
+// the UDP dialect only, because packet loss breaks TCP flow
+// reconstruction. A flow of offers and source asks is cut into
+// 1,460-byte segments and one is lost at a seeded position: every
+// message that ends before the gap still reads back, but a gap inside a
+// frame desynchronises the stream, which stops with an error and gives
+// back nothing that starts after it. Sent as datagrams, the same loss
+// costs exactly the one lost message.
+func TestSegmentLossBreaksTCPFlow(t *testing.T) {
+	const mss = 1460 // the TCP payload of one Ethernet frame
+	var (
+		msgs   []Message
+		stream []byte
+		ends   []int // ends[i] is the stream offset just past message i
+	)
+	for i := range 60 {
+		var m Message
+		if i%3 == 2 {
+			hashes := make([]FileID, 1+i%4)
+			for j := range hashes {
+				hashes[j] = FileID{byte(i), byte(j)}
+			}
+			m = &GetSources{Hashes: hashes}
+		} else {
+			files := make([]FileEntry, 1+i%23)
+			for j := range files {
+				files[j] = sampleEntry(byte(i + j))
+			}
+			m = &OfferFiles{Client: ClientID(i), Port: 4662, Files: files}
+		}
+		msgs = append(msgs, m)
+		stream = AppendFrameTCP(stream, m)
+		ends = append(ends, len(stream))
+	}
+	var segments [][]byte
+	for off := 0; off < len(stream); off += mss {
+		segments = append(segments, stream[off:min(off+mss, len(stream))])
+	}
+
+	rng := rand.New(rand.NewSource(2008))
+	inside := 0 // seeded losses whose gap starts inside a frame
+	for _, lost := range rng.Perm(len(segments))[:8] {
+		gap := lost * mss
+		before := 0 // messages whose frame ends at or before the gap
+		for before < len(ends) && ends[before] <= gap {
+			before++
+		}
+		onBoundary := gap == 0 || before > 0 && ends[before-1] == gap
+		var rest []io.Reader
+		for i, seg := range segments {
+			if i != lost {
+				rest = append(rest, bytes.NewReader(seg))
+			}
+		}
+		sr := NewStreamReader(io.MultiReader(rest...))
+		got := 0
+		var err error
+		for {
+			var m Message
+			if m, err = sr.Next(); err != nil {
+				break
+			}
+			if got < before && !msgEqual(m, msgs[got]) {
+				t.Errorf("segment %d lost: message %d, before the gap, reads back changed", lost, got)
+			}
+			got++
+		}
+		if got < before {
+			t.Errorf("segment %d lost: %d of the %d messages before the gap read back (%v)", lost, got, before, err)
+		}
+		if onBoundary {
+			continue
+		}
+		inside++
+		if got != before {
+			t.Errorf("segment %d lost inside a frame: %d messages read back, only the %d before the gap were whole", lost, got, before)
+		}
+		if err == io.EOF {
+			t.Errorf("segment %d lost inside a frame: the stream ended cleanly", lost)
+		}
+	}
+	if inside == 0 {
+		t.Fatal("no seeded loss started inside a frame")
+	}
+
+	lost := rng.Intn(len(msgs))
+	for i, m := range msgs {
+		if i == lost {
+			continue
+		}
+		got, err := Decode(Encode(m))
+		if err != nil || !msgEqual(got, m) {
+			t.Errorf("datagram %d lost: datagram %d decodes to %v, %v", lost, i, got, err)
+		}
+	}
+}
+
 func TestStreamReaderMidFrameEOF(t *testing.T) {
 	frame := FrameTCP(&StatReq{Challenge: 9})
 	sr := NewStreamReader(bytes.NewReader(frame[:len(frame)-2]))

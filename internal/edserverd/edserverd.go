@@ -42,31 +42,6 @@ import (
 // every connection goroutine; must be fast.
 type TapFunc func(srcKey, dstKey uint32, payload []byte)
 
-// PeerHandlerFunc intercepts one decoded UDP message before client
-// handling — the hook a mesh layer uses to consume server-to-server
-// traffic (announcements, forwards) on the daemon's existing UDP path.
-// Return true to consume the message: consumed messages are counted as
-// peer traffic and never reach the mirror tap or the index. Called from
-// the UDP read loop; must be fast or dispatch its own goroutine.
-type PeerHandlerFunc func(from *net.UDPAddr, msg ed2k.Message) bool
-
-// ResolverFunc rewrites the daemon's answer set for one client query
-// before it is sent — the hook a mesh layer uses to forward GetSources
-// and search misses to peers. It receives the locally computed answers
-// and returns the complete replacement list (usually local plus merged
-// peer answers). It runs synchronously on the serving goroutine, so the
-// per-connection request→answer ordering still holds; implementations
-// must bound their own latency (a per-request timeout) and honour ctx,
-// which is the daemon's lifetime.
-type ResolverFunc func(ctx context.Context, msg ed2k.Message, local []ed2k.Message) []ed2k.Message
-
-// udpForwardConcurrency bounds the goroutines forwarding resolvable UDP
-// queries to mesh peers. At the bound, further queries are answered from
-// the local index only and counted as forward drops: a UDP search flood
-// must not mint one goroutine per datagram, each parked on the forward
-// timeout.
-const udpForwardConcurrency = 128
-
 // Config parameterises a daemon. The zero value listens on ephemeral
 // loopback ports with default sizing.
 type Config struct {
@@ -97,10 +72,10 @@ type Config struct {
 
 	// Metrics is the registry the daemon (and its index) registers
 	// into. Nil means a private registry, still readable via
-	// Daemon.Metrics — supply one to aggregate several daemons (each
-	// under its own Sub labels) on a single endpoint. The daemon serves
-	// no endpoint itself: a command serves the registry with obs.Serve
-	// and Daemon.Health.
+	// Daemon.Metrics — supply one to serve the daemon's series beside
+	// other components' on a single endpoint. The daemon serves no
+	// endpoint itself: a command serves the registry with obs.Serve and
+	// Daemon.Health.
 	Metrics *obs.Registry
 
 	// Logf, when set, receives one line per lifecycle event and per
@@ -123,9 +98,6 @@ type Stats struct {
 	TCPMsgs uint64
 	UDPMsgs uint64
 	Answers uint64
-	// PeerMsgs counts UDP messages consumed by the peer handler (mesh
-	// announcements and forwards — never client traffic).
-	PeerMsgs uint64
 	// BadMsgs counts undecodable inputs (TCP framing kills the
 	// connection; UDP datagrams are dropped individually).
 	BadMsgs uint64
@@ -134,21 +106,16 @@ type Stats struct {
 	ConnErrors uint64
 	// IdleReaped counts TCP connections closed by the idle deadline.
 	IdleReaped uint64
-	// UDPForwardDropped counts resolvable UDP queries answered locally
-	// because the forward-goroutine bound was saturated.
-	UDPForwardDropped uint64
 	// Server is the aggregated index/opcode view.
 	Server server.Stats
 }
 
 // Daemon is one running eDonkey server instance.
 type Daemon struct {
-	cfg      Config
-	srv      *server.Server
-	start    time.Time
-	tap      atomic.Pointer[TapFunc]
-	peer     atomic.Pointer[PeerHandlerFunc]
-	resolver atomic.Pointer[ResolverFunc]
+	cfg   Config
+	srv   *server.Server
+	start time.Time
+	tap   atomic.Pointer[TapFunc]
 
 	tcpLn   *net.TCPListener
 	udpConn *net.UDPConn
@@ -162,11 +129,8 @@ type Daemon struct {
 
 	reg *obs.Registry
 
-	// pol is the traffic-policy engine (nil when no policy configured);
-	// udpSem bounds the mesh-forward goroutines spawned by udpLoop to
-	// udpForwardConcurrency.
-	pol    *policy.Engine
-	udpSem chan struct{}
+	// pol is the traffic-policy engine (nil when no policy configured).
+	pol *policy.Engine
 
 	// writeTimeout bounds one flush of a TCP session's pending answers:
 	// a client that stops reading is dropped, not waited on. Not a knob —
@@ -176,10 +140,10 @@ type Daemon struct {
 	// Connection-lifecycle and traffic counters. These ARE the metrics
 	// — Stats() reads the same obs series /metrics exposes, so the two
 	// views can never disagree.
-	nConns, nLogins, nTCP, nUDP, nAns, nBad, nPeer *obs.Counter
-	nConnErr, nIdle, nUDPDrop, nFlush              *obs.Counter
-	active, inflight                               *obs.Gauge
-	hHandle                                        *obs.Histogram
+	nConns, nLogins, nTCP, nUDP, nAns, nBad *obs.Counter
+	nConnErr, nIdle, nFlush                 *obs.Counter
+	active, inflight                        *obs.Gauge
+	hHandle                                 *obs.Histogram
 
 	closeOnce sync.Once
 }
@@ -193,15 +157,13 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 	d.nUDP = reg.Counter("edserverd_udp_messages_total", "client UDP datagrams decoded")
 	d.nAns = reg.Counter("edserverd_answers_total", "answers sent (TCP and UDP)")
 	d.nBad = reg.Counter("edserverd_bad_messages_total", "undecodable inputs")
-	d.nPeer = reg.Counter("edserverd_peer_messages_total", "UDP messages consumed by the peer handler")
 	d.nConnErr = reg.Counter("edserverd_conn_errors_total", "TCP transport failures (resets, timeouts on write, broken pipes)")
 	d.nIdle = reg.Counter("edserverd_idle_reaped_total", "TCP connections closed by the idle deadline")
-	d.nUDPDrop = reg.Counter("edserverd_udp_forward_dropped_total", "resolvable UDP queries answered locally because the forward bound was saturated")
 	d.nFlush = reg.Counter("edserverd_tcp_flushes_total", "socket writes on TCP sessions; answers per write is the batching factor")
 	d.active = reg.Gauge("edserverd_connections_active", "TCP connections open now")
 	d.inflight = reg.Gauge("edserverd_inflight_requests", "client queries being handled right now")
 	d.hHandle = reg.Histogram("edserverd_handle_seconds",
-		"full server-side handling span per client query (index + resolver)", nil)
+		"full server-side handling span per client query", nil)
 	reg.GaugeFunc("edserverd_uptime_seconds", "time since the daemon started serving",
 		func() float64 { return time.Since(d.start).Seconds() })
 }
@@ -236,12 +198,11 @@ func Start(cfg Config) (*Daemon, error) {
 	// cannot move answers (TestShardedMatchesSingleShard).
 	shards := max(4*runtime.GOMAXPROCS(0), 16)
 	d := &Daemon{
-		cfg:    cfg,
-		srv:    server.NewShardedWith(cfg.Name, cfg.Desc, shards, reg),
-		start:  time.Now(),
-		conns:  make(map[net.Conn]struct{}),
-		reg:    reg,
-		udpSem: make(chan struct{}, udpForwardConcurrency),
+		cfg:   cfg,
+		srv:   server.NewShardedWith(cfg.Name, cfg.Desc, shards, reg),
+		start: time.Now(),
+		conns: make(map[net.Conn]struct{}),
+		reg:   reg,
 
 		writeTimeout: 30 * time.Second,
 	}
@@ -393,18 +354,16 @@ func (d *Daemon) Uptime() time.Duration { return time.Since(d.start) }
 // Stats snapshots the daemon and index counters.
 func (d *Daemon) Stats() Stats {
 	return Stats{
-		Conns:             d.nConns.Value(),
-		Active:            d.active.Value(),
-		Logins:            d.nLogins.Value(),
-		TCPMsgs:           d.nTCP.Value(),
-		UDPMsgs:           d.nUDP.Value(),
-		Answers:           d.nAns.Value(),
-		PeerMsgs:          d.nPeer.Value(),
-		BadMsgs:           d.nBad.Value(),
-		ConnErrors:        d.nConnErr.Value(),
-		IdleReaped:        d.nIdle.Value(),
-		UDPForwardDropped: d.nUDPDrop.Value(),
-		Server:            d.srv.Stats(),
+		Conns:      d.nConns.Value(),
+		Active:     d.active.Value(),
+		Logins:     d.nLogins.Value(),
+		TCPMsgs:    d.nTCP.Value(),
+		UDPMsgs:    d.nUDP.Value(),
+		Answers:    d.nAns.Value(),
+		BadMsgs:    d.nBad.Value(),
+		ConnErrors: d.nConnErr.Value(),
+		IdleReaped: d.nIdle.Value(),
+		Server:     d.srv.Stats(),
 	}
 }
 
@@ -637,8 +596,8 @@ func (c *connIO) mirrorFrame(srcKey, dstKey uint32, m ed2k.Message, frame []byte
 // out, strictly request→answers ordered per connection.
 //
 // Requests are handled one at a time, in arrival order, each to
-// completion (policy, index, resolver, tap) before the next is parsed;
-// only the socket work is batched. Answers are appended to one buffer
+// completion (policy, index, tap) before the next is parsed; only the
+// socket work is batched. Answers are appended to one buffer
 // and written when the session would otherwise wait — before any read
 // (connIO.Read), before a throttle sleep, on every return — or as soon
 // as flushBound bytes are pending. A client that pipelines k requests
@@ -652,9 +611,8 @@ func (c *connIO) mirrorFrame(srcKey, dstKey uint32, m ed2k.Message, frame []byte
 // at the next Next, and the index builds its answers in the session's
 // own server.Answers, so neither is fresh garbage per request. Both are
 // valid until the next request is parsed, and everything that reads
-// them — the policy, the index, the resolver's synchronous forward, the
-// tap, the framing into out — is done with them by then; the index
-// copies what it keeps of an offer.
+// them — the policy, the index, the tap, the framing into out — is done
+// with them by then; the index copies what it keeps of an offer.
 func (d *Daemon) serveConn(c *connIO) {
 	remote := c.conn.RemoteAddr().(*net.TCPAddr)
 	clientKey := AddrKey(remote.IP, remote.Port)
@@ -743,7 +701,6 @@ func (d *Daemon) serveConn(c *connIO) {
 				t0 := time.Now()
 				d.inflight.Inc()
 				answers = d.srv.HandleInto(&c.answers, now, clientID, clientPort, msg)
-				answers = d.resolveMisses(msg, answers)
 				d.inflight.Dec()
 				d.hHandle.Observe(time.Since(t0))
 			}
@@ -779,10 +736,6 @@ func (d *Daemon) udpLoop() {
 			d.nBad.Add(1)
 			continue
 		}
-		if ph := d.peer.Load(); ph != nil && (*ph)(from, msg) {
-			d.nPeer.Add(1)
-			continue // peer traffic: not a client dialog, never mirrored
-		}
 		d.nUDP.Add(1)
 		clientKey := AddrKey(from.IP, from.Port)
 		d.mirror(clientKey, serverKey, msg)
@@ -796,47 +749,18 @@ func (d *Daemon) udpLoop() {
 				continue
 			}
 		}
-		if d.resolver.Load() != nil && resolvable(msg) {
-			// A resolver may block up to its forward timeout waiting on
-			// peers; answering on the read loop would wedge the loop —
-			// including the very MeshForwardRes it is waiting for. Each
-			// resolvable UDP query gets its own goroutine (decoded
-			// messages and the UDP addr do not alias the read buffer).
-			// The pool is bounded: a UDP search flood must not mint one
-			// goroutine per datagram, each parked on the forward timeout.
-			// At the bound, the query is answered from the local index
-			// only, synchronously, and counted as a forward drop.
-			select {
-			case d.udpSem <- struct{}{}:
-				d.wg.Add(1)
-				go func() {
-					defer d.wg.Done()
-					defer func() { <-d.udpSem }()
-					d.answerUDP(msg, from, clientKey, serverKey, true)
-				}()
-			default:
-				d.nUDPDrop.Add(1)
-				d.answerUDP(msg, from, clientKey, serverKey, false)
-			}
-			continue
-		}
-		d.answerUDP(msg, from, clientKey, serverKey, false)
+		d.answerUDP(msg, from, clientKey, serverKey)
 	}
 }
 
-// answerUDP runs one decoded client datagram through the index (and,
-// when forward is set, the resolver) and writes the answers back, each
-// fitted to one datagram (ed2k.FitDatagram): a search answer too long
-// for one carries the results that fit instead of failing the write. It
-// runs on the read loop and on forwarding goroutines alike, so its
-// answers come from Handle, on fresh storage.
-func (d *Daemon) answerUDP(msg ed2k.Message, from *net.UDPAddr, clientKey, serverKey uint32, forward bool) {
+// answerUDP runs one decoded client datagram through the index and
+// writes the answers back, each fitted to one datagram
+// (ed2k.FitDatagram): a search answer too long for one carries the
+// results that fit instead of failing the write.
+func (d *Daemon) answerUDP(msg ed2k.Message, from *net.UDPAddr, clientKey, serverKey uint32) {
 	t0 := time.Now()
 	d.inflight.Inc()
 	answers := d.srv.Handle(d.now(), ed2k.ClientID(clientKey), uint16(from.Port), msg)
-	if forward {
-		answers = d.resolveMisses(msg, answers)
-	}
 	d.inflight.Dec()
 	d.hHandle.Observe(time.Since(t0))
 	d.nAns.Add(uint64(len(answers)))
@@ -876,25 +800,6 @@ func (d *Daemon) applyMsgPolicy(c *policy.Client, id ed2k.ClientID, msg ed2k.Mes
 	return nil, false
 }
 
-// resolvable reports whether a query's misses can be forwarded to peers.
-func resolvable(msg ed2k.Message) bool {
-	switch msg.(type) {
-	case *ed2k.GetSources, *ed2k.SearchReq:
-		return true
-	}
-	return false
-}
-
-// resolveMisses hands the locally computed answers to the installed
-// resolver (if any) for peer-side completion.
-func (d *Daemon) resolveMisses(msg ed2k.Message, local []ed2k.Message) []ed2k.Message {
-	r := d.resolver.Load()
-	if r == nil || !resolvable(msg) {
-		return local
-	}
-	return (*r)(d.ctx, msg, local)
-}
-
 // SetTap installs the traffic mirror at runtime — how
 // edtrace.ServerSource attaches a capture session to already-running
 // daemons (replacing any previous tap; a daemon carries at most one).
@@ -911,52 +816,7 @@ func (d *Daemon) SetTap(fn TapFunc) (detach func()) {
 	return func() { d.tap.CompareAndSwap(p, nil) }
 }
 
-// SetPeerHandler installs the server-to-server message interceptor (see
-// PeerHandlerFunc), with the same replace/CAS-detach contract as SetTap.
-func (d *Daemon) SetPeerHandler(fn PeerHandlerFunc) (detach func()) {
-	if fn == nil {
-		d.peer.Store(nil)
-		return func() {}
-	}
-	p := &fn
-	d.peer.Store(p)
-	return func() { d.peer.CompareAndSwap(p, nil) }
-}
-
-// SetResolver installs the miss resolver (see ResolverFunc), with the
-// same replace/CAS-detach contract as SetTap.
-func (d *Daemon) SetResolver(fn ResolverFunc) (detach func()) {
-	if fn == nil {
-		d.resolver.Store(nil)
-		return func() {}
-	}
-	p := &fn
-	d.resolver.Store(p)
-	return func() { d.resolver.CompareAndSwap(p, nil) }
-}
-
-// WriteUDP sends one raw datagram from the daemon's UDP socket — the
-// mesh layer speaks to peers from the same address it receives on, so a
-// peer's replies route back through the peer handler. Safe for
-// concurrent use.
-func (d *Daemon) WriteUDP(payload []byte, to *net.UDPAddr) error {
-	if d.udpConn == nil {
-		return errors.New("edserverd: UDP disabled")
-	}
-	_, err := d.udpConn.WriteToUDP(payload, to)
-	return err
-}
-
-// AnswerRemote answers a peer-forwarded query from the local index only
-// (server.HandleRemote): no user registration, no further forwarding.
-func (d *Daemon) AnswerRemote(msg ed2k.Message) []ed2k.Message {
-	return d.srv.HandleRemote(d.now(), msg)
-}
-
-// Name returns the configured server name.
-func (d *Daemon) Name() string { return d.cfg.Name }
-
-// IndexCounts reports the index gauges a mesh announcement carries.
+// IndexCounts reports the index's user and file gauges.
 func (d *Daemon) IndexCounts() (users, files int) { return d.srv.Counts() }
 
 // Done is closed when the daemon starts shutting down.
@@ -974,17 +834,12 @@ func (d *Daemon) tapFor(m ed2k.Message) *TapFunc {
 	switch m.Opcode() {
 	case ed2k.OpLoginRequest, ed2k.OpIDChange:
 		return nil
-	case ed2k.OpMeshAnnounce, ed2k.OpMeshForward, ed2k.OpMeshForwardRes:
-		// Server-to-server traffic is not part of the captured client
-		// dialect (and would fail the dataset's known-opcode check).
-		return nil
 	}
 	return tap
 }
 
-// mirror feeds the tap with the UDP-style encoding of one message. This
-// is the UDP path's variant: its answers can be mirrored from forwarding
-// goroutines, so it encodes into a fresh slice; TCP sessions go through
+// mirror feeds the tap with the UDP-style encoding of one message, in a
+// fresh slice. This is the UDP path's variant; TCP sessions go through
 // connIO.mirror and connIO.mirrorFrame and a per-connection scratch
 // buffer.
 func (d *Daemon) mirror(srcKey, dstKey uint32, m ed2k.Message) {

@@ -1,9 +1,7 @@
 package edserverd
 
 import (
-	"context"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,47 +88,6 @@ func TestGarbageStillCountsBad(t *testing.T) {
 	waitFor(t, "bad message count", func() bool { return d.Stats().BadMsgs == 1 })
 	if st := d.Stats(); st.ConnErrors != 0 {
 		t.Fatalf("garbage misclassified: %+v", st)
-	}
-}
-
-// TestUDPForwardGoroutineBound is the UDP-flood regression: resolvable
-// datagrams used to spawn one unbounded goroutine each, every one parked
-// on the mesh forward timeout. The pool is bounded; the flood goes well
-// past the bound, and the overflow is answered locally and counted.
-func TestUDPForwardGoroutineBound(t *testing.T) {
-	const bound = udpForwardConcurrency
-	d := startTest(t, Config{TCPAddr: "off"})
-	released := make(chan struct{})
-	var entered atomic.Int64
-	d.SetResolver(func(ctx context.Context, msg ed2k.Message, local []ed2k.Message) []ed2k.Message {
-		entered.Add(1)
-		select {
-		case <-released:
-		case <-ctx.Done():
-		}
-		return local
-	})
-	defer close(released)
-
-	conn, err := net.DialUDP("udp4", nil, d.UDPAddr().(*net.UDPAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	query := ed2k.Encode(&ed2k.SearchReq{Expr: ed2k.Keyword("flood")})
-	for i := 0; i < bound+64; i++ {
-		if _, err := conn.Write(query); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond) // do not outrun the loopback socket buffer
-	}
-	waitFor(t, "forward drops", func() bool {
-		return d.Stats().UDPForwardDropped > 0 && entered.Load() == bound
-	})
-	// With all forward slots blocked, the flood must not have minted more
-	// resolver goroutines than the bound.
-	if n := entered.Load(); n != bound {
-		t.Fatalf("resolver entered %d times while blocked, bound %d", n, bound)
 	}
 }
 

@@ -7,8 +7,8 @@
 // could only be analysed after the fact (§2.2). A production daemon
 // serving the same traffic needs the quantities the paper measures
 // (per-opcode rates, answer latencies, index growth) live. Every layer
-// of this repo — the sharded index, the daemon, the mesh, the Session
-// pipeline, the load generator — registers its metrics here, and the
+// of this repo — the sharded index, the daemon, the Session pipeline,
+// the load generator — registers its metrics here, and the
 // daemon's -metrics endpoint serves them.
 //
 // Design constraints, in order: hot-path writes are single atomic
@@ -246,35 +246,19 @@ type family struct {
 	byKey    map[string]*child
 }
 
-// registryRoot is the shared state behind a Registry and all its Sub
-// views.
-type registryRoot struct {
+// Registry is a set of named metric families. The zero value is not
+// usable; use NewRegistry. Registration is get-or-create: the same name
+// and labels return the same metric, so components can re-register
+// idempotently.
+type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
 }
 
-// Registry is a set of named metric families. The zero value is not
-// usable; use NewRegistry. Sub returns a view that stamps constant
-// labels on everything registered through it (how a multi-node process
-// keeps each node's series apart on one endpoint). Registration is
-// get-or-create: the same name and labels return the same metric, so
-// components can re-register idempotently.
-type Registry struct {
-	root *registryRoot
-	base []Label
-}
-
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{root: &registryRoot{byName: make(map[string]*family)}}
-}
-
-// Sub returns a view of the registry that adds the given constant
-// labels to every metric registered through it.
-func (r *Registry) Sub(labels ...Label) *Registry {
-	base := append(append([]Label(nil), r.base...), labels...)
-	return &Registry{root: r.root, base: base}
+	return &Registry{byName: make(map[string]*family)}
 }
 
 func validName(s string) bool {
@@ -316,27 +300,26 @@ func sortLabels(labels []Label) []Label {
 }
 
 // getChild finds or creates the (family, child) pair; init runs under
-// root.mu on every call — it is the only place callers may create the
+// r.mu on every call — it is the only place callers may create the
 // metric payload or swap a callback, which keeps those writes ordered
 // with the render path's locked reads.
 func (r *Registry) getChild(name, help string, k kind, labels []Label, init func(*child)) *child {
 	if !validName(name) {
 		panic("obs: invalid metric name " + strconv.Quote(name))
 	}
-	all := sortLabels(append(append([]Label(nil), r.base...), labels...))
+	all := sortLabels(labels)
 	for _, l := range all {
 		if !validName(l.Key) {
 			panic("obs: invalid label name " + strconv.Quote(l.Key))
 		}
 	}
-	root := r.root
-	root.mu.Lock()
-	defer root.mu.Unlock()
-	f := root.byName[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.byName[name]
 	if f == nil {
 		f = &family{name: name, help: help, kind: k, byKey: map[string]*child{}}
-		root.families = append(root.families, f)
-		root.byName[name] = f
+		r.families = append(r.families, f)
+		r.byName[name] = f
 	}
 	if f.kind != k {
 		panic(fmt.Sprintf("obs: metric %s registered as %s and %s", name, f.kind, k))
@@ -414,62 +397,24 @@ func (r *Registry) Histogram(name, help string, bounds []time.Duration, labels .
 	return out
 }
 
-// Unregister removes the series for name with exactly these labels
-// (combined with the view's constant labels, as on registration) and
-// reports whether it existed. An empty family is removed with it.
-// Components whose labelled series churn — a mesh's per-peer gauges as
-// peers come and go — must unregister them, or the exposition grows
-// without bound.
-func (r *Registry) Unregister(name string, labels ...Label) bool {
-	all := sortLabels(append(append([]Label(nil), r.base...), labels...))
-	root := r.root
-	root.mu.Lock()
-	defer root.mu.Unlock()
-	f := root.byName[name]
-	if f == nil {
-		return false
-	}
-	key := labelKey(all)
-	if _, ok := f.byKey[key]; !ok {
-		return false
-	}
-	delete(f.byKey, key)
-	for i, c := range f.children {
-		if labelKey(c.labels) == key {
-			f.children = append(f.children[:i], f.children[i+1:]...)
-			break
-		}
-	}
-	if len(f.children) == 0 {
-		delete(root.byName, name)
-		for i, ff := range root.families {
-			if ff == f {
-				root.families = append(root.families[:i], root.families[i+1:]...)
-				break
-			}
-		}
-	}
-	return true
-}
-
 // snapshot returns a stable copy of the family list for rendering.
 func (r *Registry) snapshot() []*family {
-	r.root.mu.Lock()
-	defer r.root.mu.Unlock()
-	out := make([]*family, len(r.root.families))
-	copy(out, r.root.families)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]*family, len(r.families))
+	copy(out, r.families)
 	return out
 }
 
-// childSnapshots copies a family's children by value under root.mu.
+// childSnapshots copies a family's children by value under r.mu.
 // Child payloads (metric pointers and callbacks) are only ever written
 // under that lock, so the copies are race-free to read; the callbacks
 // they carry are invoked only after the lock is released, because a
 // callback may take its component's lock, which that component holds
-// while registering — rendering under root.mu would deadlock.
+// while registering — rendering under r.mu would deadlock.
 func (r *Registry) childSnapshots(f *family) []child {
-	r.root.mu.Lock()
-	defer r.root.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]child, len(f.children))
 	for i, c := range f.children {
 		out[i] = *c
@@ -619,7 +564,7 @@ func jsonFloat(v float64) string {
 // jsonString renders s as a JSON string. Go-style quoting
 // (strconv.Quote, %q) is not usable here: it escapes non-printable and
 // non-ASCII bytes as \x../\U.. sequences that are invalid JSON, and
-// label values can carry arbitrary wire bytes (peer names).
+// label values and help texts are arbitrary strings.
 func jsonString(s string) string {
 	b, err := json.Marshal(s)
 	if err != nil { // unreachable for a string, but never emit bad JSON

@@ -33,27 +33,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestSubLabelsSeparateSeries(t *testing.T) {
-	reg := NewRegistry()
-	a := reg.Sub(L("node", "a")).Counter("msgs_total", "per node")
-	b := reg.Sub(L("node", "b")).Counter("msgs_total", "per node")
-	if a == b {
-		t.Fatal("different Sub labels returned the same series")
-	}
-	a.Add(2)
-	b.Add(7)
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{`msgs_total{node="a"} 2`, `msgs_total{node="b"} 7`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewHistogram(nil)
 	for i := 0; i < 100; i++ {
@@ -223,11 +202,11 @@ func TestPrometheusTextFormat(t *testing.T) {
 }
 
 // TestFuncReRegistrationRace is the race-detector repro for callback
-// registration vs rendering: edmesh re-registers peer gauges on every
-// discovery while the daemon's /metrics endpoint is being scraped, so
+// registration vs rendering: a second Session on a registry re-points
+// its callbacks while the /metrics endpoint may be being scraped, so
 // the payload swap must be ordered with the render path's reads. Run
 // under -race this catches any unlocked assignment in
-// GaugeFunc/Unregister.
+// GaugeFunc/CounterFunc.
 func TestFuncReRegistrationRace(t *testing.T) {
 	reg := NewRegistry()
 	var wg sync.WaitGroup
@@ -244,11 +223,7 @@ func TestFuncReRegistrationRace(t *testing.T) {
 			v := float64(i)
 			reg.GaugeFunc("race_gauge", "g", func() float64 { return v })
 			reg.CounterFunc("race_total", "c", func() uint64 { return uint64(v) })
-			peer := strconv.Itoa(i % 4)
-			reg.GaugeFunc("race_peer", "per peer", func() float64 { return v }, L("peer", peer))
-			if i%8 == 0 {
-				reg.Unregister("race_peer", L("peer", peer))
-			}
+			reg.GaugeFunc("race_peer", "per peer", func() float64 { return v }, L("peer", strconv.Itoa(i%4)))
 		}
 	}()
 	for i := 0; i < 200; i++ {
@@ -263,48 +238,8 @@ func TestFuncReRegistrationRace(t *testing.T) {
 	wg.Wait()
 }
 
-func TestUnregister(t *testing.T) {
-	reg := NewRegistry()
-	reg.Gauge("u_gauge", "g", L("peer", "a")).Set(1)
-	reg.Gauge("u_gauge", "g", L("peer", "b")).Set(2)
-	if !reg.Unregister("u_gauge", L("peer", "a")) {
-		t.Fatal("Unregister returned false for a live series")
-	}
-	if reg.Unregister("u_gauge", L("peer", "a")) {
-		t.Fatal("second Unregister of the same series returned true")
-	}
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if strings.Contains(out, `peer="a"`) {
-		t.Fatalf("unregistered series still rendered:\n%s", out)
-	}
-	if !strings.Contains(out, `u_gauge{peer="b"} 2`) {
-		t.Fatalf("sibling series lost:\n%s", out)
-	}
-	reg.Unregister("u_gauge", L("peer", "b"))
-	buf.Reset()
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "u_gauge") {
-		t.Fatalf("empty family still rendered:\n%s", buf.String())
-	}
-	// A fresh registration after full removal must work again.
-	reg.Gauge("u_gauge", "g", L("peer", "c")).Set(3)
-	buf.Reset()
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `u_gauge{peer="c"} 3`) {
-		t.Fatalf("re-registration after removal lost:\n%s", buf.String())
-	}
-}
-
-// TestWriteJSONNonPrintableLabel: label values can carry arbitrary wire
-// bytes (a peer name straight off the network). Go-style %q quoting
+// TestWriteJSONNonPrintableLabel: label values are arbitrary strings,
+// non-printable bytes included. Go-style %q quoting
 // escapes non-printables as \x.., which is invalid JSON — the output
 // must stay parseable, and valid-UTF-8 values must round-trip.
 func TestWriteJSONNonPrintableLabel(t *testing.T) {

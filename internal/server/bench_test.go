@@ -298,8 +298,8 @@ func BenchmarkServerHandleInstrumentation(b *testing.B) {
 //
 // On a 1-CPU host the -cpu axis still measures scheduling overhead
 // (goroutines contending for one core), which is exactly the regime CI
-// runs in; scripts/bench_mesh.sh records the matrix to BENCH_mesh.json
-// with the host CPU count so readers can tell the two regimes apart.
+// runs in; a recorded result needs the host CPU count beside it so
+// readers can tell the two regimes apart.
 func BenchmarkServerHandleShardMatrix(b *testing.B) {
 	const nFiles = 1 << 15
 	for _, shards := range []int{1, 4, 16} {

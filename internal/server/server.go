@@ -473,25 +473,6 @@ func (s *Server) HandleInto(a *Answers, now simtime.Time, from ed2k.ClientID, po
 	return a.msgs
 }
 
-// HandleRemote answers a query forwarded by a peer server against the
-// local index only: no user registration (the asking client is the
-// peer's, not ours), no per-user opcode counters, and never any further
-// forwarding — the single-hop rule that keeps a mesh of servers
-// loop-free. Unlike Handle, a search miss still returns the empty
-// SearchRes: the peer needs an explicit "no hits" to stop waiting. The
-// answers are on fresh storage, like Handle's.
-func (s *Server) HandleRemote(now simtime.Time, msg ed2k.Message) []ed2k.Message {
-	var a Answers
-	switch m := msg.(type) {
-	case *ed2k.GetSources:
-		s.handleGetSources(&a, now, m)
-		return a.msgs
-	case *ed2k.SearchReq:
-		return append(a.msgs, s.handleSearch(&a, m))
-	}
-	return nil
-}
-
 func (s *Server) handleOffer(a *Answers, now simtime.Time, from ed2k.ClientID, port uint16, m *ed2k.OfferFiles) ed2k.Message {
 	accepted := uint32(0)
 	for i := range m.Files {
@@ -976,8 +957,7 @@ func (s *Server) cover(e *ed2k.SearchExpr, dst []covering) (lists []covering, co
 // case folding. Semantics match ed2k.SearchExpr.Matches for ASCII input
 // (a property-checked invariant in the tests). The clone's nodes come
 // from *slab, replaced by one sized by the tree when it is too short; the
-// request's own tree is left as it is, because the daemon may forward it
-// to peers after Handle.
+// request's own tree is left as it is: it belongs to the caller.
 func lowerExpr(e *ed2k.SearchExpr, slab *[]ed2k.SearchExpr) *ed2k.SearchExpr {
 	if e == nil {
 		return nil
@@ -1172,8 +1152,7 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Counts reports the user and file gauges — what a server announces
-// about itself to its mesh peers (and answers to StatReq).
+// Counts reports the user and file gauges (what StatRes answers).
 func (s *Server) Counts() (users, files int) { return s.counts() }
 
 // Users reports the distinct clients seen.

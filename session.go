@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -264,12 +262,6 @@ func (s *Session) setup() (closers []func() error, err error) {
 		s.collector = analysis.NewCollector()
 		sinks = append(sinks, s.collector)
 	}
-	// A capture of several servers stamps each record with the name of
-	// the server whose dialog it belongs to.
-	var servers map[uint32]string
-	if ss, ok := s.src.(*ServerSource); ok {
-		servers = ss.names
-	}
 	if s.sim != nil {
 		s.sim.drops, s.sim.reg = &s.q.ledger, s.o.metrics
 	}
@@ -283,7 +275,7 @@ func (s *Session) setup() (closers []func() error, err error) {
 		dw, werr = dataset.NewWriter(s.o.datasetDir, dataset.WriterOptions{
 			Compress:   s.o.datasetGzip,
 			Background: s.dsBackground,
-			Meta:       s.datasetMeta(serverIP, servers),
+			Meta:       s.datasetMeta(serverIP),
 		})
 		if werr != nil {
 			return nil, werr
@@ -308,11 +300,7 @@ func (s *Session) setup() (closers []func() error, err error) {
 	default:
 		sink = teeSink{sinks}
 	}
-	if servers != nil {
-		s.pipe = core.NewPipelineMulti(servers, bytePair, sink)
-	} else {
-		s.pipe = core.NewPipeline(serverIP, bytePair, sink)
-	}
+	s.pipe = core.NewPipeline(serverIP, bytePair, sink)
 	if s.o.pcapTee != "" {
 		closeTee, err := s.openTee()
 		if err != nil {
@@ -326,17 +314,9 @@ func (s *Session) setup() (closers []func() error, err error) {
 
 // datasetMeta is the manifest's free-form header: what was captured,
 // and for a simulated capture the world that reproduces it.
-func (s *Session) datasetMeta(serverIP uint32, servers map[uint32]string) map[string]string {
+func (s *Session) datasetMeta(serverIP uint32) map[string]string {
 	meta := map[string]string{
 		"server_ip": strconv.FormatUint(uint64(serverIP), 10),
-	}
-	if servers != nil {
-		names := make([]string, 0, len(servers))
-		for _, n := range servers {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		meta["servers"] = strings.Join(names, ",")
 	}
 	if sim := s.sim; sim != nil {
 		meta["seed"] = strconv.FormatUint(sim.Config.Workload.Seed, 10)

@@ -703,16 +703,15 @@ func TestLiveSourceMonotoneUnderConcurrentMirror(t *testing.T) {
 // offline source (simulator, pcap replay, a caller's own Source) has the
 // machine's CPUs to itself and compresses on a background goroutine; a
 // source mirrored by the process it captures (LiveSource, and
-// ServerSource over one daemon or a mesh) shares them with its daemons
-// and compresses inline. Every dataset verifies.
+// ServerSource) shares them with its daemon and compresses inline. Every dataset verifies.
 func TestDatasetWriterWidthFollowsSource(t *testing.T) {
 	defer noLeak(t)()
 	sim := tinySim()
 	sim.Traffic.Duration = 20 * simtime.Minute
 	pcapPath := filepath.Join(t.TempDir(), "capture.pcap")
 
-	startDaemon := func(t *testing.T, name string) *edserverd.Daemon {
-		d, err := edserverd.Start(edserverd.Config{Name: name, UDPAddr: "off"})
+	startDaemon := func(t *testing.T) *edserverd.Daemon {
+		d, err := edserverd.Start(edserverd.Config{UDPAddr: "off"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -752,18 +751,9 @@ func TestDatasetWriterWidthFollowsSource(t *testing.T) {
 			return src
 		}, []Option{WithServerIP(0x0A000001)}, false},
 		{"ServerSource", func(t *testing.T) Source {
-			d := startDaemon(t, "")
+			d := startDaemon(t)
 			src := NewServerSource(d, 0)
 			mirrored(src.LiveSource, d.ServerKey())
-			return src
-		}, nil, false},
-		{"NewMeshSource", func(t *testing.T) Source {
-			daemons := []*edserverd.Daemon{startDaemon(t, "mesh-0"), startDaemon(t, "mesh-1")}
-			src, err := NewMeshSource(daemons, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mirrored(src.LiveSource, daemons[1].ServerKey())
 			return src
 		}, nil, false},
 	} {

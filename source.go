@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync/atomic"
 
 	"edtrace/internal/anonymize"
 	"edtrace/internal/core"
@@ -140,34 +139,22 @@ func (p *PcapSource) Frames(ctx context.Context, emit EmitFunc) error {
 	}
 }
 
-// ServerSource captures running edserverd daemons' own accepted traffic:
-// it installs itself as each daemon's tap — the software equivalent of
-// the port mirror in front of the paper's server — and feeds every
-// mirrored query and answer through the standard Session pipeline. The
-// loop this closes: our server daemon serves real TCP/UDP load
-// (cmd/edload), and our own capture infrastructure observes it
+// ServerSource captures a running edserverd daemon's own accepted
+// traffic: it installs itself as the daemon's tap — the software
+// equivalent of the port mirror in front of the paper's server — and
+// feeds every mirrored query and answer through the standard Session
+// pipeline. The loop this closes: our server daemon serves real TCP/UDP
+// load (cmd/edload), and our own capture infrastructure observes it
 // end-to-end, exactly the deployment of the paper's §2.
 //
-// One daemon (NewServerSource) is that deployment as the paper ran it:
-// records carry no provenance tag. Several (NewMeshSource) are the
-// "distributed set of observation points" its conclusion argues for, as
-// one capture: every record carries the name of the server whose dialog
-// it belongs to (the srv attribute).
-//
-// All daemons mirror into the Session's one queue (one kernel buffer, as
-// if one capture machine mirrored every server's port), as a LiveSource
-// does: if the pipeline falls behind, overflowing frames are dropped and
-// counted as capture losses (Fig 2). The capture lasts until every
-// daemon has shut down or Close is called; like every source it is
-// single-use.
+// The daemon mirrors into the Session's queue, as a LiveSource does: if
+// the pipeline falls behind, overflowing frames are dropped and counted
+// as capture losses (Fig 2). The capture lasts until the daemon shuts
+// down or Close is called; like every source it is single-use.
 type ServerSource struct {
 	*LiveSource
-	detaches  []func()
-	alive     atomic.Int32 // daemons not yet shut down
-	serverKey uint32       // the one daemon's dialog key; 0 for a mesh
-	// names maps each daemon's server key to its provenance tag; nil for
-	// one daemon, whose records stay untagged.
-	names map[uint32]string
+	detach    func()
+	serverKey uint32
 }
 
 // NewServerSource attaches a capture to d (replacing any previous tap —
@@ -179,77 +166,35 @@ type ServerSource struct {
 // untapped daemon never keeps paying the mirror's encoding cost.
 func NewServerSource(d *edserverd.Daemon, capacity int) *ServerSource {
 	s := &ServerSource{LiveSource: NewLiveSource(capacity), serverKey: d.ServerKey()}
-	s.attach([]*edserverd.Daemon{d})
+	s.detach = d.SetTap(s.Mirror)
+	go func() {
+		select {
+		case <-d.Done():
+			s.Close() // drain what is queued, then end the session
+		case <-s.q.done: // source closed first: nothing to watch for
+		}
+	}()
 	return s
 }
 
-// NewMeshSource attaches one merged capture to the daemons of a mesh,
-// each as NewServerSource attaches to one, over a shared queue. Daemon
-// names must be distinct and non-empty: they become the dataset's
-// provenance tags. The capture outlives individual daemons (that is the
-// failover experiment); the last one to shut down ends it.
-func NewMeshSource(daemons []*edserverd.Daemon, capacity int) (*ServerSource, error) {
-	if len(daemons) == 0 {
-		return nil, errors.New("edtrace: mesh source needs at least one daemon")
-	}
-	names := make(map[uint32]string, len(daemons))
-	byName := make(map[string]bool, len(daemons))
-	for _, d := range daemons {
-		name := d.Name()
-		if name == "" {
-			return nil, errors.New("edtrace: mesh daemons need names (Config.Name) for provenance tags")
-		}
-		if byName[name] {
-			return nil, errors.New("edtrace: duplicate mesh daemon name " + name)
-		}
-		byName[name] = true
-		names[d.ServerKey()] = name
-	}
-	s := &ServerSource{LiveSource: NewLiveSource(capacity), names: names}
-	s.attach(daemons)
-	return s, nil
-}
-
-// attach taps every daemon, then watches each for shutdown.
-func (s *ServerSource) attach(daemons []*edserverd.Daemon) {
-	s.alive.Store(int32(len(daemons)))
-	for _, d := range daemons {
-		s.detaches = append(s.detaches, d.SetTap(s.Mirror))
-	}
-	for _, d := range daemons {
-		go func() {
-			select {
-			case <-d.Done():
-				if s.alive.Add(-1) == 0 {
-					s.Close() // drain what is queued, then end the session
-				}
-			case <-s.q.done: // source closed first: nothing to watch for
-			}
-		}()
-	}
-}
-
-// Close detaches every tap and ends the capture (the Session processes
+// Close detaches the tap and ends the capture (the Session processes
 // what is queued and returns).
 func (s *ServerSource) Close() {
-	for _, detach := range s.detaches {
-		detach()
-	}
+	s.detach()
 	s.LiveSource.Close()
 }
 
 // Frames implements Source; whatever ends the stream — Close or context
-// cancellation — leaves every daemon untapped and the
-// daemon-watcher goroutines released (Close, not just detach: otherwise
-// a cancelled session would pin the watchers until daemon shutdown).
+// cancellation — leaves the daemon untapped and the daemon-watcher
+// goroutine released (Close, not just detach: otherwise a cancelled
+// session would pin the watcher until daemon shutdown).
 func (s *ServerSource) Frames(ctx context.Context, emit EmitFunc) error {
 	defer s.Close()
 	return s.LiveSource.Frames(ctx, emit)
 }
 
 // pipelineDefaults identifies the captured server, so the session needs
-// no WithServerIP; a mesh's names (see Session.setup) replace the single
-// server key.
+// no WithServerIP.
 func (s *ServerSource) pipelineDefaults() (uint32, [2]int, bool) {
 	return s.serverKey, anonymize.DefaultBytePair(), true
 }
